@@ -18,7 +18,7 @@ from .charts import (Chart, ChartDomainError, MetricJet, chart_from_config,
 from .clifford import (BilinearForm, MultivectorElement, chirality,
                        clifford_product, quantize, symbol)
 from .curvature import CurvatureData, curvature_data
-from .forms import (FormJet, coderivative_connection, coderivative_hodge,
+from .forms import (FormJet, PolyField, coderivative_connection, coderivative_hodge,
                     exterior_derivative, forms_dirac, gram_pairing,
                     hodge_star, iota_vector, laplace_beltrami, lie_derivative,
                     vector_bracket, volume_form, wedge_forms)
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BilinearForm", "Chart", "ChartDomainError", "CheckResult",
     "CurvatureData", "DiracOperatorData", "FormJet", "MetricJet",
-    "ModuleSpec", "MultivectorElement", "SJet", "SUITE_NAMES", "SWConfig",
+    "ModuleSpec", "MultivectorElement", "PolyField", "SJet", "SUITE_NAMES", "SWConfig",
     "SWConfigError", "SpinSignatureError", "SuiteUsageError",
     "SuperconnectionData", "VerificationReport", "apply_dirac",
     "build_frame", "build_spin_connection", "canonical_laplacian",

@@ -22,8 +22,8 @@ import numpy as np
 
 from .charts import MetricJet
 from .clifford import blade_indices, dict_contract_weights, dict_epsilon_gen, reorder_sign
-from .forms import PolyScalar, random_poly_scalar
-from .jets import SJet
+from .forms import PolyField, random_poly_field
+from .jets import SJet, seed_point
 
 
 class ParityError(ValueError):
@@ -144,13 +144,11 @@ class MatrixJet:
         val = self.val @ o.val
         d = dd = None
         if self.d is not None and o.d is not None:
-            d = np.einsum("iab,bc->iac", self.d, o.val) + np.einsum(
-                "ab,ibc->iac", self.val, o.d)
+            d = self.d @ o.val + self.val @ o.d
             if self.dd is not None and o.dd is not None:
-                cross = np.einsum("iab,jbc->ijac", self.d, o.d)
-                dd = (np.einsum("ijab,bc->ijac", self.dd, o.val) + cross
-                      + np.transpose(cross, (1, 0, 2, 3))
-                      + np.einsum("ab,ijbc->ijac", self.val, o.dd))
+                cross = self.d[:, None] @ o.d[None, :]
+                dd = (self.dd @ o.val + cross + cross.transpose(1, 0, 2, 3)
+                      + self.val @ o.dd)
         return MatrixJet(self.n, val, d, dd)
 
     def commutator(self, o: "MatrixJet") -> "MatrixJet":
@@ -160,13 +158,11 @@ class MatrixJet:
         v = self.val @ s.v
         d = dd = None
         if self.d is not None and s.d is not None:
-            d = np.einsum("iab,b->ia", self.d, s.v) + np.einsum(
-                "ab,ib->ia", self.val, s.d)
+            d = self.d @ s.v + s.d @ self.val.T
             if self.dd is not None and s.dd is not None:
-                cross = np.einsum("iab,jb->ija", self.d, s.d)
-                dd = (np.einsum("ijab,b->ija", self.dd, s.v) + cross
-                      + np.transpose(cross, (1, 0, 2))
-                      + np.einsum("ab,ijb->ija", self.val, s.dd))
+                cross = s.d @ self.d.transpose(0, 2, 1)   # [i, j] = d_i A d_j s
+                dd = (self.dd @ s.v + cross + cross.transpose(1, 0, 2)
+                      + s.dd @ self.val.T)
         return SectionJet(s.n, s.x, v, d, dd)
 
     @staticmethod
@@ -187,80 +183,20 @@ class MatrixJet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolySection:
-    n: int
-    comps: List[PolyScalar]
-
-    def eval(self, x, order: int = 2) -> SectionJet:
-        x = np.asarray(x, dtype=float)
-        jets = [p.eval_jet(x, order) for p in self.comps]
-        n, m = self.n, len(jets)
-        v = np.array([j.val for j in jets])
-        d = np.array([[j.d[i] for j in jets] for i in range(n)]) if order >= 1 else None
-        dd = (np.array([[[j.dd[i, k] for j in jets] for k in range(n)]
-                        for i in range(n)]) if order >= 2 else None)
-        return SectionJet(n, x, v, d, dd)
-
-
-@dataclass
-class PolyMatrix:
-    n: int
-    entries: List[List[PolyScalar]]
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    def eval(self, x, order: int = 2) -> MatrixJet:
-        x = np.asarray(x, dtype=float)
-        n, m = self.n, self.m
-        jets = [[p.eval_jet(x, order) for p in row] for row in self.entries]
-        val = np.array([[jets[r][c].val for c in range(m)] for r in range(m)])
-        d = dd = None
-        if order >= 1:
-            d = np.array([[[jets[r][c].d[i] for c in range(m)] for r in range(m)]
-                          for i in range(n)])
-        if order >= 2:
-            dd = np.array([[[[jets[r][c].dd[i, k] for c in range(m)]
-                             for r in range(m)] for k in range(n)] for i in range(n)])
-        return MatrixJet(n, val, d, dd)
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for row in self.entries for p in row for c, _ in p.terms),
-                   default=0.0)
-
-    @staticmethod
-    def zero(m: int, n: int) -> "PolyMatrix":
-        return PolyMatrix(n, [[PolyScalar(n, []) for _ in range(m)] for _ in range(m)])
-
-    @staticmethod
-    def constant(mat: np.ndarray, n: int) -> "PolyMatrix":
-        m = mat.shape[0]
-        return PolyMatrix(n, [[PolyScalar.constant(mat[r, c], n) for c in range(m)]
-                              for r in range(m)])
-
-
-def random_poly_section(rng, n: int, m: int, degree: int = 2) -> PolySection:
-    return PolySection(n, [random_poly_scalar(rng, n, degree, complex_coeffs=True)
-                           for _ in range(m)])
+def random_poly_section(rng, n: int, m: int, degree: int = 2) -> PolyField:
+    return random_poly_field(rng, n, (m,), degree, complex_coeffs=True)
 
 
 def random_parity_matrix(rng, n: int, eta: np.ndarray, parity: int,
-                         degree: int = 1) -> PolyMatrix:
+                         degree: int = 1) -> PolyField:
     """Polynomial matrix field with the requested eta-parity (+1 even, -1 odd)."""
-    m = eta.shape[0]
     sig = np.real(np.diag(eta)).astype(int)
-    rows = []
-    for r in range(m):
-        row = []
-        for c in range(m):
-            if sig[r] * sig[c] == parity:
-                row.append(random_poly_scalar(rng, n, degree, complex_coeffs=True))
-            else:
-                row.append(PolyScalar(n, []))
-        rows.append(row)
-    return PolyMatrix(n, rows)
+    allowed = np.outer(sig, sig) == parity
+    entries = random_poly_field(rng, n, (int(allowed.sum()),), degree,
+                                complex_coeffs=True)
+    coeffs = np.zeros((len(entries.coeffs),) + allowed.shape, dtype=complex)
+    coeffs[:, allowed] = entries.coeffs
+    return PolyField(n, entries.exponents, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +317,7 @@ class SuperconnectionData:
     n: int
     m: int
     eta: np.ndarray
-    blades: Dict[int, PolyMatrix]
+    blades: Dict[int, PolyField]
 
     def __post_init__(self):
         self.validate_parity()
@@ -391,17 +327,14 @@ class SuperconnectionData:
 
     def validate_parity(self) -> None:
         sig = np.real(np.diag(self.eta)).astype(int)
+        parity = np.outer(sig, sig)
         for mask, pm in self.blades.items():
-            want = self.required_parity(mask)
-            for r in range(self.m):
-                for c in range(self.m):
-                    if sig[r] * sig[c] != want and pm.entries[r][c].terms:
-                        raise ParityError(
-                            f"blade {blade_indices(mask)} entry ({r},{c}) breaks "
-                            f"the degree-parity rule")
-
-    def component(self, mask: int) -> PolyMatrix:
-        return self.blades.get(mask, PolyMatrix.zero(self.m, self.n))
+            bad = (parity != self.required_parity(mask)) & np.any(pm.coeffs != 0, axis=0)
+            if bad.any():
+                r, c = np.argwhere(bad)[0]
+                raise ParityError(
+                    f"blade {blade_indices(mask)} entry ({r},{c}) breaks "
+                    f"the degree-parity rule")
 
     def eval_blades(self, x, order: int = 2) -> Dict[int, MatrixJet]:
         return {mask: pm.eval(x, order) for mask, pm in self.blades.items()}
@@ -414,7 +347,7 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
 
     Presets: "zero", "constant", "linear", "random" or "random(seed)".
     """
-    blades: Dict[int, PolyMatrix] = {}
+    blades: Dict[int, PolyField] = {}
     for mask in range(1 << n):
         p = bin(mask).count("1")
         if p not in degree_specs:
@@ -430,7 +363,7 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
                 seed = int(inner[1:-1])
         rng = np.random.default_rng(seed * 100003 + mask * 101 + 7)
         if kind == "zero":
-            blades[mask] = PolyMatrix.zero(m, n)
+            blades[mask] = PolyField.zero(n, (m, m))
         elif kind == "constant":
             blades[mask] = random_parity_matrix(rng, n, eta, parity, degree=0)
         elif kind == "linear":
@@ -700,13 +633,11 @@ def lap_identity_residual(apply_h: Callable[[SectionJet], np.ndarray],
     x = np.asarray(x, dtype=float)
     if probe is None:
         probe = SectionJet.constant(np.ones(m), n, x)
+    coords = seed_point(x)
     worst = 0.0
     for k in range(n):
-        fk = PolyScalar(n, [(1.0, tuple(1 if i == k else 0 for i in range(n)))])
         for l in range(n):
-            fl = PolyScalar(n, [(1.0, tuple(1 if i == l else 0 for i in range(n)))])
-            jk = fk.eval_jet(x)
-            jl = fl.eval_jet(x)
+            jk, jl = coords[k], coords[l]
             h_fg = apply_h(probe.scale_jet(jk * jl))
             h_f = apply_h(probe.scale_jet(jk))
             h_g = apply_h(probe.scale_jet(jl))

@@ -109,7 +109,7 @@ def cmd_dirac(args) -> int:
     worst = 0.0
     for _ in range(5):
         f = random_poly_scalar(rng, n, 2, complex_coeffs=True)
-        fj = f.eval_jet(x, 2)
+        fj = f.eval(x, 2)
         j = bnd.random_poly_section(rng, n, ms.m).eval(x, 2)
         jf = j.scale_jet(fj)
         lhs = bnd.apply_dirac(D, jf) - fj.val * bnd.apply_dirac(D, j)

@@ -5,13 +5,16 @@ at a fixed point. Every operator here consumes jet orders instead of
 discretizing: applying a first-order operator to an order-k input yields
 an order-(k-1) output with no truncation error, so composite identities
 (d^2 = 0, Cartan relations, dual-route coderivatives) hold to rounding.
+PolyField is the one polynomial coefficient field type the checks draw from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iterproduct
-from typing import Dict, List, Sequence
+from math import prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,149 +130,167 @@ def wedge_forms(a: FormJet, b: FormJet) -> FormJet:
 
 
 # ---------------------------------------------------------------------------
-# polynomial and trigonometric coefficient fields (test-section plumbing)
+# polynomial coefficient fields (test-section plumbing)
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def exponent_table(n: int, degree: int) -> np.ndarray:
+    """Exponents of the monomials of total degree <= degree, shape (T, n).
+
+    Rows follow ``itertools.product`` order, the order in which coefficients
+    are drawn, so a seed picks the same field on every version.
+    """
+    rows = [e for e in _iterproduct(range(degree + 1), repeat=n) if sum(e) <= degree]
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    table.setflags(write=False)
+    return table
+
+
+_JET_TABLES: Dict[tuple, tuple] = {}
+
+
+def _jet_table(exponents: np.ndarray) -> tuple:
+    """Monomials U, and indices (R, T) into U with multipliers (R, T), such
+    that row r of the jet of x^E is mults[r] * x^U[index[r]].
+
+    Row 0 is the monomial, row 1 + k its partial d_k, row 1 + n + k n + l its
+    second partial d_k d_l (Griewank & Walther, Evaluating Derivatives, ch. 13).
+    Cached per exponent table.
+    """
+    key = (exponents.shape, exponents.tobytes())
+    hit = _JET_TABLES.get(key)
+    if hit is None:
+        T, n = exponents.shape
+        eye = np.eye(n, dtype=np.int64)
+        p1 = exponents[None] - eye[:, None]                # [k, t, i]
+        m1 = exponents.T.astype(float)                     # e_k
+        p2 = p1[:, None] - eye[None, :, None]              # [k, l, t, i]
+        m2 = m1[:, None] * p1.transpose(0, 2, 1)           # e_k (e_l - delta_kl)
+        powers = np.concatenate([exponents[None], p1, p2.reshape(n * n, T, n)])
+        mults = np.concatenate([np.ones((1, T)), m1, m2.reshape(n * n, T)])
+        # a zero multiplier marks a vanished term; clip its negative power
+        monos, index = np.unique(np.maximum(powers, 0).reshape(-1, n), axis=0,
+                                 return_inverse=True)
+        hit = (monos, index.reshape(mults.shape), mults)
+        for a in hit:
+            a.setflags(write=False)
+        _JET_TABLES[key] = hit
+    return hit
+
+
 @dataclass
-class PolyScalar:
-    """Polynomial in chart coordinates: list of (coefficient, exponent tuple)."""
+class PolyField:
+    """Polynomial field sum_t coeffs[t] x^exponents[t] with values in C^shape.
+
+    The fiber shape says what the field is: () a scalar, (m,) a section,
+    (m, m) an endomorphism, (B,) a form whose slot b holds the coefficient
+    of blade ``masks[b]``.  An (n,) field with ``kind="vector"`` is a vector
+    field.  ``kind`` is inferred from the shape and masks when left empty.
+    """
 
     n: int
-    terms: List[tuple]
+    exponents: np.ndarray
+    coeffs: np.ndarray
+    kind: str = ""
+    masks: Optional[Tuple[int, ...]] = None
 
-    def derivative(self, k: int) -> "PolyScalar":
-        out = []
-        for c, e in self.terms:
-            if e[k] > 0:
-                f = list(e)
-                f[k] -= 1
-                out.append((c * e[k], tuple(f)))
-        return PolyScalar(self.n, out)
+    def __post_init__(self):
+        if self.exponents.shape != (len(self.coeffs), self.n):
+            raise ValueError(f"exponents {self.exponents.shape} do not match "
+                             f"{len(self.coeffs)} terms in {self.n} variables")
+        if not self.kind:
+            self.kind = ("form" if self.masks is not None else
+                         {1: "scalar", 2: "section", 3: "matrix"}.get(self.coeffs.ndim, ""))
+        if self.kind not in ("scalar", "vector", "section", "matrix", "form"):
+            raise ValueError(f"no field kind {self.kind!r} for fiber shape "
+                             f"{self.coeffs.shape[1:]}")
+        if self.kind == "form" and (self.masks is None
+                                    or self.coeffs.shape[1:] != (len(self.masks),)):
+            raise ValueError("a form field needs one blade mask per fiber slot")
 
-    def eval(self, x) -> complex:
-        s = 0.0j
-        for c, e in self.terms:
-            t = c
-            for i, p in enumerate(e):
-                if p:
-                    t = t * x[i] ** p
-            s += t
-        return s
+    def _rows(self, x, order: int) -> np.ndarray:
+        """Jet rows (value, d_k, d_k d_l) by fiber slot, shape (rows, slots).
 
-    def eval_jet(self, x, order: int = 2) -> SJet:
+        All monomial jets are evaluated at once and contracted with the
+        coefficients in one product.
+        """
+        monos, index, mults = _jet_table(self.exponents)
+        rows = (1, 1 + self.n, 1 + self.n + self.n ** 2)[order]
+        values = np.multiply.reduce(np.asarray(x, dtype=float) ** monos, axis=1)
+        coeffs = self.coeffs.reshape(len(self.coeffs), prod(self.coeffs.shape[1:]))
+        return (mults[:rows] * values[index[:rows]]) @ coeffs
+
+    def jet(self, x, order: int = 2):
+        """Value, gradient and Hessian at x, shaped S, (n, *S), (n, n, *S);
+        orders above ``order`` are None."""
+        n = self.n
+        shape = self.coeffs.shape[1:]
+        out = self._rows(x, order)
+        d = out[1:1 + n].reshape((n,) + shape) if order >= 1 else None
+        dd = out[1 + n:].reshape((n, n) + shape) if order >= 2 else None
+        return out[0].reshape(shape), d, dd
+
+    def eval(self, x, order: int = 2, chart: str = ""):
+        """The jet at x in the container of the field's kind."""
         x = np.asarray(x, dtype=float)
-        val = self.eval(x)
-        d = dd = None
-        if order >= 1:
-            firsts = [self.derivative(k) for k in range(self.n)]
-            d = np.array([p.eval(x) for p in firsts])
-            if order >= 2:
-                dd = np.array([[firsts[k].derivative(l).eval(x)
-                                for l in range(self.n)] for k in range(self.n)])
-        return SJet(self.n, val, d, dd)
+        n = self.n
+        if self.kind in ("section", "matrix"):
+            from .bundles import MatrixJet, SectionJet
+            val, d, dd = self.jet(x, order)
+            if self.kind == "section":
+                return SectionJet(n, x, val, d, dd)
+            return MatrixJet(n, val, d, dd)
+        # one scalar jet per slot, from contiguous rows of the transposed jet
+        slots = self._rows(x, order).T.copy()
+        jets = [SJet(n, v, row[1:1 + n] if order >= 1 else None,
+                     row[1 + n:].reshape(n, n) if order >= 2 else None)
+                for v, row in zip(slots[:, 0].tolist(), slots)]
+        if self.kind == "scalar":
+            return jets[0]
+        if self.kind == "vector":
+            return VectorJet(n, x, jets)
+        return FormJet(n, x, dict(zip(self.masks, jets)), chart)
 
     @staticmethod
-    def constant(c, n: int) -> "PolyScalar":
-        return PolyScalar(n, [(complex(c), (0,) * n)])
+    def zero(n: int, shape: tuple = ()) -> "PolyField":
+        return PolyField(n, np.zeros((0, n), dtype=np.int64),
+                         np.zeros((0,) + tuple(shape), dtype=complex))
 
 
-@dataclass
-class TrigScalar:
-    """Trigonometric polynomial sum_k c_k exp(i k.x) on the 2pi-periodic torus."""
+def random_poly_field(rng, n: int, shape: tuple = (), degree: int = 2,
+                      complex_coeffs: bool = False, kind: str = "",
+                      masks: Optional[Tuple[int, ...]] = None) -> PolyField:
+    """Random polynomial field, coefficients uniform in [-1, 1].
 
-    n: int
-    modes: Dict[tuple, complex]
-
-    def eval_jet(self, x, order: int = 2) -> SJet:
-        x = np.asarray(x, dtype=float)
-        val = 0.0j
-        d = np.zeros(self.n, dtype=complex) if order >= 1 else None
-        dd = np.zeros((self.n, self.n), dtype=complex) if order >= 2 else None
-        for k, c in self.modes.items():
-            kv = np.asarray(k, dtype=float)
-            ph = c * np.exp(1j * float(kv @ x))
-            val += ph
-            if d is not None:
-                d += 1j * kv * ph
-            if dd is not None:
-                dd += -np.outer(kv, kv) * ph
-        return SJet(self.n, val, d, dd)
-
-    def eval(self, x) -> complex:
-        return self.eval_jet(x, order=0).val
-
-    def hermitized(self) -> "TrigScalar":
-        """Symmetrize modes so the field is real-valued."""
-        out: Dict[tuple, complex] = {}
-        for k, c in self.modes.items():
-            mk = tuple(-i for i in k)
-            out[k] = out.get(k, 0.0j) + 0.5 * c
-            out[mk] = out.get(mk, 0.0j) + 0.5 * np.conj(c)
-        return TrigScalar(self.n, out)
-
-
-def _exponent_tuples(n: int, degree: int):
-    for e in _iterproduct(range(degree + 1), repeat=n):
-        if sum(e) <= degree:
-            yield e
+    The draw order is entries row-major, then terms, then real before
+    imaginary part: one vectorized call gives the same stream as the loop
+    of scalar draws it replaces.
+    """
+    exps = exponent_table(n, degree)
+    size = (prod(shape), len(exps))
+    if complex_coeffs:
+        draws = rng.uniform(-1.0, 1.0, size=size + (2,)).view(complex)[..., 0]
+    else:
+        draws = rng.uniform(-1.0, 1.0, size=size).astype(complex)
+    coeffs = np.ascontiguousarray(draws.T).reshape((len(exps),) + tuple(shape))
+    return PolyField(n, exps, coeffs, kind, masks)
 
 
 def random_poly_scalar(rng, n: int, degree: int = 2,
-                       complex_coeffs: bool = False) -> PolyScalar:
-    terms = []
-    for e in _exponent_tuples(n, degree):
-        c = rng.uniform(-1.0, 1.0)
-        if complex_coeffs:
-            c = c + 1j * rng.uniform(-1.0, 1.0)
-        terms.append((complex(c), e))
-    return PolyScalar(n, terms)
+                       complex_coeffs: bool = False) -> PolyField:
+    return random_poly_field(rng, n, (), degree, complex_coeffs)
 
 
-@dataclass
-class PolyVectorField:
-    n: int
-    comps: List[PolyScalar]
-
-    def eval(self, x, order: int = 2) -> VectorJet:
-        x = np.asarray(x, dtype=float)
-        return VectorJet(self.n, x, [p.eval_jet(x, order) for p in self.comps])
-
-
-@dataclass
-class PolynomialFormField:
-    """Per-blade polynomial coefficients, evaluable to a FormJet of any order."""
-
-    n: int
-    blades: Dict[int, PolyScalar]
-
-    def eval(self, x, order: int = 2, chart: str = "") -> FormJet:
-        x = np.asarray(x, dtype=float)
-        return FormJet(self.n, x,
-                       {m: p.eval_jet(x, order) for m, p in self.blades.items()},
-                       chart)
-
-
-def random_poly_vector(rng, n: int, degree: int = 2) -> PolyVectorField:
-    return PolyVectorField(n, [random_poly_scalar(rng, n, degree) for _ in range(n)])
+def random_poly_vector(rng, n: int, degree: int = 2) -> PolyField:
+    return random_poly_field(rng, n, (n,), degree, kind="vector")
 
 
 def random_poly_form(rng, n: int, p: int, degree: int = 2,
-                     complex_coeffs: bool = False) -> PolynomialFormField:
-    blades = {}
-    for m in range(1 << n):
-        if bin(m).count("1") == p:
-            blades[m] = random_poly_scalar(rng, n, degree, complex_coeffs)
-    return PolynomialFormField(n, blades)
-
-
-def random_trig_scalar(rng, n: int, band: int = 1, real: bool = True) -> TrigScalar:
-    modes: Dict[tuple, complex] = {}
-    for k in _iterproduct(range(-band, band + 1), repeat=n):
-        c = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)
-        modes[k] = complex(c)
-    t = TrigScalar(n, modes)
-    return t.hermitized() if real else t
+                     complex_coeffs: bool = False) -> PolyField:
+    masks = tuple(m for m in range(1 << n) if bin(m).count("1") == p)
+    return random_poly_field(rng, n, (len(masks),), degree, complex_coeffs,
+                             masks=masks)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,12 @@ def sw_config_from_dict(cfg: dict) -> SWConfig:
         raise SWConfigError(f"chirality block must be '+' or '-', got {block!r}")
     if band < 0 or grid < 1:
         raise SWConfigError("grid and band must be positive")
-    if grid < 2 * band:
+    # the quartic |psi|^4 term reaches frequency 4*band per axis; the
+    # trapezoid rule integrates it exactly only above that (Orszag 1971)
+    if grid < 4 * band + 1:
         raise SWConfigError(
-            f"grid {grid} is below the Nyquist bound for band {band}")
+            f"grid {grid} is below the quadrature bound 4*band+1 = "
+            f"{4 * band + 1} for band {band} (Nyquist limit of |psi|^4)")
     allowed = BLOCK_INDICES[block]
     a_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex] = {}
     for row in raw_a:

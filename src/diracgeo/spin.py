@@ -18,7 +18,7 @@ from .bundles import (DiracOperatorData, MatrixJet, ModuleSpec, SectionJet,
                       dirac_square, quantize_blade)
 from .charts import Chart, MetricJet, metric_jet
 from .curvature import christoffel, dchristoffel, ricci_and_scalar, lowered_riemann, riemann
-from .forms import PolyScalar
+from .forms import PolyField, random_poly_field
 from .jets import SJet, jet_sqrt, seed_point
 
 
@@ -391,13 +391,7 @@ def chirality_action_checks(smd: SpinModuleData, frame: FrameField,
 # ---------------------------------------------------------------------------
 
 
-def imaginary_poly_potential(rng, n: int, degree: int = 2) -> List[PolyScalar]:
-    """Random polynomial U(1) potential components, purely imaginary values."""
-    out = []
-    from .forms import _exponent_tuples
-
-    for _ in range(n):
-        terms = [(1j * rng.uniform(-1.0, 1.0), e)
-                 for e in _exponent_tuples(n, degree)]
-        out.append(PolyScalar(n, terms))
-    return out
+def imaginary_poly_potential(rng, n: int, degree: int = 2) -> PolyField:
+    """Random polynomial U(1) potential: a vector field with imaginary values."""
+    real = random_poly_field(rng, n, (n,), degree, kind="vector")
+    return PolyField(n, real.exponents, 1j * real.coeffs, "vector")

@@ -16,7 +16,7 @@ from .clifford import (CLIFFORD, EXTERIOR, BilinearForm, MultivectorElement,
                        symbol)
 from .curvature import (curvature_data, divergence_via_connection,
                         divergence_via_density, log_det_identity_residual)
-from .forms import (FormJet, PolynomialFormField, exterior_derivative,
+from .forms import (FormJet, PolyField, exterior_derivative,
                     gram_pairing, hodge_star, coderivative_connection,
                     coderivative_hodge, forms_dirac, iota_vector,
                     laplace_beltrami, lie_derivative, random_poly_form,
@@ -91,13 +91,11 @@ def _rel(diff: float, *scales: float) -> float:
     return diff / max(1.0, *scales)
 
 
-def _mixed_form_field(rng, n: int, degrees=None) -> PolynomialFormField:
-    if degrees is None:
-        degrees = range(n + 1)
-    blades = {}
-    for p in degrees:
-        blades.update(random_poly_form(rng, n, p, complex_coeffs=True).blades)
-    return PolynomialFormField(n, blades)
+def _mixed_form_field(rng, n: int) -> PolyField:
+    parts = [random_poly_form(rng, n, p, complex_coeffs=True) for p in range(n + 1)]
+    return PolyField(n, parts[0].exponents,
+                     np.concatenate([f.coeffs for f in parts], axis=1),
+                     masks=sum((f.masks for f in parts), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +372,7 @@ def levi_civita_suite(chart: str, seed: int, samples: int) -> VerificationReport
         worst = 0.0
         for x, cd in data:
             for _ in range(JETS_PER_POINT):
-                xf = random_poly_vector(rng, n)
-                vj = xf.eval(x, 1)
-                x_val = vj.values()
-                dx_val = np.array([[vj.comps[i].d[a] for i in range(n)]
-                                   for a in range(n)])
+                x_val, dx_val, _ = random_poly_vector(rng, n).jet(x, 1)
                 d1 = divergence_via_density(cd.mj, x_val, dx_val)
                 d2 = divergence_via_connection(cd.mj, cd.christoffel, x_val,
                                                dx_val)
@@ -479,7 +473,7 @@ def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
         for x, mj, _ in built:
             for _ in range(3):
                 f = random_poly_scalar(rng, n, 3, complex_coeffs=True)
-                fj = f.eval_jet(x, 2)
+                fj = f.eval(x, 2)
                 sec = bnd.SectionJet(n, np.asarray(x, dtype=float),
                                      np.array([fj.val]),
                                      fj.d.reshape(n, 1), fj.dd.reshape(n, n, 1))
@@ -537,7 +531,7 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
             D = bnd.quantize_superconnection(S, mj, ms, x)
             for _ in range(3):
                 f = random_poly_scalar(rng, n, 2, complex_coeffs=True)
-                fj = f.eval_jet(x, 2)
+                fj = f.eval(x, 2)
                 j = bnd.random_poly_section(rng, n, m).eval(x, 2)
                 jf = j.scale_jet(fj)
                 t1 = bnd.apply_dirac(D, jf)
@@ -682,8 +676,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
     for x in pts:
         mj = metric_jet(ch, x)
         fr = sp.build_frame_from_metric(mj)
-        pots = sp.imaginary_poly_potential(rng, n)
-        a_jets = [p.eval_jet(x, order=2) for p in pots]
+        a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
         scd = sp.build_spin_connection(fr, smd, mj, a_jets)
         prepared.append((x, mj, fr, scd, a_jets))
 
@@ -736,8 +729,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
     def connection_difference():
         worst = 0.0
         for x, mj, fr, scd, a_jets in prepared[: max(4, samples // 4)]:
-            pots2 = sp.imaginary_poly_potential(rng, n)
-            b_jets = [p.eval_jet(x, order=2) for p in pots2]
+            b_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
             scd2 = sp.build_spin_connection(fr, smd, mj, b_jets)
             for a in range(n):
                 diff = scd.omega[a].val - scd2.omega[a].val

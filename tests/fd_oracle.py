@@ -52,6 +52,18 @@ def fd_metric_derivatives(chart, x, h: float = 1e-3):
     return g, dg, d2g
 
 
+def fd_jet(f, x, h: float = 1e-3):
+    """Value, gradient [a, ...] and Hessian [a, b, ...] of an array-valued f
+    by the same stencils; exact up to rounding for polynomials of degree <= 4."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    d = np.stack([_d1(f, x, a, h) for a in range(n)])
+    dd = np.stack([np.stack([_d2_same(f, x, a, h) if a == b else
+                             _d1(lambda y, a=a: _d1(f, y, a, h), x, b, h)
+                             for b in range(n)]) for a in range(n)])
+    return f(x), d, dd
+
+
 def fd_curvature(chart, x, h: float = 1e-3):
     """Christoffel, Riemann (index layout [i,j,k,l] as in the library),
     Ricci, and scalar curvature, all from finite differences."""

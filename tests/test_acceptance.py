@@ -197,7 +197,7 @@ def test_criterion_06_laplacian_suite():
           worst_def, 1e-9)
 
     worst_rt = 0.0
-    from diracgeo.forms import random_poly_scalar
+    from diracgeo.forms import random_poly_field
     charts = ("poly2", "sphere2", "torus3", "hyperbolic2")
     for trial in range(50):
         ch = get_chart(charts[trial % len(charts)])
@@ -205,10 +205,8 @@ def test_criterion_06_laplacian_suite():
         m = 3
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
-        A = [bnd.PolyMatrix(
-            n, [[random_poly_scalar(rng, n, 2, complex_coeffs=True)
-                 for _ in range(m)] for _ in range(m)]).eval(x, 2)
-            for _ in range(n)]
+        A = [random_poly_field(rng, n, (m, m), 2, complex_coeffs=True).eval(x, 2)
+             for _ in range(n)]
         F = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         A2, F2 = bnd.laplacian_decompose(
             bnd.laplacian_from_connection(A, F, mj, x), mj)
@@ -280,8 +278,7 @@ def test_criterion_09_conformal_flagship():
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             fr = sp.build_frame_from_metric(mj)
-            a_jets = [p.eval_jet(x, 2)
-                      for p in sp.imaginary_poly_potential(rng, n)]
+            a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
             assert max(abs(complex(a.val)) for a in a_jets) > 0
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
@@ -307,8 +304,7 @@ def test_criterion_10_lichnerowicz():
                 fr = sp.build_frame_from_metric(mj)
                 a_jets = None
                 if with_pot:
-                    a_jets = [p.eval_jet(x, 2)
-                              for p in sp.imaginary_poly_potential(rng, n)]
+                    a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
                 scd = sp.build_spin_connection(fr, smd, mj, a_jets)
                 for _ in range(10):  # 100 jets per chart and setting
                     j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)

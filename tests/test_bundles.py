@@ -6,7 +6,8 @@ import pytest
 from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.curvature import curvature_data
-from diracgeo.forms import random_poly_scalar, random_poly_vector
+from diracgeo.forms import (PolyField, random_poly_field, random_poly_scalar,
+                            random_poly_vector)
 
 
 def _module(n):
@@ -44,6 +45,24 @@ def test_parity_rule_enforced():
     bnd.SuperconnectionData(n, m, ms.eta, {1: good})
 
 
+def test_parity_error_names_first_offending_entry():
+    n = 2
+    ms, m = _module(n)
+    sig = np.real(np.diag(ms.eta)).astype(int)
+    # degree-1 blades need sig[r] sig[c] = +1; fill two entries that break it
+    wrong = [(r, c) for r in range(m) for c in range(m) if sig[r] * sig[c] != 1]
+    coeffs = np.zeros((1, m, m), dtype=complex)
+    for r, c in (wrong[-1], wrong[1]):
+        coeffs[0, r, c] = 0.5
+    field = PolyField(n, np.zeros((1, n), dtype=np.int64), coeffs)
+    r, c = wrong[1]
+    with pytest.raises(bnd.ParityError, match=rf"entry \({r},{c}\)"):
+        bnd.SuperconnectionData(n, m, ms.eta, {1: field})
+    # allowed entries alone pass
+    coeffs[0][sig[:, None] * sig[None, :] != 1] = 0.0
+    bnd.SuperconnectionData(n, m, ms.eta, {1: field})
+
+
 def test_dirac_commutator_is_clifford_of_differential():
     rng = np.random.default_rng(2)
     ch = get_chart("sphere2")
@@ -55,7 +74,7 @@ def test_dirac_commutator_is_clifford_of_differential():
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=3)
     D = bnd.quantize_superconnection(S, mj, ms, x)
     for _ in range(5):
-        fj = random_poly_scalar(rng, n, 2, complex_coeffs=True).eval_jet(x)
+        fj = random_poly_scalar(rng, n, 2, complex_coeffs=True).eval(x)
         j = bnd.random_poly_section(rng, n, m).eval(x, 2)
         lhs = bnd.apply_dirac(D, j.scale_jet(fj)) - fj.val * bnd.apply_dirac(D, j)
         rhs = np.zeros(m, dtype=complex)
@@ -106,9 +125,7 @@ def test_laplacian_decompose_recovers_connection_and_potential():
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     for _ in range(10):
-        A = [bnd.PolyMatrix(
-            n, [[random_poly_scalar(rng, n, 2, complex_coeffs=True)
-                 for _ in range(m)] for _ in range(m)]).eval(x, 2)
+        A = [random_poly_field(rng, n, (m, m), 2, complex_coeffs=True).eval(x, 2)
              for _ in range(n)]
         F = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         H = bnd.laplacian_from_connection(A, F, mj, x)
@@ -197,10 +214,8 @@ def test_twisting_curvature_accepts_levi_civita_rejects_random():
     # the action but need not vanish; on the round sphere it is nonzero
     assert max(np.max(np.abs(ftw[i, k])) for i in range(n) for k in range(n)) > 1e-6
 
-    bad = [bnd.PolyMatrix(
-        n, [[random_poly_scalar(rng, n, 1, complex_coeffs=True)
-             for _ in range(m)] for _ in range(m)]).eval(x, 2)
-        for _ in range(n)]
+    bad = [random_poly_field(rng, n, (m, m), 1, complex_coeffs=True).eval(x, 2)
+           for _ in range(n)]
     with pytest.raises(bnd.CliffordConnectionError):
         bnd.twisting_curvature(bnd.connection_curvature(bad), cd.lowered, gammas)
 

@@ -23,7 +23,7 @@ def test_exterior_derivative_of_scalar_is_the_differential():
     rng = np.random.default_rng(1)
     n = 3
     x = rng.normal(size=n)
-    f = random_poly_scalar(rng, n, 3).eval_jet(x)
+    f = random_poly_scalar(rng, n, 3).eval(x)
     df = exterior_derivative(FormJet(n, x, {0: f}))
     for i in range(n):
         assert df.coefficient([i]) == pytest.approx(complex(f.d[i]), abs=1e-14)
@@ -225,7 +225,7 @@ def test_laplace_beltrami_flat_and_scalar_route():
     ch = get_chart("sphere2")
     y = ch.sample_point(rng)
     mjs = metric_jet(ch, y)
-    g = random_poly_scalar(rng, n, 3).eval_jet(y)
+    g = random_poly_scalar(rng, n, 3).eval(y)
     via_form = coderivative_connection(
         exterior_derivative(FormJet(n, y, {0: g})), mjs)
     assert complex(via_form.coeffs[0].val) == pytest.approx(

@@ -1,0 +1,182 @@
+"""PolyField: coefficient draws and monomial-jet evaluation against references."""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+import fd_oracle
+from diracgeo import bundles as bnd
+from diracgeo import spin as sp
+from diracgeo.forms import (FormJet, PolyField, VectorJet, exponent_table,
+                            random_poly_form, random_poly_scalar,
+                            random_poly_vector)
+from diracgeo.jets import SJet
+
+
+def _loop_draws(rng, entries, n, degree, complex_coeffs):
+    """The scalar draw loop: entries, then terms in filtered product order,
+    then real before imaginary part.  Returns (T, entries)."""
+    out = []
+    for _ in range(entries):
+        row = []
+        for e in product(range(degree + 1), repeat=n):
+            if sum(e) > degree:
+                continue
+            c = rng.uniform(-1.0, 1.0)
+            if complex_coeffs:
+                c = c + 1j * rng.uniform(-1.0, 1.0)
+            row.append(complex(c))
+        out.append(row)
+    return np.array(out, dtype=complex).reshape(entries, -1).T
+
+
+def _same_stream(make, reference, seed=7):
+    got = make(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    want = reference(rng)
+    assert got.coeffs.dtype == complex
+    assert np.array_equal(got.coeffs, want)
+    # the vectorized draw leaves the generator where the loop left it
+    g2 = np.random.default_rng(seed)
+    make(g2)
+    assert g2.uniform() == rng.uniform()
+    return got
+
+
+@pytest.mark.parametrize("n,degree", [(2, 0), (2, 2), (3, 1), (4, 2), (4, 3)])
+def test_random_constructors_match_the_scalar_draw_loop(n, degree):
+    terms = [e for e in product(range(degree + 1), repeat=n) if sum(e) <= degree]
+    assert exponent_table(n, degree).tolist() == [list(e) for e in terms]
+    for cc in (False, True):
+        _same_stream(lambda r: random_poly_scalar(r, n, degree, cc),
+                     lambda r: _loop_draws(r, 1, n, degree, cc)[:, 0])
+    _same_stream(lambda r: random_poly_vector(r, n, degree),
+                 lambda r: _loop_draws(r, n, n, degree, False))
+    for p in range(n + 1):
+        masks = [m for m in range(1 << n) if bin(m).count("1") == p]
+        f = _same_stream(lambda r: random_poly_form(r, n, p, degree, True),
+                         lambda r: _loop_draws(r, len(masks), n, degree, True))
+        assert list(f.masks) == masks
+    m = 1 << n
+    _same_stream(lambda r: bnd.random_poly_section(r, n, m, degree),
+                 lambda r: _loop_draws(r, m, n, degree, True))
+    eta = bnd.exterior_module(n).eta
+    sig = np.real(np.diag(eta)).astype(int)
+    for parity in (1, -1):
+        def matrix_loop(r):
+            out = np.zeros((len(terms), m, m), dtype=complex)
+            for row, col in product(range(m), repeat=2):
+                if sig[row] * sig[col] == parity:
+                    out[:, row, col] = _loop_draws(r, 1, n, degree, True)[:, 0]
+            return out
+        _same_stream(lambda r: bnd.random_parity_matrix(r, n, eta, parity, degree),
+                     matrix_loop)
+    _same_stream(lambda r: sp.imaginary_poly_potential(r, n, degree),
+                 lambda r: 1j * _loop_draws(r, n, n, degree, False))
+
+
+def _naive_jet(f: PolyField, x):
+    """Term-by-term value, gradient and Hessian."""
+    n = f.n
+    shape = f.coeffs.shape[1:]
+    val = np.zeros(shape, dtype=complex)
+    d = np.zeros((n,) + shape, dtype=complex)
+    dd = np.zeros((n, n) + shape, dtype=complex)
+    for c, e in zip(f.coeffs, f.exponents.tolist()):
+        def mono(mult, pw):
+            t = mult
+            for i in range(n):
+                t *= x[i] ** pw[i] if pw[i] >= 0 else 0.0
+            return t
+        val += c * mono(1.0, e)
+        for k in range(n):
+            ek = [p - (i == k) for i, p in enumerate(e)]
+            d[k] += c * mono(e[k], ek)
+            for l in range(n):
+                ekl = [p - (i == l) for i, p in enumerate(ek)]
+                dd[k, l] += c * mono(e[k] * ek[l], ekl)
+    return val, d, dd
+
+
+def _fields(rng, n, degree):
+    m = 3
+    yield random_poly_scalar(rng, n, degree, True)
+    for shape in ((m,), (m, m)):
+        f = bnd.random_poly_section(rng, n, m, degree)
+        yield PolyField(n, f.exponents,
+                        rng.normal(size=(len(f.exponents),) + shape) + 0j)
+    yield PolyField.zero(n, (m, m))
+    yield PolyField(n, np.zeros((1, n), dtype=np.int64),
+                    rng.normal(size=(1, m)) + 1j * rng.normal(size=(1, m)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_jets_match_term_loop_and_finite_differences(n, degree):
+    rng = np.random.default_rng(10 * n + degree)
+    x = rng.uniform(-1.5, 1.5, size=n)
+    for f in _fields(rng, n, degree):
+        got = f.jet(x)
+        scale = max(1.0, float(np.abs(f.coeffs).sum()) * 2.0 ** (2 * degree))
+        for a, b in zip(got, _naive_jet(f, x)):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * scale
+        fd = fd_oracle.fd_jet(lambda y: f.jet(y, 0)[0], x)
+        for a, b in zip(got, fd):
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-7 * scale
+        # lower orders are the leading rows of the same jet
+        val1, d1, dd1 = f.jet(x, 1)
+        assert dd1 is None and np.array_equal(d1, got[1])
+        assert f.jet(x, 0)[1] is None
+    # the empty field is zero; a constant field is its coefficient, exactly
+    assert not any(a.any() for a in PolyField.zero(n, (2, 2)).jet(x))
+    const = PolyField(n, np.zeros((1, n), dtype=np.int64),
+                      np.full((1, 2, 2), 0.5 + 1j))
+    val, d, dd = const.jet(x)
+    assert np.array_equal(val, const.coeffs[0]) and not d.any() and not dd.any()
+
+
+def test_eval_wraps_each_kind_in_its_container():
+    rng = np.random.default_rng(3)
+    n = 3
+    x = rng.normal(size=n)
+    f = random_poly_scalar(rng, n, 2, True)
+    s = f.eval(x)
+    val, d, dd = f.jet(x)
+    assert isinstance(s, SJet) and isinstance(s.val, complex)
+    assert s.val == val and np.array_equal(s.d, d) and np.array_equal(s.dd, dd)
+    assert f.eval(x, 1).dd is None and f.eval(x, 0).d is None
+
+    v = random_poly_vector(rng, n)
+    vj = v.eval(x)
+    val, d, dd = v.jet(x)
+    assert isinstance(vj, VectorJet) and len(vj.comps) == n
+    for i, c in enumerate(vj.comps):
+        assert c.val == val[i] and np.array_equal(c.d, d[:, i])
+        assert np.array_equal(c.dd, dd[:, :, i])
+
+    form = random_poly_form(rng, n, 2, complex_coeffs=True)
+    fj = form.eval(x, 2, chart="flat3")
+    assert isinstance(fj, FormJet) and fj.chart == "flat3"
+    assert list(fj.coeffs) == list(form.masks)
+    val, d, _ = form.jet(x)
+    for b, mask in enumerate(form.masks):
+        assert fj.coeffs[mask].val == val[b]
+        assert np.array_equal(fj.coeffs[mask].d, d[:, b])
+
+    sec = bnd.random_poly_section(rng, n, 4).eval(x)
+    assert isinstance(sec, bnd.SectionJet) and sec.dd.shape == (n, n, 4)
+    mat = PolyField.zero(n, (4, 4)).eval(x, 1)
+    assert isinstance(mat, bnd.MatrixJet) and mat.d.shape == (n, 4, 4)
+    assert mat.dd is None
+
+
+def test_field_shape_is_checked():
+    e = exponent_table(2, 1)
+    with pytest.raises(ValueError, match="do not match"):
+        PolyField(3, e, np.zeros(len(e), dtype=complex))
+    with pytest.raises(ValueError, match="blade mask"):
+        PolyField(2, e, np.zeros((len(e), 2), dtype=complex), masks=(1,))
+    with pytest.raises(ValueError, match="field kind"):
+        PolyField(2, e, np.zeros((len(e), 2, 2, 2), dtype=complex))

@@ -185,6 +185,32 @@ def test_functional_is_grid_independent_above_nyquist():
     assert w8["w_weitzenbock"] == pytest.approx(w16["w_weitzenbock"], rel=1e-9)
 
 
+@pytest.mark.parametrize("band", [1, 2, 3])
+def test_grid_quadrature_bound(band):
+    # |psi|^4 reaches frequency 4*band: the trapezoid rule integrates it
+    # exactly only on grids of at least 4*band + 1 points per axis
+    cfg = sw_config_from_dict(_cfg_dict(band=band, grid=4 * band + 1))
+    assert cfg.grid == 4 * band + 1
+    with pytest.raises(SWConfigError, match="quadrature bound"):
+        sw_config_from_dict(_cfg_dict(band=band, grid=4 * band))
+
+
+def test_functional_is_exact_at_the_quadrature_bound():
+    # spinor modes at k1 = +1 and -1 give |psi|^4 a frequency-4 component
+    cfg = sw_config_from_dict(_cfg_dict(
+        band=1, grid=5, psi_modes=[[0, 1, 0, 0, 0, 1.0, 0.0],
+                                   [0, -1, 0, 0, 0, 0.7, 0.2],
+                                   [3, 0, 1, 0, 0, 0.3, 0.1]]))
+
+    def on_grid(grid):
+        return sw_functional(SWConfig(grid, cfg.band, cfg.block, cfg.a_modes,
+                                      cfg.psi_modes))["w_equations"]
+
+    assert on_grid(5) == pytest.approx(on_grid(16), rel=1e-12)
+    # one point fewer aliases that component
+    assert on_grid(4) != pytest.approx(on_grid(16), rel=1e-3)
+
+
 def test_random_config_is_seed_deterministic():
     a = random_sw_config(np.random.default_rng(11))
     b = random_sw_config(np.random.default_rng(11))

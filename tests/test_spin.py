@@ -87,7 +87,7 @@ def test_dirac_routes_agree():
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
         fr = sp.build_frame_from_metric(mj)
-        a_jets = [p.eval_jet(x, 2) for p in sp.imaginary_poly_potential(rng, n)]
+        a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
         scd = sp.build_spin_connection(fr, smd, mj, a_jets)
         for _ in range(5):
             j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
@@ -107,8 +107,7 @@ def test_conformal_closed_form_matches_generic_assembly():
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             fr = sp.build_frame_from_metric(mj)
-            a_jets = [p.eval_jet(x, 2)
-                      for p in sp.imaginary_poly_potential(rng, n)]
+            a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
@@ -140,8 +139,7 @@ def test_lichnerowicz_with_and_without_potential():
         for with_pot in (False, True):
             a_jets = None
             if with_pot:
-                a_jets = [p.eval_jet(x, 2)
-                          for p in sp.imaginary_poly_potential(rng, n)]
+                a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             for _ in range(3):
                 j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
@@ -169,8 +167,8 @@ def test_connection_difference_is_half_potential_difference():
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     fr = sp.build_frame_from_metric(mj)
-    a_jets = [p.eval_jet(x, 2) for p in sp.imaginary_poly_potential(rng, n)]
-    b_jets = [p.eval_jet(x, 2) for p in sp.imaginary_poly_potential(rng, n)]
+    a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+    b_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
     scd_a = sp.build_spin_connection(fr, smd, mj, a_jets)
     scd_b = sp.build_spin_connection(fr, smd, mj, b_jets)
     for a in range(n):
