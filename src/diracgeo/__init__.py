@@ -26,7 +26,7 @@ from .jets import SJet, jet_cos, jet_exp, jet_log, jet_sin, jet_sqrt, seed_point
 from .report import CheckResult, VerificationReport
 from .seiberg_witten import (SWConfig, SWConfigError, load_sw_config,
                              random_sw_config, sw_functional, sw_residuals)
-from .spin import (SpinSignatureError, build_frame, build_spin_connection,
+from .spin import (SpinSignatureError, build_spin_connection,
                    conformal_dirac, lichnerowicz_residual, spin_dirac,
                    spin_module, spin_module_data)
 from .suites import SUITE_NAMES, SuiteUsageError, run_suite
@@ -39,7 +39,7 @@ __all__ = [
     "ModuleSpec", "MultivectorElement", "PolyField", "SJet", "SUITE_NAMES", "SWConfig",
     "SWConfigError", "SpinSignatureError", "SuiteUsageError",
     "SuperconnectionData", "VerificationReport", "apply_dirac",
-    "build_frame", "build_spin_connection", "canonical_laplacian",
+    "build_spin_connection", "canonical_laplacian",
     "chart_from_config", "chirality", "clifford_product",
     "coderivative_connection", "coderivative_hodge", "conformal_dirac",
     "curvature_data", "dirac_square", "exterior_derivative",

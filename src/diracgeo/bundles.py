@@ -21,9 +21,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .charts import MetricJet
-from .clifford import blade_indices, dict_contract_weights, dict_epsilon_gen, reorder_sign
-from .forms import PolyField, random_poly_field
-from .jets import SJet, seed_point
+from .clifford import blade_indices, parity_matrix, reorder_sign
+from .forms import (PolyField, exterior_gammas,
+                    levi_civita_exterior_connection,  # re-exported for bundle callers
+                    random_poly_field)
+from .jets import MatrixJet, SectionJet, seed_point
 
 
 class ParityError(ValueError):
@@ -32,150 +34,6 @@ class ParityError(ValueError):
 
 class CliffordConnectionError(ValueError):
     """Twisting curvature failed to supercommute with the Clifford action."""
-
-
-# ---------------------------------------------------------------------------
-# fiber-valued jets
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SectionJet:
-    """C^m-valued jet: v, d[i] = partial_i v, dd[i, j] = partial_i partial_j v."""
-
-    n: int
-    x: np.ndarray
-    v: np.ndarray
-    d: Optional[np.ndarray] = None
-    dd: Optional[np.ndarray] = None
-
-    @property
-    def m(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def order(self) -> int:
-        if self.dd is not None:
-            return 2
-        if self.d is not None:
-            return 1
-        return 0
-
-    def partial(self, k: int) -> "SectionJet":
-        if self.d is None:
-            raise ValueError("section jet carries no first-order data")
-        dd = self.dd[k].copy() if self.dd is not None else None
-        return SectionJet(self.n, self.x, self.d[k], dd, None)
-
-    def __add__(self, o: "SectionJet") -> "SectionJet":
-        d = self.d + o.d if self.d is not None and o.d is not None else None
-        dd = self.dd + o.dd if self.dd is not None and o.dd is not None else None
-        return SectionJet(self.n, self.x, self.v + o.v, d, dd)
-
-    def __sub__(self, o: "SectionJet") -> "SectionJet":
-        return self + o.scale(-1.0)
-
-    def scale(self, s) -> "SectionJet":
-        d = self.d * s if self.d is not None else None
-        dd = self.dd * s if self.dd is not None else None
-        return SectionJet(self.n, self.x, self.v * s, d, dd)
-
-    def scale_jet(self, s: SJet) -> "SectionJet":
-        """Multiply by a scalar jet, intersecting orders."""
-        d = dd = None
-        if self.d is not None and s.d is not None:
-            d = s.val * self.d + np.outer(s.d, self.v)
-            if self.dd is not None and s.dd is not None:
-                cross = np.einsum("i,jm->ijm", s.d, self.d)
-                dd = (s.val * self.dd + cross + np.transpose(cross, (1, 0, 2))
-                      + np.einsum("ij,m->ijm", s.dd, self.v))
-        return SectionJet(self.n, self.x, s.val * self.v, d, dd)
-
-    @staticmethod
-    def constant(v: Sequence, n: int, x, order: int = 2) -> "SectionJet":
-        v = np.asarray(v, dtype=complex)
-        m = v.shape[0]
-        d = np.zeros((n, m), dtype=complex) if order >= 1 else None
-        dd = np.zeros((n, n, m), dtype=complex) if order >= 2 else None
-        return SectionJet(n, np.asarray(x, dtype=float), v, d, dd)
-
-
-@dataclass
-class MatrixJet:
-    """End(C^m)-valued jet at a point."""
-
-    n: int
-    val: np.ndarray
-    d: Optional[np.ndarray] = None
-    dd: Optional[np.ndarray] = None
-
-    @property
-    def m(self) -> int:
-        return self.val.shape[0]
-
-    @property
-    def order(self) -> int:
-        if self.dd is not None:
-            return 2
-        if self.d is not None:
-            return 1
-        return 0
-
-    def partial(self, k: int) -> "MatrixJet":
-        if self.d is None:
-            raise ValueError("matrix jet carries no first-order data")
-        dd = self.dd[k].copy() if self.dd is not None else None
-        return MatrixJet(self.n, self.d[k], dd, None)
-
-    def __add__(self, o: "MatrixJet") -> "MatrixJet":
-        d = self.d + o.d if self.d is not None and o.d is not None else None
-        dd = self.dd + o.dd if self.dd is not None and o.dd is not None else None
-        return MatrixJet(self.n, self.val + o.val, d, dd)
-
-    def __sub__(self, o: "MatrixJet") -> "MatrixJet":
-        return self + o.scale(-1.0)
-
-    def scale(self, s) -> "MatrixJet":
-        d = self.d * s if self.d is not None else None
-        dd = self.dd * s if self.dd is not None else None
-        return MatrixJet(self.n, self.val * s, d, dd)
-
-    def __matmul__(self, o: "MatrixJet") -> "MatrixJet":
-        val = self.val @ o.val
-        d = dd = None
-        if self.d is not None and o.d is not None:
-            d = self.d @ o.val + self.val @ o.d
-            if self.dd is not None and o.dd is not None:
-                cross = self.d[:, None] @ o.d[None, :]
-                dd = (self.dd @ o.val + cross + cross.transpose(1, 0, 2, 3)
-                      + self.val @ o.dd)
-        return MatrixJet(self.n, val, d, dd)
-
-    def commutator(self, o: "MatrixJet") -> "MatrixJet":
-        return (self @ o) - (o @ self)
-
-    def apply(self, s: SectionJet) -> SectionJet:
-        v = self.val @ s.v
-        d = dd = None
-        if self.d is not None and s.d is not None:
-            d = self.d @ s.v + s.d @ self.val.T
-            if self.dd is not None and s.dd is not None:
-                cross = s.d @ self.d.transpose(0, 2, 1)   # [i, j] = d_i A d_j s
-                dd = (self.dd @ s.v + cross + cross.transpose(1, 0, 2)
-                      + s.dd @ self.val.T)
-        return SectionJet(s.n, s.x, v, d, dd)
-
-    @staticmethod
-    def constant(mat: np.ndarray, n: int, order: int = 2) -> "MatrixJet":
-        mat = np.asarray(mat, dtype=complex)
-        m = mat.shape[0]
-        d = np.zeros((n, m, m), dtype=complex) if order >= 1 else None
-        dd = np.zeros((n, n, m, m), dtype=complex) if order >= 2 else None
-        return MatrixJet(n, mat, d, dd)
-
-    @staticmethod
-    def zero(m: int, n: int, order: int = 2) -> "MatrixJet":
-        return MatrixJet.constant(np.zeros((m, m)), n, order)
 
 
 # ---------------------------------------------------------------------------
@@ -217,74 +75,9 @@ class ModuleSpec:
         return self.gamma_provider(mj)
 
 
-def _generator_matrices(n: int):
-    """Constant wedge/contraction generator matrices on the 2^n exterior basis."""
-    dim = 1 << n
-    eps = [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
-    cot = [np.zeros((dim, dim), dtype=complex) for _ in range(n)]
-    for mask in range(dim):
-        for i in range(n):
-            for mm, c in dict_epsilon_gen(i, {mask: 1.0}).items():
-                eps[i][mm, mask] = c
-            w = [1.0 if j == i else 0.0 for j in range(n)]
-            for mm, c in dict_contract_weights(w, {mask: 1.0}).items():
-                cot[i][mm, mask] = c
-    return eps, cot
-
-
 def exterior_module(n: int) -> ModuleSpec:
     """Clifford action on the full exterior algebra, gammas c(dx^i) = eps - iota."""
-    dim = 1 << n
-    eps, cot = _generator_matrices(n)
-    eta = np.diag([(-1.0) ** bin(mask).count("1") for mask in range(dim)]).astype(complex)
-
-    def provider(mj: MetricJet) -> List[MatrixJet]:
-        out = []
-        for i in range(n):
-            val = eps[i].copy()
-            d = np.zeros((n, dim, dim), dtype=complex)
-            dd = np.zeros((n, n, dim, dim), dtype=complex)
-            for j in range(n):
-                val -= mj.g_inv[i, j] * cot[j]
-                d -= np.einsum("k,ab->kab", mj.dg_inv[:, i, j].astype(complex), cot[j])
-                dd -= np.einsum("lk,ab->lkab", mj.d2g_inv[:, :, i, j].astype(complex),
-                                cot[j])
-            out.append(MatrixJet(n, val, d, dd))
-        return out
-
-    return ModuleSpec(dim, eta, provider, name="exterior")
-
-
-def levi_civita_exterior_connection(mj: MetricJet) -> List[MatrixJet]:
-    """Connection matrices A_a of the induced derivative on form coefficients.
-
-    Matches the componentwise formula nabla_a dx^j = -Gamma^j_am dx^m blade by
-    blade, so nabla_a = partial_a + A_a on coefficient vectors.
-    """
-    from .curvature import christoffel, dchristoffel
-
-    gamma = christoffel(mj)
-    dgamma = dchristoffel(mj)
-    n = mj.n
-    dim = 1 << n
-    out = []
-    for a in range(n):
-        val = np.zeros((dim, dim), dtype=complex)
-        d = np.zeros((n, dim, dim), dtype=complex)
-        for mask in range(dim):
-            idx = blade_indices(mask)
-            for pos, ip in enumerate(idx):
-                rest = mask & ~(1 << ip)
-                sgn_pos = -1.0 if pos % 2 else 1.0
-                for mnew in range(n):
-                    if (1 << mnew) & rest:
-                        continue
-                    key = rest | (1 << mnew)
-                    w = -1.0 * sgn_pos * reorder_sign(1 << mnew, rest)
-                    val[key, mask] += w * gamma[ip, a, mnew]
-                    d[:, key, mask] += w * dgamma[:, ip, a, mnew]
-        out.append(MatrixJet(n, val, d, None))
-    return out
+    return ModuleSpec(1 << n, parity_matrix(n), exterior_gammas, name="exterior")
 
 
 def module_invariant_residual(ms: ModuleSpec, mj: MetricJet) -> float:
@@ -588,13 +381,9 @@ def dirac_square(D: DiracOperatorData, j: SectionJet) -> np.ndarray:
 
 
 def canonical_laplacian(A: List[MatrixJet], mj: MetricJet, j: SectionJet,
-                        gamma: Optional[np.ndarray] = None,
                         route: str = "local") -> np.ndarray:
     """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a section 2-jet."""
-    if gamma is None:
-        from .curvature import christoffel
-
-        gamma = christoffel(mj)
+    gamma = mj.christoffel
     n = mj.n
     if route == "local":
         out = np.zeros(j.m, dtype=complex)
@@ -634,14 +423,16 @@ def lap_identity_residual(apply_h: Callable[[SectionJet], np.ndarray],
     if probe is None:
         probe = SectionJet.constant(np.ones(m), n, x)
     coords = seed_point(x)
+    h_0 = apply_h(probe)
+    h_coord = [apply_h(probe.scale_jet(c)) for c in coords]
+    # x^k x^l is symmetric in (k, l): one operator call per unordered pair
+    h_pair = {(k, l): apply_h(probe.scale_jet(coords[k] * coords[l]))
+              for k in range(n) for l in range(k, n)}
     worst = 0.0
     for k in range(n):
         for l in range(n):
-            jk, jl = coords[k], coords[l]
-            h_fg = apply_h(probe.scale_jet(jk * jl))
-            h_f = apply_h(probe.scale_jet(jk))
-            h_g = apply_h(probe.scale_jet(jl))
-            h_0 = apply_h(probe)
+            h_fg = h_pair[min(k, l), max(k, l)]
+            h_f, h_g = h_coord[k], h_coord[l]
             comm = (h_fg - float(x[l]) * h_f - float(x[k]) * h_g
                     + float(x[k] * x[l]) * h_0)
             resid = comm + 2.0 * mj.g_inv[k, l] * probe.v
@@ -674,16 +465,15 @@ class LaplacianData:
 def laplacian_from_connection(A: List[MatrixJet], F: np.ndarray,
                               mj: MetricJet, x) -> LaplacianData:
     """H = canonical Laplacian of A plus zero-order F."""
-    from .curvature import christoffel
-
-    gamma = christoffel(mj)
+    gamma = mj.christoffel
     n = mj.n
     m = F.shape[0]
     x = np.asarray(x, dtype=float)
 
     def apply_h(j: SectionJet) -> np.ndarray:
-        return canonical_laplacian(A, mj, j, gamma) + F @ j.v
+        return canonical_laplacian(A, mj, j) + F @ j.v
 
+    dtrg = _d_trace_gamma(mj)
     T = []
     for k in range(n):
         val = np.zeros((m, m), dtype=complex)
@@ -696,25 +486,21 @@ def laplacian_from_connection(A: List[MatrixJet], F: np.ndarray,
             for j_ in range(n):
                 val += mj.g_inv[i, j_] * gamma[k, i, j_] * np.eye(m)
         # derivative of the scalar g^ij Gamma^k_ij part
-        dsc = _d_trace_gamma(mj, gamma)[:, k]
-        d += np.einsum("l,ab->lab", dsc.astype(complex), np.eye(m))
+        d += np.einsum("l,ab->lab", dtrg[:, k].astype(complex), np.eye(m))
         T.append(MatrixJet(n, val, d, None))
-    U = _zero_order_of_connection(A, mj, gamma) + F.astype(complex)
+    U = _zero_order_of_connection(A, mj) + F.astype(complex)
     return LaplacianData(n, m, x, apply_h, T, U)
 
 
-def _d_trace_gamma(mj: MetricJet, gamma: np.ndarray) -> np.ndarray:
+def _d_trace_gamma(mj: MetricJet) -> np.ndarray:
     """partial_l of g^ij Gamma^k_ij, indexed [l, k]."""
-    from .curvature import dchristoffel
-
-    dgam = dchristoffel(mj)
-    return (np.einsum("lij,kij->lk", mj.dg_inv, gamma)
-            + np.einsum("ij,lkij->lk", mj.g_inv, dgam))
+    return (np.einsum("lij,kij->lk", mj.dg_inv, mj.christoffel)
+            + np.einsum("ij,lkij->lk", mj.g_inv, mj.dchristoffel))
 
 
-def _zero_order_of_connection(A: List[MatrixJet], mj: MetricJet,
-                              gamma: np.ndarray) -> np.ndarray:
+def _zero_order_of_connection(A: List[MatrixJet], mj: MetricJet) -> np.ndarray:
     """Zero-order block of the canonical Laplacian itself."""
+    gamma = mj.christoffel
     n = mj.n
     m = A[0].m
     out = np.zeros((m, m), dtype=complex)
@@ -743,12 +529,17 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
     def apply_h(j: SectionJet) -> np.ndarray:
         return dirac_square(D, j)
 
+    # T is read to first order only, so its products run on 1-jets
+    def first_order(f: MatrixJet) -> MatrixJet:
+        return MatrixJet(n, f.val, f.d)
+
+    g1, A1, Z1 = [first_order(g) for g in gam], [first_order(a) for a in A], first_order(Z)
     T = []
     for k in range(n):
-        acc = (gam[k] @ Z) + (Z @ gam[k])
+        acc = (g1[k] @ Z1) + (Z1 @ g1[k])
         for i in range(n):
-            acc = acc + (gam[k] @ gam[i] @ A[i]) + (gam[i] @ gam[k] @ A[i])
-            acc = acc + gam[i] @ (gam[k].partial(i) + A[i].commutator(gam[k]))
+            acc = acc + (g1[k] @ g1[i] @ A1[i]) + (g1[i] @ g1[k] @ A1[i])
+            acc = acc + g1[i] @ (gam[k].partial(i) + A1[i].commutator(g1[k]))
         T.append(acc)
     U = (Z @ Z).val.copy()
     for i in range(n):
@@ -763,12 +554,9 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
 
 def laplacian_decompose(L: LaplacianData, mj: MetricJet):
     """Recover (A_i with 1-jets, F) from coefficient jets per the probe family."""
-    from .curvature import christoffel
-
-    gamma = christoffel(mj)
     n, m = L.n, L.m
-    trg = np.einsum("ij,kij->k", mj.g_inv, gamma)
-    dtrg = _d_trace_gamma(mj, gamma)
+    trg = np.einsum("ij,kij->k", mj.g_inv, mj.christoffel)
+    dtrg = _d_trace_gamma(mj)
     A = []
     for i in range(n):
         val = np.zeros((m, m), dtype=complex)
@@ -781,7 +569,7 @@ def laplacian_decompose(L: LaplacianData, mj: MetricJet):
             d += 0.5 * (np.einsum("l,ab->lab", mj.dg[:, i, k].astype(complex),
                                   diff_val) + mj.g[i, k] * diff_d)
         A.append(MatrixJet(n, val, d, None))
-    u_conn = _zero_order_of_connection(A, mj, gamma)
+    u_conn = _zero_order_of_connection(A, mj)
     F = L.U - u_conn
     return A, F
 

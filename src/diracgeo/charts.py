@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,8 +66,10 @@ class Chart:
 class MetricJet:
     """Metric with exact derivatives at one point.
 
-    dg[k, i, j] = d_k g_ij and d2g[l, k, i, j] = d_l d_k g_ij; inverse-metric
-    and volume-factor jets are derived once here and shared downstream.
+    dg[k, i, j] = d_k g_ij and d2g[l, k, i, j] = d_l d_k g_ij.  Inverse-metric
+    and volume-factor jets are derived once here; the Christoffel symbols and
+    their first derivatives are computed once, on first use.  All are shared
+    downstream.
     """
 
     def __init__(self, chart: Chart, x: np.ndarray, g: np.ndarray,
@@ -96,6 +99,26 @@ class MetricJet:
         self.dh = np.real(h_jet.d).astype(float)
         self.ddh = np.real(h_jet.dd).astype(float)
 
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        """Gamma[k, i, j] = Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
+        out = 0.5 * np.einsum("kl,ijl->kij", self.g_inv, _first_kind(self.dg))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def dchristoffel(self) -> np.ndarray:
+        """dGamma[m, k, i, j] = d_m Gamma^k_ij."""
+        out = 0.5 * (np.einsum("mkl,ijl->mkij", self.dg_inv, _first_kind(self.dg))
+                     + np.einsum("kl,mijl->mkij", self.g_inv, _first_kind(self.d2g)))
+        out.setflags(write=False)
+        return out
+
+
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """[..., i, j, l] -> dg[..., i, j, l] + dg[..., j, i, l] - dg[..., l, i, j]."""
+    return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+
 
 def _entry_arrays(entry, n: int):
     if isinstance(entry, SJet):
@@ -122,10 +145,13 @@ def metric_jet(chart: Chart, x: Sequence[float]) -> MetricJet:
             d2g[:, :, i, j] = np.real(dd)
     if not np.allclose(g, g.T, atol=1e-10):
         raise DegenerateMetricError(f"metric not symmetric at {x.tolist()}")
-    det = np.linalg.det(g)
-    if abs(det) <= 1e-10:
-        raise DegenerateMetricError(f"|det g| = {abs(det):.3e} at {x.tolist()}")
-    neg = int(np.sum(np.linalg.eigvalsh(g) < 0))
+    eig = np.linalg.eigvalsh(g)
+    mags = np.abs(eig)
+    if mags.min() <= 1e-10 * mags.max():
+        raise DegenerateMetricError(
+            f"metric degenerate at {x.tolist()}: min |eigenvalue| {mags.min():.3e} "
+            f"<= 1e-10 * max |eigenvalue| {mags.max():.3e}")
+    neg = int(np.sum(eig < 0))
     if neg != chart.negatives:
         raise DegenerateMetricError(
             f"signature drifted at {x.tolist()}: {neg} negative directions, "

@@ -1,21 +1,23 @@
 """Clifford algebras over nondegenerate symmetric bilinear forms.
 
-Elements are stored in symbol coordinates: a dict mapping blade bitmasks to
-coefficients (bit i set = generator dx^i present).  The same storage backs
-exterior elements and Clifford elements; ``quantize``/``symbol`` reinterpret
-the coordinates without touching them.  The geometric product expands the
-left factor into generator words and applies c(v) = epsilon(v) - iota(v) to
-the right factor's symbol.
+Elements live on the blade axis: a complex vector of length 2^n whose slot M
+holds the coefficient of the blade with bitmask M (bit i set = generator dx^i
+present).  The same storage backs exterior elements and Clifford elements;
+``quantize``/``symbol`` reinterpret the coordinates without touching them.
 
-Coefficients may be plain complex numbers or jets (anything supporting
-+, -, *), which is how position-dependent Clifford fields get exact
-derivatives downstream.
+Every operation is a product with fixed structure tensors on that axis, the
+bitmap-blade tables of Dorst, Fontijne & Mann, *Geometric Algebra for
+Computer Science* (2007), ch. 19: ``blade_tables`` holds the wedge eps_i and
+the contraction iota_i by each generator, and ``product_table`` the action
+c(q(e_M)) of every quantized blade for c(dx^i) = eps_i - B_ij iota_j.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from math import prod
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +31,7 @@ class AlgebraMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# blade bitmask kernels
+# blade bitmask tables
 # ---------------------------------------------------------------------------
 
 
@@ -55,125 +57,71 @@ def reorder_sign(a: int, b: int) -> int:
     return -1 if total & 1 else 1
 
 
-def _is_exact_zero(c) -> bool:
-    return isinstance(c, (int, float, complex)) and c == 0
-
-
-def _dict_add(acc: Dict[int, object], mask: int, coeff) -> None:
-    if mask in acc:
-        acc[mask] = acc[mask] + coeff
-    else:
-        acc[mask] = coeff
-
-
-def dict_wedge(a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
-    out: Dict[int, object] = {}
-    for ma, ca in a.items():
-        if _is_exact_zero(ca):
-            continue
-        for mb, cb in b.items():
-            if ma & mb or _is_exact_zero(cb):
-                continue
-            s = reorder_sign(ma, mb)
-            c = ca * cb
-            _dict_add(out, ma | mb, c if s > 0 else -c)
+@lru_cache(maxsize=None)
+def grades(n: int) -> np.ndarray:
+    """Degree of every blade on the 2^n axis."""
+    out = np.array([m.bit_count() for m in range(1 << n)])
+    out.setflags(write=False)
     return out
 
 
-def dict_epsilon_gen(i: int, a: Dict[int, object]) -> Dict[int, object]:
-    """Left wedge by the single generator dx^i."""
-    bit = 1 << i
-    out: Dict[int, object] = {}
-    for m, c in a.items():
-        if m & bit or _is_exact_zero(c):
-            continue
-        s = reorder_sign(bit, m)
-        _dict_add(out, m | bit, c if s > 0 else -c)
-    return out
+@lru_cache(maxsize=None)
+def blade_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign matrices on the 2^n blade axis, each shaped (n, 2^n, 2^n).
 
-
-def dict_contract_weights(w: Sequence, a: Dict[int, object]) -> Dict[int, object]:
-    """Interior product with pairing weights w_j against each blade factor.
-
-    iota(dx^{j_1} ^ ... ^ dx^{j_p}) = sum_t (-1)^(t-1) w_{j_t} * blade without j_t.
+    eps[i] is left wedge by dx^i; iota[i] is contraction with the i-th
+    coordinate vector, iota_i(dx^{j_1} ^ ... ^ dx^{j_p}) =
+    sum_t (-1)^(t-1) delta_{i j_t} (blade without j_t).
     """
-    out: Dict[int, object] = {}
-    for m, c in a.items():
-        if _is_exact_zero(c):
-            continue
-        sign = 1
-        for j in blade_indices(m):
-            wj = w[j]
-            if not _is_exact_zero(wj):
-                term = wj * c
-                _dict_add(out, m & ~(1 << j), term if sign > 0 else -term)
-            sign = -sign
-    return out
+    dim = 1 << n
+    masks = np.arange(dim)
+    eps = np.zeros((n, dim, dim))
+    iota = np.zeros((n, dim, dim))
+    for i in range(n):
+        bit = 1 << i
+        below = np.array([(m & (bit - 1)).bit_count() for m in range(dim)])
+        sign = np.where(below % 2, -1.0, 1.0)
+        has = (masks & bit) != 0
+        eps[i, masks[~has] | bit, masks[~has]] = sign[~has]
+        iota[i, masks[has] ^ bit, masks[has]] = sign[has]
+    for t in (eps, iota):
+        t.setflags(write=False)
+    return eps, iota
 
 
-def dict_scale(a: Dict[int, object], s) -> Dict[int, object]:
-    return {m: c * s for m, c in a.items()}
+def contract(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_i weights[..., i] table[i], as one matrix product."""
+    out = weights @ table.reshape(len(table), prod(table.shape[1:]))
+    return out.reshape(weights.shape[:-1] + table.shape[1:])
 
 
-def dict_sum(*ds: Dict[int, object]) -> Dict[int, object]:
-    out: Dict[int, object] = {}
-    for d in ds:
-        for m, c in d.items():
-            _dict_add(out, m, c)
-    return out
+def product_table(pairing: np.ndarray) -> np.ndarray:
+    """Q[M] = c(q(e_M)) on the blade axis for c(dx^i) = eps_i - pairing[i, j] iota_j.
 
-
-def dict_clean(a: Dict[int, object], tol: float = 0.0) -> Dict[int, object]:
-    out = {}
-    for m, c in a.items():
-        if isinstance(c, (int, float, complex)):
-            if abs(c) <= tol:
-                continue
-            out[m] = complex(c)
-        else:
-            out[m] = c
-    return out
-
-
-def clifford_action_dict(a_sym: Dict[int, object], phi: Dict[int, object],
-                         b_inv_pairing) -> Dict[int, object]:
-    """Apply c(a) to phi, both in symbol coordinates.
-
-    ``b_inv_pairing`` is the matrix B(dx^i, dx^j) (indexable [i][j]); entries
-    may be numbers or jets.  The left factor is peeled into generator words by
-    triangular elimination from the top degree down: the symbol of a generator
-    word dx^{i_1}...dx^{i_p} (ascending) is the blade plus lower-degree terms,
-    so subtracting word symbols clears one degree at a time.
+    Built blade by blade from q(dx^i ^ w) = c(dx^i) q(w) + q(iota_i w), with
+    i below every index of w and iota_i the contraction through the pairing;
+    column 0 of Q[M] is e_M, the symbol.  A zero pairing gives the wedge table.
     """
-    n_top = max(a_sym.keys(), default=0).bit_length()
+    n = pairing.shape[0]
+    eps, iota = blade_tables(n)
+    cot = contract(pairing, iota)
+    gens = eps - cot
+    dim = 1 << n
+    table = np.zeros((dim, dim, dim), dtype=complex)
+    table[0] = np.eye(dim)
+    for mask in range(1, dim):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        table[mask] = (gens[low] @ table[rest]
+                       + contract(cot[low, :rest, rest], table[:rest]))
+    table.setflags(write=False)
+    return table
 
-    def word_apply(indices: List[int], target: Dict[int, object]) -> Dict[int, object]:
-        for i in reversed(indices):
-            w_row = b_inv_pairing[i]
-            eps = dict_epsilon_gen(i, target)
-            iot = dict_contract_weights(w_row, target)
-            target = dict_sum(eps, {m: -c for m, c in iot.items()})
-        return target
 
-    work = dict(a_sym)
-    result: Dict[int, object] = {}
-    for deg in range(n_top, -1, -1):
-        masks = [m for m in work if m.bit_count() == deg]
-        for mask in masks:
-            lam = work.pop(mask)
-            if _is_exact_zero(lam):
-                continue
-            idx = blade_indices(mask)
-            contrib = word_apply(idx, phi)
-            for m, c in contrib.items():
-                _dict_add(result, m, lam * c)
-            if deg >= 2:
-                word_sym = word_apply(idx, {0: 1.0})
-                for m, c in word_sym.items():
-                    if m == mask or _is_exact_zero(c):
-                        continue
-                    _dict_add(work, m, -(lam * c))
-    return result
+@lru_cache(maxsize=None)
+def wedge_table(n: int) -> np.ndarray:
+    """W[M] = left exterior multiplication by the blade e_M."""
+    return product_table(np.zeros((n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +131,11 @@ def clifford_action_dict(a_sym: Dict[int, object], phi: Dict[int, object],
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Nondegenerate symmetric pairing on covectors, B[i, j] = (dx^i, dx^j)."""
+    """Nondegenerate symmetric pairing on covectors, B[i, j] = (dx^i, dx^j).
+
+    Degenerate means min |eigenvalue| <= 1e-12 * max |eigenvalue|, a test
+    that does not depend on the scale of B.
+    """
 
     matrix: np.ndarray
 
@@ -193,13 +145,21 @@ class BilinearForm:
             raise ValueError("bilinear form must be a square matrix")
         if not np.allclose(m, m.T, atol=1e-12):
             raise ValueError("bilinear form must be symmetric")
-        if abs(np.linalg.det(m)) <= 1e-12:
-            raise DegenerateFormError("|det B| below 1e-12")
+        mags = np.abs(np.linalg.eigvalsh(m))
+        if mags.min() <= 1e-12 * mags.max():
+            raise DegenerateFormError(
+                f"min |eigenvalue| {mags.min():.3e} <= 1e-12 * max |eigenvalue| "
+                f"{mags.max():.3e}")
         object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Action matrices of the quantized blades, built once per form."""
+        return product_table(self.matrix)
 
     def pair(self, u: Sequence[complex], v: Sequence[complex]) -> complex:
         """Complex-bilinear pairing of two covector component arrays."""
@@ -219,12 +179,13 @@ CLIFFORD = "clifford"
 class MultivectorElement:
     """Multivector in symbol coordinates over a fixed algebra.
 
+    ``coeffs`` is the complex vector on the 2^n blade axis.
     kind "exterior": plain element of the exterior algebra (wedge calculus).
     kind "clifford": element of Cl(B) stored via the symbol isomorphism.
     """
 
     n: int
-    coeffs: Dict[int, object]
+    coeffs: np.ndarray
     kind: str = EXTERIOR
     form: Optional[BilinearForm] = None
 
@@ -235,20 +196,24 @@ class MultivectorElement:
             raise ValueError("clifford elements need a bilinear form")
         if self.form is not None and self.form.n != self.n:
             raise AlgebraMismatchError("form dimension does not match element")
-        self.coeffs = dict_clean(self.coeffs)
+        self.coeffs = np.array(self.coeffs, dtype=complex)
+        if self.coeffs.shape != (1 << self.n,):
+            raise ValueError(f"coefficients of shape {self.coeffs.shape} do not "
+                             f"fill the {1 << self.n} blades of n={self.n}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def scalar(c, n: int, kind: str = EXTERIOR,
                form: Optional[BilinearForm] = None) -> "MultivectorElement":
-        return MultivectorElement(n, {0: c}, kind, form)
+        return MultivectorElement.blade([], n, c, kind, form)
 
     @staticmethod
     def covector(components: Sequence, kind: str = EXTERIOR,
                  form: Optional[BilinearForm] = None) -> "MultivectorElement":
         n = len(components)
-        coeffs = {1 << i: components[i] for i in range(n)}
+        coeffs = np.zeros(1 << n, dtype=complex)
+        coeffs[1 << np.arange(n)] = components
         return MultivectorElement(n, coeffs, kind, form)
 
     @staticmethod
@@ -259,7 +224,9 @@ class MultivectorElement:
             if mask & (1 << i):
                 raise ValueError("repeated index in blade")
             mask |= 1 << i
-        return MultivectorElement(n, {mask: coeff}, kind, form)
+        coeffs = np.zeros(1 << n, dtype=complex)
+        coeffs[mask] = coeff
+        return MultivectorElement(n, coeffs, kind, form)
 
     # -- structure ----------------------------------------------------------
 
@@ -273,29 +240,25 @@ class MultivectorElement:
                 and not np.array_equal(self.form.matrix, other.form.matrix):
             raise AlgebraMismatchError("operands carry different forms")
 
-    def grade_part(self, k: int) -> "MultivectorElement":
-        sel = {m: c for m, c in self.coeffs.items() if m.bit_count() == k}
-        return MultivectorElement(self.n, sel, self.kind, self.form)
-
-    def max_grade(self) -> int:
-        return max((m.bit_count() for m in self.coeffs), default=0)
+    def _like(self, coeffs: np.ndarray) -> "MultivectorElement":
+        return MultivectorElement(self.n, coeffs, self.kind, self.form)
 
     def scalar_part(self) -> complex:
-        return complex(self.coeffs.get(0, 0.0))
+        return complex(self.coeffs[0])
 
     def coefficient(self, indices: Iterable[int]) -> complex:
         mask = 0
         for i in indices:
             mask |= 1 << i
-        return complex(self.coeffs.get(mask, 0.0))
+        return complex(self.coeffs[mask])
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))
+        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
     def __add__(self, other):
         if isinstance(other, MultivectorElement):
             self._compat(other)
-            return MultivectorElement(self.n, dict_sum(self.coeffs, other.coeffs),
+            return MultivectorElement(self.n, self.coeffs + other.coeffs,
                                       self.kind, self.form or other.form)
         return NotImplemented
 
@@ -306,8 +269,7 @@ class MultivectorElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return MultivectorElement(self.n, dict_scale(self.coeffs, other),
-                                      self.kind, self.form)
+            return self._like(self.coeffs * other)
         if isinstance(other, MultivectorElement):
             self._compat(other)
             if self.kind == CLIFFORD:
@@ -322,10 +284,10 @@ class MultivectorElement:
 
     def __repr__(self):
         terms = []
-        for m in sorted(self.coeffs):
-            idx = "".join(str(i + 1) for i in blade_indices(m))
+        for m in np.flatnonzero(self.coeffs):
+            idx = "".join(str(i + 1) for i in blade_indices(int(m)))
             label = f"e{idx}" if idx else "1"
-            terms.append(f"{self.coeffs[m]!r}*{label}")
+            terms.append(f"{complex(self.coeffs[m])!r}*{label}")
         body = " + ".join(terms) if terms else "0"
         return f"<{self.kind} {body}>"
 
@@ -340,39 +302,44 @@ def wedge(a: MultivectorElement, b: MultivectorElement) -> MultivectorElement:
     a._compat(b)
     if a.kind != EXTERIOR:
         raise AlgebraMismatchError("wedge acts on exterior elements; take symbol() first")
-    return MultivectorElement(a.n, dict_wedge(a.coeffs, b.coeffs), EXTERIOR, a.form)
+    return a._like(contract(a.coeffs, wedge_table(a.n)) @ b.coeffs)
+
+
+def _covector_components(v: MultivectorElement, op: str) -> np.ndarray:
+    support = grades(v.n)[v.coeffs != 0]
+    if support.size == 0 or np.any(support != 1):
+        raise ValueError(f"{op} takes a degree-1 element")
+    return v.coeffs[1 << np.arange(v.n)]
+
+
+def epsilon_matrix(v: MultivectorElement) -> np.ndarray:
+    """Left exterior multiplication by the degree-1 element v."""
+    return contract(_covector_components(v, "epsilon"), blade_tables(v.n)[0])
+
+
+def iota_matrix(u: MultivectorElement, b: BilinearForm) -> np.ndarray:
+    """Interior product by degree-1 u through the pairing B (complex-bilinear)."""
+    w = _covector_components(u, "iota") @ b.matrix
+    return contract(w, blade_tables(u.n)[1])
 
 
 def epsilon(v: MultivectorElement, a: MultivectorElement) -> MultivectorElement:
-    """Left exterior multiplication by the degree-1 element v."""
-    if v.max_grade() != 1 or 0 in v.coeffs:
-        raise ValueError("epsilon takes a degree-1 element")
-    out: Dict[int, object] = {}
-    for i, ci in _degree_one_components(v):
-        part = dict_epsilon_gen(i, a.coeffs)
-        for m, c in part.items():
-            _dict_add(out, m, ci * c)
-    return MultivectorElement(a.n, out, a.kind, a.form)
+    return a._like(epsilon_matrix(v) @ a.coeffs)
 
 
 def iota(u: MultivectorElement, a: MultivectorElement,
          b: Optional[BilinearForm] = None) -> MultivectorElement:
-    """Interior product by degree-1 u through the pairing B (complex-bilinear)."""
     form = b or a.form or u.form
     if form is None:
         raise ValueError("iota needs a bilinear form")
-    if u.max_grade() != 1 or 0 in u.coeffs:
-        raise ValueError("iota takes a degree-1 element")
-    w = np.zeros(a.n, dtype=complex)
-    for i, ci in _degree_one_components(u):
-        w += ci * form.matrix[i]
-    out = dict_contract_weights(w, a.coeffs)
-    return MultivectorElement(a.n, out, a.kind, a.form)
+    return a._like(iota_matrix(u, form) @ a.coeffs)
 
 
-def _degree_one_components(v: MultivectorElement):
-    for m, c in v.coeffs.items():
-        yield (m.bit_length() - 1), c
+def action_matrix(a: MultivectorElement) -> np.ndarray:
+    """Matrix of c(a) acting on the exterior module."""
+    if a.kind != CLIFFORD:
+        raise AlgebraMismatchError("action_matrix takes a clifford element")
+    return contract(a.coeffs, a.form.table)
 
 
 def clifford_product(a: MultivectorElement, b: MultivectorElement) -> MultivectorElement:
@@ -380,8 +347,7 @@ def clifford_product(a: MultivectorElement, b: MultivectorElement) -> Multivecto
     a._compat(b)
     if a.kind != CLIFFORD:
         raise AlgebraMismatchError("clifford_product needs clifford-kind elements")
-    out = clifford_action_dict(a.coeffs, b.coeffs, a.form.matrix)
-    return MultivectorElement(a.n, out, CLIFFORD, a.form)
+    return a._like(action_matrix(a) @ b.coeffs)
 
 
 def quantize(a: MultivectorElement, b: BilinearForm) -> MultivectorElement:
@@ -390,60 +356,18 @@ def quantize(a: MultivectorElement, b: BilinearForm) -> MultivectorElement:
         raise AlgebraMismatchError("quantize takes an exterior element")
     if b.n != a.n:
         raise AlgebraMismatchError("form dimension mismatch")
-    return MultivectorElement(a.n, dict(a.coeffs), CLIFFORD, b)
+    return MultivectorElement(a.n, a.coeffs, CLIFFORD, b)
 
 
 def symbol(a: MultivectorElement) -> MultivectorElement:
     """Symbol of a Clifford element: the same coordinates, exterior kind."""
     if a.kind != CLIFFORD:
         raise AlgebraMismatchError("symbol takes a clifford element")
-    return MultivectorElement(a.n, dict(a.coeffs), EXTERIOR, None)
-
-
-# ---------------------------------------------------------------------------
-# operator matrices on the exterior module (basis = blade masks 0..2^n-1)
-# ---------------------------------------------------------------------------
-
-
-def epsilon_matrix(v: MultivectorElement) -> np.ndarray:
-    n = v.n
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        img = epsilon(v, MultivectorElement(n, {col: 1.0}, EXTERIOR))
-        for m, c in img.coeffs.items():
-            out[m, col] = c
-    return out
-
-
-def iota_matrix(u: MultivectorElement, b: BilinearForm) -> np.ndarray:
-    n = u.n
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        img = iota(u, MultivectorElement(n, {col: 1.0}, EXTERIOR), b)
-        for m, c in img.coeffs.items():
-            out[m, col] = c
-    return out
-
-
-def action_matrix(a: MultivectorElement) -> np.ndarray:
-    """Matrix of c(a) acting on the exterior module."""
-    if a.kind != CLIFFORD:
-        raise AlgebraMismatchError("action_matrix takes a clifford element")
-    n = a.n
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        img = clifford_action_dict(a.coeffs, {col: 1.0}, a.form.matrix)
-        for m, c in img.items():
-            out[m, col] = c
-    return out
+    return MultivectorElement(a.n, a.coeffs, EXTERIOR, None)
 
 
 def parity_matrix(n: int) -> np.ndarray:
-    dim = 1 << n
-    return np.diag([(-1.0) ** (m.bit_count()) for m in range(dim)]).astype(complex)
+    return np.diag((-1.0) ** grades(n)).astype(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -18,51 +18,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import MetricJet
-from .clifford import CLIFFORD, BilinearForm, MultivectorElement, clifford_product
+from .clifford import BilinearForm, contract
 
 
 def christoffel(mj: MetricJet) -> np.ndarray:
-    dg = mj.dg
-    n = mj.n
-    out = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for l in range(n):
-                    s += mj.g_inv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                out[k, i, j] = 0.5 * s
-    return out
+    """Gamma[k, i, j], computed once per metric jet."""
+    return mj.christoffel
 
 
 def dchristoffel(mj: MetricJet) -> np.ndarray:
-    n = mj.n
-    dg, d2g = mj.dg, mj.d2g
-    out = np.zeros((n, n, n, n))
-    for m in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    s = 0.0
-                    for l in range(n):
-                        s += mj.dg_inv[m, k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                        s += mj.g_inv[k, l] * (d2g[m, i, j, l] + d2g[m, j, i, l] - d2g[m, l, i, j])
-                    out[m, k, i, j] = 0.5 * s
-    return out
+    """dGamma[l, k, i, j] = d_l Gamma^k_ij, computed once per metric jet."""
+    return mj.dchristoffel
 
 
 def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    n = gamma.shape[0]
-    r = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    s = dgamma[l, j, k, i] - dgamma[k, j, l, i]
-                    for m in range(n):
-                        s += gamma[j, l, m] * gamma[m, k, i] - gamma[j, k, m] * gamma[m, l, i]
-                    r[i, j, k, l] = s
-    return r
+    return (np.einsum("ljki->ijkl", dgamma) - np.einsum("kjli->ijkl", dgamma)
+            + np.einsum("jlm,mki->ijkl", gamma, gamma)
+            - np.einsum("jkm,mli->ijkl", gamma, gamma))
 
 
 def lowered_riemann(mj: MetricJet, riem: np.ndarray) -> np.ndarray:
@@ -140,40 +112,22 @@ def log_det_identity_residual(mj: MetricJet, gamma: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def curvature_two_form(mj: MetricJet, low: np.ndarray):
-    """S_ij = -1/4 lowered[k, l, i, j] dx^k dx^l (Clifford products)."""
-    n = mj.n
-    b = BilinearForm(mj.g_inv)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = MultivectorElement.scalar(0.0, n, CLIFFORD, b)
-            for k in range(n):
-                for l in range(n):
-                    c = low[k, l, i, j]
-                    if c == 0.0:
-                        continue
-                    dk = MultivectorElement.blade([k], n, 1.0, CLIFFORD, b)
-                    dl = MultivectorElement.blade([l], n, 1.0, CLIFFORD, b)
-                    acc = acc + clifford_product(dk, dl) * (-0.25 * c)
-            row.append(acc)
-        out.append(row)
-    return out
+def curvature_two_form(b: BilinearForm, low: np.ndarray) -> np.ndarray:
+    """Symbols of S_ij = -1/4 lowered[k, l, i, j] dx^k dx^l (Clifford products),
+    indexed [i, j, blade]."""
+    gens = b.table[1 << np.arange(b.n)]
+    pairs = np.einsum("kab,lb->kla", gens, gens[:, :, 0])
+    return -0.25 * np.einsum("klij,kla->ija", low, pairs)
 
 
 def curvature_two_form_residual(mj: MetricJet, cd: CurvatureData) -> float:
     """Check [S_ij, dx^k] = riemann[l, k, i, j] dx^l for every i, j, k."""
     n = mj.n
     b = BilinearForm(mj.g_inv)
-    s = curvature_two_form(mj, cd.lowered)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                dk = MultivectorElement.blade([k], n, 1.0, CLIFFORD, b)
-                comm = clifford_product(s[i][j], dk) - clifford_product(dk, s[i][j])
-                target = MultivectorElement(
-                    n, {1 << l: cd.riemann[l, k, i, j] for l in range(n)}, CLIFFORD, b)
-                worst = max(worst, (comm - target).norm())
-    return worst
+    s = curvature_two_form(b, cd.lowered)
+    covectors = 1 << np.arange(n)
+    right = contract(s, b.table)[..., covectors]                  # S_ij dx^k, [i, j, a, k]
+    left = np.einsum("kab,ijb->ijak", b.table[covectors], s)      # dx^k S_ij
+    target = np.zeros_like(right)
+    target[:, :, covectors] = np.einsum("lkij->ijlk", cd.riemann)
+    return float(np.max(np.sqrt(np.sum(np.abs(right - left - target) ** 2, axis=2))))

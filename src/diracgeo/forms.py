@@ -1,10 +1,12 @@
 """Jet-valued differential forms and first-order operators on them.
 
-A FormJet holds, per blade bitmask, a coefficient jet of order 0, 1 or 2
-at a fixed point. Every operator here consumes jet orders instead of
-discretizing: applying a first-order operator to an order-k input yields
-an order-(k-1) output with no truncation error, so composite identities
-(d^2 = 0, Cartan relations, dual-route coderivatives) hold to rounding.
+A FormJet holds a form's coefficient jets on the blade axis of length 2^n,
+slot M for the blade with bitmask M, in the layout of a SectionJet.  Every
+operator here is a product with the fixed structure tensors of
+``clifford.blade_tables`` and consumes jet orders instead of discretizing:
+applying a first-order operator to an order-k input yields an order-(k-1)
+output with no truncation error, so composite identities (d^2 = 0, Cartan
+relations, dual-route coderivatives) hold to rounding.
 PolyField is the one polynomial coefficient field type the checks draw from.
 """
 
@@ -19,9 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .charts import MetricJet
-from .clifford import (blade_indices, dict_contract_weights, dict_epsilon_gen,
-                       dict_sum, dict_wedge, reorder_sign)
-from .jets import SJet, jet_det
+from .clifford import blade_tables, contract, grades, reorder_sign, wedge_table
+from .jets import MatrixJet, SectionJet, SJet
 
 
 class JetOrderError(ValueError):
@@ -52,29 +53,57 @@ class VectorJet:
     def values(self) -> np.ndarray:
         return np.array([c.val for c in self.comps])
 
+    def jet(self):
+        """Components as arrays X[i], d[k, i] = d_k X^i, dd[k, l, i];
+        orders the components do not all carry are None."""
+        order = self.order
+        d = dd = None
+        if order >= 1:
+            d = np.array([c.d for c in self.comps]).T
+        if order >= 2:
+            dd = np.moveaxis(np.array([c.dd for c in self.comps]), 0, -1)
+        return self.values(), d, dd
+
+
+def _orders(*arrays) -> tuple:
+    return tuple(a for a in arrays if a is not None)
+
 
 @dataclass
 class FormJet:
-    """Differential form jet: blade bitmask -> coefficient jet."""
+    """Differential form jet on the blade axis, laid out as a SectionJet with
+    m = 2^n: val[M] is the coefficient of blade M, d[k, M] = d_k val[M] and
+    dd[k, l, M] = d_k d_l val[M]; orders the jet does not carry are None."""
 
     n: int
     x: np.ndarray
-    coeffs: Dict[int, SJet]
+    val: np.ndarray
+    d: Optional[np.ndarray] = None
+    dd: Optional[np.ndarray] = None
     chart: str = ""
 
     def __post_init__(self):
-        for m in self.coeffs:
-            if not 0 <= m < (1 << self.n):
-                raise ValueError(f"blade mask {m} out of range for n={self.n}")
+        if self.val.shape != (1 << self.n,):
+            raise ValueError(f"form values of shape {self.val.shape} do not fill "
+                             f"the {1 << self.n} blades of n={self.n}")
 
     @property
     def order(self) -> int:
-        if not self.coeffs:
-            return 2
-        return min(c.order for c in self.coeffs.values())
+        return len(_orders(self.d, self.dd))
+
+    def partial(self, k: int) -> "FormJet":
+        """The jet of the k-th partial derivative (one order lower)."""
+        if self.d is None:
+            raise JetOrderError("form jet carries no first-order data")
+        dd = self.dd[k] if self.dd is not None else None
+        return FormJet(self.n, self.x, self.d[k], dd, None, self.chart)
 
     def degrees(self) -> set:
-        return {bin(m).count("1") for m, c in self.coeffs.items()}
+        """Degrees of the blades whose jet is not identically zero."""
+        live = self.val != 0
+        for a in _orders(self.d, self.dd):
+            live = live | np.any(a.reshape(-1, a.shape[-1]) != 0, axis=0)
+        return set(grades(self.n)[live].tolist())
 
     def degree(self) -> int:
         degs = self.degrees()
@@ -86,47 +115,53 @@ class FormJet:
         mask = 0
         for i in indices:
             mask |= 1 << i
-        c = self.coeffs.get(mask)
-        return complex(c.val) if c is not None else 0.0j
-
-    def values(self) -> Dict[int, complex]:
-        return {m: complex(c.val) for m, c in self.coeffs.items()}
+        return complex(self.val[mask])
 
     def norm(self) -> float:
         """Euclidean norm of the pointwise coefficient vector."""
-        return float(np.sqrt(sum(abs(c.val) ** 2 for c in self.coeffs.values())))
-
-    def grade_part(self, p: int) -> "FormJet":
-        keep = {m: c for m, c in self.coeffs.items() if bin(m).count("1") == p}
-        return FormJet(self.n, self.x, keep, self.chart)
-
-    def conj(self) -> "FormJet":
-        return FormJet(self.n, self.x, {m: c.conj() for m, c in self.coeffs.items()},
-                       self.chart)
+        return float(np.sqrt(np.sum(np.abs(self.val) ** 2)))
 
     def _compat(self, other: "FormJet") -> None:
-        if self.n != other.n or not np.array_equal(self.x, other.x):
+        if self.n != other.n or (self.x is not other.x
+                                 and not np.array_equal(self.x, other.x)):
             raise ValueError("form jets live at different points")
 
     def __add__(self, other: "FormJet") -> "FormJet":
         self._compat(other)
-        return FormJet(self.n, self.x, dict_sum(self.coeffs, other.coeffs), self.chart)
+        d = self.d + other.d if self.d is not None and other.d is not None else None
+        dd = self.dd + other.dd if self.dd is not None and other.dd is not None else None
+        return FormJet(self.n, self.x, self.val + other.val, d, dd, self.chart)
 
     def __sub__(self, other: "FormJet") -> "FormJet":
         return self + other.scale(-1.0)
 
     def scale(self, s) -> "FormJet":
-        return FormJet(self.n, self.x, {m: c * s for m, c in self.coeffs.items()},
-                       self.chart)
+        d = self.d * s if self.d is not None else None
+        dd = self.dd * s if self.dd is not None else None
+        return FormJet(self.n, self.x, self.val * s, d, dd, self.chart)
 
     @staticmethod
     def zero(n: int, x, chart: str = "") -> "FormJet":
-        return FormJet(n, np.asarray(x, dtype=float), {}, chart)
+        dim = 1 << n
+        return FormJet(n, np.asarray(x, dtype=float), np.zeros(dim, dtype=complex),
+                       np.zeros((n, dim), dtype=complex),
+                       np.zeros((n, n, dim), dtype=complex), chart)
+
+
+def _weighted(n: int, table: np.ndarray, val, d, dd) -> MatrixJet:
+    """Matrix jet of sum_i w_i table[i] from the weight jets w[i], d[k, i], dd[k, l, i]."""
+    return MatrixJet(n, *(None if w is None else contract(w, table) for w in (val, d, dd)))
+
+
+def _apply(op: MatrixJet, j: FormJet) -> FormJet:
+    """Apply an operator jet on the blade axis to a form jet, product rule included."""
+    s = op.apply(SectionJet(j.n, j.x, j.val, j.d, j.dd))
+    return FormJet(j.n, j.x, s.v, s.d, s.dd, j.chart)
 
 
 def wedge_forms(a: FormJet, b: FormJet) -> FormJet:
     a._compat(b)
-    return FormJet(a.n, a.x, dict_wedge(a.coeffs, b.coeffs), a.chart)
+    return _apply(_weighted(a.n, wedge_table(a.n), a.val, a.d, a.dd), b)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +270,19 @@ class PolyField:
         """The jet at x in the container of the field's kind."""
         x = np.asarray(x, dtype=float)
         n = self.n
-        if self.kind in ("section", "matrix"):
-            from .bundles import MatrixJet, SectionJet
-            val, d, dd = self.jet(x, order)
-            if self.kind == "section":
-                return SectionJet(n, x, val, d, dd)
-            return MatrixJet(n, val, d, dd)
+        if self.kind == "section":
+            return SectionJet(n, x, *self.jet(x, order))
+        if self.kind == "matrix":
+            return MatrixJet(n, *self.jet(x, order))
+        if self.kind == "form":
+            def on_blade_axis(a):
+                if a is None:
+                    return None
+                out = np.zeros(a.shape[:-1] + (1 << n,), dtype=complex)
+                out[..., list(self.masks)] = a
+                return out
+
+            return FormJet(n, x, *map(on_blade_axis, self.jet(x, order)), chart=chart)
         # one scalar jet per slot, from contiguous rows of the transposed jet
         slots = self._rows(x, order).T.copy()
         jets = [SJet(n, v, row[1:1 + n] if order >= 1 else None,
@@ -248,9 +290,7 @@ class PolyField:
                 for v, row in zip(slots[:, 0].tolist(), slots)]
         if self.kind == "scalar":
             return jets[0]
-        if self.kind == "vector":
-            return VectorJet(n, x, jets)
-        return FormJet(n, x, dict(zip(self.masks, jets)), chart)
+        return VectorJet(n, x, jets)
 
     @staticmethod
     def zero(n: int, shape: tuple = ()) -> "PolyField":
@@ -299,27 +339,20 @@ def random_poly_form(rng, n: int, p: int, degree: int = 2,
 
 
 def exterior_derivative(j: FormJet) -> FormJet:
-    if j.coeffs and j.order < 1:
+    """d = eps_i partial_i on the blade axis."""
+    if j.d is None:
         raise JetOrderError("exterior derivative needs an order >= 1 jet")
-    out: Dict[int, SJet] = {}
-    for m, c in j.coeffs.items():
-        for i in range(j.n):
-            bit = 1 << i
-            if m & bit:
-                continue
-            term = c.partial(i)
-            s = reorder_sign(bit, m)
-            key = m | bit
-            add = term if s > 0 else -term
-            out[key] = out[key] + add if key in out else add
-    return FormJet(j.n, j.x, out, j.chart)
+    eps = blade_tables(j.n)[0]
+    val = np.einsum("iab,ib->a", eps, j.d)
+    d = np.einsum("iab,kib->ka", eps, j.dd) if j.dd is not None else None
+    return FormJet(j.n, j.x, val, d, None, j.chart)
 
 
 def iota_vector(X: VectorJet, j: FormJet) -> FormJet:
     """Interior product with the tautological pairing <dx^i, X> = X^i."""
     if not np.array_equal(X.x, j.x):
         raise ValueError("vector and form jets live at different points")
-    return FormJet(j.n, j.x, dict_contract_weights(X.comps, j.coeffs), j.chart)
+    return _apply(_weighted(j.n, blade_tables(j.n)[1], *X.jet()), j)
 
 
 def lie_derivative(X: VectorJet, j: FormJet) -> FormJet:
@@ -342,11 +375,12 @@ def vector_bracket(X: VectorJet, Y: VectorJet) -> VectorJet:
 
 def pair_vector_form(X: VectorJet, v: FormJet) -> SJet:
     """<X, v> for a 1-form jet v."""
-    if v.coeffs and v.degrees() != {1}:
+    if not v.degrees() <= {1}:
         raise DegreeError("pairing defined against 1-forms")
+    slots = 1 << np.arange(v.n)
     acc = SJet.constant(0.0, X.n, order=2)
-    for m, c in v.coeffs.items():
-        i = blade_indices(m)[0]
+    for i, m in enumerate(slots):
+        c = SJet(v.n, v.val[m], *(a[..., m] for a in _orders(v.d, v.dd)))
         acc = acc + X.comps[i] * c
     return acc
 
@@ -356,97 +390,69 @@ def pair_vector_form(X: VectorJet, v: FormJet) -> SJet:
 # ---------------------------------------------------------------------------
 
 
-def metric_inverse_jets(mj: MetricJet) -> list:
-    """g^{ij} as order-2 scalar jets."""
-    n = mj.n
-    return [[SJet(n, mj.g_inv[i, j], mj.dg_inv[:, i, j].astype(complex),
-                  mj.d2g_inv[:, :, i, j].astype(complex))
-             for j in range(n)] for i in range(n)]
-
-
 def sqrt_det_jet(mj: MetricJet) -> SJet:
     return SJet(mj.n, mj.sqrt_abs_det, mj.dsqrt.astype(complex),
                 mj.ddsqrt.astype(complex))
 
 
-def christoffel_jets(mj: MetricJet) -> np.ndarray:
-    """Gamma^k_ij as order-1 jets, indexed [k, i, j]."""
-    from .curvature import christoffel, dchristoffel
-
-    gam = christoffel(mj)
-    dgam = dchristoffel(mj)
-    n = mj.n
-    out = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                out[k, i, j] = SJet(n, complex(gam[k, i, j]),
-                                    dgam[:, k, i, j].astype(complex), None)
-    return out
-
-
 def volume_form(mj: MetricJet, x, orientation: int = 1, chart: str = "") -> FormJet:
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
+    vol = FormJet.zero(mj.n, x, chart)
     top = (1 << mj.n) - 1
-    return FormJet(mj.n, np.asarray(x, dtype=float),
-                   {top: sqrt_det_jet(mj) * float(orientation)}, chart)
+    vol.val[top] = orientation * mj.sqrt_abs_det
+    vol.d[:, top] = orientation * mj.dsqrt
+    vol.dd[:, :, top] = orientation * mj.ddsqrt
+    return vol
+
+
+def _compound_inverse_metric(mj: MetricJet, order: int) -> MatrixJet:
+    """Lambda(g^-1) on the blade axis with jets to ``order``.
+
+    Column M is (g^-1 dx^{i_1}) ^ ... ^ (g^-1 dx^{i_p}), so entry [M', M] is
+    the minor det g^{-1}[rows M', cols M].
+    """
+    n = mj.n
+    eps = blade_tables(n)[0]
+    metric = (mj.g_inv, mj.dg_inv, mj.d2g_inv)[:order + 1]
+    cols = [SectionJet.constant(np.eye(1 << n)[0], n, mj.x, order)]
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        gen = MatrixJet(n, *(contract(a[..., low], eps) for a in metric))
+        cols.append(gen.apply(cols[mask & (mask - 1)]))
+    parts = ("v", "d", "dd")[:order + 1]
+    return MatrixJet(n, *(np.moveaxis(np.array([getattr(c, k) for c in cols]), 0, -1)
+                          for k in parts))
 
 
 def gram_pairing(a: FormJet, b: FormJet, mj: MetricJet) -> complex:
     """Sesquilinear pairing: blades of equal degree paired by det g^{i_a j_b}."""
     a._compat(b)
-    ginv = mj.g_inv
-    total = 0.0j
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
-            ia, ib = blade_indices(ma), blade_indices(mb)
-            if len(ia) != len(ib):
-                continue
-            if ia:
-                gram = np.linalg.det(ginv[np.ix_(ia, ib)])
-            else:
-                gram = 1.0
-            total += np.conj(complex(ca.val)) * complex(cb.val) * gram
-    return total
+    return complex(np.conj(a.val) @ _compound_inverse_metric(mj, 0).val @ b.val)
 
 
-def _perm_sign_sorted(j_list: List[int], m_list: List[int]) -> int:
-    """Sign of the permutation (j_list, m_list) of 0..n-1, both halves sorted."""
-    inv = 0
-    for j in j_list:
-        inv += sum(1 for m in m_list if m < j)
-    return -1 if inv % 2 else 1
+@lru_cache(maxsize=None)
+def _complement_signs(n: int) -> np.ndarray:
+    """P[M, M^c] = sign of the permutation (blade(M^c), blade(M)), M^c the complement."""
+    full = (1 << n) - 1
+    out = np.zeros((1 << n, 1 << n))
+    for m in range(1 << n):
+        out[m, full ^ m] = reorder_sign(full ^ m, m)
+    out.setflags(write=False)
+    return out
 
 
 def hodge_star(j: FormJet, mj: MetricJet, orientation: int = 1) -> FormJet:
-    """Antilinear star: conjugates coefficients, complements blades."""
+    """Antilinear star sqrt|det g| P Lambda(g^-1) conj(j): conjugates
+    coefficients, raises them with g^-1 and complements blades."""
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    n = mj.n
-    ginv = metric_inverse_jets(mj)
-    sd = sqrt_det_jet(mj)
-    full = (1 << n) - 1
-    out: Dict[int, SJet] = {}
-    for m, c in j.coeffs.items():
-        idx = blade_indices(m)
-        k = len(idx)
-        cconj = c.conj()
-        # coefficient of each output blade M of degree n-k:
-        #   sqrt|det g| * det(g^{-1}[rows idx, cols comp(M)]) * sign(perm(comp(M), M))
-        for mm in range(1 << n):
-            if bin(mm).count("1") != n - k:
-                continue
-            cols = blade_indices(full & ~mm)
-            if k:
-                minor = [[ginv[r][cc] for cc in cols] for r in idx]
-                det = jet_det(minor)
-            else:
-                det = SJet.constant(1.0, n, order=2)
-            sgn = _perm_sign_sorted(cols, blade_indices(mm))
-            term = sd * det * float(orientation * sgn) * cconj
-            out[mm] = out[mm] + term if mm in out else term
-    return FormJet(n, j.x, out, j.chart)
+    conj = SectionJet(j.n, j.x, *(np.conj(a) if a is not None else None
+                                  for a in (j.val, j.d, j.dd)))
+    raised = _compound_inverse_metric(mj, 2).apply(conj.scale_jet(sqrt_det_jet(mj)))
+    signs = orientation * _complement_signs(j.n).T
+    return FormJet(j.n, j.x, *(a @ signs if a is not None else None
+                               for a in (raised.v, raised.d, raised.dd)), chart=j.chart)
 
 
 def _det_sign(mj: MetricJet) -> int:
@@ -455,8 +461,8 @@ def _det_sign(mj: MetricJet) -> int:
 
 def coderivative_hodge(j: FormJet, mj: MetricJet, orientation: int = 1) -> FormJet:
     """d* = (-1)^(n(p+1)+1) sgn(det g) * d * on degree-p input."""
-    if not j.coeffs:
-        return FormJet(j.n, j.x, {}, j.chart)
+    if not j.degrees():
+        return FormJet.zero(j.n, j.x, j.chart)
     p = j.degree()
     n = mj.n
     sign = (-1) ** (n * (p + 1) + 1) * _det_sign(mj)
@@ -464,75 +470,62 @@ def coderivative_hodge(j: FormJet, mj: MetricJet, orientation: int = 1) -> FormJ
                       mj, orientation).scale(float(sign))
 
 
-def covariant_derivative(j: FormJet, mj: MetricJet, gamma=None) -> List[FormJet]:
-    """Levi-Civita nabla_a of a form jet, one FormJet per direction a.
+@lru_cache(maxsize=None)
+def _derivation_table(n: int) -> np.ndarray:
+    """eps_m iota_j, shape (n, n, 2^n, 2^n): the derivation replacing dx^j by dx^m."""
+    eps, iota = blade_tables(n)
+    out = np.einsum("mab,jbc->mjac", eps, iota)
+    out.setflags(write=False)
+    return out
 
-    Uses nabla dx^j = -Gamma^j_ik dx^i (x) dx^k on each blade factor.
+
+def levi_civita_exterior_connection(mj: MetricJet) -> List[MatrixJet]:
+    """Connection matrices A_a of the Levi-Civita derivative on form coefficients.
+
+    nabla_a dx^j = -Gamma^j_am dx^m extends to forms as the derivation
+    A_a = -Gamma^j_am eps_m iota_j, so nabla_a = partial_a + A_a on the blade
+    axis; A_a carries a 1-jet.
     """
-    if gamma is None:
-        gamma = christoffel_jets(mj)
-    n = j.n
-    outs = []
-    for a in range(n):
-        acc: Dict[int, SJet] = {}
-        for mask, c in j.coeffs.items():
-            idx = blade_indices(mask)
-            t = c.partial(a)
-            acc[mask] = acc[mask] + t if mask in acc else t
-            for pos, ip in enumerate(idx):
-                rest = mask & ~(1 << ip)
-                sgn_pos = -1 if pos % 2 else 1
-                for m in range(n):
-                    if (1 << m) & rest:
-                        continue
-                    g = gamma[ip, a, m]
-                    term = g * c * (-1.0 * sgn_pos * reorder_sign(1 << m, rest))
-                    key = rest | (1 << m)
-                    acc[key] = acc[key] + term if key in acc else term
-        outs.append(FormJet(n, j.x, acc, j.chart))
-    return outs
+    table = _derivation_table(mj.n)
+    val = -np.einsum("jam,mjxy->axy", mj.christoffel, table)
+    d = -np.einsum("ljam,mjxy->alxy", mj.dchristoffel, table)
+    return [MatrixJet(mj.n, val[a], d[a]) for a in range(mj.n)]
 
 
-def coderivative_connection(j: FormJet, mj: MetricJet, gamma=None) -> FormJet:
-    """d* = -iota(nabla), the connection route."""
-    nab = covariant_derivative(j, mj, gamma)
-    ginv = metric_inverse_jets(mj)
-    n = j.n
-    acc = FormJet(n, j.x, {}, j.chart)
-    for a in range(n):
-        acc = acc + FormJet(n, j.x,
-                            dict_contract_weights(ginv[a], nab[a].coeffs),
-                            j.chart).scale(-1.0)
-    return acc
+def exterior_gammas(mj: MetricJet) -> List[MatrixJet]:
+    """Clifford action c(dx^i) = eps_i - g^ij iota_j on the blade axis, with
+    the exact jets of g^-1."""
+    eps, iota = blade_tables(mj.n)
+    val = eps - contract(mj.g_inv, iota)
+    d = -contract(mj.dg_inv, iota)
+    dd = -contract(mj.d2g_inv, iota)
+    return [MatrixJet(mj.n, val[i], d[:, i], dd[:, :, i]) for i in range(mj.n)]
 
 
-def forms_dirac(j: FormJet, mj: MetricJet, gamma=None) -> FormJet:
+def covariant_derivative(j: FormJet, mj: MetricJet) -> List[FormJet]:
+    """Levi-Civita nabla_a = partial_a + A_a of a form jet, one FormJet per direction a."""
+    return [j.partial(a) + _apply(A, j)
+            for a, A in enumerate(levi_civita_exterior_connection(mj))]
+
+
+def coderivative_connection(j: FormJet, mj: MetricJet) -> FormJet:
+    """d* = -iota(nabla) = -g^aj iota_j nabla_a, the connection route."""
+    iota = blade_tables(j.n)[1]
+    val, d = -contract(mj.g_inv, iota), -contract(mj.dg_inv, iota)
+    terms = [_apply(MatrixJet(j.n, val[a], d[:, a]), nab)
+             for a, nab in enumerate(covariant_derivative(j, mj))]
+    return sum(terms[1:], terms[0])
+
+
+def forms_dirac(j: FormJet, mj: MetricJet) -> FormJet:
     """c(dx^a) nabla_a with the Clifford action c = epsilon - iota."""
-    nab = covariant_derivative(j, mj, gamma)
-    ginv = metric_inverse_jets(mj)
-    n = j.n
-    acc = FormJet(n, j.x, {}, j.chart)
-    for a in range(n):
-        eps = dict_epsilon_gen(a, nab[a].coeffs)
-        cot = dict_contract_weights(ginv[a], nab[a].coeffs)
-        acc = acc + FormJet(n, j.x, eps, j.chart)
-        acc = acc + FormJet(n, j.x, cot, j.chart).scale(-1.0)
-    return acc
+    terms = [_apply(gam, nab)
+             for gam, nab in zip(exterior_gammas(mj), covariant_derivative(j, mj))]
+    return sum(terms[1:], terms[0])
 
 
-def laplace_beltrami(f: SJet, mj: MetricJet, gamma: np.ndarray = None) -> complex:
+def laplace_beltrami(f: SJet, mj: MetricJet) -> complex:
     """Positive-spectrum scalar Laplacian -g^ij (d_i d_j f - Gamma^k_ij d_k f)."""
     if f.dd is None:
         raise JetOrderError("laplace_beltrami needs an order-2 jet")
-    if gamma is None:
-        from .curvature import christoffel
-
-        gamma = christoffel(mj)
-    s = 0.0j
-    for i in range(mj.n):
-        for jj in range(mj.n):
-            t = f.dd[i, jj]
-            for k in range(mj.n):
-                t = t - gamma[k, i, jj] * f.d[k]
-            s += mj.g_inv[i, jj] * t
-    return -s
+    return -complex(np.sum(mj.g_inv * (f.dd - np.tensordot(f.d, mj.christoffel, 1))))

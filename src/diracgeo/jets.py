@@ -4,12 +4,14 @@ Every differential-geometric quantity in this package is evaluated pointwise
 through these jets, so derivatives are exact to machine precision.  A jet may
 carry fewer orders (``d`` or ``dd`` set to ``None``); arithmetic intersects
 the available orders, which is how operator compositions lose one order per
-derivative taken.
+derivative taken.  SJet is scalar; SectionJet and MatrixJet carry a C^m
+fiber vector and an endomorphism of it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -260,3 +262,145 @@ def jet_det(m: list) -> SJet:
             term = -term
         total = term if total is None else total + term
     return total
+
+
+# -- fiber-valued jets --------------------------------------------------------
+
+
+@dataclass
+class SectionJet:
+    """C^m-valued jet: v, d[i] = partial_i v, dd[i, j] = partial_i partial_j v."""
+
+    n: int
+    x: np.ndarray
+    v: np.ndarray
+    d: Optional[np.ndarray] = None
+    dd: Optional[np.ndarray] = None
+
+    @property
+    def m(self) -> int:
+        return self.v.shape[0]
+
+    @property
+    def order(self) -> int:
+        if self.dd is not None:
+            return 2
+        if self.d is not None:
+            return 1
+        return 0
+
+    def partial(self, k: int) -> "SectionJet":
+        if self.d is None:
+            raise ValueError("section jet carries no first-order data")
+        dd = self.dd[k].copy() if self.dd is not None else None
+        return SectionJet(self.n, self.x, self.d[k], dd, None)
+
+    def __add__(self, o: "SectionJet") -> "SectionJet":
+        d = self.d + o.d if self.d is not None and o.d is not None else None
+        dd = self.dd + o.dd if self.dd is not None and o.dd is not None else None
+        return SectionJet(self.n, self.x, self.v + o.v, d, dd)
+
+    def __sub__(self, o: "SectionJet") -> "SectionJet":
+        return self + o.scale(-1.0)
+
+    def scale(self, s) -> "SectionJet":
+        d = self.d * s if self.d is not None else None
+        dd = self.dd * s if self.dd is not None else None
+        return SectionJet(self.n, self.x, self.v * s, d, dd)
+
+    def scale_jet(self, s: SJet) -> "SectionJet":
+        """Multiply by a scalar jet, intersecting orders."""
+        d = dd = None
+        if self.d is not None and s.d is not None:
+            d = s.val * self.d + np.outer(s.d, self.v)
+            if self.dd is not None and s.dd is not None:
+                cross = np.einsum("i,jm->ijm", s.d, self.d)
+                dd = (s.val * self.dd + cross + np.transpose(cross, (1, 0, 2))
+                      + np.einsum("ij,m->ijm", s.dd, self.v))
+        return SectionJet(self.n, self.x, s.val * self.v, d, dd)
+
+    @staticmethod
+    def constant(v: Sequence, n: int, x, order: int = 2) -> "SectionJet":
+        v = np.asarray(v, dtype=complex)
+        m = v.shape[0]
+        d = np.zeros((n, m), dtype=complex) if order >= 1 else None
+        dd = np.zeros((n, n, m), dtype=complex) if order >= 2 else None
+        return SectionJet(n, np.asarray(x, dtype=float), v, d, dd)
+
+
+@dataclass
+class MatrixJet:
+    """End(C^m)-valued jet at a point."""
+
+    n: int
+    val: np.ndarray
+    d: Optional[np.ndarray] = None
+    dd: Optional[np.ndarray] = None
+
+    @property
+    def m(self) -> int:
+        return self.val.shape[0]
+
+    @property
+    def order(self) -> int:
+        if self.dd is not None:
+            return 2
+        if self.d is not None:
+            return 1
+        return 0
+
+    def partial(self, k: int) -> "MatrixJet":
+        if self.d is None:
+            raise ValueError("matrix jet carries no first-order data")
+        dd = self.dd[k].copy() if self.dd is not None else None
+        return MatrixJet(self.n, self.d[k], dd, None)
+
+    def __add__(self, o: "MatrixJet") -> "MatrixJet":
+        d = self.d + o.d if self.d is not None and o.d is not None else None
+        dd = self.dd + o.dd if self.dd is not None and o.dd is not None else None
+        return MatrixJet(self.n, self.val + o.val, d, dd)
+
+    def __sub__(self, o: "MatrixJet") -> "MatrixJet":
+        return self + o.scale(-1.0)
+
+    def scale(self, s) -> "MatrixJet":
+        d = self.d * s if self.d is not None else None
+        dd = self.dd * s if self.dd is not None else None
+        return MatrixJet(self.n, self.val * s, d, dd)
+
+    def __matmul__(self, o: "MatrixJet") -> "MatrixJet":
+        val = self.val @ o.val
+        d = dd = None
+        if self.d is not None and o.d is not None:
+            d = self.d @ o.val + self.val @ o.d
+            if self.dd is not None and o.dd is not None:
+                cross = self.d[:, None] @ o.d[None, :]
+                dd = (self.dd @ o.val + cross + cross.transpose(1, 0, 2, 3)
+                      + self.val @ o.dd)
+        return MatrixJet(self.n, val, d, dd)
+
+    def commutator(self, o: "MatrixJet") -> "MatrixJet":
+        return (self @ o) - (o @ self)
+
+    def apply(self, s: SectionJet) -> SectionJet:
+        v = self.val @ s.v
+        d = dd = None
+        if self.d is not None and s.d is not None:
+            d = self.d @ s.v + s.d @ self.val.T
+            if self.dd is not None and s.dd is not None:
+                cross = s.d @ self.d.transpose(0, 2, 1)   # [i, j] = d_i A d_j s
+                dd = (self.dd @ s.v + cross + cross.transpose(1, 0, 2)
+                      + s.dd @ self.val.T)
+        return SectionJet(s.n, s.x, v, d, dd)
+
+    @staticmethod
+    def constant(mat: np.ndarray, n: int, order: int = 2) -> "MatrixJet":
+        mat = np.asarray(mat, dtype=complex)
+        m = mat.shape[0]
+        d = np.zeros((n, m, m), dtype=complex) if order >= 1 else None
+        dd = np.zeros((n, n, m, m), dtype=complex) if order >= 2 else None
+        return MatrixJet(n, mat, d, dd)
+
+    @staticmethod
+    def zero(m: int, n: int, order: int = 2) -> "MatrixJet":
+        return MatrixJet.constant(np.zeros((m, m)), n, order)

@@ -13,13 +13,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bundles import (DiracOperatorData, MatrixJet, ModuleSpec, SectionJet,
-                      _generator_matrices, apply_dirac, canonical_laplacian,
-                      dirac_square, quantize_blade)
-from .charts import Chart, MetricJet, metric_jet
-from .curvature import christoffel, dchristoffel, ricci_and_scalar, lowered_riemann, riemann
+from .bundles import (DiracOperatorData, ModuleSpec, apply_dirac,
+                      canonical_laplacian, dirac_square, quantize_blade)
+from .charts import Chart, MetricJet
+from .clifford import blade_tables
+from .curvature import curvature_data
 from .forms import PolyField, random_poly_field
-from .jets import SJet, jet_sqrt, seed_point
+from .jets import MatrixJet, SectionJet, SJet, jet_sqrt, seed_point
 
 
 class SpinSignatureError(ValueError):
@@ -101,10 +101,6 @@ def build_frame_from_metric(mj: MetricJet) -> FrameField:
     return FrameField(chart, mj.x, co, inv)
 
 
-def build_frame(chart: Chart, x) -> FrameField:
-    return build_frame_from_metric(metric_jet(chart, x))
-
-
 def frame_invariant_residual(frame: FrameField, mj: MetricJet) -> float:
     """Orthonormality, duality, and inverse-metric reconstruction residuals."""
     co, inv = frame.co.val, frame.inv.val
@@ -153,10 +149,10 @@ def spin_module_data(n: int) -> SpinModuleData:
     if n % 2:
         raise ValueError("spinor module needs even dimension")
     half = n // 2
-    eps, cot = _generator_matrices(half)
+    eps, cot = blade_tables(half)
     gammas = []
     for k in range(half):
-        gammas.append(cot[k] - eps[k])
+        gammas.append((cot[k] - eps[k]).astype(complex))
         gammas.append(1j * (cot[k] + eps[k]))
     dim = 1 << half
     chi = np.eye(dim, dtype=complex) * (-1.0) ** half
@@ -209,8 +205,7 @@ def frame_connection_coefficients(frame: FrameField, mj: MetricJet):
     antisymmetric in (j, k) by metric compatibility.
     """
     n = mj.n
-    gamma = christoffel(mj)
-    dgamma = dchristoffel(mj)
+    gamma, dgamma = mj.christoffel, mj.dchristoffel
     inv = frame.inv
     gmat = MatrixJet(n, mj.g.astype(complex), mj.dg.astype(complex),
                      mj.d2g.astype(complex))
@@ -354,11 +349,8 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
         raise ValueError("Lichnerowicz test needs an order-2 section jet")
     D = spin_dirac_operator(scd, smd, frame, mj)
     lhs = dirac_square(D, j)
-    gamma = christoffel(mj)
-    rhs = canonical_laplacian(scd.omega, mj, j, gamma)
-    low = lowered_riemann(mj, riemann(gamma, dchristoffel(mj)))
-    _, scal = ricci_and_scalar(mj, low)
-    rhs = rhs + 0.25 * scal * j.v
+    rhs = canonical_laplacian(scd.omega, mj, j)
+    rhs = rhs + 0.25 * curvature_data(mj).scalar * j.v
     n = mj.n
     qf = np.zeros((smd.dim, smd.dim), dtype=complex)
     for a in range(n):

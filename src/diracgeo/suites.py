@@ -16,7 +16,7 @@ from .clifford import (CLIFFORD, EXTERIOR, BilinearForm, MultivectorElement,
                        symbol)
 from .curvature import (curvature_data, divergence_via_connection,
                         divergence_via_density, log_det_identity_residual)
-from .forms import (FormJet, PolyField, exterior_derivative,
+from .forms import (PolyField, exterior_derivative,
                     gram_pairing, hodge_star, coderivative_connection,
                     coderivative_hodge, forms_dirac, iota_vector,
                     laplace_beltrami, lie_derivative, random_poly_form,
@@ -48,37 +48,9 @@ def _points(ch: Chart, rng, k: int) -> List[np.ndarray]:
     return [ch.sample_point(rng) for _ in range(k)]
 
 
-# form-jet helpers local to the suites -----------------------------------------
-
-
-def _fcomb(a: FormJet, b: FormJet, sa=1.0, sb=1.0) -> FormJet:
-    out = {}
-    for m, c in a.coeffs.items():
-        out[m] = c * sa
-    for m, c in b.coeffs.items():
-        out[m] = out[m] + c * sb if m in out else c * sb
-    return FormJet(a.n, a.x, out, a.chart)
-
-
-def _fnorm(a: FormJet) -> float:
-    if not a.coeffs:
-        return 0.0
-    return max(abs(complex(c.val)) for c in a.coeffs.values())
-
-
-def _fdiff(a: FormJet, b: FormJet) -> float:
-    return _fnorm(_fcomb(a, b, 1.0, -1.0))
-
-
-def _fjetnorm(a: FormJet) -> float:
-    worst = 0.0
-    for c in a.coeffs.values():
-        worst = max(worst, abs(complex(c.val)))
-        if c.d is not None:
-            worst = max(worst, float(np.max(np.abs(c.d))))
-        if c.dd is not None:
-            worst = max(worst, float(np.max(np.abs(c.dd))))
-    return worst
+def _amax(*arrays) -> float:
+    """Largest entry magnitude over the arrays given (None skipped)."""
+    return max(float(np.max(np.abs(a))) for a in arrays if a is not None)
 
 
 def _vnorm(x) -> float:
@@ -126,8 +98,8 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
         worst = 0.0
         for x, fa, _, _, _, _, _ in draws:
             a = fa.eval(x, 2)
-            got = _fnorm(exterior_derivative(exterior_derivative(a)))
-            worst = max(worst, _rel(got, _fjetnorm(a)))
+            got = _amax(exterior_derivative(exterior_derivative(a)).val)
+            worst = max(worst, _rel(got, _amax(a.val, a.d, a.dd)))
         return worst
 
     def leibniz():
@@ -136,9 +108,10 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             a = fpure.eval(x, 2)
             b = fb.eval(x, 2)
             lhs = exterior_derivative(wedge_forms(a, b))
-            rhs = _fcomb(wedge_forms(exterior_derivative(a), b),
-                         wedge_forms(a, exterior_derivative(b)), 1.0, (-1.0) ** p)
-            worst = max(worst, _rel(_fdiff(lhs, rhs), _fnorm(lhs), _fnorm(rhs)))
+            rhs = (wedge_forms(exterior_derivative(a), b)
+                   + wedge_forms(a, exterior_derivative(b)).scale((-1.0) ** p))
+            worst = max(worst, _rel(_amax(lhs.val - rhs.val), _amax(lhs.val),
+                                    _amax(rhs.val)))
         return worst
 
     def lie_d_commute():
@@ -147,19 +120,20 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             a, X = fa.eval(x, 2), fx.eval(x, 2)
             lhs = lie_derivative(X, exterior_derivative(a))
             rhs = exterior_derivative(lie_derivative(X, a))
-            worst = max(worst, _rel(_fdiff(lhs, rhs), _fnorm(lhs), _fnorm(rhs)))
+            worst = max(worst, _rel(_amax(lhs.val - rhs.val), _amax(lhs.val),
+                                    _amax(rhs.val)))
         return worst
 
     def iota_square():
         worst = 0.0
         for x, fa, _, fx, fy, _, _ in draws:
             a, X, Y = fa.eval(x, 2), fx.eval(x, 2), fy.eval(x, 2)
-            sq = _fnorm(iota_vector(X, iota_vector(X, a)))
-            worst = max(worst, _rel(sq, _vnorm(X) ** 2 * _fnorm(a)))
-            anti = _fnorm(_fcomb(iota_vector(X, iota_vector(Y, a)),
-                                 iota_vector(Y, iota_vector(X, a))))
+            sq = _amax(iota_vector(X, iota_vector(X, a)).val)
+            worst = max(worst, _rel(sq, _vnorm(X) ** 2 * _amax(a.val)))
+            anti = _amax((iota_vector(X, iota_vector(Y, a))
+                          + iota_vector(Y, iota_vector(X, a))).val)
             worst = max(worst,
-                        _rel(anti, _vnorm(X) * _vnorm(Y) * _fnorm(a)))
+                        _rel(anti, _vnorm(X) * _vnorm(Y) * _amax(a.val)))
         return worst
 
     def lie_bracket():
@@ -169,9 +143,8 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             lhs = lie_derivative(vector_bracket(X, Y), a)
             t1 = lie_derivative(X, lie_derivative(Y, a))
             t2 = lie_derivative(Y, lie_derivative(X, a))
-            rhs = _fcomb(t1, t2, 1.0, -1.0)
-            worst = max(worst,
-                        _rel(_fdiff(lhs, rhs), _fnorm(lhs), _fnorm(t1)))
+            worst = max(worst, _rel(_amax(lhs.val - (t1 - t2).val), _amax(lhs.val),
+                                    _amax(t1.val)))
         return worst
 
     def iota_lie():
@@ -181,9 +154,8 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             lhs = iota_vector(vector_bracket(X, Y), a)
             t1 = lie_derivative(X, iota_vector(Y, a))
             t2 = iota_vector(Y, lie_derivative(X, a))
-            rhs = _fcomb(t1, t2, 1.0, -1.0)
-            worst = max(worst,
-                        _rel(_fdiff(lhs, rhs), _fnorm(lhs), _fnorm(t1)))
+            worst = max(worst, _rel(_amax(lhs.val - (t1 - t2).val), _amax(lhs.val),
+                                    _amax(t1.val)))
         return worst
 
     def lie_leibniz():
@@ -191,9 +163,10 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
         for x, fa, fb, fx, _, _, _ in draws:
             a, b, X = fa.eval(x, 2), fb.eval(x, 2), fx.eval(x, 2)
             lhs = lie_derivative(X, wedge_forms(a, b))
-            rhs = _fcomb(wedge_forms(lie_derivative(X, a), b),
-                         wedge_forms(a, lie_derivative(X, b)))
-            worst = max(worst, _rel(_fdiff(lhs, rhs), _fnorm(lhs), _fnorm(rhs)))
+            rhs = (wedge_forms(lie_derivative(X, a), b)
+                   + wedge_forms(a, lie_derivative(X, b)))
+            worst = max(worst, _rel(_amax(lhs.val - rhs.val), _amax(lhs.val),
+                                    _amax(rhs.val)))
         return worst
 
     _timed(rep, "cartan-d-squared", "d(d(a)) = 0", 1e-10, d_squared)
@@ -216,9 +189,7 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
 
 
 def _random_multivector(rng, n: int, kind: str, form=None) -> MultivectorElement:
-    coeffs = {}
-    for mask in range(1 << n):
-        coeffs[mask] = complex(rng.normal(), rng.normal())
+    coeffs = [complex(rng.normal(), rng.normal()) for _ in range(1 << n)]
     return MultivectorElement(n, coeffs, kind, form)
 
 
@@ -251,9 +222,7 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             for _ in range(JETS_PER_POINT):
                 w = _random_multivector(rng, n, EXTERIOR)
                 mat = action_matrix(quantize(w, b))
-                col = mat[:, 0]
-                want = np.array([w.coeffs.get(m, 0.0) for m in range(1 << n)])
-                worst = max(worst, float(np.max(np.abs(col - want))))
+                worst = max(worst, _amax(mat[:, 0] - w.coeffs))
         return worst
 
     def roundtrip():
@@ -776,8 +745,8 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             for p in range(n + 1):
                 a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
                 twice = hodge_star(hodge_star(a, mj), mj)
-                want = _fcomb(a, a, (-1.0) ** (p * (n - p)) * s, 0.0)
-                worst = max(worst, _rel(_fdiff(twice, want), _fnorm(a)))
+                want = a.val * ((-1.0) ** (p * (n - p)) * s)
+                worst = max(worst, _rel(_amax(twice.val - want), _amax(a.val)))
         return worst
 
     def antilinear():
@@ -786,9 +755,9 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             mj = metric_jet(ch, x)
             a = random_poly_form(rng, n, 1, complex_coeffs=True).eval(x, 2)
             c = complex(rng.normal(), rng.normal())
-            lhs = hodge_star(_fcomb(a, a, c, 0.0), mj)
-            rhs = _fcomb(hodge_star(a, mj), hodge_star(a, mj), np.conj(c), 0.0)
-            worst = max(worst, _rel(_fdiff(lhs, rhs), _fnorm(lhs)))
+            lhs = hodge_star(a.scale(c), mj)
+            rhs = hodge_star(a, mj).scale(np.conj(c))
+            worst = max(worst, _rel(_amax(lhs.val - rhs.val), _amax(lhs.val)))
         return worst
 
     def pairing():
@@ -799,9 +768,8 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             for p in range(n + 1):
                 a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
                 b = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
-                w = wedge_forms(a, hodge_star(b, mj))
-                got = complex(w.coeffs[top].val) if top in w.coeffs else 0.0
-                vol = complex(volume_form(mj, x).coeffs[top].val)
+                got = wedge_forms(a, hodge_star(b, mj)).val[top]
+                vol = volume_form(mj, x).val[top]
                 want = np.conj(gram_pairing(a, b, mj)) * vol
                 worst = max(worst, _rel(abs(got - want), abs(want)))
         return worst
@@ -816,8 +784,8 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
                 a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
                 d1 = coderivative_hodge(a, mj)
                 d2 = coderivative_connection(a, mj)
-                worst = max(worst,
-                            _rel(_fdiff(d1, d2), _fnorm(d1), _fnorm(d2)))
+                worst = max(worst, _rel(_amax(d1.val - d2.val), _amax(d1.val),
+                                        _amax(d2.val)))
         return worst
 
     def coderivative_squared():
@@ -826,13 +794,12 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             mj = metric_jet(ch, x)
             for p in range(n + 1):
                 a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
+                jetnorm = _amax(a.val, a.d, a.dd)
                 if p >= 2:
-                    dd = _fnorm(coderivative_hodge(
-                        coderivative_hodge(a, mj), mj))
-                    worst = max(worst, _rel(dd, _fjetnorm(a)))
-                worst = max(worst,
-                            _rel(_fnorm(exterior_derivative(
-                                exterior_derivative(a))), _fjetnorm(a)))
+                    dd = _amax(coderivative_hodge(coderivative_hodge(a, mj), mj).val)
+                    worst = max(worst, _rel(dd, jetnorm))
+                worst = max(worst, _rel(_amax(exterior_derivative(
+                    exterior_derivative(a)).val), jetnorm))
         return worst
 
     def dirac_square():
@@ -842,10 +809,10 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             for p in range(n + 1):
                 a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
                 lhs = forms_dirac(forms_dirac(a, mj), mj)
-                rhs = _fcomb(exterior_derivative(coderivative_connection(a, mj)),
-                             coderivative_connection(exterior_derivative(a), mj))
-                worst = max(worst,
-                            _rel(_fdiff(lhs, rhs), _fnorm(lhs), _fnorm(rhs)))
+                rhs = (exterior_derivative(coderivative_connection(a, mj))
+                       + coderivative_connection(exterior_derivative(a), mj))
+                worst = max(worst, _rel(_amax(lhs.val - rhs.val), _amax(lhs.val),
+                                        _amax(rhs.val)))
         return worst
 
     _timed(rep, "hodge-double-star",

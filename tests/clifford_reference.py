@@ -1,0 +1,257 @@
+"""Loop reference for the dense blade-axis kernels.
+
+These are the blade-by-blade kernels the package used before its Clifford
+elements and forms moved onto one dense blade axis: elements are dicts from
+blade bitmask to coefficient, the geometric product peels the left factor
+into generator words, and the form operators loop over blades with scalar
+jet coefficients.  Tests compare the dense operators against them.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List
+
+import numpy as np
+
+from diracgeo.clifford import blade_indices, reorder_sign
+from diracgeo.jets import SJet, jet_det
+
+
+def _is_exact_zero(c) -> bool:
+    return isinstance(c, (int, float, complex)) and c == 0
+
+
+def _dict_add(acc: Dict[int, object], mask: int, coeff) -> None:
+    if mask in acc:
+        acc[mask] = acc[mask] + coeff
+    else:
+        acc[mask] = coeff
+
+
+def dict_wedge(a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
+    out: Dict[int, object] = {}
+    for ma, ca in a.items():
+        if _is_exact_zero(ca):
+            continue
+        for mb, cb in b.items():
+            if ma & mb or _is_exact_zero(cb):
+                continue
+            s = reorder_sign(ma, mb)
+            c = ca * cb
+            _dict_add(out, ma | mb, c if s > 0 else -c)
+    return out
+
+
+def dict_epsilon_gen(i: int, a: Dict[int, object]) -> Dict[int, object]:
+    """Left wedge by the single generator dx^i."""
+    bit = 1 << i
+    out: Dict[int, object] = {}
+    for m, c in a.items():
+        if m & bit or _is_exact_zero(c):
+            continue
+        s = reorder_sign(bit, m)
+        _dict_add(out, m | bit, c if s > 0 else -c)
+    return out
+
+
+def dict_contract_weights(w, a: Dict[int, object]) -> Dict[int, object]:
+    """Interior product with pairing weights w_j against each blade factor.
+
+    iota(dx^{j_1} ^ ... ^ dx^{j_p}) = sum_t (-1)^(t-1) w_{j_t} * blade without j_t.
+    """
+    out: Dict[int, object] = {}
+    for m, c in a.items():
+        if _is_exact_zero(c):
+            continue
+        sign = 1
+        for j in blade_indices(m):
+            wj = w[j]
+            if not _is_exact_zero(wj):
+                term = wj * c
+                _dict_add(out, m & ~(1 << j), term if sign > 0 else -term)
+            sign = -sign
+    return out
+
+
+def dict_sum(*ds: Dict[int, object]) -> Dict[int, object]:
+    out: Dict[int, object] = {}
+    for d in ds:
+        for m, c in d.items():
+            _dict_add(out, m, c)
+    return out
+
+
+def clifford_action_dict(a_sym: Dict[int, object], phi: Dict[int, object],
+                         b_inv_pairing) -> Dict[int, object]:
+    """Apply c(a) to phi, both in symbol coordinates.
+
+    The left factor is peeled into generator words by triangular elimination
+    from the top degree down: the symbol of a generator word
+    dx^{i_1}...dx^{i_p} (ascending) is the blade plus lower-degree terms, so
+    subtracting word symbols clears one degree at a time.
+    """
+    n_top = max(a_sym.keys(), default=0).bit_length()
+
+    def word_apply(indices: List[int], target: Dict[int, object]) -> Dict[int, object]:
+        for i in reversed(indices):
+            w_row = b_inv_pairing[i]
+            eps = dict_epsilon_gen(i, target)
+            iot = dict_contract_weights(w_row, target)
+            target = dict_sum(eps, {m: -c for m, c in iot.items()})
+        return target
+
+    work = dict(a_sym)
+    result: Dict[int, object] = {}
+    for deg in range(n_top, -1, -1):
+        masks = [m for m in work if m.bit_count() == deg]
+        for mask in masks:
+            lam = work.pop(mask)
+            if _is_exact_zero(lam):
+                continue
+            idx = blade_indices(mask)
+            contrib = word_apply(idx, phi)
+            for m, c in contrib.items():
+                _dict_add(result, m, lam * c)
+            if deg >= 2:
+                word_sym = word_apply(idx, {0: 1.0})
+                for m, c in word_sym.items():
+                    if m == mask or _is_exact_zero(c):
+                        continue
+                    _dict_add(work, m, -(lam * c))
+    return result
+
+
+# ---------------------------------------------------------------------------
+# conversions between the blade axis and blade dicts
+# ---------------------------------------------------------------------------
+
+
+def to_dict(coeffs: np.ndarray) -> Dict[int, complex]:
+    return {m: complex(c) for m, c in enumerate(coeffs)}
+
+
+def to_array(d: Dict[int, complex], n: int) -> np.ndarray:
+    out = np.zeros(1 << n, dtype=complex)
+    for m, c in d.items():
+        out[m] += c
+    return out
+
+
+def action_matrix(coeffs: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+    """Matrix of c(a) on the exterior module, one word-peeled column at a time."""
+    dim = len(coeffs)
+    n = dim.bit_length() - 1
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        image = clifford_action_dict(to_dict(coeffs), {col: 1.0}, pairing)
+        out[:, col] = to_array(image, n)
+    return out
+
+
+def form_to_dict(j) -> Dict[int, SJet]:
+    """Blade -> scalar jet for every blade of a dense form jet."""
+    return {m: SJet(j.n, j.val[m], *(a[..., m] for a in (j.d, j.dd) if a is not None))
+            for m in range(1 << j.n)}
+
+
+def dict_to_arrays(d: Dict[int, SJet], n: int, order: int):
+    """(val, d, dd) blade-axis arrays of a blade -> scalar jet dict, to ``order``."""
+    dim = 1 << n
+    out = [np.zeros((n,) * k + (dim,), dtype=complex) for k in range(order + 1)]
+    for m, c in d.items():
+        for k, part in enumerate((c.val, c.d, c.dd)[:order + 1]):
+            out[k][..., m] += part
+    return out
+
+
+# ---------------------------------------------------------------------------
+# form operators, blade by blade
+# ---------------------------------------------------------------------------
+
+
+def exterior_derivative(coeffs: Dict[int, SJet], n: int) -> Dict[int, SJet]:
+    out: Dict[int, SJet] = {}
+    for m, c in coeffs.items():
+        for i in range(n):
+            bit = 1 << i
+            if m & bit:
+                continue
+            term = c.partial(i)
+            _dict_add(out, m | bit, term if reorder_sign(bit, m) > 0 else -term)
+    return out
+
+
+def iota_vector(comps: List[SJet], coeffs: Dict[int, SJet]) -> Dict[int, SJet]:
+    return dict_contract_weights(comps, coeffs)
+
+
+def wedge_forms(a: Dict[int, SJet], b: Dict[int, SJet]) -> Dict[int, SJet]:
+    return dict_wedge(a, b)
+
+
+def _metric_inverse_jets(mj) -> list:
+    n = mj.n
+    return [[SJet(n, mj.g_inv[i, j], mj.dg_inv[:, i, j].astype(complex),
+                  mj.d2g_inv[:, :, i, j].astype(complex))
+             for j in range(n)] for i in range(n)]
+
+
+def _perm_sign_sorted(j_list: List[int], m_list: List[int]) -> int:
+    """Sign of the permutation (j_list, m_list) of 0..n-1, both halves sorted."""
+    inv = 0
+    for j in j_list:
+        inv += sum(1 for m in m_list if m < j)
+    return -1 if inv % 2 else 1
+
+
+def hodge_star(coeffs: Dict[int, SJet], mj, orientation: int = 1) -> Dict[int, SJet]:
+    """Antilinear star: conjugates coefficients, complements blades.
+
+    Output blade M of degree n-k gets sqrt|det g| * det(g^{-1}[rows idx,
+    cols comp(M)]) * sign(perm(comp(M), M)) times each input coefficient.
+    """
+    n = mj.n
+    ginv = _metric_inverse_jets(mj)
+    sd = SJet(n, mj.sqrt_abs_det, mj.dsqrt.astype(complex), mj.ddsqrt.astype(complex))
+    full = (1 << n) - 1
+    out: Dict[int, SJet] = {}
+    for m, c in coeffs.items():
+        idx = blade_indices(m)
+        k = len(idx)
+        cconj = c.conj()
+        for mm in range(1 << n):
+            if mm.bit_count() != n - k:
+                continue
+            cols = blade_indices(full & ~mm)
+            if k:
+                det = jet_det([[ginv[r][cc] for cc in cols] for r in idx])
+            else:
+                det = SJet.constant(1.0, n, order=2)
+            sgn = _perm_sign_sorted(cols, blade_indices(mm))
+            _dict_add(out, mm, sd * det * float(orientation * sgn) * cconj)
+    return out
+
+
+def covariant_derivative(coeffs: Dict[int, SJet], mj) -> List[Dict[int, SJet]]:
+    """nabla_a with nabla dx^j = -Gamma^j_ak dx^k on each blade factor."""
+    n = mj.n
+    gamma = [[[SJet(n, complex(mj.christoffel[k, i, j]),
+                    mj.dchristoffel[:, k, i, j].astype(complex), None)
+               for j in range(n)] for i in range(n)] for k in range(n)]
+    outs = []
+    for a in range(n):
+        acc: Dict[int, SJet] = {}
+        for mask, c in coeffs.items():
+            _dict_add(acc, mask, c.partial(a))
+            rest_all = blade_indices(mask)
+            for pos, ip in enumerate(rest_all):
+                rest = mask & ~(1 << ip)
+                sgn_pos = -1 if pos % 2 else 1
+                for m in range(n):
+                    if (1 << m) & rest:
+                        continue
+                    sign = -1.0 * sgn_pos * reorder_sign(1 << m, rest)
+                    term = gamma[ip][a][m] * c * sign
+                    _dict_add(acc, rest | (1 << m), term)
+        outs.append(acc)
+    return outs

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import fd_oracle
-from diracgeo.charts import (Chart, ChartDomainError, chart_from_config,
-                             get_chart, load_chart_config, metric_jet,
-                             registry)
+from diracgeo.charts import (Chart, ChartDomainError, DegenerateMetricError,
+                             chart_from_config, get_chart, load_chart_config,
+                             metric_jet, registry)
+from diracgeo.curvature import curvature_data
 
 EXPECTED = {"flat2", "flat3", "flat4", "torus2", "torus3", "torus4",
             "sphere2", "sphere4", "hyperbolic2", "hyperbolic4",
@@ -91,6 +92,23 @@ def test_minkowski_signature():
     mj = metric_jet(ch, np.zeros(4))
     sig = np.sort(np.linalg.eigvalsh(mj.g))
     assert sig[0] < 0 < sig[1]
+
+
+def test_degeneracy_floor_does_not_depend_on_scale():
+    # far out on the sphere chart g = lambda^-2 delta is round but tiny:
+    # |det g| is 2.4e-14 at x0 = 10 and 4e-22 at x0 = 1000
+    ch = get_chart("sphere4")
+    for x0, tol in ((10.0, 1e-9), (1000.0, 1e-7)):
+        cd = curvature_data(metric_jet(ch, [x0, 0.0, 0.0, 0.0]))
+        assert abs(cd.scalar - 12.0) < tol, (x0, cd.scalar)
+
+
+def test_singular_metric_rejected():
+    for diag in ((1.0, 0.0), (1.0, 1e-13), (1e-20, 0.0)):
+        ch = Chart("singular2", 2, 0,
+                   lambda xs, diag=diag: [[diag[0], 0.0], [0.0, diag[1]]])
+        with pytest.raises(DegenerateMetricError):
+            metric_jet(ch, [0.0, 0.0])
 
 
 def test_chart_from_config_roundtrip(tmp_path):

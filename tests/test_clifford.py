@@ -49,7 +49,7 @@ def test_quantize_symbol_roundtrip():
     rng = np.random.default_rng(7)
     n = 4
     b = random_form(rng, n)
-    coeffs = {m: complex(rng.normal(), rng.normal()) for m in range(1 << n)}
+    coeffs = [complex(rng.normal(), rng.normal()) for _ in range(1 << n)]
     a = MultivectorElement(n, coeffs, EXTERIOR)
     back = symbol(quantize(a, b))
     assert (back - a).norm() < 1e-15
@@ -60,7 +60,7 @@ def test_product_on_vacuum_reads_off_symbol():
     rng = np.random.default_rng(13)
     n = 3
     b = random_form(rng, n)
-    coeffs = {m: complex(rng.normal()) for m in range(1 << n)}
+    coeffs = [complex(rng.normal()) for _ in range(1 << n)]
     a = MultivectorElement(n, coeffs, CLIFFORD, b)
     col = action_matrix(a)[:, 0]
     for m in range(1 << n):
@@ -103,8 +103,8 @@ def test_associativity():
     for n in (2, 4, 5):
         b = random_form(rng, n, neg=n % 2)
         for _ in range(10):
-            a = MultivectorElement(n, {m: complex(rng.normal(), rng.normal())
-                                       for m in range(1 << n)}, CLIFFORD, b)
+            a = MultivectorElement(n, [complex(rng.normal(), rng.normal())
+                                       for _ in range(1 << n)], CLIFFORD, b)
             c = random_covector(rng, n, b)
             d = random_covector(rng, n, b)
             lhs = (a * c) * d
@@ -184,8 +184,19 @@ def test_chirality_euclidean_plane_matches_hand_value():
 def test_degenerate_form_rejected():
     with pytest.raises(DegenerateFormError):
         BilinearForm(np.zeros((3, 3)))
+    for diag in ((1.0, 0.0), (1.0, 1e-15), (-1e-30, 0.0)):
+        with pytest.raises(DegenerateFormError):
+            BilinearForm(np.diag(diag))
     with pytest.raises(ValueError):
         BilinearForm(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
+
+
+def test_degeneracy_floor_does_not_depend_on_scale():
+    for scale in (1e-4, 1e-12, 1e8):
+        b = BilinearForm(scale * np.eye(4))
+        one = MultivectorElement.scalar(1.0, 4, CLIFFORD, b)
+        e0 = MultivectorElement.blade([0], 4, 1.0, CLIFFORD, b)
+        assert ((e0 * e0) + one * scale).norm() <= 1e-15 * scale
 
 
 def test_algebra_mismatch_guards():

@@ -159,11 +159,12 @@ def test_eval_wraps_each_kind_in_its_container():
     form = random_poly_form(rng, n, 2, complex_coeffs=True)
     fj = form.eval(x, 2, chart="flat3")
     assert isinstance(fj, FormJet) and fj.chart == "flat3"
-    assert list(fj.coeffs) == list(form.masks)
-    val, d, _ = form.jet(x)
-    for b, mask in enumerate(form.masks):
-        assert fj.coeffs[mask].val == val[b]
-        assert np.array_equal(fj.coeffs[mask].d, d[:, b])
+    val, d, dd = form.jet(x)
+    slots = list(form.masks)
+    others = [m for m in range(1 << n) if m not in form.masks]
+    assert np.array_equal(fj.val[slots], val) and not fj.val[others].any()
+    assert np.array_equal(fj.d[:, slots], d) and not fj.d[:, others].any()
+    assert np.array_equal(fj.dd[:, :, slots], dd)
 
     sec = bnd.random_poly_section(rng, n, 4).eval(x)
     assert isinstance(sec, bnd.SectionJet) and sec.dd.shape == (n, n, 4)
