@@ -18,11 +18,11 @@ from .charts import (Chart, ChartDomainError, MetricJet, chart_from_config,
 from .clifford import (BilinearForm, MultivectorElement, chirality,
                        clifford_product, quantize, symbol)
 from .curvature import CurvatureData, curvature_data
-from .forms import (FormJet, PolyField, coderivative_connection, coderivative_hodge,
+from .forms import (PolyField, coderivative_connection, coderivative_hodge,
                     exterior_derivative, forms_dirac, gram_pairing,
                     hodge_star, iota_vector, laplace_beltrami, lie_derivative,
                     vector_bracket, volume_form, wedge_forms)
-from .jets import SJet, jet_cos, jet_exp, jet_log, jet_sin, jet_sqrt, seed_point
+from .jets import Jet, jet_cos, jet_exp, jet_log, jet_sin, jet_sqrt, seed_point
 from .report import CheckResult, VerificationReport
 from .seiberg_witten import (SWConfig, SWConfigError, load_sw_config,
                              random_sw_config, sw_functional, sw_residuals)
@@ -35,8 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearForm", "Chart", "ChartDomainError", "CheckResult",
-    "CurvatureData", "DiracOperatorData", "FormJet", "MetricJet",
-    "ModuleSpec", "MultivectorElement", "PolyField", "SJet", "SUITE_NAMES", "SWConfig",
+    "CurvatureData", "DiracOperatorData", "Jet", "MetricJet",
+    "ModuleSpec", "MultivectorElement", "PolyField", "SUITE_NAMES", "SWConfig",
     "SWConfigError", "SpinSignatureError", "SuiteUsageError",
     "SuperconnectionData", "VerificationReport", "apply_dirac",
     "build_spin_connection", "canonical_laplacian",

@@ -1,9 +1,10 @@
 """Superconnections on graded bundles and their quantized Dirac operators.
 
-Fiber objects are jets: a SectionJet is (value, first, second partials) of a
-C^m-valued field at a point, a MatrixJet the same for an endomorphism field.
-Missing orders propagate through arithmetic exactly like scalar jets, so
-operator compositions consume derivative orders with no truncation error.
+Fiber objects are jets: a section is a Jet with fiber (m,), an endomorphism
+field one with fiber (m, m), a form-valued section one with fiber (2^n, m)
+and the coefficients of a superconnection one with fiber (2^n, m, m), the
+blade axis first.  Missing orders propagate through arithmetic, so operator
+compositions consume derivative orders with no truncation error.
 
 Grading conventions: eta is a diagonal +-1 involution; a matrix is even when
 it commutes with eta, odd when it anticommutes. The degree-p component of a
@@ -14,18 +15,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .charts import MetricJet
-from .clifford import blade_indices, parity_matrix, reorder_sign
-from .forms import (PolyField, exterior_gammas,
+from .clifford import blade_indices, grades, parity_matrix, wedge_table
+from .forms import (PolyField, blade_field, exterior_derivative, exterior_gammas,
+                    iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
-                    random_poly_field)
-from .jets import MatrixJet, SectionJet, seed_point
+                    random_poly_field, vector_bracket)
+from .jets import Jet, check_point, seed_point
 
 
 class ParityError(ValueError):
@@ -68,10 +71,10 @@ class ModuleSpec:
 
     m: int
     eta: np.ndarray
-    gamma_provider: Callable[[MetricJet], List[MatrixJet]]
+    gamma_provider: Callable[[MetricJet], List[Jet]]
     name: str = ""
 
-    def gammas(self, mj: MetricJet) -> List[MatrixJet]:
+    def gammas(self, mj: MetricJet) -> List[Jet]:
         return self.gamma_provider(mj)
 
 
@@ -129,8 +132,9 @@ class SuperconnectionData:
                     f"blade {blade_indices(mask)} entry ({r},{c}) breaks "
                     f"the degree-parity rule")
 
-    def eval_blades(self, x, order: int = 2) -> Dict[int, MatrixJet]:
-        return {mask: pm.eval(x, order) for mask, pm in self.blades.items()}
+    def eval_blades(self, x, order: int = 2) -> Jet:
+        """omega_I(x) on the blade axis, fiber (2^n, m, m); absent blades are zero."""
+        return blade_field(self.n, self.blades, (self.m, self.m)).eval(x, order)
 
 
 def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
@@ -199,75 +203,56 @@ def load_superconnection_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FormSectionJet:
-    """Form with SectionJet coefficients: mask -> C^m-valued jet."""
-
-    n: int
-    x: np.ndarray
-    comps: Dict[int, SectionJet]
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(np.abs(s.v) ** 2)
-                                 for s in self.comps.values())))
-
-    def __add__(self, o: "FormSectionJet") -> "FormSectionJet":
-        out = dict(self.comps)
-        for mask, s in o.comps.items():
-            out[mask] = out[mask] + s if mask in out else s
-        return FormSectionJet(self.n, self.x, out)
-
-    def __sub__(self, o: "FormSectionJet") -> "FormSectionJet":
-        return self + o.scale(-1.0)
-
-    def scale(self, s) -> "FormSectionJet":
-        return FormSectionJet(self.n, self.x,
-                              {mask: sec.scale(s) for mask, sec in self.comps.items()})
+@lru_cache(maxsize=None)
+def _koszul_wedge(n: int, odd: int) -> tuple:
+    """Left wedge by blade I, carried past the degree of blade K, as two
+    (2^n, 2^n) tables over (I, M): dx^I ^ e_K = sign[I, M] e_M for the one
+    K = index[I, M] = M ^ I when I is inside M (sign 0 otherwise), with the
+    Koszul factor (-1)^((|I| + odd)|K|) folded into the sign."""
+    g = grades(n)
+    blades = np.arange(1 << n)
+    inner, outer = blades[:, None], blades[None, :]
+    index = outer ^ inner
+    koszul = np.where((g[inner] + odd) % 2 == 1, (-1.0) ** g[index], 1.0)
+    sign = np.where(inner & outer == inner,
+                    wedge_table(n)[inner, outer, index].real * koszul, 0.0)
+    for a in (index, sign):
+        a.setflags(write=False)
+    return index, sign
 
 
-def iota_form_section(X, fs: FormSectionJet) -> FormSectionJet:
-    """Contract the form part with a vector jet X (components are scalar jets)."""
-    out: Dict[int, SectionJet] = {}
-    for mask, sec in fs.comps.items():
-        sign = 1
-        for j in blade_indices(mask):
-            term = sec.scale_jet(X.comps[j]).scale(float(sign))
-            key = mask & ~(1 << j)
-            out[key] = out[key] + term if key in out else term
-            sign = -sign
-    return FormSectionJet(fs.n, fs.x, out)
+def _graded_product(omega: Jet, right: Jet, odd: int) -> Jet:
+    """sum_I dx^I ^ (omega_I right_K) on the blade axis, with the sign
+    (-1)^((|I| + odd)|K|) on the degree-|K| part of ``right``.
+
+    omega has fiber (2^n, m, m) and right (2^n, m, p).  The blade sum is one
+    fiber product: omega as [a, (b, I)] times right spread over the wedge
+    table into [(b, I), (M, c)].
+    """
+    index, sign = _koszul_wedge(omega.n, odd)
+    dim, m, p = right.val.shape
+
+    def spread(r):           # [..., K, b, c] -> [..., (b, I), (M, c)]
+        t = np.take(np.moveaxis(r, -3, -2), index, axis=-2)   # [..., b, I, M, c]
+        t *= sign[:, :, None]
+        return t.reshape(t.shape[:-4] + (m * dim, dim * p))
+
+    def fold(w):             # [..., I, a, b] -> [..., a, (b, I)]
+        return np.moveaxis(w, -3, -1).reshape(w.shape[:-3] + (m, m * dim))
+
+    def unfold(t):           # [..., a, (M, c)] -> [..., M, a, c]
+        return np.swapaxes(t.reshape(t.shape[:-1] + (dim, p)), -3, -2)
+
+    return (omega.map(fold) @ right.map(spread)).map(unfold)
 
 
-def apply_superconnection(blades: Dict[int, MatrixJet],
-                          fs: FormSectionJet) -> FormSectionJet:
+def apply_superconnection(omega: Jet, fs: Jet) -> Jet:
     """ID(fs) = d fs + sum_I dx^I (x) omega_I fs, with graded tensor signs.
 
     omega_I has eta-parity (-1)^(|I|+1), so acting on a degree-K component
-    picks up the Koszul sign (-1)^((|I|+1)|K|).
+    picks up the Koszul sign (-1)^((|I|+1)|K|).  fs has fiber (2^n, m).
     """
-    n = fs.n
-    out: Dict[int, SectionJet] = {}
-
-    def add(key: int, sec: SectionJet) -> None:
-        out[key] = out[key] + sec if key in out else sec
-
-    for mask, sec in fs.comps.items():
-        for c in range(n):
-            bit = 1 << c
-            if mask & bit:
-                continue
-            term = sec.partial(c)
-            if reorder_sign(bit, mask) < 0:
-                term = term.scale(-1.0)
-            add(mask | bit, term)
-        k = bin(mask).count("1")
-        for imask, om in blades.items():
-            if imask & mask:
-                continue
-            p = bin(imask).count("1")
-            sgn = reorder_sign(imask, mask) * (-1) ** (((p + 1) % 2) * k)
-            add(imask | mask, om.apply(sec).scale(float(sgn)))
-    return FormSectionJet(n, fs.x, out)
+    return exterior_derivative(fs) + _graded_product(omega, fs[..., None], 1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +260,11 @@ def apply_superconnection(blades: Dict[int, MatrixJet],
 # ---------------------------------------------------------------------------
 
 
-def quantize_blade(gammas: List[MatrixJet], mask: int, n: int, m: int) -> MatrixJet:
+def quantize_blade(gammas: List[Jet], mask: int, n: int, m: int) -> Jet:
     """q(dx^I) = (1/k!) sum over permutations of sign * gamma products."""
     idx = blade_indices(mask)
     if not idx:
-        ident = np.eye(m, dtype=complex)
-        return MatrixJet.constant(ident, n, order=2)
+        return Jet.constant(np.eye(m), gammas[0].x)
     acc = None
     base = list(range(len(idx)))
     for perm in permutations(base):
@@ -290,9 +274,9 @@ def quantize_blade(gammas: List[MatrixJet], mask: int, n: int, m: int) -> Matrix
         for pos in perm:
             g = gammas[idx[pos]]
             term = g if term is None else term @ g
-        term = term.scale(float((-1) ** inv))
+        term = term * float((-1) ** inv)
         acc = term if acc is None else acc + term
-    return acc.scale(1.0 / factorial(len(idx)))
+    return acc * (1.0 / factorial(len(idx)))
 
 
 @dataclass
@@ -300,9 +284,9 @@ class DiracOperatorData:
     """First-order operator gamma^i (partial_i + A_i) + Z with coefficient jets."""
 
     x: np.ndarray
-    gam: List[MatrixJet]
-    A: List[MatrixJet]
-    Z: MatrixJet
+    gam: List[Jet]
+    A: List[Jet]
+    Z: Jet
     eta: np.ndarray
 
     @property
@@ -311,7 +295,7 @@ class DiracOperatorData:
 
     @property
     def m(self) -> int:
-        return self.Z.m
+        return self.Z.val.shape[0]
 
 
 def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
@@ -322,36 +306,48 @@ def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
     x = np.asarray(x, dtype=float)
     n = mj.n
     gam = ms.gammas(mj)
-    evald = S.eval_blades(x, order=2)
-    A = [evald.get(1 << i, MatrixJet.zero(ms.m, n)) for i in range(n)]
-    Z = MatrixJet.zero(ms.m, n)
-    for mask, om in evald.items():
-        if bin(mask).count("1") == 1:
-            continue
-        Z = Z + (quantize_blade(gam, mask, n, ms.m) @ om)
+    omega = S.eval_blades(x, order=2)
+    # fancy indexing copies the degree-1 blades, so A keeps no view of omega
+    A = list(omega[1 << np.arange(n)])
+    Z = Jet.constant(np.zeros((ms.m, ms.m)), x)
+    for mask in S.blades:
+        if bin(mask).count("1") != 1:
+            Z = Z + quantize_blade(gam, mask, n, ms.m) @ omega[mask]
     return DiracOperatorData(x, gam, A, Z, ms.eta)
 
 
-def apply_dirac(D: DiracOperatorData, j: SectionJet) -> np.ndarray:
-    if not np.array_equal(D.x, j.x):
-        raise ValueError("operator and section live at different points")
-    if j.m != D.m:
+def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
+    if D.x is not j.x:
+        check_point(D.x, j.x)
+    if j.val.shape[0] != D.m:
         raise ValueError("fiber dimension mismatch")
-    out = D.Z.val @ j.v
+    out = D.Z.val @ j.val
     for i in range(D.n):
-        out = out + D.gam[i].val @ (j.d[i] + D.A[i].val @ j.v)
+        out = out + D.gam[i].val @ (j.d[i] + D.A[i].val @ j.val)
     return out
 
 
-def apply_dirac_jet(D: DiracOperatorData, j: SectionJet) -> SectionJet:
+def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple[float, float]:
+    """Largest entry of [D, f] psi - c(df) psi, absolute and relative to the
+    larger of D(f psi) and f D(psi) (floored at 1)."""
+    t1 = apply_dirac(D, j * f)
+    t2 = f.val * apply_dirac(D, j)
+    rhs = np.zeros(D.m, dtype=complex)
+    for a in range(D.n):
+        rhs += f.d[a] * (D.gam[a].val @ j.val)
+    diff = float(np.max(np.abs(t1 - t2 - rhs)))
+    return diff, diff / max(1.0, float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
+
+
+def apply_dirac_jet(D: DiracOperatorData, j: Jet) -> Jet:
     """1-jet of D psi out of a 2-jet of psi (compositional squaring route)."""
-    acc = D.Z.apply(j)
+    acc = D.Z @ j
     for i in range(D.n):
-        acc = acc + D.gam[i].apply(j.partial(i) + D.A[i].apply(j))
+        acc = acc + D.gam[i] @ (j.partial(i) + D.A[i] @ j)
     return acc
 
 
-def dirac_square(D: DiracOperatorData, j: SectionJet) -> np.ndarray:
+def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
     """Direct expansion of D^2 on an order-2 jet."""
     if j.dd is None:
         raise ValueError("dirac_square needs an order-2 section jet")
@@ -363,15 +359,15 @@ def dirac_square(D: DiracOperatorData, j: SectionJet) -> np.ndarray:
         for k in range(n):
             gk = gam[k].val
             # M_i M_k psi with M = partial + A
-            term = (j.dd[i, k] + A[k].d[i] @ j.v + A[k].val @ j.d[i]
-                    + A[i].val @ (j.d[k] + A[k].val @ j.v))
+            term = (j.dd[i, k] + A[k].d[i] @ j.val + A[k].val @ j.d[i]
+                    + A[i].val @ (j.d[k] + A[k].val @ j.val))
             out += gi @ (gk @ term)
             # gamma^i (partial_i gamma^k + [A_i, gamma^k]) M_k psi
             coeff = gam[k].d[i] + A[i].val @ gk - gk @ A[i].val
-            out += gi @ (coeff @ (j.d[k] + A[k].val @ j.v))
-        out += gi @ ((Z.d[i] + A[i].val @ Z.val - Z.val @ A[i].val) @ j.v)
-        out += (gi @ Z.val + Z.val @ gi) @ (j.d[i] + A[i].val @ j.v)
-    out += Z.val @ (Z.val @ j.v)
+            out += gi @ (coeff @ (j.d[k] + A[k].val @ j.val))
+        out += gi @ ((Z.d[i] + A[i].val @ Z.val - Z.val @ A[i].val) @ j.val)
+        out += (gi @ Z.val + Z.val @ gi) @ (j.d[i] + A[i].val @ j.val)
+    out += Z.val @ (Z.val @ j.val)
     return out
 
 
@@ -380,39 +376,39 @@ def dirac_square(D: DiracOperatorData, j: SectionJet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def canonical_laplacian(A: List[MatrixJet], mj: MetricJet, j: SectionJet,
+def canonical_laplacian(A: List[Jet], mj: MetricJet, j: Jet,
                         route: str = "local") -> np.ndarray:
     """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a section 2-jet."""
     gamma = mj.christoffel
     n = mj.n
     if route == "local":
-        out = np.zeros(j.m, dtype=complex)
+        out = np.zeros(j.val.shape, dtype=complex)
         for i in range(n):
             for k in range(n):
-                term = (j.dd[i, k] + A[k].d[i] @ j.v + A[k].val @ j.d[i]
-                        + A[i].val @ (j.d[k] + A[k].val @ j.v))
+                term = (j.dd[i, k] + A[k].d[i] @ j.val + A[k].val @ j.d[i]
+                        + A[i].val @ (j.d[k] + A[k].val @ j.val))
                 for l in range(n):
-                    term = term - gamma[l, i, k] * (j.d[l] + A[l].val @ j.v)
+                    term = term - gamma[l, i, k] * (j.d[l] + A[l].val @ j.val)
                 out += mj.g_inv[i, k] * term
         return -out
     if route == "trace":
         # materialize eta_k = nabla_k psi as 1-jets, apply the tensor-bundle
         # connection, contract with -g
-        etas = [j.partial(k) + A[k].apply(j) for k in range(n)]
-        out = np.zeros(j.m, dtype=complex)
+        etas = [j.partial(k) + A[k] @ j for k in range(n)]
+        out = np.zeros(j.val.shape, dtype=complex)
         for i in range(n):
             for k in range(n):
-                cov = etas[k].partial(i).v + A[i].val @ etas[k].v
+                cov = etas[k].partial(i).val + A[i].val @ etas[k].val
                 for l in range(n):
-                    cov = cov - gamma[l, i, k] * etas[l].v
+                    cov = cov - gamma[l, i, k] * etas[l].val
                 out += mj.g_inv[i, k] * cov
         return -out
     raise ValueError(f"unknown route {route!r}")
 
 
-def lap_identity_residual(apply_h: Callable[[SectionJet], np.ndarray],
+def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
                           mj: MetricJet, x, m: int,
-                          probe: Optional[SectionJet] = None) -> float:
+                          probe: Optional[Jet] = None) -> float:
     """Defining test [[H, f], g] psi + 2 (df, dg) psi for f=x^k, g=x^l.
 
     The residual is relative: scaled by the largest operator value entering
@@ -421,12 +417,12 @@ def lap_identity_residual(apply_h: Callable[[SectionJet], np.ndarray],
     n = mj.n
     x = np.asarray(x, dtype=float)
     if probe is None:
-        probe = SectionJet.constant(np.ones(m), n, x)
+        probe = Jet.constant(np.ones(m), x)
     coords = seed_point(x)
     h_0 = apply_h(probe)
-    h_coord = [apply_h(probe.scale_jet(c)) for c in coords]
+    h_coord = [apply_h(probe * c) for c in coords]
     # x^k x^l is symmetric in (k, l): one operator call per unordered pair
-    h_pair = {(k, l): apply_h(probe.scale_jet(coords[k] * coords[l]))
+    h_pair = {(k, l): apply_h(probe * (coords[k] * coords[l]))
               for k in range(n) for l in range(k, n)}
     worst = 0.0
     for k in range(n):
@@ -435,7 +431,7 @@ def lap_identity_residual(apply_h: Callable[[SectionJet], np.ndarray],
             h_f, h_g = h_coord[k], h_coord[l]
             comm = (h_fg - float(x[l]) * h_f - float(x[k]) * h_g
                     + float(x[k] * x[l]) * h_0)
-            resid = comm + 2.0 * mj.g_inv[k, l] * probe.v
+            resid = comm + 2.0 * mj.g_inv[k, l] * probe.val
             scale = max(1.0,
                         float(np.max(np.abs(h_fg))),
                         abs(float(x[l])) * float(np.max(np.abs(h_f))),
@@ -457,12 +453,12 @@ class LaplacianData:
     n: int
     m: int
     x: np.ndarray
-    apply: Callable[[SectionJet], np.ndarray]
-    T: List[MatrixJet]
+    apply: Callable[[Jet], np.ndarray]
+    T: List[Jet]
     U: np.ndarray
 
 
-def laplacian_from_connection(A: List[MatrixJet], F: np.ndarray,
+def laplacian_from_connection(A: List[Jet], F: np.ndarray,
                               mj: MetricJet, x) -> LaplacianData:
     """H = canonical Laplacian of A plus zero-order F."""
     gamma = mj.christoffel
@@ -470,8 +466,8 @@ def laplacian_from_connection(A: List[MatrixJet], F: np.ndarray,
     m = F.shape[0]
     x = np.asarray(x, dtype=float)
 
-    def apply_h(j: SectionJet) -> np.ndarray:
-        return canonical_laplacian(A, mj, j) + F @ j.v
+    def apply_h(j: Jet) -> np.ndarray:
+        return canonical_laplacian(A, mj, j) + F @ j.val
 
     dtrg = _d_trace_gamma(mj)
     T = []
@@ -487,7 +483,7 @@ def laplacian_from_connection(A: List[MatrixJet], F: np.ndarray,
                 val += mj.g_inv[i, j_] * gamma[k, i, j_] * np.eye(m)
         # derivative of the scalar g^ij Gamma^k_ij part
         d += np.einsum("l,ab->lab", dtrg[:, k].astype(complex), np.eye(m))
-        T.append(MatrixJet(n, val, d, None))
+        T.append(Jet(x, val, d))
     U = _zero_order_of_connection(A, mj) + F.astype(complex)
     return LaplacianData(n, m, x, apply_h, T, U)
 
@@ -498,11 +494,11 @@ def _d_trace_gamma(mj: MetricJet) -> np.ndarray:
             + np.einsum("ij,lkij->lk", mj.g_inv, mj.dchristoffel))
 
 
-def _zero_order_of_connection(A: List[MatrixJet], mj: MetricJet) -> np.ndarray:
+def _zero_order_of_connection(A: List[Jet], mj: MetricJet) -> np.ndarray:
     """Zero-order block of the canonical Laplacian itself."""
     gamma = mj.christoffel
     n = mj.n
-    m = A[0].m
+    m = A[0].val.shape[0]
     out = np.zeros((m, m), dtype=complex)
     for i in range(n):
         for k in range(n):
@@ -526,12 +522,12 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
     n, m = D.n, D.m
     gam, A, Z = D.gam, D.A, D.Z
 
-    def apply_h(j: SectionJet) -> np.ndarray:
+    def apply_h(j: Jet) -> np.ndarray:
         return dirac_square(D, j)
 
     # T is read to first order only, so its products run on 1-jets
-    def first_order(f: MatrixJet) -> MatrixJet:
-        return MatrixJet(n, f.val, f.d)
+    def first_order(f: Jet) -> Jet:
+        return Jet(f.x, f.val, f.d)
 
     g1, A1, Z1 = [first_order(g) for g in gam], [first_order(a) for a in A], first_order(Z)
     T = []
@@ -539,15 +535,15 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
         acc = (g1[k] @ Z1) + (Z1 @ g1[k])
         for i in range(n):
             acc = acc + (g1[k] @ g1[i] @ A1[i]) + (g1[i] @ g1[k] @ A1[i])
-            acc = acc + g1[i] @ (gam[k].partial(i) + A1[i].commutator(g1[k]))
+            acc = acc + g1[i] @ (gam[k].partial(i) + _commutator(A1[i], g1[k]))
         T.append(acc)
-    U = (Z @ Z).val.copy()
+    U = Z.val @ Z.val
     for i in range(n):
-        U += gam[i].val @ (Z.d[i] + A[i].commutator(Z).val)
+        U += gam[i].val @ (Z.d[i] + _commutator(A[i].val, Z.val))
         U += (gam[i].val @ Z.val + Z.val @ gam[i].val) @ A[i].val
         for j_ in range(n):
             U += gam[i].val @ gam[j_].val @ (A[j_].d[i] + A[i].val @ A[j_].val)
-            U += (gam[i].val @ (gam[j_].d[i] + A[i].commutator(gam[j_]).val)
+            U += (gam[i].val @ (gam[j_].d[i] + _commutator(A[i].val, gam[j_].val))
                   @ A[j_].val)
     return LaplacianData(n, m, np.asarray(D.x, dtype=float), apply_h, T, U)
 
@@ -568,7 +564,7 @@ def laplacian_decompose(L: LaplacianData, mj: MetricJet):
             val += 0.5 * mj.g[i, k] * diff_val
             d += 0.5 * (np.einsum("l,ab->lab", mj.dg[:, i, k].astype(complex),
                                   diff_val) + mj.g[i, k] * diff_d)
-        A.append(MatrixJet(n, val, d, None))
+        A.append(Jet(L.x, val, d))
     u_conn = _zero_order_of_connection(A, mj)
     F = L.U - u_conn
     return A, F
@@ -579,76 +575,47 @@ def laplacian_decompose(L: LaplacianData, mj: MetricJet):
 # ---------------------------------------------------------------------------
 
 
-def connection_curvature(A: List[MatrixJet]) -> np.ndarray:
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
+def connection_curvature(A: List[Jet]) -> np.ndarray:
     """F_ik = partial_i A_k - partial_k A_i + [A_i, A_k] as matrix jets."""
     n = len(A)
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for k in range(n):
-            out[i, k] = A[k].partial(i) - A[i].partial(k) + A[i].commutator(A[k])
+            out[i, k] = A[k].partial(i) - A[i].partial(k) + _commutator(A[i], A[k])
     return out
 
 
-def superconnection_curvature(S: SuperconnectionData, x) -> Dict[int, MatrixJet]:
-    """ID^2 as blade -> endomorphism jets.
+def superconnection_curvature(S: SuperconnectionData, x) -> Jet:
+    """ID^2 at x as an endomorphism on the blade axis, fiber (2^n, m, m).
 
     F = sum_{I,c} dx^c ^ dx^I (x) partial_c omega_I
       + sum_{I,J} (-1)^((|I|+1)|J|) dx^I ^ dx^J (x) omega_I omega_J.
+    F acts pointwise, so it is returned as a 0-jet: its value.
     """
-    x = np.asarray(x, dtype=float)
-    n = S.n
-    evald = S.eval_blades(x, order=2)
-    out: Dict[int, MatrixJet] = {}
-
-    def add(key: int, mjet: MatrixJet) -> None:
-        out[key] = out[key] + mjet if key in out else mjet
-
-    for imask, om in evald.items():
-        for c in range(n):
-            bit = 1 << c
-            if imask & bit:
-                continue
-            term = om.partial(c)
-            if reorder_sign(bit, imask) < 0:
-                term = term.scale(-1.0)
-            add(bit | imask, term)
-    for imask, omi in evald.items():
-        pi = bin(imask).count("1")
-        for jmask, omj in evald.items():
-            if imask & jmask:
-                continue
-            pj = bin(jmask).count("1")
-            sgn = reorder_sign(imask, jmask) * (-1) ** (((pi + 1) % 2) * pj)
-            add(imask | jmask, (omi @ omj).scale(float(sgn)))
-    return out
+    omega = S.eval_blades(np.asarray(x, dtype=float), order=1)
+    value = Jet(omega.x, omega.val)
+    return exterior_derivative(omega) + _graded_product(value, value, 1)
 
 
-def apply_form_endomorphism(F: Dict[int, MatrixJet],
-                            fs: FormSectionJet) -> FormSectionJet:
-    """Apply a form-valued endomorphism with graded tensor signs."""
-    out: Dict[int, SectionJet] = {}
-    for mask, sec in fs.comps.items():
-        k = bin(mask).count("1")
-        for fmask, mat in F.items():
-            if fmask & mask:
-                continue
-            p = bin(fmask).count("1")
-            sgn = reorder_sign(fmask, mask) * (-1) ** ((p % 2) * k)
-            term = mat.apply(sec).scale(float(sgn))
-            key = fmask | mask
-            out[key] = out[key] + term if key in out else term
-    return FormSectionJet(fs.n, fs.x, out)
+def apply_form_endomorphism(F: Jet, fs: Jet) -> Jet:
+    """Apply a form-valued endomorphism with graded tensor signs
+    (-1)^(|F||K|) on the degree-K part of fs."""
+    return _graded_product(F, fs[..., None], 0)[..., 0]
 
 
 def twisting_curvature(FE: np.ndarray, lowered: np.ndarray,
-                       gammas: List[MatrixJet], tol: float = 1e-9):
+                       gammas: List[Jet], tol: float = 1e-9):
     """F^tw_ik = F^E_ik - c(S_ik), S_ik = -1/4 lowered[k,l,i,k'] dx^k dx^l.
 
     Raises CliffordConnectionError when the result fails to supercommute
     with every gamma (the input connection was not a Clifford connection).
     """
     n = len(gammas)
-    m = gammas[0].m
+    m = gammas[0].val.shape[0]
     ftw = np.empty((n, n), dtype=object)
     scale = float(np.max(np.abs(lowered))) + max(
         float(np.max(np.abs(FE[i, k].val))) for i in range(n) for k in range(n))
@@ -725,19 +692,17 @@ def is_special_superconnection(S: SuperconnectionData, points: Sequence,
     return worst <= tol, worst
 
 
-def special_identity_residual(S: SuperconnectionData, x, X, Y,
-                              fs: FormSectionJet) -> float:
+def special_identity_residual(S: SuperconnectionData, x, X: Jet, Y: Jet,
+                              fs: Jet) -> float:
     """Residual of [[ID, iota(X)], iota(Y)] = iota([X, Y]) on a form-section."""
-    from .forms import vector_bracket
+    omega = S.eval_blades(np.asarray(x, dtype=float), order=2)
 
-    blades = S.eval_blades(np.asarray(x, dtype=float), order=2)
+    def ID(z: Jet) -> Jet:
+        return apply_superconnection(omega, z)
 
-    def ID(z: FormSectionJet) -> FormSectionJet:
-        return apply_superconnection(blades, z)
+    def comm1(z: Jet) -> Jet:
+        return ID(iota_vector(X, z)) + iota_vector(X, ID(z))
 
-    def comm1(z: FormSectionJet) -> FormSectionJet:
-        return ID(iota_form_section(X, z)) + iota_form_section(X, ID(z))
-
-    lhs = comm1(iota_form_section(Y, fs)) - iota_form_section(Y, comm1(fs))
-    rhs = iota_form_section(vector_bracket(X, Y), fs)
+    lhs = comm1(iota_vector(Y, fs)) - iota_vector(Y, comm1(fs))
+    rhs = iota_vector(vector_bracket(X, Y), fs)
     return (lhs - rhs).norm()

@@ -1,9 +1,10 @@
 """Coordinate charts with smooth metrics and exact pointwise metric jets.
 
-A chart's ``metric_fn`` is written against generic scalar arithmetic, so the
-same function body evaluates on plain floats (used by finite-difference
-oracles in the test suite) and on jets (used everywhere else for exact first
-and second derivatives).
+A chart's ``metric_fn`` takes the coordinates as one vector and is written
+against generic array arithmetic, so the same function body evaluates on a
+plain float array (the rejection check of random charts, tests) and on the
+coordinate jet of ``seed_point`` (everywhere else, for exact first and
+second derivatives).  Constant metrics return a plain array.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jets import SJet, as_jet, jet_abs, jet_det, jet_log, jet_mat_from_arrays, jet_sqrt, seed_point
+from .jets import Jet, seed_point
 
 
 class ChartDomainError(ValueError):
@@ -33,7 +34,7 @@ class Chart:
     name: str
     n: int
     negatives: int                       # count of negative metric eigenvalues
-    metric_fn: Callable[[Sequence], Sequence]
+    metric_fn: Callable                  # coordinate vector -> (n, n) metric
     domain: Callable[[np.ndarray], bool] = field(default=lambda x: True)
     period: Optional[float] = None       # 2*pi on torus charts
     kind: str = "generic"
@@ -82,22 +83,22 @@ class MetricJet:
         self.d2g = d2g
         self.g_inv = np.linalg.inv(g)
 
-        # d(g^-1) = -g^-1 (dg) g^-1 ; second derivatives by one more product rule
+        # d(g^-1) = -g^-1 (dg) g^-1 ; second derivatives by one more product
+        # rule, with term[l, k] = g^-1 (d_l g) g^-1 (d_k g) g^-1
         gi = self.g_inv
-        self.dg_inv = np.einsum("ia,kab,bj->kij", -gi, dg, gi)
-        term = np.einsum("ia,lab,bc,kcd,dj->lkij", gi, dg, gi, dg, gi)
-        self.d2g_inv = term + np.transpose(term, (1, 0, 2, 3)) \
-            - np.einsum("ia,lkab,bj->lkij", gi, d2g, gi)
+        self.dg_inv = -gi @ dg @ gi
+        term = -((gi @ dg)[:, None] @ self.dg_inv[None])
+        self.d2g_inv = term + np.transpose(term, (1, 0, 2, 3)) - gi @ d2g @ gi
 
-        det_jet = jet_det(jet_mat_from_arrays(g, dg, d2g))
-        self.det = float(np.real(det_jet.val))
-        sqrt_jet = jet_sqrt(jet_abs(det_jet))
-        self.sqrt_abs_det = float(np.real(sqrt_jet.val))
-        self.dsqrt = np.real(sqrt_jet.d).astype(float)
-        self.ddsqrt = np.real(sqrt_jet.dd).astype(float)
-        h_jet = jet_log(jet_sqrt(jet_abs(det_jet)))
-        self.dh = np.real(h_jet.d).astype(float)
-        self.ddh = np.real(h_jet.dd).astype(float)
+        # Jacobi's formula for h = log sqrt|det g|: d_k h = tr(g^-1 d_k g) / 2
+        # and d_l d_k h = (tr(g^-1 d_l d_k g) + tr(d_l(g^-1) d_k g)) / 2
+        self.det = float(np.linalg.det(g))
+        self.sqrt_abs_det = float(np.sqrt(abs(self.det)))
+        self.dh = 0.5 * np.einsum("ij,kji->k", gi, dg)
+        self.ddh = 0.5 * (np.einsum("ij,lkji->lk", gi, d2g)
+                          + np.einsum("lij,kji->lk", self.dg_inv, dg))
+        self.dsqrt = self.sqrt_abs_det * self.dh
+        self.ddsqrt = self.sqrt_abs_det * (self.ddh + np.outer(self.dh, self.dh))
 
     @cached_property
     def christoffel(self) -> np.ndarray:
@@ -120,29 +121,18 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
-def _entry_arrays(entry, n: int):
-    if isinstance(entry, SJet):
-        return entry.val, entry.d, entry.dd
-    return complex(entry), np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
-
-
 def metric_jet(chart: Chart, x: Sequence[float]) -> MetricJet:
     """Evaluate the chart metric and its first two derivatives at x."""
     x = chart.validate_point(x)
     n = chart.n
-    jets = seed_point(x, order=2)
-    raw = chart.metric_fn(jets)
-    g = np.zeros((n, n))
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            val, d, dd = _entry_arrays(raw[i][j], n)
-            if abs(np.imag(val)) > 1e-12:
-                raise DegenerateMetricError("metric entries must be real")
-            g[i, j] = np.real(val)
-            dg[:, i, j] = np.real(d)
-            d2g[:, :, i, j] = np.real(dd)
+    raw = chart.metric_fn(seed_point(x, order=2))
+    if isinstance(raw, Jet):
+        g, dg, d2g = raw.val, raw.d, raw.dd
+    else:
+        g, dg, d2g = np.asarray(raw), np.zeros((n, n, n)), np.zeros((n, n, n, n))
+    if np.max(np.abs(np.imag(g)), initial=0.0) > 1e-12:
+        raise DegenerateMetricError("metric entries must be real")
+    g, dg, d2g = np.real(g), np.real(dg), np.real(d2g)
     if not np.allclose(g, g.T, atol=1e-10):
         raise DegenerateMetricError(f"metric not symmetric at {x.tolist()}")
     eig = np.linalg.eigvalsh(g)
@@ -169,10 +159,8 @@ def metric_jet(chart: Chart, x: Sequence[float]) -> MetricJet:
 
 
 def _const_metric(m: np.ndarray):
-    rows = [[float(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
-
     def metric_fn(xs):
-        return rows
+        return m
 
     return metric_fn
 
@@ -203,16 +191,11 @@ def conformal_chart(n: int, which: str) -> Chart:
     sign = {"sphere": 1.0, "hyperbolic": -1.0}[which]
 
     def lam(xs):
-        q = xs[0] * xs[0]
-        for c in xs[1:]:
-            q = q + c * c
-        return (1.0 + sign * q) * 0.5
+        return (1.0 + sign * (xs @ xs)) * 0.5
 
     def metric_fn(xs):
         w = lam(xs)
-        coef = 1.0 / (w * w)
-        zero = 0.0
-        return [[coef if i == j else zero for j in range(n)] for i in range(n)]
+        return np.eye(n) / (w * w)
 
     if which == "hyperbolic":
         domain = lambda x: float(np.dot(x, x)) < 1.0 - 1e-9
@@ -243,28 +226,12 @@ def polynomial_chart(n: int, seed: int = 7, scale: float = 0.04) -> Chart:
         s2 = 0.5 * (s2 + np.transpose(s2, (1, 0, 2, 3)))
         s2 = 0.5 * (s2 + np.transpose(s2, (0, 1, 3, 2)))
 
-        def metric_fn(xs, s0=s0, s1=s1, s2=s2):
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    e = (1.0 if i == j else 0.0) + s0[i, j]
-                    for k in range(n):
-                        e = e + s1[i, j, k] * xs[k]
-                        for l in range(n):
-                            e = e + s2[i, j, k, l] * (xs[k] * xs[l])
-                    row.append(e)
-                out.append(row)
-            return out
+        def metric_fn(xs, g0=np.eye(n) + s0, s1=s1, s2=s2):
+            return g0 + s1 @ xs + (s2 @ xs) @ xs
 
         check = np.random.default_rng(seed + 99)
-        ok = True
-        for _ in range(200):
-            x = check.uniform(-radius, radius, size=n)
-            gm = np.array([[complex(v).real for v in row] for row in metric_fn(list(x))])
-            if np.min(np.linalg.eigvalsh(gm)) < 0.5:
-                ok = False
-                break
+        xs = check.uniform(-radius, radius, size=(200, n))
+        ok = all(np.min(np.linalg.eigvalsh(metric_fn(x))) >= 0.5 for x in xs)
         if ok:
             return Chart(f"poly{n}", n, 0, metric_fn, kind="polynomial",
                          sample_radius=radius)

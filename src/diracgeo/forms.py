@@ -1,12 +1,14 @@
 """Jet-valued differential forms and first-order operators on them.
 
-A FormJet holds a form's coefficient jets on the blade axis of length 2^n,
-slot M for the blade with bitmask M, in the layout of a SectionJet.  Every
+A form is a Jet whose fiber is the blade axis of length 2^n, slot M for the
+blade with bitmask M; a vector field is a Jet with fiber (n,).  Every
 operator here is a product with the fixed structure tensors of
 ``clifford.blade_tables`` and consumes jet orders instead of discretizing:
 applying a first-order operator to an order-k input yields an order-(k-1)
 output with no truncation error, so composite identities (d^2 = 0, Cartan
-relations, dual-route coderivatives) hold to rounding.
+relations, dual-route coderivatives) hold to rounding.  The blade axis may
+be followed by further fiber axes (form-valued sections, fiber (2^n, m)),
+which ``exterior_derivative`` and ``iota_vector`` carry along.
 PolyField is the one polynomial coefficient field type the checks draw from.
 """
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .charts import MetricJet
 from .clifford import blade_tables, contract, grades, reorder_sign, wedge_table
-from .jets import MatrixJet, SectionJet, SJet
+from .jets import Jet, check_point
 
 
 class JetOrderError(ValueError):
@@ -34,134 +36,40 @@ class DegreeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# core containers
+# forms on the blade axis
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VectorJet:
-    """Vector field jet: components X^i as scalar jets at a common point."""
-
-    n: int
-    x: np.ndarray
-    comps: List[SJet]
-
-    @property
-    def order(self) -> int:
-        return min(c.order for c in self.comps)
-
-    def values(self) -> np.ndarray:
-        return np.array([c.val for c in self.comps])
-
-    def jet(self):
-        """Components as arrays X[i], d[k, i] = d_k X^i, dd[k, l, i];
-        orders the components do not all carry are None."""
-        order = self.order
-        d = dd = None
-        if order >= 1:
-            d = np.array([c.d for c in self.comps]).T
-        if order >= 2:
-            dd = np.moveaxis(np.array([c.dd for c in self.comps]), 0, -1)
-        return self.values(), d, dd
-
-
-def _orders(*arrays) -> tuple:
-    return tuple(a for a in arrays if a is not None)
-
-
-@dataclass
-class FormJet:
-    """Differential form jet on the blade axis, laid out as a SectionJet with
-    m = 2^n: val[M] is the coefficient of blade M, d[k, M] = d_k val[M] and
-    dd[k, l, M] = d_k d_l val[M]; orders the jet does not carry are None."""
-
-    n: int
-    x: np.ndarray
-    val: np.ndarray
-    d: Optional[np.ndarray] = None
-    dd: Optional[np.ndarray] = None
-    chart: str = ""
-
-    def __post_init__(self):
-        if self.val.shape != (1 << self.n,):
-            raise ValueError(f"form values of shape {self.val.shape} do not fill "
-                             f"the {1 << self.n} blades of n={self.n}")
-
-    @property
-    def order(self) -> int:
-        return len(_orders(self.d, self.dd))
-
-    def partial(self, k: int) -> "FormJet":
-        """The jet of the k-th partial derivative (one order lower)."""
-        if self.d is None:
-            raise JetOrderError("form jet carries no first-order data")
-        dd = self.dd[k] if self.dd is not None else None
-        return FormJet(self.n, self.x, self.d[k], dd, None, self.chart)
-
-    def degrees(self) -> set:
-        """Degrees of the blades whose jet is not identically zero."""
-        live = self.val != 0
-        for a in _orders(self.d, self.dd):
+def degrees(j: Jet) -> set:
+    """Degrees of the blades whose jet is not identically zero."""
+    live = j.val != 0
+    for a in (j.d, j.dd):
+        if a is not None:
             live = live | np.any(a.reshape(-1, a.shape[-1]) != 0, axis=0)
-        return set(grades(self.n)[live].tolist())
-
-    def degree(self) -> int:
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise DegreeError(f"mixed degrees {sorted(degs)}")
-        return degs.pop() if degs else 0
-
-    def coefficient(self, indices: Sequence[int]) -> complex:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return complex(self.val[mask])
-
-    def norm(self) -> float:
-        """Euclidean norm of the pointwise coefficient vector."""
-        return float(np.sqrt(np.sum(np.abs(self.val) ** 2)))
-
-    def _compat(self, other: "FormJet") -> None:
-        if self.n != other.n or (self.x is not other.x
-                                 and not np.array_equal(self.x, other.x)):
-            raise ValueError("form jets live at different points")
-
-    def __add__(self, other: "FormJet") -> "FormJet":
-        self._compat(other)
-        d = self.d + other.d if self.d is not None and other.d is not None else None
-        dd = self.dd + other.dd if self.dd is not None and other.dd is not None else None
-        return FormJet(self.n, self.x, self.val + other.val, d, dd, self.chart)
-
-    def __sub__(self, other: "FormJet") -> "FormJet":
-        return self + other.scale(-1.0)
-
-    def scale(self, s) -> "FormJet":
-        d = self.d * s if self.d is not None else None
-        dd = self.dd * s if self.dd is not None else None
-        return FormJet(self.n, self.x, self.val * s, d, dd, self.chart)
-
-    @staticmethod
-    def zero(n: int, x, chart: str = "") -> "FormJet":
-        dim = 1 << n
-        return FormJet(n, np.asarray(x, dtype=float), np.zeros(dim, dtype=complex),
-                       np.zeros((n, dim), dtype=complex),
-                       np.zeros((n, n, dim), dtype=complex), chart)
+    return set(grades(j.n)[live].tolist())
 
 
-def _weighted(n: int, table: np.ndarray, val, d, dd) -> MatrixJet:
-    """Matrix jet of sum_i w_i table[i] from the weight jets w[i], d[k, i], dd[k, l, i]."""
-    return MatrixJet(n, *(None if w is None else contract(w, table) for w in (val, d, dd)))
+def degree(j: Jet) -> int:
+    degs = degrees(j)
+    if len(degs) > 1:
+        raise DegreeError(f"mixed degrees {sorted(degs)}")
+    return degs.pop() if degs else 0
 
 
-def _apply(op: MatrixJet, j: FormJet) -> FormJet:
-    """Apply an operator jet on the blade axis to a form jet, product rule included."""
-    s = op.apply(SectionJet(j.n, j.x, j.val, j.d, j.dd))
-    return FormJet(j.n, j.x, s.v, s.d, s.dd, j.chart)
+def coefficient(j: Jet, indices: Sequence[int]) -> complex:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return complex(j.val[mask])
 
 
-def wedge_forms(a: FormJet, b: FormJet) -> FormJet:
-    a._compat(b)
-    return _apply(_weighted(a.n, wedge_table(a.n), a.val, a.d, a.dd), b)
+def _weighted(table: np.ndarray, w: Jet) -> Jet:
+    """Operator jet sum_i w_i table[i] from the weight jet w (fiber (n,))."""
+    return w.map(lambda a: contract(a, table))
+
+
+def wedge_forms(a: Jet, b: Jet) -> Jet:
+    return _weighted(wedge_table(a.n), a) @ b
 
 
 # ---------------------------------------------------------------------------
@@ -218,31 +126,25 @@ def _jet_table(exponents: np.ndarray) -> tuple:
 class PolyField:
     """Polynomial field sum_t coeffs[t] x^exponents[t] with values in C^shape.
 
-    The fiber shape says what the field is: () a scalar, (m,) a section,
-    (m, m) an endomorphism, (B,) a form whose slot b holds the coefficient
-    of blade ``masks[b]``.  An (n,) field with ``kind="vector"`` is a vector
-    field.  ``kind`` is inferred from the shape and masks when left empty.
+    The fiber shape says what the field is: () a scalar, (n,) a vector
+    field, (m,) a section, (m, m) an endomorphism.  With ``masks`` the first
+    fiber axis is a list of blades: its slot b holds the coefficients of
+    blade ``masks[b]``, and ``eval`` places them on the 2^n blade axis, so
+    (B,) is a form and (B, m) a form-valued section.
     """
 
     n: int
     exponents: np.ndarray
     coeffs: np.ndarray
-    kind: str = ""
     masks: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.exponents.shape != (len(self.coeffs), self.n):
             raise ValueError(f"exponents {self.exponents.shape} do not match "
                              f"{len(self.coeffs)} terms in {self.n} variables")
-        if not self.kind:
-            self.kind = ("form" if self.masks is not None else
-                         {1: "scalar", 2: "section", 3: "matrix"}.get(self.coeffs.ndim, ""))
-        if self.kind not in ("scalar", "vector", "section", "matrix", "form"):
-            raise ValueError(f"no field kind {self.kind!r} for fiber shape "
-                             f"{self.coeffs.shape[1:]}")
-        if self.kind == "form" and (self.masks is None
-                                    or self.coeffs.shape[1:] != (len(self.masks),)):
-            raise ValueError("a form field needs one blade mask per fiber slot")
+        if self.masks is not None and self.coeffs.shape[1:2] != (len(self.masks),):
+            raise ValueError("a form field needs one blade mask per slot of its "
+                             "first fiber axis")
 
     def _rows(self, x, order: int) -> np.ndarray:
         """Jet rows (value, d_k, d_k d_l) by fiber slot, shape (rows, slots).
@@ -266,31 +168,22 @@ class PolyField:
         dd = out[1 + n:].reshape((n, n) + shape) if order >= 2 else None
         return out[0].reshape(shape), d, dd
 
-    def eval(self, x, order: int = 2, chart: str = ""):
-        """The jet at x in the container of the field's kind."""
+    def eval(self, x, order: int = 2) -> Jet:
+        """The jet at x, with a form's slots placed on the blade axis."""
         x = np.asarray(x, dtype=float)
-        n = self.n
-        if self.kind == "section":
-            return SectionJet(n, x, *self.jet(x, order))
-        if self.kind == "matrix":
-            return MatrixJet(n, *self.jet(x, order))
-        if self.kind == "form":
-            def on_blade_axis(a):
-                if a is None:
-                    return None
-                out = np.zeros(a.shape[:-1] + (1 << n,), dtype=complex)
-                out[..., list(self.masks)] = a
-                return out
+        parts = self.jet(x, order)
+        if self.masks is None:
+            return Jet(x, *parts)
 
-            return FormJet(n, x, *map(on_blade_axis, self.jet(x, order)), chart=chart)
-        # one scalar jet per slot, from contiguous rows of the transposed jet
-        slots = self._rows(x, order).T.copy()
-        jets = [SJet(n, v, row[1:1 + n] if order >= 1 else None,
-                     row[1 + n:].reshape(n, n) if order >= 2 else None)
-                for v, row in zip(slots[:, 0].tolist(), slots)]
-        if self.kind == "scalar":
-            return jets[0]
-        return VectorJet(n, x, jets)
+        def on_blade_axis(a, lead):
+            if a is None:
+                return None
+            out = np.zeros(a.shape[:lead] + (1 << self.n,) + a.shape[lead + 1:],
+                           dtype=complex)
+            out[(slice(None),) * lead + (list(self.masks),)] = a
+            return out
+
+        return Jet(x, *map(on_blade_axis, parts, (0, 1, 2)))
 
     @staticmethod
     def zero(n: int, shape: tuple = ()) -> "PolyField":
@@ -298,8 +191,22 @@ class PolyField:
                          np.zeros((0,) + tuple(shape), dtype=complex))
 
 
+def blade_field(n: int, fields: Dict[int, PolyField], shape: tuple) -> PolyField:
+    """One field of fiber (2^n, *shape) out of fields of fiber ``shape`` keyed
+    by blade mask, over the union of their monomials; absent blades are zero."""
+    rows: Dict[tuple, int] = {}
+    for f in fields.values():
+        for e in map(tuple, f.exponents.tolist()):
+            rows.setdefault(e, len(rows))
+    coeffs = np.zeros((len(rows), 1 << n) + tuple(shape), dtype=complex)
+    for mask, f in fields.items():
+        coeffs[[rows[e] for e in map(tuple, f.exponents.tolist())], mask] = f.coeffs
+    exponents = np.array(list(rows), dtype=np.int64).reshape(len(rows), n)
+    return PolyField(n, exponents, coeffs)
+
+
 def random_poly_field(rng, n: int, shape: tuple = (), degree: int = 2,
-                      complex_coeffs: bool = False, kind: str = "",
+                      complex_coeffs: bool = False,
                       masks: Optional[Tuple[int, ...]] = None) -> PolyField:
     """Random polynomial field, coefficients uniform in [-1, 1].
 
@@ -314,7 +221,7 @@ def random_poly_field(rng, n: int, shape: tuple = (), degree: int = 2,
     else:
         draws = rng.uniform(-1.0, 1.0, size=size).astype(complex)
     coeffs = np.ascontiguousarray(draws.T).reshape((len(exps),) + tuple(shape))
-    return PolyField(n, exps, coeffs, kind, masks)
+    return PolyField(n, exps, coeffs, masks)
 
 
 def random_poly_scalar(rng, n: int, degree: int = 2,
@@ -323,7 +230,7 @@ def random_poly_scalar(rng, n: int, degree: int = 2,
 
 
 def random_poly_vector(rng, n: int, degree: int = 2) -> PolyField:
-    return random_poly_field(rng, n, (n,), degree, kind="vector")
+    return random_poly_field(rng, n, (n,), degree)
 
 
 def random_poly_form(rng, n: int, p: int, degree: int = 2,
@@ -338,51 +245,43 @@ def random_poly_form(rng, n: int, p: int, degree: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def exterior_derivative(j: FormJet) -> FormJet:
-    """d = eps_i partial_i on the blade axis."""
+def exterior_derivative(j: Jet) -> Jet:
+    """d = eps_i partial_i on the blade axis (the first fiber axis)."""
     if j.d is None:
         raise JetOrderError("exterior derivative needs an order >= 1 jet")
     eps = blade_tables(j.n)[0]
-    val = np.einsum("iab,ib->a", eps, j.d)
-    d = np.einsum("iab,kib->ka", eps, j.dd) if j.dd is not None else None
-    return FormJet(j.n, j.x, val, d, None, j.chart)
+    val = np.einsum("iab,ib...->a...", eps, j.d)
+    d = np.einsum("iab,kib...->ka...", eps, j.dd) if j.dd is not None else None
+    return Jet(j.x, val, d)
 
 
-def iota_vector(X: VectorJet, j: FormJet) -> FormJet:
+def iota_vector(X: Jet, j: Jet) -> Jet:
     """Interior product with the tautological pairing <dx^i, X> = X^i."""
-    if not np.array_equal(X.x, j.x):
-        raise ValueError("vector and form jets live at different points")
-    return _apply(_weighted(j.n, blade_tables(j.n)[1], *X.jet()), j)
+    return _weighted(blade_tables(j.n)[1], X) @ j
 
 
-def lie_derivative(X: VectorJet, j: FormJet) -> FormJet:
+def lie_derivative(X: Jet, j: Jet) -> Jet:
     """Via d iota(X) + iota(X) d, the algebraic characterization of L_X."""
     return exterior_derivative(iota_vector(X, j)) + iota_vector(X, exterior_derivative(j))
 
 
-def vector_bracket(X: VectorJet, Y: VectorJet) -> VectorJet:
-    if not np.array_equal(X.x, Y.x):
-        raise ValueError("vector jets live at different points")
-    comps = []
-    for i in range(X.n):
-        acc = None
-        for a in range(X.n):
-            t = X.comps[a] * Y.comps[i].partial(a) - Y.comps[a] * X.comps[i].partial(a)
-            acc = t if acc is None else acc + t
-        comps.append(acc)
-    return VectorJet(X.n, X.x, comps)
+def _gradient(X: Jet) -> Jet:
+    """The jet of the derivatives d[k, ...] of X, fiber (n, *S), one order lower."""
+    if X.d is None:
+        raise JetOrderError("gradient needs an order >= 1 jet")
+    return Jet(X.x, X.d, X.dd)
 
 
-def pair_vector_form(X: VectorJet, v: FormJet) -> SJet:
+def vector_bracket(X: Jet, Y: Jet) -> Jet:
+    """[X, Y]^i = X^a d_a Y^i - Y^a d_a X^i."""
+    return X @ _gradient(Y) - Y @ _gradient(X)
+
+
+def pair_vector_form(X: Jet, v: Jet) -> Jet:
     """<X, v> for a 1-form jet v."""
-    if not v.degrees() <= {1}:
+    if not degrees(v) <= {1}:
         raise DegreeError("pairing defined against 1-forms")
-    slots = 1 << np.arange(v.n)
-    acc = SJet.constant(0.0, X.n, order=2)
-    for i, m in enumerate(slots):
-        c = SJet(v.n, v.val[m], *(a[..., m] for a in _orders(v.d, v.dd)))
-        acc = acc + X.comps[i] * c
-    return acc
+    return X @ v[1 << np.arange(v.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +289,20 @@ def pair_vector_form(X: VectorJet, v: FormJet) -> SJet:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_det_jet(mj: MetricJet) -> SJet:
-    return SJet(mj.n, mj.sqrt_abs_det, mj.dsqrt.astype(complex),
-                mj.ddsqrt.astype(complex))
+def sqrt_det_jet(mj: MetricJet) -> Jet:
+    return Jet(mj.x, mj.sqrt_abs_det, mj.dsqrt, mj.ddsqrt)
 
 
-def volume_form(mj: MetricJet, x, orientation: int = 1, chart: str = "") -> FormJet:
+def volume_form(mj: MetricJet, x, orientation: int = 1) -> Jet:
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    vol = FormJet.zero(mj.n, x, chart)
-    top = (1 << mj.n) - 1
-    vol.val[top] = orientation * mj.sqrt_abs_det
-    vol.d[:, top] = orientation * mj.dsqrt
-    vol.dd[:, :, top] = orientation * mj.ddsqrt
-    return vol
+    top = np.zeros(1 << mj.n)
+    top[-1] = orientation
+    return Jet(np.asarray(x, dtype=float), *(np.multiply.outer(a, top) for a in
+                                             (mj.sqrt_abs_det, mj.dsqrt, mj.ddsqrt)))
 
 
-def _compound_inverse_metric(mj: MetricJet, order: int) -> MatrixJet:
+def _compound_inverse_metric(mj: MetricJet, order: int) -> Jet:
     """Lambda(g^-1) on the blade axis with jets to ``order``.
 
     Column M is (g^-1 dx^{i_1}) ^ ... ^ (g^-1 dx^{i_p}), so entry [M', M] is
@@ -415,19 +311,18 @@ def _compound_inverse_metric(mj: MetricJet, order: int) -> MatrixJet:
     n = mj.n
     eps = blade_tables(n)[0]
     metric = (mj.g_inv, mj.dg_inv, mj.d2g_inv)[:order + 1]
-    cols = [SectionJet.constant(np.eye(1 << n)[0], n, mj.x, order)]
+    cols = [Jet.constant(np.eye(1 << n)[0], mj.x, order)]
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
-        gen = MatrixJet(n, *(contract(a[..., low], eps) for a in metric))
-        cols.append(gen.apply(cols[mask & (mask - 1)]))
-    parts = ("v", "d", "dd")[:order + 1]
-    return MatrixJet(n, *(np.moveaxis(np.array([getattr(c, k) for c in cols]), 0, -1)
-                          for k in parts))
+        gen = Jet(mj.x, *(contract(a[..., low], eps) for a in metric))
+        cols.append(gen @ cols[mask & (mask - 1)])
+    parts = ("val", "d", "dd")[:order + 1]
+    return Jet(mj.x, *(np.stack([getattr(c, k) for c in cols], axis=-1) for k in parts))
 
 
-def gram_pairing(a: FormJet, b: FormJet, mj: MetricJet) -> complex:
+def gram_pairing(a: Jet, b: Jet, mj: MetricJet) -> complex:
     """Sesquilinear pairing: blades of equal degree paired by det g^{i_a j_b}."""
-    a._compat(b)
+    check_point(a.x, b.x)
     return complex(np.conj(a.val) @ _compound_inverse_metric(mj, 0).val @ b.val)
 
 
@@ -442,32 +337,29 @@ def _complement_signs(n: int) -> np.ndarray:
     return out
 
 
-def hodge_star(j: FormJet, mj: MetricJet, orientation: int = 1) -> FormJet:
+def hodge_star(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
     """Antilinear star sqrt|det g| P Lambda(g^-1) conj(j): conjugates
     coefficients, raises them with g^-1 and complements blades."""
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    conj = SectionJet(j.n, j.x, *(np.conj(a) if a is not None else None
-                                  for a in (j.val, j.d, j.dd)))
-    raised = _compound_inverse_metric(mj, 2).apply(conj.scale_jet(sqrt_det_jet(mj)))
+    raised = _compound_inverse_metric(mj, 2) @ (j.conj() * sqrt_det_jet(mj))
     signs = orientation * _complement_signs(j.n).T
-    return FormJet(j.n, j.x, *(a @ signs if a is not None else None
-                               for a in (raised.v, raised.d, raised.dd)), chart=j.chart)
+    return raised.map(lambda a: a @ signs)
 
 
 def _det_sign(mj: MetricJet) -> int:
     return 1 if mj.det > 0 else -1
 
 
-def coderivative_hodge(j: FormJet, mj: MetricJet, orientation: int = 1) -> FormJet:
+def coderivative_hodge(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
     """d* = (-1)^(n(p+1)+1) sgn(det g) * d * on degree-p input."""
-    if not j.degrees():
-        return FormJet.zero(j.n, j.x, j.chart)
-    p = j.degree()
+    if not degrees(j):
+        return Jet.constant(np.zeros(1 << j.n), j.x)
+    p = degree(j)
     n = mj.n
     sign = (-1) ** (n * (p + 1) + 1) * _det_sign(mj)
     return hodge_star(exterior_derivative(hodge_star(j, mj, orientation)),
-                      mj, orientation).scale(float(sign))
+                      mj, orientation) * float(sign)
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +371,7 @@ def _derivation_table(n: int) -> np.ndarray:
     return out
 
 
-def levi_civita_exterior_connection(mj: MetricJet) -> List[MatrixJet]:
+def levi_civita_exterior_connection(mj: MetricJet) -> List[Jet]:
     """Connection matrices A_a of the Levi-Civita derivative on form coefficients.
 
     nabla_a dx^j = -Gamma^j_am dx^m extends to forms as the derivation
@@ -489,42 +381,42 @@ def levi_civita_exterior_connection(mj: MetricJet) -> List[MatrixJet]:
     table = _derivation_table(mj.n)
     val = -np.einsum("jam,mjxy->axy", mj.christoffel, table)
     d = -np.einsum("ljam,mjxy->alxy", mj.dchristoffel, table)
-    return [MatrixJet(mj.n, val[a], d[a]) for a in range(mj.n)]
+    return [Jet(mj.x, val[a], d[a]) for a in range(mj.n)]
 
 
-def exterior_gammas(mj: MetricJet) -> List[MatrixJet]:
+def exterior_gammas(mj: MetricJet) -> List[Jet]:
     """Clifford action c(dx^i) = eps_i - g^ij iota_j on the blade axis, with
     the exact jets of g^-1."""
     eps, iota = blade_tables(mj.n)
     val = eps - contract(mj.g_inv, iota)
     d = -contract(mj.dg_inv, iota)
     dd = -contract(mj.d2g_inv, iota)
-    return [MatrixJet(mj.n, val[i], d[:, i], dd[:, :, i]) for i in range(mj.n)]
+    return [Jet(mj.x, val[i], d[:, i], dd[:, :, i]) for i in range(mj.n)]
 
 
-def covariant_derivative(j: FormJet, mj: MetricJet) -> List[FormJet]:
-    """Levi-Civita nabla_a = partial_a + A_a of a form jet, one FormJet per direction a."""
-    return [j.partial(a) + _apply(A, j)
+def covariant_derivative(j: Jet, mj: MetricJet) -> List[Jet]:
+    """Levi-Civita nabla_a = partial_a + A_a of a form jet, one jet per direction a."""
+    return [j.partial(a) + A @ j
             for a, A in enumerate(levi_civita_exterior_connection(mj))]
 
 
-def coderivative_connection(j: FormJet, mj: MetricJet) -> FormJet:
+def coderivative_connection(j: Jet, mj: MetricJet) -> Jet:
     """d* = -iota(nabla) = -g^aj iota_j nabla_a, the connection route."""
     iota = blade_tables(j.n)[1]
     val, d = -contract(mj.g_inv, iota), -contract(mj.dg_inv, iota)
-    terms = [_apply(MatrixJet(j.n, val[a], d[:, a]), nab)
+    terms = [Jet(mj.x, val[a], d[:, a]) @ nab
              for a, nab in enumerate(covariant_derivative(j, mj))]
     return sum(terms[1:], terms[0])
 
 
-def forms_dirac(j: FormJet, mj: MetricJet) -> FormJet:
+def forms_dirac(j: Jet, mj: MetricJet) -> Jet:
     """c(dx^a) nabla_a with the Clifford action c = epsilon - iota."""
-    terms = [_apply(gam, nab)
+    terms = [gam @ nab
              for gam, nab in zip(exterior_gammas(mj), covariant_derivative(j, mj))]
     return sum(terms[1:], terms[0])
 
 
-def laplace_beltrami(f: SJet, mj: MetricJet) -> complex:
+def laplace_beltrami(f: Jet, mj: MetricJet) -> complex:
     """Positive-spectrum scalar Laplacian -g^ij (d_i d_j f - Gamma^k_ij d_k f)."""
     if f.dd is None:
         raise JetOrderError("laplace_beltrami needs an order-2 jet")

@@ -1,60 +1,77 @@
-"""Second-order forward-mode jets: value, gradient, Hessian with exact chain rules.
+"""Second-order forward-mode jets with array values: value, gradient, Hessian.
 
 Every differential-geometric quantity in this package is evaluated pointwise
-through these jets, so derivatives are exact to machine precision.  A jet may
-carry fewer orders (``d`` or ``dd`` set to ``None``); arithmetic intersects
-the available orders, which is how operator compositions lose one order per
-derivative taken.  SJet is scalar; SectionJet and MatrixJet carry a C^m
-fiber vector and an endomorphism of it.
+through one jet type.  A Jet at the point x of an n-dimensional chart holds a
+value ``val`` of any fiber shape S (a scalar, a C^m section, an endomorphism,
+a form on the 2^n blade axis, a form-valued section, ...), its gradient ``d``
+shaped (n, *S) and its Hessian ``dd`` shaped (n, n, *S): derivative axes
+first, fiber axes last.  A jet may carry fewer orders (``d`` or ``dd`` set to
+None); arithmetic intersects the available orders, which is how operator
+compositions lose one order per derivative taken.  Products follow the
+truncated Taylor rules of Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., SIAM 2008, ch. 13.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
-Number = Union[int, float, complex]
-_NUMBER_TYPES = (int, float, complex, np.integer, np.floating, np.complexfloating)
+_NUMBER_TYPES = (int, float, complex, np.number)
+_ALL = slice(None)
 
 
-class SJet:
-    """Scalar 2-jet at a point of an n-dimensional chart.
+def check_point(x: np.ndarray, y: np.ndarray) -> None:
+    """Raise unless two jets' points agree; callers test ``x is y`` first."""
+    if x is not y and not np.array_equal(x, y):
+        raise ValueError("jets live at different points")
 
-    val: value; d: gradient (n,) or None; dd: Hessian (n, n) or None.
-    Instances are treated as immutable; arithmetic allocates new arrays.
+
+def _pad(a, lead: int, k: int):
+    """Insert k unit fiber axes right after the ``lead`` derivative axes of a.
+
+    numpy aligns trailing axes, so a derivative array of lower fiber rank
+    than its partner needs these axes for its derivative axes to stay in
+    front.
+    """
+    if a is None or k <= 0:
+        return a
+    return a.reshape(a.shape[:lead] + (1,) * k + a.shape[lead:])
+
+
+class Jet:
+    """2-jet at the point x of a chart, with values of any fiber shape.
+
+    ``val`` has the fiber shape S, ``d`` is (n, *S) or None and ``dd`` is
+    (n, n, *S) or None, with n = len(x).  Instances are treated as immutable;
+    arithmetic allocates new arrays.  ``*``, ``/`` and ``**`` act elementwise
+    on the fiber, broadcasting like numpy; ``@`` is the fiber matrix product,
+    a 1-D fiber being a row on the left and a column on the right.
     """
 
-    __slots__ = ("n", "val", "d", "dd")
+    __slots__ = ("x", "val", "d", "dd")
     __array_ufunc__ = None  # force numpy to defer to our reflected operators
 
-    def __init__(self, n: int, val, d=None, dd=None):
-        self.n = n
+    def __init__(self, x: np.ndarray, val, d=None, dd=None):
+        self.x = x
         self.val = val
         self.d = d
         self.dd = dd
 
-    # -- constructors -----------------------------------------------------
-
     @staticmethod
-    def constant(c: Number, n: int, order: int = 2) -> "SJet":
-        d = np.zeros(n, dtype=complex) if order >= 1 else None
-        dd = np.zeros((n, n), dtype=complex) if order >= 2 else None
-        return SJet(n, complex(c), d, dd)
-
-    @staticmethod
-    def variable(value: Number, i: int, n: int, order: int = 2) -> "SJet":
-        d = None
-        dd = None
-        if order >= 1:
-            d = np.zeros(n, dtype=complex)
-            d[i] = 1.0
-        if order >= 2:
-            dd = np.zeros((n, n), dtype=complex)
-        return SJet(n, complex(value), d, dd)
+    def constant(c, x, order: int = 2) -> "Jet":
+        c = np.asarray(c, dtype=complex)
+        n = len(x)
+        d = np.zeros((n,) + c.shape, dtype=complex) if order >= 1 else None
+        dd = np.zeros((n, n) + c.shape, dtype=complex) if order >= 2 else None
+        return Jet(x, c, d, dd)
 
     # -- introspection ----------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return len(self.x)
 
     @property
     def order(self) -> int:
@@ -64,38 +81,68 @@ class SJet:
             return 1
         return 0
 
-    def partial(self, k: int) -> "SJet":
+    def partial(self, k: int) -> "Jet":
         """The jet of the k-th partial derivative (one order lower)."""
         if self.d is None:
             raise ValueError("jet carries no first-order data")
-        d = self.dd[k].copy() if self.dd is not None else None
-        return SJet(self.n, self.d[k], d, None)
+        return Jet(self.x, self.d[k], self.dd[k] if self.dd is not None else None)
 
-    def conj(self) -> "SJet":
-        d = np.conj(self.d) if self.d is not None else None
-        dd = np.conj(self.dd) if self.dd is not None else None
-        return SJet(self.n, np.conj(self.val), d, dd)
+    def map(self, f: Callable[[np.ndarray], np.ndarray]) -> "Jet":
+        """Apply a fiber-linear map, given as f acting on the trailing fiber
+        axes of an array with any leading axes, to every order."""
+        return Jet(self.x, f(self.val), *(None if a is None else f(a)
+                                          for a in (self.d, self.dd)))
+
+    def conj(self) -> "Jet":
+        return self.map(np.conj)
+
+    def norm(self) -> float:
+        """Euclidean norm of the value."""
+        return float(np.sqrt(np.sum(np.abs(self.val) ** 2)))
+
+    def __getitem__(self, idx) -> "Jet":
+        """Index the fiber axes, numpy style."""
+        if not isinstance(idx, tuple):
+            idx = (idx,)
+        return Jet(self.x, self.val[idx],
+                   None if self.d is None else self.d[(_ALL,) + idx],
+                   None if self.dd is None else self.dd[(_ALL, _ALL) + idx])
+
+    def __len__(self) -> int:
+        return len(self.val)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def __repr__(self) -> str:
-        return f"SJet(val={self.val!r}, order={self.order})"
+        return f"Jet(shape={np.shape(self.val)}, order={self.order})"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, SJet):
-            d = self.d + other.d if self.d is not None and other.d is not None else None
-            dd = self.dd + other.dd if self.dd is not None and other.dd is not None else None
-            return SJet(self.n, self.val + other.val, d, dd)
-        if isinstance(other, _NUMBER_TYPES):
-            return SJet(self.n, self.val + other, self.d, self.dd)
-        return NotImplemented
+        if isinstance(other, Jet):
+            if other.x is not self.x:
+                check_point(self.x, other.x)
+            k = np.ndim(self.val) - np.ndim(other.val)
+            d = dd = None
+            if self.d is not None and other.d is not None:
+                d = _pad(self.d, 1, -k) + _pad(other.d, 1, k)
+                if self.dd is not None and other.dd is not None:
+                    dd = _pad(self.dd, 2, -k) + _pad(other.dd, 2, k)
+            return Jet(self.x, self.val + other.val, d, dd)
+        val = self.val + other
+        shape = np.shape(val)
+        if shape == np.shape(self.val):
+            return Jet(self.x, val, self.d, self.dd)
+        k = len(shape) - np.ndim(self.val)
+        return Jet(self.x, val, *(None if a is None else
+                                  np.broadcast_to(_pad(a, lead, k), a.shape[:lead] + shape)
+                                  for lead, a in ((1, self.d), (2, self.dd))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        d = -self.d if self.d is not None else None
-        dd = -self.dd if self.dd is not None else None
-        return SJet(self.n, -self.val, d, dd)
+        return self.map(np.negative)
 
     def __sub__(self, other):
         return self + (-other)
@@ -104,75 +151,103 @@ class SJet:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, SJet):
-            a, b = self, other
-            val = a.val * b.val
-            d = None
-            dd = None
-            if a.d is not None and b.d is not None:
-                d = a.d * b.val + a.val * b.d
-                if a.dd is not None and b.dd is not None:
-                    cross = np.outer(a.d, b.d)
-                    dd = a.dd * b.val + cross + cross.T + a.val * b.dd
-            return SJet(self.n, val, d, dd)
         if isinstance(other, _NUMBER_TYPES):
-            d = self.d * other if self.d is not None else None
-            dd = self.dd * other if self.dd is not None else None
-            return SJet(self.n, self.val * other, d, dd)
-        return NotImplemented
+            return Jet(self.x, self.val * other,
+                       *(None if a is None else a * other for a in (self.d, self.dd)))
+        return _product(self, other, np.multiply)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        if isinstance(other, _NUMBER_TYPES):
+            return self * other
+        return _product(other, self, np.multiply)
 
-    def _inv(self) -> "SJet":
-        w = 1.0 / self.val
-        d = None
-        dd = None
-        if self.d is not None:
-            d = -self.d * w * w
-            if self.dd is not None:
-                dd = -self.dd * w * w + 2.0 * np.outer(self.d, self.d) * w ** 3
-        return SJet(self.n, w, d, dd)
+    def __matmul__(self, other):
+        return _matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     def __truediv__(self, other):
-        if isinstance(other, SJet):
+        if isinstance(other, Jet):
             return self * other._inv()
-        if isinstance(other, _NUMBER_TYPES):
-            return self * (1.0 / other)
-        return NotImplemented
+        return self * (1.0 / np.asarray(other))
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBER_TYPES):
-            return self._inv() * other
-        return NotImplemented
+        return self._inv() * other
+
+    def _inv(self) -> "Jet":
+        w = 1.0 / self.val
+        return self._chain(w, -w * w, 2.0 * w ** 3)
 
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)):
             if p == 0:
-                return SJet.constant(1.0, self.n, self.order)
+                return Jet.constant(np.ones(np.shape(self.val)), self.x, self.order)
             v = self.val
-            fp = p * v ** (p - 1)
-            fpp = p * (p - 1) * v ** (p - 2)
-            return self._chain(v ** p, fp, fpp)
+            return self._chain(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
         raise TypeError("only integer powers; use jet_sqrt/jet_exp for the rest")
 
     # -- chain rule core ----------------------------------------------------
 
-    def _chain(self, f, fp, fpp) -> "SJet":
-        """Compose with a scalar function given f(v), f'(v), f''(v)."""
-        d = None
-        dd = None
+    def _chain(self, f, fp, fpp) -> "Jet":
+        """Compose elementwise with a function given f(v), f'(v), f''(v)."""
+        d = dd = None
         if self.d is not None:
             d = fp * self.d
             if self.dd is not None:
-                dd = fpp * np.outer(self.d, self.d) + fp * self.dd
-        return SJet(self.n, f, d, dd)
+                dd = fpp * (self.d[:, None] * self.d[None]) + fp * self.dd
+        return Jet(self.x, f, d, dd)
+
+
+def _product(a, b, op) -> Jet:
+    """op(a, b) for an op bilinear on the fiber (np.multiply or np.matmul),
+    by the product rule; one of a, b may be a constant array."""
+    if not isinstance(b, Jet) or not isinstance(a, Jet):
+        jet, const = (a, np.asarray(b)) if isinstance(a, Jet) else (b, np.asarray(a))
+        k = const.ndim - np.ndim(jet.val)
+        f = ((lambda t: op(t, const)) if jet is a else (lambda t: op(const, t)))
+        return Jet(jet.x, f(jet.val), *(None if t is None else f(_pad(t, lead, k))
+                                       for lead, t in ((1, jet.d), (2, jet.dd))))
+    if a.x is not b.x:
+        check_point(a.x, b.x)
+    k = np.ndim(a.val) - np.ndim(b.val)
+    d = dd = None
+    if a.d is not None and b.d is not None:
+        ad, bd = _pad(a.d, 1, -k), _pad(b.d, 1, k)
+        d = op(ad, b.val) + op(a.val, bd)
+        if a.dd is not None and b.dd is not None:
+            cross = op(ad[:, None], bd[None])
+            dd = (op(_pad(a.dd, 2, -k), b.val) + cross + cross.swapaxes(0, 1)
+                  + op(a.val, _pad(b.dd, 2, k)))
+    return Jet(a.x, op(a.val, b.val), d, dd)
+
+
+def _matmul(a, b) -> Jet:
+    """a @ b on the fiber axes: a 1-D left factor is lifted to a row and a
+    1-D right factor to a column, so derivative axes never meet the product."""
+    if not isinstance(a, Jet):
+        a = np.asarray(a)
+    if not isinstance(b, Jet):
+        b = np.asarray(b)
+    row = np.ndim(a.val if isinstance(a, Jet) else a) == 1
+    col = np.ndim(b.val if isinstance(b, Jet) else b) == 1
+    if row:
+        a = a[None, :]
+    if col:
+        b = b[:, None]
+    out = _product(a, b, np.matmul)
+    if col:
+        out = out[..., 0]
+    if row:
+        out = out[..., 0] if col else out[..., 0, :]
+    return out
 
 
 # -- lifted scalar functions (work on plain numbers and on jets) -----------
 
 
 def _is_jet(x) -> bool:
-    return isinstance(x, SJet)
+    return isinstance(x, Jet)
 
 
 def jet_sqrt(x):
@@ -213,194 +288,15 @@ def jet_cos(x):
 def jet_abs(x):
     """|x| for real-valued jets away from zero."""
     if _is_jet(x):
-        s = 1.0 if np.real(x.val) >= 0 else -1.0
-        return x * s
+        s = np.where(np.real(x.val) >= 0, 1.0, -1.0)
+        return x._chain(np.abs(x.val), s, 0.0)
     return abs(x)
 
 
-def as_jet(x, n: int, order: int = 2) -> SJet:
-    return x if isinstance(x, SJet) else SJet.constant(x, n, order)
-
-
-def seed_point(x: Sequence[float], order: int = 2) -> list:
-    """Jets of the coordinate functions at x, seeded for differentiation."""
+def seed_point(x: Sequence[float], order: int = 2) -> Jet:
+    """The coordinate functions at x as one jet with fiber (n,), seeded for
+    differentiation: d[k, i] = delta_ki."""
+    x = np.asarray(x, dtype=float)
     n = len(x)
-    return [SJet.variable(x[i], i, n, order) for i in range(n)]
-
-
-# -- small dense linear algebra over jets -----------------------------------
-
-
-def jet_mat_from_arrays(g: np.ndarray, dg, d2g) -> list:
-    """Matrix of jets out of value/first/second derivative arrays.
-
-    dg[k, i, j] = partial_k g_ij and d2g[l, k, i, j] = partial_l partial_k g_ij;
-    either may be None to produce lower-order jets.
-    """
-    n = g.shape[0]
-    out = []
-    for i in range(g.shape[0]):
-        row = []
-        for j in range(g.shape[1]):
-            d = np.ascontiguousarray(dg[:, i, j]).astype(complex) if dg is not None else None
-            dd = np.ascontiguousarray(d2g[:, :, i, j]).astype(complex) if d2g is not None else None
-            row.append(SJet(n, complex(g[i, j]), d, dd))
-        out.append(row)
-    return out
-
-
-def jet_det(m: list) -> SJet:
-    """Determinant of a square matrix of jets by cofactor expansion."""
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    total = None
-    for j in range(k):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * jet_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-# -- fiber-valued jets --------------------------------------------------------
-
-
-@dataclass
-class SectionJet:
-    """C^m-valued jet: v, d[i] = partial_i v, dd[i, j] = partial_i partial_j v."""
-
-    n: int
-    x: np.ndarray
-    v: np.ndarray
-    d: Optional[np.ndarray] = None
-    dd: Optional[np.ndarray] = None
-
-    @property
-    def m(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def order(self) -> int:
-        if self.dd is not None:
-            return 2
-        if self.d is not None:
-            return 1
-        return 0
-
-    def partial(self, k: int) -> "SectionJet":
-        if self.d is None:
-            raise ValueError("section jet carries no first-order data")
-        dd = self.dd[k].copy() if self.dd is not None else None
-        return SectionJet(self.n, self.x, self.d[k], dd, None)
-
-    def __add__(self, o: "SectionJet") -> "SectionJet":
-        d = self.d + o.d if self.d is not None and o.d is not None else None
-        dd = self.dd + o.dd if self.dd is not None and o.dd is not None else None
-        return SectionJet(self.n, self.x, self.v + o.v, d, dd)
-
-    def __sub__(self, o: "SectionJet") -> "SectionJet":
-        return self + o.scale(-1.0)
-
-    def scale(self, s) -> "SectionJet":
-        d = self.d * s if self.d is not None else None
-        dd = self.dd * s if self.dd is not None else None
-        return SectionJet(self.n, self.x, self.v * s, d, dd)
-
-    def scale_jet(self, s: SJet) -> "SectionJet":
-        """Multiply by a scalar jet, intersecting orders."""
-        d = dd = None
-        if self.d is not None and s.d is not None:
-            d = s.val * self.d + np.outer(s.d, self.v)
-            if self.dd is not None and s.dd is not None:
-                cross = np.einsum("i,jm->ijm", s.d, self.d)
-                dd = (s.val * self.dd + cross + np.transpose(cross, (1, 0, 2))
-                      + np.einsum("ij,m->ijm", s.dd, self.v))
-        return SectionJet(self.n, self.x, s.val * self.v, d, dd)
-
-    @staticmethod
-    def constant(v: Sequence, n: int, x, order: int = 2) -> "SectionJet":
-        v = np.asarray(v, dtype=complex)
-        m = v.shape[0]
-        d = np.zeros((n, m), dtype=complex) if order >= 1 else None
-        dd = np.zeros((n, n, m), dtype=complex) if order >= 2 else None
-        return SectionJet(n, np.asarray(x, dtype=float), v, d, dd)
-
-
-@dataclass
-class MatrixJet:
-    """End(C^m)-valued jet at a point."""
-
-    n: int
-    val: np.ndarray
-    d: Optional[np.ndarray] = None
-    dd: Optional[np.ndarray] = None
-
-    @property
-    def m(self) -> int:
-        return self.val.shape[0]
-
-    @property
-    def order(self) -> int:
-        if self.dd is not None:
-            return 2
-        if self.d is not None:
-            return 1
-        return 0
-
-    def partial(self, k: int) -> "MatrixJet":
-        if self.d is None:
-            raise ValueError("matrix jet carries no first-order data")
-        dd = self.dd[k].copy() if self.dd is not None else None
-        return MatrixJet(self.n, self.d[k], dd, None)
-
-    def __add__(self, o: "MatrixJet") -> "MatrixJet":
-        d = self.d + o.d if self.d is not None and o.d is not None else None
-        dd = self.dd + o.dd if self.dd is not None and o.dd is not None else None
-        return MatrixJet(self.n, self.val + o.val, d, dd)
-
-    def __sub__(self, o: "MatrixJet") -> "MatrixJet":
-        return self + o.scale(-1.0)
-
-    def scale(self, s) -> "MatrixJet":
-        d = self.d * s if self.d is not None else None
-        dd = self.dd * s if self.dd is not None else None
-        return MatrixJet(self.n, self.val * s, d, dd)
-
-    def __matmul__(self, o: "MatrixJet") -> "MatrixJet":
-        val = self.val @ o.val
-        d = dd = None
-        if self.d is not None and o.d is not None:
-            d = self.d @ o.val + self.val @ o.d
-            if self.dd is not None and o.dd is not None:
-                cross = self.d[:, None] @ o.d[None, :]
-                dd = (self.dd @ o.val + cross + cross.transpose(1, 0, 2, 3)
-                      + self.val @ o.dd)
-        return MatrixJet(self.n, val, d, dd)
-
-    def commutator(self, o: "MatrixJet") -> "MatrixJet":
-        return (self @ o) - (o @ self)
-
-    def apply(self, s: SectionJet) -> SectionJet:
-        v = self.val @ s.v
-        d = dd = None
-        if self.d is not None and s.d is not None:
-            d = self.d @ s.v + s.d @ self.val.T
-            if self.dd is not None and s.dd is not None:
-                cross = s.d @ self.d.transpose(0, 2, 1)   # [i, j] = d_i A d_j s
-                dd = (self.dd @ s.v + cross + cross.transpose(1, 0, 2)
-                      + s.dd @ self.val.T)
-        return SectionJet(s.n, s.x, v, d, dd)
-
-    @staticmethod
-    def constant(mat: np.ndarray, n: int, order: int = 2) -> "MatrixJet":
-        mat = np.asarray(mat, dtype=complex)
-        m = mat.shape[0]
-        d = np.zeros((n, m, m), dtype=complex) if order >= 1 else None
-        dd = np.zeros((n, n, m, m), dtype=complex) if order >= 2 else None
-        return MatrixJet(n, mat, d, dd)
-
-    @staticmethod
-    def zero(m: int, n: int, order: int = 2) -> "MatrixJet":
-        return MatrixJet.constant(np.zeros((m, m)), n, order)
+    return Jet(x, x, np.eye(n) if order >= 1 else None,
+               np.zeros((n, n, n)) if order >= 2 else None)

@@ -16,10 +16,10 @@ import numpy as np
 from .bundles import (DiracOperatorData, ModuleSpec, apply_dirac,
                       canonical_laplacian, dirac_square, quantize_blade)
 from .charts import Chart, MetricJet
-from .clifford import blade_tables
+from .clifford import blade_tables, contract
 from .curvature import curvature_data
 from .forms import PolyField, random_poly_field
-from .jets import MatrixJet, SectionJet, SJet, jet_sqrt, seed_point
+from .jets import Jet, jet_sqrt, seed_point
 
 
 class SpinSignatureError(ValueError):
@@ -70,8 +70,8 @@ class FrameField:
 
     chart: Chart
     x: np.ndarray
-    co: MatrixJet
-    inv: MatrixJet
+    co: Jet
+    inv: Jet
 
 
 def build_frame_from_metric(mj: MetricJet) -> FrameField:
@@ -81,24 +81,14 @@ def build_frame_from_metric(mj: MetricJet) -> FrameField:
         lam = chart.lam_fn(seed_point(mj.x, order=2))
         if complex(lam.val).real <= 0:
             raise SpinSignatureError("conformal factor not positive at the point")
-        ident = np.eye(n, dtype=complex)
-        inv = MatrixJet(n, lam.val * ident,
-                        np.einsum("l,ab->lab", lam.d.astype(complex), ident),
-                        np.einsum("kl,ab->klab", lam.dd.astype(complex), ident))
-        lin = 1.0 / lam
-        co = MatrixJet(n, lin.val * ident,
-                       np.einsum("l,ab->lab", lin.d.astype(complex), ident),
-                       np.einsum("kl,ab->klab", lin.dd.astype(complex), ident))
-        return FrameField(chart, mj.x, co, inv)
+        return FrameField(chart, mj.x, np.eye(n) / lam, lam * np.eye(n))
     if not chart.riemannian:
         raise SpinSignatureError(
             f"chart {chart.name!r} is indefinite; frames exist here only in the "
             f"conformal closed form")
     s, ds, dds = _sylvester_sqrt(mj.g, mj.dg, mj.d2g)
     si, dsi, ddsi = _inverse_jets(s, ds, dds)
-    co = MatrixJet(n, s.astype(complex), ds.astype(complex), dds.astype(complex))
-    inv = MatrixJet(n, si.astype(complex), dsi.astype(complex), ddsi.astype(complex))
-    return FrameField(chart, mj.x, co, inv)
+    return FrameField(chart, mj.x, Jet(mj.x, s, ds, dds), Jet(mj.x, si, dsi, ddsi))
 
 
 def frame_invariant_residual(frame: FrameField, mj: MetricJet) -> float:
@@ -122,27 +112,17 @@ class SpinModuleData:
 
     n: int
     dim: int
-    gammas: List[np.ndarray]
+    gammas: np.ndarray          # (n, dim, dim)
     chirality: np.ndarray
 
     def positive_indices(self) -> List[int]:
         d = np.real(np.diag(self.chirality))
         return [i for i in range(self.dim) if d[i] > 0]
 
-    def coordinate_gammas(self, frame: FrameField) -> List[MatrixJet]:
+    def coordinate_gammas(self, frame: FrameField) -> List[Jet]:
         """c(dx^k) = sum_i <e_i, dx^k> Gamma_i with jets from the frame."""
-        n = self.n
-        inv = frame.inv
-        out = []
-        for k in range(n):
-            val = sum(inv.val[i, k] * self.gammas[i] for i in range(n))
-            d = np.array([sum(inv.d[l, i, k] * self.gammas[i] for i in range(n))
-                          for l in range(n)])
-            dd = np.array([[sum(inv.dd[a, b, i, k] * self.gammas[i]
-                                for i in range(n)) for b in range(n)]
-                           for a in range(n)])
-            out.append(MatrixJet(n, val, d, dd))
-        return out
+        gam = frame.inv.map(lambda a: contract(np.swapaxes(a, -1, -2), self.gammas))
+        return list(gam)
 
 
 def spin_module_data(n: int) -> SpinModuleData:
@@ -150,10 +130,9 @@ def spin_module_data(n: int) -> SpinModuleData:
         raise ValueError("spinor module needs even dimension")
     half = n // 2
     eps, cot = blade_tables(half)
-    gammas = []
-    for k in range(half):
-        gammas.append((cot[k] - eps[k]).astype(complex))
-        gammas.append(1j * (cot[k] + eps[k]))
+    gammas = np.empty((n, 1 << half, 1 << half), dtype=complex)
+    gammas[0::2] = cot - eps
+    gammas[1::2] = 1j * (cot + eps)
     dim = 1 << half
     chi = np.eye(dim, dtype=complex) * (-1.0) ** half
     for k in range(half):
@@ -166,7 +145,7 @@ def spin_module(n: int) -> ModuleSpec:
     """Bundle-level module spec whose gammas come from the metric square root."""
     smd = spin_module_data(n)
 
-    def provider(mj: MetricJet) -> List[MatrixJet]:
+    def provider(mj: MetricJet) -> List[Jet]:
         return smd.coordinate_gammas(build_frame_from_metric(mj))
 
     return ModuleSpec(smd.dim, smd.chirality, provider, name=f"spin{n}")
@@ -177,17 +156,11 @@ def twisted_spin_module(n: int, p: int) -> ModuleSpec:
     smd = spin_module_data(n)
     ident = np.eye(p, dtype=complex)
 
-    def provider(mj: MetricJet) -> List[MatrixJet]:
-        base = smd.coordinate_gammas(build_frame_from_metric(mj))
-        out = []
-        for g in base:
-            out.append(MatrixJet(g.n, np.kron(g.val, ident),
-                                 np.array([np.kron(g.d[l], ident)
-                                           for l in range(g.n)]),
-                                 np.array([[np.kron(g.dd[a, b], ident)
-                                            for b in range(g.n)]
-                                           for a in range(g.n)])))
-        return out
+    def provider(mj: MetricJet) -> List[Jet]:
+        # np.kron prepends unit axes to the identity, so the derivative axes
+        # of each order pass through
+        return [g.map(lambda a: np.kron(a, ident))
+                for g in smd.coordinate_gammas(build_frame_from_metric(mj))]
 
     return ModuleSpec(smd.dim * p, np.kron(smd.chirality, ident), provider,
                       name=f"spin{n}x{p}")
@@ -207,9 +180,7 @@ def frame_connection_coefficients(frame: FrameField, mj: MetricJet):
     n = mj.n
     gamma, dgamma = mj.christoffel, mj.dchristoffel
     inv = frame.inv
-    gmat = MatrixJet(n, mj.g.astype(complex), mj.dg.astype(complex),
-                     mj.d2g.astype(complex))
-    ge = inv @ gmat  # ge[j, m] = <e_j, d_m> lowered
+    ge = inv @ Jet(mj.x, mj.g, mj.dg, mj.d2g)  # ge[j, m] = <e_j, d_m> lowered
     nab = inv.d + np.einsum("kb,mab->akm", inv.val, gamma.astype(complex))
     w0 = np.einsum("akm,jm->ajk", nab, ge.val)
     dnab = (inv.dd.transpose(0, 1, 2, 3)
@@ -229,39 +200,29 @@ def frame_direction_coefficients(frame: FrameField, w0: np.ndarray) -> np.ndarra
 class SpinConnectionData:
     """U(1) potential plus frame term: Omega_a = A_a/2 - w0[a,j,k] G_j G_k / 4."""
 
-    a_pot: List[SJet]
+    a_pot: Jet                  # A_a, fiber (n,)
     w0: np.ndarray
     dw0: np.ndarray
-    omega: List[MatrixJet]
+    omega: List[Jet]
 
 
 def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,
-                          a_pot: Optional[List[SJet]] = None) -> SpinConnectionData:
+                          a_pot: Optional[Jet] = None) -> SpinConnectionData:
     n = mj.n
     if a_pot is None:
-        a_pot = [SJet.constant(0.0, n, order=2) for _ in range(n)]
-    for a in a_pot:
-        if abs(a.val.real) > 1e-12 or (a.d is not None
-                                       and np.max(np.abs(a.d.real)) > 1e-12):
-            raise ValueError("spin-c potential must be purely imaginary")
+        a_pot = Jet.constant(np.zeros(n), mj.x)
+    if np.max(np.abs(a_pot.val.real)) > 1e-12 or (
+            a_pot.d is not None and np.max(np.abs(a_pot.d.real)) > 1e-12):
+        raise ValueError("spin-c potential must be purely imaginary")
     w0, dw0 = frame_connection_coefficients(frame, mj)
     anti = float(np.max(np.abs(w0 + w0.transpose(0, 2, 1))))
     if anti > 1e-9:
         raise ValueError(f"frame coefficients not antisymmetric ({anti:.2e})")
-    dim = smd.dim
-    omega = []
-    for a in range(n):
-        val = 0.5 * a_pot[a].val * np.eye(dim, dtype=complex)
-        d = np.array([0.5 * a_pot[a].d[l] * np.eye(dim, dtype=complex)
-                      for l in range(n)])
-        for j in range(n):
-            for k in range(n):
-                gg = smd.gammas[j] @ smd.gammas[k]
-                val -= 0.25 * w0[a, j, k] * gg
-                for l in range(n):
-                    d[l] -= 0.25 * dw0[l, a, j, k] * gg
-        omega.append(MatrixJet(n, val, d, None))
-    return SpinConnectionData(a_pot, w0, dw0, omega)
+    gg = np.einsum("jab,kbc->jkac", smd.gammas, smd.gammas)
+    frame_term = Jet(mj.x, -0.25 * np.einsum("ajk,jkxy->axy", w0, gg),
+                     -0.25 * np.einsum("lajk,jkxy->laxy", dw0, gg))
+    potential = Jet(a_pot.x, a_pot.val, a_pot.d)[:, None, None] * (0.5 * np.eye(smd.dim))
+    return SpinConnectionData(a_pot, w0, dw0, list(potential + frame_term))
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +234,20 @@ def spin_dirac_operator(scd: SpinConnectionData, smd: SpinModuleData,
                         frame: FrameField, mj: MetricJet) -> DiracOperatorData:
     """Generic assembly c(dx^a)(partial_a + Omega_a) as bundle data."""
     gam = smd.coordinate_gammas(frame)
-    zero = MatrixJet.zero(smd.dim, mj.n)
+    zero = Jet.constant(np.zeros((smd.dim, smd.dim)), mj.x)
     return DiracOperatorData(np.asarray(mj.x, dtype=float), gam, scd.omega, zero,
                              smd.chirality)
 
 
 def spin_dirac(scd: SpinConnectionData, smd: SpinModuleData, frame: FrameField,
-               mj: MetricJet, j: SectionJet) -> np.ndarray:
+               mj: MetricJet, j: Jet) -> np.ndarray:
     if j.d is None:
         raise ValueError("spin Dirac needs an order-1 section jet")
     return apply_dirac(spin_dirac_operator(scd, smd, frame, mj), j)
 
 
 def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
-                     frame: FrameField, mj: MetricJet, j: SectionJet) -> np.ndarray:
+                     frame: FrameField, mj: MetricJet, j: Jet) -> np.ndarray:
     """Dual route: slash(d) + slash(A)/2 - q(2 alpha_1 + 3 alpha_3)/4.
 
     alpha_1 sums (e_j, nabla_{e_i} e_i-slot) over the frame; alpha_3 is the
@@ -296,10 +257,10 @@ def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
     gam = smd.coordinate_gammas(frame)
     out = np.zeros(smd.dim, dtype=complex)
     for a in range(n):
-        out += gam[a].val @ (j.d[a] + 0.5 * scd.a_pot[a].val * j.v)
+        out += gam[a].val @ (j.d[a] + 0.5 * scd.a_pot.val[a] * j.val)
     w = frame_direction_coefficients(frame, scd.w0)
     al1 = np.einsum("iji->j", w)
-    q1 = sum(al1[jj] * smd.gammas[jj] for jj in range(n))
+    q1 = contract(al1, smd.gammas)
     wt = w - w.transpose(2, 1, 0)  # (e_j, [e_i, e_k]) by torsion freeness
     q3 = np.zeros((smd.dim, smd.dim), dtype=complex)
     for a in range(n):
@@ -312,12 +273,12 @@ def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
                     coeff = coeff + sg * wt[p, q, r]
                 coeff /= 6.0
                 q3 += coeff * (smd.gammas[a] @ smd.gammas[b] @ smd.gammas[c])
-    out -= 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.v)
+    out -= 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val)
     return out
 
 
-def conformal_dirac(chart: Chart, a_pot: List[SJet], smd: SpinModuleData,
-                    j: SectionJet) -> np.ndarray:
+def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
+                    j: Jet) -> np.ndarray:
     """Closed form L (slash(d) + slash(A)/2) L^{-1} with L^2 = lambda^(n-1)."""
     if chart.kind != "conformal" or chart.lam_fn is None:
         raise ValueError("conformal closed form needs a conformal chart")
@@ -326,10 +287,10 @@ def conformal_dirac(chart: Chart, a_pot: List[SJet], smd: SpinModuleData,
     if complex(lam.val).real <= 0:
         raise ValueError("conformal factor not positive at the point")
     biglam = jet_sqrt(lam) ** (n - 1)
-    chi = j.scale_jet(1.0 / biglam)
+    chi = j * (1.0 / biglam)
     out = np.zeros(smd.dim, dtype=complex)
     for a in range(n):
-        out += lam.val * (smd.gammas[a] @ (chi.d[a] + 0.5 * a_pot[a].val * chi.v))
+        out += lam.val * (smd.gammas[a] @ (chi.d[a] + 0.5 * a_pot.val[a] * chi.val))
     return biglam.val * out
 
 
@@ -340,7 +301,7 @@ def conformal_dirac(chart: Chart, a_pot: List[SJet], smd: SpinModuleData,
 
 def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
                           frame: FrameField, mj: MetricJet,
-                          j: SectionJet) -> float:
+                          j: Jet) -> float:
     """Norm of D_A^2 psi - (lap^S + r_M/4 + q(F)/2) psi, F = dA.
 
     Scaled by the larger of the two sides so the value is a relative error.
@@ -350,14 +311,14 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     D = spin_dirac_operator(scd, smd, frame, mj)
     lhs = dirac_square(D, j)
     rhs = canonical_laplacian(scd.omega, mj, j)
-    rhs = rhs + 0.25 * curvature_data(mj).scalar * j.v
+    rhs = rhs + 0.25 * curvature_data(mj).scalar * j.val
     n = mj.n
     qf = np.zeros((smd.dim, smd.dim), dtype=complex)
     for a in range(n):
         for b in range(a + 1, n):
-            fab = scd.a_pot[b].d[a] - scd.a_pot[a].d[b]
+            fab = scd.a_pot.d[a, b] - scd.a_pot.d[b, a]
             qf += fab * quantize_blade(D.gam, (1 << a) | (1 << b), n, smd.dim).val
-    rhs = rhs + 0.5 * (qf @ j.v)
+    rhs = rhs + 0.5 * (qf @ j.val)
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs))) / scale
 
@@ -385,5 +346,5 @@ def chirality_action_checks(smd: SpinModuleData, frame: FrameField,
 
 def imaginary_poly_potential(rng, n: int, degree: int = 2) -> PolyField:
     """Random polynomial U(1) potential: a vector field with imaginary values."""
-    real = random_poly_field(rng, n, (n,), degree, kind="vector")
-    return PolyField(n, real.exponents, 1j * real.coeffs, "vector")
+    real = random_poly_field(rng, n, (n,), degree)
+    return PolyField(n, real.exponents, 1j * real.coeffs)

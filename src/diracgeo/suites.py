@@ -19,12 +19,16 @@ from .curvature import (curvature_data, divergence_via_connection,
 from .forms import (PolyField, exterior_derivative,
                     gram_pairing, hodge_star, coderivative_connection,
                     coderivative_hodge, forms_dirac, iota_vector,
-                    laplace_beltrami, lie_derivative, random_poly_form,
-                    random_poly_scalar, random_poly_vector, vector_bracket,
-                    volume_form, wedge_forms)
+                    laplace_beltrami, lie_derivative, random_poly_field,
+                    random_poly_form, random_poly_scalar, random_poly_vector,
+                    vector_bracket, volume_form, wedge_forms)
+from .jets import Jet
 from .report import VerificationReport
 
 JETS_PER_POINT = 10
+
+# tolerance of the [D, f] = c(df) check, shared with ``diracgeo dirac``
+DIRAC_COMMUTATOR_TOL = 1e-10
 
 SCALAR_REFERENCE = {"sphere2": 2.0, "hyperbolic2": -2.0,
                     "sphere4": 12.0, "hyperbolic4": -12.0,
@@ -51,10 +55,6 @@ def _points(ch: Chart, rng, k: int) -> List[np.ndarray]:
 def _amax(*arrays) -> float:
     """Largest entry magnitude over the arrays given (None skipped)."""
     return max(float(np.max(np.abs(a))) for a in arrays if a is not None)
-
-
-def _vnorm(x) -> float:
-    return max((abs(complex(c.val)) for c in x.comps), default=0.0)
 
 
 def _rel(diff: float, *scales: float) -> float:
@@ -109,7 +109,7 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             b = fb.eval(x, 2)
             lhs = exterior_derivative(wedge_forms(a, b))
             rhs = (wedge_forms(exterior_derivative(a), b)
-                   + wedge_forms(a, exterior_derivative(b)).scale((-1.0) ** p))
+                   + wedge_forms(a, exterior_derivative(b)) * (-1.0) ** p)
             worst = max(worst, _rel(_amax(lhs.val - rhs.val), _amax(lhs.val),
                                     _amax(rhs.val)))
         return worst
@@ -129,11 +129,11 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
         for x, fa, _, fx, fy, _, _ in draws:
             a, X, Y = fa.eval(x, 2), fx.eval(x, 2), fy.eval(x, 2)
             sq = _amax(iota_vector(X, iota_vector(X, a)).val)
-            worst = max(worst, _rel(sq, _vnorm(X) ** 2 * _amax(a.val)))
+            worst = max(worst, _rel(sq, _amax(X.val) ** 2 * _amax(a.val)))
             anti = _amax((iota_vector(X, iota_vector(Y, a))
                           + iota_vector(Y, iota_vector(X, a))).val)
             worst = max(worst,
-                        _rel(anti, _vnorm(X) * _vnorm(Y) * _amax(a.val)))
+                        _rel(anti, _amax(X.val) * _amax(Y.val) * _amax(a.val)))
         return worst
 
     def lie_bracket():
@@ -438,15 +438,12 @@ def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
 
     def scalar_reduction():
         worst = 0.0
-        zero = [bnd.MatrixJet.zero(1, n) for _ in range(n)]
         for x, mj, _ in built:
+            zero = [Jet.constant(np.zeros((1, 1)), x)] * n
             for _ in range(3):
                 f = random_poly_scalar(rng, n, 3, complex_coeffs=True)
                 fj = f.eval(x, 2)
-                sec = bnd.SectionJet(n, np.asarray(x, dtype=float),
-                                     np.array([fj.val]),
-                                     fj.d.reshape(n, 1), fj.dd.reshape(n, n, 1))
-                got = bnd.canonical_laplacian(zero, mj, sec)[0]
+                got = bnd.canonical_laplacian(zero, mj, fj[None])[0]
                 want = laplace_beltrami(fj, mj)
                 worst = max(worst, _rel(abs(got - want), abs(want)))
         return worst
@@ -502,17 +499,7 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
                 f = random_poly_scalar(rng, n, 2, complex_coeffs=True)
                 fj = f.eval(x, 2)
                 j = bnd.random_poly_section(rng, n, m).eval(x, 2)
-                jf = j.scale_jet(fj)
-                t1 = bnd.apply_dirac(D, jf)
-                t2 = fj.val * bnd.apply_dirac(D, j)
-                lhs = t1 - t2
-                rhs = np.zeros(m, dtype=complex)
-                for a in range(n):
-                    rhs += fj.d[a] * (D.gam[a].val @ j.v)
-                worst = max(worst,
-                            _rel(float(np.max(np.abs(lhs - rhs))),
-                                 float(np.max(np.abs(t1))),
-                                 float(np.max(np.abs(t2)))))
+                worst = max(worst, bnd.dirac_commutator_residual(D, fj, j)[1])
         return worst
 
     def affine_multiplication():
@@ -527,7 +514,7 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
             D1 = bnd.quantize_superconnection(S1, mj, ms, x)
             D2 = bnd.quantize_superconnection(S2, mj, ms, x)
             j = bnd.random_poly_section(rng, n, m).eval(x, 2)
-            jc = bnd.SectionJet.constant(j.v, n, x, order=2)
+            jc = Jet.constant(j.val, j.x)
             d1 = bnd.apply_dirac(D1, j)
             d2 = bnd.apply_dirac(D2, j)
             lhs = d1 - d2
@@ -562,13 +549,13 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
                 n, m, ms.eta, {0: "random", 1: "random", 2: "random"},
                 base_seed=seed + idx)
             FS = bnd.superconnection_curvature(S, x)
-            blades = S.eval_blades(np.asarray(x, dtype=float), order=2)
-            comps = {}
-            for mask in range(min(1 << n, 8)):
-                comps[mask] = bnd.random_poly_section(rng, n, m).eval(x, 2)
-            fs = bnd.FormSectionJet(n, np.asarray(x, dtype=float), comps)
-            twice = bnd.apply_superconnection(blades,
-                                              bnd.apply_superconnection(blades, fs))
+            omega = S.eval_blades(np.asarray(x, dtype=float), order=2)
+            # one section per blade 0..k-1, drawn in blade order
+            k = min(1 << n, 8)
+            fs = random_poly_field(rng, n, (k, m), complex_coeffs=True,
+                                   masks=tuple(range(k))).eval(x, 2)
+            twice = bnd.apply_superconnection(omega,
+                                              bnd.apply_superconnection(omega, fs))
             direct = bnd.apply_form_endomorphism(FS, fs)
             worst = max(worst,
                         _rel((twice - direct).norm(), twice.norm(),
@@ -604,8 +591,8 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
 
     _timed(rep, "superconnection-parity", "odd blades need odd coefficients",
            0.5, parity_enforced)
-    _timed(rep, "superconnection-dirac-commutator", "[D, f] = c(df)", 1e-10,
-           dirac_commutator)
+    _timed(rep, "superconnection-dirac-commutator", "[D, f] = c(df)",
+           DIRAC_COMMUTATOR_TOL, dirac_commutator)
     _timed(rep, "superconnection-affine",
            "D_1 - D_2 is multiplication by the coefficient difference", 1e-11,
            affine_multiplication)
@@ -645,7 +632,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
     for x in pts:
         mj = metric_jet(ch, x)
         fr = sp.build_frame_from_metric(mj)
-        a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+        a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
         scd = sp.build_spin_connection(fr, smd, mj, a_jets)
         prepared.append((x, mj, fr, scd, a_jets))
 
@@ -698,11 +685,11 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
     def connection_difference():
         worst = 0.0
         for x, mj, fr, scd, a_jets in prepared[: max(4, samples // 4)]:
-            b_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+            b_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
             scd2 = sp.build_spin_connection(fr, smd, mj, b_jets)
             for a in range(n):
                 diff = scd.omega[a].val - scd2.omega[a].val
-                want = 0.5 * (a_jets[a].val - b_jets[a].val) * np.eye(smd.dim)
+                want = 0.5 * (a_jets.val[a] - b_jets.val[a]) * np.eye(smd.dim)
                 worst = max(worst, float(np.max(np.abs(diff - want))))
         return worst
 
@@ -755,8 +742,8 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
             mj = metric_jet(ch, x)
             a = random_poly_form(rng, n, 1, complex_coeffs=True).eval(x, 2)
             c = complex(rng.normal(), rng.normal())
-            lhs = hodge_star(a.scale(c), mj)
-            rhs = hodge_star(a, mj).scale(np.conj(c))
+            lhs = hodge_star(a * c, mj)
+            rhs = hodge_star(a, mj) * np.conj(c)
             worst = max(worst, _rel(_amax(lhs.val - rhs.val), _amax(lhs.val)))
         return worst
 

@@ -14,7 +14,23 @@ from typing import Dict, List
 import numpy as np
 
 from diracgeo.clifford import blade_indices, reorder_sign
-from diracgeo.jets import SJet, jet_det
+from diracgeo.jets import Jet
+
+
+def jet_det(m: list) -> Jet:
+    """Determinant of a square matrix of scalar jets by cofactor expansion
+    (the Hodge-minor reference)."""
+    k = len(m)
+    if k == 1:
+        return m[0][0]
+    total = None
+    for j in range(k):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * jet_det(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def _is_exact_zero(c) -> bool:
@@ -148,19 +164,19 @@ def action_matrix(coeffs: np.ndarray, pairing: np.ndarray) -> np.ndarray:
     return out
 
 
-def form_to_dict(j) -> Dict[int, SJet]:
+def form_to_dict(j) -> Dict[int, Jet]:
     """Blade -> scalar jet for every blade of a dense form jet."""
-    return {m: SJet(j.n, j.val[m], *(a[..., m] for a in (j.d, j.dd) if a is not None))
-            for m in range(1 << j.n)}
+    return {m: j[m] for m in range(1 << j.n)}
 
 
-def dict_to_arrays(d: Dict[int, SJet], n: int, order: int):
-    """(val, d, dd) blade-axis arrays of a blade -> scalar jet dict, to ``order``."""
+def dict_to_arrays(d: Dict[int, Jet], n: int, order: int, shape: tuple = ()):
+    """(val, d, dd) blade-axis arrays of a blade -> jet dict, to ``order``;
+    the jets have fiber ``shape``, placed after the blade axis."""
     dim = 1 << n
-    out = [np.zeros((n,) * k + (dim,), dtype=complex) for k in range(order + 1)]
+    out = [np.zeros((n,) * k + (dim,) + shape, dtype=complex) for k in range(order + 1)]
     for m, c in d.items():
         for k, part in enumerate((c.val, c.d, c.dd)[:order + 1]):
-            out[k][..., m] += part
+            out[k][(slice(None),) * k + (m,)] += part
     return out
 
 
@@ -169,8 +185,8 @@ def dict_to_arrays(d: Dict[int, SJet], n: int, order: int):
 # ---------------------------------------------------------------------------
 
 
-def exterior_derivative(coeffs: Dict[int, SJet], n: int) -> Dict[int, SJet]:
-    out: Dict[int, SJet] = {}
+def exterior_derivative(coeffs: Dict[int, Jet], n: int) -> Dict[int, Jet]:
+    out: Dict[int, Jet] = {}
     for m, c in coeffs.items():
         for i in range(n):
             bit = 1 << i
@@ -181,18 +197,17 @@ def exterior_derivative(coeffs: Dict[int, SJet], n: int) -> Dict[int, SJet]:
     return out
 
 
-def iota_vector(comps: List[SJet], coeffs: Dict[int, SJet]) -> Dict[int, SJet]:
+def iota_vector(comps: List[Jet], coeffs: Dict[int, Jet]) -> Dict[int, Jet]:
     return dict_contract_weights(comps, coeffs)
 
 
-def wedge_forms(a: Dict[int, SJet], b: Dict[int, SJet]) -> Dict[int, SJet]:
+def wedge_forms(a: Dict[int, Jet], b: Dict[int, Jet]) -> Dict[int, Jet]:
     return dict_wedge(a, b)
 
 
 def _metric_inverse_jets(mj) -> list:
     n = mj.n
-    return [[SJet(n, mj.g_inv[i, j], mj.dg_inv[:, i, j].astype(complex),
-                  mj.d2g_inv[:, :, i, j].astype(complex))
+    return [[Jet(mj.x, mj.g_inv[i, j], mj.dg_inv[:, i, j], mj.d2g_inv[:, :, i, j])
              for j in range(n)] for i in range(n)]
 
 
@@ -204,7 +219,7 @@ def _perm_sign_sorted(j_list: List[int], m_list: List[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-def hodge_star(coeffs: Dict[int, SJet], mj, orientation: int = 1) -> Dict[int, SJet]:
+def hodge_star(coeffs: Dict[int, Jet], mj, orientation: int = 1) -> Dict[int, Jet]:
     """Antilinear star: conjugates coefficients, complements blades.
 
     Output blade M of degree n-k gets sqrt|det g| * det(g^{-1}[rows idx,
@@ -212,9 +227,9 @@ def hodge_star(coeffs: Dict[int, SJet], mj, orientation: int = 1) -> Dict[int, S
     """
     n = mj.n
     ginv = _metric_inverse_jets(mj)
-    sd = SJet(n, mj.sqrt_abs_det, mj.dsqrt.astype(complex), mj.ddsqrt.astype(complex))
+    sd = Jet(mj.x, mj.sqrt_abs_det, mj.dsqrt, mj.ddsqrt)
     full = (1 << n) - 1
-    out: Dict[int, SJet] = {}
+    out: Dict[int, Jet] = {}
     for m, c in coeffs.items():
         idx = blade_indices(m)
         k = len(idx)
@@ -226,21 +241,20 @@ def hodge_star(coeffs: Dict[int, SJet], mj, orientation: int = 1) -> Dict[int, S
             if k:
                 det = jet_det([[ginv[r][cc] for cc in cols] for r in idx])
             else:
-                det = SJet.constant(1.0, n, order=2)
+                det = Jet.constant(1.0, mj.x)
             sgn = _perm_sign_sorted(cols, blade_indices(mm))
             _dict_add(out, mm, sd * det * float(orientation * sgn) * cconj)
     return out
 
 
-def covariant_derivative(coeffs: Dict[int, SJet], mj) -> List[Dict[int, SJet]]:
+def covariant_derivative(coeffs: Dict[int, Jet], mj) -> List[Dict[int, Jet]]:
     """nabla_a with nabla dx^j = -Gamma^j_ak dx^k on each blade factor."""
     n = mj.n
-    gamma = [[[SJet(n, complex(mj.christoffel[k, i, j]),
-                    mj.dchristoffel[:, k, i, j].astype(complex), None)
+    gamma = [[[Jet(mj.x, mj.christoffel[k, i, j], mj.dchristoffel[:, k, i, j])
                for j in range(n)] for i in range(n)] for k in range(n)]
     outs = []
     for a in range(n):
-        acc: Dict[int, SJet] = {}
+        acc: Dict[int, Jet] = {}
         for mask, c in coeffs.items():
             _dict_add(acc, mask, c.partial(a))
             rest_all = blade_indices(mask)
@@ -255,3 +269,44 @@ def covariant_derivative(coeffs: Dict[int, SJet], mj) -> List[Dict[int, SJet]]:
                     _dict_add(acc, rest | (1 << m), term)
         outs.append(acc)
     return outs
+
+
+# ---------------------------------------------------------------------------
+# superconnections on form-valued sections, blade by blade
+# ---------------------------------------------------------------------------
+
+
+def _graded(blades: Dict[int, Jet], comps: Dict[int, Jet], odd: int) -> Dict[int, Jet]:
+    """sum_I dx^I ^ (omega_I comp_K) with the sign (-1)^((|I| + odd)|K|)."""
+    out: Dict[int, Jet] = {}
+    for mask, sec in comps.items():
+        k = mask.bit_count()
+        for imask, om in blades.items():
+            if imask & mask:
+                continue
+            p = imask.bit_count()
+            sgn = reorder_sign(imask, mask) * (-1) ** (((p + odd) % 2) * k)
+            _dict_add(out, imask | mask, (om @ sec) * float(sgn))
+    return out
+
+
+def apply_superconnection(blades: Dict[int, Jet], comps: Dict[int, Jet],
+                          n: int) -> Dict[int, Jet]:
+    """d comps + sum_I dx^I (x) omega_I comps, Koszul sign (-1)^((|I|+1)|K|)."""
+    out = exterior_derivative(comps, n)
+    for mask, term in _graded(blades, comps, 1).items():
+        _dict_add(out, mask, term)
+    return out
+
+
+def superconnection_curvature(blades: Dict[int, Jet], n: int) -> Dict[int, Jet]:
+    """sum dx^c ^ dx^I (x) d_c omega_I + sum (-1)^((|I|+1)|J|) dx^I ^ dx^J (x) omega_I omega_J."""
+    out = exterior_derivative(blades, n)
+    for mask, term in _graded(blades, blades, 1).items():
+        _dict_add(out, mask, term)
+    return out
+
+
+def apply_form_endomorphism(F: Dict[int, Jet], comps: Dict[int, Jet]) -> Dict[int, Jet]:
+    """sum_F dx^F (x) F comps with the sign (-1)^(|F||K|)."""
+    return _graded(F, comps, 0)

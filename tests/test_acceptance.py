@@ -276,7 +276,7 @@ def test_criterion_09_conformal_flagship():
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             fr = sp.build_frame_from_metric(mj)
-            a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+            a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
             assert max(abs(complex(a.val)) for a in a_jets) > 0
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
@@ -302,7 +302,7 @@ def test_criterion_10_lichnerowicz():
                 fr = sp.build_frame_from_metric(mj)
                 a_jets = None
                 if with_pot:
-                    a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+                    a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
                 scd = sp.build_spin_connection(fr, smd, mj, a_jets)
                 for _ in range(10):  # 100 jets per chart and setting
                     j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)

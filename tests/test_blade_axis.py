@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import clifford_reference as ref
+from diracgeo import bundles as bnd
 from diracgeo.charts import Chart, MetricJet
 from diracgeo.clifford import (CLIFFORD, BilinearForm, MultivectorElement,
-                               action_matrix, clifford_product)
-from diracgeo.forms import (FormJet, VectorJet, covariant_derivative,
-                            exterior_derivative, hodge_star, iota_vector,
-                            wedge_forms)
-from diracgeo.jets import SJet
+                               action_matrix, clifford_product, parity_matrix)
+from diracgeo.forms import (covariant_derivative, exterior_derivative,
+                            hodge_star, iota_vector, wedge_forms)
+from diracgeo.jets import Jet
 
 # Set from float64 before the comparison was first run: the dense kernels sum
 # the same products as the loops, in another order.
@@ -23,7 +23,7 @@ def _close(got, want):
     assert np.max(np.abs(got - want)) <= RTOL * max(1.0, np.max(np.abs(want)))
 
 
-def _close_jet(got: FormJet, want: dict):
+def _close_jet(got: Jet, want: dict):
     parts = ref.dict_to_arrays(want, got.n, got.order)
     for g, w in zip((got.val, got.d, got.dd), parts):
         _close(g, w)
@@ -56,8 +56,8 @@ def _metric_jet(rng, n, neg):
 
 def _form_jet(rng, n, x):
     dim = 1 << n
-    return FormJet(n, x, _draw(rng, dim), _draw(rng, (n, dim)),
-                   _symmetric(_draw(rng, (n, n, dim)), (0, 1)))
+    return Jet(x, _draw(rng, dim), _draw(rng, (n, dim)),
+               _symmetric(_draw(rng, (n, n, dim)), (0, 1)))
 
 
 def _signatures(n):
@@ -84,11 +84,48 @@ def test_form_operators_match_blade_loops(n):
         x = mj.x
         a, b = _form_jet(rng, n, x), _form_jet(rng, n, x)
         da, db = ref.form_to_dict(a), ref.form_to_dict(b)
-        X = VectorJet(n, x, [SJet(n, *(_draw(rng, (n,) * k) for k in range(3)))
-                             for _ in range(n)])
+        # drawn component by component: value, gradient and Hessian of X^0, then X^1, ...
+        comps = [[_draw(rng, (n,) * k) for k in range(3)] for _ in range(n)]
+        X = Jet(x, *(np.stack([c[k] for c in comps], axis=-1) for k in range(3)))
         _close_jet(exterior_derivative(a), ref.exterior_derivative(da, n))
-        _close_jet(iota_vector(X, a), ref.iota_vector(X.comps, da))
+        _close_jet(iota_vector(X, a), ref.iota_vector(list(X), da))
         _close_jet(wedge_forms(a, b), ref.wedge_forms(da, db))
         _close_jet(hodge_star(a, mj), ref.hodge_star(da, mj))
         for got, want in zip(covariant_derivative(a, mj), ref.covariant_derivative(da, mj)):
             _close_jet(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_form_section_operators_match_blade_loops(n):
+    # the superconnection action, its curvature and contraction on
+    # form-valued sections, fiber (2^n, m), against the blade-by-blade loops
+    rng = np.random.default_rng(500 + n)
+    m, dim = 3, 1 << n
+    x = rng.normal(size=n)
+    fs = Jet(x, _draw(rng, (dim, m)), _draw(rng, (n, dim, m)),
+             _symmetric(_draw(rng, (n, n, dim, m)), (0, 1)))
+    omega = Jet(x, _draw(rng, (dim, m, m)), _draw(rng, (n, dim, m, m)),
+                _symmetric(_draw(rng, (n, n, dim, m, m)), (0, 1)))
+    blades = {mask: omega[mask] for mask in range(dim)}
+    comps = {mask: fs[mask] for mask in range(dim)}
+    X = Jet(x, _draw(rng, n), _draw(rng, (n, n)), _symmetric(_draw(rng, (n, n, n)), (0, 1)))
+
+    def close(got, want, shape, order):
+        for g, w in zip((got.val, got.d, got.dd)[:order + 1],
+                        ref.dict_to_arrays(want, n, order, shape)):
+            _close(g, w)
+
+    close(bnd.apply_superconnection(omega, fs),
+          ref.apply_superconnection(blades, comps, n), (m,), 1)
+    close(bnd.apply_form_endomorphism(omega, fs),
+          ref.apply_form_endomorphism(blades, comps), (m,), 2)
+    close(iota_vector(X, fs), ref.iota_vector(list(X), comps), (m,), 2)
+
+    # the curvature of a superconnection drawn from its presets
+    eta = parity_matrix(n)
+    S = bnd.superconnection_from_degrees(n, dim, eta, {p: "random" for p in range(n + 1)},
+                                         base_seed=n)
+    evald = S.eval_blades(x, order=2)
+    close(bnd.superconnection_curvature(S, x),
+          ref.superconnection_curvature({mask: evald[mask] for mask in range(dim)}, n),
+          (dim, dim), 0)

@@ -76,10 +76,10 @@ def test_dirac_commutator_is_clifford_of_differential():
     for _ in range(5):
         fj = random_poly_scalar(rng, n, 2, complex_coeffs=True).eval(x)
         j = bnd.random_poly_section(rng, n, m).eval(x, 2)
-        lhs = bnd.apply_dirac(D, j.scale_jet(fj)) - fj.val * bnd.apply_dirac(D, j)
+        lhs = bnd.apply_dirac(D, j * fj) - fj.val * bnd.apply_dirac(D, j)
         rhs = np.zeros(m, dtype=complex)
         for a in range(n):
-            rhs += fj.d[a] * (D.gam[a].val @ j.v)
+            rhs += fj.d[a] * (D.gam[a].val @ j.val)
         assert np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))) < 1e-11
 
 
@@ -246,9 +246,9 @@ def test_special_identity_holds_for_degree_one_superconnection():
         n, m, ms.eta, {0: "random", 1: "random"}, base_seed=17)
     X = random_poly_vector(rng, n).eval(x)
     Y = random_poly_vector(rng, n).eval(x)
-    fs = bnd.FormSectionJet(n, np.asarray(x, dtype=float), {
-        mask: bnd.random_poly_section(rng, n, m).eval(x, 2)
-        for mask in (0, 1, 2, 4, 3)})
+    # one section per blade, drawn in the order 0, 1, 2, 4, 3
+    fs = random_poly_field(rng, n, (5, m), complex_coeffs=True,
+                           masks=(0, 1, 2, 4, 3)).eval(x, 2)
     resid = bnd.special_identity_residual(S, x, X, Y, fs)
     assert resid / max(1.0, fs.norm()) < 1e-9
 
@@ -262,9 +262,8 @@ def test_superconnection_curvature_matches_double_application():
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=19)
     FS = bnd.superconnection_curvature(S, x)
     blades = S.eval_blades(x, order=2)
-    fs = bnd.FormSectionJet(n, x, {
-        mask: bnd.random_poly_section(rng, n, m).eval(x, 2)
-        for mask in range(1 << n)})
+    fs = random_poly_field(rng, n, (1 << n, m), complex_coeffs=True,
+                           masks=tuple(range(1 << n))).eval(x, 2)
     twice = bnd.apply_superconnection(blades, bnd.apply_superconnection(blades, fs))
     direct = bnd.apply_form_endomorphism(FS, fs)
     assert (twice - direct).norm() / max(1.0, direct.norm()) < 1e-10

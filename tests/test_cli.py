@@ -129,6 +129,24 @@ def test_dirac_payload(capsys):
     assert len(payload["gammas"]) == 2
 
 
+def test_dirac_exits_one_when_the_commutator_check_fails(capsys, monkeypatch):
+    from diracgeo import bundles as bnd
+    real = bnd.apply_dirac
+
+    def broken(D, j):
+        # an extra first-order term that c(df) does not account for
+        return real(D, j) + 0.5 * j.d[0]
+
+    monkeypatch.setattr(bnd, "apply_dirac", broken)
+    code, out, _ = _run(capsys, ["dirac", "--chart", "flat2",
+                                 "--point", "0.2,0.4"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["commutator_residual"] > 1e-3
+    assert set(payload) == {"chart", "point", "fiber_dimension", "gammas",
+                            "zero_order", "commutator_residual"}
+
+
 def test_dirac_with_superconnection_config(capsys, tmp_path):
     cfg = tmp_path / "super.json"
     cfg.write_text(json.dumps({"fiber_dimension": 4,

@@ -104,8 +104,8 @@ def test_divergence_routes_agree():
             mj = metric_jet(ch, x)
             cd = curvature_data(mj)
             vx = random_poly_vector(rng, ch.n).eval(x)
-            vals = vx.values()
-            dvals = np.array([[c.d[a] for a in range(ch.n)] for c in vx.comps]).T
+            vals = vx.val
+            dvals = np.array([[c.d[a] for a in range(ch.n)] for c in vx]).T
             d1 = divergence_via_density(mj, vals, dvals)
             d2 = divergence_via_connection(mj, cd.christoffel, vals, dvals)
             assert abs(d1 - d2) / max(1.0, abs(d1)) < 1e-12

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from diracgeo.jets import (SJet, jet_cos, jet_det, jet_exp, jet_log, jet_sin,
+import fd_oracle
+from clifford_reference import jet_det
+from diracgeo import bundles as bnd
+from diracgeo.charts import get_chart, metric_jet
+from diracgeo.forms import iota_vector, random_poly_field, wedge_forms
+from diracgeo.jets import (Jet, jet_abs, jet_cos, jet_exp, jet_log, jet_sin,
                            jet_sqrt, seed_point)
 
 
@@ -63,11 +68,11 @@ def test_polynomial_jets_are_exact():
 
 def test_order_intersection_drops_missing_data():
     full = seed_point([0.5, 0.2])[0]
-    lower = SJet(2, 1.5, np.ones(2, dtype=complex), None)
+    lower = Jet(full.x, 1.5, np.ones(2, dtype=complex), None)
     prod = full * lower
     assert prod.d is not None and prod.dd is None
     assert (full + lower).dd is None
-    zeroth = SJet(2, 2.0, None, None)
+    zeroth = Jet(full.x, 2.0, None, None)
     assert (full * zeroth).d is None
 
 
@@ -93,13 +98,14 @@ def test_division_and_rtruediv():
 
 
 def test_constant_and_conj():
-    c = SJet.constant(2.0 - 1.0j, 3)
+    c = Jet.constant(2.0 - 1.0j, np.zeros(3))
     assert c.order == 2 and np.all(c.d == 0)
     cc = c.conj()
     assert cc.val == 2.0 + 1.0j
 
 
 def test_jet_det_matches_numpy():
+    # the cofactor reference against numpy and finite differences ...
     rng = np.random.default_rng(5)
     n = 3
     x = rng.uniform(-0.5, 0.5, n)
@@ -118,6 +124,19 @@ def test_jet_det_matches_numpy():
     assert det.val == pytest.approx(plain_det(x))
     assert np.max(np.abs(det.d - _fd_grad(plain_det, x))) < 1e-8
 
+    # ... and MetricJet's Jacobi-formula determinant jets against the reference
+    for name in ("poly4", "sphere4", "flat4", "minkowski4", "hyperbolic2", "poly3"):
+        ch = get_chart(name)
+        mj = metric_jet(ch, ch.sample_point(rng))
+        g = Jet(mj.x, mj.g, mj.dg, mj.d2g)
+        ref = jet_det([[g[i, j] for j in range(ch.n)] for i in range(ch.n)])
+        sq = jet_sqrt(jet_abs(ref))
+        h = jet_log(sq)
+        for got, want in ((mj.det, ref.val), (mj.sqrt_abs_det, sq.val),
+                          (mj.dsqrt, sq.d), (mj.ddsqrt, sq.dd),
+                          (mj.dh, h.d), (mj.ddh, h.dd)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), name
+
 
 def test_sqrt_rejects_nothing_but_chains_correctly():
     a = seed_point([4.0])[0]
@@ -125,3 +144,85 @@ def test_sqrt_rejects_nothing_but_chains_correctly():
     assert r.val == pytest.approx(2.0)
     assert r.d[0] == pytest.approx(0.25)
     assert r.dd[0][0] == pytest.approx(-1.0 / 32.0)
+
+
+def _parts(j):
+    return j.val, j.d, j.dd
+
+
+def _stencil_product(fa, fb, op, x):
+    """Finite-difference jet of op(a, b) from the two fields' values only."""
+    return fd_oracle.fd_jet(lambda y: op(fa.jet(y, 0)[0], fb.jet(y, 0)[0]), x)
+
+
+def test_scalar_times_section_is_the_componentwise_product_rule():
+    # n = m = 2: a scalar gradient of shape (n,) must not broadcast against
+    # the section's m axis
+    rng = np.random.default_rng(21)
+    n = m = 2
+    x = rng.normal(size=n)
+    f = random_poly_field(rng, n, (), complex_coeffs=True).eval(x)
+    s = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x)
+    for got in (f * s, s * f):
+        for c in range(m):
+            val = f.val * s.val[c]
+            d = [f.d[i] * s.val[c] + f.val * s.d[i, c] for i in range(n)]
+            dd = [[f.dd[i, k] * s.val[c] + f.d[i] * s.d[k, c] + f.d[k] * s.d[i, c]
+                   + f.val * s.dd[i, k, c] for k in range(n)] for i in range(n)]
+            assert got.val[c] == pytest.approx(val, abs=1e-14)
+            assert np.allclose(got.d[:, c], d, rtol=0, atol=1e-13)
+            assert np.allclose(got.dd[:, :, c], dd, rtol=0, atol=1e-13)
+
+
+def test_jets_at_different_points_are_rejected():
+    rng = np.random.default_rng(22)
+    n = 2
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    fx = random_poly_field(rng, n, (4,)).eval(x)
+    fy = random_poly_field(rng, n, (4,)).eval(y)
+    mx = random_poly_field(rng, n, (4, 4)).eval(x)
+    vy = random_poly_field(rng, n, (n,)).eval(y)
+    D = bnd.DiracOperatorData(x, [mx] * n, [mx] * n, mx, np.eye(4))
+    for op in (lambda: fx + fy, lambda: fx - fy, lambda: fx * fy,
+               lambda: mx @ fy, lambda: wedge_forms(fx, fy),
+               lambda: iota_vector(vy, fx), lambda: bnd.apply_dirac(D, fy)):
+        with pytest.raises(ValueError, match="different points"):
+            op()
+    # an equal point held in another array is the same point
+    assert (fx + Jet(x.copy(), fy.val, fy.d, fy.dd)).x is x
+
+
+B2 = 1 << 2
+PRODUCTS = [
+    # (shape of a, shape of b, op)
+    ((), (), np.multiply), ((), (3,), np.multiply), ((3,), (3,), np.multiply),
+    ((), (3, 3), np.multiply), ((3, 3), (3, 3), np.multiply),
+    ((), (B2,), np.multiply), ((B2,), (B2,), np.multiply),
+    ((), (B2, 3), np.multiply), ((3,), (B2, 3), np.multiply),
+    ((3, 3), (3,), np.matmul), ((3, 3), (3, 3), np.matmul), ((3,), (3, 3), np.matmul),
+    ((3,), (3,), np.matmul), ((B2, B2), (B2,), np.matmul),
+    ((B2, B2), (B2, 3), np.matmul), ((B2, 3), (3,), np.matmul),
+    ((B2, 3, 3), (B2, 3, 3), np.matmul),
+]
+
+
+@pytest.mark.parametrize("sa, sb, op", PRODUCTS)
+def test_products_match_finite_differences(sa, sb, op):
+    rng = np.random.default_rng(23)
+    n = 2
+    x = rng.uniform(-0.5, 0.5, n)
+    fa = random_poly_field(rng, n, sa, complex_coeffs=True)
+    fb = random_poly_field(rng, n, sb, complex_coeffs=True)
+    a, b = fa.eval(x), fb.eval(x)
+    times = (lambda u, v: u * v) if op is np.multiply else (lambda u, v: u @ v)
+    want = _stencil_product(fa, fb, op, x)
+    for g, w in zip(_parts(times(a, b)), want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-7 * max(1.0, np.max(np.abs(w)))
+    # a constant operand on either side
+    ca, cb = fa.jet(x, 0)[0], fb.jet(x, 0)[0]
+    for got, fn in ((times(a, cb), lambda y: op(fa.jet(y, 0)[0], cb)),
+                    (times(ca, b), lambda y: op(ca, fb.jet(y, 0)[0]))):
+        for g, w in zip(_parts(got), fd_oracle.fd_jet(fn, x)):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-7 * max(1.0, np.max(np.abs(w)))

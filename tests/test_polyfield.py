@@ -8,10 +8,10 @@ import pytest
 import fd_oracle
 from diracgeo import bundles as bnd
 from diracgeo import spin as sp
-from diracgeo.forms import (FormJet, PolyField, VectorJet, exponent_table,
+from diracgeo.forms import (PolyField, exponent_table, random_poly_field,
                             random_poly_form, random_poly_scalar,
                             random_poly_vector)
-from diracgeo.jets import SJet
+from diracgeo.jets import Jet
 
 
 def _loop_draws(rng, entries, n, degree, complex_coeffs):
@@ -138,27 +138,28 @@ def test_jets_match_term_loop_and_finite_differences(n, degree):
 
 
 def test_eval_wraps_each_kind_in_its_container():
+    # every fiber shape evaluates to one Jet holding the arrays of ``jet``
     rng = np.random.default_rng(3)
     n = 3
     x = rng.normal(size=n)
     f = random_poly_scalar(rng, n, 2, True)
     s = f.eval(x)
     val, d, dd = f.jet(x)
-    assert isinstance(s, SJet) and isinstance(s.val, complex)
+    assert isinstance(s, Jet) and s.val.shape == ()
     assert s.val == val and np.array_equal(s.d, d) and np.array_equal(s.dd, dd)
     assert f.eval(x, 1).dd is None and f.eval(x, 0).d is None
 
     v = random_poly_vector(rng, n)
     vj = v.eval(x)
     val, d, dd = v.jet(x)
-    assert isinstance(vj, VectorJet) and len(vj.comps) == n
-    for i, c in enumerate(vj.comps):
+    assert isinstance(vj, Jet) and len(vj) == n
+    for i, c in enumerate(vj):
         assert c.val == val[i] and np.array_equal(c.d, d[:, i])
         assert np.array_equal(c.dd, dd[:, :, i])
 
     form = random_poly_form(rng, n, 2, complex_coeffs=True)
-    fj = form.eval(x, 2, chart="flat3")
-    assert isinstance(fj, FormJet) and fj.chart == "flat3"
+    fj = form.eval(x, 2)
+    assert isinstance(fj, Jet) and fj.val.shape == (1 << n,)
     val, d, dd = form.jet(x)
     slots = list(form.masks)
     others = [m for m in range(1 << n) if m not in form.masks]
@@ -166,10 +167,15 @@ def test_eval_wraps_each_kind_in_its_container():
     assert np.array_equal(fj.d[:, slots], d) and not fj.d[:, others].any()
     assert np.array_equal(fj.dd[:, :, slots], dd)
 
+    # a form-valued section: the masks index the first fiber axis
+    fs = random_poly_field(rng, n, (2, 4), masks=(5, 2)).eval(x)
+    assert fs.val.shape == (1 << n, 4) and fs.dd.shape == (n, n, 1 << n, 4)
+    assert not fs.val[[0, 1, 3, 4, 6, 7]].any()
+
     sec = bnd.random_poly_section(rng, n, 4).eval(x)
-    assert isinstance(sec, bnd.SectionJet) and sec.dd.shape == (n, n, 4)
+    assert isinstance(sec, Jet) and sec.dd.shape == (n, n, 4)
     mat = PolyField.zero(n, (4, 4)).eval(x, 1)
-    assert isinstance(mat, bnd.MatrixJet) and mat.d.shape == (n, 4, 4)
+    assert isinstance(mat, Jet) and mat.d.shape == (n, 4, 4)
     assert mat.dd is None
 
 
@@ -179,5 +185,8 @@ def test_field_shape_is_checked():
         PolyField(3, e, np.zeros(len(e), dtype=complex))
     with pytest.raises(ValueError, match="blade mask"):
         PolyField(2, e, np.zeros((len(e), 2), dtype=complex), masks=(1,))
-    with pytest.raises(ValueError, match="field kind"):
-        PolyField(2, e, np.zeros((len(e), 2, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="blade mask"):
+        PolyField(2, e, np.zeros(len(e), dtype=complex), masks=(1,))
+    # any other fiber shape is a field of that shape
+    deep = PolyField(2, e, np.zeros((len(e), 2, 2, 2), dtype=complex)).eval(np.zeros(2))
+    assert deep.val.shape == (2, 2, 2) and deep.dd.shape == (2, 2, 2, 2, 2)

@@ -6,7 +6,7 @@ import pytest
 from diracgeo import bundles as bnd
 from diracgeo import spin as sp
 from diracgeo.charts import get_chart, metric_jet
-from diracgeo.jets import SJet
+from diracgeo.jets import Jet
 
 EVEN_RIEMANNIAN = ("flat2", "flat4", "torus2", "torus4", "sphere2",
                    "sphere4", "hyperbolic2", "hyperbolic4", "poly2", "poly4")
@@ -73,7 +73,7 @@ def test_spin_connection_rejects_real_potential():
     mj = metric_jet(ch, x)
     fr = sp.build_frame_from_metric(mj)
     smd = sp.spin_module_data(2)
-    real_pot = [SJet.constant(0.3, 2), SJet.constant(0.0, 2)]
+    real_pot = Jet.constant([0.3, 0.0], x)
     with pytest.raises(ValueError):
         sp.build_spin_connection(fr, smd, mj, real_pot)
 
@@ -87,7 +87,7 @@ def test_dirac_routes_agree():
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
         fr = sp.build_frame_from_metric(mj)
-        a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+        a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
         scd = sp.build_spin_connection(fr, smd, mj, a_jets)
         for _ in range(5):
             j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
@@ -107,7 +107,7 @@ def test_conformal_closed_form_matches_generic_assembly():
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             fr = sp.build_frame_from_metric(mj)
-            a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+            a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
@@ -122,7 +122,7 @@ def test_conformal_closed_form_rejects_generic_chart():
     smd = sp.spin_module_data(2)
     x = ch.sample_point(rng)
     j = bnd.random_poly_section(rng, 2, smd.dim).eval(x, 2)
-    zero = [SJet.constant(0.0, 2) for _ in range(2)]
+    zero = Jet.constant(np.zeros(2), x)
     with pytest.raises(ValueError):
         sp.conformal_dirac(ch, zero, smd, j)
 
@@ -139,7 +139,7 @@ def test_lichnerowicz_with_and_without_potential():
         for with_pot in (False, True):
             a_jets = None
             if with_pot:
-                a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+                a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             for _ in range(3):
                 j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
@@ -167,8 +167,8 @@ def test_connection_difference_is_half_potential_difference():
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     fr = sp.build_frame_from_metric(mj)
-    a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
-    b_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2).comps
+    a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
+    b_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
     scd_a = sp.build_spin_connection(fr, smd, mj, a_jets)
     scd_b = sp.build_spin_connection(fr, smd, mj, b_jets)
     for a in range(n):
