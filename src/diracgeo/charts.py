@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .clifford import blade_tables, contract
 from .jets import Jet, seed_point
 
 
@@ -68,9 +69,9 @@ class MetricJet:
     """Metric with exact derivatives at one point.
 
     dg[k, i, j] = d_k g_ij and d2g[l, k, i, j] = d_l d_k g_ij.  Inverse-metric
-    and volume-factor jets are derived once here; the Christoffel symbols and
-    their first derivatives are computed once, on first use.  All are shared
-    downstream.
+    and volume-factor jets are derived once here; the Christoffel symbols,
+    their first derivatives and the compound inverse metric Lambda(g^-1) are
+    computed once, on first use.  All are shared downstream.
     """
 
     def __init__(self, chart: Chart, x: np.ndarray, g: np.ndarray,
@@ -114,6 +115,27 @@ class MetricJet:
                      + np.einsum("kl,mijl->mkij", self.g_inv, _first_kind(self.d2g)))
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def compound_inverse(self) -> Jet:
+        """Lambda(g^-1) on the blade axis as a 2-jet, for the Hodge star and
+        the Gram pairing.
+
+        Column M is (g^-1 dx^{i_1}) ^ ... ^ (g^-1 dx^{i_p}), so entry [M', M]
+        is the minor det g^{-1}[rows M', cols M].
+        """
+        eps = blade_tables(self.n)[0]
+        metric = (self.g_inv, self.dg_inv, self.d2g_inv)
+        cols = [Jet.constant(np.eye(1 << self.n)[0], self.x)]
+        for mask in range(1, 1 << self.n):
+            low = (mask & -mask).bit_length() - 1
+            gen = Jet(self.x, *(contract(a[..., low], eps) for a in metric))
+            cols.append(gen @ cols[mask & (mask - 1)])
+        parts = [np.stack([getattr(c, k) for c in cols], axis=-1)
+                 for k in ("val", "d", "dd")]
+        for a in parts:
+            a.setflags(write=False)
+        return Jet(self.x, *parts)
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:

@@ -302,28 +302,10 @@ def volume_form(mj: MetricJet, x, orientation: int = 1) -> Jet:
                                              (mj.sqrt_abs_det, mj.dsqrt, mj.ddsqrt)))
 
 
-def _compound_inverse_metric(mj: MetricJet, order: int) -> Jet:
-    """Lambda(g^-1) on the blade axis with jets to ``order``.
-
-    Column M is (g^-1 dx^{i_1}) ^ ... ^ (g^-1 dx^{i_p}), so entry [M', M] is
-    the minor det g^{-1}[rows M', cols M].
-    """
-    n = mj.n
-    eps = blade_tables(n)[0]
-    metric = (mj.g_inv, mj.dg_inv, mj.d2g_inv)[:order + 1]
-    cols = [Jet.constant(np.eye(1 << n)[0], mj.x, order)]
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        gen = Jet(mj.x, *(contract(a[..., low], eps) for a in metric))
-        cols.append(gen @ cols[mask & (mask - 1)])
-    parts = ("val", "d", "dd")[:order + 1]
-    return Jet(mj.x, *(np.stack([getattr(c, k) for c in cols], axis=-1) for k in parts))
-
-
 def gram_pairing(a: Jet, b: Jet, mj: MetricJet) -> complex:
     """Sesquilinear pairing: blades of equal degree paired by det g^{i_a j_b}."""
     check_point(a.x, b.x)
-    return complex(np.conj(a.val) @ _compound_inverse_metric(mj, 0).val @ b.val)
+    return complex(np.conj(a.val) @ mj.compound_inverse.val @ b.val)
 
 
 @lru_cache(maxsize=None)
@@ -342,7 +324,7 @@ def hodge_star(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
     coefficients, raises them with g^-1 and complements blades."""
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    raised = _compound_inverse_metric(mj, 2) @ (j.conj() * sqrt_det_jet(mj))
+    raised = mj.compound_inverse @ (j.conj() * sqrt_det_jet(mj))
     signs = orientation * _complement_signs(j.n).T
     return raised.map(lambda a: a @ signs)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,11 +24,12 @@ BLOCK_INDICES = {"+": (0, 3), "-": (1, 2)}
 _SMD = spin_module_data(N_DIM)
 GAMMAS = _SMD.gammas
 
-# self-dual pairing on 2-form indices: star(e^a ^ e^b) = sign e^c ^ e^d
-_STAR_PAIRS = [((0, 1), (2, 3), 1.0), ((0, 2), (1, 3), -1.0),
-               ((0, 3), (1, 2), 1.0)]
-
 _PAIRS = [(j, k) for j in range(N_DIM) for k in range(j + 1, N_DIM)]
+_ROWS, _COLS = (np.array(ix) for ix in zip(*_PAIRS))
+
+# star on the pair components F[j, k], j < k, in _PAIRS order: star(e^0 ^ e^1)
+# = e^2 ^ e^3, star(e^0 ^ e^2) = -e^1 ^ e^3, star(e^0 ^ e^3) = e^1 ^ e^2
+_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 
 
 class SWConfigError(ValueError):
@@ -173,15 +174,25 @@ def curvature_at(cfg: SWConfig, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def block_projector(block: str) -> np.ndarray:
+    """(1 + s star) / 2 on the pair components F[j, k], j < k, with s = +1
+    on the + block and -1 on the - block: Q(psi) is self-dual on S+ and
+    anti-self-dual on S-, so this is the half of F its equation pairs with."""
+    sign = 1.0 if block == "+" else -1.0
+    return 0.5 * (np.eye(len(_PAIRS)) + sign * _STAR)
+
+
+def block_part(f: np.ndarray, block: str) -> np.ndarray:
+    """The block's half (F +- star F) / 2 of an antisymmetric 2-form array."""
+    v = block_projector(block) @ f[_ROWS, _COLS]
+    out = np.zeros_like(f)
+    out[_ROWS, _COLS], out[_COLS, _ROWS] = v, -v
+    return out
+
+
 def self_dual_part(f: np.ndarray) -> np.ndarray:
     """(F + star F) / 2 for an antisymmetric 2-form array on flat R^4."""
-    out = np.zeros_like(f)
-    for (a, b), (c, d), sg in _STAR_PAIRS:
-        plus_ab = 0.5 * (f[a, b] + sg * f[c, d])
-        plus_cd = 0.5 * (f[c, d] + sg * f[a, b])
-        out[a, b], out[b, a] = plus_ab, -plus_ab
-        out[c, d], out[d, c] = plus_cd, -plus_cd
-    return out
+    return block_part(f, "+")
 
 
 def quadratic_form(psi: np.ndarray) -> np.ndarray:
@@ -212,8 +223,7 @@ def sw_residuals(cfg: SWConfig, x) -> Dict[str, float]:
     dirac = np.zeros(_SMD.dim, dtype=complex)
     for a in range(N_DIM):
         dirac += GAMMAS[a] @ (dpsi[a] + 0.5 * aval[a] * psi)
-    fplus = self_dual_part(curvature_at(cfg, x))
-    resid = fplus - quadratic_form(psi)
+    resid = block_part(curvature_at(cfg, x), cfg.block) - quadratic_form(psi)
     return {
         "dirac": float(np.max(np.abs(dirac))),
         "curvature": float(max(abs(resid[j, k]) for j, k in _PAIRS)),
@@ -226,98 +236,84 @@ def sw_residuals(cfg: SWConfig, x) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _grid_field(coeffs: Dict[tuple, complex], grid: int) -> np.ndarray:
-    """Values of sum_k c_k exp(i k.x) on the uniform grid, via inverse FFT."""
-    c = np.zeros((grid,) * N_DIM, dtype=complex)
-    for k, z in coeffs.items():
-        idx = tuple(v % grid for v in k)
-        c[idx] += z
-    return np.fft.ifftn(c) * grid ** N_DIM
+def _synthesis_matrix(band: int, grid: int) -> np.ndarray:
+    """E[k + band, m] = exp(i k x_m) at x_m = 2 pi m / grid, |k| <= band: the
+    inverse DFT restricted to the band, with k m reduced mod grid first so
+    the phases are the FFT's twiddles."""
+    k = np.arange(-band, band + 1)
+    return np.exp(1j * TWO_PI / grid * np.mod(np.outer(k, np.arange(grid)), grid))
 
 
-def _derived(coeffs: Dict[tuple, complex], axis: int) -> Dict[tuple, complex]:
-    return {k: 1j * k[axis] * z for k, z in coeffs.items()}
+def _spectrum(modes: Dict[Tuple[int, tuple], complex], comps: Sequence[int],
+              band: int) -> np.ndarray:
+    """Coefficients of the listed components on the (2 band + 1)^4 cube."""
+    out = np.zeros((len(comps),) + (2 * band + 1,) * N_DIM, dtype=complex)
+    for (c, k), z in modes.items():
+        out[(comps.index(c),) + tuple(v + band for v in k)] += z
+    return out
 
 
 def sw_functional(cfg: SWConfig) -> Dict[str, float]:
     """Both integral forms of the monopole functional and their gap.
 
     The first integrates the squared equation residuals; the second uses the
-    connection Laplacian, the self-dual curvature norm, and the quartic term.
-    Quadrature is the uniform trapezoid rule, exact for integrands below the
-    grid's alias limit.
+    connection Laplacian, the block's half of the curvature, and the quartic
+    term.  Quadrature is the uniform trapezoid rule, exact for integrands
+    below the grid's alias limit.
+
+    Only the fields the integrands read are built, as one stack of spectra
+    on the (2 band + 1)^4 frequency cube with derivatives as i k multipliers,
+    and synthesized on the grid by four contractions with ``exp(i k x_j)``.
+    The spinor keeps only its two block components.
     """
-    grid = cfg.grid
-    herm = cfg.hermitized_a()
-    a_coeffs: List[Dict[tuple, complex]] = [{} for _ in range(N_DIM)]
-    for (a, k), c in herm.items():
-        a_coeffs[a][k] = a_coeffs[a].get(k, 0.0j) + 1j * c
-    psi_coeffs: List[Dict[tuple, complex]] = [{} for _ in range(_SMD.dim)]
-    for (c, k), z in cfg.psi_modes.items():
-        psi_coeffs[c][k] = psi_coeffs[c].get(k, 0.0j) + z
+    grid, band = cfg.grid, cfg.band
+    blk = list(BLOCK_INDICES[cfg.block])
+    opp = [c for c in range(_SMD.dim) if c not in blk]
+    freq = np.arange(-band, band + 1)
+    ik = 1j * np.stack(np.meshgrid(*(freq,) * N_DIM, indexing="ij"))
+    a_hat = 1j * _spectrum(cfg.hermitized_a(), range(N_DIM), band)
+    psi_hat = _spectrum(cfg.psi_modes, blk, band)
+    da_hat = ik[:, None] * a_hat                        # d_a A_b
+    dpsi_hat = ik[:, None] * psi_hat                    # d_a psi_c
+    vals = np.concatenate([
+        a_hat,
+        da_hat[_ROWS, _COLS] - da_hat[_COLS, _ROWS],    # F_jk, j < k
+        np.einsum("aa...->...", da_hat)[None],          # div A
+        psi_hat,
+        dpsi_hat.reshape((-1,) + psi_hat.shape[1:]),
+        np.sum(ik ** 2, axis=0) * psi_hat,              # Laplacian of psi
+    ])
+    # each contraction takes the leading frequency axis and appends a grid axis
+    synth = _synthesis_matrix(band, grid)
+    for _ in range(N_DIM):
+        vals = np.tensordot(vals, synth, axes=(1, 0))
+    aval, f, diva, psi, dpsi, lap = np.split(
+        vals, np.cumsum([N_DIM, len(_PAIRS), 1, len(blk), N_DIM * len(blk)]))
+    dpsi = dpsi.reshape((N_DIM,) + psi.shape)
 
-    aval = [_grid_field(a_coeffs[a], grid) for a in range(N_DIM)]
-    da = [[_grid_field(_derived(a_coeffs[b], a), grid) for b in range(N_DIM)]
-          for a in range(N_DIM)]
-    psi = [_grid_field(psi_coeffs[c], grid) for c in range(_SMD.dim)]
-    dpsi = [[_grid_field(_derived(psi_coeffs[c], a), grid)
-             for c in range(_SMD.dim)] for a in range(N_DIM)]
-    ddpsi = [[_grid_field(_derived(_derived(psi_coeffs[c], a), a), grid)
-              for c in range(_SMD.dim)] for a in range(N_DIM)]
+    # Dirac term: D = sum_a G_a (d_a + A_a / 2) psi maps the block to the other
+    gam = GAMMAS[:, opp][:, :, blk]
+    dirac = np.tensordot(gam, dpsi + 0.5 * aval[:, None] * psi,
+                         axes=([0, 2], [0, 1]))
+    dirac_sq = np.sum(np.abs(dirac) ** 2, axis=0)
 
-    shape = aval[0].shape
+    # the block's half of the curvature and the spinor quadratic form
+    fblock = np.tensordot(block_projector(cfg.block), f, axes=1)
+    gjk = np.stack([GAMMAS[j] @ GAMMAS[k] for j, k in _PAIRS])[:, blk][:, :, blk]
+    q = -0.25 * np.tensordot(gjk, np.conj(psi)[:, None] * psi, axes=2)
+    resid_sq = np.sum(np.abs(fblock - q) ** 2, axis=0)
+    fblock_sq = np.sum(np.abs(fblock) ** 2, axis=0)
 
-    # Dirac term: D = sum_a G_a (d_a + A_a / 2) psi
-    dirac = [np.zeros(shape, dtype=complex) for _ in range(_SMD.dim)]
-    for a in range(N_DIM):
-        for r in range(_SMD.dim):
-            row = np.zeros(shape, dtype=complex)
-            for c in range(_SMD.dim):
-                g = GAMMAS[a][r, c]
-                if g != 0:
-                    row += g * (dpsi[a][c] + 0.5 * aval[a] * psi[c])
-            dirac[r] += row
-    dirac_sq = sum(np.abs(d) ** 2 for d in dirac)
+    # connection Laplacian: -sum_a (d_a + A_a/2)^2 psi, paired with psi
+    nabla_sq = (lap + (0.5 * diva + 0.25 * np.sum(aval ** 2, axis=0)) * psi
+                + np.einsum("a...,ac...->c...", aval, dpsi))
+    lap_pair = -np.sum(np.real(np.conj(psi) * nabla_sq), axis=0)
 
-    # curvature, self-dual part, and the spinor quadratic form on the grid
-    f = {}
-    for j, k in _PAIRS:
-        f[(j, k)] = da[j][k] - da[k][j]
-    fplus = {}
-    for (a, b), (c, d), sg in _STAR_PAIRS:
-        fplus[(a, b)] = 0.5 * (f[(a, b)] + sg * f[(c, d)])
-        fplus[(c, d)] = 0.5 * (f[(c, d)] + sg * f[(a, b)])
-    q = {}
-    for j, k in _PAIRS:
-        gjk = GAMMAS[j] @ GAMMAS[k]
-        acc = np.zeros(shape, dtype=complex)
-        for r in range(_SMD.dim):
-            for c in range(_SMD.dim):
-                if gjk[r, c] != 0:
-                    acc += np.conj(psi[r]) * gjk[r, c] * psi[c]
-        q[(j, k)] = -0.25 * acc
-
-    resid_sq = np.zeros(shape, dtype=float)
-    fplus_sq = np.zeros(shape, dtype=float)
-    for j, k in _PAIRS:
-        resid_sq += np.abs(fplus[(j, k)] - q[(j, k)]) ** 2
-        fplus_sq += np.abs(fplus[(j, k)]) ** 2
-
-    # connection Laplacian: -sum_a (d_a + A_a/2)^2 psi
-    lap = [np.zeros(shape, dtype=complex) for _ in range(_SMD.dim)]
-    for a in range(N_DIM):
-        for c in range(_SMD.dim):
-            lap[c] -= (ddpsi[a][c] + 0.5 * da[a][a] * psi[c]
-                       + aval[a] * dpsi[a][c] + 0.25 * aval[a] ** 2 * psi[c])
-    lap_pair = np.zeros(shape, dtype=float)
-    for c in range(_SMD.dim):
-        lap_pair += np.real(np.conj(psi[c]) * lap[c])
-
-    psi_sq = sum(np.abs(p) ** 2 for p in psi)
+    psi_sq = np.sum(np.abs(psi) ** 2, axis=0)
 
     vol_factor = TWO_PI ** N_DIM / grid ** N_DIM
     w1 = float(np.sum(dirac_sq + resid_sq)) * vol_factor
-    w2 = float(np.sum(lap_pair + fplus_sq + psi_sq ** 2 / 8.0)) * vol_factor
+    w2 = float(np.sum(lap_pair + fblock_sq + psi_sq ** 2 / 8.0)) * vol_factor
     denom = max(abs(w1), abs(w2), 1e-30)
     return {"w_equations": w1, "w_weitzenbock": w2,
             "gap": abs(w1 - w2), "relative_gap": abs(w1 - w2) / denom}

@@ -30,6 +30,10 @@ JETS_PER_POINT = 10
 # tolerance of the [D, f] = c(df) check, shared with ``diracgeo dirac``
 DIRAC_COMMUTATOR_TOL = 1e-10
 
+# tolerance of the relative gap between the two monopole functional forms,
+# shared with ``diracgeo sw``
+SW_FUNCTIONAL_GAP_TOL = 1e-6
+
 SCALAR_REFERENCE = {"sphere2": 2.0, "hyperbolic2": -2.0,
                     "sphere4": 12.0, "hyperbolic4": -12.0,
                     "flat2": 0.0, "flat3": 0.0, "flat4": 0.0,
@@ -840,27 +844,28 @@ def sw_suite(seed: int, samples: int,
         return worst
 
     def self_dual_projector():
+        # the block's half of F is a fixed point, and Q(psi) lies in it
         worst = 0.0
         for x in pts:
-            f = swm.curvature_at(cfg, x)
-            fp = swm.self_dual_part(f)
-            worst = max(worst, float(np.max(np.abs(swm.self_dual_part(fp) - fp))))
+            fp = swm.block_part(swm.curvature_at(cfg, x), cfg.block)
             q = swm.quadratic_form(swm.spinor_at(cfg, x)[0])
-            if cfg.block == "+":
-                worst = max(worst, float(np.max(np.abs(swm.self_dual_part(q) - q))))
+            for a in (fp, q):
+                worst = max(worst, float(np.max(np.abs(
+                    swm.block_part(a, cfg.block) - a))))
         return worst
 
     def functional_gap():
         return swm.sw_functional(cfg)["relative_gap"]
 
+    half = "self-dual" if cfg.block == "+" else "anti-self-dual"
     _timed(rep, "sw-quadratic-identity", "|Q(psi)|^2 = |psi|^4 / 8", 1e-10,
            quadratic_identity)
     _timed(rep, "sw-self-dual-projector",
-           "F+ is a fixed point; Q(psi) is self-dual on the + block", 1e-12,
-           self_dual_projector)
+           f"F{cfg.block} is a fixed point; Q(psi) is {half} on the "
+           f"{cfg.block} block", 1e-12, self_dual_projector)
     _timed(rep, "sw-functional-gap",
-           "equation form equals Weitzenbock form of the functional", 1e-6,
-           functional_gap)
+           "equation form equals Weitzenbock form of the functional",
+           SW_FUNCTIONAL_GAP_TOL, functional_gap)
     return rep
 
 

@@ -174,6 +174,27 @@ def test_sw_random_seed_42(capsys):
     assert payload["quadratic_identity_residual"] < 1e-10
 
 
+def test_sw_exits_one_when_the_functional_gap_fails(capsys, monkeypatch):
+    from diracgeo import seiberg_witten as swm
+    real = swm.sw_functional
+
+    def broken(cfg):
+        # a Weitzenbock form off by one percent
+        out = real(cfg)
+        w1, w2 = out["w_equations"], 1.01 * out["w_weitzenbock"]
+        return {"w_equations": w1, "w_weitzenbock": w2, "gap": abs(w1 - w2),
+                "relative_gap": abs(w1 - w2) / max(abs(w1), abs(w2))}
+
+    monkeypatch.setattr(swm, "sw_functional", broken)
+    code, out, _ = _run(capsys, ["sw", "--seed", "42"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["functional"]["relative_gap"] > suites.SW_FUNCTIONAL_GAP_TOL
+    assert set(payload) == {"grid", "band", "chirality_block", "point",
+                            "dirac_residual", "curvature_residual",
+                            "quadratic_identity_residual", "functional"}
+
+
 def test_sw_with_config_file(capsys, tmp_path):
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps({"grid": 16, "band": 2, "chirality_block": "+",

@@ -1,11 +1,14 @@
 """Monopole configurations on the flat 4-torus: equations and functionals."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+import sw_reference
 from diracgeo import seiberg_witten as swm
 from diracgeo.seiberg_witten import (BLOCK_INDICES, SWConfig, SWConfigError,
-                                     curvature_at, form_norm_sq, load_sw_config,
+                                     block_part, curvature_at, form_norm_sq, load_sw_config,
                                      potential_at, quadratic_form,
                                      quadratic_identity_residual,
                                      random_sw_config, self_dual_part,
@@ -113,6 +116,31 @@ def test_self_dual_projection_is_idempotent():
     assert np.max(np.abs(self_dual_part(minus))) < 1e-13
 
 
+def _levi_civita_star(f):
+    """(star F)_ab = eps_abcd F_cd / 2 on flat R^4, eps from permutation signs."""
+    eps = np.zeros((4,) * 4)
+    for p in permutations(range(4)):
+        eps[p] = np.linalg.det(np.eye(4)[list(p)])
+    return 0.5 * np.einsum("abcd,cd->ab", eps, f)
+
+
+@pytest.mark.parametrize("block, sign", [("+", 1.0), ("-", -1.0)])
+def test_curvature_equation_uses_the_block_half(block, sign):
+    # Q(psi) is self-dual on S+ and anti-self-dual on S-, so the curvature
+    # equation of the block reads (F + sign star F) / 2 = Q(psi)
+    rng = np.random.default_rng(13)
+    cfg = random_sw_config(rng, band=1, grid=8, block=block)
+    for _ in range(5):
+        x = rng.uniform(0, 2 * np.pi, 4)
+        f = curvature_at(cfg, x)
+        half = 0.5 * (f + sign * _levi_civita_star(f))
+        assert np.max(np.abs(block_part(f, block) - half)) < 1e-14
+        resid = half - quadratic_form(spinor_at(cfg, x)[0])
+        expect = max(abs(resid[j, k]) for j in range(4) for k in range(j + 1, 4))
+        assert sw_residuals(cfg, x)["curvature"] == pytest.approx(expect,
+                                                                 rel=1e-12)
+
+
 def test_quadratic_form_chirality():
     rng = np.random.default_rng(5)
     plus = np.zeros(4, dtype=complex)
@@ -172,6 +200,30 @@ def test_random_band2_functional_gap():
     cfg = random_sw_config(rng, band=2, grid=16)
     out = sw_functional(cfg)
     assert out["relative_gap"] < 1e-6
+
+
+@pytest.mark.parametrize("block", ["+", "-"])
+def test_functional_gap_on_both_blocks(block):
+    # with F+ in place of F- the gap of a - block config reached 2e-2
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        cfg = random_sw_config(rng, band=1, grid=8, block=block)
+        assert sw_functional(cfg)["relative_gap"] < 1e-6
+
+
+@pytest.mark.parametrize("block", ["+", "-"])
+@pytest.mark.parametrize("band, grid", [(1, 4), (1, 5), (1, 8), (2, 9),
+                                        (2, 12), (3, 13), (3, 16)])
+def test_functional_matches_per_field_fft_reference(band, grid, block):
+    # grid 4 at band 1 lies below the quadrature bound: both alias alike
+    rng = np.random.default_rng(100 * band + grid)
+    for _ in range(2):
+        drawn = random_sw_config(rng, band=band, grid=4 * band + 1,
+                                 block=block, n_a_modes=12, n_psi_modes=8)
+        cfg = SWConfig(grid, band, block, drawn.a_modes, drawn.psi_modes)
+        got, want = sw_functional(cfg), sw_reference.sw_functional(cfg)
+        for key in ("w_equations", "w_weitzenbock"):
+            assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
 
 
 def test_functional_is_grid_independent_above_nyquist():

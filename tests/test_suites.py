@@ -45,6 +45,19 @@ def test_sw_suite_needs_config():
     assert rep.chart == "torus4"
 
 
+def test_sw_suite_passes_on_the_minus_block():
+    # the potential shares frequency e_0 with the cross term of Q(psi), so
+    # pairing F+ instead of F- with Q opens a 16% functional gap
+    cfg = swm.sw_config_from_dict({
+        "grid": 8, "band": 1, "chirality_block": "-",
+        "a_modes": [[2, 1, 0, 0, 0, 0.5, -0.25]],
+        "psi_modes": [[1, 0, 0, 0, 0, 1.0, 0.0], [2, 1, 0, 0, 0, 0.7, 0.2]]})
+    rep = run_suite("sw", seed=3, samples=4, sw_config=cfg)
+    assert [c.check_id for c in rep.checks] == [
+        "sw-quadratic-identity", "sw-self-dual-projector", "sw-functional-gap"]
+    assert rep.passed
+
+
 def test_all_suite_skips_inapplicable_subsuites():
     rep = run_suite("all", chart="flat3", seed=1, samples=2)
     assert rep.passed
