@@ -66,7 +66,8 @@ class Chart:
 
 
 class MetricJet:
-    """Metric with exact derivatives at one point.
+    """Metric with exact derivatives at one point, or at each of a stack of
+    points x (P, n), every array then carrying the sample axis P in front.
 
     dg[k, i, j] = d_k g_ij and d2g[l, k, i, j] = d_l d_k g_ij.  Inverse-metric
     and volume-factor jets are derived once here; the Christoffel symbols,
@@ -86,33 +87,37 @@ class MetricJet:
 
         # d(g^-1) = -g^-1 (dg) g^-1 ; second derivatives by one more product
         # rule, with term[l, k] = g^-1 (d_l g) g^-1 (d_k g) g^-1
-        gi = self.g_inv
+        gi = self.g_inv[..., None, :, :]
         self.dg_inv = -gi @ dg @ gi
-        term = -((gi @ dg)[:, None] @ self.dg_inv[None])
-        self.d2g_inv = term + np.transpose(term, (1, 0, 2, 3)) - gi @ d2g @ gi
+        term = -((gi @ dg)[..., :, None, :, :] @ self.dg_inv[..., None, :, :, :])
+        gi = gi[..., None, :, :]
+        self.d2g_inv = term + term.swapaxes(-4, -3) - gi @ d2g @ gi
 
         # Jacobi's formula for h = log sqrt|det g|: d_k h = tr(g^-1 d_k g) / 2
         # and d_l d_k h = (tr(g^-1 d_l d_k g) + tr(d_l(g^-1) d_k g)) / 2
-        self.det = float(np.linalg.det(g))
-        self.sqrt_abs_det = float(np.sqrt(abs(self.det)))
-        self.dh = 0.5 * np.einsum("ij,kji->k", gi, dg)
-        self.ddh = 0.5 * (np.einsum("ij,lkji->lk", gi, d2g)
-                          + np.einsum("lij,kji->lk", self.dg_inv, dg))
-        self.dsqrt = self.sqrt_abs_det * self.dh
-        self.ddsqrt = self.sqrt_abs_det * (self.ddh + np.outer(self.dh, self.dh))
+        gi = self.g_inv
+        self.det = np.linalg.det(g)
+        self.sqrt_abs_det = np.sqrt(np.abs(self.det))
+        self.dh = 0.5 * np.einsum("...ij,...kji->...k", gi, dg)
+        self.ddh = 0.5 * (np.einsum("...ij,...lkji->...lk", gi, d2g)
+                          + np.einsum("...lij,...kji->...lk", self.dg_inv, dg))
+        dh, s = self.dh, self.sqrt_abs_det[..., None]
+        self.dsqrt = s * dh
+        self.ddsqrt = s[..., None] * (self.ddh + dh[..., :, None] * dh[..., None, :])
 
     @cached_property
     def christoffel(self) -> np.ndarray:
         """Gamma[k, i, j] = Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-        out = 0.5 * np.einsum("kl,ijl->kij", self.g_inv, _first_kind(self.dg))
+        out = 0.5 * np.einsum("...kl,...ijl->...kij", self.g_inv, _first_kind(self.dg))
         out.setflags(write=False)
         return out
 
     @cached_property
     def dchristoffel(self) -> np.ndarray:
         """dGamma[m, k, i, j] = d_m Gamma^k_ij."""
-        out = 0.5 * (np.einsum("mkl,ijl->mkij", self.dg_inv, _first_kind(self.dg))
-                     + np.einsum("kl,mijl->mkij", self.g_inv, _first_kind(self.d2g)))
+        out = 0.5 * (np.einsum("...mkl,...ijl->...mkij", self.dg_inv, _first_kind(self.dg))
+                     + np.einsum("...kl,...mijl->...mkij", self.g_inv,
+                                 _first_kind(self.d2g)))
         out.setflags(write=False)
         return out
 
@@ -143,35 +148,41 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
-def metric_jet(chart: Chart, x: Sequence[float]) -> MetricJet:
-    """Evaluate the chart metric and its first two derivatives at x."""
-    x = chart.validate_point(x)
+def metric_jet(chart: Chart, x) -> MetricJet:
+    """Evaluate the chart metric and its first two derivatives at x, or at
+    every row of a stack of points (P, n) in one batched evaluation."""
+    x = np.asarray(x, dtype=float)
+    for row in (x if x.ndim == 2 else [x]):
+        chart.validate_point(row)
     n = chart.n
     raw = chart.metric_fn(seed_point(x, order=2))
     if isinstance(raw, Jet):
         g, dg, d2g = raw.val, raw.d, raw.dd
     else:
-        g, dg, d2g = np.asarray(raw), np.zeros((n, n, n)), np.zeros((n, n, n, n))
+        g = np.broadcast_to(raw, x.shape[:-1] + (n, n))
+        dg, d2g = np.zeros(g.shape + (n,)), np.zeros(g.shape + (n, n))
     if np.max(np.abs(np.imag(g)), initial=0.0) > 1e-12:
         raise DegenerateMetricError("metric entries must be real")
     g, dg, d2g = np.real(g), np.real(dg), np.real(d2g)
-    if not np.allclose(g, g.T, atol=1e-10):
-        raise DegenerateMetricError(f"metric not symmetric at {x.tolist()}")
     eig = np.linalg.eigvalsh(g)
     mags = np.abs(eig)
-    if mags.min() <= 1e-10 * mags.max():
-        raise DegenerateMetricError(
-            f"metric degenerate at {x.tolist()}: min |eigenvalue| {mags.min():.3e} "
-            f"<= 1e-10 * max |eigenvalue| {mags.max():.3e}")
-    neg = int(np.sum(eig < 0))
-    if neg != chart.negatives:
-        raise DegenerateMetricError(
-            f"signature drifted at {x.tolist()}: {neg} negative directions, "
-            f"expected {chart.negatives}")
+    neg = np.sum(eig < 0, axis=-1)
+    for idx in np.ndindex(x.shape[:-1]):
+        pt, mag = x[idx].tolist(), mags[idx]
+        if not np.allclose(g[idx], g[idx].T, atol=1e-10):
+            raise DegenerateMetricError(f"metric not symmetric at {pt}")
+        if mag.min() <= 1e-10 * mag.max():
+            raise DegenerateMetricError(
+                f"metric degenerate at {pt}: min |eigenvalue| {mag.min():.3e} "
+                f"<= 1e-10 * max |eigenvalue| {mag.max():.3e}")
+        if neg[idx] != chart.negatives:
+            raise DegenerateMetricError(
+                f"signature drifted at {pt}: {neg[idx]} negative directions, "
+                f"expected {chart.negatives}")
     # symmetrize derivative arrays in (i, j) to kill representation roundoff
-    dg = 0.5 * (dg + np.transpose(dg, (0, 2, 1)))
-    d2g = 0.5 * (d2g + np.transpose(d2g, (0, 1, 3, 2)))
-    d2g = 0.5 * (d2g + np.transpose(d2g, (1, 0, 2, 3)))
+    dg = 0.5 * (dg + dg.swapaxes(-1, -2))
+    d2g = 0.5 * (d2g + d2g.swapaxes(-1, -2))
+    d2g = 0.5 * (d2g + d2g.swapaxes(-4, -3))
     return MetricJet(chart, x, g, dg, d2g)
 
 

@@ -102,9 +102,10 @@ def volume_coefficient(mj: MetricJet, orientation: int = 1) -> float:
 
 
 def log_det_identity_residual(mj: MetricJet, gamma: np.ndarray) -> float:
-    """Max-norm residual of dh_i = Gamma^j_ij with h = log|det g|^(1/2)."""
-    trace = np.einsum("jij->i", gamma)
-    return float(np.max(np.abs(mj.dh - trace)))
+    """Max-norm residual of d_k h = Gamma^i_ik and of its derivative
+    d_l d_k h = d_l Gamma^i_ik, with h = log|det g|^(1/2)."""
+    return float(max(np.max(np.abs(mj.dh - np.einsum("jij->i", gamma))),
+                     np.max(np.abs(mj.ddh - np.einsum("liik->lk", mj.dchristoffel)))))
 
 
 # ---------------------------------------------------------------------------

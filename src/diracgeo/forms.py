@@ -40,20 +40,29 @@ class DegreeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def degrees(j: Jet) -> set:
-    """Degrees of the blades whose jet is not identically zero."""
+def _live(j: Jet) -> np.ndarray:
+    """Per sample, whether each degree 0..n has a blade whose jet is not
+    identically zero: shape (*B, n + 1)."""
+    nb = j.nb
     live = j.val != 0
-    for a in (j.d, j.dd):
+    for lead, a in ((nb + 1, j.d), (nb + 2, j.dd)):
         if a is not None:
-            live = live | np.any(a.reshape(-1, a.shape[-1]) != 0, axis=0)
-    return set(grades(j.n)[live].tolist())
+            live = live | np.any(a != 0, axis=tuple(range(nb, lead)))
+    return live @ (grades(j.n)[:, None] == np.arange(j.n + 1))
 
 
-def degree(j: Jet) -> int:
-    degs = degrees(j)
-    if len(degs) > 1:
-        raise DegreeError(f"mixed degrees {sorted(degs)}")
-    return degs.pop() if degs else 0
+def degrees(j: Jet) -> set:
+    """Degrees of the blades whose jet is not identically zero, over all samples."""
+    return set(np.flatnonzero(np.any(_live(j).reshape(-1, j.n + 1), axis=0)).tolist())
+
+
+def degree(j: Jet):
+    """Degree of a homogeneous form; on a stack, one per sample (0 where zero)."""
+    live = _live(j)
+    if np.any(np.sum(live, axis=-1) > 1):
+        raise DegreeError(f"mixed degrees {sorted(degrees(j))}")
+    deg = np.argmax(live, axis=-1)
+    return int(deg) if deg.ndim == 0 else deg
 
 
 def coefficient(j: Jet, indices: Sequence[int]) -> complex:
@@ -63,13 +72,32 @@ def coefficient(j: Jet, indices: Sequence[int]) -> complex:
     return complex(j.val[mask])
 
 
-def _weighted(table: np.ndarray, w: Jet) -> Jet:
-    """Operator jet sum_i w_i table[i] from the weight jet w (fiber (n,))."""
-    return w.map(lambda a: contract(a, table))
+@lru_cache(maxsize=None)
+def _sparse_table(kind: str, n: int) -> tuple:
+    """Nonzero entries (i, b) of the structure table T[i, a, b] of ``kind``
+    ("iota" or "wedge") and the (entries, a) matrix scattering them to a."""
+    table = blade_tables(n)[1] if kind == "iota" else wedge_table(n)
+    i, a, b = np.nonzero(table)
+    scatter = np.zeros((len(i), table.shape[1]))
+    scatter[np.arange(len(i)), a] = table[i, a, b].real
+    return i, b, scatter
+
+
+def _bilinear(kind: str, u: Jet, v: Jet) -> Jet:
+    """sum_ib T[i, a, b] u_i v_b, v's blade axis b followed by any fiber axes:
+    the table's nonzero entries are gathered, multiplied and scattered to a,
+    never materializing the operator jet sum_i u_i T[i]."""
+    i, b, scatter = _sparse_table(kind, u.n)
+    r = np.ndim(v.val) - v.nb - 1
+    terms = u[(i,) + (None,) * r] * v[b]
+    if r == 0:
+        return terms.map(lambda t: t @ scatter)
+    return terms.map(lambda t: np.moveaxis(np.moveaxis(t, -r - 1, -1) @ scatter,
+                                           -1, -r - 1))
 
 
 def wedge_forms(a: Jet, b: Jet) -> Jet:
-    return _weighted(wedge_table(a.n), a) @ b
+    return _bilinear("wedge", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -130,60 +158,76 @@ class PolyField:
     field, (m,) a section, (m, m) an endomorphism.  With ``masks`` the first
     fiber axis is a list of blades: its slot b holds the coefficients of
     blade ``masks[b]``, and ``eval`` places them on the 2^n blade axis, so
-    (B,) is a form and (B, m) a form-valued section.
+    (B,) is a form and (B, m) a form-valued section.  A ``stacked`` field is
+    P fields over one exponent table, coeffs (P, T, *S), field k evaluated at
+    point k of a stack x (P, n); see ``stack``.
     """
 
     n: int
     exponents: np.ndarray
     coeffs: np.ndarray
     masks: Optional[Tuple[int, ...]] = None
+    stacked: bool = False
 
     def __post_init__(self):
-        if self.exponents.shape != (len(self.coeffs), self.n):
+        terms = self.coeffs.shape[int(self.stacked):]
+        if self.exponents.shape != terms[:1] + (self.n,):
             raise ValueError(f"exponents {self.exponents.shape} do not match "
-                             f"{len(self.coeffs)} terms in {self.n} variables")
-        if self.masks is not None and self.coeffs.shape[1:2] != (len(self.masks),):
+                             f"{terms[0]} terms in {self.n} variables")
+        if self.masks is not None and terms[1:2] != (len(self.masks),):
             raise ValueError("a form field needs one blade mask per slot of its "
                              "first fiber axis")
 
-    def _rows(self, x, order: int) -> np.ndarray:
-        """Jet rows (value, d_k, d_k d_l) by fiber slot, shape (rows, slots).
+    @staticmethod
+    def stack(fields: Sequence["PolyField"]) -> "PolyField":
+        """P fields with one exponent table as one stacked field; forms whose
+        masks differ are first spread onto the full blade axis."""
+        f0 = fields[0]
+        if any(f.masks != f0.masks for f in fields):
+            fields = [f.on_blade_axis() for f in fields]
+        return PolyField(f0.n, f0.exponents, np.stack([f.coeffs for f in fields]),
+                         fields[0].masks, stacked=True)
 
-        All monomial jets are evaluated at once and contracted with the
-        coefficients in one product.
+    def on_blade_axis(self) -> "PolyField":
+        """The same form with its slots placed on the 2^n blade axis."""
+        lead = self.coeffs.shape[:1 + self.stacked]
+        coeffs = np.zeros(lead + (1 << self.n,) + self.coeffs.shape[len(lead) + 1:],
+                          dtype=complex)
+        coeffs[(slice(None),) * len(lead) + (list(self.masks),)] = self.coeffs
+        return PolyField(self.n, self.exponents, coeffs, stacked=self.stacked)
+
+    def _rows(self, x, order: int) -> np.ndarray:
+        """Jet rows (value, d_k, d_k d_l) by fiber slot, shape (*B, rows, slots).
+
+        All monomial jets at all points are evaluated at once and contracted
+        with the coefficients in one product.
         """
         monos, index, mults = _jet_table(self.exponents)
         rows = (1, 1 + self.n, 1 + self.n + self.n ** 2)[order]
-        values = np.multiply.reduce(np.asarray(x, dtype=float) ** monos, axis=1)
-        coeffs = self.coeffs.reshape(len(self.coeffs), prod(self.coeffs.shape[1:]))
-        return (mults[:rows] * values[index[:rows]]) @ coeffs
+        values = np.multiply.reduce(np.asarray(x, dtype=float)[..., None, :] ** monos,
+                                    axis=-1)
+        lead = self.coeffs.shape[:1 + self.stacked]
+        coeffs = self.coeffs.reshape(lead + (prod(self.coeffs.shape[len(lead):]),))
+        return (mults[:rows] * values[..., index[:rows]]) @ coeffs
 
     def jet(self, x, order: int = 2):
-        """Value, gradient and Hessian at x, shaped S, (n, *S), (n, n, *S);
-        orders above ``order`` are None."""
+        """Value, gradient and Hessian at x, shaped S, (n, *S), (n, n, *S),
+        behind the sample axis of a stack x (P, n); orders above ``order``
+        are None."""
         n = self.n
-        shape = self.coeffs.shape[1:]
+        lead = np.shape(x)[:-1]
+        shape = self.coeffs.shape[1 + self.stacked:]
         out = self._rows(x, order)
-        d = out[1:1 + n].reshape((n,) + shape) if order >= 1 else None
-        dd = out[1 + n:].reshape((n, n) + shape) if order >= 2 else None
-        return out[0].reshape(shape), d, dd
+        d = out[..., 1:1 + n, :].reshape(lead + (n,) + shape) if order >= 1 else None
+        dd = out[..., 1 + n:, :].reshape(lead + (n, n) + shape) if order >= 2 else None
+        return out[..., 0, :].reshape(lead + shape), d, dd
 
     def eval(self, x, order: int = 2) -> Jet:
         """The jet at x, with a form's slots placed on the blade axis."""
+        if self.masks is not None:
+            return self.on_blade_axis().eval(x, order)
         x = np.asarray(x, dtype=float)
-        parts = self.jet(x, order)
-        if self.masks is None:
-            return Jet(x, *parts)
-
-        def on_blade_axis(a, lead):
-            if a is None:
-                return None
-            out = np.zeros(a.shape[:lead] + (1 << self.n,) + a.shape[lead + 1:],
-                           dtype=complex)
-            out[(slice(None),) * lead + (list(self.masks),)] = a
-            return out
-
-        return Jet(x, *map(on_blade_axis, parts, (0, 1, 2)))
+        return Jet(x, *self.jet(x, order))
 
     @staticmethod
     def zero(n: int, shape: tuple = ()) -> "PolyField":
@@ -250,14 +294,18 @@ def exterior_derivative(j: Jet) -> Jet:
     if j.d is None:
         raise JetOrderError("exterior derivative needs an order >= 1 jet")
     eps = blade_tables(j.n)[0]
-    val = np.einsum("iab,ib...->a...", eps, j.d)
-    d = np.einsum("iab,kib...->ka...", eps, j.dd) if j.dd is not None else None
-    return Jet(j.x, val, d)
+    table = eps.transpose(1, 0, 2).reshape(len(eps[0]), -1)      # [a, (i, b)]
+
+    def apply(a, lead):
+        shape = a.shape[:lead] + a.shape[lead + 1:]
+        return (table @ a.reshape(a.shape[:lead] + (table.shape[1], -1))).reshape(shape)
+
+    return Jet(j.x, apply(j.d, j.nb), apply(j.dd, j.nb + 1) if j.dd is not None else None)
 
 
 def iota_vector(X: Jet, j: Jet) -> Jet:
     """Interior product with the tautological pairing <dx^i, X> = X^i."""
-    return _weighted(blade_tables(j.n)[1], X) @ j
+    return _bilinear("iota", X, j)
 
 
 def lie_derivative(X: Jet, j: Jet) -> Jet:
@@ -302,10 +350,12 @@ def volume_form(mj: MetricJet, x, orientation: int = 1) -> Jet:
                                              (mj.sqrt_abs_det, mj.dsqrt, mj.ddsqrt)))
 
 
-def gram_pairing(a: Jet, b: Jet, mj: MetricJet) -> complex:
-    """Sesquilinear pairing: blades of equal degree paired by det g^{i_a j_b}."""
+def gram_pairing(a: Jet, b: Jet, mj: MetricJet):
+    """Sesquilinear pairing: blades of equal degree paired by det g^{i_a j_b};
+    one complex number per sample."""
     check_point(a.x, b.x)
-    return complex(np.conj(a.val) @ mj.compound_inverse.val @ b.val)
+    out = (np.conj(a.val)[..., None, :] @ mj.compound_inverse.val @ b.val[..., None])
+    return complex(out[..., 0, 0]) if out.ndim == 2 else out[..., 0, 0]
 
 
 @lru_cache(maxsize=None)
@@ -329,19 +379,13 @@ def hodge_star(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
     return raised.map(lambda a: a @ signs)
 
 
-def _det_sign(mj: MetricJet) -> int:
-    return 1 if mj.det > 0 else -1
-
-
 def coderivative_hodge(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
     """d* = (-1)^(n(p+1)+1) sgn(det g) * d * on degree-p input."""
     if not degrees(j):
         return Jet.constant(np.zeros(1 << j.n), j.x)
-    p = degree(j)
-    n = mj.n
-    sign = (-1) ** (n * (p + 1) + 1) * _det_sign(mj)
+    sign = (-1) ** (mj.n * (degree(j) + 1) + 1) * np.sign(mj.det)
     return hodge_star(exterior_derivative(hodge_star(j, mj, orientation)),
-                      mj, orientation) * float(sign)
+                      mj, orientation).scale(sign)
 
 
 @lru_cache(maxsize=None)
@@ -361,8 +405,8 @@ def levi_civita_exterior_connection(mj: MetricJet) -> List[Jet]:
     axis; A_a carries a 1-jet.
     """
     table = _derivation_table(mj.n)
-    val = -np.einsum("jam,mjxy->axy", mj.christoffel, table)
-    d = -np.einsum("ljam,mjxy->alxy", mj.dchristoffel, table)
+    val = -np.einsum("...jam,mjxy->a...xy", mj.christoffel, table)
+    d = -np.einsum("...ljam,mjxy->a...lxy", mj.dchristoffel, table)
     return [Jet(mj.x, val[a], d[a]) for a in range(mj.n)]
 
 
@@ -373,7 +417,7 @@ def exterior_gammas(mj: MetricJet) -> List[Jet]:
     val = eps - contract(mj.g_inv, iota)
     d = -contract(mj.dg_inv, iota)
     dd = -contract(mj.d2g_inv, iota)
-    return [Jet(mj.x, val[i], d[:, i], dd[:, :, i]) for i in range(mj.n)]
+    return [Jet(mj.x, *(a[..., i, :, :] for a in (val, d, dd))) for i in range(mj.n)]
 
 
 def covariant_derivative(j: Jet, mj: MetricJet) -> List[Jet]:
@@ -386,7 +430,7 @@ def coderivative_connection(j: Jet, mj: MetricJet) -> Jet:
     """d* = -iota(nabla) = -g^aj iota_j nabla_a, the connection route."""
     iota = blade_tables(j.n)[1]
     val, d = -contract(mj.g_inv, iota), -contract(mj.dg_inv, iota)
-    terms = [Jet(mj.x, val[a], d[:, a]) @ nab
+    terms = [Jet(mj.x, val[..., a, :, :], d[..., a, :, :]) @ nab
              for a, nab in enumerate(covariant_derivative(j, mj))]
     return sum(terms[1:], terms[0])
 

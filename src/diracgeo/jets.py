@@ -10,6 +10,15 @@ None); arithmetic intersects the available orders, which is how operator
 compositions lose one order per derivative taken.  Products follow the
 truncated Taylor rules of Griewank & Walther, *Evaluating Derivatives*, 2nd
 ed., SIAM 2008, ch. 13.
+
+Sample axis.  x may also be a stack of P points, shaped (P, n); the jet then
+holds P jets at once, one per point, with ``val`` (P, *S), ``d`` (P, n, *S)
+and ``dd`` (P, n, n, *S).  The batch shape x.shape[:-1] leads every array,
+every method takes its axis offsets from it, and one numpy call evaluates
+all samples, the way ``vmap`` batches a per-point program.  Indexing,
+``len`` and iteration address fiber axes, never samples.  A plain array
+operand is a fiber constant shared by every sample; ``scale`` multiplies
+each sample by its own number.
 """
 
 from __future__ import annotations
@@ -29,13 +38,13 @@ def check_point(x: np.ndarray, y: np.ndarray) -> None:
 
 
 def _pad(a, lead: int, k: int):
-    """Insert k unit fiber axes right after the ``lead`` derivative axes of a.
+    """Insert k unit axes right after the first ``lead`` axes of a.
 
-    numpy aligns trailing axes, so a derivative array of lower fiber rank
-    than its partner needs these axes for its derivative axes to stay in
-    front.
+    numpy aligns trailing axes, so an array of lower fiber rank than its
+    partner needs these axes for its sample and derivative axes to stay in
+    front.  With ``lead`` 0 numpy's own broadcasting does the same.
     """
-    if a is None or k <= 0:
+    if a is None or k <= 0 or lead == 0:
         return a
     return a.reshape(a.shape[:lead] + (1,) * k + a.shape[lead:])
 
@@ -44,10 +53,12 @@ class Jet:
     """2-jet at the point x of a chart, with values of any fiber shape.
 
     ``val`` has the fiber shape S, ``d`` is (n, *S) or None and ``dd`` is
-    (n, n, *S) or None, with n = len(x).  Instances are treated as immutable;
-    arithmetic allocates new arrays.  ``*``, ``/`` and ``**`` act elementwise
-    on the fiber, broadcasting like numpy; ``@`` is the fiber matrix product,
-    a 1-D fiber being a row on the left and a column on the right.
+    (n, n, *S) or None, with n = x.shape[-1]; a stack of points x (P, n)
+    puts the sample axis P in front of all three.  Instances are treated as
+    immutable; arithmetic allocates new arrays.  ``*``, ``/`` and ``**`` act
+    elementwise on the fiber, broadcasting like numpy; ``@`` is the fiber
+    matrix product, a 1-D fiber being a row on the left and a column on the
+    right.
     """
 
     __slots__ = ("x", "val", "d", "dd")
@@ -61,17 +72,23 @@ class Jet:
 
     @staticmethod
     def constant(c, x, order: int = 2) -> "Jet":
+        """The constant fiber value c at every sample of x."""
         c = np.asarray(c, dtype=complex)
-        n = len(x)
-        d = np.zeros((n,) + c.shape, dtype=complex) if order >= 1 else None
-        dd = np.zeros((n, n) + c.shape, dtype=complex) if order >= 2 else None
-        return Jet(x, c, d, dd)
+        batch, n = np.shape(x)[:-1], np.shape(x)[-1]
+        d = np.zeros(batch + (n,) + c.shape, dtype=complex) if order >= 1 else None
+        dd = np.zeros(batch + (n, n) + c.shape, dtype=complex) if order >= 2 else None
+        return Jet(x, np.broadcast_to(c, batch + c.shape) if batch else c, d, dd)
 
     # -- introspection ----------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self.x)
+        return self.x.shape[-1]
+
+    @property
+    def nb(self) -> int:
+        """Number of sample axes: 0, or 1 for a stack of points."""
+        return self.x.ndim - 1
 
     @property
     def order(self) -> int:
@@ -85,7 +102,8 @@ class Jet:
         """The jet of the k-th partial derivative (one order lower)."""
         if self.d is None:
             raise ValueError("jet carries no first-order data")
-        return Jet(self.x, self.d[k], self.dd[k] if self.dd is not None else None)
+        idx = (_ALL,) * self.nb + (k,)
+        return Jet(self.x, self.d[idx], self.dd[idx] if self.dd is not None else None)
 
     def map(self, f: Callable[[np.ndarray], np.ndarray]) -> "Jet":
         """Apply a fiber-linear map, given as f acting on the trailing fiber
@@ -93,23 +111,31 @@ class Jet:
         return Jet(self.x, f(self.val), *(None if a is None else f(a)
                                           for a in (self.d, self.dd)))
 
+    def scale(self, s) -> "Jet":
+        """Multiply each sample by its own number; s has the batch shape."""
+        s = np.asarray(s)
+        return Jet(self.x, *(None if a is None else
+                             a * s.reshape(s.shape + (1,) * (a.ndim - s.ndim))
+                             for a in (self.val, self.d, self.dd)))
+
     def conj(self) -> "Jet":
         return self.map(np.conj)
 
     def norm(self) -> float:
-        """Euclidean norm of the value."""
+        """Euclidean norm of the value, over all samples."""
         return float(np.sqrt(np.sum(np.abs(self.val) ** 2)))
 
     def __getitem__(self, idx) -> "Jet":
         """Index the fiber axes, numpy style."""
         if not isinstance(idx, tuple):
             idx = (idx,)
-        return Jet(self.x, self.val[idx],
-                   None if self.d is None else self.d[(_ALL,) + idx],
-                   None if self.dd is None else self.dd[(_ALL, _ALL) + idx])
+        lead = (_ALL,) * self.nb
+        return Jet(self.x, self.val[lead + idx],
+                   None if self.d is None else self.d[lead + (_ALL,) + idx],
+                   None if self.dd is None else self.dd[lead + (_ALL, _ALL) + idx])
 
     def __len__(self) -> int:
-        return len(self.val)
+        return self.val.shape[self.nb]
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -120,24 +146,25 @@ class Jet:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        nb = self.nb
         if isinstance(other, Jet):
             if other.x is not self.x:
                 check_point(self.x, other.x)
             k = np.ndim(self.val) - np.ndim(other.val)
             d = dd = None
             if self.d is not None and other.d is not None:
-                d = _pad(self.d, 1, -k) + _pad(other.d, 1, k)
+                d = _pad(self.d, nb + 1, -k) + _pad(other.d, nb + 1, k)
                 if self.dd is not None and other.dd is not None:
-                    dd = _pad(self.dd, 2, -k) + _pad(other.dd, 2, k)
-            return Jet(self.x, self.val + other.val, d, dd)
-        val = self.val + other
+                    dd = _pad(self.dd, nb + 2, -k) + _pad(other.dd, nb + 2, k)
+            return Jet(self.x, _pad(self.val, nb, -k) + _pad(other.val, nb, k), d, dd)
+        k = np.ndim(other) - (np.ndim(self.val) - nb)
+        val = _pad(self.val, nb, k) + other
         shape = np.shape(val)
         if shape == np.shape(self.val):
             return Jet(self.x, val, self.d, self.dd)
-        k = len(shape) - np.ndim(self.val)
-        return Jet(self.x, val, *(None if a is None else
-                                  np.broadcast_to(_pad(a, lead, k), a.shape[:lead] + shape)
-                                  for lead, a in ((1, self.d), (2, self.dd))))
+        return Jet(self.x, val, *(None if a is None else np.broadcast_to(
+            _pad(a, lead, k), a.shape[:lead] + shape[nb:])
+            for lead, a in ((nb + 1, self.d), (nb + 2, self.dd))))
 
     __radd__ = __add__
 
@@ -182,7 +209,8 @@ class Jet:
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)):
             if p == 0:
-                return Jet.constant(np.ones(np.shape(self.val)), self.x, self.order)
+                return Jet.constant(np.ones(np.shape(self.val)[self.nb:]), self.x,
+                                    self.order)
             v = self.val
             return self._chain(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
         raise TypeError("only integer powers; use jet_sqrt/jet_exp for the rest")
@@ -191,35 +219,40 @@ class Jet:
 
     def _chain(self, f, fp, fpp) -> "Jet":
         """Compose elementwise with a function given f(v), f'(v), f''(v)."""
+        nb = self.nb
         d = dd = None
         if self.d is not None:
-            d = fp * self.d
+            d = _pad(fp, nb, 1) * self.d
             if self.dd is not None:
-                dd = fpp * (self.d[:, None] * self.d[None]) + fp * self.dd
+                dd = (_pad(fpp, nb, 2) * (_pad(self.d, nb + 1, 1) * _pad(self.d, nb, 1))
+                      + _pad(fp, nb, 2) * self.dd)
         return Jet(self.x, f, d, dd)
 
 
 def _product(a, b, op) -> Jet:
     """op(a, b) for an op bilinear on the fiber (np.multiply or np.matmul),
-    by the product rule; one of a, b may be a constant array."""
+    by the product rule; one of a, b may be a constant fiber array."""
     if not isinstance(b, Jet) or not isinstance(a, Jet):
         jet, const = (a, np.asarray(b)) if isinstance(a, Jet) else (b, np.asarray(a))
-        k = const.ndim - np.ndim(jet.val)
+        nb = jet.nb
+        k = const.ndim - (np.ndim(jet.val) - nb)
         f = ((lambda t: op(t, const)) if jet is a else (lambda t: op(const, t)))
-        return Jet(jet.x, f(jet.val), *(None if t is None else f(_pad(t, lead, k))
-                                       for lead, t in ((1, jet.d), (2, jet.dd))))
+        return Jet(jet.x, *(None if t is None else f(_pad(t, lead, k)) for lead, t in
+                            ((nb, jet.val), (nb + 1, jet.d), (nb + 2, jet.dd))))
     if a.x is not b.x:
         check_point(a.x, b.x)
+    nb = a.nb
     k = np.ndim(a.val) - np.ndim(b.val)
+    av, bv = _pad(a.val, nb, -k), _pad(b.val, nb, k)
     d = dd = None
     if a.d is not None and b.d is not None:
-        ad, bd = _pad(a.d, 1, -k), _pad(b.d, 1, k)
-        d = op(ad, b.val) + op(a.val, bd)
+        ad, bd = _pad(a.d, nb + 1, -k), _pad(b.d, nb + 1, k)
+        d = op(ad, _pad(bv, nb, 1)) + op(_pad(av, nb, 1), bd)
         if a.dd is not None and b.dd is not None:
-            cross = op(ad[:, None], bd[None])
-            dd = (op(_pad(a.dd, 2, -k), b.val) + cross + cross.swapaxes(0, 1)
-                  + op(a.val, _pad(b.dd, 2, k)))
-    return Jet(a.x, op(a.val, b.val), d, dd)
+            cross = op(_pad(ad, nb + 1, 1), _pad(bd, nb, 1))
+            dd = (op(_pad(a.dd, nb + 2, -k), _pad(bv, nb, 2)) + cross
+                  + cross.swapaxes(nb, nb + 1) + op(_pad(av, nb, 2), _pad(b.dd, nb + 2, k)))
+    return Jet(a.x, op(av, bv), d, dd)
 
 
 def _matmul(a, b) -> Jet:
@@ -229,8 +262,8 @@ def _matmul(a, b) -> Jet:
         a = np.asarray(a)
     if not isinstance(b, Jet):
         b = np.asarray(b)
-    row = np.ndim(a.val if isinstance(a, Jet) else a) == 1
-    col = np.ndim(b.val if isinstance(b, Jet) else b) == 1
+    row = (a.ndim if isinstance(a, np.ndarray) else np.ndim(a.val) - a.nb) == 1
+    col = (b.ndim if isinstance(b, np.ndarray) else np.ndim(b.val) - b.nb) == 1
     if row:
         a = a[None, :]
     if col:
@@ -289,14 +322,14 @@ def jet_abs(x):
     """|x| for real-valued jets away from zero."""
     if _is_jet(x):
         s = np.where(np.real(x.val) >= 0, 1.0, -1.0)
-        return x._chain(np.abs(x.val), s, 0.0)
+        return x._chain(np.abs(x.val), s, 0.0 * s)
     return abs(x)
 
 
 def seed_point(x: Sequence[float], order: int = 2) -> Jet:
-    """The coordinate functions at x as one jet with fiber (n,), seeded for
-    differentiation: d[k, i] = delta_ki."""
+    """The coordinate functions at x (n,), or at each row of a stack (P, n), as
+    one jet with fiber (n,), seeded for differentiation: d[k, i] = delta_ki."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    return Jet(x, x, np.eye(n) if order >= 1 else None,
-               np.zeros((n, n, n)) if order >= 2 else None)
+    n = x.shape[-1]
+    return Jet(x, x, np.broadcast_to(np.eye(n), x.shape + (n,)) if order >= 1 else None,
+               np.zeros(x.shape + (n, n)) if order >= 2 else None)

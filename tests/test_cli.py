@@ -64,6 +64,19 @@ def test_verify_usage_errors_exit_two(capsys):
     assert "config" in err
 
 
+@pytest.mark.parametrize("suite", ["cartan", "hodge", "all"])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_rejects_fewer_than_one_sample(capsys, suite, samples):
+    # no sample checks nothing: cartan and hodge used to report a pass at
+    # residual 0.0, and all failed on an empty max()
+    code, out, err = _run(capsys, ["verify", "--suite", suite, "--chart",
+                                   "flat2", "--samples", samples])
+    assert code == 2 and out == ""
+    assert "at least 1" in err
+    with pytest.raises(suites.SuiteUsageError, match="at least 1"):
+        suites.run_suite(suite, chart="flat2", samples=int(samples))
+
+
 def test_verify_help_exits_zero(capsys):
     assert cli.main(["verify", "--help"]) == 0
     capsys.readouterr()

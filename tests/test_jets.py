@@ -226,3 +226,12 @@ def test_products_match_finite_differences(sa, sb, op):
         for g, w in zip(_parts(got), fd_oracle.fd_jet(fn, x)):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-7 * max(1.0, np.max(np.abs(w)))
+    # a stack of points: every sample equals the product at that point alone
+    xs = rng.uniform(-0.5, 0.5, (3, n))
+    for got, fn in ((times(fa.eval(xs), fb.eval(xs)),
+                     lambda y: times(fa.eval(y), fb.eval(y))),
+                    (times(fa.eval(xs), cb), lambda y: times(fa.eval(y), cb)),
+                    (times(ca, fb.eval(xs)), lambda y: times(ca, fb.eval(y)))):
+        for g, w in zip(_parts(got), zip(*(_parts(fn(y)) for y in xs))):
+            assert g.shape == (3,) + w[0].shape
+            assert np.max(np.abs(g - np.stack(w))) <= 1e-15 * max(1.0, np.max(np.abs(w)))

@@ -129,6 +129,13 @@ def test_jets_match_term_loop_and_finite_differences(n, degree):
         val1, d1, dd1 = f.jet(x, 1)
         assert dd1 is None and np.array_equal(d1, got[1])
         assert f.jet(x, 0)[1] is None
+        # a stack of f and 2f at a stack of points, sample by sample
+        both = (f, PolyField(n, f.exponents, 2.0 * f.coeffs))
+        xs = np.stack([x, 0.5 - x])
+        for k, parts in enumerate(zip(*PolyField.stack(both).jet(xs))):
+            for a, b in zip(parts, both[k].jet(xs[k])):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-15 * scale
     # the empty field is zero; a constant field is its coefficient, exactly
     assert not any(a.any() for a in PolyField.zero(n, (2, 2)).jet(x))
     const = PolyField(n, np.zeros((1, n), dtype=np.int64),

@@ -1,9 +1,14 @@
 """Suite registry behavior: applicability, determinism, check inventory."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from diracgeo import charts
 from diracgeo import seiberg_witten as swm
+from diracgeo.charts import registry
 from diracgeo.report import render_json
 from diracgeo.suites import (CHART_SUITES, SUITE_NAMES, SuiteUsageError,
                              run_suite)
@@ -56,6 +61,41 @@ def test_sw_suite_passes_on_the_minus_block():
     assert [c.check_id for c in rep.checks] == [
         "sw-quadratic-identity", "sw-self-dual-projector", "sw-functional-gap"]
     assert rep.passed
+
+
+def test_log_det_check_catches_a_dropped_half(monkeypatch):
+    # d_l d_k log sqrt|g| without its 1/2: the first-derivative identity
+    # still holds, its derivative does not
+    rep = run_suite("levi-civita", chart="sphere2", seed=1, samples=3)
+    assert {c.check_id: c for c in rep.checks}["levi-civita-log-det"].passed
+    init = charts.MetricJet.__init__
+
+    def mutant(self, *args):
+        init(self, *args)
+        self.ddh = 2.0 * self.ddh
+
+    monkeypatch.setattr(charts.MetricJet, "__init__", mutant)
+    for chart in ("sphere2", "poly3", "hyperbolic4"):
+        rep = run_suite("levi-civita", chart=chart, seed=1, samples=3)
+        assert not {c.check_id: c for c in rep.checks}["levi-civita-log-det"].passed
+
+
+REFERENCE = json.loads((Path(__file__).parent / "cartan_hodge_reference.json").read_text())
+
+
+@pytest.mark.parametrize("suite", ["cartan", "hodge"])
+def test_reports_match_the_per_point_reference(suite):
+    # the reference was recorded by the per-point loops the sample axis
+    # replaced: check ids and flags must agree, residuals to rounding
+    keys = [k for k in REFERENCE if k.startswith(suite + "/")]
+    assert len(keys) == 2 * len(registry())
+    for key in keys:
+        _, chart, seed = key.split("/")
+        rep = run_suite(suite, chart=chart, seed=int(seed), samples=5)
+        got = [(c.check_id, c.passed) for c in rep.checks]
+        assert got == [(cid, ok) for cid, ok, _ in REFERENCE[key]], key
+        for c, (_, _, parent) in zip(rep.checks, REFERENCE[key]):
+            assert c.max_residual <= max(10 * parent, 1e-14), (key, c.check_id)
 
 
 def test_all_suite_skips_inapplicable_subsuites():
