@@ -3,8 +3,11 @@
 Fiber objects are jets: a section is a Jet with fiber (m,), an endomorphism
 field one with fiber (m, m), a form-valued section one with fiber (2^n, m)
 and the coefficients of a superconnection one with fiber (2^n, m, m), the
-blade axis first.  Missing orders propagate through arithmetic, so operator
-compositions consume derivative orders with no truncation error.
+blade axis first.  Coordinate families are one jet with the index axis
+first: the gammas gamma^i and connection matrices A_i have fiber (n, m, m),
+the curvature F_ik fiber (n, n, m, m).  Missing orders propagate through
+arithmetic, so operator compositions consume derivative orders with no
+truncation error.
 
 Grading conventions: eta is a diagonal +-1 involution; a matrix is even when
 it commutes with eta, odd when it anticommutes. The degree-p component of a
@@ -15,10 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
+from functools import lru_cache, partial, reduce
+from itertools import combinations, permutations
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .forms import (PolyField, blade_field, exterior_derivative, exterior_gammas
                     iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
-from .jets import Jet, check_point, seed_point
+from .jets import Jet, check_point, index_contract, seed_point
 
 
 class ParityError(ValueError):
@@ -71,10 +74,11 @@ class ModuleSpec:
 
     m: int
     eta: np.ndarray
-    gamma_provider: Callable[[MetricJet], List[Jet]]
+    gamma_provider: Callable[[MetricJet], Jet]
     name: str = ""
 
-    def gammas(self, mj: MetricJet) -> List[Jet]:
+    def gammas(self, mj: MetricJet) -> Jet:
+        """The gammas c(dx^i) at mj as one jet with fiber (n, m, m)."""
         return self.gamma_provider(mj)
 
 
@@ -85,17 +89,10 @@ def exterior_module(n: int) -> ModuleSpec:
 
 def module_invariant_residual(ms: ModuleSpec, mj: MetricJet) -> float:
     """Max residual of the Clifford relation and gamma oddness."""
-    gam = ms.gammas(mj)
-    n = mj.n
-    worst = 0.0
-    ident = np.eye(ms.m)
-    for i in range(n):
-        for j in range(n):
-            acc = gam[i].val @ gam[j].val + gam[j].val @ gam[i].val
-            worst = max(worst, float(np.max(np.abs(acc + 2.0 * mj.g_inv[i, j] * ident))))
-        worst = max(worst, float(np.max(np.abs(ms.eta @ gam[i].val
-                                               + gam[i].val @ ms.eta))))
-    return worst
+    g = ms.gammas(mj).val
+    gi, gj = g[:, None], g[None]
+    anti = gi @ gj + gj @ gi + 2.0 * mj.g_inv[:, :, None, None] * np.eye(ms.m)
+    return float(np.maximum(np.max(np.abs(anti)), np.max(np.abs(ms.eta @ g + g @ ms.eta))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,32 +257,25 @@ def apply_superconnection(omega: Jet, fs: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def quantize_blade(gammas: List[Jet], mask: int, n: int, m: int) -> Jet:
+def quantize_blade(gammas: Jet, mask: int, n: int, m: int) -> Jet:
     """q(dx^I) = (1/k!) sum over permutations of sign * gamma products."""
     idx = blade_indices(mask)
     if not idx:
-        return Jet.constant(np.eye(m), gammas[0].x)
-    acc = None
-    base = list(range(len(idx)))
-    for perm in permutations(base):
-        inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                  if perm[a] > perm[b])
-        term = None
-        for pos in perm:
-            g = gammas[idx[pos]]
-            term = g if term is None else term @ g
-        term = term * float((-1) ** inv)
-        acc = term if acc is None else acc + term
-    return acc * (1.0 / factorial(len(idx)))
+        return Jet.constant(np.eye(m), gammas.x)
+    terms = [reduce(lambda t, i: t @ gammas[i], perm[1:], gammas[perm[0]])
+             * float((-1) ** sum(a > b for a, b in combinations(perm, 2)))
+             for perm in permutations(idx)]
+    return sum(terms[1:], terms[0]) * (1.0 / factorial(len(idx)))
 
 
 @dataclass
 class DiracOperatorData:
-    """First-order operator gamma^i (partial_i + A_i) + Z with coefficient jets."""
+    """First-order operator gamma^i (partial_i + A_i) + Z with coefficient jets;
+    gam and A are families with fiber (n, m, m)."""
 
     x: np.ndarray
-    gam: List[Jet]
-    A: List[Jet]
+    gam: Jet
+    A: Jet
     Z: Jet
     eta: np.ndarray
 
@@ -308,7 +298,7 @@ def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
     gam = ms.gammas(mj)
     omega = S.eval_blades(x, order=2)
     # fancy indexing copies the degree-1 blades, so A keeps no view of omega
-    A = list(omega[1 << np.arange(n)])
+    A = omega[1 << np.arange(n)]
     Z = Jet.constant(np.zeros((ms.m, ms.m)), x)
     for mask in S.blades:
         if bin(mask).count("1") != 1:
@@ -321,10 +311,7 @@ def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
         check_point(D.x, j.x)
     if j.val.shape[0] != D.m:
         raise ValueError("fiber dimension mismatch")
-    out = D.Z.val @ j.val
-    for i in range(D.n):
-        out = out + D.gam[i].val @ (j.d[i] + D.A[i].val @ j.val)
-    return out
+    return D.Z.val @ j.val + np.einsum("iab,ib->a", D.gam.val, j.d + D.A.val @ j.val)
 
 
 def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple[float, float]:
@@ -332,43 +319,39 @@ def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple[flo
     larger of D(f psi) and f D(psi) (floored at 1)."""
     t1 = apply_dirac(D, j * f)
     t2 = f.val * apply_dirac(D, j)
-    rhs = np.zeros(D.m, dtype=complex)
-    for a in range(D.n):
-        rhs += f.d[a] * (D.gam[a].val @ j.val)
+    rhs = f.d @ (D.gam.val @ j.val)
     diff = float(np.max(np.abs(t1 - t2 - rhs)))
     return diff, diff / max(1.0, float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
 
 
 def apply_dirac_jet(D: DiracOperatorData, j: Jet) -> Jet:
     """1-jet of D psi out of a 2-jet of psi (compositional squaring route)."""
-    acc = D.Z @ j
-    for i in range(D.n):
-        acc = acc + D.gam[i] @ (j.partial(i) + D.A[i] @ j)
-    return acc
+    return D.Z @ j + index_contract(D.gam, j.gradient() + D.A @ j)
+
+
+def _second_covariant(A: Jet, j: Jet):
+    """M_k psi and M_i M_k psi for M_k = partial_k + A_k on a section 2-jet,
+    indexed [k, a] and [i, k, a]."""
+    a = A.val
+    mk = j.d + a @ j.val
+    mm = (j.dd + A.d @ j.val + np.einsum("kab,ib->ika", a, j.d)
+          + np.einsum("iab,kb->ika", a, mk))
+    return mk, mm
 
 
 def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
     """Direct expansion of D^2 on an order-2 jet."""
     if j.dd is None:
         raise ValueError("dirac_square needs an order-2 section jet")
-    n, m = D.n, D.m
-    gam, A, Z = D.gam, D.A, D.Z
-    out = np.zeros(m, dtype=complex)
-    for i in range(n):
-        gi = gam[i].val
-        for k in range(n):
-            gk = gam[k].val
-            # M_i M_k psi with M = partial + A
-            term = (j.dd[i, k] + A[k].d[i] @ j.val + A[k].val @ j.d[i]
-                    + A[i].val @ (j.d[k] + A[k].val @ j.val))
-            out += gi @ (gk @ term)
-            # gamma^i (partial_i gamma^k + [A_i, gamma^k]) M_k psi
-            coeff = gam[k].d[i] + A[i].val @ gk - gk @ A[i].val
-            out += gi @ (coeff @ (j.d[k] + A[k].val @ j.val))
-        out += gi @ ((Z.d[i] + A[i].val @ Z.val - Z.val @ A[i].val) @ j.val)
-        out += (gi @ Z.val + Z.val @ gi) @ (j.d[i] + A[i].val @ j.val)
-    out += Z.val @ (Z.val @ j.val)
-    return out
+    g, a, Z = D.gam.val, D.A.val, D.Z.val
+    mk, mm = _second_covariant(D.A, j)
+    # gamma^i applied to gamma^k M_i M_k psi, to (partial_i gamma^k + [A_i,
+    # gamma^k]) M_k psi and to (partial_i Z + [A_i, Z]) psi
+    coeff = D.gam.d + _commutator(a[:, None], g[None])
+    inner = (np.einsum("kab,ikb->ia", g, mm) + np.einsum("ikab,kb->ia", coeff, mk)
+             + (D.Z.d + _commutator(a, Z)) @ j.val)
+    return (np.einsum("iab,ib->a", g, inner) + np.einsum("iab,ib->a", g @ Z + Z @ g, mk)
+            + Z @ (Z @ j.val))
 
 
 # ---------------------------------------------------------------------------
@@ -376,33 +359,19 @@ def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def canonical_laplacian(A: List[Jet], mj: MetricJet, j: Jet,
+def canonical_laplacian(A: Jet, mj: MetricJet, j: Jet,
                         route: str = "local") -> np.ndarray:
     """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a section 2-jet."""
-    gamma = mj.christoffel
-    n = mj.n
     if route == "local":
-        out = np.zeros(j.val.shape, dtype=complex)
-        for i in range(n):
-            for k in range(n):
-                term = (j.dd[i, k] + A[k].d[i] @ j.val + A[k].val @ j.d[i]
-                        + A[i].val @ (j.d[k] + A[k].val @ j.val))
-                for l in range(n):
-                    term = term - gamma[l, i, k] * (j.d[l] + A[l].val @ j.val)
-                out += mj.g_inv[i, k] * term
-        return -out
+        mk, mm = _second_covariant(A, j)
+        return -(np.einsum("ik,ika->a", mj.g_inv, mm) - _trace_gamma(mj) @ mk)
     if route == "trace":
-        # materialize eta_k = nabla_k psi as 1-jets, apply the tensor-bundle
-        # connection, contract with -g
-        etas = [j.partial(k) + A[k] @ j for k in range(n)]
-        out = np.zeros(j.val.shape, dtype=complex)
-        for i in range(n):
-            for k in range(n):
-                cov = etas[k].partial(i).val + A[i].val @ etas[k].val
-                for l in range(n):
-                    cov = cov - gamma[l, i, k] * etas[l].val
-                out += mj.g_inv[i, k] * cov
-        return -out
+        # materialize eta_k = nabla_k psi as a 1-jet family, apply the
+        # tensor-bundle connection, contract with -g
+        eta = j.gradient() + A @ j
+        cov = (eta.d + np.einsum("iab,kb->ika", A.val, eta.val)
+               - np.einsum("lik,la->ika", mj.christoffel, eta.val))
+        return -np.einsum("ik,ika->a", mj.g_inv, cov)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -420,25 +389,26 @@ def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
         probe = Jet.constant(np.ones(m), x)
     coords = seed_point(x)
     h_0 = apply_h(probe)
-    h_coord = [apply_h(probe * c) for c in coords]
+    h_coord = np.array([apply_h(probe * c) for c in coords])
     # x^k x^l is symmetric in (k, l): one operator call per unordered pair
-    h_pair = {(k, l): apply_h(probe * (coords[k] * coords[l]))
-              for k in range(n) for l in range(k, n)}
-    worst = 0.0
-    for k in range(n):
-        for l in range(n):
-            h_fg = h_pair[min(k, l), max(k, l)]
-            h_f, h_g = h_coord[k], h_coord[l]
-            comm = (h_fg - float(x[l]) * h_f - float(x[k]) * h_g
-                    + float(x[k] * x[l]) * h_0)
-            resid = comm + 2.0 * mj.g_inv[k, l] * probe.val
-            scale = max(1.0,
-                        float(np.max(np.abs(h_fg))),
-                        abs(float(x[l])) * float(np.max(np.abs(h_f))),
-                        abs(float(x[k])) * float(np.max(np.abs(h_g))),
-                        abs(float(x[k] * x[l])) * float(np.max(np.abs(h_0))))
-            worst = max(worst, float(np.max(np.abs(resid))) / scale)
-    return worst
+    upper = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=int)
+    pair[upper] = pair[upper[::-1]] = np.arange(len(upper[0]))
+    h_fg = np.array([apply_h(probe * (coords[k] * coords[l]))
+                     for k, l in zip(*upper)])[pair]
+    # indexed [k, l, a] with f = x^k, g = x^l
+    h_f, h_g = h_coord[:, None], h_coord[None]
+    xk, xl = x[:, None, None], x[None, :, None]
+    resid = (h_fg - xl * h_f - xk * h_g + xk * xl * h_0
+             + 2.0 * mj.g_inv[:, :, None] * probe.val)
+
+    def peak(a):
+        return np.max(np.abs(a), axis=-1, keepdims=True)
+
+    scale = np.maximum(1.0, np.maximum.reduce([
+        peak(h_fg), np.abs(xl) * peak(h_f), np.abs(xk) * peak(h_g),
+        np.abs(xk * xl) * peak(h_0)]))
+    return float(np.max(np.abs(resid) / scale))
 
 
 @dataclass
@@ -446,67 +416,58 @@ class LaplacianData:
     """Second-order operator as a black box plus coefficient jets.
 
     The operator is H = S^ik partial_i partial_k + T^k partial_k + U with
-    S^ik = -g^ik id enforced by the Laplacian test; T carries 1-jets so the
-    decomposition can reach the derivative of the recovered connection.
+    S^ik = -g^ik id enforced by the Laplacian test; T carries 1-jets, fiber
+    (n, m, m), so the decomposition can reach the derivative of the
+    recovered connection.
     """
 
     n: int
     m: int
     x: np.ndarray
     apply: Callable[[Jet], np.ndarray]
-    T: List[Jet]
+    T: Jet
     U: np.ndarray
 
 
-def laplacian_from_connection(A: List[Jet], F: np.ndarray,
+def _trace_gamma(mj: MetricJet) -> np.ndarray:
+    """g^ij Gamma^k_ij, indexed [k]."""
+    return np.einsum("ij,kij->k", mj.g_inv, mj.christoffel)
+
+
+def _trace_gamma_jet(mj: MetricJet, m: int) -> Jet:
+    """The 1-jet of g^ij Gamma^k_ij id, fiber (n, m, m)."""
+    d = (np.einsum("lij,kij->lk", mj.dg_inv, mj.christoffel)
+         + np.einsum("ij,lkij->lk", mj.g_inv, mj.dchristoffel))
+    return Jet(mj.x, *(a[..., None, None] * np.eye(m) for a in (_trace_gamma(mj), d)))
+
+
+def _lower_index(metric: Jet, family: Jet) -> Jet:
+    """sum_k metric[i, k] family[k] for a family of matrices, as one product."""
+    m = family.val.shape[-1]
+    flat = family.map(lambda a: a.reshape(a.shape[:-2] + (m * m,)))
+    return (metric @ flat).map(lambda a: a.reshape(a.shape[:-1] + (m, m)))
+
+
+def laplacian_from_connection(A: Jet, F: np.ndarray,
                               mj: MetricJet, x) -> LaplacianData:
     """H = canonical Laplacian of A plus zero-order F."""
-    gamma = mj.christoffel
-    n = mj.n
     m = F.shape[0]
     x = np.asarray(x, dtype=float)
 
     def apply_h(j: Jet) -> np.ndarray:
         return canonical_laplacian(A, mj, j) + F @ j.val
 
-    dtrg = _d_trace_gamma(mj)
-    T = []
-    for k in range(n):
-        val = np.zeros((m, m), dtype=complex)
-        d = np.zeros((n, m, m), dtype=complex)
-        for i in range(n):
-            val -= 2.0 * mj.g_inv[i, k] * A[i].val
-            d -= 2.0 * np.einsum("l,ab->lab", mj.dg_inv[:, i, k].astype(complex),
-                                 A[i].val)
-            d -= 2.0 * mj.g_inv[i, k] * A[i].d
-            for j_ in range(n):
-                val += mj.g_inv[i, j_] * gamma[k, i, j_] * np.eye(m)
-        # derivative of the scalar g^ij Gamma^k_ij part
-        d += np.einsum("l,ab->lab", dtrg[:, k].astype(complex), np.eye(m))
-        T.append(Jet(x, val, d))
+    # T^k = -2 g^ik A_i + g^ij Gamma^k_ij id
+    T = _lower_index(Jet(x, mj.g_inv, mj.dg_inv), A) * -2.0 + _trace_gamma_jet(mj, m)
     U = _zero_order_of_connection(A, mj) + F.astype(complex)
-    return LaplacianData(n, m, x, apply_h, T, U)
+    return LaplacianData(mj.n, m, x, apply_h, T, U)
 
 
-def _d_trace_gamma(mj: MetricJet) -> np.ndarray:
-    """partial_l of g^ij Gamma^k_ij, indexed [l, k]."""
-    return (np.einsum("lij,kij->lk", mj.dg_inv, mj.christoffel)
-            + np.einsum("ij,lkij->lk", mj.g_inv, mj.dchristoffel))
-
-
-def _zero_order_of_connection(A: List[Jet], mj: MetricJet) -> np.ndarray:
+def _zero_order_of_connection(A: Jet, mj: MetricJet) -> np.ndarray:
     """Zero-order block of the canonical Laplacian itself."""
-    gamma = mj.christoffel
-    n = mj.n
-    m = A[0].val.shape[0]
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            term = A[k].d[i] + A[i].val @ A[k].val
-            for l in range(n):
-                term = term - gamma[l, i, k] * A[l].val
-            out -= mj.g_inv[i, k] * term
-    return out
+    a = A.val
+    term = A.d + a[:, None] @ a[None] - np.einsum("lik,lab->ikab", mj.christoffel, a)
+    return -np.einsum("ik,ikab->ab", mj.g_inv, term)
 
 
 def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
@@ -519,55 +480,29 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
       T^k = g^k g^i A_i + g^i g^k A_i + g^i (d_i g^k + [A_i, g^k])
           + g^k Z + Z g^k.
     """
-    n, m = D.n, D.m
-    gam, A, Z = D.gam, D.A, D.Z
-
-    def apply_h(j: Jet) -> np.ndarray:
-        return dirac_square(D, j)
-
+    g, a, Z = D.gam.val, D.A.val, D.Z.val
     # T is read to first order only, so its products run on 1-jets
     def first_order(f: Jet) -> Jet:
         return Jet(f.x, f.val, f.d)
 
-    g1, A1, Z1 = [first_order(g) for g in gam], [first_order(a) for a in A], first_order(Z)
-    T = []
-    for k in range(n):
-        acc = (g1[k] @ Z1) + (Z1 @ g1[k])
-        for i in range(n):
-            acc = acc + (g1[k] @ g1[i] @ A1[i]) + (g1[i] @ g1[k] @ A1[i])
-            acc = acc + g1[i] @ (gam[k].partial(i) + _commutator(A1[i], g1[k]))
-        T.append(acc)
-    U = Z.val @ Z.val
-    for i in range(n):
-        U += gam[i].val @ (Z.d[i] + _commutator(A[i].val, Z.val))
-        U += (gam[i].val @ Z.val + Z.val @ gam[i].val) @ A[i].val
-        for j_ in range(n):
-            U += gam[i].val @ gam[j_].val @ (A[j_].d[i] + A[i].val @ A[j_].val)
-            U += (gam[i].val @ (gam[j_].d[i] + _commutator(A[i].val, gam[j_].val))
-                  @ A[j_].val)
-    return LaplacianData(n, m, np.asarray(D.x, dtype=float), apply_h, T, U)
+    g1, A1, Z1 = first_order(D.gam), first_order(D.A), first_order(D.Z)
+    gi, gk, Ai = g1[:, None], g1[None], A1[:, None]
+    T = (g1 @ Z1 + Z1 @ g1 + g1 @ (g1 @ A1).sum()
+         + (gi @ (gk @ Ai + D.gam.gradient() + _commutator(Ai, gk))).sum())
+    # U: the same expansion with every derivative of the section dropped
+    coeff = D.gam.d + _commutator(a[:, None], g[None])
+    inner = ((g[None] @ (D.A.d + a[:, None] @ a[None]) + coeff @ a[None]).sum(axis=1)
+             + D.Z.d + _commutator(a, Z))
+    U = Z @ Z + (g @ inner).sum(axis=0) + ((g @ Z + Z @ g) @ a).sum(axis=0)
+    return LaplacianData(D.n, D.m, np.asarray(D.x, dtype=float), partial(dirac_square, D),
+                         T, U)
 
 
 def laplacian_decompose(L: LaplacianData, mj: MetricJet):
-    """Recover (A_i with 1-jets, F) from coefficient jets per the probe family."""
-    n, m = L.n, L.m
-    trg = np.einsum("ij,kij->k", mj.g_inv, mj.christoffel)
-    dtrg = _d_trace_gamma(mj)
-    A = []
-    for i in range(n):
-        val = np.zeros((m, m), dtype=complex)
-        d = np.zeros((n, m, m), dtype=complex)
-        for k in range(n):
-            diff_val = trg[k] * np.eye(m) - L.T[k].val
-            diff_d = (np.einsum("l,ab->lab", dtrg[:, k].astype(complex), np.eye(m))
-                      - L.T[k].d)
-            val += 0.5 * mj.g[i, k] * diff_val
-            d += 0.5 * (np.einsum("l,ab->lab", mj.dg[:, i, k].astype(complex),
-                                  diff_val) + mj.g[i, k] * diff_d)
-        A.append(Jet(L.x, val, d))
-    u_conn = _zero_order_of_connection(A, mj)
-    F = L.U - u_conn
-    return A, F
+    """Recover (A_i with 1-jets, fiber (n, m, m), and F) from the coefficient
+    jets per the probe family: A_i = g_ik (g^jl Gamma^k_jl - T^k) / 2."""
+    A = _lower_index(Jet(L.x, mj.g, mj.dg), _trace_gamma_jet(mj, L.m) - L.T) * 0.5
+    return A, L.U - _zero_order_of_connection(A, mj)
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +514,11 @@ def _commutator(a, b):
     return a @ b - b @ a
 
 
-def connection_curvature(A: List[Jet]) -> np.ndarray:
-    """F_ik = partial_i A_k - partial_k A_i + [A_i, A_k] as matrix jets."""
-    n = len(A)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for k in range(n):
-            out[i, k] = A[k].partial(i) - A[i].partial(k) + _commutator(A[i], A[k])
-    return out
+def connection_curvature(A: Jet) -> Jet:
+    """F_ik = partial_i A_k - partial_k A_i + [A_i, A_k], fiber (n, n, m, m)."""
+    dA = A.gradient()
+    return (dA - dA.map(lambda t: np.swapaxes(t, -4, -3))
+            + _commutator(A[:, None], A[None]))
 
 
 def superconnection_curvature(S: SuperconnectionData, x) -> Jet:
@@ -607,30 +539,17 @@ def apply_form_endomorphism(F: Jet, fs: Jet) -> Jet:
     return _graded_product(F, fs[..., None], 0)[..., 0]
 
 
-def twisting_curvature(FE: np.ndarray, lowered: np.ndarray,
-                       gammas: List[Jet], tol: float = 1e-9):
-    """F^tw_ik = F^E_ik - c(S_ik), S_ik = -1/4 lowered[k,l,i,k'] dx^k dx^l.
+def twisting_curvature(FE: Jet, lowered: np.ndarray, gammas: Jet, tol: float = 1e-9):
+    """F^tw_ik = F^E_ik - c(S_ik), S_ik = -1/4 lowered[k,l,i,k'] dx^k dx^l,
+    returned with fiber axes [i, k, a, b].
 
     Raises CliffordConnectionError when the result fails to supercommute
     with every gamma (the input connection was not a Clifford connection).
     """
-    n = len(gammas)
-    m = gammas[0].val.shape[0]
-    ftw = np.empty((n, n), dtype=object)
-    scale = float(np.max(np.abs(lowered))) + max(
-        float(np.max(np.abs(FE[i, k].val))) for i in range(n) for k in range(n))
-    worst = 0.0
-    for i in range(n):
-        for k in range(n):
-            cs = np.zeros((m, m), dtype=complex)
-            for a in range(n):
-                for b in range(n):
-                    cs += -0.25 * lowered[a, b, i, k] * (gammas[a].val @ gammas[b].val)
-            val = FE[i, k].val - cs
-            ftw[i, k] = val
-            for g in gammas:
-                comm = val @ g.val - g.val @ val
-                worst = max(worst, float(np.max(np.abs(comm))))
+    g = gammas.val
+    ftw = FE.val + 0.25 * np.einsum("abik,abxy->ikxy", lowered, g[:, None] @ g[None])
+    scale = float(np.max(np.abs(lowered))) + float(np.max(np.abs(FE.val)))
+    worst = float(np.max(np.abs(_commutator(ftw[:, :, None], g))))
     if worst > tol * max(1.0, scale):
         raise CliffordConnectionError(
             f"twisting curvature fails to supercommute with the Clifford action "
@@ -643,6 +562,12 @@ def twisting_curvature(FE: np.ndarray, lowered: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _lowered_gammas(mj: MetricJet, ms: ModuleSpec) -> tuple:
+    """The gammas gamma^i and their lowered family g_ij gamma^j, both (n, m, m)."""
+    g = ms.gammas(mj).val
+    return g, np.einsum("ij,jab->iab", mj.g, g)
+
+
 def kernel_projector(mj: MetricJet, ms: ModuleSpec):
     """Maps (c, b, p) with c(b(phi)) = phi and p = b c a projector of rank m.
 
@@ -650,28 +575,16 @@ def kernel_projector(mj: MetricJet, ms: ModuleSpec):
     b: E -> T*M (x) E is phi -> -(1/n) dx^i (x) g_ij gamma^j phi.
     """
     n, m = mj.n, ms.m
-    gam = ms.gammas(mj)
-    c = np.zeros((m, n * m), dtype=complex)
-    b = np.zeros((n * m, m), dtype=complex)
-    for i in range(n):
-        c[:, i * m:(i + 1) * m] = gam[i].val
-        blk = np.zeros((m, m), dtype=complex)
-        for j in range(n):
-            blk += mj.g[i, j] * gam[j].val
-        b[i * m:(i + 1) * m, :] = -blk / n
-    p = b @ c
-    return c, b, p
+    g, low = _lowered_gammas(mj, ms)
+    c = np.swapaxes(g, 0, 1).reshape(m, n * m)
+    b = -low.reshape(n * m, m) / n
+    return c, b, b @ c
 
 
 def clifford_of_metric(mj: MetricJet, ms: ModuleSpec) -> np.ndarray:
     """c(omega) for omega = g_ij dx^i dx^j; equals -n times the identity."""
-    gam = ms.gammas(mj)
-    n, m = mj.n, ms.m
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out += mj.g[i, j] * (gam[i].val @ gam[j].val)
-    return out
+    g, low = _lowered_gammas(mj, ms)
+    return (g @ low).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +595,8 @@ def clifford_of_metric(mj: MetricJet, ms: ModuleSpec) -> np.ndarray:
 def is_special_superconnection(S: SuperconnectionData, points: Sequence,
                                tol: float = 1e-12):
     """True iff every degree >= 2 component vanishes at all sample points."""
-    worst = 0.0
-    for mask, pm in S.blades.items():
-        if bin(mask).count("1") < 2:
-            continue
-        for x in points:
-            mjet = pm.eval(x, order=0)
-            worst = max(worst, float(np.max(np.abs(mjet.val))))
+    omega = S.eval_blades(np.asarray(points, dtype=float).reshape(-1, S.n), order=0)
+    worst = float(np.max(np.abs(omega.val[:, grades(S.n) >= 2]), initial=0.0))
     return worst <= tol, worst
 
 

@@ -89,16 +89,7 @@ def divergence_via_density(mj: MetricJet, x_val: np.ndarray, dx_val: np.ndarray)
 def divergence_via_connection(mj: MetricJet, gamma: np.ndarray,
                               x_val: np.ndarray, dx_val: np.ndarray) -> complex:
     """div X as the contraction iota(nabla X) = d_i X^i + Gamma^i_ia X^a."""
-    s = complex(np.trace(dx_val))
-    for i in range(mj.n):
-        for a in range(mj.n):
-            s += gamma[i, i, a] * x_val[a]
-    return s
-
-
-def volume_coefficient(mj: MetricJet, orientation: int = 1) -> float:
-    """Coefficient of dx^1 ^ ... ^ dx^n in the metric volume form."""
-    return orientation * mj.sqrt_abs_det
+    return complex(np.trace(dx_val) + np.einsum("iia,a->", gamma, x_val))
 
 
 def log_det_identity_residual(mj: MetricJet, gamma: np.ndarray) -> float:

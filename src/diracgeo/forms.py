@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iterproduct
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .charts import MetricJet
 from .clifford import blade_tables, contract, grades, reorder_sign, wedge_table
-from .jets import Jet, check_point
+from .jets import Jet, check_point, index_contract
 
 
 class JetOrderError(ValueError):
@@ -313,23 +313,9 @@ def lie_derivative(X: Jet, j: Jet) -> Jet:
     return exterior_derivative(iota_vector(X, j)) + iota_vector(X, exterior_derivative(j))
 
 
-def _gradient(X: Jet) -> Jet:
-    """The jet of the derivatives d[k, ...] of X, fiber (n, *S), one order lower."""
-    if X.d is None:
-        raise JetOrderError("gradient needs an order >= 1 jet")
-    return Jet(X.x, X.d, X.dd)
-
-
 def vector_bracket(X: Jet, Y: Jet) -> Jet:
     """[X, Y]^i = X^a d_a Y^i - Y^a d_a X^i."""
-    return X @ _gradient(Y) - Y @ _gradient(X)
-
-
-def pair_vector_form(X: Jet, v: Jet) -> Jet:
-    """<X, v> for a 1-form jet v."""
-    if not degrees(v) <= {1}:
-        raise DegreeError("pairing defined against 1-forms")
-    return X @ v[1 << np.arange(v.n)]
+    return X @ Y.gradient() - Y @ X.gradient()
 
 
 # ---------------------------------------------------------------------------
@@ -397,49 +383,45 @@ def _derivation_table(n: int) -> np.ndarray:
     return out
 
 
-def levi_civita_exterior_connection(mj: MetricJet) -> List[Jet]:
-    """Connection matrices A_a of the Levi-Civita derivative on form coefficients.
+def levi_civita_exterior_connection(mj: MetricJet) -> Jet:
+    """Connection matrices A_a of the Levi-Civita derivative on form coefficients,
+    one 1-jet with fiber (n, 2^n, 2^n).
 
     nabla_a dx^j = -Gamma^j_am dx^m extends to forms as the derivation
     A_a = -Gamma^j_am eps_m iota_j, so nabla_a = partial_a + A_a on the blade
-    axis; A_a carries a 1-jet.
+    axis.
     """
     table = _derivation_table(mj.n)
-    val = -np.einsum("...jam,mjxy->a...xy", mj.christoffel, table)
-    d = -np.einsum("...ljam,mjxy->a...lxy", mj.dchristoffel, table)
-    return [Jet(mj.x, val[a], d[a]) for a in range(mj.n)]
+    return Jet(mj.x, -np.einsum("...jam,mjxy->...axy", mj.christoffel, table),
+               -np.einsum("...ljam,mjxy->...laxy", mj.dchristoffel, table))
 
 
-def exterior_gammas(mj: MetricJet) -> List[Jet]:
-    """Clifford action c(dx^i) = eps_i - g^ij iota_j on the blade axis, with
-    the exact jets of g^-1."""
-    eps, iota = blade_tables(mj.n)
-    val = eps - contract(mj.g_inv, iota)
-    d = -contract(mj.dg_inv, iota)
-    dd = -contract(mj.d2g_inv, iota)
-    return [Jet(mj.x, *(a[..., i, :, :] for a in (val, d, dd))) for i in range(mj.n)]
+def _raised_iota(mj: MetricJet) -> Jet:
+    """g^ij iota_j with the exact jets of g^-1, fiber (n, 2^n, 2^n)."""
+    iota = blade_tables(mj.n)[1]
+    return Jet(mj.x, *(contract(a, iota) for a in (mj.g_inv, mj.dg_inv, mj.d2g_inv)))
 
 
-def covariant_derivative(j: Jet, mj: MetricJet) -> List[Jet]:
-    """Levi-Civita nabla_a = partial_a + A_a of a form jet, one jet per direction a."""
-    return [j.partial(a) + A @ j
-            for a, A in enumerate(levi_civita_exterior_connection(mj))]
+def exterior_gammas(mj: MetricJet) -> Jet:
+    """Clifford action c(dx^i) = eps_i - g^ij iota_j on the blade axis: one
+    2-jet with fiber (n, 2^n, 2^n)."""
+    return blade_tables(mj.n)[0] - _raised_iota(mj)
+
+
+def covariant_derivative(j: Jet, mj: MetricJet) -> Jet:
+    """Levi-Civita nabla_a = partial_a + A_a of a form jet, the direction a
+    on the first fiber axis."""
+    return j.gradient() + levi_civita_exterior_connection(mj) @ j
 
 
 def coderivative_connection(j: Jet, mj: MetricJet) -> Jet:
     """d* = -iota(nabla) = -g^aj iota_j nabla_a, the connection route."""
-    iota = blade_tables(j.n)[1]
-    val, d = -contract(mj.g_inv, iota), -contract(mj.dg_inv, iota)
-    terms = [Jet(mj.x, val[..., a, :, :], d[..., a, :, :]) @ nab
-             for a, nab in enumerate(covariant_derivative(j, mj))]
-    return sum(terms[1:], terms[0])
+    return -index_contract(_raised_iota(mj), covariant_derivative(j, mj))
 
 
 def forms_dirac(j: Jet, mj: MetricJet) -> Jet:
     """c(dx^a) nabla_a with the Clifford action c = epsilon - iota."""
-    terms = [gam @ nab
-             for gam, nab in zip(exterior_gammas(mj), covariant_derivative(j, mj))]
-    return sum(terms[1:], terms[0])
+    return index_contract(exterior_gammas(mj), covariant_derivative(j, mj))
 
 
 def laplace_beltrami(f: Jet, mj: MetricJet) -> complex:

@@ -19,6 +19,12 @@ all samples, the way ``vmap`` batches a per-point program.  Indexing,
 ``len`` and iteration address fiber axes, never samples.  A plain array
 operand is a fiber constant shared by every sample; ``scale`` multiplies
 each sample by its own number.
+
+Index axis.  A coordinate-indexed family (the gammas c(dx^i), connection
+matrices A_i, curvatures F_ik) is one jet whose first fiber axes are the
+coordinate indices: fiber (n, m, m), or (n, n, m, m) for F_ik.  ``fam[i]``
+is member i, ``len`` and iteration run over the members, ``sum`` contracts
+the index, and products broadcast over it like numpy's.
 """
 
 from __future__ import annotations
@@ -105,6 +111,13 @@ class Jet:
         idx = (_ALL,) * self.nb + (k,)
         return Jet(self.x, self.d[idx], self.dd[idx] if self.dd is not None else None)
 
+    def gradient(self) -> "Jet":
+        """The jet of all partial derivatives, one order lower: a family with
+        fiber (n, *S) whose slot k is the k-th partial."""
+        if self.d is None:
+            raise ValueError("jet carries no first-order data")
+        return Jet(self.x, self.d, self.dd)
+
     def map(self, f: Callable[[np.ndarray], np.ndarray]) -> "Jet":
         """Apply a fiber-linear map, given as f acting on the trailing fiber
         axes of an array with any leading axes, to every order."""
@@ -117,6 +130,11 @@ class Jet:
         return Jet(self.x, *(None if a is None else
                              a * s.reshape(s.shape + (1,) * (a.ndim - s.ndim))
                              for a in (self.val, self.d, self.dd)))
+
+    def sum(self) -> "Jet":
+        """Sum over the first fiber axis: contracts the index of a family."""
+        r = np.ndim(self.val) - self.nb
+        return self.map(lambda a: a.sum(axis=-r))
 
     def conj(self) -> "Jet":
         return self.map(np.conj)
@@ -276,6 +294,12 @@ def _matmul(a, b) -> Jet:
     return out
 
 
+def index_contract(family: Jet, v: Jet) -> Jet:
+    """sum_i M_i v_i for a family of matrices M, fiber (n, p, q), and a family
+    of vectors v, fiber (n, q): one product summed over the index axis."""
+    return (family @ v[..., None])[..., 0].sum()
+
+
 # -- lifted scalar functions (work on plain numbers and on jets) -----------
 
 
@@ -316,14 +340,6 @@ def jet_cos(x):
         s, c = np.sin(x.val), np.cos(x.val)
         return x._chain(c, -s, -c)
     return np.cos(x)
-
-
-def jet_abs(x):
-    """|x| for real-valued jets away from zero."""
-    if _is_jet(x):
-        s = np.where(np.real(x.val) >= 0, 1.0, -1.0)
-        return x._chain(np.abs(x.val), s, 0.0 * s)
-    return abs(x)
 
 
 def seed_point(x: Sequence[float], order: int = 2) -> Jet:

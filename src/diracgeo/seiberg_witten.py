@@ -190,11 +190,6 @@ def block_part(f: np.ndarray, block: str) -> np.ndarray:
     return out
 
 
-def self_dual_part(f: np.ndarray) -> np.ndarray:
-    """(F + star F) / 2 for an antisymmetric 2-form array on flat R^4."""
-    return block_part(f, "+")
-
-
 def quadratic_form(psi: np.ndarray) -> np.ndarray:
     """Q[j, k] = -<psi, G_j G_k psi> / 4 on ordered pairs, antisymmetrized."""
     q = np.zeros((N_DIM, N_DIM), dtype=complex)

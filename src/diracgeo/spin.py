@@ -3,18 +3,21 @@
 The spinor fiber is the exterior algebra of C^(n/2) with gamma matrices built
 from creation/annihilation operators; coordinate gammas come from an
 orthonormal frame, so everything reduces to the bundle machinery with
-m = 2^(n/2).
+m = 2^(n/2).  The coordinate gammas c(dx^a) and the connection matrices
+Omega_a are each one jet with the index a on the first fiber axis, fiber
+(n, m, m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional
 
 import numpy as np
 
 from .bundles import (DiracOperatorData, ModuleSpec, apply_dirac,
-                      canonical_laplacian, dirac_square, quantize_blade)
+                      canonical_laplacian, dirac_square)
 from .charts import Chart, MetricJet
 from .clifford import blade_tables, contract
 from .curvature import curvature_data
@@ -36,7 +39,6 @@ def _sylvester_sqrt(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
 
     First and second derivatives solve S' S + S S' = g' in the eigenbasis.
     """
-    n = g.shape[0]
     w, v = np.linalg.eigh(g)
     if np.min(w) <= 0:
         raise SpinSignatureError("metric is not positive definite at the point")
@@ -47,21 +49,10 @@ def _sylvester_sqrt(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
     def solve(rhs: np.ndarray) -> np.ndarray:
         return v @ ((v.T @ rhs @ v) / denom) @ v.T
 
-    ds = np.array([solve(dg[l]) for l in range(n)])
-    dds = np.array([[solve(d2g[k, l] - ds[l] @ ds[k] - ds[k] @ ds[l])
-                     for l in range(n)] for k in range(n)])
+    ds = solve(dg)
+    # [k, l]: d_k d_l g - d_l S d_k S - d_k S d_l S
+    dds = solve(d2g - ds[None] @ ds[:, None] - ds[:, None] @ ds[None])
     return s, ds, dds
-
-
-def _inverse_jets(s: np.ndarray, ds: np.ndarray, dds: np.ndarray):
-    n = s.shape[0]
-    si = np.linalg.inv(s)
-    dsi = np.array([-si @ ds[l] @ si for l in range(n)])
-    ddsi = np.array([[(-si @ dds[k, l] @ si
-                       + si @ ds[k] @ si @ ds[l] @ si
-                       + si @ ds[l] @ si @ ds[k] @ si)
-                      for l in range(n)] for k in range(n)])
-    return si, dsi, ddsi
 
 
 @dataclass
@@ -86,9 +77,9 @@ def build_frame_from_metric(mj: MetricJet) -> FrameField:
         raise SpinSignatureError(
             f"chart {chart.name!r} is indefinite; frames exist here only in the "
             f"conformal closed form")
-    s, ds, dds = _sylvester_sqrt(mj.g, mj.dg, mj.d2g)
-    si, dsi, ddsi = _inverse_jets(s, ds, dds)
-    return FrameField(chart, mj.x, Jet(mj.x, s, ds, dds), Jet(mj.x, si, dsi, ddsi))
+    sqrt = Jet(mj.x, *_sylvester_sqrt(mj.g, mj.dg, mj.d2g))
+    # S commutes with g = S S, so S^-1 = S g^-1
+    return FrameField(chart, mj.x, sqrt, sqrt @ Jet(mj.x, mj.g_inv, mj.dg_inv, mj.d2g_inv))
 
 
 def frame_invariant_residual(frame: FrameField, mj: MetricJet) -> float:
@@ -119,10 +110,10 @@ class SpinModuleData:
         d = np.real(np.diag(self.chirality))
         return [i for i in range(self.dim) if d[i] > 0]
 
-    def coordinate_gammas(self, frame: FrameField) -> List[Jet]:
-        """c(dx^k) = sum_i <e_i, dx^k> Gamma_i with jets from the frame."""
-        gam = frame.inv.map(lambda a: contract(np.swapaxes(a, -1, -2), self.gammas))
-        return list(gam)
+    def coordinate_gammas(self, frame: FrameField) -> Jet:
+        """c(dx^k) = sum_i <e_i, dx^k> Gamma_i with jets from the frame, fiber
+        (n, dim, dim)."""
+        return frame.inv.map(lambda a: contract(np.swapaxes(a, -1, -2), self.gammas))
 
 
 def spin_module_data(n: int) -> SpinModuleData:
@@ -134,10 +125,9 @@ def spin_module_data(n: int) -> SpinModuleData:
     gammas[0::2] = cot - eps
     gammas[1::2] = 1j * (cot + eps)
     dim = 1 << half
-    chi = np.eye(dim, dtype=complex) * (-1.0) ** half
-    for k in range(half):
-        number = eps[k] @ cot[k]
-        chi = chi @ (np.eye(dim) - 2.0 * number)
+    # (-1)^half times the product over modes k of 1 - 2 N_k, N_k = eps_k cot_k
+    chi = reduce(np.matmul, np.eye(dim) - 2.0 * (eps @ cot),
+                 np.eye(dim, dtype=complex) * (-1.0) ** half)
     return SpinModuleData(n, dim, gammas, chi)
 
 
@@ -145,25 +135,10 @@ def spin_module(n: int) -> ModuleSpec:
     """Bundle-level module spec whose gammas come from the metric square root."""
     smd = spin_module_data(n)
 
-    def provider(mj: MetricJet) -> List[Jet]:
+    def provider(mj: MetricJet) -> Jet:
         return smd.coordinate_gammas(build_frame_from_metric(mj))
 
     return ModuleSpec(smd.dim, smd.chirality, provider, name=f"spin{n}")
-
-
-def twisted_spin_module(n: int, p: int) -> ModuleSpec:
-    """Spinors tensored with a rank-p factor: gammas (x) identity."""
-    smd = spin_module_data(n)
-    ident = np.eye(p, dtype=complex)
-
-    def provider(mj: MetricJet) -> List[Jet]:
-        # np.kron prepends unit axes to the identity, so the derivative axes
-        # of each order pass through
-        return [g.map(lambda a: np.kron(a, ident))
-                for g in smd.coordinate_gammas(build_frame_from_metric(mj))]
-
-    return ModuleSpec(smd.dim * p, np.kron(smd.chirality, ident), provider,
-                      name=f"spin{n}x{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +146,19 @@ def twisted_spin_module(n: int, p: int) -> ModuleSpec:
 # ---------------------------------------------------------------------------
 
 
-def frame_connection_coefficients(frame: FrameField, mj: MetricJet):
-    """(e_j, nabla_{d_a} e_k) with first derivatives: (w0, dw0).
+def frame_connection_coefficients(frame: FrameField, mj: MetricJet) -> Jet:
+    """(e_j, nabla_{d_a} e_k) as a 1-jet w0 with fiber [a, j, k].
 
-    w0[a, j, k] pairs the coordinate-direction derivative of e_k with e_j;
+    w0 pairs the coordinate-direction derivative of e_k with e_j;
     antisymmetric in (j, k) by metric compatibility.
     """
-    n = mj.n
-    gamma, dgamma = mj.christoffel, mj.dchristoffel
     inv = frame.inv
     ge = inv @ Jet(mj.x, mj.g, mj.dg, mj.d2g)  # ge[j, m] = <e_j, d_m> lowered
-    nab = inv.d + np.einsum("kb,mab->akm", inv.val, gamma.astype(complex))
-    w0 = np.einsum("akm,jm->ajk", nab, ge.val)
-    dnab = (inv.dd.transpose(0, 1, 2, 3)
-            + np.einsum("lkb,mab->lakm", inv.d, gamma.astype(complex))
-            + np.einsum("kb,lmab->lakm", inv.val, dgamma.astype(complex)))
-    dw0 = (np.einsum("lakm,jm->lajk", dnab, ge.val)
-           + np.einsum("akm,ljm->lajk", nab, ge.d))
-    return w0, dw0
+    # Gamma^m_ab on the fiber [a, b, m], so nab[a, k, m] = (nabla_{d_a} e_k)^m
+    gamma = Jet(mj.x, np.moveaxis(mj.christoffel, 0, -1),
+                np.moveaxis(mj.dchristoffel, 1, -1))
+    nab = inv.gradient() + inv @ gamma
+    return ge @ nab.map(lambda t: np.swapaxes(t, -1, -2))
 
 
 def frame_direction_coefficients(frame: FrameField, w0: np.ndarray) -> np.ndarray:
@@ -201,9 +171,8 @@ class SpinConnectionData:
     """U(1) potential plus frame term: Omega_a = A_a/2 - w0[a,j,k] G_j G_k / 4."""
 
     a_pot: Jet                  # A_a, fiber (n,)
-    w0: np.ndarray
-    dw0: np.ndarray
-    omega: List[Jet]
+    w0: Jet                     # (e_j, nabla_{d_a} e_k), fiber (n, n, n)
+    omega: Jet                  # Omega_a, fiber (n, dim, dim)
 
 
 def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,
@@ -214,15 +183,14 @@ def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,
     if np.max(np.abs(a_pot.val.real)) > 1e-12 or (
             a_pot.d is not None and np.max(np.abs(a_pot.d.real)) > 1e-12):
         raise ValueError("spin-c potential must be purely imaginary")
-    w0, dw0 = frame_connection_coefficients(frame, mj)
-    anti = float(np.max(np.abs(w0 + w0.transpose(0, 2, 1))))
+    w0 = frame_connection_coefficients(frame, mj)
+    anti = float(np.max(np.abs(w0.val + w0.val.transpose(0, 2, 1))))
     if anti > 1e-9:
         raise ValueError(f"frame coefficients not antisymmetric ({anti:.2e})")
     gg = np.einsum("jab,kbc->jkac", smd.gammas, smd.gammas)
-    frame_term = Jet(mj.x, -0.25 * np.einsum("ajk,jkxy->axy", w0, gg),
-                     -0.25 * np.einsum("lajk,jkxy->laxy", dw0, gg))
+    frame_term = w0.map(lambda t: -0.25 * np.einsum("...jk,jkxy->...xy", t, gg))
     potential = Jet(a_pot.x, a_pot.val, a_pot.d)[:, None, None] * (0.5 * np.eye(smd.dim))
-    return SpinConnectionData(a_pot, w0, dw0, list(potential + frame_term))
+    return SpinConnectionData(a_pot, w0, potential + frame_term)
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +221,22 @@ def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
     alpha_1 sums (e_j, nabla_{e_i} e_i-slot) over the frame; alpha_3 is the
     antisymmetrized cubic with (e_j, [e_i, e_k]) coefficients.
     """
-    n = mj.n
-    gam = smd.coordinate_gammas(frame)
-    out = np.zeros(smd.dim, dtype=complex)
-    for a in range(n):
-        out += gam[a].val @ (j.d[a] + 0.5 * scd.a_pot.val[a] * j.val)
-    w = frame_direction_coefficients(frame, scd.w0)
-    al1 = np.einsum("iji->j", w)
-    q1 = contract(al1, smd.gammas)
+    out = _slash(smd.coordinate_gammas(frame).val, j, scd.a_pot)
+    w = frame_direction_coefficients(frame, scd.w0.val)
+    q1 = contract(np.einsum("iji->j", w), smd.gammas)
     wt = w - w.transpose(2, 1, 0)  # (e_j, [e_i, e_k]) by torsion freeness
-    q3 = np.zeros((smd.dim, smd.dim), dtype=complex)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                coeff = 0.0
-                for (p, q, r), sg in [((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
-                                      ((b, a, c), -1), ((a, c, b), -1),
-                                      ((c, b, a), -1)]:
-                    coeff = coeff + sg * wt[p, q, r]
-                coeff /= 6.0
-                q3 += coeff * (smd.gammas[a] @ smd.gammas[b] @ smd.gammas[c])
-    out -= 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val)
-    return out
+    # the antisymmetrized cubic on the increasing triples a < b < c
+    alt = sum(sg * np.einsum(f"{p}->abc", wt) for p, sg in
+              (("abc", 1), ("bca", 1), ("cab", 1), ("bac", -1), ("acb", -1), ("cba", -1)))
+    a, b, c = np.indices(wt.shape)
+    g = smd.gammas
+    q3 = np.einsum("abc,axy,byz,czw->xw", alt / 6.0 * ((a < b) & (b < c)), g, g, g)
+    return out - 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val)
+
+
+def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
+    """gamma^a (partial_a + A_a / 2) psi at the point."""
+    return np.einsum("aij,aj->i", gammas, j.d + 0.5 * a_pot.val[:, None] * j.val)
 
 
 def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
@@ -287,11 +249,7 @@ def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
     if complex(lam.val).real <= 0:
         raise ValueError("conformal factor not positive at the point")
     biglam = jet_sqrt(lam) ** (n - 1)
-    chi = j * (1.0 / biglam)
-    out = np.zeros(smd.dim, dtype=complex)
-    for a in range(n):
-        out += lam.val * (smd.gammas[a] @ (chi.d[a] + 0.5 * a_pot.val[a] * chi.val))
-    return biglam.val * out
+    return biglam.val * lam.val * _slash(smd.gammas, j * (1.0 / biglam), a_pot)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +270,9 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     lhs = dirac_square(D, j)
     rhs = canonical_laplacian(scd.omega, mj, j)
     rhs = rhs + 0.25 * curvature_data(mj).scalar * j.val
-    n = mj.n
-    qf = np.zeros((smd.dim, smd.dim), dtype=complex)
-    for a in range(n):
-        for b in range(a + 1, n):
-            fab = scd.a_pot.d[a, b] - scd.a_pot.d[b, a]
-            qf += fab * quantize_blade(D.gam, (1 << a) | (1 << b), n, smd.dim).val
+    # q(F) = F_ab gamma^a gamma^b / 2 for F_ab = d_a A_b - d_b A_a
+    g = D.gam.val
+    qf = 0.5 * np.einsum("ab,axy,byz->xz", scd.a_pot.d - scd.a_pot.d.T, g, g)
     rhs = rhs + 0.5 * (qf @ j.val)
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs))) / scale
@@ -327,13 +282,13 @@ def chirality_action_checks(smd: SpinModuleData, frame: FrameField,
                             mj: MetricJet,
                             scd: Optional[SpinConnectionData] = None) -> dict:
     """Anticommutation with coordinate gammas; connection commutes with chirality."""
-    gam = smd.coordinate_gammas(frame)
+    gam = smd.coordinate_gammas(frame).val
     chi = smd.chirality
-    r1 = max(float(np.max(np.abs(chi @ g.val + g.val @ chi))) for g in gam)
+    r1 = float(np.max(np.abs(chi @ gam + gam @ chi)))
     if scd is None:
         scd = build_spin_connection(frame, smd, mj)
-    r2 = max(float(np.max(np.abs(chi @ om.val - om.val @ chi)))
-             for om in scd.omega)
+    om = scd.omega.val
+    r2 = float(np.max(np.abs(chi @ om - om @ chi)))
     sq = float(np.max(np.abs(chi @ chi - np.eye(smd.dim))))
     return {"gamma_anticommutation": r1, "connection_commutation": r2,
             "chirality_squares_to_one": sq}

@@ -203,8 +203,7 @@ def test_criterion_06_laplacian_suite():
         m = 3
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
-        A = [random_poly_field(rng, n, (m, m), 2, complex_coeffs=True).eval(x, 2)
-             for _ in range(n)]
+        A = random_poly_field(rng, n, (n, m, m), 2, complex_coeffs=True).eval(x, 2)
         F = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         A2, F2 = bnd.laplacian_decompose(
             bnd.laplacian_from_connection(A, F, mj, x), mj)

@@ -125,8 +125,7 @@ def test_laplacian_decompose_recovers_connection_and_potential():
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     for _ in range(10):
-        A = [random_poly_field(rng, n, (m, m), 2, complex_coeffs=True).eval(x, 2)
-             for _ in range(n)]
+        A = random_poly_field(rng, n, (n, m, m), 2, complex_coeffs=True).eval(x, 2)
         F = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         H = bnd.laplacian_from_connection(A, F, mj, x)
         A2, F2 = bnd.laplacian_decompose(H, mj)
@@ -214,8 +213,7 @@ def test_twisting_curvature_accepts_levi_civita_rejects_random():
     # the action but need not vanish; on the round sphere it is nonzero
     assert max(np.max(np.abs(ftw[i, k])) for i in range(n) for k in range(n)) > 1e-6
 
-    bad = [random_poly_field(rng, n, (m, m), 1, complex_coeffs=True).eval(x, 2)
-           for _ in range(n)]
+    bad = random_poly_field(rng, n, (n, m, m), 1, complex_coeffs=True).eval(x, 2)
     with pytest.raises(bnd.CliffordConnectionError):
         bnd.twisting_curvature(bnd.connection_curvature(bad), cd.lowered, gammas)
 
@@ -299,3 +297,20 @@ def test_superconnection_from_degrees_is_seed_deterministic():
     vc = c.blades[1].eval(x, 0).val
     assert np.array_equal(va, vb)
     assert np.max(np.abs(va - vc)) > 1e-6
+
+
+def test_residuals_keep_a_nan():
+    # a NaN residual must fail its check; max(0.0, nan) is 0.0, so the
+    # per-index reductions used to drop it
+    rng = np.random.default_rng(12)
+    ch = get_chart("sphere2")
+    ms, m = _module(ch.n)
+    x = ch.sample_point(rng)
+    mj = metric_jet(ch, x)
+    assert np.isnan(bnd.lap_identity_residual(lambda j: np.full(m, np.nan), mj, x, m))
+    nan_gammas = bnd.ModuleSpec(m, ms.eta, lambda mj: ms.gammas(mj) * np.nan)
+    assert np.isnan(bnd.module_invariant_residual(nan_gammas, mj))
+    FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(mj))
+    _, worst = bnd.twisting_curvature(FE * np.nan, curvature_data(mj).lowered,
+                                      ms.gammas(mj))
+    assert np.isnan(worst)

@@ -125,6 +125,21 @@ def test_curvature_domain_and_parse_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--chart", "flat2", "--point", "nan,0"],
+    ["curvature", "--chart", "sphere2", "--point", "inf,0"],
+    ["dirac", "--chart", "flat2", "--point", "nan,0"],
+    ["dirac", "--chart", "flat2", "--point", "0,-inf"],
+    ["sw", "--point", "nan,0,0,0"],
+])
+def test_non_finite_point_is_a_usage_error(capsys, argv):
+    # a NaN coordinate used to pass through every subcommand (exit 0, sw
+    # printing NaN residuals); inf on sphere2 failed as a degenerate metric
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_curvature_human_output(capsys):
     code, out, _ = _run(capsys, ["curvature", "--chart", "hyperbolic2",
                                  "--point", "0.5,0", "--human"])
@@ -158,6 +173,16 @@ def test_dirac_exits_one_when_the_commutator_check_fails(capsys, monkeypatch):
     assert payload["commutator_residual"] > 1e-3
     assert set(payload) == {"chart", "point", "fiber_dimension", "gammas",
                             "zero_order", "commutator_residual"}
+
+
+def test_dirac_exits_one_on_a_nan_residual(capsys):
+    # at 1e200 the section jets overflow and every commutator residual is
+    # NaN; a max() that starts at 0.0 used to drop it and report a pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = _run(capsys, ["dirac", "--chart", "flat2",
+                                     "--point", "1e200,0"])
+    assert code == 1
+    assert np.isnan(json.loads(out)["commutator_residual"])
 
 
 def test_dirac_with_superconnection_config(capsys, tmp_path):

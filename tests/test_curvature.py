@@ -1,14 +1,13 @@
 """Curvature tensors against a finite-difference oracle, plus identities."""
 
 import numpy as np
-import pytest
 
 import fd_oracle
 from diracgeo.charts import get_chart, metric_jet, registry
 from diracgeo.curvature import (curvature_data, curvature_two_form_residual,
                                 divergence_via_connection,
                                 divergence_via_density, gradient,
-                                log_det_identity_residual, volume_coefficient)
+                                log_det_identity_residual)
 from diracgeo.forms import random_poly_scalar, random_poly_vector
 
 CURVED = ("sphere2", "hyperbolic2", "sphere4", "hyperbolic4", "poly2",
@@ -129,14 +128,6 @@ def test_gradient_lowers_back_to_differential():
     f = random_poly_scalar(rng, 4).eval(x)
     grad = gradient(mj, f.d)
     assert np.max(np.abs(mj.g @ grad - f.d)) < 1e-13
-
-
-def test_volume_coefficient_signs():
-    mj_r = metric_jet(get_chart("sphere2"), np.array([0.3, 0.1]))
-    assert volume_coefficient(mj_r) > 0
-    assert volume_coefficient(mj_r, orientation=-1) < 0
-    mj_l = metric_jet(get_chart("minkowski4"), np.zeros(4))
-    assert volume_coefficient(mj_l) == pytest.approx(1.0)
 
 
 def test_curvature_two_form_matches_tensor():

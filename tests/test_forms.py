@@ -9,7 +9,7 @@ from diracgeo.forms import (DegreeError, JetOrderError, coefficient,
                             degrees, exterior_derivative, forms_dirac,
                             gram_pairing,
                             hodge_star, iota_vector, laplace_beltrami,
-                            lie_derivative, pair_vector_form,
+                            lie_derivative,
                             random_poly_form, random_poly_scalar,
                             random_poly_vector, vector_bracket, volume_form,
                             wedge_forms)
@@ -97,17 +97,6 @@ def test_iota_squares_to_zero_and_bracket_identity():
     lhs = lie_derivative(X, iota_vector(Y, a)) - iota_vector(Y, lie_derivative(X, a))
     rhs = iota_vector(vector_bracket(X, Y), a)
     assert _diff(lhs, rhs) / max(1.0, rhs.norm()) < 1e-11
-
-
-def test_pair_vector_form_hand_value():
-    n = 2
-    x = np.array([0.5, -1.0])
-    X = Jet.constant([2.0, 3.0], x)
-    v = _form(n, x, {1: _const(1.0, n), 2: _const(-4.0, n)})
-    assert complex(pair_vector_form(X, v).val) == pytest.approx(2.0 - 12.0)
-    bad = _form(n, x, {0: _const(1.0, n), 1: _const(1.0, n)})
-    with pytest.raises(DegreeError):
-        pair_vector_form(X, bad)
 
 
 def test_flat_star_hand_values():

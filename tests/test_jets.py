@@ -8,8 +8,8 @@ from clifford_reference import jet_det
 from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import iota_vector, random_poly_field, wedge_forms
-from diracgeo.jets import (Jet, jet_abs, jet_cos, jet_exp, jet_log, jet_sin,
-                           jet_sqrt, seed_point)
+from diracgeo.jets import (Jet, index_contract, jet_cos, jet_exp, jet_log,
+                           jet_sin, jet_sqrt, seed_point)
 
 
 def _fd_grad(f, x, h=1e-5):
@@ -130,7 +130,7 @@ def test_jet_det_matches_numpy():
         mj = metric_jet(ch, ch.sample_point(rng))
         g = Jet(mj.x, mj.g, mj.dg, mj.d2g)
         ref = jet_det([[g[i, j] for j in range(ch.n)] for i in range(ch.n)])
-        sq = jet_sqrt(jet_abs(ref))
+        sq = jet_sqrt(ref * float(np.sign(ref.val.real)))
         h = jet_log(sq)
         for got, want in ((mj.det, ref.val), (mj.sqrt_abs_det, sq.val),
                           (mj.dsqrt, sq.d), (mj.ddsqrt, sq.dd),
@@ -235,3 +235,30 @@ def test_products_match_finite_differences(sa, sb, op):
         for g, w in zip(_parts(got), zip(*(_parts(fn(y)) for y in xs))):
             assert g.shape == (3,) + w[0].shape
             assert np.max(np.abs(g - np.stack(w))) <= 1e-15 * max(1.0, np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_index_axis_contractions_match_member_loops(points):
+    # a family is one jet with the coordinate index on its first fiber axis:
+    # gradient, sum and index_contract must equal the loops over its members,
+    # at one point and on a stack of points
+    rng = np.random.default_rng(50 + points)
+    n, m = 3, 2
+    x = rng.uniform(-0.5, 0.5, (points, n) if points > 1 else n)
+    mats = random_poly_field(rng, n, (n, m, m), 2, complex_coeffs=True).eval(x, 2)
+    vecs = random_poly_field(rng, n, (n, m), 2, complex_coeffs=True).eval(x, 2)
+    assert len(mats) == n and [a.val.shape for a in mats] == [mats[0].val.shape] * n
+
+    def close(got, want):
+        for a, b in zip((got.val, got.d, got.dd), (want.val, want.d, want.dd)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(b)))
+
+    grad = vecs.gradient()
+    assert grad.order == 1
+    for k in range(n):
+        close(grad[k], vecs.partial(k))
+    close(mats.sum(), sum(list(mats)[1:], mats[0]))
+    terms = [a @ v for a, v in zip(mats, vecs)]
+    close(index_contract(mats, vecs), sum(terms[1:], terms[0]))

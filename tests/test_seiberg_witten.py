@@ -11,7 +11,7 @@ from diracgeo.seiberg_witten import (BLOCK_INDICES, SWConfig, SWConfigError,
                                      block_part, curvature_at, form_norm_sq, load_sw_config,
                                      potential_at, quadratic_form,
                                      quadratic_identity_residual,
-                                     random_sw_config, self_dual_part,
+                                     random_sw_config,
                                      spinor_at, sw_config_from_dict,
                                      sw_functional, sw_residuals)
 
@@ -110,10 +110,10 @@ def test_self_dual_projection_is_idempotent():
     rng = np.random.default_rng(4)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     f = raw - raw.T
-    plus = self_dual_part(f)
-    assert np.max(np.abs(self_dual_part(plus) - plus)) < 1e-13
+    plus = block_part(f, "+")
+    assert np.max(np.abs(block_part(plus, "+") - plus)) < 1e-13
     minus = f - plus
-    assert np.max(np.abs(self_dual_part(minus))) < 1e-13
+    assert np.max(np.abs(block_part(minus, "+"))) < 1e-13
 
 
 def _levi_civita_star(f):
@@ -148,13 +148,13 @@ def test_quadratic_form_chirality():
         plus[c] = rng.normal() + 1j * rng.normal()
     q = quadratic_form(plus)
     assert np.max(np.abs(q + q.T)) < 1e-13
-    assert np.max(np.abs(self_dual_part(q) - q)) < 1e-13
+    assert np.max(np.abs(block_part(q, "+") - q)) < 1e-13
     minus = np.zeros(4, dtype=complex)
     for c in BLOCK_INDICES["-"]:
         minus[c] = rng.normal() + 1j * rng.normal()
     q2 = quadratic_form(minus)
     # the opposite block lands in the anti-self-dual half
-    assert np.max(np.abs(self_dual_part(q2))) < 1e-13
+    assert np.max(np.abs(block_part(q2, "+"))) < 1e-13
 
 
 def test_quadratic_identity_for_chiral_spinors():

@@ -177,16 +177,6 @@ def test_connection_difference_is_half_potential_difference():
         assert np.max(np.abs(diff - want)) < 1e-13
 
 
-def test_twisted_module_keeps_generator_relation():
-    rng = np.random.default_rng(9)
-    ch = get_chart("sphere2")
-    ms = sp.twisted_spin_module(2, 3)
-    assert ms.m == 2 * 3
-    x = ch.sample_point(rng)
-    mj = metric_jet(ch, x)
-    assert bnd.module_invariant_residual(ms, mj) < 1e-10
-
-
 def test_spin_module_spec_matches_module_data():
     rng = np.random.default_rng(10)
     ch = get_chart("poly2")
