@@ -257,7 +257,7 @@ def apply_superconnection(omega: Jet, fs: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def quantize_blade(gammas: Jet, mask: int, n: int, m: int) -> Jet:
+def quantize_blade(gammas: Jet, mask: int, m: int) -> Jet:
     """q(dx^I) = (1/k!) sum over permutations of sign * gamma products."""
     idx = blade_indices(mask)
     if not idx:
@@ -302,7 +302,7 @@ def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
     Z = Jet.constant(np.zeros((ms.m, ms.m)), x)
     for mask in S.blades:
         if bin(mask).count("1") != 1:
-            Z = Z + quantize_blade(gam, mask, n, ms.m) @ omega[mask]
+            Z = Z + quantize_blade(gam, mask, ms.m) @ omega[mask]
     return DiracOperatorData(x, gam, A, Z, ms.eta)
 
 

@@ -8,8 +8,10 @@ the spinor lives in one chirality block of the rank-4 spinor module.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +33,9 @@ _ROWS, _COLS = (np.array(ix) for ix in zip(*_PAIRS))
 # = e^2 ^ e^3, star(e^0 ^ e^2) = -e^1 ^ e^3, star(e^0 ^ e^3) = e^1 ^ e^2
 _STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 
+# G_j G_k on the pairs j < k, in _PAIRS order
+_GJK = np.stack([GAMMAS[j] @ GAMMAS[k] for j, k in _PAIRS])
+
 
 class SWConfigError(ValueError):
     """Malformed or inconsistent monopole configuration."""
@@ -44,63 +49,62 @@ class SWConfig:
     a_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex]
     psi_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex]
 
-    def hermitized_a(self) -> Dict[Tuple[int, Tuple[int, int, int, int]], complex]:
-        """Symmetrize so each component is a real field (before the i factor)."""
-        out: Dict[Tuple[int, Tuple[int, int, int, int]], complex] = {}
-        for (a, k), c in self.a_modes.items():
-            mk = tuple(-i for i in k)
-            out[(a, k)] = out.get((a, k), 0.0j) + 0.5 * c
-            out[(a, mk)] = out.get((a, mk), 0.0j) + 0.5 * np.conj(c)
-        return out
+
+def _integer(value, what: str) -> int:
+    """An integral number as an int; int() would truncate 9.7 and take True."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise SWConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _modes(rows, name: str, band: int, comps: Sequence[int],
+           outside: str) -> Dict[Tuple[int, tuple], complex]:
+    """The [component, k1..k4, re, im] rows, summed by (component, k)."""
+    if not isinstance(rows, list):
+        raise SWConfigError(f"{name} must be a list of rows")
+    out: Dict[Tuple[int, tuple], complex] = {}
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != 7:
+            raise SWConfigError(f"{name} rows are [component, k1..k4, re, im]")
+        c = _integer(row[0], f"{name} component")
+        k = tuple(_integer(v, "mode index") for v in row[1:5])
+        if c not in comps:
+            raise SWConfigError(f"{name} component {c} {outside}")
+        if any(abs(v) > band for v in k):
+            raise SWConfigError(f"mode {k} exceeds band {band}")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in row[5:]):
+            raise SWConfigError(f"re, im {row[5:]!r} must be finite numbers")
+        out[(c, k)] = out.get((c, k), 0.0j) + complex(row[5], row[6])
+    return out
 
 
 def sw_config_from_dict(cfg: dict) -> SWConfig:
     try:
-        grid = int(cfg["grid"])
-        band = int(cfg["band"])
+        grid = _integer(cfg["grid"], "grid")
+        band = _integer(cfg["band"], "band")
         block = str(cfg.get("chirality_block", "+"))
-        raw_a = cfg.get("a_modes", [])
-        raw_psi = cfg.get("psi_modes", [])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SWConfigError(f"bad monopole config: {exc}") from exc
     if block not in BLOCK_INDICES:
         raise SWConfigError(f"chirality block must be '+' or '-', got {block!r}")
-    if band < 0 or grid < 1:
-        raise SWConfigError("grid and band must be positive")
+    if grid < 1:
+        raise SWConfigError(f"grid must be positive, got {grid}")
+    if band < 0:
+        raise SWConfigError(f"band must be non-negative, got {band}")
     # the quartic |psi|^4 term reaches frequency 4*band per axis; the
     # trapezoid rule integrates it exactly only above that (Orszag 1971)
     if grid < 4 * band + 1:
         raise SWConfigError(
             f"grid {grid} is below the quadrature bound 4*band+1 = "
             f"{4 * band + 1} for band {band} (Nyquist limit of |psi|^4)")
-    allowed = BLOCK_INDICES[block]
-    a_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex] = {}
-    for row in raw_a:
-        if len(row) != 7:
-            raise SWConfigError("a_modes rows are [component, k1..k4, re, im]")
-        a = int(row[0])
-        k = tuple(int(v) for v in row[1:5])
-        if not 0 <= a < N_DIM:
-            raise SWConfigError(f"potential component {a} out of range")
-        if any(abs(v) > band for v in k):
-            raise SWConfigError(f"mode {k} exceeds band {band}")
-        a_modes[(a, k)] = a_modes.get((a, k), 0.0j) + complex(row[5], row[6])
-    psi_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex] = {}
-    for row in raw_psi:
-        if len(row) != 7:
-            raise SWConfigError("psi_modes rows are [component, k1..k4, re, im]")
-        c = int(row[0])
-        k = tuple(int(v) for v in row[1:5])
-        if not 0 <= c < _SMD.dim:
-            raise SWConfigError(f"spinor component {c} out of range")
-        if c not in allowed:
-            raise SWConfigError(
-                f"spinor component {c} lies outside the declared chirality "
-                f"block {block!r}")
-        if any(abs(v) > band for v in k):
-            raise SWConfigError(f"mode {k} exceeds band {band}")
-        psi_modes[(c, k)] = psi_modes.get((c, k), 0.0j) + complex(row[5], row[6])
-    return SWConfig(grid, band, block, a_modes, psi_modes)
+    return SWConfig(grid, band, block,
+                    _modes(cfg.get("a_modes", []), "a_modes", band, range(N_DIM),
+                           "out of range"),
+                    _modes(cfg.get("psi_modes", []), "psi_modes", band,
+                           BLOCK_INDICES[block], "lies outside the declared "
+                           f"chirality block {block!r}"))
 
 
 def load_sw_config(path: str) -> SWConfig:
@@ -114,63 +118,79 @@ def load_sw_config(path: str) -> SWConfig:
 
 def random_sw_config(rng, band: int = 2, grid: int = 16, block: str = "+",
                      n_a_modes: int = 6, n_psi_modes: int = 4) -> SWConfig:
-    rows_a: List[list] = []
-    for _ in range(n_a_modes):
-        a = int(rng.integers(0, N_DIM))
-        k = [int(rng.integers(-band, band + 1)) for _ in range(N_DIM)]
-        z = rng.normal() + 1j * rng.normal()
-        rows_a.append([a] + k + [z.real, z.imag])
-    rows_p: List[list] = []
+    def rows(count, component):
+        out = []
+        for _ in range(count):
+            c = component()
+            k = [int(rng.integers(-band, band + 1)) for _ in range(N_DIM)]
+            z = rng.normal() + 1j * rng.normal()
+            out.append([c] + k + [z.real, z.imag])
+        return out
+
     comps = BLOCK_INDICES[block]
-    for _ in range(n_psi_modes):
-        c = comps[int(rng.integers(0, 2))]
-        k = [int(rng.integers(-band, band + 1)) for _ in range(N_DIM)]
-        z = rng.normal() + 1j * rng.normal()
-        rows_p.append([c] + k + [z.real, z.imag])
+    # the potential rows are drawn first, then the spinor rows
+    rows_a = rows(n_a_modes, lambda: int(rng.integers(0, N_DIM)))
+    rows_p = rows(n_psi_modes, lambda: comps[int(rng.integers(0, 2))])
     return sw_config_from_dict({"grid": grid, "band": band,
                                 "chirality_block": block,
                                 "a_modes": rows_a, "psi_modes": rows_p})
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
+# spectra and their evaluation
 # ---------------------------------------------------------------------------
 
 
+def _spectra(cfg: SWConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """A and psi on the (2 band + 1)^4 frequency cube, (4, *cube) each.  Each
+    potential component is i times a real field: the modes at k and -k
+    share the coefficient and its conjugate half and half."""
+    band = cfg.band
+    a_hat, psi_hat = np.zeros((2, N_DIM) + (2 * band + 1,) * N_DIM, dtype=complex)
+    for hat, modes in ((a_hat, cfg.a_modes), (psi_hat, cfg.psi_modes)):
+        for (c, k), z in modes.items():
+            hat[(c,) + tuple(v + band for v in k)] += z
+    return 0.5j * (a_hat + np.conj(np.flip(a_hat, axis=(1, 2, 3, 4)))), psi_hat
+
+
+def _synthesis_matrix(band: int, grid: int) -> np.ndarray:
+    """E[k + band, m] = exp(i k x_m) at x_m = 2 pi m / grid, |k| <= band: the
+    inverse DFT restricted to the band, with k m reduced mod grid first so
+    the phases are the FFT's twiddles."""
+    k = np.arange(-band, band + 1)
+    return np.exp(1j * TWO_PI / grid * np.mod(np.outer(k, np.arange(grid)), grid))
+
+
+def _series_at(spec: np.ndarray, band: int, x) -> Tuple[np.ndarray, np.ndarray]:
+    """Values (..., C) and partials (..., 4, C) of the C trig series spec on
+    the frequency cube at x, a point (4,) or a stack (P, 4): the phases
+    exp(i k.x) of the modes present, contracted with their coefficients."""
+    modes = np.nonzero(np.any(spec, axis=0))
+    k = np.stack(modes) - band
+    phase = np.exp(1j * (np.asarray(x, dtype=float) @ k))
+    coef = spec[(slice(None),) + modes].T
+    return phase @ coef, (1j * k * phase[..., None, :]) @ coef
+
+
 def potential_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Values A_a(x) and derivatives dA[a, b] = partial_a A_b, purely imaginary."""
-    x = np.asarray(x, dtype=float)
-    val = np.zeros(N_DIM, dtype=complex)
-    dval = np.zeros((N_DIM, N_DIM), dtype=complex)
-    for (a, k), c in cfg.hermitized_a().items():
-        kv = np.asarray(k, dtype=float)
-        ph = c * np.exp(1j * float(kv @ x))
-        val[a] += 1j * ph
-        dval[:, a] += 1j * (1j * kv) * ph
-    return val, dval
+    """Values A_a(x) and derivatives dA[a, b] = partial_a A_b, purely
+    imaginary; a stack of points x (P, 4) puts P in front."""
+    return _series_at(_spectra(cfg)[0], cfg.band, x)
 
 
 def spinor_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Values psi(x) in C^4 and derivatives dpsi[a, c]."""
-    x = np.asarray(x, dtype=float)
-    val = np.zeros(_SMD.dim, dtype=complex)
-    dval = np.zeros((N_DIM, _SMD.dim), dtype=complex)
-    for (c, k), z in cfg.psi_modes.items():
-        kv = np.asarray(k, dtype=float)
-        ph = z * np.exp(1j * float(kv @ x))
-        val[c] += ph
-        dval[:, c] += 1j * kv * ph
-    return val, dval
+    """Values psi(x) in C^4 and derivatives dpsi[a, c], as ``potential_at``."""
+    return _series_at(_spectra(cfg)[1], cfg.band, x)
 
 
 def curvature_at(cfg: SWConfig, x) -> np.ndarray:
     """F = dA as the antisymmetric array F[a, b] = dA_b/dx_a - dA_a/dx_b."""
     _, dval = potential_at(cfg, x)
-    return dval - dval.T
+    return dval - np.swapaxes(dval, -1, -2)
 
 
 # ---------------------------------------------------------------------------
-# algebraic pieces
+# algebraic pieces; each acts on the last axes and broadcasts over the rest
 # ---------------------------------------------------------------------------
 
 
@@ -182,70 +202,52 @@ def block_projector(block: str) -> np.ndarray:
     return 0.5 * (np.eye(len(_PAIRS)) + sign * _STAR)
 
 
+def _pair_form(v: np.ndarray) -> np.ndarray:
+    """The antisymmetric 4 x 4 array with pair components v[..., p]."""
+    out = np.zeros(v.shape[:-1] + (N_DIM, N_DIM), dtype=v.dtype)
+    out[..., _ROWS, _COLS], out[..., _COLS, _ROWS] = v, -v
+    return out
+
+
 def block_part(f: np.ndarray, block: str) -> np.ndarray:
     """The block's half (F +- star F) / 2 of an antisymmetric 2-form array."""
-    v = block_projector(block) @ f[_ROWS, _COLS]
-    out = np.zeros_like(f)
-    out[_ROWS, _COLS], out[_COLS, _ROWS] = v, -v
-    return out
+    return _pair_form(f[..., _ROWS, _COLS] @ block_projector(block).T)
 
 
 def quadratic_form(psi: np.ndarray) -> np.ndarray:
     """Q[j, k] = -<psi, G_j G_k psi> / 4 on ordered pairs, antisymmetrized."""
-    q = np.zeros((N_DIM, N_DIM), dtype=complex)
-    for j, k in _PAIRS:
-        v = -0.25 * np.vdot(psi, GAMMAS[j] @ GAMMAS[k] @ psi)
-        q[j, k], q[k, j] = v, -v
-    return q
+    return _pair_form(-0.25 * np.einsum("...r,prs,...s->...p", np.conj(psi), _GJK, psi))
 
 
-def form_norm_sq(f: np.ndarray) -> float:
+def form_norm_sq(f: np.ndarray):
     """Squared norm summed over ordered index pairs."""
-    return float(sum(abs(f[j, k]) ** 2 for j, k in _PAIRS))
+    return np.sum(np.abs(f[..., _ROWS, _COLS]) ** 2, axis=-1)
 
 
-def quadratic_identity_residual(psi: np.ndarray) -> float:
+def quadratic_identity_residual(psi: np.ndarray):
     """|Q(psi)|^2 - |psi|^4 / 8, relative to the size of |psi|^4 / 8."""
-    nrm = float(np.real(np.vdot(psi, psi)))
-    scale = max(1.0, nrm * nrm / 8.0)
-    return abs(form_norm_sq(quadratic_form(psi)) - nrm * nrm / 8.0) / scale
+    quartic = np.sum(np.abs(psi) ** 2, axis=-1) ** 2 / 8.0
+    return np.abs(form_norm_sq(quadratic_form(psi)) - quartic) / np.maximum(1.0, quartic)
 
 
 def sw_residuals(cfg: SWConfig, x) -> Dict[str, float]:
-    """Pointwise residuals of the two monopole equations at x."""
+    """Pointwise residuals of the two monopole equations at x; arrays over
+    the samples of a stack x (P, 4)."""
     aval, _ = potential_at(cfg, x)
     psi, dpsi = spinor_at(cfg, x)
-    dirac = np.zeros(_SMD.dim, dtype=complex)
-    for a in range(N_DIM):
-        dirac += GAMMAS[a] @ (dpsi[a] + 0.5 * aval[a] * psi)
+    dirac = np.einsum("arc,...ac->...r", GAMMAS,
+                      dpsi + 0.5 * aval[..., :, None] * psi[..., None, :])
     resid = block_part(curvature_at(cfg, x), cfg.block) - quadratic_form(psi)
     return {
-        "dirac": float(np.max(np.abs(dirac))),
-        "curvature": float(max(abs(resid[j, k]) for j, k in _PAIRS)),
+        "dirac": np.max(np.abs(dirac), axis=-1),
+        "curvature": np.max(np.abs(resid[..., _ROWS, _COLS]), axis=-1),
         "quadratic_identity": quadratic_identity_residual(psi),
     }
 
 
 # ---------------------------------------------------------------------------
-# grid evaluation and the two functional forms
+# the two functional forms
 # ---------------------------------------------------------------------------
-
-
-def _synthesis_matrix(band: int, grid: int) -> np.ndarray:
-    """E[k + band, m] = exp(i k x_m) at x_m = 2 pi m / grid, |k| <= band: the
-    inverse DFT restricted to the band, with k m reduced mod grid first so
-    the phases are the FFT's twiddles."""
-    k = np.arange(-band, band + 1)
-    return np.exp(1j * TWO_PI / grid * np.mod(np.outer(k, np.arange(grid)), grid))
-
-
-def _spectrum(modes: Dict[Tuple[int, tuple], complex], comps: Sequence[int],
-              band: int) -> np.ndarray:
-    """Coefficients of the listed components on the (2 band + 1)^4 cube."""
-    out = np.zeros((len(comps),) + (2 * band + 1,) * N_DIM, dtype=complex)
-    for (c, k), z in modes.items():
-        out[(comps.index(c),) + tuple(v + band for v in k)] += z
-    return out
 
 
 def sw_functional(cfg: SWConfig) -> Dict[str, float]:
@@ -253,21 +255,21 @@ def sw_functional(cfg: SWConfig) -> Dict[str, float]:
 
     The first integrates the squared equation residuals; the second uses the
     connection Laplacian, the block's half of the curvature, and the quartic
-    term.  Quadrature is the uniform trapezoid rule, exact for integrands
-    below the grid's alias limit.
-
-    Only the fields the integrands read are built, as one stack of spectra
-    on the (2 band + 1)^4 frequency cube with derivatives as i k multipliers,
-    and synthesized on the grid by four contractions with ``exp(i k x_j)``.
-    The spinor keeps only its two block components.
+    term.  Every integrand has frequency at most 4 band per axis, so the
+    trapezoid rule is exact on 4 band + 1 points (Orszag 1971); the sum runs
+    on min(grid, 4 band + 1), so at or above that bound neither the value
+    nor the cost depends on ``grid``, and below it (a config built directly)
+    it aliases.  Only the fields the integrands read are synthesized, from
+    their spectra on the frequency cube, derivatives as i k multipliers.
     """
-    grid, band = cfg.grid, cfg.band
+    band = cfg.band
+    grid = min(cfg.grid, 4 * band + 1)
     blk = list(BLOCK_INDICES[cfg.block])
     opp = [c for c in range(_SMD.dim) if c not in blk]
+    a_hat, psi_hat = _spectra(cfg)
+    psi_hat = psi_hat[blk]
     freq = np.arange(-band, band + 1)
     ik = 1j * np.stack(np.meshgrid(*(freq,) * N_DIM, indexing="ij"))
-    a_hat = 1j * _spectrum(cfg.hermitized_a(), range(N_DIM), band)
-    psi_hat = _spectrum(cfg.psi_modes, blk, band)
     da_hat = ik[:, None] * a_hat                        # d_a A_b
     dpsi_hat = ik[:, None] * psi_hat                    # d_a psi_c
     vals = np.concatenate([
@@ -294,8 +296,7 @@ def sw_functional(cfg: SWConfig) -> Dict[str, float]:
 
     # the block's half of the curvature and the spinor quadratic form
     fblock = np.tensordot(block_projector(cfg.block), f, axes=1)
-    gjk = np.stack([GAMMAS[j] @ GAMMAS[k] for j, k in _PAIRS])[:, blk][:, :, blk]
-    q = -0.25 * np.tensordot(gjk, np.conj(psi)[:, None] * psi, axes=2)
+    q = -0.25 * np.tensordot(_GJK[:, blk][:, :, blk], np.conj(psi)[:, None] * psi, axes=2)
     resid_sq = np.sum(np.abs(fblock - q) ** 2, axis=0)
     fblock_sq = np.sum(np.abs(fblock) ** 2, axis=0)
 

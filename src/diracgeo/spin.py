@@ -215,7 +215,7 @@ def spin_dirac(scd: SpinConnectionData, smd: SpinModuleData, frame: FrameField,
 
 
 def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
-                     frame: FrameField, mj: MetricJet, j: Jet) -> np.ndarray:
+                     frame: FrameField, j: Jet) -> np.ndarray:
     """Dual route: slash(d) + slash(A)/2 - q(2 alpha_1 + 3 alpha_3)/4.
 
     alpha_1 sums (e_j, nabla_{e_i} e_i-slot) over the frame; alpha_3 is the

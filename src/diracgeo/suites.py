@@ -583,7 +583,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
 
     def dirac_dual():
         return [_diff(sp.spin_dirac(scd, smd, fr, mj, j),
-                      sp.spin_dirac_alpha(scd, smd, fr, mj, j))
+                      sp.spin_dirac_alpha(scd, smd, fr, j))
                 for x, mj, fr, scd, _ in prepared
                 for j in [bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
                           for _ in range(3)]]
@@ -735,19 +735,17 @@ def sw_suite(seed: int, samples: int,
                               "(pass --config)")
     rng = np.random.default_rng(seed)
     rep = VerificationReport("sw", "torus4", seed, samples)
-    pts = [rng.uniform(0.0, 2.0 * np.pi, 4) for _ in range(samples)]
+    # one draw of (samples, 4) is the stream of one draw of 4 per sample
+    pts = rng.uniform(0.0, 2.0 * np.pi, (samples, 4))
 
     def quadratic_identity():
-        return [swm.quadratic_identity_residual(swm.spinor_at(cfg, x)[0]) for x in pts]
+        return swm.quadratic_identity_residual(swm.spinor_at(cfg, pts)[0])
 
     def self_dual_projector():
         # the block's half of F is a fixed point, and Q(psi) lies in it
-        out = []
-        for x in pts:
-            fp = swm.block_part(swm.curvature_at(cfg, x), cfg.block)
-            q = swm.quadratic_form(swm.spinor_at(cfg, x)[0])
-            out += [_amax(swm.block_part(a, cfg.block) - a) for a in (fp, q)]
-        return out
+        fp = swm.block_part(swm.curvature_at(cfg, pts), cfg.block)
+        q = swm.quadratic_form(swm.spinor_at(cfg, pts)[0])
+        return _samples_amax(*(swm.block_part(a, cfg.block) - a for a in (fp, q)))
 
     def functional_gap():
         return swm.sw_functional(cfg)["relative_gap"]

@@ -7,11 +7,17 @@ spectrum taken to the grid by an inverse FFT, and the integrands are loops
 over components.  The one change from that code is the curvature projector:
 it takes the chirality block's sign, so (F + star F)/2 on the + block and
 (F - star F)/2 on the - block.  Tests compare ``sw_functional`` against it.
+
+``potential_at`` and ``spinor_at`` are the package's pointwise evaluators as
+they were before they shared the spectra of ``sw_functional``: one Python
+loop over the config's modes at a single point.  ``hermitized_a`` is the
+mode-by-mode hermitization of the potential that the package now does on
+its spectrum.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -39,12 +45,48 @@ def derived(coeffs: Dict[tuple, complex], axis: int) -> Dict[tuple, complex]:
     return {k: 1j * k[axis] * z for k, z in coeffs.items()}
 
 
+def hermitized_a(cfg: SWConfig) -> Dict[tuple, complex]:
+    """Symmetrize so each component is a real field (before the i factor)."""
+    out: Dict[tuple, complex] = {}
+    for (a, k), c in cfg.a_modes.items():
+        mk = tuple(-i for i in k)
+        out[(a, k)] = out.get((a, k), 0.0j) + 0.5 * c
+        out[(a, mk)] = out.get((a, mk), 0.0j) + 0.5 * np.conj(c)
+    return out
+
+
+def potential_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
+    """Values A_a(x) and derivatives dA[a, b] = partial_a A_b, purely imaginary."""
+    x = np.asarray(x, dtype=float)
+    val = np.zeros(N_DIM, dtype=complex)
+    dval = np.zeros((N_DIM, N_DIM), dtype=complex)
+    for (a, k), c in hermitized_a(cfg).items():
+        kv = np.asarray(k, dtype=float)
+        ph = c * np.exp(1j * float(kv @ x))
+        val[a] += 1j * ph
+        dval[:, a] += 1j * (1j * kv) * ph
+    return val, dval
+
+
+def spinor_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
+    """Values psi(x) in C^4 and derivatives dpsi[a, c]."""
+    x = np.asarray(x, dtype=float)
+    val = np.zeros(SPINOR_DIM, dtype=complex)
+    dval = np.zeros((N_DIM, SPINOR_DIM), dtype=complex)
+    for (c, k), z in cfg.psi_modes.items():
+        kv = np.asarray(k, dtype=float)
+        ph = z * np.exp(1j * float(kv @ x))
+        val[c] += ph
+        dval[:, c] += 1j * kv * ph
+    return val, dval
+
+
 def sw_functional(cfg: SWConfig) -> Dict[str, float]:
     """Both integral forms of the monopole functional and their gap."""
     grid = cfg.grid
     duality = 1.0 if cfg.block == "+" else -1.0
     a_coeffs: List[Dict[tuple, complex]] = [{} for _ in range(N_DIM)]
-    for (a, k), c in cfg.hermitized_a().items():
+    for (a, k), c in hermitized_a(cfg).items():
         a_coeffs[a][k] = a_coeffs[a].get(k, 0.0j) + 1j * c
     psi_coeffs: List[Dict[tuple, complex]] = [{} for _ in range(SPINOR_DIM)]
     for (c, k), z in cfg.psi_modes.items():

@@ -247,6 +247,27 @@ def test_sw_with_config_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ('"grid": 9.7, "band": 2', "grid must be an integer"),
+    ('"grid": 16, "band": 2, "psi_modes": [[0, 0, 1.5, 0, 0, 1.0, 0.0]]',
+     "mode index must be an integer"),
+    ('"grid": 16, "band": 2, "psi_modes": [[0, 0, 1, 0, 0, NaN, 0.0]]',
+     "must be finite numbers"),
+    ('"grid": 16, "band": 2, "a_modes": [[1, 0, 1, 0, 0, 1.0, -Infinity]]',
+     "must be finite numbers"),
+])
+@pytest.mark.parametrize("command", [["sw"], ["verify", "--suite", "sw"]])
+def test_sw_config_entries_are_input_errors(capsys, tmp_path, text, message,
+                                            command):
+    # json parses NaN and Infinity; such a config used to print NaN
+    # residuals and exit 1 as a failed identity, and 9.7 ran as grid 9
+    cfg = tmp_path / "m.json"
+    cfg.write_text("{" + text + "}")
+    code, out, err = _run(capsys, command + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_sw_human_output(capsys):
     code, out, _ = _run(capsys, ["sw", "--seed", "1", "--human"])
     assert code == 0

@@ -47,6 +47,43 @@ def test_config_validation_messages():
                                   psi_modes=[[2, 0, 1, 0, 0, 0.3, 0.1]]))
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"grid": 9.7}, "grid must be an integer"),
+    ({"band": 1.5}, "band must be an integer"),
+    ({"grid": True}, "grid must be an integer"),
+    ({"band": False}, "band must be an integer"),
+    ({"grid": "16"}, "grid must be an integer"),
+    ({"a_modes": [[0.5, 1, 0, 0, 0, 1.0, 0.0]]}, "component must be an integer"),
+    ({"a_modes": [[True, 1, 0, 0, 0, 1.0, 0.0]]}, "component must be an integer"),
+    ({"a_modes": [[0, 1.5, 0, 0, 0, 1.0, 0.0]]}, "mode index must be an integer"),
+    ({"psi_modes": [[0, 0, 0, 0, True, 1.0, 0.0]]}, "mode index must be an integer"),
+    ({"a_modes": [[0, 1, 0, 0, 0, float("nan"), 0.0]]}, "must be finite numbers"),
+    ({"psi_modes": [[0, 0, 1, 0, 0, 1.0, float("inf")]]}, "must be finite numbers"),
+    ({"psi_modes": [[0, 0, 1, 0, 0, "1.0", 0.0]]}, "must be finite numbers"),
+    ({"a_modes": [3]}, r"rows are \[component, k1..k4, re, im\]"),
+])
+def test_config_rejects_non_integral_and_non_finite_entries(over, message):
+    # int() used to truncate 9.7 to 9 and 1.5 to 1, and NaN or Infinity
+    # coefficients (which json parses) gave NaN residuals and functionals
+    with pytest.raises(SWConfigError, match=message):
+        sw_config_from_dict(_cfg_dict(**over))
+
+
+def test_config_accepts_integral_floats_and_band_zero():
+    cfg = sw_config_from_dict(_cfg_dict(grid=16.0, band=2.0,
+                                        a_modes=[[0.0, 1.0, 0, 0, 0, 1, 0]]))
+    assert (cfg.grid, cfg.band) == (16, 2)
+    assert type(cfg.grid) is int and list(cfg.a_modes) == [(0, (1, 0, 0, 0))]
+    # band 0 holds the constant mode only; the old message called it invalid
+    flat = sw_config_from_dict(_cfg_dict(grid=1, band=0, a_modes=[],
+                                         psi_modes=[[3, 0, 0, 0, 0, 0.5, 0.5]]))
+    assert sw_functional(flat)["relative_gap"] < 1e-12
+    with pytest.raises(SWConfigError, match="band must be non-negative"):
+        sw_config_from_dict(_cfg_dict(band=-1))
+    with pytest.raises(SWConfigError, match="grid must be positive"):
+        sw_config_from_dict(_cfg_dict(grid=0, band=0, a_modes=[], psi_modes=[]))
+
+
 def test_config_file_roundtrip(tmp_path):
     import json
     path = tmp_path / "m.json"
@@ -86,6 +123,85 @@ def test_field_derivatives_match_finite_differences():
             pp, _ = spinor_at(cfg, x + e)
             pm, _ = spinor_at(cfg, x - e)
             assert np.max(np.abs((pp - pm) / (2 * h) - dpsi[axis])) < 1e-7
+
+
+@pytest.mark.parametrize("block", ["+", "-"])
+def test_evaluator_matches_the_per_mode_reference(block):
+    # the spectra on the frequency cube, taken to the points by exp(i k.x),
+    # against the per-mode loops they replaced: at one point and on a stack
+    rng = np.random.default_rng(21)
+    for band in (1, 2, 3):
+        cfg = random_sw_config(rng, band=band, grid=4 * band + 1, block=block,
+                               n_a_modes=12, n_psi_modes=8)
+        pts = rng.uniform(-2.0, 8.0, (6, 4))
+        for fn, ref in ((potential_at, sw_reference.potential_at),
+                        (spinor_at, sw_reference.spinor_at)):
+            stacked = fn(cfg, pts)
+            for p, x in enumerate(pts):
+                for got, on_stack, want in zip(fn(cfg, x), stacked, ref(cfg, x)):
+                    bound = 1e-13 * np.max(np.abs(want))
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= bound
+                    assert np.max(np.abs(on_stack[p] - want)) <= bound
+        _, dval = sw_reference.potential_at(cfg, pts[0])
+        f = curvature_at(cfg, pts)
+        assert f.shape == (6, 4, 4)
+        assert np.max(np.abs(f[0] - (dval - dval.T))) <= 1e-13 * np.max(np.abs(dval))
+
+
+def test_pointwise_functions_broadcast_over_a_stack():
+    rng = np.random.default_rng(22)
+    cfg = random_sw_config(rng, band=2, grid=9, block="-")
+    pts = rng.uniform(0, 2 * np.pi, (5, 4))
+    psi = spinor_at(cfg, pts)[0]
+    f = curvature_at(cfg, pts)
+    stacked = {"quadratic_form": quadratic_form(psi),
+               "form_norm_sq": form_norm_sq(f),
+               "quadratic_identity": quadratic_identity_residual(psi),
+               "block_part": block_part(f, "-")}
+    res = sw_residuals(cfg, pts)
+    for p, x in enumerate(pts):
+        single = {"quadratic_form": quadratic_form(psi[p]),
+                  "form_norm_sq": form_norm_sq(f[p]),
+                  "quadratic_identity": quadratic_identity_residual(psi[p]),
+                  "block_part": block_part(f[p], "-")}
+        for key, want in single.items():
+            assert np.shape(stacked[key][p]) == np.shape(want), key
+            assert np.allclose(stacked[key][p], want, rtol=1e-14, atol=1e-14), key
+        for key, want in sw_residuals(cfg, x).items():
+            assert isinstance(want, float)
+            assert res[key][p] == pytest.approx(want, rel=1e-12, abs=1e-14), key
+
+
+@pytest.mark.parametrize("block", ["+", "-"])
+def test_pointwise_pieces_integrate_to_the_equation_form(block):
+    # the trapezoid sum of the squared pointwise equations over the grid
+    # nodes is the equation form, which the per-field FFT reference checks:
+    # this pins the sign of Q(psi) and the half of F it pairs with, which
+    # |Q|^2 and the projector checks cannot see.  F and Q only meet in the
+    # integral where A has a difference of two spinor frequencies, so the
+    # potential carries e_0 - e_1 and e_0 as well as a random part
+    lo, hi = BLOCK_INDICES[block]
+    grid = 9
+    drawn = random_sw_config(np.random.default_rng(40), band=2, grid=grid,
+                             block=block, n_a_modes=6, n_psi_modes=4)
+    cfg = sw_config_from_dict(_cfg_dict(
+        grid=grid, chirality_block=block,
+        a_modes=[[2, 1, -1, 0, 0, 0.5, -0.25], [3, 1, 0, 0, 0, 0.3, 0.6]]
+        + [[a, *k, z.real, z.imag] for (a, k), z in drawn.a_modes.items()],
+        psi_modes=[[lo, 1, 0, 0, 0, 1.0, 0.0], [hi, 0, 1, 0, 0, 0.7, 0.2],
+                   [hi, 0, 0, 0, 0, -0.4, 0.3]]
+        + [[c, *k, z.real, z.imag] for (c, k), z in drawn.psi_modes.items()]))
+    axis = 2 * np.pi * np.arange(grid) / grid
+    pts = np.stack(np.meshgrid(*(axis,) * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    aval, _ = potential_at(cfg, pts)
+    psi, dpsi = spinor_at(cfg, pts)
+    dirac = np.einsum("arc,pac->pr", swm.GAMMAS,
+                      dpsi + 0.5 * aval[:, :, None] * psi[:, None, :])
+    resid = block_part(curvature_at(cfg, pts), block) - quadratic_form(psi)
+    w1 = (2 * np.pi) ** 4 * np.mean(np.sum(np.abs(dirac) ** 2, axis=1)
+                                    + form_norm_sq(resid))
+    assert w1 == pytest.approx(sw_functional(cfg)["w_equations"], rel=1e-12)
 
 
 def test_curvature_is_antisymmetric_and_closed():
@@ -261,6 +377,18 @@ def test_functional_is_exact_at_the_quadrature_bound():
     assert on_grid(5) == pytest.approx(on_grid(16), rel=1e-12)
     # one point fewer aliases that component
     assert on_grid(4) != pytest.approx(on_grid(16), rel=1e-3)
+
+
+@pytest.mark.parametrize("band", [1, 2, 3])
+def test_functional_is_bit_identical_above_the_bound(band):
+    # at and above 4 band + 1 the trapezoid sum is exact, so the functional
+    # is summed on that grid: the configured grid sets neither value nor cost
+    drawn = random_sw_config(np.random.default_rng(30 + band), band=band,
+                             grid=4 * band + 1, n_a_modes=12, n_psi_modes=8)
+    want = sw_functional(drawn)
+    for grid in range(4 * band + 2, 4 * band + 9):
+        cfg = SWConfig(grid, band, drawn.block, drawn.a_modes, drawn.psi_modes)
+        assert sw_functional(cfg) == want, grid
 
 
 def test_random_config_is_seed_deterministic():

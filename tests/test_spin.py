@@ -92,7 +92,7 @@ def test_dirac_routes_agree():
         for _ in range(5):
             j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
-            d2 = sp.spin_dirac_alpha(scd, smd, fr, mj, j)
+            d2 = sp.spin_dirac_alpha(scd, smd, fr, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
             assert np.max(np.abs(d1 - d2)) / scale < 1e-10, name
 

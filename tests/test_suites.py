@@ -83,25 +83,45 @@ def test_log_det_check_catches_a_dropped_half(monkeypatch):
 REFERENCE = json.loads((Path(__file__).parent / "cartan_hodge_reference.json").read_text())
 
 
-@pytest.mark.parametrize("suite", ["cartan", "hodge", "laplacian", "superconnection",
-                                   "lichnerowicz", "clifford", "levi-civita"])
-def test_reports_match_the_per_point_reference(suite):
-    # the reference was recorded before the sample axis (cartan, hodge) and
-    # the index axis (the rest) replaced per-point and per-index loops: check
-    # ids and flags must agree, residuals to rounding; a chart without a
-    # reference entry is one the suite does not apply to
+def _reference_runs(suite):
+    """(key, run) for every reference entry a suite should reproduce: all 14
+    charts for a chart suite; for sw, a config per band and block, drawn
+    from the seed's own generator, on twice the quadrature bound."""
+    if suite == "sw":
+        for band in (1, 2, 3):
+            for block in ("+", "-"):
+                for seed in (1, 3):
+                    cfg = swm.random_sw_config(np.random.default_rng(seed), band=band,
+                                               grid=8 * band, block=block)
+                    yield (f"sw/band{band}{block}/{seed}",
+                           lambda seed=seed, cfg=cfg: run_suite(
+                               "sw", seed=seed, samples=5, sw_config=cfg))
+        return
     for chart in sorted(registry()):
         for seed in (1, 3):
-            key = f"{suite}/{chart}/{seed}"
-            if key not in REFERENCE:
-                with pytest.raises(SuiteUsageError):
-                    run_suite(suite, chart=chart, seed=seed, samples=5)
-                continue
-            rep = run_suite(suite, chart=chart, seed=seed, samples=5)
-            got = [(c.check_id, c.passed) for c in rep.checks]
-            assert got == [(cid, ok) for cid, ok, _ in REFERENCE[key]], key
-            for c, (_, _, parent) in zip(rep.checks, REFERENCE[key]):
-                assert c.max_residual <= max(10 * parent, 1e-14), (key, c.check_id)
+            yield (f"{suite}/{chart}/{seed}",
+                   lambda chart=chart, seed=seed: run_suite(
+                       suite, chart=chart, seed=seed, samples=5))
+
+
+@pytest.mark.parametrize("suite", ["cartan", "hodge", "laplacian", "superconnection",
+                                   "lichnerowicz", "clifford", "levi-civita", "sw"])
+def test_reports_match_the_per_point_reference(suite):
+    # the reference was recorded before the sample axis (cartan, hodge), the
+    # index axis (the chart suites) and the shared trig-series evaluator (sw)
+    # replaced per-point, per-index and per-mode loops: check ids and flags
+    # must agree, residuals to rounding; a chart without a reference entry
+    # is one the suite does not apply to
+    for key, run in _reference_runs(suite):
+        if key not in REFERENCE:
+            with pytest.raises(SuiteUsageError):
+                run()
+            continue
+        rep = run()
+        got = [(c.check_id, c.passed) for c in rep.checks]
+        assert got == [(cid, ok) for cid, ok, _ in REFERENCE[key]], key
+        for c, (_, _, parent) in zip(rep.checks, REFERENCE[key]):
+            assert c.max_residual <= max(10 * parent, 1e-14), (key, c.check_id)
 
 
 def test_all_suite_skips_inapplicable_subsuites():
