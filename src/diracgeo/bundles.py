@@ -1,4 +1,5 @@
-"""Superconnections on graded bundles and their quantized Dirac operators.
+"""Superconnections on graded bundles and their Dirac operators, quantized by
+the one map q of ``clifford.quantize_blades``.
 
 Fiber objects are jets: a section is a Jet with fiber (m,), an endomorphism
 field one with fiber (m, m), a form-valued section one with fiber (2^n, m)
@@ -17,16 +18,15 @@ superconnection must have eta-parity (-1)^(p+1).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
-from itertools import combinations, permutations
-from math import factorial
+from functools import lru_cache, partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charts import MetricJet
-from .clifford import blade_indices, grades, parity_matrix, wedge_table
+from .charts import MetricJet, config_integer
+from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
 from .forms import (PolyField, blade_field, exterior_derivative, exterior_gammas,
                     iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
@@ -134,6 +134,12 @@ class SuperconnectionData:
         return blade_field(self.n, self.blades, (self.m, self.m)).eval(x, order)
 
 
+# a coefficient preset is a name or "random(seed)"; each name sets the
+# polynomial degree of the coefficients, and "zero" draws nothing
+_PRESET = re.compile(r"(zero|constant|linear|random)|random\s*\((.+)\)")
+_PRESET_DEGREES = {"zero": None, "constant": 0, "linear": 1, "random": 2}
+
+
 def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
                                  degree_specs: Dict[int, str],
                                  base_seed: int = 0) -> SuperconnectionData:
@@ -141,36 +147,31 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
 
     Presets: "zero", "constant", "linear", "random" or "random(seed)".
     """
+    presets = {}
+    for p, spec in degree_specs.items():
+        hit = _PRESET.fullmatch(spec.strip())
+        if hit is None:
+            raise ValueError(f"unknown coefficient preset {spec!r}")
+        presets[p] = _PRESET_DEGREES[hit[1] or "random"], int(hit[2] or base_seed)
     blades: Dict[int, PolyField] = {}
     for mask in range(1 << n):
-        p = bin(mask).count("1")
-        if p not in degree_specs:
+        p = mask.bit_count()
+        if p not in presets:
             continue
-        spec = degree_specs[p].strip()
-        parity = -1 if p % 2 == 0 else 1
-        seed = base_seed
-        kind = spec
-        if spec.startswith("random"):
-            kind = "random"
-            inner = spec[len("random"):].strip()
-            if inner.startswith("(") and inner.endswith(")"):
-                seed = int(inner[1:-1])
-        rng = np.random.default_rng(seed * 100003 + mask * 101 + 7)
-        if kind == "zero":
+        degree, seed = presets[p]
+        if degree is None:
             blades[mask] = PolyField.zero(n, (m, m))
-        elif kind == "constant":
-            blades[mask] = random_parity_matrix(rng, n, eta, parity, degree=0)
-        elif kind == "linear":
-            blades[mask] = random_parity_matrix(rng, n, eta, parity, degree=1)
-        elif kind == "random":
-            blades[mask] = random_parity_matrix(rng, n, eta, parity, degree=2)
         else:
-            raise ValueError(f"unknown coefficient preset {spec!r}")
+            rng = np.random.default_rng(seed * 100003 + mask * 101 + 7)
+            blades[mask] = random_parity_matrix(rng, n, eta, 1 if p % 2 else -1,
+                                                degree=degree)
     return SuperconnectionData(n, m, eta, blades)
 
 
 def superconnection_from_config(cfg: dict, n: int,
                                 ms: Optional[ModuleSpec] = None) -> SuperconnectionData:
+    if not isinstance(cfg, dict):
+        raise ValueError("superconnection config must be a JSON object")
     if ms is None:
         ms = exterior_module(n)
     m = cfg.get("fiber_dimension", ms.m)
@@ -182,12 +183,15 @@ def superconnection_from_config(cfg: dict, n: int,
             raise ValueError("grading must be a +-1 vector of fiber dimension")
         if not np.allclose(np.diag(grading), ms.eta):
             raise ValueError("config grading does not match the module grading")
-    degree_specs = {int(k): str(v) for k, v in cfg.get("degrees", {}).items()}
+    degrees = cfg.get("degrees", {})
+    if not isinstance(degrees, dict):
+        raise ValueError("degrees must be an object mapping degree to preset")
+    degree_specs = {int(k): str(v) for k, v in degrees.items()}
     for p in degree_specs:
         if not 0 <= p <= n:
             raise ValueError(f"degree {p} out of range for n={n}")
-    return superconnection_from_degrees(n, ms.m, ms.eta, degree_specs,
-                                        base_seed=int(cfg.get("seed", 0)))
+    seed = config_integer(cfg.get("seed", 0), "seed")
+    return superconnection_from_degrees(n, ms.m, ms.eta, degree_specs, base_seed=seed)
 
 
 def load_superconnection_config(path: str) -> dict:
@@ -257,17 +261,6 @@ def apply_superconnection(omega: Jet, fs: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def quantize_blade(gammas: Jet, mask: int, m: int) -> Jet:
-    """q(dx^I) = (1/k!) sum over permutations of sign * gamma products."""
-    idx = blade_indices(mask)
-    if not idx:
-        return Jet.constant(np.eye(m), gammas.x)
-    terms = [reduce(lambda t, i: t @ gammas[i], perm[1:], gammas[perm[0]])
-             * float((-1) ** sum(a > b for a, b in combinations(perm, 2)))
-             for perm in permutations(idx)]
-    return sum(terms[1:], terms[0]) * (1.0 / factorial(len(idx)))
-
-
 @dataclass
 class DiracOperatorData:
     """First-order operator gamma^i (partial_i + A_i) + Z with coefficient jets;
@@ -290,19 +283,20 @@ class DiracOperatorData:
 
 def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
                              ms: ModuleSpec, x) -> DiracOperatorData:
+    """The Dirac operator gamma^i (partial_i + A_i) + Z of a superconnection,
+    with Z = sum over blades M of degree other than 1 of q(dx^M) omega_M and
+    q the quantization map of ``clifford.quantize_blades`` on the gammas."""
     S.validate_parity()
     if S.m != ms.m:
         raise ValueError("superconnection fiber dimension does not match module")
     x = np.asarray(x, dtype=float)
-    n = mj.n
     gam = ms.gammas(mj)
     omega = S.eval_blades(x, order=2)
     # fancy indexing copies the degree-1 blades, so A keeps no view of omega
-    A = omega[1 << np.arange(n)]
-    Z = Jet.constant(np.zeros((ms.m, ms.m)), x)
-    for mask in S.blades:
-        if bin(mask).count("1") != 1:
-            Z = Z + quantize_blade(gam, mask, ms.m) @ omega[mask]
+    A = omega[1 << np.arange(mj.n)]
+    q = quantize_blades(gam, np.eye(ms.m))
+    Z = sum((q(mask) @ omega[mask] for mask in S.blades if mask.bit_count() != 1),
+            Jet.constant(np.zeros((ms.m, ms.m)), x))
     return DiracOperatorData(x, gam, A, Z, ms.eta)
 
 

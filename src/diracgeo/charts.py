@@ -10,6 +10,7 @@ second derivatives).  Constant metrics return a plain array.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -26,6 +27,14 @@ class ChartDomainError(ValueError):
 
 class DegenerateMetricError(ValueError):
     """Metric fails symmetry/nondegeneracy/signature requirements at a point."""
+
+
+def config_integer(value, what: str, error=ValueError) -> int:
+    """An integral number as an int; int() would truncate 9.7 and take True."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass

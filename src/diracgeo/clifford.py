@@ -9,15 +9,15 @@ Every operation is a product with fixed structure tensors on that axis, the
 bitmap-blade tables of Dorst, Fontijne & Mann, *Geometric Algebra for
 Computer Science* (2007), ch. 19: ``blade_tables`` holds the wedge eps_i and
 the contraction iota_i by each generator, and ``product_table`` the action
-c(q(e_M)) of every quantized blade for c(dx^i) = eps_i - B_ij iota_j.
+c(q(e_M)) for c(dx^i) = eps_i - B_ij iota_j, with q from ``quantize_blades``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import prod
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,25 +95,34 @@ def contract(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out.reshape(weights.shape[:-1] + table.shape[1:])
 
 
-def product_table(pairing: np.ndarray) -> np.ndarray:
-    """Q[M] = c(q(e_M)) on the blade axis for c(dx^i) = eps_i - pairing[i, j] iota_j.
+# a module function, not a closure: a recursive closure is a reference cycle
+# that would keep every quantized jet alive until the cyclic collector runs
+def _quantized_blade(gammas, q: dict, mask: int):
+    if mask not in q:
+        gam = gammas[(mask & -mask).bit_length() - 1]
+        rest = _quantized_blade(gammas, q, mask & (mask - 1))
+        left, right = gam @ rest, rest @ gam
+        q[mask] = (left + right if mask.bit_count() % 2 else left - right) * 0.5
+    return q[mask]
 
-    Built blade by blade from q(dx^i ^ w) = c(dx^i) q(w) + q(iota_i w), with
-    i below every index of w and iota_i the contraction through the pairing;
-    column 0 of Q[M] is e_M, the symbol.  A zero pairing gives the wedge table.
-    """
+
+def quantize_blades(gammas, one) -> Callable[[int], object]:
+    """The quantization map M -> q(dx^M) from the gammas c(dx^i) and the unit,
+    q(dx^i ^ w) = (gamma^i q(w) + (-1)^|w| q(w) gamma^i) / 2 for i the lowest
+    index of M (Hestenes & Sobczyk 1984, ch. 1).  Blades are built on first
+    use by indexing, @, + and scalar *, so arrays and jets both work."""
+    return partial(_quantized_blade, gammas,
+                   {0: one, **{1 << i: gammas[i] for i in range(len(gammas))}})
+
+
+def product_table(pairing: np.ndarray) -> np.ndarray:
+    """Q[M] = c(q(e_M)) on the blade axis for c(dx^i) = eps_i - pairing[i, j] iota_j,
+    by ``quantize_blades``; column 0 of Q[M] is e_M, the symbol.  A zero
+    pairing gives the wedge table, with exact entries."""
     n = pairing.shape[0]
     eps, iota = blade_tables(n)
-    cot = contract(pairing, iota)
-    gens = eps - cot
-    dim = 1 << n
-    table = np.zeros((dim, dim, dim), dtype=complex)
-    table[0] = np.eye(dim)
-    for mask in range(1, dim):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        table[mask] = (gens[low] @ table[rest]
-                       + contract(cot[low, :rest, rest], table[:rest]))
+    q = quantize_blades(eps - contract(pairing, iota), np.eye(1 << n, dtype=complex))
+    table = np.stack([q(mask) for mask in range(1 << n)])
     table.setflags(write=False)
     return table
 

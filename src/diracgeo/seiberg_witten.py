@@ -15,6 +15,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from .charts import config_integer
 from .spin import spin_module_data
 
 N_DIM = 4
@@ -50,14 +51,6 @@ class SWConfig:
     psi_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex]
 
 
-def _integer(value, what: str) -> int:
-    """An integral number as an int; int() would truncate 9.7 and take True."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())):
-        raise SWConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _modes(rows, name: str, band: int, comps: Sequence[int],
            outside: str) -> Dict[Tuple[int, tuple], complex]:
     """The [component, k1..k4, re, im] rows, summed by (component, k)."""
@@ -67,8 +60,8 @@ def _modes(rows, name: str, band: int, comps: Sequence[int],
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != 7:
             raise SWConfigError(f"{name} rows are [component, k1..k4, re, im]")
-        c = _integer(row[0], f"{name} component")
-        k = tuple(_integer(v, "mode index") for v in row[1:5])
+        c = config_integer(row[0], f"{name} component", SWConfigError)
+        k = tuple(config_integer(v, "mode index", SWConfigError) for v in row[1:5])
         if c not in comps:
             raise SWConfigError(f"{name} component {c} {outside}")
         if any(abs(v) > band for v in k):
@@ -82,8 +75,8 @@ def _modes(rows, name: str, band: int, comps: Sequence[int],
 
 def sw_config_from_dict(cfg: dict) -> SWConfig:
     try:
-        grid = _integer(cfg["grid"], "grid")
-        band = _integer(cfg["band"], "band")
+        grid = config_integer(cfg["grid"], "grid", SWConfigError)
+        band = config_integer(cfg["band"], "band", SWConfigError)
         block = str(cfg.get("chirality_block", "+"))
     except (KeyError, TypeError) as exc:
         raise SWConfigError(f"bad monopole config: {exc}") from exc

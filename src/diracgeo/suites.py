@@ -346,6 +346,18 @@ def levi_civita_suite(chart: str, seed: int, samples: int) -> VerificationReport
 # ---------------------------------------------------------------------------
 
 
+def _quantized_points(ch: Chart, ms: bnd.ModuleSpec, pts, seed: int):
+    """Per point x, in turn: (x, its metric jet, the {0, 1, 2} random
+    superconnection of base seed ``seed`` + the point's index, its Dirac
+    operator)."""
+    for idx, x in enumerate(pts):
+        mj = metric_jet(ch, x)
+        S = bnd.superconnection_from_degrees(
+            ch.n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"},
+            base_seed=seed + idx)
+        yield x, mj, S, bnd.quantize_superconnection(S, mj, ms, x)
+
+
 def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     ch = get_chart(chart)
     n = ch.n
@@ -354,15 +366,8 @@ def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     pts = _points(ch, rng, samples)
     ms = bnd.exterior_module(n)
     m = ms.m
-    specs = {0: "random", 1: "random", 2: "random"}
-
-    built = []
-    for idx, x in enumerate(pts):
-        mj = metric_jet(ch, x)
-        S = bnd.superconnection_from_degrees(n, m, ms.eta, specs,
-                                             base_seed=seed + idx)
-        D = bnd.quantize_superconnection(S, mj, ms, x)
-        built.append((x, mj, bnd.laplacian_from_dirac(D, mj)))
+    built = [(x, mj, bnd.laplacian_from_dirac(D, mj))
+             for x, mj, _, D in _quantized_points(ch, ms, pts, seed)]
 
     def defining_identity():
         return [bnd.lap_identity_residual(H.apply, mj, x, m) for x, mj, H in built]
@@ -424,6 +429,8 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
     pts = _points(ch, rng, samples)
     ms = bnd.exterior_module(n)
     m = ms.m
+    built = list(_quantized_points(ch, ms, pts, seed))
+    few = max(4, samples // 4)     # points of the affine and later checks
 
     def parity_enforced():
         bad = 0
@@ -439,12 +446,7 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
 
     def dirac_commutator():
         out = []
-        for idx, x in enumerate(pts):
-            mj = metric_jet(ch, x)
-            S = bnd.superconnection_from_degrees(
-                n, m, ms.eta, {0: "random", 1: "random", 2: "random"},
-                base_seed=seed + idx)
-            D = bnd.quantize_superconnection(S, mj, ms, x)
+        for x, _, _, D in built:
             for _ in range(3):
                 f = random_poly_scalar(rng, n, 2, complex_coeffs=True)
                 fj = f.eval(x, 2)
@@ -454,8 +456,7 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
 
     def affine_multiplication():
         out = []
-        for idx, x in enumerate(pts[: max(4, samples // 4)]):
-            mj = metric_jet(ch, x)
+        for idx, (x, mj, _, _) in enumerate(built[:few]):
             S1 = bnd.superconnection_from_degrees(
                 n, m, ms.eta, {1: "random", 2: "random"}, base_seed=seed + idx)
             S2 = bnd.superconnection_from_degrees(
@@ -490,10 +491,7 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
 
     def curvature_dual():
         out = []
-        for idx, x in enumerate(pts[: max(4, samples // 4)]):
-            S = bnd.superconnection_from_degrees(
-                n, m, ms.eta, {0: "random", 1: "random", 2: "random"},
-                base_seed=seed + idx)
+        for x, _, S, _ in built[:few]:
             FS = bnd.superconnection_curvature(S, x)
             omega = S.eval_blades(np.asarray(x, dtype=float), order=2)
             # one section per blade 0..k-1, drawn in blade order
@@ -508,8 +506,7 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
 
     def kernel_projector():
         out = []
-        for x in pts[: max(4, samples // 4)]:
-            mj = metric_jet(ch, x)
+        for _, mj, _, _ in built[:few]:
             cmat, bmat, p = bnd.kernel_projector(mj, ms)
             com = bnd.clifford_of_metric(mj, ms)
             out.append(max(_amax(p @ p - p, cmat @ bmat - np.eye(m), com + n * np.eye(m)),
@@ -518,14 +515,10 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
 
     def twisting():
         out = []
-        for x in pts[: max(4, samples // 4)]:
-            mj = metric_jet(ch, x)
-            A = bnd.levi_civita_exterior_connection(mj)
-            FE = bnd.connection_curvature(A)
-            cd = curvature_data(mj)
-            gams = ms.gammas(mj)
+        for _, mj, _, D in built[:few]:
+            FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(mj))
             try:
-                _, res = bnd.twisting_curvature(FE, cd.lowered, gams)
+                _, res = bnd.twisting_curvature(FE, curvature_data(mj).lowered, D.gam)
             except bnd.CliffordConnectionError:
                 res = 1.0
             out.append(res)

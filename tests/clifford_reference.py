@@ -4,11 +4,15 @@ These are the blade-by-blade kernels the package used before its Clifford
 elements and forms moved onto one dense blade axis: elements are dicts from
 blade bitmask to coefficient, the geometric product peels the left factor
 into generator words, and the form operators loop over blades with scalar
-jet coefficients.  Tests compare the dense operators against them.
+jet coefficients.  The quantization map q(dx^I) is the k!-term sum over the
+permutations of I.  Tests compare the dense operators against them.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations, permutations
+from math import factorial
 from typing import Dict, List
 
 import numpy as np
@@ -31,6 +35,18 @@ def jet_det(m: list) -> Jet:
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def quantize_blade(gammas, mask: int, one):
+    """q(dx^I) = (1/k!) sum over the permutations of I of the sign times the
+    gamma product, for gammas and ``one`` given as arrays or as jets."""
+    idx = blade_indices(mask)
+    if not idx:
+        return one
+    terms = [reduce(lambda t, i: t @ gammas[i], perm[1:], gammas[perm[0]])
+             * float((-1) ** sum(a > b for a, b in combinations(perm, 2)))
+             for perm in permutations(idx)]
+    return sum(terms[1:], terms[0]) * (1.0 / factorial(len(idx)))
 
 
 def _is_exact_zero(c) -> bool:

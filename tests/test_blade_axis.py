@@ -5,9 +5,11 @@ import pytest
 
 import clifford_reference as ref
 from diracgeo import bundles as bnd
-from diracgeo.charts import Chart, MetricJet
+from diracgeo import spin as sp
+from diracgeo.charts import Chart, MetricJet, get_chart, metric_jet
 from diracgeo.clifford import (CLIFFORD, BilinearForm, MultivectorElement,
-                               action_matrix, clifford_product, parity_matrix)
+                               action_matrix, clifford_product, parity_matrix,
+                               quantize_blades)
 from diracgeo.forms import (covariant_derivative, exterior_derivative,
                             hodge_star, iota_vector, wedge_forms)
 from diracgeo.jets import Jet
@@ -74,6 +76,54 @@ def test_clifford_product_and_action_match_word_peeling(n):
         want = ref.clifford_action_dict(ref.to_dict(a), ref.to_dict(c), b.matrix)
         _close(clifford_product(ea, ec).coeffs, ref.to_array(want, n))
         _close(action_matrix(ea), ref.action_matrix(a, b.matrix))
+
+
+@pytest.mark.parametrize("module, chart", [
+    ("exterior", "sphere2"), ("exterior", "poly2"), ("exterior", "poly3"),
+    ("exterior", "torus3"), ("exterior", "sphere4"), ("exterior", "poly4"),
+    ("exterior", "minkowski4"),
+    ("spin", "sphere2"), ("spin", "poly2"), ("spin", "sphere4"), ("spin", "poly4")])
+def test_quantized_blades_match_the_permutation_sum(module, chart):
+    ch = get_chart(chart)
+    x = ch.sample_point(np.random.default_rng(17))
+    ms = bnd.exterior_module(ch.n) if module == "exterior" else sp.spin_module(ch.n)
+    full = ms.gammas(metric_jet(ch, x))
+    for order in (0, 1, 2):
+        gam = Jet(x, full.val, *(full.d, full.dd)[:order])
+        one = Jet.constant(np.eye(ms.m), x, order)
+        q = quantize_blades(gam, one)
+        for mask in range(1 << ch.n):
+            got, want = q(mask), ref.quantize_blade(gam, mask, one)
+            assert got.order == want.order == order
+            for g, w in zip((got.val, got.d, got.dd)[:order + 1],
+                            (want.val, want.d, want.dd)):
+                _close(g, w)
+            if module == "exterior":
+                # the symbol property q(dx^M) e_0 = e_M, at every order
+                _close(got.val[:, 0], np.eye(ms.m)[mask])
+                for g in (got.d, got.dd)[:order]:
+                    _close(g[..., 0], 0.0)
+
+
+@pytest.mark.parametrize("module, chart", [
+    ("exterior", "sphere2"), ("exterior", "poly3"), ("exterior", "minkowski4"),
+    ("spin", "poly4")])
+def test_zero_order_term_is_the_quantized_blade_sum(module, chart):
+    ch = get_chart(chart)
+    n = ch.n
+    x = ch.sample_point(np.random.default_rng(23))
+    mj = metric_jet(ch, x)
+    ms = bnd.exterior_module(n) if module == "exterior" else sp.spin_module(n)
+    S = bnd.superconnection_from_degrees(
+        n, ms.m, ms.eta, {p: "random" for p in range(n + 1)}, base_seed=4)
+    D = bnd.quantize_superconnection(S, mj, ms, x)
+    one = Jet.constant(np.eye(ms.m), x)
+    omega = S.eval_blades(x, order=2)
+    want = [ref.quantize_blade(D.gam, mask, one) @ omega[mask]
+            for mask in range(1 << n) if bin(mask).count("1") != 1]
+    want = sum(want[1:], want[0])
+    for g, w in zip((D.Z.val, D.Z.d, D.Z.dd), (want.val, want.d, want.dd)):
+        _close(g, w)
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)

@@ -299,6 +299,23 @@ def test_superconnection_from_degrees_is_seed_deterministic():
     assert np.max(np.abs(va - vc)) > 1e-6
 
 
+def test_superconnection_presets_set_degree_and_seed():
+    n = 2
+    ms, m = _module(n)
+    S = bnd.superconnection_from_degrees(
+        n, m, ms.eta, {0: "constant", 1: "linear", 2: "random(9)"}, 5)
+    degree = {mask: int(pm.exponents.sum(axis=1).max()) for mask, pm in S.blades.items()}
+    assert degree == {0: 0, 1: 1, 2: 1, 3: 2}
+    # "random(9)" is "random" with its own seed in place of the base seed
+    T = bnd.superconnection_from_degrees(n, m, ms.eta, {2: " random "}, 9)
+    assert np.array_equal(S.blades[3].coeffs, T.blades[3].coeffs)
+    assert not np.any(bnd.superconnection_from_degrees(
+        n, m, ms.eta, {1: "zero"}).blades[1].coeffs)
+    for bad in ("random5", "constant(3)", "random(3", "cubic"):
+        with pytest.raises(ValueError, match="unknown coefficient preset"):
+            bnd.superconnection_from_degrees(n, m, ms.eta, {1: bad})
+
+
 def test_residuals_keep_a_nan():
     # a NaN residual must fail its check; max(0.0, nan) is 0.0, so the
     # per-index reductions used to drop it

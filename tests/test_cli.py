@@ -204,6 +204,37 @@ def test_dirac_with_superconnection_config(capsys, tmp_path):
     assert "fiber_dimension" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('[1, 2]', "must be a JSON object"),
+    ('{"degrees": [1, 2]}', "degrees must be an object"),
+    ('{"degrees": {"1": "random"}, "seed": 1.7}', "seed must be an integer"),
+    ('{"degrees": {"1": "random"}, "seed": true}', "seed must be an integer"),
+    ('{"degrees": {"1": "random"}, "seed": "1"}', "seed must be an integer"),
+])
+def test_superconnection_config_entries_are_input_errors(capsys, tmp_path, text,
+                                                         message):
+    # a list used to raise an uncaught AttributeError, and seed 1.7 ran
+    # silently as seed 1
+    cfg = tmp_path / "super.json"
+    cfg.write_text(text)
+    code, out, err = _run(capsys, ["dirac", "--chart", "sphere2",
+                                   "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_superconnection_config_accepts_an_integral_float_seed(capsys, tmp_path):
+    outs = []
+    for seed in ("3", "3.0"):
+        cfg = tmp_path / "super.json"
+        cfg.write_text('{"degrees": {"0": "random", "2": "linear"}, "seed": %s}' % seed)
+        code, out, _ = _run(capsys, ["dirac", "--chart", "sphere2",
+                                     "--config", str(cfg)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_sw_random_seed_42(capsys):
     code, out, _ = _run(capsys, ["sw", "--seed", "42"])
     assert code == 0
