@@ -10,6 +10,12 @@ the curvature F_ik fiber (n, n, m, m).  Missing orders propagate through
 arithmetic, so operator compositions consume derivative orders with no
 truncation error.
 
+Stack convention: every operator takes a point x (n,) or a stack of points x
+(P, n), the metric jet, superconnection and sections at the same stack.
+Plain arrays then carry the sample axis in front, as jets do (a section
+value is (P, m)), and residuals are returned per sample, shape (P,).  The
+einsums run over a ``...`` prefix: a single point is the same code.
+
 Grading conventions: eta is a diagonal +-1 involution; a matrix is even when
 it commutes with eta, odd when it anticommutes. The degree-p component of a
 superconnection must have eta-parity (-1)^(p+1).
@@ -31,7 +37,7 @@ from .forms import (PolyField, blade_field, exterior_derivative, exterior_gammas
                     iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
-from .jets import Jet, check_point, index_contract, seed_point
+from .jets import Jet, check_point, index_contract, sample_max, seed_point
 
 
 class ParityError(ValueError):
@@ -51,11 +57,18 @@ def random_poly_section(rng, n: int, m: int, degree: int = 2) -> PolyField:
     return random_poly_field(rng, n, (m,), degree, complex_coeffs=True)
 
 
+@lru_cache(maxsize=None)
+def _sign_products(sig: tuple) -> np.ndarray:
+    """sig_r sig_c for eta = diag(sig): +1 on even matrix entries, -1 on odd."""
+    out = np.outer(sig, sig)
+    out.setflags(write=False)
+    return out
+
+
 def random_parity_matrix(rng, n: int, eta: np.ndarray, parity: int,
                          degree: int = 1) -> PolyField:
     """Polynomial matrix field with the requested eta-parity (+1 even, -1 odd)."""
-    sig = np.real(np.diag(eta)).astype(int)
-    allowed = np.outer(sig, sig) == parity
+    allowed = _sign_products(tuple(np.diag(eta).real)) == parity
     entries = random_poly_field(rng, n, (int(allowed.sum()),), degree,
                                 complex_coeffs=True)
     coeffs = np.zeros((len(entries.coeffs),) + allowed.shape, dtype=complex)
@@ -87,12 +100,13 @@ def exterior_module(n: int) -> ModuleSpec:
     return ModuleSpec(1 << n, parity_matrix(n), exterior_gammas, name="exterior")
 
 
-def module_invariant_residual(ms: ModuleSpec, mj: MetricJet) -> float:
-    """Max residual of the Clifford relation and gamma oddness."""
-    g = ms.gammas(mj).val
-    gi, gj = g[:, None], g[None]
-    anti = gi @ gj + gj @ gi + 2.0 * mj.g_inv[:, :, None, None] * np.eye(ms.m)
-    return float(np.maximum(np.max(np.abs(anti)), np.max(np.abs(ms.eta @ g + g @ ms.eta))))
+def module_invariant_residual(ms: ModuleSpec, mj: MetricJet):
+    """Max residual of the Clifford relation and gamma oddness, per sample."""
+    gam = ms.gammas(mj)
+    g = gam.val
+    gi, gj = g[..., :, None, :, :], g[..., None, :, :, :]
+    anti = gi @ gj + gj @ gi + 2.0 * mj.g_inv[..., None, None] * np.eye(ms.m)
+    return np.maximum(sample_max(anti, gam.nb), sample_max(ms.eta @ g + g @ ms.eta, gam.nb))
 
 
 # ---------------------------------------------------------------------------
@@ -105,33 +119,37 @@ class SuperconnectionData:
     """Blade-keyed coefficients: mask I -> omega_I(x), plus d implied.
 
     Degree-1 masks store the A_i of the operator dx^i (x) (partial_i + A_i).
+    ``field`` holds all blades, fiber (2^n, m, m), built once at construction;
+    on a stack (P base seeds) it is stacked and the blades are views of it.
     """
 
     n: int
     m: int
     eta: np.ndarray
     blades: Dict[int, PolyField]
+    field: Optional[PolyField] = None
 
     def __post_init__(self):
+        if self.field is None:
+            self.field = blade_field(self.n, self.blades, (self.m, self.m))
         self.validate_parity()
 
-    def required_parity(self, mask: int) -> int:
-        return -1 if bin(mask).count("1") % 2 == 0 else 1
-
     def validate_parity(self) -> None:
-        sig = np.real(np.diag(self.eta)).astype(int)
-        parity = np.outer(sig, sig)
-        for mask, pm in self.blades.items():
-            bad = (parity != self.required_parity(mask)) & np.any(pm.coeffs != 0, axis=0)
-            if bad.any():
-                r, c = np.argwhere(bad)[0]
-                raise ParityError(
-                    f"blade {blade_indices(mask)} entry ({r},{c}) breaks "
-                    f"the degree-parity rule")
+        """Blade I must have eta-parity (-1)^(|I|+1): one test over the field."""
+        required = np.where(grades(self.n) % 2, 1, -1)
+        # real and imaginary parts side by side: comparing floats is the fast path
+        nonzero = np.ascontiguousarray(self.field.coeffs).view(float) != 0
+        live = np.logical_or.reduce(nonzero.reshape((-1,) + nonzero.shape[-3:]))
+        bad = ((live[..., 0::2] | live[..., 1::2])
+               & (_sign_products(tuple(np.diag(self.eta).real)) != required[:, None, None]))
+        if bad.any():
+            mask, r, c = np.argwhere(bad)[0]
+            raise ParityError(f"blade {blade_indices(int(mask))} entry ({r},{c}) "
+                              f"breaks the degree-parity rule")
 
     def eval_blades(self, x, order: int = 2) -> Jet:
         """omega_I(x) on the blade axis, fiber (2^n, m, m); absent blades are zero."""
-        return blade_field(self.n, self.blades, (self.m, self.m)).eval(x, order)
+        return self.field.eval(x, order)
 
 
 # a coefficient preset is a name or "random(seed)"; each name sets the
@@ -140,13 +158,30 @@ _PRESET = re.compile(r"(zero|constant|linear|random)|random\s*\((.+)\)")
 _PRESET_DEGREES = {"zero": None, "constant": 0, "linear": 1, "random": 2}
 
 
+def _blade(field: PolyField, mask: int) -> PolyField:
+    """Blade ``mask`` of a superconnection's field, as a view."""
+    return PolyField(field.n, field.exponents, field.coeffs[..., mask, :, :],
+                     stacked=field.stacked)
+
+
 def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
                                  degree_specs: Dict[int, str],
-                                 base_seed: int = 0) -> SuperconnectionData:
+                                 base_seed=0) -> SuperconnectionData:
     """Build coefficients per degree from preset names.
 
-    Presets: "zero", "constant", "linear", "random" or "random(seed)".
+    Presets: "zero", "constant", "linear", "random" or "random(seed)".  P base
+    seeds give one stack, for a stack of points x (P, n): each superconnection
+    is built in turn and its field written into one (P, T, 2^n, m, m) array.
     """
+    if np.ndim(base_seed):
+        for k, seed in enumerate(base_seed):
+            field = superconnection_from_degrees(n, m, eta, degree_specs, int(seed)).field
+            if k == 0:
+                coeffs = np.empty((len(base_seed),) + field.coeffs.shape, dtype=complex)
+            coeffs[k] = field.coeffs
+        field = PolyField(n, field.exponents, coeffs, stacked=True)
+        return SuperconnectionData(n, m, eta, {mask: _blade(field, mask) for mask in range(
+            1 << n) if mask.bit_count() in degree_specs}, field)
     presets = {}
     for p, spec in degree_specs.items():
         hit = _PRESET.fullmatch(spec.strip())
@@ -231,7 +266,7 @@ def _graded_product(omega: Jet, right: Jet, odd: int) -> Jet:
     table into [(b, I), (M, c)].
     """
     index, sign = _koszul_wedge(omega.n, odd)
-    dim, m, p = right.val.shape
+    dim, m, p = right.val.shape[-3:]
 
     def spread(r):           # [..., K, b, c] -> [..., (b, I), (M, c)]
         t = np.take(np.moveaxis(r, -3, -2), index, axis=-2)   # [..., b, I, M, c]
@@ -278,44 +313,49 @@ class DiracOperatorData:
 
     @property
     def m(self) -> int:
-        return self.Z.val.shape[0]
+        return self.Z.val.shape[-1]
 
 
 def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
-                             ms: ModuleSpec, x) -> DiracOperatorData:
+                             ms: ModuleSpec, x, order: int = 2) -> DiracOperatorData:
     """The Dirac operator gamma^i (partial_i + A_i) + Z of a superconnection,
     with Z = sum over blades M of degree other than 1 of q(dx^M) omega_M and
-    q the quantization map of ``clifford.quantize_blades`` on the gammas."""
-    S.validate_parity()
+    q the quantization map of ``clifford.quantize_blades`` on the gammas.  A and
+    Z carry ``order`` orders, the gammas two; blades are evaluated a few at a time."""
     if S.m != ms.m:
         raise ValueError("superconnection fiber dimension does not match module")
     x = np.asarray(x, dtype=float)
     gam = ms.gammas(mj)
-    omega = S.eval_blades(x, order=2)
-    # fancy indexing copies the degree-1 blades, so A keeps no view of omega
-    A = omega[1 << np.arange(mj.n)]
-    q = quantize_blades(gam, np.eye(ms.m))
-    Z = sum((q(mask) @ omega[mask] for mask in S.blades if mask.bit_count() != 1),
-            Jet.constant(np.zeros((ms.m, ms.m)), x))
+    # the family A_i: the degree-1 blades, stacked on the index axis
+    parts = [_blade(S.field, 1 << i).eval(x, order) for i in range(mj.n)]
+    A = Jet(x, *(None if k > order else np.stack([(j.val, j.d, j.dd)[k] for j in parts],
+                                                  axis=gam.nb + k) for k in range(3)))
+    q = quantize_blades(gam.truncate(order), np.eye(ms.m))
+    Z = sum((q(mask) @ _blade(S.field, mask).eval(x, order)
+             for mask in S.blades if mask.bit_count() != 1),
+            Jet.constant(np.zeros((ms.m, ms.m)), x, order))
     return DiracOperatorData(x, gam, A, Z, ms.eta)
 
 
 def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
     if D.x is not j.x:
         check_point(D.x, j.x)
-    if j.val.shape[0] != D.m:
+    if j.val.shape[-1] != D.m:
         raise ValueError("fiber dimension mismatch")
-    return D.Z.val @ j.val + np.einsum("iab,ib->a", D.gam.val, j.d + D.A.val @ j.val)
+    return (np.einsum("...ab,...b->...a", D.Z.val, j.val)
+            + np.einsum("...iab,...ib->...a", D.gam.val,
+                        j.d + np.einsum("...iab,...b->...ia", D.A.val, j.val)))
 
 
-def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple[float, float]:
-    """Largest entry of [D, f] psi - c(df) psi, absolute and relative to the
-    larger of D(f psi) and f D(psi) (floored at 1)."""
+def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple:
+    """Per sample, the largest entry of [D, f] psi - c(df) psi, absolute and
+    relative to the larger of D(f psi) and f D(psi) (floored at 1)."""
     t1 = apply_dirac(D, j * f)
-    t2 = f.val * apply_dirac(D, j)
-    rhs = f.d @ (D.gam.val @ j.val)
-    diff = float(np.max(np.abs(t1 - t2 - rhs)))
-    return diff, diff / max(1.0, float(np.max(np.abs(t1))), float(np.max(np.abs(t2))))
+    t2 = f.val[..., None] * apply_dirac(D, j)
+    rhs = np.einsum("...i,...ia->...a", f.d,
+                    np.einsum("...iab,...b->...ia", D.gam.val, j.val))
+    diff, nb = sample_max(t1 - t2 - rhs, j.nb), j.nb
+    return diff, diff / np.maximum(1.0, np.maximum(sample_max(t1, nb), sample_max(t2, nb)))
 
 
 def apply_dirac_jet(D: DiracOperatorData, j: Jet) -> Jet:
@@ -327,9 +367,10 @@ def _second_covariant(A: Jet, j: Jet):
     """M_k psi and M_i M_k psi for M_k = partial_k + A_k on a section 2-jet,
     indexed [k, a] and [i, k, a]."""
     a = A.val
-    mk = j.d + a @ j.val
-    mm = (j.dd + A.d @ j.val + np.einsum("kab,ib->ika", a, j.d)
-          + np.einsum("iab,kb->ika", a, mk))
+    mk = j.d + np.einsum("...kab,...b->...ka", a, j.val)
+    mm = (j.dd + np.einsum("...ikab,...b->...ika", A.d, j.val)
+          + np.einsum("...kab,...ib->...ika", a, j.d)
+          + np.einsum("...iab,...kb->...ika", a, mk))
     return mk, mm
 
 
@@ -338,14 +379,17 @@ def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
     if j.dd is None:
         raise ValueError("dirac_square needs an order-2 section jet")
     g, a, Z = D.gam.val, D.A.val, D.Z.val
+    z = Z[..., None, :, :]
     mk, mm = _second_covariant(D.A, j)
     # gamma^i applied to gamma^k M_i M_k psi, to (partial_i gamma^k + [A_i,
     # gamma^k]) M_k psi and to (partial_i Z + [A_i, Z]) psi
-    coeff = D.gam.d + _commutator(a[:, None], g[None])
-    inner = (np.einsum("kab,ikb->ia", g, mm) + np.einsum("ikab,kb->ia", coeff, mk)
-             + (D.Z.d + _commutator(a, Z)) @ j.val)
-    return (np.einsum("iab,ib->a", g, inner) + np.einsum("iab,ib->a", g @ Z + Z @ g, mk)
-            + Z @ (Z @ j.val))
+    coeff = D.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :])
+    inner = (np.einsum("...kab,...ikb->...ia", g, mm)
+             + np.einsum("...ikab,...kb->...ia", coeff, mk)
+             + np.einsum("...iab,...b->...ia", D.Z.d + _commutator(a, z), j.val))
+    return (np.einsum("...iab,...ib->...a", g, inner)
+            + np.einsum("...iab,...ib->...a", g @ z + z @ g, mk)
+            + np.einsum("...ab,...b->...a", Z, np.einsum("...ab,...b->...a", Z, j.val)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,43 +402,43 @@ def canonical_laplacian(A: Jet, mj: MetricJet, j: Jet,
     """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a section 2-jet."""
     if route == "local":
         mk, mm = _second_covariant(A, j)
-        return -(np.einsum("ik,ika->a", mj.g_inv, mm) - _trace_gamma(mj) @ mk)
+        return -(np.einsum("...ik,...ika->...a", mj.g_inv, mm)
+                 - np.einsum("...k,...ka->...a", _trace_gamma(mj), mk))
     if route == "trace":
         # materialize eta_k = nabla_k psi as a 1-jet family, apply the
         # tensor-bundle connection, contract with -g
         eta = j.gradient() + A @ j
-        cov = (eta.d + np.einsum("iab,kb->ika", A.val, eta.val)
-               - np.einsum("lik,la->ika", mj.christoffel, eta.val))
-        return -np.einsum("ik,ika->a", mj.g_inv, cov)
+        cov = (eta.d + np.einsum("...iab,...kb->...ika", A.val, eta.val)
+               - np.einsum("...lik,...la->...ika", mj.christoffel, eta.val))
+        return -np.einsum("...ik,...ika->...a", mj.g_inv, cov)
     raise ValueError(f"unknown route {route!r}")
 
 
 def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
-                          mj: MetricJet, x, m: int,
-                          probe: Optional[Jet] = None) -> float:
+                          mj: MetricJet, x, m: int):
     """Defining test [[H, f], g] psi + 2 (df, dg) psi for f=x^k, g=x^l.
 
-    The residual is relative: scaled by the largest operator value entering
-    the double commutator, so the test is meaningful on any chart.
+    The residual is relative, per sample: scaled by the largest operator
+    value entering the double commutator, so the test is meaningful on any
+    chart.
     """
     n = mj.n
     x = np.asarray(x, dtype=float)
-    if probe is None:
-        probe = Jet.constant(np.ones(m), x)
+    probe = Jet.constant(np.ones(m), x)
     coords = seed_point(x)
-    h_0 = apply_h(probe)
-    h_coord = np.array([apply_h(probe * c) for c in coords])
+    h_0 = apply_h(probe)[..., None, None, :]
+    h_coord = np.stack([apply_h(probe * c) for c in coords], axis=-2)
     # x^k x^l is symmetric in (k, l): one operator call per unordered pair
     upper = np.triu_indices(n)
     pair = np.empty((n, n), dtype=int)
     pair[upper] = pair[upper[::-1]] = np.arange(len(upper[0]))
-    h_fg = np.array([apply_h(probe * (coords[k] * coords[l]))
-                     for k, l in zip(*upper)])[pair]
-    # indexed [k, l, a] with f = x^k, g = x^l
-    h_f, h_g = h_coord[:, None], h_coord[None]
-    xk, xl = x[:, None, None], x[None, :, None]
+    h_fg = np.stack([apply_h(probe * (coords[k] * coords[l]))
+                     for k, l in zip(*upper)], axis=-2)[..., pair, :]
+    # indexed [..., k, l, a] with f = x^k, g = x^l
+    h_f, h_g = h_coord[..., :, None, :], h_coord[..., None, :, :]
+    xk, xl = x[..., :, None, None], x[..., None, :, None]
     resid = (h_fg - xl * h_f - xk * h_g + xk * xl * h_0
-             + 2.0 * mj.g_inv[:, :, None] * probe.val)
+             + 2.0 * mj.g_inv[..., None] * probe.val[..., None, None, :])
 
     def peak(a):
         return np.max(np.abs(a), axis=-1, keepdims=True)
@@ -402,7 +446,7 @@ def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
     scale = np.maximum(1.0, np.maximum.reduce([
         peak(h_fg), np.abs(xl) * peak(h_f), np.abs(xk) * peak(h_g),
         np.abs(xk * xl) * peak(h_0)]))
-    return float(np.max(np.abs(resid) / scale))
+    return sample_max(np.abs(resid) / scale, coords.nb)
 
 
 @dataclass
@@ -424,14 +468,14 @@ class LaplacianData:
 
 
 def _trace_gamma(mj: MetricJet) -> np.ndarray:
-    """g^ij Gamma^k_ij, indexed [k]."""
-    return np.einsum("ij,kij->k", mj.g_inv, mj.christoffel)
+    """g^ij Gamma^k_ij, indexed [..., k]."""
+    return np.einsum("...ij,...kij->...k", mj.g_inv, mj.christoffel)
 
 
 def _trace_gamma_jet(mj: MetricJet, m: int) -> Jet:
     """The 1-jet of g^ij Gamma^k_ij id, fiber (n, m, m)."""
-    d = (np.einsum("lij,kij->lk", mj.dg_inv, mj.christoffel)
-         + np.einsum("ij,lkij->lk", mj.g_inv, mj.dchristoffel))
+    d = (np.einsum("...lij,...kij->...lk", mj.dg_inv, mj.christoffel)
+         + np.einsum("...ij,...lkij->...lk", mj.g_inv, mj.dchristoffel))
     return Jet(mj.x, *(a[..., None, None] * np.eye(m) for a in (_trace_gamma(mj), d)))
 
 
@@ -445,11 +489,11 @@ def _lower_index(metric: Jet, family: Jet) -> Jet:
 def laplacian_from_connection(A: Jet, F: np.ndarray,
                               mj: MetricJet, x) -> LaplacianData:
     """H = canonical Laplacian of A plus zero-order F."""
-    m = F.shape[0]
+    m = F.shape[-1]
     x = np.asarray(x, dtype=float)
 
     def apply_h(j: Jet) -> np.ndarray:
-        return canonical_laplacian(A, mj, j) + F @ j.val
+        return canonical_laplacian(A, mj, j) + np.einsum("...ab,...b->...a", F, j.val)
 
     # T^k = -2 g^ik A_i + g^ij Gamma^k_ij id
     T = _lower_index(Jet(x, mj.g_inv, mj.dg_inv), A) * -2.0 + _trace_gamma_jet(mj, m)
@@ -460,8 +504,9 @@ def laplacian_from_connection(A: Jet, F: np.ndarray,
 def _zero_order_of_connection(A: Jet, mj: MetricJet) -> np.ndarray:
     """Zero-order block of the canonical Laplacian itself."""
     a = A.val
-    term = A.d + a[:, None] @ a[None] - np.einsum("lik,lab->ikab", mj.christoffel, a)
-    return -np.einsum("ik,ikab->ab", mj.g_inv, term)
+    term = (A.d + a[..., :, None, :, :] @ a[..., None, :, :, :]
+            - np.einsum("...lik,...lab->...ikab", mj.christoffel, a))
+    return -np.einsum("...ik,...ikab->...ab", mj.g_inv, term)
 
 
 def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
@@ -472,22 +517,21 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
           + g^i (d_i Z + [A_i, Z]) + (g^i Z + Z g^i) M_i + Z^2
     so the first-order coefficient (of partial_k) is
       T^k = g^k g^i A_i + g^i g^k A_i + g^i (d_i g^k + [A_i, g^k])
-          + g^k Z + Z g^k.
+          + g^k Z + Z g^k
+          = g^k W + W g^k + g^i d_i g^k,   W = g^i A_i + Z,
+    since g^i g^k A_i + g^i [A_i, g^k] = g^i A_i g^k.
     """
     g, a, Z = D.gam.val, D.A.val, D.Z.val
     # T is read to first order only, so its products run on 1-jets
-    def first_order(f: Jet) -> Jet:
-        return Jet(f.x, f.val, f.d)
-
-    g1, A1, Z1 = first_order(D.gam), first_order(D.A), first_order(D.Z)
-    gi, gk, Ai = g1[:, None], g1[None], A1[:, None]
-    T = (g1 @ Z1 + Z1 @ g1 + g1 @ (g1 @ A1).sum()
-         + (gi @ (gk @ Ai + D.gam.gradient() + _commutator(Ai, gk))).sum())
+    g1 = D.gam.truncate(1)
+    W = (g1 @ D.A.truncate(1)).sum() + D.Z.truncate(1)
+    T = g1 @ W + W @ g1 + (g1[:, None] @ D.gam.gradient()).sum()
     # U: the same expansion with every derivative of the section dropped
-    coeff = D.gam.d + _commutator(a[:, None], g[None])
-    inner = ((g[None] @ (D.A.d + a[:, None] @ a[None]) + coeff @ a[None]).sum(axis=1)
-             + D.Z.d + _commutator(a, Z))
-    U = Z @ Z + (g @ inner).sum(axis=0) + ((g @ Z + Z @ g) @ a).sum(axis=0)
+    ai, ak, z = a[..., :, None, :, :], a[..., None, :, :, :], Z[..., None, :, :]
+    coeff = D.gam.d + _commutator(ai, g[..., None, :, :, :])
+    inner = ((g[..., None, :, :, :] @ (D.A.d + ai @ ak) + coeff @ ak).sum(axis=-3)
+             + D.Z.d + _commutator(a, z))
+    U = Z @ Z + (g @ inner).sum(axis=-3) + ((g @ z + z @ g) @ a).sum(axis=-3)
     return LaplacianData(D.n, D.m, np.asarray(D.x, dtype=float), partial(dirac_square, D),
                          T, U)
 
@@ -535,19 +579,22 @@ def apply_form_endomorphism(F: Jet, fs: Jet) -> Jet:
 
 def twisting_curvature(FE: Jet, lowered: np.ndarray, gammas: Jet, tol: float = 1e-9):
     """F^tw_ik = F^E_ik - c(S_ik), S_ik = -1/4 lowered[k,l,i,k'] dx^k dx^l,
-    returned with fiber axes [i, k, a, b].
+    returned with fiber axes [i, k, a, b], and its residual per sample.
 
     Raises CliffordConnectionError when the result fails to supercommute
-    with every gamma (the input connection was not a Clifford connection).
+    with every gamma at some sample (the input connection was not a Clifford
+    connection).
     """
-    g = gammas.val
-    ftw = FE.val + 0.25 * np.einsum("abik,abxy->ikxy", lowered, g[:, None] @ g[None])
-    scale = float(np.max(np.abs(lowered))) + float(np.max(np.abs(FE.val)))
-    worst = float(np.max(np.abs(_commutator(ftw[:, :, None], g))))
-    if worst > tol * max(1.0, scale):
+    g, nb = gammas.val, gammas.nb
+    ftw = FE.val + 0.25 * np.einsum("...abik,...abxy->...ikxy", lowered,
+                                    g[..., :, None, :, :] @ g[..., None, :, :, :])
+    scale = sample_max(lowered, nb) + sample_max(FE.val, nb)
+    worst = sample_max(_commutator(ftw[..., None, :, :], g[..., None, None, :, :, :]), nb)
+    if np.any(worst > tol * np.maximum(1.0, scale)):
         raise CliffordConnectionError(
             f"twisting curvature fails to supercommute with the Clifford action "
-            f"(residual {worst:.3e}); the connection is not a Clifford connection")
+            f"(residual {np.max(worst):.3e}); the connection is not a Clifford "
+            f"connection")
     return ftw, worst
 
 
@@ -559,7 +606,7 @@ def twisting_curvature(FE: Jet, lowered: np.ndarray, gammas: Jet, tol: float = 1
 def _lowered_gammas(mj: MetricJet, ms: ModuleSpec) -> tuple:
     """The gammas gamma^i and their lowered family g_ij gamma^j, both (n, m, m)."""
     g = ms.gammas(mj).val
-    return g, np.einsum("ij,jab->iab", mj.g, g)
+    return g, np.einsum("...ij,...jab->...iab", mj.g, g)
 
 
 def kernel_projector(mj: MetricJet, ms: ModuleSpec):
@@ -570,15 +617,15 @@ def kernel_projector(mj: MetricJet, ms: ModuleSpec):
     """
     n, m = mj.n, ms.m
     g, low = _lowered_gammas(mj, ms)
-    c = np.swapaxes(g, 0, 1).reshape(m, n * m)
-    b = -low.reshape(n * m, m) / n
+    c = np.swapaxes(g, -3, -2).reshape(g.shape[:-3] + (m, n * m))
+    b = -low.reshape(low.shape[:-3] + (n * m, m)) / n
     return c, b, b @ c
 
 
 def clifford_of_metric(mj: MetricJet, ms: ModuleSpec) -> np.ndarray:
     """c(omega) for omega = g_ij dx^i dx^j; equals -n times the identity."""
     g, low = _lowered_gammas(mj, ms)
-    return (g @ low).sum(axis=0)
+    return (g @ low).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------

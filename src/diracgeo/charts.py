@@ -2,9 +2,9 @@
 
 A chart's ``metric_fn`` takes the coordinates as one vector and is written
 against generic array arithmetic, so the same function body evaluates on a
-plain float array (the rejection check of random charts, tests) and on the
-coordinate jet of ``seed_point`` (everywhere else, for exact first and
-second derivatives).  Constant metrics return a plain array.
+plain float array (tests) and on the coordinate jet of ``seed_point`` at a
+point or a stack (exact metric jets, and the rejection check of random
+charts).  Constant metrics return a plain array.
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def polynomial_chart(n: int, seed: int = 7, scale: float = 0.04) -> Chart:
     comfortably positive definite on the sampling box.
     """
     radius = 0.9
+    # every attempt is tested on the same points, as one stack in one call
+    probe = seed_point(np.random.default_rng(seed + 99).uniform(-radius, radius, (200, n)),
+                       order=0)
     for attempt in range(64):
         rng = np.random.default_rng(seed + 1000 * attempt)
         s0 = rng.uniform(-1, 1, size=(n, n)) * scale
@@ -271,10 +274,7 @@ def polynomial_chart(n: int, seed: int = 7, scale: float = 0.04) -> Chart:
         def metric_fn(xs, g0=np.eye(n) + s0, s1=s1, s2=s2):
             return g0 + s1 @ xs + (s2 @ xs) @ xs
 
-        check = np.random.default_rng(seed + 99)
-        xs = check.uniform(-radius, radius, size=(200, n))
-        ok = all(np.min(np.linalg.eigvalsh(metric_fn(x))) >= 0.5 for x in xs)
-        if ok:
+        if np.min(np.linalg.eigvalsh(metric_fn(probe).val)) >= 0.5:
             return Chart(f"poly{n}", n, 0, metric_fn, kind="polynomial",
                          sample_radius=radius)
     raise DegenerateMetricError("could not draw a positive definite polynomial metric")
@@ -317,7 +317,7 @@ def chart_from_config(cfg: dict) -> Chart:
     """
     try:
         kind = cfg["kind"]
-        n = int(cfg["dimension"])
+        n = config_integer(cfg["dimension"], "dimension")
     except KeyError as exc:
         raise ValueError(f"chart config missing key {exc}") from exc
     if kind == "flat":
@@ -337,7 +337,8 @@ def chart_from_config(cfg: dict) -> Chart:
         coeffs = cfg.get("coefficients", [7, 0.04])
         if len(coeffs) != 2:
             raise ValueError("polynomial chart coefficients are [seed, scale]")
-        chart = polynomial_chart(n, int(coeffs[0]), float(coeffs[1]))
+        chart = polynomial_chart(n, config_integer(coeffs[0], "polynomial seed"),
+                                 float(coeffs[1]))
     else:
         raise ValueError(f"unknown chart kind {kind!r}")
     if "name" in cfg:

@@ -9,6 +9,10 @@ Conventions (all verified against frozen unit-value tests):
   lowered[i, j, k, l] = g_jm riemann[i, m, k, l]   (the all-lower tensor)
   ricci_ij = g^km lowered[m, i, k, j];  scalar = g^ij ricci_ij
 so the unit 2-sphere has scalar +2.
+
+Stack convention: a metric jet at a stack of points x (P, n) gives curvature
+data with the sample axis P in front of every array (``scalar`` is (P,)), and
+residuals per sample; the einsums run over a ``...`` prefix.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from .charts import MetricJet
 from .clifford import BilinearForm, contract
+from .jets import sample_max
 
 
 def christoffel(mj: MetricJet) -> np.ndarray:
@@ -31,25 +36,9 @@ def dchristoffel(mj: MetricJet) -> np.ndarray:
     return mj.dchristoffel
 
 
-def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    return (np.einsum("ljki->ijkl", dgamma) - np.einsum("kjli->ijkl", dgamma)
-            + np.einsum("jlm,mki->ijkl", gamma, gamma)
-            - np.einsum("jkm,mli->ijkl", gamma, gamma))
-
-
-def lowered_riemann(mj: MetricJet, riem: np.ndarray) -> np.ndarray:
-    return np.einsum("jm,imkl->ijkl", mj.g, riem)
-
-
-def ricci_and_scalar(mj: MetricJet, low: np.ndarray):
-    ric = np.einsum("km,mikj->ij", mj.g_inv, low)
-    scal = float(np.einsum("ij,ij->", mj.g_inv, ric))
-    return ric, scal
-
-
 @dataclass
 class CurvatureData:
-    """Everything Levi-Civita at one point."""
+    """Everything Levi-Civita at one point, or at each point of a stack."""
 
     mj: MetricJet
     christoffel: np.ndarray
@@ -57,16 +46,18 @@ class CurvatureData:
     riemann: np.ndarray
     lowered: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: np.ndarray
 
 
 def curvature_data(mj: MetricJet) -> CurvatureData:
-    gamma = christoffel(mj)
-    dgamma = dchristoffel(mj)
-    riem = riemann(gamma, dgamma)
-    low = lowered_riemann(mj, riem)
-    ric, scal = ricci_and_scalar(mj, low)
-    return CurvatureData(mj, gamma, dgamma, riem, low, ric, scal)
+    gamma, dgamma = christoffel(mj), dchristoffel(mj)
+    riem = (np.einsum("...ljki->...ijkl", dgamma) - np.einsum("...kjli->...ijkl", dgamma)
+            + np.einsum("...jlm,...mki->...ijkl", gamma, gamma)
+            - np.einsum("...jkm,...mli->...ijkl", gamma, gamma))
+    low = np.einsum("...jm,...imkl->...ijkl", mj.g, riem)
+    ric = np.einsum("...km,...mikj->...ij", mj.g_inv, low)
+    scalar = np.einsum("...ij,...ij->...", mj.g_inv, ric)
+    return CurvatureData(mj, gamma, dgamma, riem, low, ric, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -76,27 +67,27 @@ def curvature_data(mj: MetricJet) -> CurvatureData:
 
 def gradient(mj: MetricJet, df: np.ndarray) -> np.ndarray:
     """Components of grad f from the differential df_i = d_i f."""
-    return mj.g_inv @ np.asarray(df)
+    return np.einsum("...ij,...j->...i", mj.g_inv, df)
 
 
-def divergence_via_density(mj: MetricJet, x_val: np.ndarray, dx_val: np.ndarray) -> complex:
-    """div X = |g|^-1/2 d_i(|g|^1/2 X^i); dx_val[a, i] = d_a X^i."""
-    s = complex(np.trace(dx_val))
-    s += complex(np.asarray(x_val) @ mj.dh)
-    return s
+def divergence_via_density(mj: MetricJet, x_val: np.ndarray, dx_val: np.ndarray):
+    """div X = |g|^-1/2 d_i(|g|^1/2 X^i); dx_val[..., a, i] = d_a X^i."""
+    return np.trace(dx_val, axis1=-2, axis2=-1) + np.einsum("...i,...i->...", x_val, mj.dh)
 
 
 def divergence_via_connection(mj: MetricJet, gamma: np.ndarray,
-                              x_val: np.ndarray, dx_val: np.ndarray) -> complex:
+                              x_val: np.ndarray, dx_val: np.ndarray):
     """div X as the contraction iota(nabla X) = d_i X^i + Gamma^i_ia X^a."""
-    return complex(np.trace(dx_val) + np.einsum("iia,a->", gamma, x_val))
+    return (np.trace(dx_val, axis1=-2, axis2=-1)
+            + np.einsum("...iia,...a->...", gamma, x_val))
 
 
-def log_det_identity_residual(mj: MetricJet, gamma: np.ndarray) -> float:
+def log_det_identity_residual(mj: MetricJet, gamma: np.ndarray):
     """Max-norm residual of d_k h = Gamma^i_ik and of its derivative
-    d_l d_k h = d_l Gamma^i_ik, with h = log|det g|^(1/2)."""
-    return float(max(np.max(np.abs(mj.dh - np.einsum("jij->i", gamma))),
-                     np.max(np.abs(mj.ddh - np.einsum("liik->lk", mj.dchristoffel)))))
+    d_l d_k h = d_l Gamma^i_ik, with h = log|det g|^(1/2), per sample."""
+    nb = np.ndim(mj.x) - 1
+    return np.maximum(sample_max(mj.dh - np.einsum("...jij->...i", gamma), nb),
+                      sample_max(mj.ddh - np.einsum("...liik->...lk", mj.dchristoffel), nb))
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +103,20 @@ def curvature_two_form(b: BilinearForm, low: np.ndarray) -> np.ndarray:
     return -0.25 * np.einsum("klij,kla->ija", low, pairs)
 
 
-def curvature_two_form_residual(mj: MetricJet, cd: CurvatureData) -> float:
-    """Check [S_ij, dx^k] = riemann[l, k, i, j] dx^l for every i, j, k."""
-    n = mj.n
-    b = BilinearForm(mj.g_inv)
-    s = curvature_two_form(b, cd.lowered)
-    covectors = 1 << np.arange(n)
+def curvature_two_form_residual(mj: MetricJet, cd: CurvatureData):
+    """Check [S_ij, dx^k] = riemann[l, k, i, j] dx^l for every i, j, k, per
+    sample; each sample builds its own ``BilinearForm`` table."""
+    batch = np.shape(mj.x)[:-1]
+    return np.reshape([_two_form_residual(mj.g_inv[idx], cd.lowered[idx], cd.riemann[idx])
+                       for idx in np.ndindex(batch)], batch)[()]
+
+
+def _two_form_residual(g_inv: np.ndarray, low: np.ndarray, riem: np.ndarray) -> float:
+    b = BilinearForm(g_inv)
+    s = curvature_two_form(b, low)
+    covectors = 1 << np.arange(b.n)
     right = contract(s, b.table)[..., covectors]                  # S_ij dx^k, [i, j, a, k]
     left = np.einsum("kab,ijb->ijak", b.table[covectors], s)      # dx^k S_ij
     target = np.zeros_like(right)
-    target[:, :, covectors] = np.einsum("lkij->ijlk", cd.riemann)
+    target[:, :, covectors] = np.einsum("lkij->ijlk", riem)
     return float(np.max(np.sqrt(np.sum(np.abs(right - left - target) ** 2, axis=2))))

@@ -405,7 +405,8 @@ def _raised_iota(mj: MetricJet) -> Jet:
 def exterior_gammas(mj: MetricJet) -> Jet:
     """Clifford action c(dx^i) = eps_i - g^ij iota_j on the blade axis: one
     2-jet with fiber (n, 2^n, 2^n)."""
-    return blade_tables(mj.n)[0] - _raised_iota(mj)
+    eps, iota = blade_tables(mj.n)  # the sign on the metric spares a negated copy
+    return Jet(mj.x, *(contract(-a, iota) for a in (mj.g_inv, mj.dg_inv, mj.d2g_inv))) + eps
 
 
 def covariant_derivative(j: Jet, mj: MetricJet) -> Jet:
@@ -424,8 +425,10 @@ def forms_dirac(j: Jet, mj: MetricJet) -> Jet:
     return index_contract(exterior_gammas(mj), covariant_derivative(j, mj))
 
 
-def laplace_beltrami(f: Jet, mj: MetricJet) -> complex:
-    """Positive-spectrum scalar Laplacian -g^ij (d_i d_j f - Gamma^k_ij d_k f)."""
+def laplace_beltrami(f: Jet, mj: MetricJet):
+    """Positive-spectrum scalar Laplacian -g^ij (d_i d_j f - Gamma^k_ij d_k f);
+    one complex number per sample."""
     if f.dd is None:
         raise JetOrderError("laplace_beltrami needs an order-2 jet")
-    return -complex(np.sum(mj.g_inv * (f.dd - np.tensordot(f.d, mj.christoffel, 1))))
+    hess = f.dd - np.einsum("...k,...kij->...ij", f.d, mj.christoffel)
+    return -np.sum(mj.g_inv * hess, axis=(-2, -1))

@@ -43,6 +43,12 @@ def check_point(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("jets live at different points")
 
 
+def sample_max(a, nb: int):
+    """Largest entry magnitude per sample of the ``nb`` leading sample axes of
+    a (a number when nb is 0); a NaN entry makes its sample NaN."""
+    return np.max(np.abs(a), axis=tuple(range(nb, np.ndim(a))))
+
+
 def _pad(a, lead: int, k: int):
     """Insert k unit axes right after the first ``lead`` axes of a.
 
@@ -110,6 +116,11 @@ class Jet:
             raise ValueError("jet carries no first-order data")
         idx = (_ALL,) * self.nb + (k,)
         return Jet(self.x, self.d[idx], self.dd[idx] if self.dd is not None else None)
+
+    def truncate(self, order: int) -> "Jet":
+        """The same jet carrying at most ``order`` orders."""
+        return Jet(self.x, self.val, self.d if order >= 1 else None,
+                   self.dd if order >= 2 else None)
 
     def gradient(self) -> "Jet":
         """The jet of all partial derivatives, one order lower: a family with
@@ -267,9 +278,14 @@ def _product(a, b, op) -> Jet:
         ad, bd = _pad(a.d, nb + 1, -k), _pad(b.d, nb + 1, k)
         d = op(ad, _pad(bv, nb, 1)) + op(_pad(av, nb, 1), bd)
         if a.dd is not None and b.dd is not None:
+            # summed in place, in the order of the expression it replaces
+            dd = op(_pad(a.dd, nb + 2, -k), _pad(bv, nb, 2)).astype(
+                np.result_type(a.val, a.d, a.dd, b.val, b.d, b.dd), copy=False)
             cross = op(_pad(ad, nb + 1, 1), _pad(bd, nb, 1))
-            dd = (op(_pad(a.dd, nb + 2, -k), _pad(bv, nb, 2)) + cross
-                  + cross.swapaxes(nb, nb + 1) + op(_pad(av, nb, 2), _pad(b.dd, nb + 2, k)))
+            dd += cross
+            dd += cross.swapaxes(nb, nb + 1)
+            del cross
+            dd += op(_pad(av, nb, 2), _pad(b.dd, nb + 2, k))
     return Jet(a.x, op(av, bv), d, dd)
 
 

@@ -6,6 +6,10 @@ orthonormal frame, so everything reduces to the bundle machinery with
 m = 2^(n/2).  The coordinate gammas c(dx^a) and the connection matrices
 Omega_a are each one jet with the index a on the first fiber axis, fiber
 (n, m, m).
+
+Stack convention: as in ``bundles``, the metric jet, frame, connection and
+sections may live at a stack of points x (P, n), plain arrays carry the
+sample axis in front and every residual is returned per sample.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .charts import Chart, MetricJet
 from .clifford import blade_tables, contract
 from .curvature import curvature_data
 from .forms import PolyField, random_poly_field
-from .jets import Jet, jet_sqrt, seed_point
+from .jets import Jet, jet_sqrt, sample_max, seed_point
 
 
 class SpinSignatureError(ValueError):
@@ -35,7 +39,8 @@ class SpinSignatureError(ValueError):
 
 
 def _sylvester_sqrt(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
-    """Jets of the symmetric square root S with S S = g (g positive definite).
+    """Jets of the symmetric square root S with S S = g, g (n, n) or (P, n, n)
+    positive definite.
 
     First and second derivatives solve S' S + S S' = g' in the eigenbasis.
     """
@@ -43,15 +48,19 @@ def _sylvester_sqrt(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
     if np.min(w) <= 0:
         raise SpinSignatureError("metric is not positive definite at the point")
     sq = np.sqrt(w)
-    denom = sq[:, None] + sq[None, :]
-    s = (v * sq) @ v.T
+    denom, vt = sq[..., :, None] + sq[..., None, :], np.swapaxes(v, -1, -2)
+    s = (v * sq[..., None, :]) @ vt
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return v @ ((v.T @ rhs @ v) / denom) @ v.T
+        # the derivative axes of rhs sit between the sample and matrix axes
+        lead = tuple(range(g.ndim - 2, rhs.ndim - 2))
+        vk, vtk, dk = (np.expand_dims(a, lead) for a in (v, vt, denom))
+        return vk @ ((vtk @ rhs @ vk) / dk) @ vtk
 
     ds = solve(dg)
     # [k, l]: d_k d_l g - d_l S d_k S - d_k S d_l S
-    dds = solve(d2g - ds[None] @ ds[:, None] - ds[:, None] @ ds[None])
+    dk, dl = ds[..., :, None, :, :], ds[..., None, :, :, :]
+    dds = solve(d2g - dl @ dk - dk @ dl)
     return s, ds, dds
 
 
@@ -70,7 +79,7 @@ def build_frame_from_metric(mj: MetricJet) -> FrameField:
     n = mj.n
     if chart.kind == "conformal" and chart.lam_fn is not None:
         lam = chart.lam_fn(seed_point(mj.x, order=2))
-        if complex(lam.val).real <= 0:
+        if np.any(np.real(lam.val) <= 0):
             raise SpinSignatureError("conformal factor not positive at the point")
         return FrameField(chart, mj.x, np.eye(n) / lam, lam * np.eye(n))
     if not chart.riemannian:
@@ -82,14 +91,14 @@ def build_frame_from_metric(mj: MetricJet) -> FrameField:
     return FrameField(chart, mj.x, sqrt, sqrt @ Jet(mj.x, mj.g_inv, mj.dg_inv, mj.d2g_inv))
 
 
-def frame_invariant_residual(frame: FrameField, mj: MetricJet) -> float:
-    """Orthonormality, duality, and inverse-metric reconstruction residuals."""
-    co, inv = frame.co.val, frame.inv.val
-    n = mj.n
-    r1 = np.max(np.abs(co.T @ mj.g_inv @ co - np.eye(n)))
-    r2 = np.max(np.abs(inv @ co - np.eye(n)))
-    r3 = np.max(np.abs(inv.T @ inv - mj.g_inv))
-    return float(max(r1, r2, r3))
+def frame_invariant_residual(frame: FrameField, mj: MetricJet):
+    """The largest orthonormality, duality and inverse-metric residual per sample."""
+    co, inv, nb = frame.co.val, frame.inv.val, frame.co.nb
+    eye = np.eye(mj.n)
+    return np.maximum.reduce([
+        sample_max(np.swapaxes(co, -1, -2) @ mj.g_inv @ co - eye, nb),
+        sample_max(inv @ co - eye, nb),
+        sample_max(np.swapaxes(inv, -1, -2) @ inv - mj.g_inv, nb)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +164,10 @@ def frame_connection_coefficients(frame: FrameField, mj: MetricJet) -> Jet:
     inv = frame.inv
     ge = inv @ Jet(mj.x, mj.g, mj.dg, mj.d2g)  # ge[j, m] = <e_j, d_m> lowered
     # Gamma^m_ab on the fiber [a, b, m], so nab[a, k, m] = (nabla_{d_a} e_k)^m
-    gamma = Jet(mj.x, np.moveaxis(mj.christoffel, 0, -1),
-                np.moveaxis(mj.dchristoffel, 1, -1))
+    gamma = Jet(mj.x, np.moveaxis(mj.christoffel, -3, -1),
+                np.moveaxis(mj.dchristoffel, -3, -1))
     nab = inv.gradient() + inv @ gamma
     return ge @ nab.map(lambda t: np.swapaxes(t, -1, -2))
-
-
-def frame_direction_coefficients(frame: FrameField, w0: np.ndarray) -> np.ndarray:
-    """(e_j, nabla_{e_i} e_k) = <e_i, dx^a> w0[a, j, k]."""
-    return np.einsum("ia,ajk->ijk", frame.inv.val, w0)
 
 
 @dataclass
@@ -184,7 +188,7 @@ def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,
             a_pot.d is not None and np.max(np.abs(a_pot.d.real)) > 1e-12):
         raise ValueError("spin-c potential must be purely imaginary")
     w0 = frame_connection_coefficients(frame, mj)
-    anti = float(np.max(np.abs(w0.val + w0.val.transpose(0, 2, 1))))
+    anti = float(np.max(np.abs(w0.val + np.swapaxes(w0.val, -1, -2))))
     if anti > 1e-9:
         raise ValueError(f"frame coefficients not antisymmetric ({anti:.2e})")
     gg = np.einsum("jab,kbc->jkac", smd.gammas, smd.gammas)
@@ -222,21 +226,23 @@ def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
     antisymmetrized cubic with (e_j, [e_i, e_k]) coefficients.
     """
     out = _slash(smd.coordinate_gammas(frame).val, j, scd.a_pot)
-    w = frame_direction_coefficients(frame, scd.w0.val)
-    q1 = contract(np.einsum("iji->j", w), smd.gammas)
-    wt = w - w.transpose(2, 1, 0)  # (e_j, [e_i, e_k]) by torsion freeness
+    # (e_j, nabla_{e_i} e_k) = <e_i, dx^a> w0[a, j, k]
+    w = np.einsum("...ia,...ajk->...ijk", frame.inv.val, scd.w0.val)
+    q1 = contract(np.einsum("...iji->...j", w), smd.gammas)
+    wt = w - np.swapaxes(w, -3, -1)  # (e_j, [e_i, e_k]) by torsion freeness
     # the antisymmetrized cubic on the increasing triples a < b < c
-    alt = sum(sg * np.einsum(f"{p}->abc", wt) for p, sg in
+    alt = sum(sg * np.einsum(f"...{p}->...abc", wt) for p, sg in
               (("abc", 1), ("bca", 1), ("cab", 1), ("bac", -1), ("acb", -1), ("cba", -1)))
-    a, b, c = np.indices(wt.shape)
+    a, b, c = np.indices(wt.shape[-3:])
     g = smd.gammas
-    q3 = np.einsum("abc,axy,byz,czw->xw", alt / 6.0 * ((a < b) & (b < c)), g, g, g)
-    return out - 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val)
+    q3 = np.einsum("...abc,axy,byz,czw->...xw", alt / 6.0 * ((a < b) & (b < c)), g, g, g)
+    return out - 0.25 * np.einsum("...ab,...b->...a", 2.0 * q1 + 3.0 * q3, j.val)
 
 
 def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
     """gamma^a (partial_a + A_a / 2) psi at the point."""
-    return np.einsum("aij,aj->i", gammas, j.d + 0.5 * a_pot.val[:, None] * j.val)
+    return np.einsum("...aij,...aj->...i", gammas,
+                     j.d + 0.5 * a_pot.val[..., :, None] * j.val[..., None, :])
 
 
 def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
@@ -246,10 +252,11 @@ def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
         raise ValueError("conformal closed form needs a conformal chart")
     n = chart.n
     lam = chart.lam_fn(seed_point(j.x, order=2))
-    if complex(lam.val).real <= 0:
+    if np.any(np.real(lam.val) <= 0):
         raise ValueError("conformal factor not positive at the point")
     biglam = jet_sqrt(lam) ** (n - 1)
-    return biglam.val * lam.val * _slash(smd.gammas, j * (1.0 / biglam), a_pot)
+    return ((biglam.val * lam.val)[..., None]
+            * _slash(smd.gammas, j * (1.0 / biglam), a_pot))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +266,8 @@ def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
 
 def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
                           frame: FrameField, mj: MetricJet,
-                          j: Jet) -> float:
-    """Norm of D_A^2 psi - (lap^S + r_M/4 + q(F)/2) psi, F = dA.
+                          j: Jet):
+    """Norm of D_A^2 psi - (lap^S + r_M/4 + q(F)/2) psi, F = dA, per sample.
 
     Scaled by the larger of the two sides so the value is a relative error.
     """
@@ -269,26 +276,26 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     D = spin_dirac_operator(scd, smd, frame, mj)
     lhs = dirac_square(D, j)
     rhs = canonical_laplacian(scd.omega, mj, j)
-    rhs = rhs + 0.25 * curvature_data(mj).scalar * j.val
+    rhs = rhs + 0.25 * np.expand_dims(curvature_data(mj).scalar, -1) * j.val
     # q(F) = F_ab gamma^a gamma^b / 2 for F_ab = d_a A_b - d_b A_a
     g = D.gam.val
-    qf = 0.5 * np.einsum("ab,axy,byz->xz", scd.a_pot.d - scd.a_pot.d.T, g, g)
-    rhs = rhs + 0.5 * (qf @ j.val)
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
+    da = scd.a_pot.d
+    qf = 0.5 * np.einsum("...ab,...axy,...byz->...xz", da - np.swapaxes(da, -1, -2), g, g)
+    rhs = rhs + 0.5 * np.einsum("...ab,...b->...a", qf, j.val)
+    scale = np.maximum(1.0, np.maximum(sample_max(lhs, j.nb), sample_max(rhs, j.nb)))
+    return sample_max(lhs - rhs, j.nb) / scale
 
 
 def chirality_action_checks(smd: SpinModuleData, frame: FrameField,
                             mj: MetricJet,
                             scd: Optional[SpinConnectionData] = None) -> dict:
-    """Anticommutation with coordinate gammas; connection commutes with chirality."""
-    gam = smd.coordinate_gammas(frame).val
-    chi = smd.chirality
-    r1 = float(np.max(np.abs(chi @ gam + gam @ chi)))
+    """Per sample: anticommutation with the gammas, commutation with the connection."""
+    g, nb, chi = smd.coordinate_gammas(frame).val, frame.inv.nb, smd.chirality
+    r1 = sample_max(chi @ g + g @ chi, nb)
     if scd is None:
         scd = build_spin_connection(frame, smd, mj)
     om = scd.omega.val
-    r2 = float(np.max(np.abs(chi @ om - om @ chi)))
+    r2 = sample_max(chi @ om - om @ chi, nb)
     sq = float(np.max(np.abs(chi @ chi - np.eye(smd.dim))))
     return {"gamma_anticommutation": r1, "connection_commutation": r2,
             "chirality_squares_to_one": sq}

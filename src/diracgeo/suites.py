@@ -24,7 +24,7 @@ from .forms import (PolyField, exterior_derivative,
                     laplace_beltrami, lie_derivative, random_poly_field,
                     random_poly_form, random_poly_scalar, random_poly_vector,
                     vector_bracket, volume_form, wedge_forms)
-from .jets import Jet
+from .jets import Jet, sample_max
 from .report import VerificationReport
 
 JETS_PER_POINT = 10
@@ -60,16 +60,10 @@ def _points(ch: Chart, rng, k: int) -> List[np.ndarray]:
     return [ch.sample_point(rng) for _ in range(k)]
 
 
-def _amax(*arrays) -> float:
-    """Largest entry magnitude over the arrays given (None skipped)."""
-    return max(float(np.max(np.abs(a))) for a in arrays if a is not None)
-
-
 def _samples_amax(*arrays) -> np.ndarray:
     """Per sample (axis 0), the largest entry magnitude over the arrays given
     (None skipped)."""
-    return np.maximum.reduce([np.max(np.abs(a).reshape(len(a), -1), axis=1)
-                              for a in arrays if a is not None])
+    return reduce(np.maximum, (sample_max(a, 1) for a in arrays if a is not None))
 
 
 def _rel(diff, *scales):
@@ -78,15 +72,23 @@ def _rel(diff, *scales):
     return diff / reduce(np.maximum, scales, 1.0)
 
 
-def _diff(a, b) -> float:
-    """|a - b| relative to the larger side."""
-    return _rel(_amax(a - b), _amax(a), _amax(b))
+def _diff(a, b) -> np.ndarray:
+    """Per sample (axis 0), |a - b| relative to the larger side."""
+    return _rel(_samples_amax(a - b), _samples_amax(a), _samples_amax(b))
 
 
 def _gap(lhs: Jet, rhs: Jet) -> np.ndarray:
     """Per sample, |lhs - rhs| relative to the larger side."""
-    return _rel(_samples_amax(lhs.val - rhs.val), _samples_amax(lhs.val),
-                _samples_amax(rhs.val))
+    return _diff(lhs.val, rhs.val)
+
+
+def _draws(rng, xs: np.ndarray, per: int, make: Callable) -> List[tuple]:
+    """``per`` draws of the fields ``make(rng)`` returns at each point of xs,
+    points outermost as a per-point loop would draw them; draw k of every
+    point is evaluated as one stack, a 2-jet per entry of the tuple."""
+    rows = [[make(rng) for _ in range(per)] for _ in xs]
+    return [tuple(PolyField.stack(col).eval(xs, 2) for col in zip(*(r[k] for r in rows)))
+            for k in range(per)]
 
 
 def _mixed_form_field(rng, n: int) -> PolyField:
@@ -210,7 +212,8 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
         return out
 
     def vacuum_symbol():
-        return [_amax(action_matrix(quantize(w, b))[:, 0] - w.coeffs) for b in forms
+        return [np.max(np.abs(action_matrix(quantize(w, b))[:, 0] - w.coeffs))
+                for b in forms
                 for w in [_random_multivector(rng, n, EXTERIOR)
                           for _ in range(JETS_PER_POINT)]]
 
@@ -277,67 +280,41 @@ def levi_civita_suite(chart: str, seed: int, samples: int) -> VerificationReport
     n = ch.n
     rng = np.random.default_rng(seed)
     rep = VerificationReport("levi-civita", chart, seed, samples)
-    pts = _points(ch, rng, samples)
-    data = [(x, curvature_data(metric_jet(ch, x))) for x in pts]
-
-    def metric_compat():
-        return [_amax(cd.mj.dg - np.einsum("mli,mj->lij", cd.christoffel, cd.mj.g)
-                      - np.einsum("mlj,im->lij", cd.christoffel, cd.mj.g))
-                for _, cd in data]
-
-    def torsion():
-        return [_amax(cd.christoffel - cd.christoffel.transpose(0, 2, 1))
-                for _, cd in data]
-
-    def symmetries():
-        return [_amax(low + low.transpose(1, 0, 2, 3), low + low.transpose(0, 1, 3, 2),
-                      low - low.transpose(2, 3, 0, 1))
-                for low in (cd.lowered for _, cd in data)]
-
-    def bianchi():
-        return [_amax(low + low.transpose(0, 2, 3, 1) + low.transpose(0, 3, 1, 2))
-                for low in (cd.lowered for _, cd in data)]
-
-    def two_form():
-        return [curvature_two_form_residual(cd.mj, cd) for _, cd in data]
+    xs = np.array(_points(ch, rng, samples))
+    cd = curvature_data(metric_jet(ch, xs))
+    mj, gam, low = cd.mj, cd.christoffel, cd.lowered
 
     def divergence_routes():
         out = []
-        for x, cd in data:
-            for _ in range(JETS_PER_POINT):
-                x_val, dx_val, _ = random_poly_vector(rng, n).jet(x, 1)
-                out.append(abs(divergence_via_density(cd.mj, x_val, dx_val)
-                               - divergence_via_connection(cd.mj, cd.christoffel,
-                                                           x_val, dx_val)))
+        for (X,) in _draws(rng, xs, JETS_PER_POINT, lambda r: (random_poly_vector(r, n),)):
+            out.append(np.abs(divergence_via_density(mj, X.val, X.d)
+                              - divergence_via_connection(mj, gam, X.val, X.d)))
         return out
 
-    def log_det():
-        return [log_det_identity_residual(cd.mj, cd.christoffel) for _, cd in data]
-
     _timed(rep, "levi-civita-metric-compatibility", "nabla g = 0", 1e-9,
-           metric_compat)
+           lambda: _samples_amax(mj.dg - np.einsum("pmli,pmj->plij", gam, mj.g)
+                                 - np.einsum("pmlj,pim->plij", gam, mj.g)))
     _timed(rep, "levi-civita-torsion-free", "Gamma^k_ij = Gamma^k_ji", 1e-12,
-           torsion)
-    _timed(rep, "levi-civita-curvature-symmetries",
-           "R_ijkl = -R_jikl = -R_ijlk = R_klij", 1e-9, symmetries)
-    _timed(rep, "levi-civita-first-bianchi", "R_i[jkl] cyclic sum = 0", 1e-9,
-           bianchi)
-    _timed(rep, "levi-civita-curvature-two-form",
-           "[S_ij, dx^k] recovers R^l_kij dx^l", 1e-9, two_form)
+           lambda: _samples_amax(gam - gam.transpose(0, 1, 3, 2)))
+    _timed(rep, "levi-civita-curvature-symmetries", "R_ijkl = -R_jikl = -R_ijlk = R_klij",
+           1e-9, lambda: _samples_amax(low + low.transpose(0, 2, 1, 3, 4),
+                                       low + low.transpose(0, 1, 2, 4, 3),
+                                       low - low.transpose(0, 3, 4, 1, 2)))
+    _timed(rep, "levi-civita-first-bianchi", "R_i[jkl] cyclic sum = 0", 1e-9, lambda:
+           _samples_amax(low + low.transpose(0, 1, 3, 4, 2) + low.transpose(0, 1, 4, 2, 3)))
+    _timed(rep, "levi-civita-curvature-two-form", "[S_ij, dx^k] recovers R^l_kij dx^l",
+           1e-9, lambda: curvature_two_form_residual(mj, cd))
     _timed(rep, "levi-civita-divergence-routes",
            "density route equals connection route for div X", 1e-9,
            divergence_routes)
     _timed(rep, "levi-civita-log-det",
            "d_k log sqrt|g| = Gamma^i_ik and d_l d_k log sqrt|g| = d_l Gamma^i_ik",
-           1e-9, log_det)
+           1e-9, lambda: log_det_identity_residual(mj, gam))
     if chart in SCALAR_REFERENCE:
         ref = SCALAR_REFERENCE[chart]
-
-        def scalar_ref():
-            return [abs(cd.scalar - ref) for _, cd in data]
-
         _timed(rep, "levi-civita-scalar-reference",
-               f"scalar curvature equals {ref:g} on {chart}", 1e-7, scalar_ref)
+               f"scalar curvature equals {ref:g} on {chart}", 1e-7,
+               lambda: np.abs(cd.scalar - ref))
     return rep
 
 
@@ -346,16 +323,13 @@ def levi_civita_suite(chart: str, seed: int, samples: int) -> VerificationReport
 # ---------------------------------------------------------------------------
 
 
-def _quantized_points(ch: Chart, ms: bnd.ModuleSpec, pts, seed: int):
-    """Per point x, in turn: (x, its metric jet, the {0, 1, 2} random
-    superconnection of base seed ``seed`` + the point's index, its Dirac
-    operator)."""
-    for idx, x in enumerate(pts):
-        mj = metric_jet(ch, x)
-        S = bnd.superconnection_from_degrees(
-            ch.n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"},
-            base_seed=seed + idx)
-        yield x, mj, S, bnd.quantize_superconnection(S, mj, ms, x)
+def _superconnections(ms: bnd.ModuleSpec, n: int, count: int, base_seed: int,
+                      specs=None) -> bnd.SuperconnectionData:
+    """One stack of the superconnections of base seed ``base_seed`` + k at the
+    points k < count, random in degrees 0, 1 and 2 unless ``specs`` says."""
+    return bnd.superconnection_from_degrees(
+        n, ms.m, ms.eta, specs or {0: "random", 1: "random", 2: "random"},
+        base_seed + np.arange(count))
 
 
 def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
@@ -363,48 +337,41 @@ def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     n = ch.n
     rng = np.random.default_rng(seed)
     rep = VerificationReport("laplacian", chart, seed, samples)
-    pts = _points(ch, rng, samples)
+    xs = np.array(_points(ch, rng, samples))
+    mj = metric_jet(ch, xs)
     ms = bnd.exterior_module(n)
     m = ms.m
-    built = [(x, mj, bnd.laplacian_from_dirac(D, mj))
-             for x, mj, _, D in _quantized_points(ch, ms, pts, seed)]
+    # D^2 and its coefficient jets read A and Z to first order
+    H = bnd.laplacian_from_dirac(bnd.quantize_superconnection(
+        _superconnections(ms, n, samples, seed), mj, ms, xs, order=1), mj)
 
-    def defining_identity():
-        return [bnd.lap_identity_residual(H.apply, mj, x, m) for x, mj, H in built]
+    def sections():
+        return [j for (j,) in _draws(rng, xs, 3,
+                                     lambda r: (bnd.random_poly_section(r, n, m),))]
 
     def decompose_roundtrip():
-        out = []
-        for x, mj, H in built:
-            A, F = bnd.laplacian_decompose(H, mj)
-            H2 = bnd.laplacian_from_connection(A, F, mj, x)
-            for _ in range(3):
-                j = bnd.random_poly_section(rng, n, m).eval(x, 2)
-                out.append(_diff(H.apply(j), H2.apply(j)))
-        return out
+        A, F = bnd.laplacian_decompose(H, mj)
+        H2 = bnd.laplacian_from_connection(A, F, mj, xs)
+        return [_diff(H.apply(j), H2.apply(j)) for j in sections()]
 
     def canonical_routes():
-        out = []
-        for x, mj, _ in built:
-            A = bnd.levi_civita_exterior_connection(mj)
-            for _ in range(3):
-                j = bnd.random_poly_section(rng, n, m).eval(x, 2)
-                out.append(_diff(bnd.canonical_laplacian(A, mj, j, route="local"),
-                                 bnd.canonical_laplacian(A, mj, j, route="trace")))
-        return out
+        A = bnd.levi_civita_exterior_connection(mj)
+        return [_diff(bnd.canonical_laplacian(A, mj, j, route="local"),
+                      bnd.canonical_laplacian(A, mj, j, route="trace"))
+                for j in sections()]
 
     def scalar_reduction():
+        zero = Jet.constant(np.zeros((n, 1, 1)), xs)
         out = []
-        for x, mj, _ in built:
-            zero = Jet.constant(np.zeros((n, 1, 1)), x)
-            for _ in range(3):
-                fj = random_poly_scalar(rng, n, 3, complex_coeffs=True).eval(x, 2)
-                got = bnd.canonical_laplacian(zero, mj, fj[None])[0]
-                want = laplace_beltrami(fj, mj)
-                out.append(_rel(abs(got - want), abs(want)))
+        for (f,) in _draws(rng, xs, 3,
+                           lambda r: (random_poly_scalar(r, n, 3, complex_coeffs=True),)):
+            want = laplace_beltrami(f, mj)
+            out.append(_rel(np.abs(bnd.canonical_laplacian(zero, mj, f[None])[:, 0] - want),
+                            np.abs(want)))
         return out
 
-    _timed(rep, "laplacian-defining-identity",
-           "[[H, x^k], x^l] + 2 g^kl = 0", 1e-9, defining_identity)
+    _timed(rep, "laplacian-defining-identity", "[[H, x^k], x^l] + 2 g^kl = 0", 1e-9,
+           lambda: bnd.lap_identity_residual(H.apply, mj, xs, m))
     _timed(rep, "laplacian-decompose-roundtrip",
            "decompose then reassemble reproduces H", 1e-9, decompose_roundtrip)
     _timed(rep, "laplacian-canonical-routes",
@@ -426,11 +393,17 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
     n = ch.n
     rng = np.random.default_rng(seed)
     rep = VerificationReport("superconnection", chart, seed, samples)
-    pts = _points(ch, rng, samples)
+    xs = np.array(_points(ch, rng, samples))
+    mj = metric_jet(ch, xs)
     ms = bnd.exterior_module(n)
     m = ms.m
-    built = list(_quantized_points(ch, ms, pts, seed))
-    few = max(4, samples // 4)     # points of the affine and later checks
+    # the affine and later checks run on the first few points
+    few = min(samples, max(4, samples // 4))
+    head = mj if few == samples else metric_jet(ch, xs[:few])
+    hx = head.x
+    # the commutator check reads the operator's values only
+    D = bnd.quantize_superconnection(_superconnections(ms, n, samples, seed), mj, ms, xs,
+                                     order=0)
 
     def parity_enforced():
         bad = 0
@@ -444,90 +417,62 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
                 pass
         return float(bad)
 
-    def dirac_commutator():
-        out = []
-        for x, _, _, D in built:
-            for _ in range(3):
-                f = random_poly_scalar(rng, n, 2, complex_coeffs=True)
-                fj = f.eval(x, 2)
-                j = bnd.random_poly_section(rng, n, m).eval(x, 2)
-                out.append(bnd.dirac_commutator_residual(D, fj, j)[1])
-        return out
-
     def affine_multiplication():
-        out = []
-        for idx, (x, mj, _, _) in enumerate(built[:few]):
-            S1 = bnd.superconnection_from_degrees(
-                n, m, ms.eta, {1: "random", 2: "random"}, base_seed=seed + idx)
-            S2 = bnd.superconnection_from_degrees(
-                n, m, ms.eta, {1: "random", 3: "constant"},
-                base_seed=seed + 1000 + idx)
-            D1 = bnd.quantize_superconnection(S1, mj, ms, x)
-            D2 = bnd.quantize_superconnection(S2, mj, ms, x)
-            j = bnd.random_poly_section(rng, n, m).eval(x, 2)
-            jc = Jet.constant(j.val, j.x)
-            d1 = bnd.apply_dirac(D1, j)
-            d2 = bnd.apply_dirac(D2, j)
-            rhs = bnd.apply_dirac(D1, jc) - bnd.apply_dirac(D2, jc)
-            out.append(_rel(_amax(d1 - d2 - rhs), _amax(d1), _amax(d2)))
-        return out
+        D1, D2 = (bnd.quantize_superconnection(
+            _superconnections(ms, n, few, base, specs), head, ms, hx, order=0)
+            for specs, base in (({1: "random", 2: "random"}, seed),
+                                ({1: "random", 3: "constant"}, seed + 1000)))
+        (j,), = _draws(rng, hx, 1, lambda r: (bnd.random_poly_section(r, n, m),))
+        jc = Jet(hx, j.val, np.zeros_like(j.d), np.zeros_like(j.dd))
+        d1, d2 = bnd.apply_dirac(D1, j), bnd.apply_dirac(D2, j)
+        rhs = bnd.apply_dirac(D1, jc) - bnd.apply_dirac(D2, jc)
+        return _rel(_samples_amax(d1 - d2 - rhs), _samples_amax(d1), _samples_amax(d2))
 
     def special_predicate():
         wrong = 0
-        check_pts = pts[: min(6, len(pts))]
         for trial in range(30):
-            truly_special = trial % 2 == 0
-            if truly_special:
-                specs = {0: "random", 1: "random"}
-            else:
-                specs = {0: "random", 1: "random",
-                         2: "constant" if trial % 4 == 1 else "random"}
-            S = bnd.superconnection_from_degrees(n, m, ms.eta, specs,
-                                                 base_seed=seed + trial)
-            got, _ = bnd.is_special_superconnection(S, check_pts)
-            if got != truly_special:
-                wrong += 1
+            specs = {0: "random", 1: "random"}
+            if trial % 2:
+                specs[2] = "constant" if trial % 4 == 1 else "random"
+            S = bnd.superconnection_from_degrees(n, m, ms.eta, specs, seed + trial)
+            wrong += bnd.is_special_superconnection(S, xs[:6])[0] != (trial % 2 == 0)
         return float(wrong)
 
     def curvature_dual():
-        out = []
-        for x, _, S, _ in built[:few]:
-            FS = bnd.superconnection_curvature(S, x)
-            omega = S.eval_blades(np.asarray(x, dtype=float), order=2)
-            # one section per blade 0..k-1, drawn in blade order
-            k = min(1 << n, 8)
-            fs = random_poly_field(rng, n, (k, m), complex_coeffs=True,
-                                   masks=tuple(range(k))).eval(x, 2)
-            twice = bnd.apply_superconnection(omega,
-                                              bnd.apply_superconnection(omega, fs))
-            direct = bnd.apply_form_endomorphism(FS, fs)
-            out.append(_rel((twice - direct).norm(), twice.norm(), direct.norm()))
-        return out
+        S = _superconnections(ms, n, few, seed)
+        FS = bnd.superconnection_curvature(S, hx)
+        # ID applied twice to a 2-jet reads omega to first order only
+        omega = S.eval_blades(hx, order=1)
+        # one section per blade 0..k-1, drawn in blade order
+        k = min(1 << n, 8)
+        (fs,), = _draws(rng, hx, 1, lambda r: (random_poly_field(
+            r, n, (k, m), complex_coeffs=True, masks=tuple(range(k))),))
+        twice = bnd.apply_superconnection(omega, bnd.apply_superconnection(omega, fs))
+        direct = bnd.apply_form_endomorphism(FS, fs)
+        return _rel(*(np.sqrt(np.sum(np.abs(t.val) ** 2, axis=(1, 2))) for t in
+                      (twice - direct, twice, direct)))
 
     def kernel_projector():
-        out = []
-        for _, mj, _, _ in built[:few]:
-            cmat, bmat, p = bnd.kernel_projector(mj, ms)
-            com = bnd.clifford_of_metric(mj, ms)
-            out.append(max(_amax(p @ p - p, cmat @ bmat - np.eye(m), com + n * np.eye(m)),
-                           abs(float(np.real(np.trace(p))) - m)))
-        return out
+        cmat, bmat, p = bnd.kernel_projector(head, ms)
+        com = bnd.clifford_of_metric(head, ms)
+        return np.maximum(_samples_amax(p @ p - p, cmat @ bmat - np.eye(m),
+                                        com + n * np.eye(m)),
+                          np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - m))
 
     def twisting():
-        out = []
-        for _, mj, _, D in built[:few]:
-            FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(mj))
-            try:
-                _, res = bnd.twisting_curvature(FE, curvature_data(mj).lowered, D.gam)
-            except bnd.CliffordConnectionError:
-                res = 1.0
-            out.append(res)
-        return out
+        FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(head))
+        try:
+            return bnd.twisting_curvature(FE, curvature_data(head).lowered,
+                                          ms.gammas(head))[1]
+        except bnd.CliffordConnectionError:
+            return 1.0
 
     _timed(rep, "superconnection-parity", "odd blades need odd coefficients",
            0.5, parity_enforced)
-    _timed(rep, "superconnection-dirac-commutator", "[D, f] = c(df)",
-           DIRAC_COMMUTATOR_TOL, dirac_commutator)
+    _timed(rep, "superconnection-dirac-commutator", "[D, f] = c(df)", DIRAC_COMMUTATOR_TOL,
+           lambda: [bnd.dirac_commutator_residual(D, f, j)[1] for f, j in _draws(
+               rng, xs, 3, lambda r: (random_poly_scalar(r, n, 2, complex_coeffs=True),
+                                      bnd.random_poly_section(r, n, m)))])
     _timed(rep, "superconnection-affine",
            "D_1 - D_2 is multiplication by the coefficient difference", 1e-11,
            affine_multiplication)
@@ -560,67 +505,51 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
         raise SuiteUsageError(f"spinor checks need a Riemannian chart, not {chart}")
     rng = np.random.default_rng(seed)
     rep = VerificationReport("lichnerowicz", chart, seed, samples)
-    pts = _points(ch, rng, samples)
+    xs = np.array(_points(ch, rng, samples))
+    mj = metric_jet(ch, xs)
     smd = sp.spin_module_data(n)
+    (a_jets,), = _draws(rng, xs, 1, lambda r: (sp.imaginary_poly_potential(r, n),))
+    fr = sp.build_frame_from_metric(mj)
+    scd = sp.build_spin_connection(fr, smd, mj, a_jets)
+    # the chirality and connection-difference checks run on the first few points
+    few = min(samples, max(4, samples // 4))
+    head = mj if few == samples else metric_jet(ch, xs[:few])
+    fr_h = sp.build_frame_from_metric(head)
+    a_h = Jet(head.x, *(t[:few] for t in (a_jets.val, a_jets.d, a_jets.dd)))
+    scd_h = sp.build_spin_connection(fr_h, smd, head, a_h)
 
-    prepared = []
-    for x in pts:
-        mj = metric_jet(ch, x)
-        fr = sp.build_frame_from_metric(mj)
-        a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
-        scd = sp.build_spin_connection(fr, smd, mj, a_jets)
-        prepared.append((x, mj, fr, scd, a_jets))
-
-    def frame_invariants():
-        return [sp.frame_invariant_residual(fr, mj) for _, mj, fr, _, _ in prepared]
-
-    def dirac_dual():
-        return [_diff(sp.spin_dirac(scd, smd, fr, mj, j),
-                      sp.spin_dirac_alpha(scd, smd, fr, j))
-                for x, mj, fr, scd, _ in prepared
-                for j in [bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
-                          for _ in range(3)]]
+    def sections(per: int):
+        return [j for (j,) in _draws(rng, xs, per,
+                                     lambda r: (bnd.random_poly_section(r, n, smd.dim),))]
 
     def conformal_closed_form():
         if ch.kind != "conformal":
             return 0.0
         return [_diff(sp.spin_dirac(scd, smd, fr, mj, j),
-                      sp.conformal_dirac(ch, a_jets, smd, j))
-                for x, mj, fr, scd, a_jets in prepared
-                for j in [bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)]]
-
-    def weitzenbock():
-        return [sp.lichnerowicz_residual(scd, smd, fr, mj, j)
-                for x, mj, fr, scd, _ in prepared
-                for j in [bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
-                          for _ in range(3)]]
-
-    def chirality_checks():
-        return [max(sp.chirality_action_checks(smd, fr, mj, scd).values())
-                for x, mj, fr, scd, _ in prepared[: max(4, samples // 4)]]
+                      sp.conformal_dirac(ch, a_jets, smd, j)) for j in sections(1)]
 
     def connection_difference():
-        out = []
-        for x, mj, fr, scd, a_jets in prepared[: max(4, samples // 4)]:
-            b_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
-            scd2 = sp.build_spin_connection(fr, smd, mj, b_jets)
-            want = 0.5 * (a_jets.val - b_jets.val)[:, None, None] * np.eye(smd.dim)
-            out.append(_amax(scd.omega.val - scd2.omega.val - want))
-        return out
+        (b_jets,), = _draws(rng, head.x, 1, lambda r: (sp.imaginary_poly_potential(r, n),))
+        scd2 = sp.build_spin_connection(fr_h, smd, head, b_jets)
+        want = 0.5 * (a_h.val - b_jets.val)[..., None, None] * np.eye(smd.dim)
+        return _samples_amax(scd_h.omega.val - scd2.omega.val - want)
 
     _timed(rep, "lichnerowicz-frame-invariants",
            "frame is orthonormal, dual, and reconstructs the metric", 1e-10,
-           frame_invariants)
+           lambda: sp.frame_invariant_residual(fr, mj))
     _timed(rep, "lichnerowicz-dirac-dual-route",
-           "generic assembly equals the 1-form/3-form route", 1e-10, dirac_dual)
+           "generic assembly equals the 1-form/3-form route", 1e-10,
+           lambda: [_diff(sp.spin_dirac(scd, smd, fr, mj, j),
+                          sp.spin_dirac_alpha(scd, smd, fr, j)) for j in sections(3)])
     _timed(rep, "lichnerowicz-conformal-closed-form",
            "rescaling closed form equals the generic assembly", 1e-9,
            conformal_closed_form)
-    _timed(rep, "lichnerowicz-weitzenbock",
-           "D_A^2 = lap + r/4 + q(dA)/2", 1e-7, weitzenbock)
+    _timed(rep, "lichnerowicz-weitzenbock", "D_A^2 = lap + r/4 + q(dA)/2", 1e-7,
+           lambda: [sp.lichnerowicz_residual(scd, smd, fr, mj, j) for j in sections(3)])
     _timed(rep, "lichnerowicz-chirality",
            "chirality anticommutes with c(dx) and commutes with the connection",
-           1e-11, chirality_checks)
+           1e-11, lambda: reduce(np.maximum, sp.chirality_action_checks(
+               smd, fr_h, head, scd_h).values()))
     _timed(rep, "lichnerowicz-connection-difference",
            "two connections differ by half the potential difference", 1e-12,
            connection_difference)

@@ -8,7 +8,7 @@ import pytest
 import fd_oracle
 from diracgeo.charts import (Chart, ChartDomainError, DegenerateMetricError,
                              chart_from_config, get_chart, load_chart_config,
-                             metric_jet, registry)
+                             metric_jet, polynomial_chart, registry)
 from diracgeo.curvature import curvature_data
 
 EXPECTED = {"flat2", "flat3", "flat4", "torus2", "torus3", "torus4",
@@ -128,3 +128,64 @@ def test_chart_config_rejects_bad_kind():
     with pytest.raises((ValueError, KeyError)):
         chart_from_config({"name": "x", "kind": "lorentzian_foam",
                            "dimension": 2})
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "flat", "dimension": 2.7},
+    {"kind": "flat", "dimension": True},
+    {"kind": "torus", "dimension": "3"},
+    {"kind": "polynomial", "dimension": 2, "coefficients": [7.5, 0.04]},
+    {"kind": "polynomial", "dimension": 2, "coefficients": [True, 0.04]},
+])
+def test_chart_config_integer_fields_must_be_integral(cfg):
+    # int() used to truncate 2.7 to a flat2 chart and read true as dimension 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        chart_from_config(cfg)
+
+
+def test_chart_config_accepts_integral_floats():
+    assert chart_from_config({"kind": "flat", "dimension": 2.0}).n == 2
+    a = chart_from_config({"kind": "polynomial", "dimension": 2.0,
+                           "coefficients": [7.0, 0.04]})
+    b = chart_from_config({"kind": "polynomial", "dimension": 2, "coefficients": [7, 0.04]})
+    x = np.array([0.3, -0.2])
+    assert np.array_equal(metric_jet(a, x).g, metric_jet(b, x).g)
+
+
+def _per_point_polynomial_metric(n, seed, scale):
+    """The rejection sampling of ``polynomial_chart`` with one eigenvalue call
+    per test point: the metric of the first accepted attempt, or None."""
+    radius = 0.9
+    xs = np.random.default_rng(seed + 99).uniform(-radius, radius, size=(200, n))
+    for attempt in range(64):
+        rng = np.random.default_rng(seed + 1000 * attempt)
+        s0 = rng.uniform(-1, 1, size=(n, n)) * scale
+        s0 = 0.5 * (s0 + s0.T)
+        s1 = rng.uniform(-1, 1, size=(n, n, n)) * scale
+        s1 = 0.5 * (s1 + np.transpose(s1, (1, 0, 2)))
+        s2 = rng.uniform(-1, 1, size=(n, n, n, n)) * scale
+        s2 = 0.5 * (s2 + np.transpose(s2, (1, 0, 2, 3)))
+        s2 = 0.5 * (s2 + np.transpose(s2, (0, 1, 3, 2)))
+
+        def metric(x, s0=s0, s1=s1, s2=s2):
+            return np.eye(n) + s0 + s1 @ x + (s2 @ x) @ x
+
+        if all(np.min(np.linalg.eigvalsh(metric(x))) >= 0.5 for x in xs):
+            return metric
+    return None
+
+
+@pytest.mark.parametrize("n, scales", [(2, (0.04, 0.3, 0.4)), (3, (0.15, 0.2, 0.3)),
+                                       (4, (0.04, 0.15))])
+def test_polynomial_chart_batched_rejection_matches_per_point(n, scales):
+    # the scales reach draws that are rejected before one is accepted, and
+    # seeds where every attempt is rejected
+    x = np.linspace(-0.5, 0.4, n)
+    for scale in scales:
+        for seed in (1, 7, 11):
+            want = _per_point_polynomial_metric(n, seed, scale)
+            if want is None:
+                with pytest.raises(DegenerateMetricError):
+                    polynomial_chart(n, seed, scale)
+            else:
+                assert np.array_equal(polynomial_chart(n, seed, scale).metric_fn(x), want(x))

@@ -309,3 +309,23 @@ def test_sw_human_output(capsys):
 def test_missing_subcommand_exits_two(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["laplacian", "superconnection", "lichnerowicz",
+                                   "levi-civita"])
+@pytest.mark.parametrize("chart", ["sphere2", "poly3", "sphere4"])
+def test_batched_suites_run_at_one_and_two_samples(capsys, suite, chart):
+    # one sample is a stack of one point, the same code as a stack of two:
+    # an axis squeezed away at P = 1 would fail one of the two runs
+    ids = []
+    for samples in ("1", "2"):
+        code, out, err = _run(capsys, ["verify", "--suite", suite, "--chart", chart,
+                                       "--samples", samples])
+        if suite == "lichnerowicz" and chart == "poly3":
+            assert code == 2 and "even dimension" in err
+            continue
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["pass"] is True
+        ids.append([row["id"] for row in payload["checks"]])
+    assert ids[:1] == ids[1:]

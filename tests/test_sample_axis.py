@@ -7,6 +7,8 @@ one point at a time, to a relative 1e-15.
 import numpy as np
 import pytest
 
+from diracgeo import bundles as bnd
+from diracgeo import spin as sp
 from diracgeo.charts import (Chart, ChartDomainError, DegenerateMetricError,
                             get_chart, metric_jet, registry)
 from diracgeo.forms import (PolyField, coderivative_connection,
@@ -15,6 +17,9 @@ from diracgeo.forms import (PolyField, coderivative_connection,
                             lie_derivative, random_poly_field, random_poly_form,
                             random_poly_vector, vector_bracket, volume_form,
                             wedge_forms)
+from diracgeo.curvature import (curvature_data, curvature_two_form_residual,
+                                divergence_via_connection, divergence_via_density,
+                                gradient, log_det_identity_residual)
 from diracgeo.jets import (Jet, jet_cos, jet_exp, jet_log, jet_sin,
                            jet_sqrt, seed_point)
 
@@ -159,3 +164,170 @@ def test_forms_operators_batch(name):
         _close(gram_pairing(a, b, mj),
                [gram_pairing(*args) for args in zip(As, Bs, singles)])
         assert degree(a).tolist() == [p] * P
+
+
+def _stack(rng, xs, singles, make):
+    """P fields from ``make(rng)``: their jets at the stack xs and at each point."""
+    f = PolyField.stack([make(rng) for _ in range(P)])
+    return (f.eval(xs, 2),
+            [_unstack(f, k).eval(s.x, 2) for k, s in enumerate(singles)])
+
+
+def _points_and_jets(name, seed):
+    ch = get_chart(name)
+    rng = np.random.default_rng(seed)
+    xs = np.array([ch.sample_point(rng) for _ in range(P)])
+    return ch, rng, metric_jet(ch, xs), [metric_jet(ch, x) for x in xs]
+
+
+def _same(got, want):
+    """A batched result (array, jet or tuple of them) against the single ones."""
+    if isinstance(got, Jet):
+        _same_jets(got, want)
+    elif isinstance(got, tuple):
+        for k, g in enumerate(got):
+            _same(g, [w[k] for w in want])
+    else:
+        _close(got, want)
+
+
+@pytest.mark.parametrize("name", ["poly2", "sphere2", "poly3", "sphere4", "poly4",
+                                  "minkowski4"])
+def test_bundle_operators_batch(name):
+    ch, rng, mj, singles = _points_and_jets(name, 17)
+    n = ch.n
+    ms = bnd.exterior_module(n)
+    m = ms.m
+    specs = {0: "random", 1: "random", 2: "random"}
+    S = bnd.superconnection_from_degrees(n, m, ms.eta, specs, 5 + np.arange(P))
+    Ss = [bnd.superconnection_from_degrees(n, m, ms.eta, specs, 5 + k) for k in range(P)]
+    D = bnd.quantize_superconnection(S, mj, ms, mj.x)
+    Ds = [bnd.quantize_superconnection(Sk, sk, ms, sk.x) for Sk, sk in zip(Ss, singles)]
+    for k in ("gam", "A", "Z"):
+        _same_jets(getattr(D, k), [getattr(d, k) for d in Ds])
+    for order in (0, 1):
+        low = bnd.quantize_superconnection(S, mj, ms, mj.x, order=order)
+        assert (low.A.order, low.Z.order, low.gam.order) == (order, order, 2)
+        _close(low.Z.val, [d.Z.val for d in Ds])
+    j, js = _stack(rng, mj.x, singles, lambda r: bnd.random_poly_section(r, n, m))
+    f, fs = _stack(rng, mj.x, singles,
+                   lambda r: random_poly_field(r, n, (), complex_coeffs=True))
+    _same(bnd.apply_dirac(D, j), [bnd.apply_dirac(d, jk) for d, jk in zip(Ds, js)])
+    _same(bnd.dirac_commutator_residual(D, f, j),
+          [bnd.dirac_commutator_residual(d, fk, jk) for d, fk, jk in zip(Ds, fs, js)])
+    _same(bnd.dirac_square(D, j), [bnd.dirac_square(d, jk) for d, jk in zip(Ds, js)])
+    _same_jets(bnd.apply_dirac_jet(D, j),
+               [bnd.apply_dirac_jet(d, jk) for d, jk in zip(Ds, js)])
+
+    H = bnd.laplacian_from_dirac(D, mj)
+    Hs = [bnd.laplacian_from_dirac(d, sk) for d, sk in zip(Ds, singles)]
+    _same_jets(H.T, [h.T for h in Hs])
+    _close(H.U, [h.U for h in Hs])
+    _same(H.apply(j), [h.apply(jk) for h, jk in zip(Hs, js)])
+    _close(bnd.lap_identity_residual(H.apply, mj, mj.x, m),
+           [bnd.lap_identity_residual(h.apply, sk, sk.x, m) for h, sk in zip(Hs, singles)])
+    A, F = bnd.laplacian_decompose(H, mj)
+    parts = [bnd.laplacian_decompose(h, sk) for h, sk in zip(Hs, singles)]
+    _same_jets(A, [a for a, _ in parts])
+    _close(F, [fk for _, fk in parts])
+    H2 = bnd.laplacian_from_connection(A, F, mj, mj.x)
+    _same(H2.apply(j), [bnd.laplacian_from_connection(a, fk, sk, sk.x).apply(jk)
+                        for (a, fk), sk, jk in zip(parts, singles, js)])
+
+    lc = bnd.levi_civita_exterior_connection(mj)
+    lcs = [bnd.levi_civita_exterior_connection(sk) for sk in singles]
+    for route in ("local", "trace"):
+        _same(bnd.canonical_laplacian(lc, mj, j, route),
+              [bnd.canonical_laplacian(a, sk, jk, route)
+               for a, sk, jk in zip(lcs, singles, js)])
+    FE = bnd.connection_curvature(lc)
+    FEs = [bnd.connection_curvature(a) for a in lcs]
+    _same_jets(FE, FEs)
+    _same(bnd.twisting_curvature(FE, curvature_data(mj).lowered, ms.gammas(mj)),
+          [bnd.twisting_curvature(fe, curvature_data(sk).lowered, ms.gammas(sk))
+           for fe, sk in zip(FEs, singles)])
+    _same(bnd.kernel_projector(mj, ms), [bnd.kernel_projector(sk, ms) for sk in singles])
+    _close(bnd.clifford_of_metric(mj, ms), [bnd.clifford_of_metric(sk, ms) for sk in singles])
+    _close(bnd.module_invariant_residual(ms, mj),
+           [bnd.module_invariant_residual(ms, sk) for sk in singles])
+    _same_jets(bnd.superconnection_curvature(S, mj.x),
+               [bnd.superconnection_curvature(Sk, sk.x) for Sk, sk in zip(Ss, singles)])
+
+
+@pytest.mark.parametrize("name", ["flat2", "torus2", "sphere2", "hyperbolic2", "poly2",
+                                  "flat4", "torus4", "sphere4", "hyperbolic4", "poly4"])
+def test_spin_operators_batch(name):
+    ch, rng, mj, singles = _points_and_jets(name, 23)
+    n = ch.n
+    smd = sp.spin_module_data(n)
+    fr = sp.build_frame_from_metric(mj)
+    frs = [sp.build_frame_from_metric(sk) for sk in singles]
+    for k in ("co", "inv"):
+        _same(getattr(fr, k), [getattr(f, k) for f in frs])
+    _close(sp.frame_invariant_residual(fr, mj),
+           [sp.frame_invariant_residual(f, sk) for f, sk in zip(frs, singles)])
+    a, a_s = _stack(rng, mj.x, singles, lambda r: sp.imaginary_poly_potential(r, n))
+    scd = sp.build_spin_connection(fr, smd, mj, a)
+    scds = [sp.build_spin_connection(f, smd, sk, ak) for f, sk, ak in zip(frs, singles, a_s)]
+    for k in ("w0", "omega"):
+        _same_jets(getattr(scd, k), [getattr(c, k) for c in scds])
+    _same_jets(smd.coordinate_gammas(fr), [smd.coordinate_gammas(f) for f in frs])
+    j, js = _stack(rng, mj.x, singles, lambda r: bnd.random_poly_section(r, n, smd.dim))
+    every = list(zip(scds, frs, singles, js))
+    _close(sp.spin_dirac(scd, smd, fr, mj, j),
+           [sp.spin_dirac(c, smd, f, sk, jk) for c, f, sk, jk in every])
+    _close(sp.spin_dirac_alpha(scd, smd, fr, j),
+           [sp.spin_dirac_alpha(c, smd, f, jk) for c, f, _, jk in every])
+    _close(sp.lichnerowicz_residual(scd, smd, fr, mj, j),
+           [sp.lichnerowicz_residual(c, smd, f, sk, jk) for c, f, sk, jk in every])
+    got = sp.chirality_action_checks(smd, fr, mj, scd)
+    want = [sp.chirality_action_checks(smd, f, sk, c) for c, f, sk, _ in every]
+    for k in ("gamma_anticommutation", "connection_commutation"):
+        _close(got[k], [w[k] for w in want])
+    if ch.kind == "conformal":
+        _close(sp.conformal_dirac(ch, a, smd, j),
+               [sp.conformal_dirac(ch, ak, smd, jk) for ak, jk in zip(a_s, js)])
+
+
+@pytest.mark.parametrize("name", ["sphere2", "hyperbolic2", "poly3", "sphere4", "poly4",
+                                  "minkowski4"])
+def test_curvature_batches(name):
+    ch, rng, mj, singles = _points_and_jets(name, 29)
+    n = ch.n
+    cd = curvature_data(mj)
+    cds = [curvature_data(sk) for sk in singles]
+    for k in ("christoffel", "dchristoffel", "riemann", "lowered", "ricci", "scalar"):
+        _close(getattr(cd, k), [getattr(c, k) for c in cds])
+    _close(log_det_identity_residual(mj, cd.christoffel),
+           [log_det_identity_residual(sk, c.christoffel) for sk, c in zip(singles, cds)])
+    _close(curvature_two_form_residual(mj, cd),
+           [curvature_two_form_residual(sk, c) for sk, c in zip(singles, cds)])
+    X = PolyField.stack([random_poly_vector(rng, n) for _ in range(P)])
+    val, dval, _ = X.jet(mj.x, 1)
+    _close(gradient(mj, val), [gradient(sk, v) for sk, v in zip(singles, val)])
+    _close(divergence_via_density(mj, val, dval),
+           [divergence_via_density(sk, v, dv) for sk, v, dv in zip(singles, val, dval)])
+    _close(divergence_via_connection(mj, cd.christoffel, val, dval),
+           [divergence_via_connection(sk, c.christoffel, v, dv)
+            for sk, c, v, dv in zip(singles, cds, val, dval)])
+
+
+def test_stacked_superconnection_is_the_stack_of_its_seeds():
+    ms = bnd.exterior_module(2)
+    S = bnd.superconnection_from_degrees(2, 4, ms.eta, {0: "constant", 1: "random"}, [3, 4])
+    singles = [bnd.superconnection_from_degrees(2, 4, ms.eta, {0: "constant", 1: "random"},
+                                                seed) for seed in (3, 4)]
+    assert sorted(S.blades) == [0, 1, 2]
+    for k, single in enumerate(singles):
+        assert np.array_equal(S.field.coeffs[k], single.field.coeffs)
+        for mask, blade in S.blades.items():
+            assert np.array_equal(blade.coeffs[k], single.field.coeffs[:, mask])
+    # one parity test covers every sample: an odd entry of a degree-1 blade
+    # at the second point only is found
+    sig = np.real(np.diag(ms.eta))
+    r, c = np.argwhere(np.outer(sig, sig) < 0)[0]
+    coeffs = S.field.coeffs.copy()
+    coeffs[1, 0, 1, r, c] = 0.5
+    field = PolyField(2, S.field.exponents, coeffs, stacked=True)
+    with pytest.raises(bnd.ParityError, match=rf"blade \[0\] entry \({r},{c}\)"):
+        bnd.SuperconnectionData(2, 4, ms.eta, S.blades, field)
