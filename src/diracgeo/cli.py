@@ -38,6 +38,13 @@ def _parse_point(text: str, n: int) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
+def _chart_point(args, ch, rng) -> np.ndarray:
+    """The --point of the chart, or a point sampled from rng, in its domain."""
+    x = ch.sample_point(rng) if args.point is None else _parse_point(args.point, ch.n)
+    ch.validate_point(x)
+    return x
+
+
 def _samples(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
@@ -56,9 +63,7 @@ def _matrix_list(a: np.ndarray) -> list:
 
 
 def cmd_verify(args) -> int:
-    cfg = None
-    if args.config:
-        cfg = swm.load_sw_config(args.config)
+    cfg = swm.load_sw_config(args.config) if args.config else None
     rep = run_suite(args.suite, chart=args.chart, seed=args.seed,
                     samples=args.samples, sw_config=cfg)
     out = (render_human(rep, args.timings) if args.human
@@ -69,12 +74,7 @@ def cmd_verify(args) -> int:
 
 def cmd_curvature(args) -> int:
     ch = get_chart(args.chart)
-    if args.point is None:
-        rng = np.random.default_rng(args.seed)
-        x = ch.sample_point(rng)
-    else:
-        x = _parse_point(args.point, ch.n)
-    ch.validate_point(x)
+    x = _chart_point(args, ch, np.random.default_rng(args.seed))
     cd = curvature_data(metric_jet(ch, x))
     payload = {
         "chart": args.chart,
@@ -102,11 +102,7 @@ def cmd_dirac(args) -> int:
     ch = get_chart(args.chart)
     n = ch.n
     rng = np.random.default_rng(args.seed)
-    if args.point is None:
-        x = ch.sample_point(rng)
-    else:
-        x = _parse_point(args.point, n)
-    ch.validate_point(x)
+    x = _chart_point(args, ch, rng)
     mj = metric_jet(ch, x)
     ms = bnd.exterior_module(n)
     if args.config:
@@ -143,15 +139,10 @@ def cmd_dirac(args) -> int:
 
 
 def cmd_sw(args) -> int:
-    if args.config:
-        cfg = swm.load_sw_config(args.config)
-    else:
-        cfg = swm.random_sw_config(np.random.default_rng(args.seed))
-    rng = np.random.default_rng(args.seed)
-    if args.point is None:
-        x = rng.uniform(0.0, 2.0 * np.pi, 4)
-    else:
-        x = _parse_point(args.point, 4)
+    cfg = (swm.load_sw_config(args.config) if args.config
+           else swm.random_sw_config(np.random.default_rng(args.seed)))
+    x = (np.random.default_rng(args.seed).uniform(0.0, 2.0 * np.pi, 4)
+         if args.point is None else _parse_point(args.point, 4))
     res = swm.sw_residuals(cfg, x)
     out = swm.sw_functional(cfg)
     payload = {
@@ -200,16 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="monopole config JSON (required for the sw suite)")
     v.add_argument("--timings", action="store_true",
                    help="include wall times (breaks byte stability)")
-    for flag, kw in common.items():
-        v.add_argument(flag, **kw)
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("curvature", help="print curvature data at a point")
     c.add_argument("--chart", required=True, choices=sorted(registry()))
     c.add_argument("--point", default=None,
                    help="comma separated coordinates (default: sampled)")
-    for flag, kw in common.items():
-        c.add_argument(flag, **kw)
     c.set_defaults(fn=cmd_curvature)
 
     d = sub.add_parser("dirac", help="print quantized operator data at a point")
@@ -217,17 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--point", default=None)
     d.add_argument("--config", default=None,
                    help="superconnection coefficient config JSON")
-    for flag, kw in common.items():
-        d.add_argument(flag, **kw)
     d.set_defaults(fn=cmd_dirac)
 
     s = sub.add_parser("sw", help="monopole residuals and both functional forms")
     s.add_argument("--config", default=None,
                    help="monopole config JSON (default: random from seed)")
     s.add_argument("--point", default=None)
-    for flag, kw in common.items():
-        s.add_argument(flag, **kw)
     s.set_defaults(fn=cmd_sw)
+    for parser in (v, c, d, s):
+        for flag, kw in common.items():
+            parser.add_argument(flag, **kw)
     return ap
 
 
@@ -238,12 +224,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except (SuiteUsageError, ChartDomainError, SpinSignatureError,
-            swm.SWConfigError, FileNotFoundError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # a point or config the fields overflow at is an input error (the
+        # suites of verify draw their own points)
+        with np.errstate(**({} if args.command == "verify"
+                            else {"over": "raise", "invalid": "raise"})):
+            return args.fn(args)
+    except FloatingPointError as exc:
+        sys.stderr.write(f"error: the fields cannot be evaluated at this input ({exc})\n")
         return USAGE_EXIT
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (SuiteUsageError, ChartDomainError, SpinSignatureError, swm.SWConfigError,
+            FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from functools import reduce
+from itertools import combinations
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -660,27 +661,27 @@ def sw_suite(seed: int, samples: int,
     # one draw of (samples, 4) is the stream of one draw of 4 per sample
     pts = rng.uniform(0.0, 2.0 * np.pi, (samples, 4))
 
-    def quadratic_identity():
-        return swm.quadratic_identity_residual(swm.spinor_at(cfg, pts)[0])
-
     def self_dual_projector():
-        # the block's half of F is a fixed point, and Q(psi) lies in it
+        # the block's half of F is a fixed point, Q(psi) lies in it, and the
+        # projector is (1 +- star) / 2, star F on the pairs j < k read from
+        # eps_abcd, the determinant of the rows a, b, c, d of the identity
+        pairs = list(combinations(range(4), 2))
+        star = np.array([[np.linalg.det(np.eye(4)[[*p, *q]]) for q in pairs] for p in pairs])
+        half = 0.5 * (np.eye(len(pairs)) + (1.0 if cfg.block == "+" else -1.0) * star)
         fp = swm.block_part(swm.curvature_at(cfg, pts), cfg.block)
         q = swm.quadratic_form(swm.spinor_at(cfg, pts)[0])
-        return _samples_amax(*(swm.block_part(a, cfg.block) - a for a in (fp, q)))
-
-    def functional_gap():
-        return swm.sw_functional(cfg)["relative_gap"]
+        return np.append(_samples_amax(*(swm.block_part(a, cfg.block) - a for a in (fp, q))),
+                         np.max(np.abs(swm.block_projector(cfg.block) - half)))
 
     half = "self-dual" if cfg.block == "+" else "anti-self-dual"
     _timed(rep, "sw-quadratic-identity", "|Q(psi)|^2 = |psi|^4 / 8", 1e-10,
-           quadratic_identity)
+           lambda: swm.quadratic_identity_residual(swm.spinor_at(cfg, pts)[0]))
     _timed(rep, "sw-self-dual-projector",
-           f"F{cfg.block} is a fixed point; Q(psi) is {half} on the "
-           f"{cfg.block} block", 1e-12, self_dual_projector)
+           f"F{cfg.block} = (1 {cfg.block} star) F / 2 is a fixed "
+           f"point; Q(psi) is {half} on the {cfg.block} block", 1e-12, self_dual_projector)
     _timed(rep, "sw-functional-gap",
            "equation form equals Weitzenbock form of the functional",
-           SW_FUNCTIONAL_GAP_TOL, functional_gap)
+           SW_FUNCTIONAL_GAP_TOL, lambda: swm.sw_functional(cfg)["relative_gap"])
     return rep
 
 

@@ -1,12 +1,16 @@
 """Per-field FFT reference for the monopole functional.
 
 This is the grid evaluation the package used before ``sw_functional`` moved
-onto the band-limited spectrum: every field and derivative the integrands
-could read, all four spinor components included, is its own ``grid^4``
-spectrum taken to the grid by an inverse FFT, and the integrands are loops
-over components.  The one change from that code is the curvature projector:
-it takes the chirality block's sign, so (F + star F)/2 on the + block and
-(F - star F)/2 on the - block.  Tests compare ``sw_functional`` against it.
+onto the band-limited spectrum and then off the grid altogether, to sums
+over the config's Fourier modes folded mod the quadrature size: every field
+and derivative the integrands could read, all four spinor components
+included, is its own ``grid^4`` spectrum taken to the full configured grid
+by an inverse FFT, and the integrands, Q(psi) included, are loops over
+components on that grid.  It shares none of the mode-sum code, so it also
+checks their folding below the quadrature bound, where both alias alike.
+The one change from that code is the curvature projector: it takes the
+chirality block's sign, so (F + star F)/2 on the + block and (F - star F)/2
+on the - block.  Tests compare ``sw_functional`` against it.
 
 ``potential_at`` and ``spinor_at`` are the package's pointwise evaluators as
 they were before they shared the spectra of ``sw_functional``: one Python

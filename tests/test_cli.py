@@ -175,14 +175,33 @@ def test_dirac_exits_one_when_the_commutator_check_fails(capsys, monkeypatch):
                             "zero_order", "commutator_residual"}
 
 
-def test_dirac_exits_one_on_a_nan_residual(capsys):
-    # at 1e200 the section jets overflow and every commutator residual is
-    # NaN; a max() that starts at 0.0 used to drop it and report a pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, _ = _run(capsys, ["dirac", "--chart", "flat2",
-                                     "--point", "1e200,0"])
+def test_dirac_exits_one_on_a_nan_residual(capsys, monkeypatch):
+    # a max() that starts at 0.0 used to drop a NaN residual and report a
+    # pass; a point the fields overflow at is now refused before the gate,
+    # so the NaN comes from the residual itself
+    from diracgeo import bundles as bnd
+    monkeypatch.setattr(bnd, "dirac_commutator_residual",
+                        lambda *args: (float("nan"), float("nan")))
+    code, out, _ = _run(capsys, ["dirac", "--chart", "flat2",
+                                 "--point", "0.2,0.4"])
     assert code == 1
     assert np.isnan(json.loads(out)["commutator_residual"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dirac", "--chart", "flat2", "--point", "1e200,0"],
+    ["dirac", "--chart", "torus2", "--point", "0,1e200"],
+    ["dirac", "--chart", "poly2", "--point", "1e200,0"],
+    ["curvature", "--chart", "poly2", "--point", "1e200,0"],
+    ["curvature", "--chart", "sphere2", "--point", "1e200,0"],
+])
+def test_unevaluable_point_is_a_usage_error(capsys, argv):
+    # the fields overflow at these finite points: the section jets of dirac
+    # gave NaN residuals (exit 1) and curvature printed an infinite metric,
+    # each after numpy overflow warnings
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "cannot be evaluated" in err
 
 
 def test_dirac_with_superconnection_config(capsys, tmp_path):

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sw_reference
 from diracgeo import seiberg_witten as swm
@@ -204,6 +205,39 @@ def test_pointwise_pieces_integrate_to_the_equation_form(block):
     assert w1 == pytest.approx(sw_functional(cfg)["w_equations"], rel=1e-12)
 
 
+def _coupled_config(seed, block, band=2, grid=9):
+    """A config whose potential sits at differences k_i - k_j of its spinor
+    frequencies, the only modes where F and Q(psi) meet in the integral."""
+    rng = np.random.default_rng(seed)
+    comps = BLOCK_INDICES[block]
+    ks = rng.integers(-1, 2, (3, 4))
+    psi = [[comps[i % 2], *map(int, k), *rng.normal(size=2)] for i, k in enumerate(ks)]
+    a = [[int(rng.integers(0, 4)), *map(int, ks[i] - ks[j]), *rng.normal(size=2)]
+         for i in range(3) for j in range(3) if i != j]
+    return sw_config_from_dict(_cfg_dict(grid=grid, band=band, chirality_block=block,
+                                         a_modes=a, psi_modes=psi))
+
+
+@pytest.mark.parametrize("block", ["+", "-"])
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_functional_gap_on_configs_that_couple_a_and_psi(seed, block):
+    # random sparse configs almost never give A a difference of spinor
+    # frequencies, so the cross terms <F, Q> and <d psi, A psi> integrate to
+    # 0 and the gap cannot see their sign or factor; on these it can, with
+    # the cross term at least 1% of the equation form
+    cfg = _coupled_config(seed, block)
+    out = sw_functional(cfg)
+    assert out["relative_gap"] <= 1e-12
+    axis = 2 * np.pi * np.arange(cfg.grid) / cfg.grid
+    pts = np.stack(np.meshgrid(*(axis,) * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    fp = block_part(curvature_at(cfg, pts), block)
+    q = quadratic_form(spinor_at(cfg, pts)[0])
+    rows, cols = np.triu_indices(4, 1)
+    cross = (2 * np.pi) ** 4 * np.mean(np.sum(np.real(np.conj(fp) * q)[:, rows, cols],
+                                               axis=1))
+    assert abs(cross) >= 0.01 * out["w_equations"]
+
+
 def test_curvature_is_antisymmetric_and_closed():
     rng = np.random.default_rng(3)
     cfg = random_sw_config(rng)
@@ -340,6 +374,45 @@ def test_functional_matches_per_field_fft_reference(band, grid, block):
         got, want = sw_functional(cfg), sw_reference.sw_functional(cfg)
         for key in ("w_equations", "w_weitzenbock"):
             assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """Configs of band 0-3 on grids 1 to 4 band + 8 (those below the bound
+    built directly, so they alias), with empty mode lists, repeated rows,
+    k / -k pairs and potential modes at differences of spinor modes."""
+    band = draw(st.integers(0, 3))
+    grid = draw(st.integers(1, 4 * band + 8))
+    block = draw(st.sampled_from(["+", "-"]))
+    freq = st.lists(st.integers(-band, band), min_size=4, max_size=4)
+    coef = st.integers(-8, 8).map(lambda v: v / 4.0)
+
+    def rows(comps, most):
+        return draw(st.lists(st.tuples(st.sampled_from(comps), freq, coef, coef)
+                             .map(lambda r: [r[0], *r[1], r[2], r[3]]), max_size=most))
+
+    psi, a = rows(BLOCK_INDICES[block], 5), rows(range(4), 6)
+    if psi and draw(st.booleans()):
+        psi.append(list(psi[0]))
+    if a and draw(st.booleans()):
+        a.append([a[0][0], *(-v for v in a[0][1:5]), *a[0][5:]])
+    if draw(st.booleans()):
+        a += [[draw(st.sampled_from(range(4))), *(u - v for u, v in zip(r[1:5], t[1:5])),
+               draw(coef), draw(coef)] for r in psi for t in psi
+              if max(abs(u - v) for u, v in zip(r[1:5], t[1:5])) <= band]
+    drawn = sw_config_from_dict(_cfg_dict(grid=4 * band + 1, band=band,
+                                          chirality_block=block, a_modes=a,
+                                          psi_modes=psi))
+    return SWConfig(grid, band, block, drawn.a_modes, drawn.psi_modes)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(_fuzzed_configs())
+def test_functional_matches_the_reference_on_fuzzed_configs(cfg):
+    got, want = sw_functional(cfg), sw_reference.sw_functional(cfg)
+    scale = max(abs(want["w_equations"]), abs(want["w_weitzenbock"]))
+    for key in ("w_equations", "w_weitzenbock"):
+        assert abs(got[key] - want[key]) <= 1e-12 * scale
 
 
 def test_functional_is_grid_independent_above_nyquist():
