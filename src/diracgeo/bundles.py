@@ -37,7 +37,7 @@ from .forms import (PolyField, blade_field, exterior_derivative, exterior_gammas
                     iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
-from .jets import Jet, check_point, index_contract, sample_max, seed_point
+from .jets import Jet, check_point, sample_max, seed_point
 
 
 class ParityError(ValueError):
@@ -356,11 +356,6 @@ def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple:
                     np.einsum("...iab,...b->...ia", D.gam.val, j.val))
     diff, nb = sample_max(t1 - t2 - rhs, j.nb), j.nb
     return diff, diff / np.maximum(1.0, np.maximum(sample_max(t1, nb), sample_max(t2, nb)))
-
-
-def apply_dirac_jet(D: DiracOperatorData, j: Jet) -> Jet:
-    """1-jet of D psi out of a 2-jet of psi (compositional squaring route)."""
-    return D.Z @ j + index_contract(D.gam, j.gradient() + D.A @ j)
 
 
 def _second_covariant(A: Jet, j: Jet):

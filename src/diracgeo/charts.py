@@ -173,21 +173,27 @@ def metric_jet(chart: Chart, x) -> MetricJet:
     if np.max(np.abs(np.imag(g)), initial=0.0) > 1e-12:
         raise DegenerateMetricError("metric entries must be real")
     g, dg, d2g = np.real(g), np.real(dg), np.real(d2g)
-    eig = np.linalg.eigvalsh(g)
-    mags = np.abs(eig)
+    # one test per sample and per condition; the first failing sample raises
+    # its first failure, symmetry before degeneracy before signature
+    eig = np.linalg.eigvalsh(g).reshape(-1, n)
+    mags, flat = np.abs(eig), g.reshape(-1, n, n)
     neg = np.sum(eig < 0, axis=-1)
-    for idx in np.ndindex(x.shape[:-1]):
-        pt, mag = x[idx].tolist(), mags[idx]
-        if not np.allclose(g[idx], g[idx].T, atol=1e-10):
+    asym = ~(np.max(np.abs(flat - flat.swapaxes(-1, -2)), axis=(-2, -1))
+             <= 1e-10 * np.max(np.abs(flat), axis=(-2, -1)))
+    degen = mags.min(-1) <= 1e-10 * mags.max(-1)
+    bad = np.flatnonzero(asym | degen | (neg != chart.negatives))
+    if bad.size:
+        k = bad[0]
+        pt, mag = x.reshape(-1, n)[k].tolist(), mags[k]
+        if asym[k]:
             raise DegenerateMetricError(f"metric not symmetric at {pt}")
-        if mag.min() <= 1e-10 * mag.max():
+        if degen[k]:
             raise DegenerateMetricError(
                 f"metric degenerate at {pt}: min |eigenvalue| {mag.min():.3e} "
                 f"<= 1e-10 * max |eigenvalue| {mag.max():.3e}")
-        if neg[idx] != chart.negatives:
-            raise DegenerateMetricError(
-                f"signature drifted at {pt}: {neg[idx]} negative directions, "
-                f"expected {chart.negatives}")
+        raise DegenerateMetricError(
+            f"signature drifted at {pt}: {neg[k]} negative directions, "
+            f"expected {chart.negatives}")
     # symmetrize derivative arrays in (i, j) to kill representation roundoff
     dg = 0.5 * (dg + dg.swapaxes(-1, -2))
     d2g = 0.5 * (d2g + d2g.swapaxes(-1, -2))

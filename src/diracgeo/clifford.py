@@ -118,11 +118,16 @@ def quantize_blades(gammas, one) -> Callable[[int], object]:
 def product_table(pairing: np.ndarray) -> np.ndarray:
     """Q[M] = c(q(e_M)) on the blade axis for c(dx^i) = eps_i - pairing[i, j] iota_j,
     by ``quantize_blades``; column 0 of Q[M] is e_M, the symbol.  A zero
-    pairing gives the wedge table, with exact entries."""
-    n = pairing.shape[0]
+    pairing gives the wedge table, with exact entries.  A stack of pairings
+    (..., n, n) gives the stack of their tables (..., 2^n, 2^n, 2^n), in
+    one recursion over the blades with every product batched."""
+    n, dim = pairing.shape[-1], 1 << pairing.shape[-1]
     eps, iota = blade_tables(n)
-    q = quantize_blades(eps - contract(pairing, iota), np.eye(1 << n, dtype=complex))
-    table = np.stack([q(mask) for mask in range(1 << n)])
+    # generator axis in front, so that gammas[i] is c(dx^i) at every sample
+    gammas = np.moveaxis(eps - contract(pairing, iota), -3, 0)
+    one = np.broadcast_to(np.eye(dim, dtype=complex), gammas.shape[1:])
+    q = quantize_blades(gammas, one)
+    table = np.stack([q(mask) for mask in range(dim)], axis=-3)
     table.setflags(write=False)
     return table
 
@@ -142,8 +147,9 @@ def wedge_table(n: int) -> np.ndarray:
 class BilinearForm:
     """Nondegenerate symmetric pairing on covectors, B[i, j] = (dx^i, dx^j).
 
-    Degenerate means min |eigenvalue| <= 1e-12 * max |eigenvalue|, a test
-    that does not depend on the scale of B.
+    Symmetric means max |B - B^T| <= 1e-12 * max |B|, and degenerate means
+    min |eigenvalue| <= 1e-12 * max |eigenvalue|: neither test depends on
+    the scale of B.
     """
 
     matrix: np.ndarray
@@ -152,7 +158,7 @@ class BilinearForm:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("bilinear form must be a square matrix")
-        if not np.allclose(m, m.T, atol=1e-12):
+        if not np.max(np.abs(m - m.T), initial=0.0) <= 1e-12 * np.max(np.abs(m), initial=0.0):
             raise ValueError("bilinear form must be symmetric")
         mags = np.abs(np.linalg.eigvalsh(m))
         if mags.min() <= 1e-12 * mags.max():
@@ -169,15 +175,6 @@ class BilinearForm:
     def table(self) -> np.ndarray:
         """Action matrices of the quantized blades, built once per form."""
         return product_table(self.matrix)
-
-    def pair(self, u: Sequence[complex], v: Sequence[complex]) -> complex:
-        """Complex-bilinear pairing of two covector component arrays."""
-        return complex(np.asarray(u) @ self.matrix @ np.asarray(v))
-
-    def signature(self) -> tuple:
-        vals = np.linalg.eigvalsh(self.matrix)
-        neg = int(np.sum(vals < 0))
-        return (self.n - neg, neg)
 
 
 EXTERIOR = "exterior"
@@ -252,9 +249,6 @@ class MultivectorElement:
     def _like(self, coeffs: np.ndarray) -> "MultivectorElement":
         return MultivectorElement(self.n, coeffs, self.kind, self.form)
 
-    def scalar_part(self) -> complex:
-        return complex(self.coeffs[0])
-
     def coefficient(self, indices: Iterable[int]) -> complex:
         mask = 0
         for i in indices:
@@ -312,36 +306,6 @@ def wedge(a: MultivectorElement, b: MultivectorElement) -> MultivectorElement:
     if a.kind != EXTERIOR:
         raise AlgebraMismatchError("wedge acts on exterior elements; take symbol() first")
     return a._like(contract(a.coeffs, wedge_table(a.n)) @ b.coeffs)
-
-
-def _covector_components(v: MultivectorElement, op: str) -> np.ndarray:
-    support = grades(v.n)[v.coeffs != 0]
-    if support.size == 0 or np.any(support != 1):
-        raise ValueError(f"{op} takes a degree-1 element")
-    return v.coeffs[1 << np.arange(v.n)]
-
-
-def epsilon_matrix(v: MultivectorElement) -> np.ndarray:
-    """Left exterior multiplication by the degree-1 element v."""
-    return contract(_covector_components(v, "epsilon"), blade_tables(v.n)[0])
-
-
-def iota_matrix(u: MultivectorElement, b: BilinearForm) -> np.ndarray:
-    """Interior product by degree-1 u through the pairing B (complex-bilinear)."""
-    w = _covector_components(u, "iota") @ b.matrix
-    return contract(w, blade_tables(u.n)[1])
-
-
-def epsilon(v: MultivectorElement, a: MultivectorElement) -> MultivectorElement:
-    return a._like(epsilon_matrix(v) @ a.coeffs)
-
-
-def iota(u: MultivectorElement, a: MultivectorElement,
-         b: Optional[BilinearForm] = None) -> MultivectorElement:
-    form = b or a.form or u.form
-    if form is None:
-        raise ValueError("iota needs a bilinear form")
-    return a._like(iota_matrix(u, form) @ a.coeffs)
 
 
 def action_matrix(a: MultivectorElement) -> np.ndarray:
@@ -407,8 +371,7 @@ def chirality(b: BilinearForm, orientation: int = 1) -> ChiralityElement:
         raise ValueError("orientation must be +1 or -1")
     vals, vecs = np.linalg.eigh(b.matrix)
     s = int(np.sum(vals < 0))
-    cols = [vecs[:, a] / np.sqrt(abs(vals[a])) for a in range(n)]
-    basis = np.stack(cols, axis=1)
+    basis = vecs / np.sqrt(np.abs(vals))
     if np.linalg.det(basis) < 0:
         basis[:, 0] = -basis[:, 0]
     prod = None

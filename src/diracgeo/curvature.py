@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import MetricJet
-from .clifford import BilinearForm, contract
+from .clifford import product_table
 from .jets import sample_max
 
 
@@ -95,28 +95,22 @@ def log_det_identity_residual(mj: MetricJet, gamma: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def curvature_two_form(b: BilinearForm, low: np.ndarray) -> np.ndarray:
-    """Symbols of S_ij = -1/4 lowered[k, l, i, j] dx^k dx^l (Clifford products),
-    indexed [i, j, blade]."""
-    gens = b.table[1 << np.arange(b.n)]
-    pairs = np.einsum("kab,lb->kla", gens, gens[:, :, 0])
-    return -0.25 * np.einsum("klij,kla->ija", low, pairs)
-
-
 def curvature_two_form_residual(mj: MetricJet, cd: CurvatureData):
     """Check [S_ij, dx^k] = riemann[l, k, i, j] dx^l for every i, j, k, per
-    sample; each sample builds its own ``BilinearForm`` table."""
-    batch = np.shape(mj.x)[:-1]
-    return np.reshape([_two_form_residual(mj.g_inv[idx], cd.lowered[idx], cd.riemann[idx])
-                       for idx in np.ndindex(batch)], batch)[()]
-
-
-def _two_form_residual(g_inv: np.ndarray, low: np.ndarray, riem: np.ndarray) -> float:
-    b = BilinearForm(g_inv)
-    s = curvature_two_form(b, low)
-    covectors = 1 << np.arange(b.n)
-    right = contract(s, b.table)[..., covectors]                  # S_ij dx^k, [i, j, a, k]
-    left = np.einsum("kab,ijb->ijak", b.table[covectors], s)      # dx^k S_ij
+    sample, where S_ij = -1/4 lowered[k, l, i, j] dx^k dx^l (Clifford
+    products) has symbols s[..., i, j, blade], on the stacked product tables
+    of g^-1: S_ij dx^k is one batched matrix product of s with the tables."""
+    n, dim = mj.n, 1 << mj.n
+    covectors = 1 << np.arange(n)
+    table = product_table(mj.g_inv)
+    gens = table[..., covectors, :, :]
+    pairs = np.einsum("...kab,...lb->...kla", gens, gens[..., 0])
+    s = -0.25 * np.einsum("...klij,...kla->...ija", cd.lowered, pairs)
+    batch = s.shape[:-3]
+    right = s.reshape(batch + (n * n, dim)) @ table.reshape(batch + (dim, dim * dim))
+    right = right.reshape(batch + (n, n, dim, dim))[..., covectors]   # S_ij dx^k, [i, j, a, k]
+    left = np.einsum("...kab,...ijb->...ijak", gens, s)                # dx^k S_ij
     target = np.zeros_like(right)
-    target[:, :, covectors] = np.einsum("lkij->ijlk", riem)
-    return float(np.max(np.sqrt(np.sum(np.abs(right - left - target) ** 2, axis=2))))
+    target[..., covectors, :] = np.einsum("...lkij->...ijlk", cd.riemann)
+    err = np.sqrt(np.sum(np.abs(right - left - target) ** 2, axis=-2))
+    return np.max(err, axis=(-3, -2, -1))

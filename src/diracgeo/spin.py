@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -114,10 +114,6 @@ class SpinModuleData:
     dim: int
     gammas: np.ndarray          # (n, dim, dim)
     chirality: np.ndarray
-
-    def positive_indices(self) -> List[int]:
-        d = np.real(np.diag(self.chirality))
-        return [i for i in range(self.dim) if d[i] > 0]
 
     def coordinate_gammas(self, frame: FrameField) -> Jet:
         """c(dx^k) = sum_i <e_i, dx^k> Gamma_i with jets from the frame, fiber

@@ -13,9 +13,8 @@ from . import bundles as bnd
 from . import seiberg_witten as swm
 from . import spin as sp
 from .charts import Chart, MetricJet, get_chart, metric_jet
-from .clifford import (CLIFFORD, EXTERIOR, BilinearForm, MultivectorElement,
-                       action_matrix, chirality, clifford_product, quantize,
-                       symbol)
+from .clifford import (CLIFFORD, BilinearForm, MultivectorElement, chirality,
+                       product_table, quantize, symbol)
 from .curvature import (curvature_data, curvature_two_form_residual,
                         divergence_via_connection, divergence_via_density,
                         log_det_identity_residual)
@@ -184,80 +183,70 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _random_multivector(rng, n: int, kind: str, form=None) -> MultivectorElement:
-    coeffs = [complex(rng.normal(), rng.normal()) for _ in range(1 << n)]
-    return MultivectorElement(n, coeffs, kind, form)
-
-
 def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     ch = get_chart(chart)
-    n = ch.n
+    n, dim = ch.n, 1 << ch.n
     rng = np.random.default_rng(seed)
     rep = VerificationReport("clifford", chart, seed, samples)
-    pts = _points(ch, rng, samples)
-    forms = [BilinearForm(metric_jet(ch, x).g_inv) for x in pts]
+    mj = metric_jet(ch, np.array(_points(ch, rng, samples)))
+    table = product_table(mj.g_inv)                 # (P, 2^n, 2^n, 2^n)
+    forms = [BilinearForm(g) for g in mj.g_inv]
+    embed = np.eye(dim)[1 << np.arange(n)]          # covectors onto the blade axis
+
+    # every coefficient is drawn first, in the order per-point checks drew
+    # them: points outermost, then draws; real and imaginary parts lie along
+    # ``axis``, as a covector draws its n real parts, then its n imaginary
+    # ones, and a multivector both parts of one blade in turn
+    def normals(*shape, axis=-1):
+        z = rng.normal(size=(samples,) + shape)
+        return np.take(z, 0, axis) + 1j * np.take(z, 1, axis)
+
+    cu, cv = np.moveaxis(normals(JETS_PER_POINT, 2, 2, n, axis=-2), -2, 0)
+    vacuum = normals(JETS_PER_POINT, dim, 2)
+    w, a = np.moveaxis(normals(2, dim, 2), 1, 0)
+    a1, a2, a3 = np.moveaxis(normals(JETS_PER_POINT, 3, dim, 2), -2, 0)
+    chiral = normals(2, n, axis=-2) @ embed if n % 2 == 0 else None
+
+    def product(x, y):
+        """Clifford products x y of coefficient stacks (P, ..., 2^n), each
+        sample point against its own table."""
+        act = x.reshape(samples, -1, dim) @ table.reshape(samples, dim, dim * dim)
+        return (act.reshape(x.shape + (dim,)) @ y[..., None])[..., 0]
+
+    def norm(x):
+        return np.linalg.norm(x, axis=-1)
 
     def generator_relation():
-        out = []
-        for b in forms:
-            for _ in range(JETS_PER_POINT):
-                cu = rng.normal(size=n) + 1j * rng.normal(size=n)
-                cv = rng.normal(size=n) + 1j * rng.normal(size=n)
-                u = MultivectorElement.covector(cu, CLIFFORD, b)
-                v = MultivectorElement.covector(cv, CLIFFORD, b)
-                uv = clifford_product(u, v)
-                acc = uv + clifford_product(v, u)
-                acc = acc + MultivectorElement.scalar(2.0 * b.pair(cu, cv), n,
-                                                      CLIFFORD, b)
-                out.append(_rel(acc.norm(), uv.norm()))
-        return out
-
-    def vacuum_symbol():
-        return [np.max(np.abs(action_matrix(quantize(w, b))[:, 0] - w.coeffs))
-                for b in forms
-                for w in [_random_multivector(rng, n, EXTERIOR)
-                          for _ in range(JETS_PER_POINT)]]
+        u, v = cu @ embed, cv @ embed
+        uv = product(u, v)
+        acc = uv + product(v, u)
+        acc[..., 0] += 2.0 * np.sum((cu @ mj.g_inv) * cv, axis=-1)
+        return _rel(norm(acc), norm(uv))
 
     def roundtrip():
         out = []
-        for b in forms:
-            w = _random_multivector(rng, n, EXTERIOR)
-            out.append((symbol(quantize(w, b)) - w).norm())
-            a = _random_multivector(rng, n, CLIFFORD, b)
-            out.append((quantize(symbol(a), b) - a).norm())
+        for b, wk, ak in zip(forms, w, a):
+            ext, cl = MultivectorElement(n, wk), MultivectorElement(n, ak, CLIFFORD, b)
+            out += [(symbol(quantize(ext, b)) - ext).norm(),
+                    (quantize(symbol(cl), b) - cl).norm()]
         return out
 
     def associativity():
-        out = []
-        for b in forms:
-            for _ in range(JETS_PER_POINT):
-                a1, a2, a3 = (_random_multivector(rng, n, CLIFFORD, b) for _ in range(3))
-                lhs = clifford_product(clifford_product(a1, a2), a3)
-                rhs = clifford_product(a1, clifford_product(a2, a3))
-                out.append(_rel((lhs - rhs).norm(), lhs.norm(), rhs.norm()))
-        return out
+        lhs, rhs = product(product(a1, a2), a3), product(a1, product(a2, a3))
+        return _rel(norm(lhs - rhs), norm(lhs), norm(rhs))
 
     def chirality_relations():
         if n % 2:
             return 0.0
-        out = []
-        for b in forms:
-            g = chirality(b).element
-            out.append((clifford_product(g, g)
-                        - MultivectorElement.scalar(1.0, n, CLIFFORD, b)).norm())
-            cu = rng.normal(size=n) + 1j * rng.normal(size=n)
-            v = MultivectorElement.covector(cu, CLIFFORD, b)
-            out.append((clifford_product(g, v) + clifford_product(v, g)).norm())
-        return out
-
-    def module_invariants():
-        ms = bnd.exterior_module(n)
-        return [bnd.module_invariant_residual(ms, metric_jet(ch, x)) for x in pts]
+        g = np.array([chirality(b).element.coeffs for b in forms])
+        return np.maximum(norm(product(g, g) - np.eye(dim)[0]),
+                          norm(product(g, chiral) + product(chiral, g)))
 
     _timed(rep, "clifford-generator-relation",
            "c(u)c(v) + c(v)c(u) = -2(u,v)", 1e-12, generator_relation)
     _timed(rep, "clifford-vacuum-symbol",
-           "q(w) acting on the vacuum returns w", 1e-12, vacuum_symbol)
+           "q(w) acting on the vacuum returns w", 1e-12,
+           lambda: np.max(np.abs(vacuum @ table[..., 0] - vacuum), axis=-1))
     _timed(rep, "clifford-symbol-roundtrip",
            "symbol(quantize(w)) = w and quantize(symbol(a)) = a", 1e-12,
            roundtrip)
@@ -267,7 +256,7 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
            chirality_relations)
     _timed(rep, "clifford-module-invariants",
            "coordinate gammas satisfy the metric relation with exact jets",
-           1e-12, module_invariants)
+           1e-12, lambda: bnd.module_invariant_residual(bnd.exterior_module(n), mj))
     return rep
 
 

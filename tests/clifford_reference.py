@@ -6,6 +6,8 @@ blade bitmask to coefficient, the geometric product peels the left factor
 into generator words, and the form operators loop over blades with scalar
 jet coefficients.  The quantization map q(dx^I) is the k!-term sum over the
 permutations of I.  Tests compare the dense operators against them.
+``apply_dirac_jet`` is the composition reference for D^2: D applied to the
+1-jet of D psi.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, List
 import numpy as np
 
 from diracgeo.clifford import blade_indices, reorder_sign
-from diracgeo.jets import Jet
+from diracgeo.jets import Jet, index_contract
 
 
 def jet_det(m: list) -> Jet:
@@ -326,3 +328,9 @@ def superconnection_curvature(blades: Dict[int, Jet], n: int) -> Dict[int, Jet]:
 def apply_form_endomorphism(F: Dict[int, Jet], comps: Dict[int, Jet]) -> Dict[int, Jet]:
     """sum_F dx^F (x) F comps with the sign (-1)^(|F||K|)."""
     return _graded(F, comps, 0)
+
+
+def apply_dirac_jet(D, j: Jet) -> Jet:
+    """1-jet of D psi out of a 2-jet of psi, for a ``bundles.DiracOperatorData``
+    D (compositional squaring route)."""
+    return D.Z @ j + index_contract(D.gam, j.gradient() + D.A @ j)

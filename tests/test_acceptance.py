@@ -69,7 +69,7 @@ def test_criterion_01_generator_relation():
             uc = np.array([u.coefficient([i]) for i in range(n)])
             vc = np.array([v.coefficient([i]) for i in range(n)])
             lhs = u * v + v * u
-            want = MultivectorElement.scalar(-2.0 * b.pair(uc, vc), n,
+            want = MultivectorElement.scalar(-2.0 * (uc @ b.matrix @ vc), n,
                                              CLIFFORD, b)
             worst = max(worst,
                         (lhs - want).norm() / max(1.0, (u * v).norm()))

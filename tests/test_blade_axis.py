@@ -9,7 +9,7 @@ from diracgeo import spin as sp
 from diracgeo.charts import Chart, MetricJet, get_chart, metric_jet
 from diracgeo.clifford import (CLIFFORD, BilinearForm, MultivectorElement,
                                action_matrix, clifford_product, parity_matrix,
-                               quantize_blades)
+                               product_table, quantize_blades)
 from diracgeo.forms import (covariant_derivative, exterior_derivative,
                             hodge_star, iota_vector, wedge_forms)
 from diracgeo.jets import Jet
@@ -76,6 +76,19 @@ def test_clifford_product_and_action_match_word_peeling(n):
         want = ref.clifford_action_dict(ref.to_dict(a), ref.to_dict(c), b.matrix)
         _close(clifford_product(ea, ec).coeffs, ref.to_array(want, n))
         _close(action_matrix(ea), ref.action_matrix(a, b.matrix))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_product_table_is_the_stack_of_form_tables(n):
+    # every signature, on a (2, 3) stack of pairings: the stacked recursion
+    # makes the same products as the per-form one, so the bits agree
+    rng = np.random.default_rng(600 + n)
+    for neg in range(n + 1):
+        pairings = np.array([[_pairing(rng, n, neg) for _ in range(3)] for _ in range(2)])
+        table = product_table(pairings)
+        assert table.shape == (2, 3) + (1 << n,) * 3
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(table[idx], BilinearForm(pairings[idx]).table)
 
 
 @pytest.mark.parametrize("module, chart", [

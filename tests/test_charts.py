@@ -111,6 +111,50 @@ def test_singular_metric_rejected():
             metric_jet(ch, [0.0, 0.0])
 
 
+def test_symmetry_floor_does_not_depend_on_scale():
+    # a tiny metric whose off-diagonal sits on one side only: its asymmetry
+    # is as large as its entries, whatever their scale
+    for scale in (1e-11, 1.0, 1e6):
+        m = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
+        ch = Chart("lopsided2", 2, 0, lambda xs, m=m: m)
+        with pytest.raises(DegenerateMetricError, match=r"not symmetric at \[0.0, 0.0\]"):
+            metric_jet(ch, [0.0, 0.0])
+    # built-in charts are symmetric to the last bit
+    rng = np.random.default_rng(3)
+    for name in sorted(EXPECTED):
+        ch = get_chart(name)
+        g = metric_jet(ch, np.array([ch.sample_point(rng) for _ in range(4)])).g
+        assert np.array_equal(g, np.swapaxes(g, -1, -2))
+
+
+# the metric at x = (0, k): asymmetric and degenerate at k = 1, degenerate
+# and of the wrong signature at k = 2, of the wrong signature at k = 3
+PATCHES = {1.0: [[1.0, 0.5], [0.0, 0.0]], 2.0: [[-1.0, 0.0], [0.0, 0.0]],
+           3.0: [[-1.0, 0.0], [0.0, 1.0]]}
+
+
+def _patchy_metric(xs):
+    pts = xs.val.reshape(-1, 2)
+    return np.array([PATCHES.get(float(p[1]), np.eye(2)) for p in pts]).reshape(
+        xs.val.shape + (2,))
+
+
+def test_metric_jet_reports_the_first_bad_sample_and_its_first_failure():
+    ch = Chart("patchy2", 2, 0, _patchy_metric)
+    single = {}
+    for k, want in ((1, "not symmetric"), (2, "degenerate"), (3, "signature drifted")):
+        with pytest.raises(DegenerateMetricError, match=want) as err:
+            metric_jet(ch, [0.0, float(k)])
+        single[k] = str(err.value)
+    assert single[1].endswith("not symmetric at [0.0, 1.0]")
+    for order in ([0, 3, 1, 2], [0, 2, 1, 3], [1, 0, 3]):
+        xs = np.array([[0.0, float(k)] for k in order])
+        with pytest.raises(DegenerateMetricError) as err:
+            metric_jet(ch, xs)
+        assert str(err.value) == single[next(k for k in order if k)]
+    metric_jet(ch, [[0.0, 0.0], [0.0, 4.0]])
+
+
 def test_chart_from_config_roundtrip(tmp_path):
     cfg = {"name": "shifted_torus", "kind": "torus", "dimension": 2}
     ch = chart_from_config(cfg)

@@ -5,10 +5,9 @@ import pytest
 
 from diracgeo.clifford import (CLIFFORD, EXTERIOR, AlgebraMismatchError,
                                BilinearForm, DegenerateFormError,
-                               MultivectorElement, action_matrix, chirality,
-                               clifford_product, epsilon, epsilon_matrix,
-                               iota, iota_matrix, parity_matrix, quantize,
-                               symbol, wedge)
+                               MultivectorElement, action_matrix, blade_tables,
+                               chirality, clifford_product, contract,
+                               parity_matrix, quantize, symbol, wedge)
 
 
 def random_form(rng, n, neg=0):
@@ -39,7 +38,7 @@ def test_generator_relation_both_signatures():
                 uc = np.array([u.coefficient([i]) for i in range(n)])
                 vc = np.array([v.coefficient([i]) for i in range(n)])
                 lhs = u * v + v * u
-                want = MultivectorElement.scalar(-2.0 * b.pair(uc, vc), n,
+                want = MultivectorElement.scalar(-2.0 * (uc @ b.matrix @ vc), n,
                                                  CLIFFORD, b)
                 scale = max(1.0, (u * v).norm())
                 assert (lhs - want).norm() / scale < 1e-12
@@ -113,31 +112,38 @@ def test_associativity():
 
 
 def test_exterior_module_action_is_epsilon_minus_iota():
+    # c(v) = eps(v) - iota(Bv), each a combination of the generator tables
     rng = np.random.default_rng(29)
     n = 3
     b = random_form(rng, n)
     v = random_covector(rng, n, b)
-    v_ext = MultivectorElement.covector(
-        [v.coefficient([i]) for i in range(n)], EXTERIOR)
-    got = action_matrix(v)
-    want = epsilon_matrix(v_ext) - iota_matrix(v_ext, b)
-    assert np.max(np.abs(got - want)) < 1e-13
+    c = np.array([v.coefficient([i]) for i in range(n)])
+    eps, iota = blade_tables(n)
+    want = contract(c, eps) - contract(c @ b.matrix, iota)
+    assert np.max(np.abs(action_matrix(v) - want)) < 1e-13
 
 
 def test_epsilon_iota_algebra():
+    # on generators, exactly: eps_i iota_j + iota_j eps_i = delta_ij, and the
+    # eps and the iota anticommute among themselves
     rng = np.random.default_rng(31)
     n = 4
-    b = random_form(rng, n)
-    u = MultivectorElement.covector(rng.normal(size=n), EXTERIOR)
-    v = MultivectorElement.covector(rng.normal(size=n), EXTERIOR)
-    eu, ev = epsilon_matrix(u), epsilon_matrix(v)
-    iu, iv = iota_matrix(u, b), iota_matrix(v, b)
     dim = 1 << n
+    eps, iota = blade_tables(n)
+    for i in range(n):
+        for j in range(n):
+            assert np.array_equal(eps[i] @ iota[j] + iota[j] @ eps[i],
+                                  np.eye(dim) * (i == j))
+            assert not np.any(eps[i] @ eps[j] + eps[j] @ eps[i])
+            assert not np.any(iota[i] @ iota[j] + iota[j] @ iota[i])
+    # so for covectors u, v: eps(u) iota(Bv) + iota(Bv) eps(u) = (v, u)
+    b = random_form(rng, n)
+    u, v = rng.normal(size=n), rng.normal(size=n)
+    eu, ev = contract(u, eps), contract(v, eps)
+    iu, iv = contract(u @ b.matrix, iota), contract(v @ b.matrix, iota)
     assert np.max(np.abs(eu @ eu)) < 1e-14
     assert np.max(np.abs(iu @ iu)) < 1e-14
-    uc = np.array([u.coefficient([i]) for i in range(n)])
-    vc = np.array([v.coefficient([i]) for i in range(n)])
-    anti = eu @ iv + iv @ eu - b.pair(vc, uc) * np.eye(dim)
+    anti = eu @ iv + iv @ eu - (v @ b.matrix @ u) * np.eye(dim)
     assert np.max(np.abs(anti)) < 1e-13
     assert np.max(np.abs(eu @ ev + ev @ eu)) < 1e-14
 
@@ -178,7 +184,7 @@ def test_chirality_euclidean_plane_matches_hand_value():
     gam = chirality(b).element
     # i * e1 e2: symbol coordinates put everything on the top blade
     assert gam.coefficient([0, 1]) == pytest.approx(1j, abs=1e-12)
-    assert abs(gam.scalar_part()) < 1e-12
+    assert abs(gam.coefficient([])) < 1e-12
 
 
 def test_degenerate_form_rejected():
@@ -220,3 +226,14 @@ def test_odd_dimension_chirality_rejected():
     b = BilinearForm(np.eye(3))
     with pytest.raises(ValueError):
         chirality(b)
+
+
+def test_symmetry_floor_does_not_depend_on_scale():
+    # entries on one side of the diagonal only: as asymmetric as the form is
+    # large, at every scale, while the lower triangle alone is nondegenerate
+    for scale in (1e-13, 1.0, 1e8):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            BilinearForm(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # rounding-level asymmetry, as in an inverted metric, is accepted
+    m = np.array([[2.0, 0.3], [0.3 + 1e-16, 1.0]]) * 1e-13
+    assert BilinearForm(m).n == 2

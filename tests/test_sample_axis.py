@@ -4,13 +4,17 @@ Every batched result is compared with the stack of the same computation run
 one point at a time, to a relative 1e-15.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import clifford_reference as ref
 from diracgeo import bundles as bnd
 from diracgeo import spin as sp
 from diracgeo.charts import (Chart, ChartDomainError, DegenerateMetricError,
                             get_chart, metric_jet, registry)
+from diracgeo.clifford import BilinearForm
 from diracgeo.forms import (PolyField, coderivative_connection,
                             coderivative_hodge, degree, exterior_derivative,
                             forms_dirac, gram_pairing, hodge_star, iota_vector,
@@ -216,8 +220,8 @@ def test_bundle_operators_batch(name):
     _same(bnd.dirac_commutator_residual(D, f, j),
           [bnd.dirac_commutator_residual(d, fk, jk) for d, fk, jk in zip(Ds, fs, js)])
     _same(bnd.dirac_square(D, j), [bnd.dirac_square(d, jk) for d, jk in zip(Ds, js)])
-    _same_jets(bnd.apply_dirac_jet(D, j),
-               [bnd.apply_dirac_jet(d, jk) for d, jk in zip(Ds, js)])
+    _same_jets(ref.apply_dirac_jet(D, j),
+               [ref.apply_dirac_jet(d, jk) for d, jk in zip(Ds, js)])
 
     H = bnd.laplacian_from_dirac(D, mj)
     Hs = [bnd.laplacian_from_dirac(d, sk) for d, sk in zip(Ds, singles)]
@@ -289,6 +293,24 @@ def test_spin_operators_batch(name):
                [sp.conformal_dirac(ch, ak, smd, jk) for ak, jk in zip(a_s, js)])
 
 
+def _two_form_residual(g_inv, low, riem):
+    """[S_ij, dx^k] - riemann[l, k, i, j] dx^l at one point, the generator
+    products of S and dx^k spelled out on one form's table."""
+    b = BilinearForm(g_inv)
+    n, covectors = b.n, 1 << np.arange(b.n)
+    gens = b.table[covectors]
+    s = -0.25 * np.einsum("klij,kla->ija", low,
+                          np.einsum("kab,lb->kla", gens, gens[:, :, 0]))
+    worst = 0.0
+    for i, j, k in np.ndindex(n, n, n):
+        right = np.einsum("mab,m->ab", b.table, s[i, j])[:, covectors[k]]
+        left = gens[k] @ s[i, j]
+        target = np.zeros(1 << n)
+        target[covectors] = riem[:, k, i, j]
+        worst = max(worst, float(np.linalg.norm(right - left - target)))
+    return worst
+
+
 @pytest.mark.parametrize("name", ["sphere2", "hyperbolic2", "poly3", "sphere4", "poly4",
                                   "minkowski4"])
 def test_curvature_batches(name):
@@ -302,6 +324,15 @@ def test_curvature_batches(name):
            [log_det_identity_residual(sk, c.christoffel) for sk, c in zip(singles, cds)])
     _close(curvature_two_form_residual(mj, cd),
            [curvature_two_form_residual(sk, c) for sk, c in zip(singles, cds)])
+    # against the per-point loop, also with a doubled Riemann tensor, where
+    # the residual is the size of the curvature and not of rounding
+    for scale in (1.0, 2.0):
+        bent = replace(cd, riemann=scale * cd.riemann)
+        want = np.array([_two_form_residual(sk.g_inv, c.lowered, scale * c.riemann)
+                         for sk, c in zip(singles, cds)])
+        got = curvature_two_form_residual(mj, bent)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(want))
+        assert scale == 1.0 or name == "minkowski4" or np.min(want) > 1e-3
     X = PolyField.stack([random_poly_vector(rng, n) for _ in range(P)])
     val, dval, _ = X.jet(mj.x, 1)
     _close(gradient(mj, val), [gradient(sk, v) for sk, v in zip(singles, val)])
