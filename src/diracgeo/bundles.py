@@ -26,15 +26,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .charts import MetricJet, config_integer
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
-from .forms import (PolyField, blade_field, exterior_derivative, exterior_gammas,
-                    iota_vector,
+from .forms import (PolyField, blade_field, exponent_table, exterior_derivative,
+                    exterior_gammas, iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
 from .jets import Jet, check_point, sample_max, seed_point
@@ -154,14 +154,33 @@ class SuperconnectionData:
 
 # a coefficient preset is a name or "random(seed)"; each name sets the
 # polynomial degree of the coefficients, and "zero" draws nothing
-_PRESET = re.compile(r"(zero|constant|linear|random)|random\s*\((.+)\)")
+_PRESET = re.compile(r"(zero|constant|linear|random)|random\s*\(\s*([+-]?\d+)\s*\)")
 _PRESET_DEGREES = {"zero": None, "constant": 0, "linear": 1, "random": 2}
 
 
-def _blade(field: PolyField, mask: int) -> PolyField:
-    """Blade ``mask`` of a superconnection's field, as a view."""
-    return PolyField(field.n, field.exponents, field.coeffs[..., mask, :, :],
-                     stacked=field.stacked)
+@lru_cache(maxsize=None)
+def _layout(n: int, sig: tuple, degrees: tuple) -> tuple:
+    """Where the draws land when the degree-p blades are polynomials of degree
+    ``degrees[p]`` (None: not drawn), for eta = diag(sig): the union exponent
+    table, merged as ``forms.blade_field`` merges; per blade mask, its rows in
+    that table and its count of real draws; and the flat indices into
+    (T, 2^n, m, m) of all draws, blade by blade, each in its draw order
+    [entry, term] over the entries of its parity."""
+    union: Dict[tuple, int] = {}
+    rows, sizes, dest = [], [], [np.zeros(0, dtype=np.int64)]
+    for mask in range(1 << n):
+        p = mask.bit_count()
+        exps = [] if degrees[p] is None else exponent_table(n, degrees[p]).tolist()
+        rows.append(np.array([union.setdefault(tuple(e), len(union)) for e in exps],
+                             dtype=np.int64))
+        entries = np.flatnonzero(_sign_products(sig) == (1 if p % 2 else -1))
+        dest.append((((rows[-1] << n) + mask) * len(sig) ** 2 + entries[:, None]).ravel())
+        sizes.append(2 * dest[-1].size)
+    exponents = np.array(list(union), dtype=np.int64).reshape(-1, n)
+    dest = np.concatenate(dest)
+    for a in (exponents, dest, *rows):
+        a.setflags(write=False)
+    return exponents, tuple(rows), tuple(sizes), dest
 
 
 def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
@@ -169,38 +188,39 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
                                  base_seed=0) -> SuperconnectionData:
     """Build coefficients per degree from preset names.
 
-    Presets: "zero", "constant", "linear", "random" or "random(seed)".  P base
-    seeds give one stack, for a stack of points x (P, n): each superconnection
-    is built in turn and its field written into one (P, T, 2^n, m, m) array.
+    Presets: "zero", "constant", "linear", "random" or "random(seed)"; seeds
+    are non-negative integers.  Blade I of base seed s draws once, from its
+    generator seeded s 100003 + I 101 + 7.
+    P base seeds give one stack, for a stack of points x (P, n): every draw
+    lands in one (P, T, 2^n, m, m) array, and the blades are views of it.  A
+    single seed gives each blade on its own rows of the exponent table.
     """
-    if np.ndim(base_seed):
-        for k, seed in enumerate(base_seed):
-            field = superconnection_from_degrees(n, m, eta, degree_specs, int(seed)).field
-            if k == 0:
-                coeffs = np.empty((len(base_seed),) + field.coeffs.shape, dtype=complex)
-            coeffs[k] = field.coeffs
-        field = PolyField(n, field.exponents, coeffs, stacked=True)
-        return SuperconnectionData(n, m, eta, {mask: _blade(field, mask) for mask in range(
-            1 << n) if mask.bit_count() in degree_specs}, field)
+    stacked = np.ndim(base_seed) > 0
+    seeds = [config_integer(seed, "seed", low=0)
+             for seed in (base_seed if stacked else [base_seed])]
+    if not seeds:
+        raise ValueError("a stack of superconnections needs at least one seed")
     presets = {}
     for p, spec in degree_specs.items():
         hit = _PRESET.fullmatch(spec.strip())
         if hit is None:
             raise ValueError(f"unknown coefficient preset {spec!r}")
-        presets[p] = _PRESET_DEGREES[hit[1] or "random"], int(hit[2] or base_seed)
-    blades: Dict[int, PolyField] = {}
-    for mask in range(1 << n):
-        p = mask.bit_count()
-        if p not in presets:
-            continue
-        degree, seed = presets[p]
-        if degree is None:
-            blades[mask] = PolyField.zero(n, (m, m))
-        else:
-            rng = np.random.default_rng(seed * 100003 + mask * 101 + 7)
-            blades[mask] = random_parity_matrix(rng, n, eta, 1 if p % 2 else -1,
-                                                degree=degree)
-    return SuperconnectionData(n, m, eta, blades)
+        own = hit[2] and config_integer(int(hit[2]), f"seed of preset {spec!r}", low=0)
+        presets[p] = _PRESET_DEGREES[hit[1] or "random"], own
+    exponents, rows, sizes, dest = _layout(n, tuple(np.diag(eta).real), tuple(
+        presets.get(p, (None,))[0] for p in range(n + 1)))
+    fixed = [presets.get(mask.bit_count(), (None, None))[1] for mask in range(1 << n)]
+    coeffs = np.zeros((len(seeds), len(exponents), 1 << n, m, m), dtype=complex)
+    for k, seed in enumerate(seeds):
+        draws = [np.empty(0)] + [np.random.default_rng(
+            (seed if fixed[mask] is None else fixed[mask]) * 100003 + mask * 101 + 7
+        ).uniform(-1.0, 1.0, size) for mask, size in enumerate(sizes) if size]
+        coeffs[k].reshape(-1)[dest] = np.concatenate(draws).view(complex)
+    blades = {mask: PolyField(n, exponents, coeffs[:, :, mask], stacked=True) if stacked
+              else PolyField(n, exponents[rows[mask]], coeffs[0, rows[mask], mask])
+              for mask in range(1 << n) if mask.bit_count() in presets}
+    return SuperconnectionData(n, m, eta, blades, PolyField(
+        n, exponents, coeffs if stacked else coeffs[0], stacked=stacked))
 
 
 def superconnection_from_config(cfg: dict, n: int,
@@ -221,10 +241,14 @@ def superconnection_from_config(cfg: dict, n: int,
     degrees = cfg.get("degrees", {})
     if not isinstance(degrees, dict):
         raise ValueError("degrees must be an object mapping degree to preset")
-    degree_specs = {int(k): str(v) for k, v in degrees.items()}
-    for p in degree_specs:
+    degree_specs = {}
+    for k, v in degrees.items():
+        p = int(k)
+        if p in degree_specs:
+            raise ValueError(f"degree {p} is named twice in the config")
         if not 0 <= p <= n:
             raise ValueError(f"degree {p} out of range for n={n}")
+        degree_specs[p] = str(v)
     seed = config_integer(cfg.get("seed", 0), "seed")
     return superconnection_from_degrees(n, ms.m, ms.eta, degree_specs, base_seed=seed)
 
@@ -315,23 +339,34 @@ class DiracOperatorData:
     def m(self) -> int:
         return self.Z.val.shape[-1]
 
+    @cached_property
+    def square_coefficients(self) -> tuple:
+        """The coefficients of D^2 that depend on D alone: d_i g^k + [A_i, g^k]
+        indexed [i, k], then [A_i, Z], d_i Z + [A_i, Z] and g^i Z + Z g^i
+        indexed [i].  Built on first use: an operator of order 0 carries no
+        d_i Z."""
+        g, a = self.gam.val, self.A.val
+        z = self.Z.val[..., None, :, :]
+        az = _commutator(a, z)
+        return (self.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :]),
+                az, self.Z.d + az, g @ z + z @ g)
+
 
 def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
                              ms: ModuleSpec, x, order: int = 2) -> DiracOperatorData:
     """The Dirac operator gamma^i (partial_i + A_i) + Z of a superconnection,
     with Z = sum over blades M of degree other than 1 of q(dx^M) omega_M and
     q the quantization map of ``clifford.quantize_blades`` on the gammas.  A and
-    Z carry ``order`` orders, the gammas two; blades are evaluated a few at a time."""
+    Z carry ``order`` orders, the gammas two; all blades are evaluated at once."""
     if S.m != ms.m:
         raise ValueError("superconnection fiber dimension does not match module")
     x = np.asarray(x, dtype=float)
     gam = ms.gammas(mj)
-    # the family A_i: the degree-1 blades, stacked on the index axis
-    parts = [_blade(S.field, 1 << i).eval(x, order) for i in range(mj.n)]
-    A = Jet(x, *(None if k > order else np.stack([(j.val, j.d, j.dd)[k] for j in parts],
-                                                  axis=gam.nb + k) for k in range(3)))
+    omega = S.field.eval(x, order)
+    # the family A_i: the degree-1 blades, on the index axis
+    A = omega[[1 << i for i in range(mj.n)]]
     q = quantize_blades(gam.truncate(order), np.eye(ms.m))
-    Z = sum((q(mask) @ _blade(S.field, mask).eval(x, order)
+    Z = sum((q(mask) @ omega[mask]
              for mask in S.blades if mask.bit_count() != 1),
             Jet.constant(np.zeros((ms.m, ms.m)), x, order))
     return DiracOperatorData(x, gam, A, Z, ms.eta)
@@ -373,17 +408,16 @@ def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
     """Direct expansion of D^2 on an order-2 jet."""
     if j.dd is None:
         raise ValueError("dirac_square needs an order-2 section jet")
-    g, a, Z = D.gam.val, D.A.val, D.Z.val
-    z = Z[..., None, :, :]
+    g, Z = D.gam.val, D.Z.val
+    dgam, _, dz, anti = D.square_coefficients
     mk, mm = _second_covariant(D.A, j)
     # gamma^i applied to gamma^k M_i M_k psi, to (partial_i gamma^k + [A_i,
     # gamma^k]) M_k psi and to (partial_i Z + [A_i, Z]) psi
-    coeff = D.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :])
     inner = (np.einsum("...kab,...ikb->...ia", g, mm)
-             + np.einsum("...ikab,...kb->...ia", coeff, mk)
-             + np.einsum("...iab,...b->...ia", D.Z.d + _commutator(a, z), j.val))
+             + np.einsum("...ikab,...kb->...ia", dgam, mk)
+             + np.einsum("...iab,...b->...ia", dz, j.val))
     return (np.einsum("...iab,...ib->...a", g, inner)
-            + np.einsum("...iab,...ib->...a", g @ z + z @ g, mk)
+            + np.einsum("...iab,...ib->...a", anti, mk)
             + np.einsum("...ab,...b->...a", Z, np.einsum("...ab,...b->...a", Z, j.val)))
 
 
@@ -522,11 +556,11 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
     W = (g1 @ D.A.truncate(1)).sum() + D.Z.truncate(1)
     T = g1 @ W + W @ g1 + (g1[:, None] @ D.gam.gradient()).sum()
     # U: the same expansion with every derivative of the section dropped
-    ai, ak, z = a[..., :, None, :, :], a[..., None, :, :, :], Z[..., None, :, :]
-    coeff = D.gam.d + _commutator(ai, g[..., None, :, :, :])
-    inner = ((g[..., None, :, :, :] @ (D.A.d + ai @ ak) + coeff @ ak).sum(axis=-3)
-             + D.Z.d + _commutator(a, z))
-    U = Z @ Z + (g @ inner).sum(axis=-3) + ((g @ z + z @ g) @ a).sum(axis=-3)
+    dgam, az, _, anti = D.square_coefficients
+    ai, ak = a[..., :, None, :, :], a[..., None, :, :, :]
+    inner = ((g[..., None, :, :, :] @ (D.A.d + ai @ ak) + dgam @ ak).sum(axis=-3)
+             + D.Z.d + az)
+    U = Z @ Z + (g @ inner).sum(axis=-3) + (anti @ a).sum(axis=-3)
     return LaplacianData(D.n, D.m, np.asarray(D.x, dtype=float), partial(dirac_square, D),
                          T, U)
 
@@ -630,9 +664,16 @@ def clifford_of_metric(mj: MetricJet, ms: ModuleSpec) -> np.ndarray:
 
 def is_special_superconnection(S: SuperconnectionData, points: Sequence,
                                tol: float = 1e-12):
-    """True iff every degree >= 2 component vanishes at all sample points."""
-    omega = S.eval_blades(np.asarray(points, dtype=float).reshape(-1, S.n), order=0)
-    worst = float(np.max(np.abs(omega.val[:, grades(S.n) >= 2]), initial=0.0))
+    """True iff every degree >= 2 component vanishes at all sample points,
+    and the largest such component.  A stack of P superconnections gets one
+    verdict and one value per member, each read at every point."""
+    points = np.asarray(points, dtype=float).reshape(-1, S.n)
+    if S.field.stacked:
+        points = np.broadcast_to(points[:, None], (len(points), len(S.field.coeffs), S.n))
+    omega = S.field.jet(points, order=0)[0][..., grades(S.n) >= 2, :, :]
+    worst = np.max(np.abs(omega), axis=(0, -3, -2, -1), initial=0.0)
+    if not S.field.stacked:
+        worst = float(worst)
     return worst <= tol, worst
 
 

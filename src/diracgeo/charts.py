@@ -29,11 +29,14 @@ class DegenerateMetricError(ValueError):
     """Metric fails symmetry/nondegeneracy/signature requirements at a point."""
 
 
-def config_integer(value, what: str, error=ValueError) -> int:
-    """An integral number as an int; int() would truncate 9.7 and take True."""
+def config_integer(value, what: str, error=ValueError, low=None) -> int:
+    """An integral number as an int, at least ``low`` if given; int() would
+    truncate 9.7 and take True."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
             isinstance(value, float) and value.is_integer())):
         raise error(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{what} must be at least {low}, got {value!r}")
     return int(value)
 
 
@@ -343,7 +346,7 @@ def chart_from_config(cfg: dict) -> Chart:
         coeffs = cfg.get("coefficients", [7, 0.04])
         if len(coeffs) != 2:
             raise ValueError("polynomial chart coefficients are [seed, scale]")
-        chart = polynomial_chart(n, config_integer(coeffs[0], "polynomial seed"),
+        chart = polynomial_chart(n, config_integer(coeffs[0], "polynomial seed", low=0),
                                  float(coeffs[1]))
     else:
         raise ValueError(f"unknown chart kind {kind!r}")

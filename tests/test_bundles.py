@@ -1,5 +1,7 @@
 """Bundle operators: superconnections, Dirac squares, Laplacian decomposition."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,28 @@ def test_superconnection_presets_set_degree_and_seed():
     for bad in ("random5", "constant(3)", "random(3", "cubic"):
         with pytest.raises(ValueError, match="unknown coefficient preset"):
             bnd.superconnection_from_degrees(n, m, ms.eta, {1: bad})
+
+
+@pytest.mark.parametrize("seed, message", [
+    ([], "at least one seed"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ([1.5, 2.5], "seed must be an integer, got 1.5"),
+    ([3, True], "seed must be an integer, got True"),
+    (-5, "seed must be at least 0, got -5"),
+    ([2, -5], "seed must be at least 0, got -5"),
+])
+def test_superconnection_seeds_are_checked(seed, message):
+    # [] raised UnboundLocalError, 1.5 ran as seed 1 and -5 reached numpy
+    ms, m = _module(2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bnd.superconnection_from_degrees(2, m, ms.eta, {1: "random"}, seed)
+    with pytest.raises(ValueError, match=re.escape(
+            "seed of preset 'random(-1)' must be at least 0, got -1")):
+        bnd.superconnection_from_degrees(2, m, ms.eta, {1: "random(-1)"}, 3)
+    # an integral float is the integer, as in every config reader
+    same = [bnd.superconnection_from_degrees(2, m, ms.eta, {1: "random"}, s).field.coeffs
+            for s in (3, 3.0, np.int64(3))]
+    assert all(np.array_equal(c, same[0]) for c in same)
 
 
 def test_residuals_keep_a_nan():

@@ -187,6 +187,12 @@ def test_chart_config_integer_fields_must_be_integral(cfg):
         chart_from_config(cfg)
 
 
+def test_chart_config_polynomial_seed_must_be_non_negative():
+    # a negative seed used to surface numpy's bare "expected non-negative integer"
+    with pytest.raises(ValueError, match=r"polynomial seed must be at least 0, got -1"):
+        chart_from_config({"kind": "polynomial", "dimension": 2, "coefficients": [-1, 0.04]})
+
+
 def test_chart_config_accepts_integral_floats():
     assert chart_from_config({"kind": "flat", "dimension": 2.0}).n == 2
     a = chart_from_config({"kind": "polynomial", "dimension": 2.0,

@@ -242,6 +242,36 @@ def test_superconnection_config_entries_are_input_errors(capsys, tmp_path, text,
     assert message in err
 
 
+@pytest.mark.parametrize("degrees, degree", [
+    ('{"1": "random", "01": "zero"}', 1),
+    ('{"2": "constant", " 2": "random"}', 2),
+])
+def test_superconnection_config_rejects_a_degree_named_twice(capsys, tmp_path, degrees,
+                                                             degree):
+    # the last key used to win silently, dropping the first degree-1 preset
+    cfg = tmp_path / "super.json"
+    cfg.write_text('{"degrees": %s}' % degrees)
+    code, out, err = _run(capsys, ["dirac", "--chart", "sphere2", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert f"degree {degree} is named twice" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"degrees": {"1": "random"}, "seed": -1}', "seed must be at least 0, got -1"),
+    ('{"degrees": {"1": "random(-1)"}}',
+     "seed of preset 'random(-1)' must be at least 0, got -1"),
+    ('{"degrees": {"1": "random(1.5)"}}',
+     "unknown coefficient preset 'random(1.5)'"),
+])
+def test_superconnection_config_seeds_are_checked(capsys, tmp_path, text, message):
+    # a negative seed used to surface numpy's bare "expected non-negative integer"
+    cfg = tmp_path / "super.json"
+    cfg.write_text(text)
+    code, out, err = _run(capsys, ["dirac", "--chart", "sphere2", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_superconnection_config_accepts_an_integral_float_seed(capsys, tmp_path):
     outs = []
     for seed in ("3", "3.0"):

@@ -1,0 +1,135 @@
+"""The superconnection builder and the operator data built from it: the
+stream oracle against the per-blade loop, the shared D^2 coefficients and the
+stacked special predicate."""
+
+from functools import partial
+
+import numpy as np
+import pytest
+
+import superconnection_reference as ref
+from diracgeo import bundles as bnd
+from diracgeo.charts import get_chart, metric_jet
+from diracgeo.forms import exponent_table
+
+# every preset at every degree, shifted by one degree per set
+PRESETS = ("zero", "constant", "linear", "random", "random(11)")
+SPEC_SETS = [{p: PRESETS[(p + shift) % len(PRESETS)] for p in range(5)}
+             for shift in range(len(PRESETS))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shift", range(len(SPEC_SETS)))
+def test_builder_draws_the_streams_of_the_per_blade_loop(n, shift):
+    ms = bnd.exterior_module(n)
+    # degrees above n name no blade; dropping one degree leaves its blades absent
+    specs = {p: spec for p, spec in SPEC_SETS[shift].items() if p <= n and p != shift % 3}
+    for seed in (0, 7, np.int64(12), 3.0):
+        S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seed)
+        field, blades = ref.superconnection_field(n, ms.m, ms.eta, specs, int(seed))
+        assert np.array_equal(S.field.exponents, field.exponents)
+        assert np.array_equal(S.field.coeffs, field.coeffs) and not S.field.stacked
+        assert list(S.blades) == list(blades)
+        for mask, blade in blades.items():
+            # a single seed keeps each blade on its own exponent table
+            assert np.array_equal(S.blades[mask].exponents, blade.exponents)
+            assert np.array_equal(S.blades[mask].coeffs, blade.coeffs)
+    seeds = [4, 1, 4, 30]
+    S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seeds)
+    field, blades = ref.superconnection_field(n, ms.m, ms.eta, specs, seeds)
+    assert S.field.stacked and np.array_equal(S.field.exponents, field.exponents)
+    assert np.array_equal(S.field.coeffs, field.coeffs)
+    assert list(S.blades) == list(blades)
+    for mask, blade in S.blades.items():
+        # a stack's blades are views on its one union table
+        assert blade.stacked and blade.exponents is S.field.exponents
+        assert np.shares_memory(blade.coeffs, S.field.coeffs)
+        assert np.array_equal(blade.coeffs, blades[mask].coeffs)
+
+
+def test_builder_draws_only_the_blades_it_names():
+    ms = bnd.exterior_module(3)
+    S = bnd.superconnection_from_degrees(3, ms.m, ms.eta, {1: "linear"}, [2, 3])
+    assert sorted(S.blades) == [1, 2, 4]
+    assert np.array_equal(S.field.exponents, exponent_table(3, 1))
+    live = np.flatnonzero(np.any(S.field.coeffs != 0, axis=(0, 1, 3, 4)))
+    assert live.tolist() == [1, 2, 4]
+    empty = bnd.superconnection_from_degrees(3, ms.m, ms.eta, {0: "zero"}, 5)
+    assert empty.field.coeffs.shape == (0, 8, 8, 8) and empty.blades[0].coeffs.size == 0
+
+
+def _commutator(a, b):
+    return a @ b - b @ a
+
+
+def _dirac_square_per_call(D, j):
+    """D^2 psi with every coefficient expanded anew, as before they were shared."""
+    g, a, Z = D.gam.val, D.A.val, D.Z.val
+    z = Z[..., None, :, :]
+    mk, mm = bnd._second_covariant(D.A, j)
+    coeff = D.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :])
+    inner = (np.einsum("...kab,...ikb->...ia", g, mm)
+             + np.einsum("...ikab,...kb->...ia", coeff, mk)
+             + np.einsum("...iab,...b->...ia", D.Z.d + _commutator(a, z), j.val))
+    return (np.einsum("...iab,...ib->...a", g, inner)
+            + np.einsum("...iab,...ib->...a", g @ z + z @ g, mk)
+            + np.einsum("...ab,...b->...a", Z, np.einsum("...ab,...b->...a", Z, j.val)))
+
+
+def _zero_order_per_call(D):
+    """The zero-order coefficient U of D^2, expanded anew."""
+    g, a, Z = D.gam.val, D.A.val, D.Z.val
+    ai, ak, z = a[..., :, None, :, :], a[..., None, :, :, :], Z[..., None, :, :]
+    coeff = D.gam.d + _commutator(ai, g[..., None, :, :, :])
+    inner = ((g[..., None, :, :, :] @ (D.A.d + ai @ ak) + coeff @ ak).sum(axis=-3)
+             + D.Z.d + _commutator(a, z))
+    return Z @ Z + (g @ inner).sum(axis=-3) + ((g @ z + z @ g) @ a).sum(axis=-3)
+
+
+@pytest.mark.parametrize("name, count", [("sphere2", 3), ("poly3", 2), ("poly4", 1)])
+def test_dirac_square_coefficients_are_built_once(name, count, monkeypatch):
+    ch = get_chart(name)
+    n = ch.n
+    rng = np.random.default_rng(21)
+    xs = np.array([ch.sample_point(rng) for _ in range(count)])
+    mj = metric_jet(ch, xs)
+    ms = bnd.exterior_module(n)
+    S = bnd.superconnection_from_degrees(
+        n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"}, 40 + np.arange(count))
+    calls = []
+    real = bnd._commutator
+    monkeypatch.setattr(bnd, "_commutator", lambda a, b: calls.append(1) or real(a, b))
+    # an operator of order 0 builds none of them
+    D0 = bnd.quantize_superconnection(S, mj, ms, xs, order=0)
+    j = bnd.random_poly_section(rng, n, ms.m).eval(xs, 2)
+    bnd.apply_dirac(D0, j)
+    assert not calls and "square_coefficients" not in vars(D0)
+
+    D = bnd.quantize_superconnection(S, mj, ms, xs, order=1)
+    assert np.array_equal(bnd.dirac_square(D, j), _dirac_square_per_call(D, j))
+    assert len(calls) == 2
+    # 1 + n + n(n+1)/2 operator calls, and the coefficients of U, reuse them
+    bnd.lap_identity_residual(partial(bnd.dirac_square, D), mj, xs, ms.m)
+    H = bnd.laplacian_from_dirac(D, mj)
+    assert len(calls) == 2
+    assert np.array_equal(H.U, _zero_order_per_call(D))
+    assert np.array_equal(H.apply(j), _dirac_square_per_call(D, j))
+
+
+@pytest.mark.parametrize("name", ["poly2", "sphere4"])
+@pytest.mark.parametrize("top", [None, "constant", "random"])
+def test_stacked_special_predicate_is_the_per_trial_one(name, top):
+    ch = get_chart(name)
+    n = ch.n
+    rng = np.random.default_rng(8)
+    pts = np.array([ch.sample_point(rng) for _ in range(4)])
+    ms = bnd.exterior_module(n)
+    specs = {0: "random", 1: "random"} | ({} if top is None else {2: top})
+    seeds = 3 + np.arange(0, 12, 4)
+    got, worst = bnd.is_special_superconnection(
+        bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seeds), pts)
+    want = [bnd.is_special_superconnection(
+        bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seed), pts)
+        for seed in seeds]
+    assert got.tolist() == [w[0] for w in want] == [top is None] * len(seeds)
+    np.testing.assert_allclose(worst, [w[1] for w in want], rtol=1e-15, atol=0.0)
