@@ -37,7 +37,7 @@ from .forms import (PolyField, blade_field, exponent_table, exterior_derivative,
                     exterior_gammas, iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
-from .jets import Jet, check_point, sample_max, seed_point
+from .jets import Jet, check_point, relative, sample_max, seed_point
 
 
 class ParityError(ValueError):
@@ -389,8 +389,8 @@ def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple:
     t2 = f.val[..., None] * apply_dirac(D, j)
     rhs = np.einsum("...i,...ia->...a", f.d,
                     np.einsum("...iab,...b->...ia", D.gam.val, j.val))
-    diff, nb = sample_max(t1 - t2 - rhs, j.nb), j.nb
-    return diff, diff / np.maximum(1.0, np.maximum(sample_max(t1, nb), sample_max(t2, nb)))
+    diff = sample_max(t1 - t2 - rhs, j.nb)
+    return diff, relative(diff, sample_max(t1, j.nb), sample_max(t2, j.nb))
 
 
 def _second_covariant(A: Jet, j: Jet):
@@ -472,10 +472,9 @@ def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
     def peak(a):
         return np.max(np.abs(a), axis=-1, keepdims=True)
 
-    scale = np.maximum(1.0, np.maximum.reduce([
-        peak(h_fg), np.abs(xl) * peak(h_f), np.abs(xk) * peak(h_g),
-        np.abs(xk * xl) * peak(h_0)]))
-    return sample_max(np.abs(resid) / scale, coords.nb)
+    return sample_max(relative(np.abs(resid), peak(h_fg), np.abs(xl) * peak(h_f),
+                               np.abs(xk) * peak(h_g), np.abs(xk * xl) * peak(h_0)),
+                      coords.nb)
 
 
 @dataclass

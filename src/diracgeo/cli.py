@@ -45,12 +45,6 @@ def _chart_point(args, ch, rng) -> np.ndarray:
     return x
 
 
-def _samples(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
-
-
 def _matrix_list(a: np.ndarray) -> list:
     arr = np.asarray(a)
     if np.iscomplexobj(arr):
@@ -185,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", default="all", choices=SUITE_NAMES)
     v.add_argument("--chart", default="sphere2", choices=sorted(registry()))
-    v.add_argument("--samples", type=_samples, default=20,
+    v.add_argument("--samples", type=int, default=20,
                    help="points per check (default 20)")
     v.add_argument("--config", default=None,
                    help="monopole config JSON (required for the sw suite)")

@@ -29,6 +29,7 @@ the index, and products broadcast over it like numpy's.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +48,19 @@ def sample_max(a, nb: int):
     """Largest entry magnitude per sample of the ``nb`` leading sample axes of
     a (a number when nb is 0); a NaN entry makes its sample NaN."""
     return np.max(np.abs(a), axis=tuple(range(nb, np.ndim(a))))
+
+
+def relative(diff, *scales):
+    """diff over the largest of the scales, floored at 1, so that a tolerance
+    means the same on every chart; arrays act per sample, and a NaN in any
+    operand stays NaN."""
+    return diff / reduce(np.maximum, scales, 1.0)
+
+
+def relative_gap(a, b, nb: int = 1):
+    """Per sample of the ``nb`` leading axes, the largest entry of |a - b|
+    relative to the larger side."""
+    return relative(sample_max(a - b, nb), sample_max(a, nb), sample_max(b, nb))
 
 
 def _pad(a, lead: int, k: int):

@@ -16,6 +16,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .charts import config_integer
+from .jets import relative
 from .spin import spin_module_data
 
 N_DIM = 4
@@ -219,7 +220,7 @@ def form_norm_sq(f: np.ndarray):
 def quadratic_identity_residual(psi: np.ndarray):
     """|Q(psi)|^2 - |psi|^4 / 8, relative to the size of |psi|^4 / 8."""
     quartic = np.sum(np.abs(psi) ** 2, axis=-1) ** 2 / 8.0
-    return np.abs(form_norm_sq(quadratic_form(psi)) - quartic) / np.maximum(1.0, quartic)
+    return relative(np.abs(form_norm_sq(quadratic_form(psi)) - quartic), quartic)
 
 
 def sw_residuals(cfg: SWConfig, x) -> Dict[str, float]:

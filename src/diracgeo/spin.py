@@ -26,7 +26,7 @@ from .charts import Chart, MetricJet
 from .clifford import blade_tables, contract
 from .curvature import curvature_data
 from .forms import PolyField, random_poly_field
-from .jets import Jet, jet_sqrt, sample_max, seed_point
+from .jets import Jet, jet_sqrt, relative_gap, sample_max, seed_point
 
 
 class SpinSignatureError(ValueError):
@@ -278,8 +278,7 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     da = scd.a_pot.d
     qf = 0.5 * np.einsum("...ab,...axy,...byz->...xz", da - np.swapaxes(da, -1, -2), g, g)
     rhs = rhs + 0.5 * np.einsum("...ab,...b->...a", qf, j.val)
-    scale = np.maximum(1.0, np.maximum(sample_max(lhs, j.nb), sample_max(rhs, j.nb)))
-    return sample_max(lhs - rhs, j.nb) / scale
+    return relative_gap(lhs, rhs, j.nb)
 
 
 def chirality_action_checks(smd: SpinModuleData, frame: FrameField,

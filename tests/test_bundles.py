@@ -11,6 +11,7 @@ from diracgeo.charts import get_chart, metric_jet
 from diracgeo.curvature import curvature_data
 from diracgeo.forms import (PolyField, random_poly_field, random_poly_scalar,
                             random_poly_vector)
+from diracgeo.jets import relative, relative_gap
 
 
 def _module(n):
@@ -356,3 +357,13 @@ def test_residuals_keep_a_nan():
     _, worst = bnd.twisting_curvature(FE * np.nan, curvature_data(mj).lowered,
                                       ms.gammas(mj))
     assert np.isnan(worst)
+    # the one relative rule: a NaN on either side or in the difference stays
+    # NaN, and the scale is floored at 1
+    ones, nans = np.ones((2, 3)), np.full((2, 3), np.nan)
+    for a, b in ((nans, ones), (ones, nans)):
+        assert np.all(np.isnan(relative_gap(a, b)))
+    assert np.all(np.isnan(relative(np.array([np.nan, 1.0]), np.array([1.0, np.nan]))))
+    assert relative(0.5, 1e-3, 0.25) == 0.5
+    assert relative(0.5, 2.0, 4.0) == 0.125
+    assert np.array_equal(relative_gap(0.25 * ones, 0.75 * ones), np.full(2, 0.5))
+    assert relative_gap(ones, 3 * ones, 0) == pytest.approx(2 / 3)

@@ -327,6 +327,23 @@ def test_sw_with_config_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["cartan", "lichnerowicz"])
+def test_verify_rejects_a_monopole_config_on_a_chart_suite(capsys, tmp_path, suite):
+    # the config used to be parsed, dropped, and the chart suite run
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"grid": 8, "band": 1, "chirality_block": "+",
+                               "a_modes": [], "psi_modes": []}))
+    code, out, err = _run(capsys, ["verify", "--suite", suite, "--chart", "flat2",
+                                   "--samples", "2", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert suite in err and "config" in err
+    for name in ("sw", "all"):
+        code, out, _ = _run(capsys, ["verify", "--suite", name, "--chart", "flat2",
+                                     "--samples", "2", "--config", str(cfg)])
+        assert code == 0
+        assert any(row["id"].startswith("sw-") for row in json.loads(out)["checks"])
+
+
 @pytest.mark.parametrize("text, message", [
     ('"grid": 9.7, "band": 2', "grid must be an integer"),
     ('"grid": 16, "band": 2, "psi_modes": [[0, 0, 1.5, 0, 0, 1.0, 0.0]]',

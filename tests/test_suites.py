@@ -8,7 +8,9 @@ import pytest
 
 from diracgeo import charts
 from diracgeo import seiberg_witten as swm
+from diracgeo import suites
 from diracgeo.charts import registry
+from diracgeo.forms import PolyField, random_poly_vector
 from diracgeo.report import render_json
 from diracgeo.suites import (CHART_SUITES, SUITE_NAMES, SuiteUsageError,
                              run_suite)
@@ -145,6 +147,36 @@ def test_reports_are_seed_deterministic():
     assert a == b
     c = render_json(run_suite("clifford", chart="flat2", seed=10, samples=4))
     assert a != c
+
+
+def test_the_bench_check_ids_are_the_reported_ids():
+    # the benchmark counts every check of an invocation as failed when its
+    # recorded ids differ from the report's, so a renamed check shows here
+    path = Path(__file__).parents[1] / "perfbench" / "expected_ids.json"
+    for key, ids in json.loads(path.read_text()).items():
+        suite, chart = key.split("/")
+        cfg = swm.random_sw_config(np.random.default_rng(1)) if suite == "sw" else None
+        rep = run_suite(suite, chart=chart, seed=1, samples=1, sw_config=cfg)
+        assert sorted(c.check_id for c in rep.checks) == ids, key
+
+
+def test_runner_draws_points_first_then_fields_point_major():
+    # a seed must pick the fields a per-point loop would: points first, then
+    # per point its draws in turn; a plain number comes back as an array
+    run = suites._Run("hodge", "sphere2", 5, 3)
+    rng = np.random.default_rng(5)
+    xs = np.array([run.ch.sample_point(rng) for _ in range(3)])
+    loop = [[(random_poly_vector(rng, 2), rng.normal()) for _ in range(2)] for _ in xs]
+    got = run.draws(lambda r: (random_poly_vector(r, 2), r.normal()), per=2)
+    assert np.array_equal(run.xs, xs) and len(got) == 2
+    for k, (X, c) in enumerate(got):
+        want = PolyField.stack([row[k][0] for row in loop]).eval(xs, 2)
+        for a, b in zip((X.val, X.d, X.dd), (want.val, want.d, want.dd)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(c, [row[k][1] for row in loop])
+    assert len(run.head.x) == 3 and run.head is run.mj
+    big = suites._Run("hodge", "sphere2", 5, 20)
+    assert np.array_equal(big.head.x, big.xs[:5])
 
 
 def test_every_chart_suite_runs_on_a_curved_chart():
