@@ -31,7 +31,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charts import MetricJet, config_integer
+from .charts import MetricJet, config_integer, config_keys
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
 from .forms import (PolyField, blade_field, exponent_table, exterior_derivative,
                     exterior_gammas, iota_vector,
@@ -223,10 +223,14 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
         n, exponents, coeffs if stacked else coeffs[0], stacked=stacked))
 
 
+SUPERCONNECTION_CONFIG_KEYS = ("fiber_dimension", "grading", "degrees", "seed")
+
+
 def superconnection_from_config(cfg: dict, n: int,
                                 ms: Optional[ModuleSpec] = None) -> SuperconnectionData:
     if not isinstance(cfg, dict):
         raise ValueError("superconnection config must be a JSON object")
+    config_keys(cfg, SUPERCONNECTION_CONFIG_KEYS)
     if ms is None:
         ms = exterior_module(n)
     m = cfg.get("fiber_dimension", ms.m)

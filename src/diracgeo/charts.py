@@ -40,6 +40,14 @@ def config_integer(value, what: str, error=ValueError, low=None) -> int:
     return int(value)
 
 
+def config_keys(cfg: dict, accepted, error=ValueError) -> None:
+    """Reject a top-level key of a config that its reader would ignore."""
+    for key in cfg:
+        if key not in accepted:
+            raise error(f"unknown config key {key!r}; accepted keys are "
+                        f"{', '.join(accepted)}")
+
+
 @dataclass
 class Chart:
     """A named coordinate chart: dimension, metric function, domain."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -165,7 +166,10 @@ def cmd_sw(args) -> int:
     return 0 if out["relative_gap"] <= SW_FUNCTIONAL_GAP_TOL else FAIL_EXIT
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse keeps no state between parses,
+    and the choices (the chart registry, SUITE_NAMES) are fixed at import."""
     ap = argparse.ArgumentParser(
         prog="diracgeo",
         description="verification harness for charts, Clifford modules, "
@@ -212,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:

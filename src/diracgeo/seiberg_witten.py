@@ -11,11 +11,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .charts import config_integer
+from .charts import config_integer, config_keys
 from .jets import relative
 from .spin import spin_module_data
 
@@ -24,6 +25,8 @@ TWO_PI = 2.0 * np.pi
 
 # component indices of the two chirality blocks in the rank-4 spinor fiber
 BLOCK_INDICES = {"+": (0, 3), "-": (1, 2)}
+# the top-level keys of a monopole config
+SW_CONFIG_KEYS = ("grid", "band", "chirality_block", "a_modes", "psi_modes")
 
 _SMD = spin_module_data(N_DIM)
 GAMMAS = _SMD.gammas
@@ -50,6 +53,33 @@ class SWConfig:
     block: str
     a_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex]
     psi_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex]
+
+    @cached_property
+    def series(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """(frequencies, coefficients) of A and of psi, built on first use;
+        the mode lists are not to change after it."""
+        return (_mode_arrays(self.a_modes, hermitize=True),
+                _mode_arrays(self.psi_modes, hermitize=False))
+
+
+def _mode_arrays(modes, hermitize: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Frequencies (M, 4), sorted, and coefficients (M, 4) per component of
+    the series with the (component, k): z modes, rows exactly zero dropped;
+    ``hermitize`` makes it i times a real field, z / 2 at k, conj z / 2 at -k."""
+    k = np.array([k for _, k in modes], dtype=int).reshape(-1, N_DIM)
+    z = np.zeros((len(k), N_DIM), dtype=complex)
+    z[np.arange(len(k)), [c for c, _ in modes]] = list(modes.values())
+    if hermitize:
+        k, z = np.concatenate([k, -k]), np.concatenate([z, np.conj(z)])
+    # equal k merged in lexicographic order, through one integer key per row
+    r = 2 * np.max(np.abs(k), initial=0) + 1
+    _, first, at = np.unique((k + r // 2) @ r ** np.arange(N_DIM - 1, -1, -1),
+                             return_index=True, return_inverse=True)
+    coef = np.zeros((len(first), N_DIM), dtype=complex)
+    np.add.at(coef, at, z)
+    coef = 0.5j * coef if hermitize else coef
+    keep = np.any(coef, axis=1)
+    return k[first][keep], coef[keep]
 
 
 def _modes(rows, name: str, band: int, comps: Sequence[int],
@@ -81,6 +111,7 @@ def sw_config_from_dict(cfg: dict) -> SWConfig:
         block = str(cfg.get("chirality_block", "+"))
     except (KeyError, TypeError) as exc:
         raise SWConfigError(f"bad monopole config: {exc}") from exc
+    config_keys(cfg, SW_CONFIG_KEYS, SWConfigError)
     if block not in BLOCK_INDICES:
         raise SWConfigError(f"chirality block must be '+' or '-', got {block!r}")
     if grid < 1:
@@ -131,34 +162,15 @@ def random_sw_config(rng, band: int = 2, grid: int = 16, block: str = "+",
 
 
 # ---------------------------------------------------------------------------
-# spectra and their evaluation
+# evaluation of the mode arrays
 # ---------------------------------------------------------------------------
 
 
-def _spectra(cfg: SWConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """A and psi on the (2 band + 1)^4 frequency cube, (4, *cube) each.  Each
-    potential component is i times a real field: the modes at k and -k
-    share the coefficient and its conjugate half and half."""
-    band = cfg.band
-    a_hat, psi_hat = np.zeros((2, N_DIM) + (2 * band + 1,) * N_DIM, dtype=complex)
-    for hat, modes in ((a_hat, cfg.a_modes), (psi_hat, cfg.psi_modes)):
-        for (c, k), z in modes.items():
-            hat[(c,) + tuple(v + band for v in k)] += z
-    return 0.5j * (a_hat + np.conj(np.flip(a_hat, axis=(1, 2, 3, 4)))), psi_hat
-
-
-def _nonzero_modes(spec: np.ndarray, band: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Frequencies (M, 4) and coefficients (M, C) of the modes where any of
-    the C trig series spec on the frequency cube is nonzero."""
-    modes = np.nonzero(np.any(spec, axis=0))
-    return np.stack(modes, axis=-1) - band, spec[(slice(None),) + modes].T
-
-
-def _series_at(spec: np.ndarray, band: int, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Values (..., C) and partials (..., 4, C) of the C trig series spec on
-    the frequency cube at x, a point (4,) or a stack (P, 4): the phases
-    exp(i k.x) of the modes present, contracted with their coefficients."""
-    k, coef = _nonzero_modes(spec, band)
+def _series_at(series, x) -> Tuple[np.ndarray, np.ndarray]:
+    """Values (..., C) and partials (..., 4, C) of the C trig series
+    ``series`` = (frequencies, coefficients) at x, a point (4,) or a stack
+    (P, 4): the phases exp(i k.x), contracted with the coefficients."""
+    k, coef = series
     phase = np.exp(1j * (np.asarray(x, dtype=float) @ k.T))
     return phase @ coef, (1j * k.T * phase[..., None, :]) @ coef
 
@@ -166,12 +178,12 @@ def _series_at(spec: np.ndarray, band: int, x) -> Tuple[np.ndarray, np.ndarray]:
 def potential_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
     """Values A_a(x) and derivatives dA[a, b] = partial_a A_b, purely
     imaginary; a stack of points x (P, 4) puts P in front."""
-    return _series_at(_spectra(cfg)[0], cfg.band, x)
+    return _series_at(cfg.series[0], x)
 
 
 def spinor_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
     """Values psi(x) in C^4 and derivatives dpsi[a, c], as ``potential_at``."""
-    return _series_at(_spectra(cfg)[1], cfg.band, x)
+    return _series_at(cfg.series[1], x)
 
 
 def curvature_at(cfg: SWConfig, x) -> np.ndarray:
@@ -258,13 +270,11 @@ def sw_functional(cfg: SWConfig) -> Dict[str, float]:
     formed.  At or above 4 band + 1 the rule is exact (Orszag 1971) and
     ``grid`` sets neither value nor cost; below, the sum aliases as a grid's.
 
-    The cost is O(M_A M_psi + M_psi^2) in the mode counts.  Per call at band
-    3, grid 13, with 6/4, 12/8, 40/20, 100/50, 150/60 and 300/100 rows of
-    A/psi in the config: 0.4-0.7, 0.5-0.9, 2.5-3.7, 10-14, 21 and 52-66 ms,
-    where the grid synthesis this replaced took 18-27 ms on each.
+    A and psi are read from the mode arrays ``SWConfig.series``, built once
+    per config; the cost is O(M_A M_psi + M_psi^2) in their row counts.
     """
     n = min(cfg.grid, 4 * cfg.band + 1)
-    (ka, a), (kp, p) = (_nonzero_modes(spec, cfg.band) for spec in _spectra(cfg))
+    (ka, a), (kp, p) = cfg.series
     # the key sets: psi modes l, sums k + l, A modes k, differences l' - l
     keys = [kp, ka[:, None] + kp, ka, kp - kp[:, None]]
     folded, slot = np.unique(np.concatenate(

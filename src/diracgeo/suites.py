@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations
 from typing import Callable, Dict, List, Optional
 
@@ -480,11 +480,11 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
     fr = sp.build_frame_from_metric(mj)
     scd = sp.build_spin_connection(fr, smd, mj, a_jets)
     # the chirality and connection-difference checks run on the first few points
-    head = run.head
-    few = len(head.x)
-    fr_h = sp.build_frame_from_metric(head)
-    a_h = Jet(head.x, *(t[:few] for t in (a_jets.val, a_jets.d, a_jets.dd)))
-    scd_h = sp.build_spin_connection(fr_h, smd, head, a_h)
+    head, fr_h, a_h, scd_h = run.head, fr, a_jets, scd
+    if head is not mj:
+        fr_h = sp.build_frame_from_metric(head)
+        a_h = Jet(head.x, *(t[:len(head.x)] for t in (a_jets.val, a_jets.d, a_jets.dd)))
+        scd_h = sp.build_spin_connection(fr_h, smd, head, a_h)
 
     def spinor(rng):
         return (bnd.random_poly_section(rng, n, smd.dim),)
@@ -610,6 +610,16 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _levi_civita_star() -> np.ndarray:
+    """star F on the pairs j < k of R^4 read from eps_abcd, the determinant of
+    the rows a, b, c, d of the identity: an oracle apart from ``swm._STAR``."""
+    pairs = list(combinations(range(4), 2))
+    star = np.array([[np.linalg.det(np.eye(4)[[*p, *q]]) for q in pairs] for p in pairs])
+    star.setflags(write=False)
+    return star
+
+
 def sw_suite(seed: int, samples: int,
              cfg: Optional[swm.SWConfig] = None) -> VerificationReport:
     if cfg is None:
@@ -622,11 +632,8 @@ def sw_suite(seed: int, samples: int,
 
     def self_dual_projector():
         # the block's half of F is a fixed point, Q(psi) lies in it, and the
-        # projector is (1 +- star) / 2, star F on the pairs j < k read from
-        # eps_abcd, the determinant of the rows a, b, c, d of the identity
-        pairs = list(combinations(range(4), 2))
-        star = np.array([[np.linalg.det(np.eye(4)[[*p, *q]]) for q in pairs] for p in pairs])
-        half = 0.5 * (np.eye(len(pairs)) + (1.0 if cfg.block == "+" else -1.0) * star)
+        # projector is (1 +- star) / 2
+        half = 0.5 * (np.eye(6) + (1.0 if cfg.block == "+" else -1.0) * _levi_civita_star())
         fp = swm.block_part(swm.curvature_at(cfg, pts), cfg.block)
         q = swm.quadratic_form(swm.spinor_at(cfg, pts)[0])
         return np.append(_samples_amax(*(swm.block_part(a, cfg.block) - a for a in (fp, q))),

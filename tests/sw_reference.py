@@ -12,6 +12,10 @@ The one change from that code is the curvature projector: it takes the
 chirality block's sign, so (F + star F)/2 on the + block and (F - star F)/2
 on the - block.  Tests compare ``sw_functional`` against it.
 
+``cube_mode_arrays`` is how the package built the mode arrays of A and psi
+before it built them from the mode lists: both fields on the (2 band + 1)^4
+frequency cube, hermitized on the cube, and the nonzero rows read back.
+
 ``potential_at`` and ``spinor_at`` are the package's pointwise evaluators as
 they were before they shared the spectra of ``sw_functional``: one Python
 loop over the config's modes at a single point.  ``hermitized_a`` is the
@@ -56,6 +60,23 @@ def hermitized_a(cfg: SWConfig) -> Dict[tuple, complex]:
         mk = tuple(-i for i in k)
         out[(a, k)] = out.get((a, k), 0.0j) + 0.5 * c
         out[(a, mk)] = out.get((a, mk), 0.0j) + 0.5 * np.conj(c)
+    return out
+
+
+def cube_mode_arrays(cfg: SWConfig) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Frequencies (M, 4) and coefficients (M, 4) of A and of psi, read off
+    the frequency cube: each potential component is i times a real field, so
+    the modes at k and -k share the coefficient and its conjugate half and
+    half."""
+    band = cfg.band
+    a_hat, psi_hat = np.zeros((2, N_DIM) + (2 * band + 1,) * N_DIM, dtype=complex)
+    for hat, modes in ((a_hat, cfg.a_modes), (psi_hat, cfg.psi_modes)):
+        for (c, k), z in modes.items():
+            hat[(c,) + tuple(v + band for v in k)] += z
+    out = []
+    for spec in (0.5j * (a_hat + np.conj(np.flip(a_hat, axis=(1, 2, 3, 4)))), psi_hat):
+        modes = np.nonzero(np.any(spec, axis=0))
+        out.append((np.stack(modes, axis=-1) - band, spec[(slice(None),) + modes].T))
     return out
 
 

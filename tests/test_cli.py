@@ -1,10 +1,15 @@
 """Command line behavior: exit codes, payloads, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diracgeo
 from diracgeo import cli
 from diracgeo import suites
 from diracgeo.report import VerificationReport
@@ -272,6 +277,23 @@ def test_superconnection_config_seeds_are_checked(capsys, tmp_path, text, messag
     assert message in err
 
 
+@pytest.mark.parametrize("command, text, key", [
+    (["verify", "--suite", "sw"],
+     '{"grid": 8, "band": 1, "psi_mode": [[0, 0, 1, 0, 0, 1.0, 0.0]]}', "psi_mode"),
+    (["sw"], '{"grid": 8, "band": 1, "psi_mode": [[0, 0, 1, 0, 0, 1.0, 0.0]]}',
+     "psi_mode"),
+    (["dirac", "--chart", "flat2"], '{"degree": {"1": "random"}}', "degree"),
+], ids=["verify-sw", "sw", "dirac"])
+def test_unknown_config_keys_are_usage_errors(capsys, tmp_path, command, text, key):
+    # a misspelt key used to be ignored: "psi_mode" left psi = 0, so every sw
+    # check read 0.0 and passed, and "degree" built the zero superconnection
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    code, out, err = _run(capsys, command + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert f"unknown config key {key!r}" in err and "accepted keys" in err
+
+
 def test_superconnection_config_accepts_an_integral_float_seed(capsys, tmp_path):
     outs = []
     for seed in ("3", "3.0"):
@@ -395,3 +417,24 @@ def test_batched_suites_run_at_one_and_two_samples(capsys, suite, chart):
         assert payload["pass"] is True
         ids.append([row["id"] for row in payload["checks"]])
     assert ids[:1] == ids[1:]
+
+
+def test_calls_in_one_process_match_fresh_interpreters(capsys):
+    # main reuses one parser per process: each call of a sequence prints the
+    # stdout and exit code of the same call in a fresh interpreter
+    sequence = [["verify", "--suite", "cartan", "--chart", "flat2", "--samples", "2"],
+                ["verify", "--suite", "hodge", "--chart", "sphere2", "--samples", "2",
+                 "--human"],
+                ["verify", "--samples", "0"],
+                ["sw", "--seed", "3"],
+                ["dirac", "--chart", "sphere2", "--seed", "2"],
+                ["curvature", "--chart", "poly3", "--seed", "5"]]
+    in_process = [_run(capsys, argv)[:2] for argv in sequence]
+    assert [code for code, _ in in_process] == [0, 0, 2, 0, 0, 0]
+    env = dict(os.environ, PYTHONPATH=str(Path(diracgeo.__file__).parent.parent))
+    for argv, want in zip(sequence, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from diracgeo.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert (fresh.returncode, fresh.stdout) == want, argv

@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import diracgeo
+from diracgeo.bundles import SUPERCONNECTION_CONFIG_KEYS
+from diracgeo.seiberg_witten import SW_CONFIG_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +22,12 @@ def test_every_exported_name_resolves():
     missing = [name for name in diracgeo.__all__ if not hasattr(diracgeo, name)]
     assert not missing
     assert len(set(diracgeo.__all__)) == len(diracgeo.__all__)
+
+
+def test_readme_lists_the_accepted_config_keys():
+    text = README.read_text()
+    for kind, keys in (("superconnection", SUPERCONNECTION_CONFIG_KEYS),
+                       ("monopole", SW_CONFIG_KEYS)):
+        listed = re.search(rf"Accepted {kind} config keys: (.*?)\.\s", text, re.S)
+        assert listed, kind
+        assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(keys), kind

@@ -128,8 +128,8 @@ def test_field_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize("block", ["+", "-"])
 def test_evaluator_matches_the_per_mode_reference(block):
-    # the spectra on the frequency cube, taken to the points by exp(i k.x),
-    # against the per-mode loops they replaced: at one point and on a stack
+    # the config's mode arrays, taken to the points by exp(i k.x), against
+    # the per-mode loops they replaced: at one point and on a stack
     rng = np.random.default_rng(21)
     for band in (1, 2, 3):
         cfg = random_sw_config(rng, band=band, grid=4 * band + 1, block=block,
@@ -148,6 +148,70 @@ def test_evaluator_matches_the_per_mode_reference(block):
         f = curvature_at(cfg, pts)
         assert f.shape == (6, 4, 4)
         assert np.max(np.abs(f[0] - (dval - dval.T))) <= 1e-13 * np.max(np.abs(dval))
+
+
+def _mode_array_configs():
+    """Seeded configs of band 0-3 on both blocks with 0-12 rows each, plus
+    empty mode lists and an exactly cancelling pair z(c, -k) = -conj z(c, k)."""
+    rng = np.random.default_rng(31)
+    for t in range(80):
+        band, block = t % 4, "+-"[t // 4 % 2]
+        yield random_sw_config(rng, band=band, grid=4 * band + 1, block=block,
+                               n_a_modes=int(rng.integers(0, 13)),
+                               n_psi_modes=int(rng.integers(0, 13)))
+    for block in "+-":
+        yield SWConfig(1, 0, block, {}, {})
+        yield _cancelling_config(block)
+
+
+def _cancelling_config(block):
+    z, c = 0.3 - 0.7j, BLOCK_INDICES[block][1]
+    return SWConfig(9, 2, block,
+                    {(1, (1, 0, -2, 1)): z, (1, (-1, 0, 2, -1)): -np.conj(z),
+                     (2, (0, 1, 0, 0)): 0.5, (3, (0, 0, 0, 0)): 1j},
+                    {(c, (2, 0, 0, 1)): z, (c, (0, 0, 0, 0)): 0.0})
+
+
+def test_mode_arrays_equal_the_frequency_cube_bit_for_bit():
+    # the mode arrays are built from the mode lists; the cube they replaced
+    # read the same rows back from (2 band + 1)^4 spectra
+    seen = set()
+    for cfg in _mode_array_configs():
+        for got, want in zip(cfg.series, sw_reference.cube_mode_arrays(cfg)):
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                assert g.tobytes() == w.tobytes()
+        seen.add((cfg.band, cfg.block, len(cfg.series[0][0]), len(cfg.series[1][0])))
+    assert {band for band, *_ in seen} == {0, 1, 2, 3}
+    assert any(m_a == 0 for *_, m_a, _ in seen) and any(m_p == 0 for *_, m_p in seen)
+    # the cancelling pair leaves no row at +-(1, 0, -2, 1), nor does the
+    # imaginary constant mode of A (i times a real field) or the zero psi mode
+    (ka, _), (kp, _) = _cancelling_config("-").series
+    assert ka.tolist() == [[0, -1, 0, 0], [0, 1, 0, 0]]
+    assert kp.tolist() == [[2, 0, 0, 1]]
+
+
+def test_mode_arrays_are_built_once_per_config(monkeypatch):
+    from diracgeo import suites
+    calls = []
+    real = swm._mode_arrays
+    monkeypatch.setattr(swm, "_mode_arrays",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    dets = []
+    real_det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(1) or real_det(a))
+    suites._levi_civita_star.cache_clear()
+    cfg = random_sw_config(np.random.default_rng(5), band=2, grid=9)
+    series = cfg.series
+    for seed in (1, 2):
+        assert suites.run_suite("sw", seed=seed, samples=3, sw_config=cfg).passed
+    sw_residuals(cfg, np.zeros(4))
+    sw_functional(cfg)
+    assert cfg.series is series
+    assert len(calls) == 2
+    # the star oracle of sw-self-dual-projector: 36 determinants per process
+    assert len(dets) == 36
+    assert np.array_equal(suites._levi_civita_star(), swm._STAR)
 
 
 def test_pointwise_functions_broadcast_over_a_stack():

@@ -179,6 +179,20 @@ def test_runner_draws_points_first_then_fields_point_major():
     assert np.array_equal(big.head.x, big.xs[:5])
 
 
+@pytest.mark.parametrize("samples, frames", [(3, [3]), (20, [20, 5])])
+def test_lichnerowicz_builds_one_frame_when_the_head_is_every_point(monkeypatch, samples,
+                                                                    frames):
+    # at up to 4 samples the head is every point, so the frame and spin
+    # connection of the head checks are the ones built for every point
+    from diracgeo import spin as sp
+    calls = []
+    real = sp.build_frame_from_metric
+    monkeypatch.setattr(sp, "build_frame_from_metric",
+                        lambda mj: calls.append(len(mj.x)) or real(mj))
+    assert run_suite("lichnerowicz", chart="sphere4", seed=1, samples=samples).passed
+    assert calls == frames
+
+
 def test_every_chart_suite_runs_on_a_curved_chart():
     for name in ("cartan", "clifford", "levi-civita", "hodge"):
         rep = run_suite(name, chart="sphere2", seed=2, samples=3)
