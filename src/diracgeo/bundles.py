@@ -23,7 +23,6 @@ superconnection must have eta-parity (-1)^(p+1).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -33,7 +32,7 @@ import numpy as np
 
 from .charts import MetricJet, config_integer, config_keys
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
-from .forms import (PolyField, blade_field, exponent_table, exterior_derivative,
+from .forms import (PolyField, exponent_table, exterior_derivative,
                     exterior_gammas, iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
@@ -58,9 +57,10 @@ def random_poly_section(rng, n: int, m: int, degree: int = 2) -> PolyField:
 
 
 @lru_cache(maxsize=None)
-def _sign_products(sig: tuple) -> np.ndarray:
-    """sig_r sig_c for eta = diag(sig): +1 on even matrix entries, -1 on odd."""
-    out = np.outer(sig, sig)
+def _allowed(sig: tuple, parity: int) -> np.ndarray:
+    """The (m, m) entries of eta-parity ``parity`` (+1 even, -1 odd) for
+    eta = diag(sig): where sig_r sig_c = parity."""
+    out = np.outer(sig, sig) == parity
     out.setflags(write=False)
     return out
 
@@ -68,7 +68,7 @@ def _sign_products(sig: tuple) -> np.ndarray:
 def random_parity_matrix(rng, n: int, eta: np.ndarray, parity: int,
                          degree: int = 1) -> PolyField:
     """Polynomial matrix field with the requested eta-parity (+1 even, -1 odd)."""
-    allowed = _sign_products(tuple(np.diag(eta).real)) == parity
+    allowed = _allowed(tuple(np.diag(eta).real), parity)
     entries = random_poly_field(rng, n, (int(allowed.sum()),), degree,
                                 complex_coeffs=True)
     coeffs = np.zeros((len(entries.coeffs),) + allowed.shape, dtype=complex)
@@ -114,38 +114,76 @@ def module_invariant_residual(ms: ModuleSpec, mj: MetricJet):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SuperconnectionData:
     """Blade-keyed coefficients: mask I -> omega_I(x), plus d implied.
 
     Degree-1 masks store the A_i of the operator dx^i (x) (partial_i + A_i).
-    ``field`` holds all blades, fiber (2^n, m, m), built once at construction;
-    on a stack (P base seeds) it is stacked and the blades are views of it.
+    Blade I holds only the entries its eta-parity (-1)^(|I|+1) allows, as a
+    stacked field of fiber (E_I,) over its own exponent table, coeffs
+    (P, T_I, E_I); P = 1 for a single superconnection.  ``field`` (fiber
+    (2^n, m, m) on the union table, stacked on a stack) and ``blades`` (fiber
+    (m, m) by mask: views of the field on a stack, else each on its own
+    table) are built on first use by scattering every blade's entries.
+
+    A blade given here is a field of fiber (m, m), or a mask of the blade
+    axis of ``field``; converting it to entries is the parity check.  It may
+    instead be a draw, called with its allowed entries whenever the blade is
+    read, for a stack of ``stack`` members (None: a single superconnection).
     """
 
-    n: int
-    m: int
-    eta: np.ndarray
-    blades: Dict[int, PolyField]
-    field: Optional[PolyField] = None
+    def __init__(self, n: int, m: int, eta: np.ndarray, blades: Dict[int, object],
+                 field: Optional[PolyField] = None, stack: Optional[int] = None):
+        self.n, self.m, self.eta, self.masks = n, m, eta, tuple(blades)
+        if field is not None:
+            blades = {mask: PolyField(n, field.exponents, field.coeffs[..., mask, :, :],
+                                      stacked=field.stacked) for mask in blades}
+        given = [b.coeffs for b in blades.values() if isinstance(b, PolyField) and b.stacked]
+        self.stacked = stack is not None or bool(given)
+        self.size = stack or (len(given[0]) if given else 1)
+        self._parts = {mask: b if callable(b) else self._parity_entries(mask, b)
+                       for mask, b in blades.items()}
 
-    def __post_init__(self):
-        if self.field is None:
-            self.field = blade_field(self.n, self.blades, (self.m, self.m))
-        self.validate_parity()
+    def allowed(self, mask: int) -> np.ndarray:
+        """The (m, m) entries blade ``mask`` may fill."""
+        return _allowed(tuple(np.diag(self.eta).real), 1 if mask.bit_count() % 2 else -1)
 
-    def validate_parity(self) -> None:
-        """Blade I must have eta-parity (-1)^(|I|+1): one test over the field."""
-        required = np.where(grades(self.n) % 2, 1, -1)
-        # real and imaginary parts side by side: comparing floats is the fast path
-        nonzero = np.ascontiguousarray(self.field.coeffs).view(float) != 0
-        live = np.logical_or.reduce(nonzero.reshape((-1,) + nonzero.shape[-3:]))
-        bad = ((live[..., 0::2] | live[..., 1::2])
-               & (_sign_products(tuple(np.diag(self.eta).real)) != required[:, None, None]))
-        if bad.any():
-            mask, r, c = np.argwhere(bad)[0]
-            raise ParityError(f"blade {blade_indices(int(mask))} entry ({r},{c}) "
+    def _parity_entries(self, mask: int, blade: PolyField) -> PolyField:
+        allowed = self.allowed(mask)
+        coeffs = blade.coeffs if blade.stacked else blade.coeffs[None]
+        live = np.any(coeffs[..., ~allowed] != 0, axis=(0, 1))
+        if live.any():
+            r, c = np.argwhere(~allowed)[np.argmax(live)]
+            raise ParityError(f"blade {blade_indices(mask)} entry ({r},{c}) "
                               f"breaks the degree-parity rule")
+        return PolyField(self.n, blade.exponents, coeffs[..., allowed], stacked=True)
+
+    def entries(self, mask: int) -> PolyField:
+        """Blade ``mask``'s allowed entries, coeffs (P, T, E).  A drawn blade is
+        drawn when read and not kept, so the field holds the only copy."""
+        part = self._parts[mask]
+        return part(self.allowed(mask)) if callable(part) else part
+
+    @cached_property
+    def field(self) -> PolyField:
+        # the blades' tables merged in mask order, each exponent where it first appears
+        parts, union = {mask: self.entries(mask) for mask in self.masks}, {}
+        self._rows = {mask: np.array([union.setdefault(tuple(e), len(union)) for e in
+                                      part.exponents.tolist()], dtype=np.intp)
+                      for mask, part in parts.items()}
+        coeffs = np.zeros((self.size, len(union), 1 << self.n, self.m, self.m), dtype=complex)
+        for mask, at in self._rows.items():
+            r, c = np.nonzero(self.allowed(mask))
+            coeffs[:, at[:, None], mask, r, c] = parts[mask].coeffs
+        return PolyField(self.n, np.array(list(union), dtype=np.int64).reshape(-1, self.n),
+                         coeffs if self.stacked else coeffs[0], stacked=self.stacked)
+
+    @cached_property
+    def blades(self) -> Dict[int, PolyField]:
+        f = self.field
+        return {mask: PolyField(self.n, f.exponents, f.coeffs[:, :, mask], stacked=True)
+                if self.stacked else
+                PolyField(self.n, f.exponents[at], f.coeffs[at, mask])
+                for mask, at in self._rows.items()}
 
     def eval_blades(self, x, order: int = 2) -> Jet:
         """omega_I(x) on the blade axis, fiber (2^n, m, m); absent blades are zero."""
@@ -158,29 +196,17 @@ _PRESET = re.compile(r"(zero|constant|linear|random)|random\s*\(\s*([+-]?\d+)\s*
 _PRESET_DEGREES = {"zero": None, "constant": 0, "linear": 1, "random": 2}
 
 
-@lru_cache(maxsize=None)
-def _layout(n: int, sig: tuple, degrees: tuple) -> tuple:
-    """Where the draws land when the degree-p blades are polynomials of degree
-    ``degrees[p]`` (None: not drawn), for eta = diag(sig): the union exponent
-    table, merged as ``forms.blade_field`` merges; per blade mask, its rows in
-    that table and its count of real draws; and the flat indices into
-    (T, 2^n, m, m) of all draws, blade by blade, each in its draw order
-    [entry, term] over the entries of its parity."""
-    union: Dict[tuple, int] = {}
-    rows, sizes, dest = [], [], [np.zeros(0, dtype=np.int64)]
-    for mask in range(1 << n):
-        p = mask.bit_count()
-        exps = [] if degrees[p] is None else exponent_table(n, degrees[p]).tolist()
-        rows.append(np.array([union.setdefault(tuple(e), len(union)) for e in exps],
-                             dtype=np.int64))
-        entries = np.flatnonzero(_sign_products(sig) == (1 if p % 2 else -1))
-        dest.append((((rows[-1] << n) + mask) * len(sig) ** 2 + entries[:, None]).ravel())
-        sizes.append(2 * dest[-1].size)
-    exponents = np.array(list(union), dtype=np.int64).reshape(-1, n)
-    dest = np.concatenate(dest)
-    for a in (exponents, dest, *rows):
-        a.setflags(write=False)
-    return exponents, tuple(rows), tuple(sizes), dest
+def _draw_blade(n: int, mask: int, degree: Optional[int], seeds: list,
+                allowed: np.ndarray) -> PolyField:
+    """Blade ``mask``'s allowed entries as polynomials of ``degree`` (None:
+    zero), one per seed s, drawn from the generator seeded s 100003 + mask 101
+    + 7 in the order [entry, term], real part before imaginary."""
+    exps = np.zeros((0, n), dtype=np.int64) if degree is None else exponent_table(n, degree)
+    draws = np.zeros((len(seeds), int(allowed.sum()), len(exps), 2))
+    for k, seed in enumerate(seeds if len(exps) else []):
+        draws[k] = np.random.default_rng(seed * 100003 + mask * 101 + 7).uniform(
+            -1.0, 1.0, draws.shape[1:])
+    return PolyField(n, exps, np.swapaxes(draws.view(complex)[..., 0], 1, 2), stacked=True)
 
 
 def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
@@ -189,11 +215,11 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
     """Build coefficients per degree from preset names.
 
     Presets: "zero", "constant", "linear", "random" or "random(seed)"; seeds
-    are non-negative integers.  Blade I of base seed s draws once, from its
-    generator seeded s 100003 + I 101 + 7.
-    P base seeds give one stack, for a stack of points x (P, n): every draw
-    lands in one (P, T, 2^n, m, m) array, and the blades are views of it.  A
-    single seed gives each blade on its own rows of the exponent table.
+    are non-negative integers.  Blade I of base seed s draws its allowed
+    entries from its own generator, seeded s 100003 + I 101 + 7, when it is
+    read: drawing it later, again or never changes no value.  P base
+    seeds give one stack, for a stack of points x (P, n), whose dense
+    (P, T, 2^n, m, m) field is built only when an operator reads it.
     """
     stacked = np.ndim(base_seed) > 0
     seeds = [config_integer(seed, "seed", low=0)
@@ -206,21 +232,12 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
         if hit is None:
             raise ValueError(f"unknown coefficient preset {spec!r}")
         own = hit[2] and config_integer(int(hit[2]), f"seed of preset {spec!r}", low=0)
-        presets[p] = _PRESET_DEGREES[hit[1] or "random"], own
-    exponents, rows, sizes, dest = _layout(n, tuple(np.diag(eta).real), tuple(
-        presets.get(p, (None,))[0] for p in range(n + 1)))
-    fixed = [presets.get(mask.bit_count(), (None, None))[1] for mask in range(1 << n)]
-    coeffs = np.zeros((len(seeds), len(exponents), 1 << n, m, m), dtype=complex)
-    for k, seed in enumerate(seeds):
-        draws = [np.empty(0)] + [np.random.default_rng(
-            (seed if fixed[mask] is None else fixed[mask]) * 100003 + mask * 101 + 7
-        ).uniform(-1.0, 1.0, size) for mask, size in enumerate(sizes) if size]
-        coeffs[k].reshape(-1)[dest] = np.concatenate(draws).view(complex)
-    blades = {mask: PolyField(n, exponents, coeffs[:, :, mask], stacked=True) if stacked
-              else PolyField(n, exponents[rows[mask]], coeffs[0, rows[mask], mask])
-              for mask in range(1 << n) if mask.bit_count() in presets}
-    return SuperconnectionData(n, m, eta, blades, PolyField(
-        n, exponents, coeffs if stacked else coeffs[0], stacked=stacked))
+        presets[p] = (_PRESET_DEGREES[hit[1] or "random"],
+                      seeds if own is None else [own] * len(seeds))
+    return SuperconnectionData(n, m, eta, {
+        mask: partial(_draw_blade, n, mask, *presets[mask.bit_count()])
+        for mask in range(1 << n) if mask.bit_count() in presets},
+        stack=len(seeds) if stacked else None)
 
 
 SUPERCONNECTION_CONFIG_KEYS = ("fiber_dimension", "grading", "degrees", "seed")
@@ -255,11 +272,6 @@ def superconnection_from_config(cfg: dict, n: int,
         degree_specs[p] = str(v)
     seed = config_integer(cfg.get("seed", 0), "seed")
     return superconnection_from_degrees(n, ms.m, ms.eta, degree_specs, base_seed=seed)
-
-
-def load_superconnection_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +383,7 @@ def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
     A = omega[[1 << i for i in range(mj.n)]]
     q = quantize_blades(gam.truncate(order), np.eye(ms.m))
     Z = sum((q(mask) @ omega[mask]
-             for mask in S.blades if mask.bit_count() != 1),
+             for mask in S.masks if mask.bit_count() != 1),
             Jet.constant(np.zeros((ms.m, ms.m)), x, order))
     return DiracOperatorData(x, gam, A, Z, ms.eta)
 
@@ -668,15 +680,18 @@ def clifford_of_metric(mj: MetricJet, ms: ModuleSpec) -> np.ndarray:
 def is_special_superconnection(S: SuperconnectionData, points: Sequence,
                                tol: float = 1e-12):
     """True iff every degree >= 2 component vanishes at all sample points,
-    and the largest such component.  A stack of P superconnections gets one
-    verdict and one value per member, each read at every point."""
+    and the largest such component; only those blades' entries are read.  A
+    stack of P superconnections gets one verdict and one value per member,
+    each read at every point."""
     points = np.asarray(points, dtype=float).reshape(-1, S.n)
-    if S.field.stacked:
-        points = np.broadcast_to(points[:, None], (len(points), len(S.field.coeffs), S.n))
-    omega = S.field.jet(points, order=0)[0][..., grades(S.n) >= 2, :, :]
-    worst = np.max(np.abs(omega), axis=(0, -3, -2, -1), initial=0.0)
-    if not S.field.stacked:
-        worst = float(worst)
+    points = np.broadcast_to(points[:, None], (len(points), S.size, S.n))
+    worst = np.zeros(S.size)
+    for mask in S.masks:
+        if mask.bit_count() >= 2:
+            omega = S.entries(mask).jet(points, order=0)[0]
+            worst = np.maximum(worst, np.max(np.abs(omega), axis=(0, 2), initial=0.0))
+    if not S.stacked:
+        worst = float(worst[0])
     return worst <= tol, worst
 
 

@@ -332,6 +332,7 @@ def chart_from_config(cfg: dict) -> Chart:
     polynomial}; "lambda" in {sphere, hyperbolic} for conformal; coefficients
     [seed, scale] for polynomial.
     """
+    config_keys(cfg, ("name", "dimension", "kind", "lambda", "coefficients"))
     try:
         kind = cfg["kind"]
         n = config_integer(cfg["dimension"], "dimension")

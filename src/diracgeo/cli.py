@@ -101,8 +101,8 @@ def cmd_dirac(args) -> int:
     mj = metric_jet(ch, x)
     ms = bnd.exterior_module(n)
     if args.config:
-        raw = bnd.load_superconnection_config(args.config)
-        S = bnd.superconnection_from_config(raw, n, ms)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            S = bnd.superconnection_from_config(json.load(fh), n, ms)
     else:
         S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, {1: "zero"})
     D = bnd.quantize_superconnection(S, mj, ms, x)

@@ -235,20 +235,6 @@ class PolyField:
                          np.zeros((0,) + tuple(shape), dtype=complex))
 
 
-def blade_field(n: int, fields: Dict[int, PolyField], shape: tuple) -> PolyField:
-    """One field of fiber (2^n, *shape) out of fields of fiber ``shape`` keyed
-    by blade mask, over the union of their monomials; absent blades are zero."""
-    rows: Dict[tuple, int] = {}
-    for f in fields.values():
-        for e in map(tuple, f.exponents.tolist()):
-            rows.setdefault(e, len(rows))
-    coeffs = np.zeros((len(rows), 1 << n) + tuple(shape), dtype=complex)
-    for mask, f in fields.items():
-        coeffs[[rows[e] for e in map(tuple, f.exponents.tolist())], mask] = f.coeffs
-    exponents = np.array(list(rows), dtype=np.int64).reshape(len(rows), n)
-    return PolyField(n, exponents, coeffs)
-
-
 def random_poly_field(rng, n: int, shape: tuple = (), degree: int = 2,
                       complex_coeffs: bool = False,
                       masks: Optional[Tuple[int, ...]] = None) -> PolyField:

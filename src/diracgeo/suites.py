@@ -397,17 +397,13 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
 
     def special_predicate():
         # trial t < 30 has base seed seed + t and a degree-2 part only when t
-        # is odd, constant when t = 1 mod 4.  Stacks hold one kind of trial,
-        # three at most: at n = 4 each trial is about 1 MB of coefficients
-        def misclassified(top, trials):
-            S = bnd.superconnection_from_degrees(
-                n, m, ms.eta, {0: "random", 1: "random"} | top, seed + trials)
-            return np.sum(bnd.is_special_superconnection(S, xs[:6])[0] != (not top))
-
+        # is odd, constant when t = 1 mod 4; one stack per kind of trial
         kinds = (({}, np.arange(0, 30, 2)), ({2: "constant"}, np.arange(1, 30, 4)),
                  ({2: "random"}, np.arange(3, 30, 4)))
-        return float(sum(misclassified(top, trials[k:k + 3])
-                         for top, trials in kinds for k in range(0, len(trials), 3)))
+        return float(sum(np.sum(bnd.is_special_superconnection(
+            bnd.superconnection_from_degrees(n, m, ms.eta, {0: "random", 1: "random"} | top,
+                                             seed + trials), xs[:6])[0] != (not top))
+            for top, trials in kinds))
 
     def curvature_dual():
         S = _superconnections(ms, n, few, seed)

@@ -14,9 +14,23 @@ from __future__ import annotations
 import numpy as np
 
 from diracgeo import bundles as bnd
-from diracgeo.forms import PolyField, blade_field
+from diracgeo.forms import PolyField
 
 PRESET_DEGREES = {"zero": None, "constant": 0, "linear": 1, "random": 2}
+
+
+def blade_field(n: int, fields: dict, shape: tuple) -> PolyField:
+    """One field of fiber (2^n, *shape) out of fields of fiber ``shape`` keyed
+    by blade mask, over the union of their monomials; absent blades are zero."""
+    rows = {}
+    for f in fields.values():
+        for e in map(tuple, f.exponents.tolist()):
+            rows.setdefault(e, len(rows))
+    coeffs = np.zeros((len(rows), 1 << n) + tuple(shape), dtype=complex)
+    for mask, f in fields.items():
+        coeffs[[rows[e] for e in map(tuple, f.exponents.tolist())], mask] = f.coeffs
+    exponents = np.array(list(rows), dtype=np.int64).reshape(len(rows), n)
+    return PolyField(n, exponents, coeffs)
 
 
 def superconnection_field(n: int, m: int, eta: np.ndarray, degree_specs: dict,

@@ -202,6 +202,17 @@ def test_chart_config_accepts_integral_floats():
     assert np.array_equal(metric_jet(a, x).g, metric_jet(b, x).g)
 
 
+def test_chart_config_rejects_unknown_keys(tmp_path):
+    # a misspelt "lambda" used to build the default sphere chart
+    cfg = {"kind": "conformal", "dimension": 2, "lamda": "hyperbolic", "name": "h"}
+    with pytest.raises(ValueError, match="unknown config key 'lamda'"):
+        chart_from_config(cfg)
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match="unknown config key 'lamda'"):
+        load_chart_config(str(path))
+
+
 def _per_point_polynomial_metric(n, seed, scale):
     """The rejection sampling of ``polynomial_chart`` with one eigenvalue call
     per test point: the metric of the first accepted attempt, or None."""

@@ -1,6 +1,6 @@
 """The superconnection builder and the operator data built from it: the
-stream oracle against the per-blade loop, the shared D^2 coefficients and the
-stacked special predicate."""
+stream oracle against the per-blade loop in any read order, the shared D^2
+coefficients and the stacked special predicate and the blades it draws."""
 
 from functools import partial
 
@@ -9,6 +9,7 @@ import pytest
 
 import superconnection_reference as ref
 from diracgeo import bundles as bnd
+from diracgeo import suites
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import exponent_table
 
@@ -133,3 +134,71 @@ def test_stacked_special_predicate_is_the_per_trial_one(name, top):
         for seed in seeds]
     assert got.tolist() == [w[0] for w in want] == [top is None] * len(seeds)
     np.testing.assert_allclose(worst, [w[1] for w in want], rtol=1e-15, atol=0.0)
+
+
+def _read_degree_two_blades(S, pts):
+    for mask in S.masks:
+        if mask.bit_count() == 2:
+            S.entries(mask)
+
+
+READS = {"field first": lambda S, pts: None,
+         "degree-2 blades first": _read_degree_two_blades,
+         "special predicate first": bnd.is_special_superconnection}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("first", READS)
+def test_lazy_draws_do_not_depend_on_read_order(n, preset, first):
+    ms = bnd.exterior_module(n)
+    # the preset under test at degree 2, the others shifted around it
+    specs = {p: PRESETS[(PRESETS.index(preset) + p - 2) % len(PRESETS)]
+             for p in range(n + 1)}
+    pts = np.random.default_rng(n).uniform(-0.5, 0.5, (3, n))
+    for seed in (7, [4, 1, 4]):
+        S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seed)
+        READS[first](S, pts)
+        field, blades = ref.superconnection_field(n, ms.m, ms.eta, specs, seed)
+        assert np.array_equal(S.field.exponents, field.exponents)
+        assert np.array_equal(S.field.coeffs, field.coeffs)
+        assert list(S.blades) == list(blades)
+        for mask, blade in blades.items():
+            assert np.array_equal(S.blades[mask].exponents, blade.exponents)
+            assert np.array_equal(S.blades[mask].coeffs, blade.coeffs)
+
+
+@pytest.mark.parametrize("chart, generators", [("sphere2", 15), ("sphere4", 90)])
+def test_special_predicate_draws_only_the_degree_two_blades(chart, generators,
+                                                            monkeypatch):
+    # the predicate reads the degree-2 blades of the 15 trials that have them,
+    # and builds no dense (P, T, 2^n, m, m) field
+    active, built, stacks = [False], [], []
+    real_rng, real_timed = np.random.default_rng, suites._timed
+    real_build = bnd.superconnection_from_degrees
+
+    def rng(*args, **kwargs):
+        built.append(active[0])
+        return real_rng(*args, **kwargs)
+
+    def build(*args, **kwargs):
+        S = real_build(*args, **kwargs)
+        stacks.extend([S] if active[0] else [])
+        return S
+
+    def timed(rep, cid, identity, tol, fn):
+        active[0] = cid == "superconnection-special-predicate"
+        try:
+            real_timed(rep, cid, identity, tol, fn)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(bnd.np.random, "default_rng", rng)
+    monkeypatch.setattr(bnd, "superconnection_from_degrees", build)
+    monkeypatch.setattr(suites, "_timed", timed)
+    rep = suites.run_suite("superconnection", chart, seed=5, samples=2)
+    check, = [c for c in rep.checks if c.check_id == "superconnection-special-predicate"]
+    assert check.passed and check.max_residual == 0.0
+    assert sum(built) == generators
+    assert [S.size for S in stacks] == [15, 8, 7]
+    assert not any("field" in vars(S) or "blades" in vars(S) for S in stacks)
