@@ -15,8 +15,7 @@ from .bundles import (DiracOperatorData, ModuleSpec, SuperconnectionData,
                       superconnection_from_degrees)
 from .charts import (Chart, ChartDomainError, MetricJet, chart_from_config,
                      get_chart, load_chart_config, metric_jet, registry)
-from .clifford import (BilinearForm, MultivectorElement, chirality,
-                       clifford_product, quantize, symbol)
+from .clifford import BilinearForm, chirality, clifford_product, quantize, symbol
 from .curvature import CurvatureData, curvature_data
 from .forms import (PolyField, coderivative_connection, coderivative_hodge,
                     exterior_derivative, forms_dirac, gram_pairing,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BilinearForm", "Chart", "ChartDomainError", "CheckResult",
     "CurvatureData", "DiracOperatorData", "Jet", "MetricJet",
-    "ModuleSpec", "MultivectorElement", "PolyField", "SUITE_NAMES", "SWConfig",
+    "ModuleSpec", "PolyField", "SUITE_NAMES", "SWConfig",
     "SWConfigError", "SpinSignatureError", "SuiteUsageError",
     "SuperconnectionData", "VerificationReport", "apply_dirac",
     "build_spin_connection", "canonical_laplacian",

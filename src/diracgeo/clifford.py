@@ -2,8 +2,11 @@
 
 Elements live on the blade axis: a complex vector of length 2^n whose slot M
 holds the coefficient of the blade with bitmask M (bit i set = generator dx^i
-present).  The same storage backs exterior elements and Clifford elements;
-``quantize``/``symbol`` reinterpret the coordinates without touching them.
+present), and a stack of them is an array (..., 2^n).  A Clifford element is
+stored by its symbol: ``quantize`` turns symbol coefficients into the operator
+they act by on the exterior module, and ``symbol`` reads an operator's action
+on the vacuum, so the two are inverse (BGV, *Heat Kernels and Dirac
+Operators*, 1992, sec. 3.1).
 
 Every operation is a product with fixed structure tensors on that axis, the
 bitmap-blade tables of Dorst, Fontijne & Mann, *Geometric Algebra for
@@ -17,17 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import prod
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 
 class DegenerateFormError(ValueError):
     """Bilinear form fails the nondegeneracy floor."""
-
-
-class AlgebraMismatchError(ValueError):
-    """Operands belong to different algebras or kinds."""
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +142,26 @@ def wedge_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _checked_pairing(matrix) -> np.ndarray:
+    """A pairing, or a stack of them (..., n, n), as floats, once every member
+    passes the floors of ``BilinearForm``; the first member that fails raises."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("bilinear form must be a square matrix")
+    flat = m.reshape((-1,) + m.shape[-2:])
+    asym = np.max(np.abs(flat - np.swapaxes(flat, 1, 2)), axis=(1, 2), initial=0.0)
+    if not np.all(asym <= 1e-12 * np.max(np.abs(flat), axis=(1, 2), initial=0.0)):
+        raise ValueError("bilinear form must be symmetric")
+    mags = np.abs(np.linalg.eigvalsh(flat))
+    lo, hi = mags.min(axis=1), mags.max(axis=1)
+    bad = np.flatnonzero(lo <= 1e-12 * hi)
+    if bad.size:
+        k = bad[0]
+        raise DegenerateFormError(
+            f"min |eigenvalue| {lo[k]:.3e} <= 1e-12 * max |eigenvalue| {hi[k]:.3e}")
+    return m
+
+
 @dataclass(frozen=True)
 class BilinearForm:
     """Nondegenerate symmetric pairing on covectors, B[i, j] = (dx^i, dx^j).
@@ -155,17 +174,9 @@ class BilinearForm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if np.ndim(self.matrix) != 2:
             raise ValueError("bilinear form must be a square matrix")
-        if not np.max(np.abs(m - m.T), initial=0.0) <= 1e-12 * np.max(np.abs(m), initial=0.0):
-            raise ValueError("bilinear form must be symmetric")
-        mags = np.abs(np.linalg.eigvalsh(m))
-        if mags.min() <= 1e-12 * mags.max():
-            raise DegenerateFormError(
-                f"min |eigenvalue| {mags.min():.3e} <= 1e-12 * max |eigenvalue| "
-                f"{mags.max():.3e}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _checked_pairing(self.matrix))
 
     @property
     def n(self) -> int:
@@ -177,210 +188,65 @@ class BilinearForm:
         return product_table(self.matrix)
 
 
-EXTERIOR = "exterior"
-CLIFFORD = "clifford"
-
-
-@dataclass
-class MultivectorElement:
-    """Multivector in symbol coordinates over a fixed algebra.
-
-    ``coeffs`` is the complex vector on the 2^n blade axis.
-    kind "exterior": plain element of the exterior algebra (wedge calculus).
-    kind "clifford": element of Cl(B) stored via the symbol isomorphism.
-    """
-
-    n: int
-    coeffs: np.ndarray
-    kind: str = EXTERIOR
-    form: Optional[BilinearForm] = None
-
-    def __post_init__(self):
-        if self.kind not in (EXTERIOR, CLIFFORD):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == CLIFFORD and self.form is None:
-            raise ValueError("clifford elements need a bilinear form")
-        if self.form is not None and self.form.n != self.n:
-            raise AlgebraMismatchError("form dimension does not match element")
-        self.coeffs = np.array(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (1 << self.n,):
-            raise ValueError(f"coefficients of shape {self.coeffs.shape} do not "
-                             f"fill the {1 << self.n} blades of n={self.n}")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def scalar(c, n: int, kind: str = EXTERIOR,
-               form: Optional[BilinearForm] = None) -> "MultivectorElement":
-        return MultivectorElement.blade([], n, c, kind, form)
-
-    @staticmethod
-    def covector(components: Sequence, kind: str = EXTERIOR,
-                 form: Optional[BilinearForm] = None) -> "MultivectorElement":
-        n = len(components)
-        coeffs = np.zeros(1 << n, dtype=complex)
-        coeffs[1 << np.arange(n)] = components
-        return MultivectorElement(n, coeffs, kind, form)
-
-    @staticmethod
-    def blade(indices: Iterable[int], n: int, coeff=1.0, kind: str = EXTERIOR,
-              form: Optional[BilinearForm] = None) -> "MultivectorElement":
-        mask = 0
-        for i in indices:
-            if mask & (1 << i):
-                raise ValueError("repeated index in blade")
-            mask |= 1 << i
-        coeffs = np.zeros(1 << n, dtype=complex)
-        coeffs[mask] = coeff
-        return MultivectorElement(n, coeffs, kind, form)
-
-    # -- structure ----------------------------------------------------------
-
-    def _compat(self, other: "MultivectorElement") -> None:
-        if self.n != other.n or self.kind != other.kind:
-            raise AlgebraMismatchError("operands from different algebras")
-        if (self.form is None) != (other.form is None):
-            raise AlgebraMismatchError("operands disagree about the form")
-        if self.form is not None and other.form is not None \
-                and self.form is not other.form \
-                and not np.array_equal(self.form.matrix, other.form.matrix):
-            raise AlgebraMismatchError("operands carry different forms")
-
-    def _like(self, coeffs: np.ndarray) -> "MultivectorElement":
-        return MultivectorElement(self.n, coeffs, self.kind, self.form)
-
-    def coefficient(self, indices: Iterable[int]) -> complex:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return complex(self.coeffs[mask])
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
-
-    def __add__(self, other):
-        if isinstance(other, MultivectorElement):
-            self._compat(other)
-            return MultivectorElement(self.n, self.coeffs + other.coeffs,
-                                      self.kind, self.form or other.form)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, MultivectorElement):
-            return self + (other * (-1.0))
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self._like(self.coeffs * other)
-        if isinstance(other, MultivectorElement):
-            self._compat(other)
-            if self.kind == CLIFFORD:
-                return clifford_product(self, other)
-            return wedge(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
-
-    def __repr__(self):
-        terms = []
-        for m in np.flatnonzero(self.coeffs):
-            idx = "".join(str(i + 1) for i in blade_indices(int(m)))
-            label = f"e{idx}" if idx else "1"
-            terms.append(f"{complex(self.coeffs[m])!r}*{label}")
-        body = " + ".join(terms) if terms else "0"
-        return f"<{self.kind} {body}>"
-
-
 # ---------------------------------------------------------------------------
-# operations
+# operations on coefficient stacks
 # ---------------------------------------------------------------------------
 
 
-def wedge(a: MultivectorElement, b: MultivectorElement) -> MultivectorElement:
-    """Exterior product; defined on exterior-kind elements."""
-    a._compat(b)
-    if a.kind != EXTERIOR:
-        raise AlgebraMismatchError("wedge acts on exterior elements; take symbol() first")
-    return a._like(contract(a.coeffs, wedge_table(a.n)) @ b.coeffs)
+def quantize(w, table: np.ndarray) -> np.ndarray:
+    """The operator q(w) = sum_M w_M table[M], shaped (..., 2^n, 2^n), of
+    symbol coefficients w (..., 2^n) against a ``product_table`` stack
+    (..., 2^n, 2^n, 2^n).  The leading axes of w are the table's stack
+    axes; any further axes of w share their member's table."""
+    w = np.asarray(w)
+    dim, lead = table.shape[-1], table.shape[:-3]
+    if w.shape[:len(lead)] != lead or w.shape[-1:] != (dim,):
+        raise ValueError(f"coefficients {w.shape} do not fit the tables {table.shape}")
+    act = w.reshape(lead + (-1, dim)) @ table.reshape(lead + (dim, dim * dim))
+    return act.reshape(w.shape + (dim,))
 
 
-def action_matrix(a: MultivectorElement) -> np.ndarray:
-    """Matrix of c(a) acting on the exterior module."""
-    if a.kind != CLIFFORD:
-        raise AlgebraMismatchError("action_matrix takes a clifford element")
-    return contract(a.coeffs, a.form.table)
+def symbol(a: np.ndarray) -> np.ndarray:
+    """Symbol coefficients (..., 2^n) of operators a (..., 2^n, 2^n): their
+    action on the vacuum, column 0."""
+    return a[..., 0]
 
 
-def clifford_product(a: MultivectorElement, b: MultivectorElement) -> MultivectorElement:
-    """Geometric product of Clifford elements (symbol coordinates in, out)."""
-    a._compat(b)
-    if a.kind != CLIFFORD:
-        raise AlgebraMismatchError("clifford_product needs clifford-kind elements")
-    return a._like(action_matrix(a) @ b.coeffs)
-
-
-def quantize(a: MultivectorElement, b: BilinearForm) -> MultivectorElement:
-    """Reinterpret an exterior element as the Clifford element with that symbol."""
-    if a.kind != EXTERIOR:
-        raise AlgebraMismatchError("quantize takes an exterior element")
-    if b.n != a.n:
-        raise AlgebraMismatchError("form dimension mismatch")
-    return MultivectorElement(a.n, a.coeffs, CLIFFORD, b)
-
-
-def symbol(a: MultivectorElement) -> MultivectorElement:
-    """Symbol of a Clifford element: the same coordinates, exterior kind."""
-    if a.kind != CLIFFORD:
-        raise AlgebraMismatchError("symbol takes a clifford element")
-    return MultivectorElement(a.n, a.coeffs, EXTERIOR, None)
+def clifford_product(x, y, table: np.ndarray) -> np.ndarray:
+    """Clifford product x y of symbol coefficient stacks, c(x) acting on y,
+    with ``quantize``'s pairing of x against the table stack; with
+    ``wedge_table(n)`` it is the exterior product."""
+    return (quantize(x, table) @ np.asarray(y)[..., None])[..., 0]
 
 
 def parity_matrix(n: int) -> np.ndarray:
     return np.diag((-1.0) ** grades(n)).astype(complex)
 
 
-# ---------------------------------------------------------------------------
-# chirality
-# ---------------------------------------------------------------------------
+def chirality(pairing, orientation: int = 1) -> np.ndarray:
+    """Chirality G = i^(n/2+s) e^1...e^n of each pairing of a stack (..., n, n),
+    as symbol coefficients (..., 2^n).
 
-
-@dataclass(frozen=True)
-class ChiralityElement:
-    """Chirality Gamma = i^(n/2+s) e^1...e^n for an oriented orthonormal system.
-
-    s (``negative_count``) counts negative eigenvalues of B; s = 0 reproduces
-    the i^(n/2) phase, s > 0 is this package's documented extension keeping
-    Gamma^2 = 1 (flag it in reports).
+    The e^a are the pairing's eigenvectors scaled to |(e^a, e^a)| = 1, the
+    first negated where their determinant is negative, and s counts the
+    negative eigenvalues.  s = 0 is the i^(n/2) phase; s > 0 is this
+    package's extension keeping G^2 = 1.  ``orientation`` -1 negates G.  The
+    pairings must pass the floors of ``BilinearForm``.
     """
-
-    element: MultivectorElement
-    phase: complex
-    negative_count: int
-    orientation: int
-
-
-def chirality(b: BilinearForm, orientation: int = 1) -> ChiralityElement:
-    n = b.n
+    pairing = _checked_pairing(pairing)
+    n = pairing.shape[-1]
     if n % 2:
         raise ValueError("chirality needs even dimension")
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    vals, vecs = np.linalg.eigh(b.matrix)
-    s = int(np.sum(vals < 0))
-    basis = vecs / np.sqrt(np.abs(vals))
-    if np.linalg.det(basis) < 0:
-        basis[:, 0] = -basis[:, 0]
-    prod = None
-    for a in range(n):
-        gen = MultivectorElement.covector(basis[:, a].astype(complex), CLIFFORD, b)
-        prod = gen if prod is None else clifford_product(prod, gen)
-    phase = 1j ** ((n // 2 + s) % 4)
-    gamma = prod * (phase * orientation)
-    square = clifford_product(gamma, gamma)
-    if (square - MultivectorElement.scalar(1.0, n, CLIFFORD, b)).norm() > 1e-9:
-        raise AssertionError("chirality construction failed to square to one")
-    return ChiralityElement(gamma, phase * orientation, s, orientation)
+    vals, vecs = np.linalg.eigh(pairing)
+    basis = vecs / np.sqrt(np.abs(vals))[..., None, :]
+    basis[..., 0] *= np.where(np.linalg.det(basis) < 0, -1.0, 1.0)[..., None]
+    gens = np.zeros(basis.shape[:-2] + (n, 1 << n), dtype=complex)
+    gens[..., 1 << np.arange(n)] = np.swapaxes(basis, -1, -2)
+    table = product_table(pairing)
+    g = gens[..., 0, :]
+    for a in range(1, n):
+        g = clifford_product(g, gens[..., a, :], table)
+    phase = np.array([1j ** k for k in range(4)])[(n // 2 + np.sum(vals < 0, axis=-1)) % 4]
+    return g * (phase * orientation)[..., None]

@@ -13,7 +13,7 @@ from . import bundles as bnd
 from . import seiberg_witten as swm
 from . import spin as sp
 from .charts import MetricJet, get_chart, metric_jet
-from .clifford import (CLIFFORD, BilinearForm, MultivectorElement, chirality,
+from .clifford import (blade_tables, chirality, clifford_product, contract,
                        product_table, quantize, symbol)
 from .curvature import (curvature_data, curvature_two_form_residual,
                         divergence_via_connection, divergence_via_density,
@@ -181,7 +181,7 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     run = _Run("clifford", chart, seed, samples)
     n, dim, rng, mj = run.n, 1 << run.n, run.rng, run.mj
     table = product_table(mj.g_inv)                 # (P, 2^n, 2^n, 2^n)
-    forms = [BilinearForm(g) for g in mj.g_inv]
+    product = partial(clifford_product, table=table)
     embed = np.eye(dim)[1 << np.arange(n)]          # covectors onto the blade axis
 
     # every coefficient is drawn first, in the order per-point checks drew
@@ -198,12 +198,6 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     a1, a2, a3 = np.moveaxis(normals(JETS_PER_POINT, 3, dim, 2), -2, 0)
     chiral = normals(2, n, axis=-2) @ embed if n % 2 == 0 else None
 
-    def product(x, y):
-        """Clifford products x y of coefficient stacks (P, ..., 2^n), each
-        sample point against its own table."""
-        act = x.reshape(samples, -1, dim) @ table.reshape(samples, dim, dim * dim)
-        return (act.reshape(x.shape + (dim,)) @ y[..., None])[..., 0]
-
     def norm(x):
         return np.linalg.norm(x, axis=-1)
 
@@ -215,12 +209,18 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
         return relative(norm(acc), norm(uv))
 
     def roundtrip():
-        out = []
-        for b, wk, ak in zip(forms, w, a):
-            ext, cl = MultivectorElement(n, wk), MultivectorElement(n, ak, CLIFFORD, b)
-            out += [(symbol(quantize(ext, b)) - ext).norm(),
-                    (quantize(symbol(cl), b) - cl).norm()]
-        return out
+        # the operator side is built without the table: A = sum_M a_M times
+        # the ordered word gamma^{i_1}...gamma^{i_k} of the generators
+        # eps_i - g^ij iota_j, so a wrong table cannot agree with it
+        eps, iota = blade_tables(n)
+        gam = eps - contract(mj.g_inv, iota)        # (P, n, 2^n, 2^n)
+        words = [np.broadcast_to(np.eye(dim), (samples, dim, dim))]
+        for mask in range(1, dim):
+            words.append(gam[:, (mask & -mask).bit_length() - 1] @ words[mask & (mask - 1)])
+        ops = np.einsum("pm,mpij->pij", a, np.array(words))
+        frob = partial(np.linalg.norm, axis=(-2, -1))
+        return np.maximum(relative(norm(symbol(quantize(w, table)) - w), norm(w)),
+                          relative(frob(quantize(symbol(ops), table) - ops), frob(ops)))
 
     def associativity():
         lhs, rhs = product(product(a1, a2), a3), product(a1, product(a2, a3))
@@ -229,7 +229,7 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     def chirality_relations():
         if n % 2:
             return 0.0
-        g = np.array([chirality(b).element.coeffs for b in forms])
+        g = chirality(mj.g_inv)
         return np.maximum(norm(product(g, g) - np.eye(dim)[0]),
                           norm(product(g, chiral) + product(chiral, g)))
 

@@ -7,9 +7,8 @@ import clifford_reference as ref
 from diracgeo import bundles as bnd
 from diracgeo import spin as sp
 from diracgeo.charts import Chart, MetricJet, get_chart, metric_jet
-from diracgeo.clifford import (CLIFFORD, BilinearForm, MultivectorElement,
-                               action_matrix, clifford_product, parity_matrix,
-                               product_table, quantize_blades)
+from diracgeo.clifford import (BilinearForm, clifford_product, parity_matrix,
+                               product_table, quantize, quantize_blades)
 from diracgeo.forms import (covariant_derivative, exterior_derivative,
                             hodge_star, iota_vector, wedge_forms)
 from diracgeo.jets import Jet
@@ -72,10 +71,9 @@ def test_clifford_product_and_action_match_word_peeling(n):
     for neg in _signatures(n):
         b = BilinearForm(_pairing(rng, n, neg))
         a, c = _draw(rng, 1 << n), _draw(rng, 1 << n)
-        ea, ec = (MultivectorElement(n, v, CLIFFORD, b) for v in (a, c))
         want = ref.clifford_action_dict(ref.to_dict(a), ref.to_dict(c), b.matrix)
-        _close(clifford_product(ea, ec).coeffs, ref.to_array(want, n))
-        _close(action_matrix(ea), ref.action_matrix(a, b.matrix))
+        _close(clifford_product(a, c, b.table), ref.to_array(want, n))
+        _close(quantize(a, b.table), ref.action_matrix(a, b.matrix))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

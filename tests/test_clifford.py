@@ -1,13 +1,17 @@
 """Clifford algebra: generator relation, symbol calculus, chirality."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diracgeo.clifford import (CLIFFORD, EXTERIOR, AlgebraMismatchError,
-                               BilinearForm, DegenerateFormError,
-                               MultivectorElement, action_matrix, blade_tables,
+import clifford_reference as ref
+from diracgeo.clifford import (BilinearForm, DegenerateFormError, blade_tables,
                                chirality, clifford_product, contract,
-                               parity_matrix, quantize, symbol, wedge)
+                               parity_matrix, product_table, quantize, symbol,
+                               wedge_table)
 
 
 def random_form(rng, n, neg=0):
@@ -22,9 +26,24 @@ def random_form(rng, n, neg=0):
             return BilinearForm(m)
 
 
-def random_covector(rng, n, b):
-    c = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return MultivectorElement.covector(c, CLIFFORD, b)
+def covector(c):
+    """The covector with components c on the blade axis."""
+    out = np.zeros(1 << len(c), dtype=complex)
+    out[1 << np.arange(len(c))] = c
+    return out
+
+
+def blade(indices, n):
+    """The blade dx^{i_1} ^ ... ^ dx^{i_k} of ascending indices, or 1."""
+    return np.eye(1 << n)[sum(1 << i for i in indices)]
+
+
+def random_components(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def norm(x):
+    return np.linalg.norm(x, axis=-1)
 
 
 def test_generator_relation_both_signatures():
@@ -33,25 +52,21 @@ def test_generator_relation_both_signatures():
         for neg in (0, 1):
             b = random_form(rng, n, neg)
             for _ in range(20):
-                u = random_covector(rng, n, b)
-                v = random_covector(rng, n, b)
-                uc = np.array([u.coefficient([i]) for i in range(n)])
-                vc = np.array([v.coefficient([i]) for i in range(n)])
-                lhs = u * v + v * u
-                want = MultivectorElement.scalar(-2.0 * (uc @ b.matrix @ vc), n,
-                                                 CLIFFORD, b)
-                scale = max(1.0, (u * v).norm())
-                assert (lhs - want).norm() / scale < 1e-12
+                uc, vc = random_components(rng, n), random_components(rng, n)
+                u, v = covector(uc), covector(vc)
+                uv = clifford_product(u, v, b.table)
+                lhs = uv + clifford_product(v, u, b.table)
+                want = -2.0 * (uc @ b.matrix @ vc) * blade([], n)
+                assert norm(lhs - want) / max(1.0, norm(uv)) < 1e-12
 
 
 def test_quantize_symbol_roundtrip():
     rng = np.random.default_rng(7)
     n = 4
     b = random_form(rng, n)
-    coeffs = [complex(rng.normal(), rng.normal()) for _ in range(1 << n)]
-    a = MultivectorElement(n, coeffs, EXTERIOR)
-    back = symbol(quantize(a, b))
-    assert (back - a).norm() < 1e-15
+    a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    back = symbol(quantize(a, b.table))
+    assert norm(back - a) < 1e-15
 
 
 def test_product_on_vacuum_reads_off_symbol():
@@ -59,9 +74,8 @@ def test_product_on_vacuum_reads_off_symbol():
     rng = np.random.default_rng(13)
     n = 3
     b = random_form(rng, n)
-    coeffs = [complex(rng.normal()) for _ in range(1 << n)]
-    a = MultivectorElement(n, coeffs, CLIFFORD, b)
-    col = action_matrix(a)[:, 0]
+    coeffs = rng.normal(size=1 << n).astype(complex)
+    col = quantize(coeffs, b.table)[:, 0]
     for m in range(1 << n):
         assert col[m] == pytest.approx(coeffs[m], abs=1e-14)
 
@@ -75,12 +89,10 @@ def test_symbol_of_generator_pair():
         for j in range(n):
             if i == j:
                 continue
-            ei = MultivectorElement.blade([i], n, 1.0, CLIFFORD, b)
-            ej = MultivectorElement.blade([j], n, 1.0, CLIFFORD, b)
-            got = symbol(clifford_product(ei, ej))
-            want = (MultivectorElement.blade([i], n) * MultivectorElement.blade([j], n)
-                    - MultivectorElement.scalar(g[i, j], n))
-            assert (got - want).norm() < 1e-13
+            ei, ej = blade([i], n), blade([j], n)
+            got = clifford_product(ei, ej, b.table)
+            want = clifford_product(ei, ej, wedge_table(n)) - g[i, j] * blade([], n)
+            assert norm(got - want) < 1e-13
 
 
 def test_symbol_of_generator_triple():
@@ -89,12 +101,12 @@ def test_symbol_of_generator_triple():
     b = random_form(rng, n)
     g = b.matrix
     for (i, j, k) in ((0, 1, 2), (1, 3, 2), (3, 0, 1), (2, 1, 0)):
-        es = [MultivectorElement.blade([q], n, 1.0, CLIFFORD, b) for q in (i, j, k)]
-        got = symbol(clifford_product(clifford_product(es[0], es[1]), es[2]))
-        dx = [MultivectorElement.blade([q], n) for q in (i, j, k)]
-        want = (wedge(wedge(dx[0], dx[1]), dx[2])
+        dx = [blade([q], n) for q in (i, j, k)]
+        got = clifford_product(clifford_product(dx[0], dx[1], b.table), dx[2], b.table)
+        w = wedge_table(n)
+        want = (clifford_product(clifford_product(dx[0], dx[1], w), dx[2], w)
                 - dx[0] * g[j, k] + dx[1] * g[i, k] - dx[2] * g[i, j])
-        assert (got - want).norm() < 1e-13
+        assert norm(got - want) < 1e-13
 
 
 def test_associativity():
@@ -102,13 +114,12 @@ def test_associativity():
     for n in (2, 4, 5):
         b = random_form(rng, n, neg=n % 2)
         for _ in range(10):
-            a = MultivectorElement(n, [complex(rng.normal(), rng.normal())
-                                       for _ in range(1 << n)], CLIFFORD, b)
-            c = random_covector(rng, n, b)
-            d = random_covector(rng, n, b)
-            lhs = (a * c) * d
-            rhs = a * (c * d)
-            assert (lhs - rhs).norm() / max(1.0, lhs.norm()) < 1e-12
+            a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            c = covector(random_components(rng, n))
+            d = covector(random_components(rng, n))
+            lhs = clifford_product(clifford_product(a, c, b.table), d, b.table)
+            rhs = clifford_product(a, clifford_product(c, d, b.table), b.table)
+            assert norm(lhs - rhs) / max(1.0, norm(lhs)) < 1e-12
 
 
 def test_exterior_module_action_is_epsilon_minus_iota():
@@ -116,11 +127,10 @@ def test_exterior_module_action_is_epsilon_minus_iota():
     rng = np.random.default_rng(29)
     n = 3
     b = random_form(rng, n)
-    v = random_covector(rng, n, b)
-    c = np.array([v.coefficient([i]) for i in range(n)])
+    c = random_components(rng, n)
     eps, iota = blade_tables(n)
     want = contract(c, eps) - contract(c @ b.matrix, iota)
-    assert np.max(np.abs(action_matrix(v) - want)) < 1e-13
+    assert np.max(np.abs(quantize(covector(c), b.table) - want)) < 1e-13
 
 
 def test_epsilon_iota_algebra():
@@ -152,9 +162,8 @@ def test_parity_conjugation_flips_odd_elements():
     rng = np.random.default_rng(37)
     n = 3
     b = random_form(rng, n)
-    v = random_covector(rng, n, b)
     p = parity_matrix(n)
-    cv = action_matrix(v)
+    cv = quantize(covector(random_components(rng, n)), b.table)
     assert np.max(np.abs(p @ cv @ p + cv)) < 1e-13
 
 
@@ -162,29 +171,29 @@ def test_chirality_squares_to_one_and_anticommutes():
     rng = np.random.default_rng(41)
     for n, neg in ((2, 0), (4, 0), (4, 1), (6, 0)):
         b = random_form(rng, n, neg)
-        ch = chirality(b)
-        gam = ch.element
-        one = MultivectorElement.scalar(1.0, n, CLIFFORD, b)
-        assert (gam * gam - one).norm() < 1e-9
-        v = random_covector(rng, n, b)
-        anti = gam * v + v * gam
-        assert anti.norm() / max(1.0, (gam * v).norm()) < 1e-9
-        assert ch.negative_count == neg
+        gam = chirality(b.matrix)
+        assert norm(clifford_product(gam, gam, b.table) - blade([], n)) < 1e-9
+        v = covector(random_components(rng, n))
+        gv = clifford_product(gam, v, b.table)
+        anti = gv + clifford_product(v, gam, b.table)
+        assert norm(anti) / max(1.0, norm(gv)) < 1e-9
+        # G is i^(n/2 + s) |det B|^(-1/2) on the top blade, s the number of
+        # negative eigenvalues of B
+        top = 1j ** (n // 2 + neg) / np.sqrt(abs(np.linalg.det(b.matrix)))
+        assert norm(gam - top * blade(range(n), n)) < 1e-9
 
 
 def test_chirality_orientation_reversal():
-    b = BilinearForm(np.eye(2))
-    plus = chirality(b, orientation=1).element
-    minus = chirality(b, orientation=-1).element
-    assert (plus + minus).norm() < 1e-12
+    plus = chirality(np.eye(2), orientation=1)
+    minus = chirality(np.eye(2), orientation=-1)
+    assert norm(plus + minus) < 1e-12
 
 
 def test_chirality_euclidean_plane_matches_hand_value():
-    b = BilinearForm(np.eye(2))
-    gam = chirality(b).element
+    gam = chirality(np.eye(2))
     # i * e1 e2: symbol coordinates put everything on the top blade
-    assert gam.coefficient([0, 1]) == pytest.approx(1j, abs=1e-12)
-    assert abs(gam.coefficient([])) < 1e-12
+    assert gam[0b11] == pytest.approx(1j, abs=1e-12)
+    assert abs(gam[0]) < 1e-12
 
 
 def test_degenerate_form_rejected():
@@ -200,32 +209,20 @@ def test_degenerate_form_rejected():
 def test_degeneracy_floor_does_not_depend_on_scale():
     for scale in (1e-4, 1e-12, 1e8):
         b = BilinearForm(scale * np.eye(4))
-        one = MultivectorElement.scalar(1.0, 4, CLIFFORD, b)
-        e0 = MultivectorElement.blade([0], 4, 1.0, CLIFFORD, b)
-        assert ((e0 * e0) + one * scale).norm() <= 1e-15 * scale
-
-
-def test_algebra_mismatch_guards():
-    rng = np.random.default_rng(43)
-    b1 = random_form(rng, 3)
-    b2 = random_form(rng, 3)
-    u = random_covector(rng, 3, b1)
-    v = random_covector(rng, 3, b2)
-    with pytest.raises(AlgebraMismatchError):
-        _ = u * v
-    ext = MultivectorElement.covector([1.0, 0.0, 0.0], EXTERIOR)
-    with pytest.raises(AlgebraMismatchError):
-        clifford_product(ext, ext)
-    with pytest.raises(AlgebraMismatchError):
-        symbol(ext)
-    with pytest.raises(AlgebraMismatchError):
-        quantize(u, b1)
+        e0 = blade([0], 4)
+        assert norm(clifford_product(e0, e0, b.table) + scale * blade([], 4)) <= 1e-15 * scale
 
 
 def test_odd_dimension_chirality_rejected():
-    b = BilinearForm(np.eye(3))
     with pytest.raises(ValueError):
-        chirality(b)
+        chirality(np.eye(3))
+
+
+def test_quantize_rejects_coefficients_that_do_not_fit_the_tables():
+    table = product_table(np.array([np.eye(2)] * 3))
+    for w in (np.ones(4), np.ones((2, 4)), np.ones((3, 8))):
+        with pytest.raises(ValueError, match="do not fit"):
+            quantize(w, table)
 
 
 def test_symmetry_floor_does_not_depend_on_scale():
@@ -237,3 +234,81 @@ def test_symmetry_floor_does_not_depend_on_scale():
     # rounding-level asymmetry, as in an inverted metric, is accepted
     m = np.array([[2.0, 0.3], [0.3 + 1e-16, 1.0]]) * 1e-13
     assert BilinearForm(m).n == 2
+
+
+# ---------------------------------------------------------------------------
+# the stacked functions against the references, on drawn pairing stacks
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+
+@st.composite
+def pairing_stacks(draw, dims=st.integers(1, 5)):
+    """A stack of 1 to 4 pairings of one dimension, each of its own drawn
+    signature and scale, with a seed for the coefficients drawn against it."""
+    n, size = draw(dims), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = np.array([random_form(rng, n, draw(st.integers(0, n))).matrix
+                      * draw(st.sampled_from([1e-3, 1.0, 1e3])) for _ in range(size)])
+    return stack, rng
+
+
+@FUZZ
+@given(pairing_stacks())
+def test_stacked_products_match_word_peeling_and_the_dict_wedge(drawn):
+    stack, rng = drawn
+    n, dim = stack.shape[-1], 1 << stack.shape[-1]
+    x = rng.normal(size=(len(stack), dim)) + 1j * rng.normal(size=(len(stack), dim))
+    y = rng.normal(size=(len(stack), dim)) + 1j * rng.normal(size=(len(stack), dim))
+    got = clifford_product(x, y, product_table(stack))
+    wedged = clifford_product(x, y, wedge_table(n))
+    for p in range(len(stack)):
+        want = ref.to_array(ref.clifford_action_dict(ref.to_dict(x[p]), ref.to_dict(y[p]),
+                                                     stack[p]), n)
+        assert norm(got[p] - want) <= 1e-13 * max(1.0, norm(want))
+        want = ref.to_array(ref.dict_wedge(ref.to_dict(x[p]), ref.to_dict(y[p])), n)
+        assert norm(wedged[p] - want) <= 1e-13 * max(1.0, norm(want))
+
+
+@FUZZ
+@given(pairing_stacks(dims=st.sampled_from([2, 4])))
+def test_stacked_chirality_is_the_chirality_of_each_member(drawn):
+    stack, _ = drawn
+    n = stack.shape[-1]
+    gam, table = chirality(stack), product_table(stack)
+    assert np.array_equal(chirality(stack, orientation=-1), -gam)
+    one = blade([], n)
+    for p in range(len(stack)):
+        assert np.array_equal(gam[p], chirality(stack[p]))
+        # G has size |det B|^(-1/2), so the terms of G^2 that cancel to its
+        # lower blades are of size |G|^2 |B|^(n/2)
+        scale = max(1.0, norm(gam[p]) ** 2 * np.max(np.abs(stack[p])) ** (n // 2))
+        assert norm(clifford_product(gam[p], gam[p], table[p]) - one) <= 1e-12 * scale
+        for i in range(n):
+            gi = clifford_product(gam[p], blade([i], n), table[p])
+            anti = gi + clifford_product(blade([i], n), gam[p], table[p])
+            assert norm(anti) <= 1e-12 * max(1.0, norm(gi))
+
+
+@FUZZ
+@given(pairing_stacks(dims=st.sampled_from([2, 4])), st.data())
+def test_a_degenerate_or_asymmetric_member_is_rejected(drawn, data):
+    stack, _ = drawn
+    n = stack.shape[-1]
+    p = data.draw(st.integers(0, len(stack) - 1))
+    bad = stack.copy()
+    if data.draw(st.booleans()):
+        vals, vecs = np.linalg.eigh(bad[p])
+        vals[data.draw(st.integers(0, n - 1))] = (data.draw(st.sampled_from([0.0, 1e-14, -1e-13]))
+                                                  * np.max(np.abs(vals)))
+        bad[p] = vecs @ np.diag(vals) @ vecs.T
+        bad[p] = 0.5 * (bad[p] + bad[p].T)
+    else:
+        bad[p, 0, 1] += data.draw(st.sampled_from([1e-6, 1.0])) * np.max(np.abs(bad[p]))
+    with pytest.raises(ValueError) as single:
+        BilinearForm(bad[p])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(single.type, match=re.escape(str(single.value))):
+            chirality(bad)

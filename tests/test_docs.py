@@ -1,5 +1,7 @@
 """The README's examples run, and every exported name resolves."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -22,6 +24,22 @@ def test_every_exported_name_resolves():
     missing = [name for name in diracgeo.__all__ if not hasattr(diracgeo, name)]
     assert not missing
     assert len(set(diracgeo.__all__)) == len(diracgeo.__all__)
+
+
+def test_readme_module_names_resolve():
+    # every backticked `module.name`, or call `module.name(...)`, of a
+    # diracgeo module names a live object, so a deleted name cannot stay
+    modules = {m.name for m in pkgutil.iter_modules(diracgeo.__path__)}
+    dotted = [name.removeprefix("diracgeo.").split(".") for name in
+              re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*?\))?`",
+                         README.read_text())]
+    dotted = [parts for parts in dotted if parts[0] in modules]
+    assert len(dotted) >= 10
+    for parts in dotted:
+        obj = importlib.import_module(f"diracgeo.{parts[0]}")
+        for attr in parts[1:]:
+            assert hasattr(obj, attr), ".".join(parts)
+            obj = getattr(obj, attr)
 
 
 def test_readme_lists_the_accepted_config_keys():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracgeo import charts
+from diracgeo import bundles, charts, cli, clifford, forms
 from diracgeo import seiberg_witten as swm
 from diracgeo import suites
 from diracgeo.charts import registry
@@ -80,6 +80,69 @@ def test_log_det_check_catches_a_dropped_half(monkeypatch):
     for chart in ("sphere2", "poly3", "hyperbolic4"):
         rep = run_suite("levi-civita", chart=chart, seed=1, samples=3)
         assert not {c.check_id: c for c in rep.checks}["levi-civita-log-det"].passed
+
+
+def _parity_swapped_blade(gammas, q, mask):
+    """``clifford._quantized_blade`` with the two signs of its recursion swapped."""
+    if mask not in q:
+        gam = gammas[(mask & -mask).bit_length() - 1]
+        rest = _parity_swapped_blade(gammas, q, mask & (mask - 1))
+        left, right = gam @ rest, rest @ gam
+        q[mask] = (left - right if mask.bit_count() % 2 else left + right) * 0.5
+    return q[mask]
+
+
+def _clear_table_caches():
+    for cached in (clifford.wedge_table, forms._sparse_table, bundles._koszul_wedge):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def parity_swapped_tables(monkeypatch):
+    """Every Clifford table built from the parity-swapped recursion, with the
+    caches that hold tables emptied before and after, so that no bad table
+    outlives the test."""
+    _clear_table_caches()
+    monkeypatch.setattr(clifford, "_quantized_blade", _parity_swapped_blade)
+    yield
+    monkeypatch.undo()
+    _clear_table_caches()
+
+
+def _failing(rep):
+    return {c.check_id for c in rep.checks if not c.passed}
+
+
+def test_a_wrong_table_fails_checks_instead_of_ending_the_run(parity_swapped_tables, capsys):
+    rep = run_suite("clifford", chart="sphere4", seed=1, samples=3)
+    assert len(rep.checks) == 6 and "clifford-chirality" in _failing(rep)
+    assert cli.main(["verify", "--suite", "all", "--chart", "sphere4", "--samples", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    full = run_suite("all", chart="sphere4", seed=1, samples=3)
+    assert sorted(row["id"] for row in payload["checks"]) == sorted(c.check_id
+                                                                    for c in full.checks)
+    assert "clifford-chirality" in {row["id"] for row in payload["checks"] if not row["pass"]}
+
+
+def test_symbol_roundtrip_fails_under_the_parity_swapped_recursion(parity_swapped_tables):
+    rep = run_suite("clifford", chart="poly3", seed=1, samples=5)
+    assert "clifford-symbol-roundtrip" in _failing(rep)
+
+
+def test_symbol_roundtrip_fails_on_a_transposed_table_block(monkeypatch):
+    # Q[e_0 ^ e_1] transposed away from row and column 0: the vacuum column,
+    # and so the symbol of every quantized blade, is unchanged
+    real = suites.product_table
+
+    def mutant(pairing):
+        table = real(pairing).copy()
+        block = table[..., 3, 1:, 1:]
+        table[..., 3, 1:, 1:] = np.swapaxes(block, -1, -2)
+        return table
+
+    monkeypatch.setattr(suites, "product_table", mutant)
+    rep = run_suite("clifford", chart="poly3", seed=1, samples=5)
+    assert "clifford-symbol-roundtrip" in _failing(rep)
 
 
 REFERENCE = json.loads((Path(__file__).parent / "cartan_hodge_reference.json").read_text())
