@@ -92,7 +92,7 @@ class MetricJet:
     dg[k, i, j] = d_k g_ij and d2g[l, k, i, j] = d_l d_k g_ij.  Inverse-metric
     and volume-factor jets are derived once here; the Christoffel symbols,
     their first derivatives and the compound inverse metric Lambda(g^-1) are
-    computed once, on first use.  All are shared downstream.
+    computed once, on first use.  All are shared downstream, and read-only.
     """
 
     def __init__(self, chart: Chart, x: np.ndarray, g: np.ndarray,
@@ -100,9 +100,8 @@ class MetricJet:
         self.chart = chart
         self.x = x
         self.n = chart.n
-        self.g = g
-        self.dg = dg
-        self.d2g = d2g
+        # views: making them read-only leaves the caller's arrays writable
+        self.g, self.dg, self.d2g = (np.asarray(a).view() for a in (g, dg, d2g))
         self.g_inv = np.linalg.inv(g)
 
         # d(g^-1) = -g^-1 (dg) g^-1 ; second derivatives by one more product
@@ -124,6 +123,10 @@ class MetricJet:
         dh, s = self.dh, self.sqrt_abs_det[..., None]
         self.dsqrt = s * dh
         self.ddsqrt = s[..., None] * (self.ddh + dh[..., :, None] * dh[..., None, :])
+        for a in (self.g, self.dg, self.d2g, self.g_inv, self.dg_inv, self.d2g_inv, self.det,
+                  self.sqrt_abs_det, self.dh, self.ddh, self.dsqrt, self.ddsqrt):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
 
     @cached_property
     def christoffel(self) -> np.ndarray:

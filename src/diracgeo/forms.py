@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iterproduct
 from math import prod
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -235,23 +235,51 @@ class PolyField:
                          np.zeros((0,) + tuple(shape), dtype=complex))
 
 
+class FieldLayout(NamedTuple):
+    """A random PolyField's variables, fiber shape, degree, coefficient kind
+    and blade masks: the arguments of ``random_poly_field``."""
+
+    n: int
+    shape: tuple = ()
+    degree: int = 2
+    complex_coeffs: bool = False
+    masks: Optional[Tuple[int, ...]] = None
+
+    @staticmethod
+    def form(n: int, p: int, complex_coeffs: bool = False, degree: int = 2) -> "FieldLayout":
+        masks = tuple(m for m in range(1 << n) if bin(m).count("1") == p)
+        return FieldLayout(n, (len(masks),), degree, complex_coeffs, masks)
+
+    @property
+    def size(self) -> int:
+        """The uniform draws of one field."""
+        terms = len(exponent_table(self.n, self.degree))
+        return prod(self.shape) * terms * (1 + self.complex_coeffs)
+
+
+def poly_fields(draws: np.ndarray, layouts: Sequence[FieldLayout]) -> list:
+    """The fields of ``layouts`` cut in turn from uniform(-1, 1) draws, each
+    entries row-major, then terms, then real before imaginary part.  Draws
+    (D,) give one field per layout, rows (P, D) stacked fields."""
+    lead, out, at = draws.shape[:-1], [], 0
+    for lay in layouts:
+        exps = exponent_table(lay.n, lay.degree)
+        block, at = draws[..., at:at + lay.size], at + lay.size
+        block = block.view(complex) if lay.complex_coeffs else block.astype(complex)
+        coeffs = block.reshape(lead + (-1, len(exps))).swapaxes(-1, -2)
+        out.append(PolyField(lay.n, exps, np.ascontiguousarray(coeffs).reshape(
+            lead + (len(exps),) + lay.shape), lay.masks, stacked=bool(lead)))
+    return out
+
+
 def random_poly_field(rng, n: int, shape: tuple = (), degree: int = 2,
                       complex_coeffs: bool = False,
                       masks: Optional[Tuple[int, ...]] = None) -> PolyField:
-    """Random polynomial field, coefficients uniform in [-1, 1].
-
-    The draw order is entries row-major, then terms, then real before
-    imaginary part: one vectorized call gives the same stream as the loop
-    of scalar draws it replaces.
-    """
-    exps = exponent_table(n, degree)
-    size = (prod(shape), len(exps))
-    if complex_coeffs:
-        draws = rng.uniform(-1.0, 1.0, size=size + (2,)).view(complex)[..., 0]
-    else:
-        draws = rng.uniform(-1.0, 1.0, size=size).astype(complex)
-    coeffs = np.ascontiguousarray(draws.T).reshape((len(exps),) + tuple(shape))
-    return PolyField(n, exps, coeffs, masks)
+    """Random polynomial field, coefficients uniform in [-1, 1], drawn in
+    one call in the order of ``poly_fields``: the same stream as the loop
+    of scalar draws it replaces."""
+    lay = FieldLayout(n, tuple(shape), degree, complex_coeffs, masks)
+    return poly_fields(rng.uniform(-1.0, 1.0, lay.size), [lay])[0]
 
 
 def random_poly_scalar(rng, n: int, degree: int = 2,
@@ -265,9 +293,7 @@ def random_poly_vector(rng, n: int, degree: int = 2) -> PolyField:
 
 def random_poly_form(rng, n: int, p: int, degree: int = 2,
                      complex_coeffs: bool = False) -> PolyField:
-    masks = tuple(m for m in range(1 << n) if bin(m).count("1") == p)
-    return random_poly_field(rng, n, (len(masks),), degree, complex_coeffs,
-                             masks=masks)
+    return random_poly_field(rng, *FieldLayout.form(n, p, complex_coeffs, degree))
 
 
 # ---------------------------------------------------------------------------

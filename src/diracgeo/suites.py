@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations
 from typing import Callable, Dict, List, Optional
@@ -18,11 +19,10 @@ from .clifford import (blade_tables, chirality, clifford_product, contract,
 from .curvature import (curvature_data, curvature_two_form_residual,
                         divergence_via_connection, divergence_via_density,
                         log_det_identity_residual)
-from .forms import (PolyField, exterior_derivative,
+from .forms import (FieldLayout, PolyField, exterior_derivative,
                     gram_pairing, hodge_star, coderivative_connection,
                     coderivative_hodge, forms_dirac, iota_vector,
-                    laplace_beltrami, lie_derivative, random_poly_field,
-                    random_poly_form, random_poly_scalar, random_poly_vector,
+                    laplace_beltrami, lie_derivative, poly_fields,
                     vector_bracket, volume_form, wedge_forms)
 from .jets import Jet, relative, relative_gap, sample_max
 from .report import VerificationReport
@@ -56,19 +56,17 @@ def _timed(rep: VerificationReport, cid: str, identity: str, tol: float,
     rep.add(cid, identity, resid, tol, time.perf_counter() - t0)
 
 
-class _Run:
-    """One chart suite's setup: the chart, the seeded generator, the sample
-    points (drawn before any field), the report, and the metric jets at every
-    point (``mj``) and at the first max(4, P // 4) points, where the costlier
-    checks run (``head``)."""
+class _Points:
+    """The sample points, drawn first from the seeded generator, its state
+    after them, and the read-only metric jets at every point (``mj``) and at
+    the first max(4, P // 4), where the costlier checks run (``head``), built
+    on first use.  ``run_suite("all")`` shares one among its sub-suites."""
 
-    def __init__(self, suite: str, chart: str, seed: int, samples: int):
+    def __init__(self, chart: str, seed: int, samples: int):
         self.ch = get_chart(chart)
-        self.n = self.ch.n
-        self.rng = np.random.default_rng(seed)
-        self.xs = np.array([self.ch.sample_point(self.rng) for _ in range(samples)])
-        self.rep = VerificationReport(suite, chart, seed, samples)
-        self.check = partial(_timed, self.rep)
+        rng = np.random.default_rng(seed)
+        self.xs = np.array([self.ch.sample_point(rng) for _ in range(samples)])
+        self.after = rng.bit_generator.state
 
     @cached_property
     def mj(self) -> MetricJet:
@@ -79,17 +77,30 @@ class _Run:
         few = max(4, len(self.xs) // 4)
         return self.mj if few >= len(self.xs) else metric_jet(self.ch, self.xs[:few])
 
-    def draws(self, make: Callable, per: int = 1,
-              at: Optional[np.ndarray] = None) -> List[tuple]:
-        """``per`` draws of the tuple ``make(rng)`` at each point of ``at``
-        (the sample points unless given), points outermost.  Draw k of every
-        point is one stack: a field of the tuple becomes one 2-jet at ``at``,
-        a plain number one array."""
+
+class _Run:
+    """One chart suite's setup: the report, the points and jets of ``pts``
+    (built here unless given), and a generator at the state after the points."""
+
+    def __init__(self, suite: str, chart: str, seed: int, samples: int,
+                 pts: Optional[_Points] = None):
+        self.pts = pts or _Points(chart, seed, samples)
+        self.ch, self.n, self.xs = self.pts.ch, self.pts.ch.n, self.pts.xs
+        self.rng = np.random.default_rng(seed)
+        self.rng.bit_generator.state = self.pts.after
+        self.rep = VerificationReport(suite, chart, seed, samples)
+        self.check = partial(_timed, self.rep)
+
+    mj = property(lambda self: self.pts.mj)
+    head = property(lambda self: self.pts.head)
+
+    def draws(self, layouts, per: int = 1, at: Optional[np.ndarray] = None) -> List[list]:
+        """``per`` draws of the fields of ``layouts`` at each point of ``at`` (the
+        sample points unless given) in one uniform call, in the order of a
+        per-point loop of ``random_poly_field``: draw k is one 2-jet per layout."""
         at = self.xs if at is None else at
-        rows = [[make(self.rng) for _ in range(per)] for _ in at]
-        return [tuple(PolyField.stack(col).eval(at, 2) if isinstance(col[0], PolyField)
-                      else np.array(col) for col in zip(*(r[k] for r in rows)))
-                for k in range(per)]
+        u = self.rng.uniform(-1.0, 1.0, (len(at), per, sum(lay.size for lay in layouts)))
+        return [[f.eval(at, 2) for f in poly_fields(u[:, k], layouts)] for k in range(per)]
 
 
 def _samples_amax(*arrays) -> np.ndarray:
@@ -97,30 +108,41 @@ def _samples_amax(*arrays) -> np.ndarray:
     return reduce(np.maximum, (sample_max(a, 1) for a in arrays))
 
 
-def _mixed_form_field(rng, n: int) -> PolyField:
-    """A complex form of every degree, drawn degree by degree as the pure
-    forms of ``random_poly_form`` are, in one draw."""
-    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-    return random_poly_field(rng, n, (1 << n,), complex_coeffs=True, masks=tuple(masks))
-
-
 # ---------------------------------------------------------------------------
 # cartan
 # ---------------------------------------------------------------------------
 
 
-def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
-    run = _Run("cartan", chart, seed, samples)
-    n = run.n
+def _cartan_fields(run: _Run, at: np.ndarray) -> tuple:
+    """Per row of ``at``, as the per-row loop of ``random_poly_*`` drew them:
+    the degree p of a pure form, then one block for two forms of every
+    degree, two vector fields and that pure form.  Each field is one 2-jet
+    at ``at``, p one array."""
+    n, rng = run.n, run.rng
+    mixed = FieldLayout(n, (1 << n,), complex_coeffs=True, masks=tuple(
+        sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))))
+    layouts = (mixed, mixed, FieldLayout(n, (n,)), FieldLayout(n, (n,)))
+    pure_forms = [FieldLayout.form(n, q, True) for q in range(n + 1)]
+    size, p, rows = sum(lay.size for lay in layouts), np.zeros(len(at), dtype=np.int64), []
+    for i in range(len(at)):
+        p[i] = rng.integers(0, n + 1)
+        rows.append(rng.uniform(-1.0, 1.0, size + pure_forms[p[i]].size))
+    fields = poly_fields(np.array([r[:size] for r in rows]), layouts)
+    # the pure forms, one stack per degree, spread onto the blade axis
+    exps = fields[0].exponents
+    pure = np.zeros((len(at), len(exps), 1 << n), dtype=complex)
+    for deg in set(p.tolist()):
+        take = np.flatnonzero(p == deg)
+        pure[take] = poly_fields(np.array([rows[i][size:] for i in take]),
+                                 [pure_forms[deg]])[0].on_blade_axis().coeffs
+    fields.append(PolyField(n, exps, pure, stacked=True))
+    return tuple(f.eval(at, 2) for f in fields) + (p,)
 
-    def fields(rng):
-        p = int(rng.integers(0, n + 1))
-        return (_mixed_form_field(rng, n), _mixed_form_field(rng, n),
-                random_poly_vector(rng, n), random_poly_vector(rng, n),
-                random_poly_form(rng, n, p, complex_coeffs=True), p)
 
+def cartan_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
+    run = _Run("cartan", chart, seed, samples, pts)
     # every check runs once over the stack of (point, draw) samples
-    (a, b, X, Y, pure, p), = run.draws(fields, at=np.repeat(run.xs, JETS_PER_POINT, 0))
+    a, b, X, Y, pure, p = _cartan_fields(run, np.repeat(run.xs, JETS_PER_POINT, 0))
     sign = (-1.0) ** p
 
     def d_squared():
@@ -177,8 +199,8 @@ def cartan_suite(chart: str, seed: int, samples: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
-    run = _Run("clifford", chart, seed, samples)
+def clifford_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
+    run = _Run("clifford", chart, seed, samples, pts)
     n, dim, rng, mj = run.n, 1 << run.n, run.rng, run.mj
     table = product_table(mj.g_inv)                 # (P, 2^n, 2^n, 2^n)
     product = partial(clifford_product, table=table)
@@ -229,9 +251,13 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     def chirality_relations():
         if n % 2:
             return 0.0
+        # G has size |det g|^(1/2); the terms of G^2 that cancel to its lower
+        # blades are of size |G|^2 |g^-1|^(n/2)
         g = chirality(mj.g_inv)
-        return np.maximum(norm(product(g, g) - np.eye(dim)[0]),
-                          norm(product(g, chiral) + product(chiral, g)))
+        gc, cg = product(g, chiral), product(chiral, g)
+        cancel = norm(g) ** 2 * np.max(np.abs(mj.g_inv), axis=(-2, -1)) ** (n // 2)
+        return np.maximum(relative(norm(product(g, g) - np.eye(dim)[0]), cancel),
+                          relative(norm(gc + cg), norm(gc), norm(cg)))
 
     run.check("clifford-generator-relation",
               "c(u)c(v) + c(v)c(u) = -2(u,v)", 1e-12, generator_relation)
@@ -256,8 +282,8 @@ def clifford_suite(chart: str, seed: int, samples: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def levi_civita_suite(chart: str, seed: int, samples: int) -> VerificationReport:
-    run = _Run("levi-civita", chart, seed, samples)
+def levi_civita_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
+    run = _Run("levi-civita", chart, seed, samples, pts)
     n = run.n
     cd = curvature_data(run.mj)
     mj, gam, low = cd.mj, cd.christoffel, cd.lowered
@@ -265,8 +291,7 @@ def levi_civita_suite(chart: str, seed: int, samples: int) -> VerificationReport
     def divergence_routes():
         return [np.abs(divergence_via_density(mj, X.val, X.d)
                        - divergence_via_connection(mj, gam, X.val, X.d))
-                for (X,) in run.draws(lambda r: (random_poly_vector(r, n),),
-                                      per=JETS_PER_POINT)]
+                for (X,) in run.draws([FieldLayout(n, (n,))], per=JETS_PER_POINT)]
 
     run.check("levi-civita-metric-compatibility", "nabla g = 0", 1e-9,
               lambda: _samples_amax(mj.dg - np.einsum("pmli,pmj->plij", gam, mj.g)
@@ -309,8 +334,8 @@ def _superconnections(ms: bnd.ModuleSpec, n: int, count: int, base_seed: int,
         base_seed + np.arange(count))
 
 
-def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
-    run = _Run("laplacian", chart, seed, samples)
+def laplacian_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
+    run = _Run("laplacian", chart, seed, samples, pts)
     n, xs, mj = run.n, run.xs, run.mj
     ms = bnd.exterior_module(n)
     m = ms.m
@@ -318,8 +343,7 @@ def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     H = bnd.laplacian_from_dirac(bnd.quantize_superconnection(
         _superconnections(ms, n, samples, seed), mj, ms, xs, order=1), mj)
 
-    def section(rng):
-        return (bnd.random_poly_section(rng, n, m),)
+    section = [FieldLayout(n, (m,), complex_coeffs=True)]
 
     def decompose_roundtrip():
         A, F = bnd.laplacian_decompose(H, mj)
@@ -335,8 +359,7 @@ def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
     def scalar_reduction():
         zero = Jet.constant(np.zeros((n, 1, 1)), xs)
         out = []
-        for (f,) in run.draws(lambda r: (random_poly_scalar(r, n, 3, complex_coeffs=True),),
-                              per=3):
+        for (f,) in run.draws([FieldLayout(n, (), 3, complex_coeffs=True)], per=3):
             want = laplace_beltrami(f, mj)
             out.append(relative(np.abs(bnd.canonical_laplacian(zero, mj, f[None])[:, 0] - want),
                                 np.abs(want)))
@@ -360,8 +383,8 @@ def laplacian_suite(chart: str, seed: int, samples: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationReport:
-    run = _Run("superconnection", chart, seed, samples)
+def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
+    run = _Run("superconnection", chart, seed, samples, pts)
     n, xs, mj = run.n, run.xs, run.mj
     ms = bnd.exterior_module(n)
     m = ms.m
@@ -389,7 +412,7 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
             _superconnections(ms, n, few, base, specs), head, ms, hx, order=0)
             for specs, base in (({1: "random", 2: "random"}, seed),
                                 ({1: "random", 3: "constant"}, seed + 1000)))
-        (j,), = run.draws(lambda r: (bnd.random_poly_section(r, n, m),), at=hx)
+        (j,), = run.draws([FieldLayout(n, (m,), complex_coeffs=True)], at=hx)
         jc = Jet(hx, j.val, np.zeros_like(j.d), np.zeros_like(j.dd))
         d1, d2 = bnd.apply_dirac(D1, j), bnd.apply_dirac(D2, j)
         rhs = bnd.apply_dirac(D1, jc) - bnd.apply_dirac(D2, jc)
@@ -412,8 +435,8 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
         omega = S.eval_blades(hx, order=1)
         # one section per blade 0..k-1, drawn in blade order
         k = min(1 << n, 8)
-        (fs,), = run.draws(lambda r: (random_poly_field(
-            r, n, (k, m), complex_coeffs=True, masks=tuple(range(k))),), at=hx)
+        (fs,), = run.draws([FieldLayout(n, (k, m), complex_coeffs=True,
+                                        masks=tuple(range(k)))], at=hx)
         twice = bnd.apply_superconnection(omega, bnd.apply_superconnection(omega, fs))
         direct = bnd.apply_form_endomorphism(FS, fs)
         return relative(*(np.sqrt(np.sum(np.abs(t.val) ** 2, axis=(1, 2))) for t in
@@ -438,8 +461,8 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
               0.5, parity_enforced)
     run.check("superconnection-dirac-commutator", "[D, f] = c(df)", DIRAC_COMMUTATOR_TOL,
               lambda: [bnd.dirac_commutator_residual(D, f, j)[1] for f, j in run.draws(
-                  lambda r: (random_poly_scalar(r, n, 2, complex_coeffs=True),
-                             bnd.random_poly_section(r, n, m)), per=3)])
+                  [FieldLayout(n, (), complex_coeffs=True),
+                   FieldLayout(n, (m,), complex_coeffs=True)], per=3)])
     run.check("superconnection-affine",
               "D_1 - D_2 is multiplication by the coefficient difference", 1e-11,
               affine_multiplication)
@@ -462,17 +485,23 @@ def superconnection_suite(chart: str, seed: int, samples: int) -> VerificationRe
 # ---------------------------------------------------------------------------
 
 
-def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationReport:
+def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
     ch = get_chart(chart)
     if ch.n % 2:
         raise SuiteUsageError(f"spinor checks need even dimension, chart {chart} "
                               f"has n={ch.n}")
     if not ch.riemannian:
         raise SuiteUsageError(f"spinor checks need a Riemannian chart, not {chart}")
-    run = _Run("lichnerowicz", chart, seed, samples)
+    run = _Run("lichnerowicz", chart, seed, samples, pts)
     n, mj = run.n, run.mj
-    smd = sp.spin_module_data(n)
-    (a_jets,), = run.draws(lambda r: (sp.imaginary_poly_potential(r, n),))
+    smd, vector = sp.spin_module_data(n), FieldLayout(n, (n,))
+
+    def potentials(at):
+        """One U(1) potential per point of ``at``, as ``imaginary_poly_potential``."""
+        f, = poly_fields(run.rng.uniform(-1.0, 1.0, (len(at), vector.size)), [vector])
+        return replace(f, coeffs=1j * f.coeffs).eval(at, 2)
+
+    a_jets = potentials(run.xs)
     fr = sp.build_frame_from_metric(mj)
     scd = sp.build_spin_connection(fr, smd, mj, a_jets)
     # the chirality and connection-difference checks run on the first few points
@@ -482,8 +511,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
         a_h = Jet(head.x, *(t[:len(head.x)] for t in (a_jets.val, a_jets.d, a_jets.dd)))
         scd_h = sp.build_spin_connection(fr_h, smd, head, a_h)
 
-    def spinor(rng):
-        return (bnd.random_poly_section(rng, n, smd.dim),)
+    spinor = [FieldLayout(n, (smd.dim,), complex_coeffs=True)]
 
     def conformal_closed_form():
         if ch.kind != "conformal":
@@ -493,7 +521,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
                 for (j,) in run.draws(spinor)]
 
     def connection_difference():
-        (b_jets,), = run.draws(lambda r: (sp.imaginary_poly_potential(r, n),), at=head.x)
+        b_jets = potentials(head.x)
         scd2 = sp.build_spin_connection(fr_h, smd, head, b_jets)
         want = 0.5 * (a_h.val - b_jets.val)[..., None, None] * np.eye(smd.dim)
         return _samples_amax(scd_h.omega.val - scd2.omega.val - want)
@@ -527,14 +555,22 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int) -> VerificationRepor
 # ---------------------------------------------------------------------------
 
 
-def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
-    run = _Run("hodge", chart, seed, samples)
+def _antilinear_fields(run: _Run, at: np.ndarray) -> tuple:
+    """Per point of ``at``, a block for a complex 1-form, then two normals for
+    a number c: the forms as one 2-jet at ``at``, and c."""
+    one = FieldLayout.form(run.n, 1, True)
+    rows = [(run.rng.uniform(-1.0, 1.0, one.size), run.rng.normal(size=2)) for _ in at]
+    a, = poly_fields(np.array([u for u, _ in rows]), [one])
+    return a.eval(at, 2), np.array([z for _, z in rows]).view(complex)[:, 0]
+
+
+def hodge_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
+    run = _Run("hodge", chart, seed, samples, pts)
     n, mj, head = run.n, run.mj, run.head
 
     def degree_forms(degs, per: int = 1):
-        """Draws ``per`` complex forms of each degree in degs."""
-        return lambda r: tuple(random_poly_form(r, n, p, complex_coeffs=True)
-                               for p in degs for _ in range(per))
+        """The layouts of ``per`` complex forms of each degree in degs."""
+        return [FieldLayout.form(n, p, True) for p in degs for _ in range(per)]
 
     def double_star():
         out = []
@@ -545,8 +581,7 @@ def hodge_suite(chart: str, seed: int, samples: int) -> VerificationReport:
         return out
 
     def antilinear():
-        (a, c), = run.draws(lambda r: (random_poly_form(r, n, 1, complex_coeffs=True),
-                                       complex(r.normal(), r.normal())), at=head.x)
+        a, c = _antilinear_fields(run, head.x)
         lhs = hodge_star(a.scale(c), head)
         rhs = hodge_star(a, head).scale(np.conj(c))
         return relative(_samples_amax(lhs.val - rhs.val), _samples_amax(lhs.val))
@@ -651,7 +686,7 @@ def sw_suite(seed: int, samples: int,
 # registry
 # ---------------------------------------------------------------------------
 
-CHART_SUITES: Dict[str, Callable[[str, int, int], VerificationReport]] = {
+CHART_SUITES: Dict[str, Callable[..., VerificationReport]] = {
     "cartan": cartan_suite,
     "clifford": clifford_suite,
     "levi-civita": levi_civita_suite,
@@ -677,10 +712,12 @@ def run_suite(name: str, chart: str = "sphere2", seed: int = 1,
     if name == "sw":
         return sw_suite(seed, samples, sw_config)
     if name == "all":
+        # one set of points and metric jets for every sub-suite
         rep = VerificationReport("all", chart, seed, samples)
-        for sub in CHART_SUITES:
+        pts = _Points(chart, seed, samples)
+        for suite in CHART_SUITES.values():
             try:
-                rep.merge(CHART_SUITES[sub](chart, seed, samples))
+                rep.merge(suite(chart, seed, samples, pts))
             except SuiteUsageError:
                 # suites that do not apply to this chart are skipped
                 continue

@@ -7,7 +7,7 @@ import pytest
 
 import fd_oracle
 from diracgeo.charts import (Chart, ChartDomainError, DegenerateMetricError,
-                             chart_from_config, get_chart, load_chart_config,
+                             MetricJet, chart_from_config, get_chart, load_chart_config,
                              metric_jet, polynomial_chart, registry)
 from diracgeo.curvature import curvature_data
 
@@ -73,6 +73,28 @@ def test_metric_inverse_and_derivative_consistency():
     # d(g^-1) = -g^-1 dg g^-1
     want = -np.einsum("ik,akl,lj->aij", mj.g_inv, mj.dg, mj.g_inv)
     assert np.max(np.abs(mj.dg_inv - want)) < 1e-12
+
+
+METRIC_JET_ARRAYS = ("g", "dg", "d2g", "g_inv", "dg_inv", "d2g_inv", "det", "sqrt_abs_det",
+                     "dh", "ddh", "dsqrt", "ddsqrt", "christoffel", "dchristoffel")
+
+
+@pytest.mark.parametrize("name", ["sphere2", "poly3", "minkowski4"])
+def test_metric_jet_arrays_are_read_only(name):
+    # one jet is shared by every check of a run, so no check may write to it
+    ch = get_chart(name)
+    rng = np.random.default_rng(4)
+    mj = metric_jet(ch, np.array([ch.sample_point(rng) for _ in range(3)]))
+    inverse = mj.compound_inverse
+    for a in [getattr(mj, attr) for attr in METRIC_JET_ARRAYS] + [inverse.val, inverse.d,
+                                                                  inverse.dd]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    # the arrays a caller hands in stay writable
+    g, dg, d2g = np.eye(2), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
+    MetricJet(get_chart("flat2"), np.zeros(2), g, dg, d2g)
+    for a in (g, dg, d2g):
+        a[...] = 1.0
 
 
 def test_conformal_charts_are_scalar_multiples_of_identity():

@@ -4,13 +4,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fd_oracle
 from diracgeo import bundles as bnd
 from diracgeo import spin as sp
-from diracgeo.forms import (PolyField, exponent_table, random_poly_field,
-                            random_poly_form, random_poly_scalar,
-                            random_poly_vector)
+from diracgeo.forms import (FieldLayout, PolyField, exponent_table, poly_fields,
+                            random_poly_field, random_poly_form,
+                            random_poly_scalar, random_poly_vector)
 from diracgeo.jets import Jet
 
 
@@ -74,6 +76,40 @@ def test_random_constructors_match_the_scalar_draw_loop(n, degree):
                      matrix_loop)
     _same_stream(lambda r: sp.imaginary_poly_potential(r, n, degree),
                  lambda r: 1j * _loop_draws(r, n, n, degree, False))
+
+
+@st.composite
+def _layouts(draw):
+    """1-3 layouts in n = 1..4 variables: any fiber shape, degree 0-3, real
+    or complex, and blade masks on a first fiber axis that fits 2^n."""
+    n = draw(st.integers(1, 4))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+        masks = None
+        if shape and shape[0] <= 1 << n and draw(st.booleans()):
+            masks = tuple(draw(st.permutations(range(1 << n)))[:shape[0]])
+        out.append(FieldLayout(n, shape, draw(st.integers(0, 3)), draw(st.booleans()), masks))
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_layouts(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_block_draws_are_the_stack_of_random_poly_field(layouts, rows, seed):
+    # rows of one uniform call cut into layouts are, bit for bit, the fields
+    # a per-row loop of random_poly_field draws, stacked; one row gives the
+    # fields themselves
+    size = sum(lay.size for lay in layouts)
+    rng = np.random.default_rng(seed)
+    loop = [[random_poly_field(rng, *lay) for lay in layouts] for _ in range(rows)]
+    block = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, size))
+    for k, (f, lay) in enumerate(zip(poly_fields(block, layouts), layouts)):
+        want = PolyField.stack([row[k] for row in loop])
+        assert f.stacked and f.masks == lay.masks and f.coeffs.flags.c_contiguous
+        assert np.array_equal(f.exponents, want.exponents)
+        assert f.coeffs.dtype == complex and np.array_equal(f.coeffs, want.coeffs)
+    for f, g in zip(poly_fields(block[0], layouts), loop[0]):
+        assert not f.stacked and f.masks == g.masks and np.array_equal(f.coeffs, g.coeffs)
 
 
 def _naive_jet(f: PolyField, x):

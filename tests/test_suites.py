@@ -1,5 +1,6 @@
 """Suite registry behavior: applicability, determinism, check inventory."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from diracgeo import bundles, charts, cli, clifford, forms
 from diracgeo import seiberg_witten as swm
 from diracgeo import suites
 from diracgeo.charts import registry
-from diracgeo.forms import PolyField, random_poly_vector
+from diracgeo.forms import (FieldLayout, PolyField, random_poly_field,
+                            random_poly_form, random_poly_vector)
 from diracgeo.report import render_json
 from diracgeo.suites import (CHART_SUITES, SUITE_NAMES, SuiteUsageError,
                              run_suite)
@@ -124,6 +126,19 @@ def test_a_wrong_table_fails_checks_instead_of_ending_the_run(parity_swapped_tab
     assert "clifford-chirality" in {row["id"] for row in payload["checks"] if not row["pass"]}
 
 
+@pytest.mark.parametrize("chart, scale", [("poly4", 1e3), ("sphere4", 1e4),
+                                          ("minkowski4", 1e4)])
+def test_clifford_checks_hold_on_a_scaled_metric(monkeypatch, chart, scale):
+    # G has size |det g|^(1/2), so on a large metric the rounding of G^2 and
+    # of G c(v) + c(v) G grows with it: the relations are read relative to
+    # the size of their products, and every clifford check passes
+    base = charts.get_chart(chart)
+    scaled = dataclasses.replace(base, metric_fn=lambda x: scale * base.metric_fn(x))
+    monkeypatch.setattr(suites, "get_chart", lambda name: scaled)
+    rep = run_suite("clifford", chart=chart, seed=1, samples=5)
+    assert len(rep.checks) == 6 and not _failing(rep)
+
+
 def test_symbol_roundtrip_fails_under_the_parity_swapped_recursion(parity_swapped_tables):
     rep = run_suite("clifford", chart="poly3", seed=1, samples=5)
     assert "clifford-symbol-roundtrip" in _failing(rep)
@@ -223,23 +238,128 @@ def test_the_bench_check_ids_are_the_reported_ids():
         assert sorted(c.check_id for c in rep.checks) == ids, key
 
 
+def _same_jets(a, b):
+    for u, v in zip((a.val, a.d, a.dd), (b.val, b.d, b.dd)):
+        assert np.array_equal(u, v)
+
+
+def _after_points(run, seed):
+    """A generator seeded as ``run``'s, having drawn its points."""
+    rng = np.random.default_rng(seed)
+    xs = np.array([run.ch.sample_point(rng) for _ in run.xs])
+    assert np.array_equal(run.xs, xs)
+    return rng
+
+
 def test_runner_draws_points_first_then_fields_point_major():
-    # a seed must pick the fields a per-point loop would: points first, then
-    # per point its draws in turn; a plain number comes back as an array
+    # a seed must pick the fields a per-point loop of random_poly_field
+    # would: points first, then per point its draws in turn, and per draw
+    # its layouts in turn
     run = suites._Run("hodge", "sphere2", 5, 3)
-    rng = np.random.default_rng(5)
-    xs = np.array([run.ch.sample_point(rng) for _ in range(3)])
-    loop = [[(random_poly_vector(rng, 2), rng.normal()) for _ in range(2)] for _ in xs]
-    got = run.draws(lambda r: (random_poly_vector(r, 2), r.normal()), per=2)
-    assert np.array_equal(run.xs, xs) and len(got) == 2
-    for k, (X, c) in enumerate(got):
-        want = PolyField.stack([row[k][0] for row in loop]).eval(xs, 2)
-        for a, b in zip((X.val, X.d, X.dd), (want.val, want.d, want.dd)):
-            assert np.array_equal(a, b)
-        assert np.array_equal(c, [row[k][1] for row in loop])
+    rng = _after_points(run, 5)
+    layouts = [FieldLayout(2, (2,)), FieldLayout.form(2, 1, True),
+               FieldLayout(2, (), 3, True), FieldLayout(2, (2, 3), 1, True, (0, 3))]
+    loop = [[[random_poly_field(rng, *lay) for lay in layouts] for _ in range(2)]
+            for _ in run.xs]
+    got = run.draws(layouts, per=2)
+    assert len(got) == 2
+    for k, jets in enumerate(got):
+        for i, j in enumerate(jets):
+            _same_jets(j, PolyField.stack([row[k][i] for row in loop]).eval(run.xs, 2))
+    assert run.rng.uniform() == rng.uniform()
     assert len(run.head.x) == 3 and run.head is run.mj
     big = suites._Run("hodge", "sphere2", 5, 20)
     assert np.array_equal(big.head.x, big.xs[:5])
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("chart", ["sphere2", "poly3", "sphere4"])
+def test_cartan_draws_are_those_of_the_per_point_loop(chart, seed):
+    # per (point, draw): the degree p, two forms of every degree, two vector
+    # fields and a pure p-form, as cartan drew them one point at a time
+    run = suites._Run("cartan", chart, seed, 3)
+    rng, n = _after_points(run, seed), run.n
+    at = np.repeat(run.xs, suites.JETS_PER_POINT, 0)
+    every = tuple(sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m)))
+    loop = []
+    for _ in at:
+        p = int(rng.integers(0, n + 1))
+        loop.append([random_poly_field(rng, n, (1 << n,), 2, True, every),
+                     random_poly_field(rng, n, (1 << n,), 2, True, every),
+                     random_poly_vector(rng, n), random_poly_vector(rng, n),
+                     random_poly_form(rng, n, p, complex_coeffs=True), p])
+    got = suites._cartan_fields(run, at)
+    for k in range(5):
+        _same_jets(got[k], PolyField.stack([row[k] for row in loop]).eval(at, 2))
+    assert np.array_equal(got[5], [row[5] for row in loop])
+    assert run.rng.uniform() == rng.uniform()
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("chart", ["sphere2", "poly3", "sphere4"])
+def test_antilinear_draws_are_those_of_the_per_point_loop(chart, seed):
+    # per head point a complex 1-form, then c from two normals
+    run = suites._Run("hodge", chart, seed, 20)
+    rng, at = _after_points(run, seed), run.head.x
+    loop = [(random_poly_form(rng, run.n, 1, complex_coeffs=True),
+             complex(rng.normal(), rng.normal())) for _ in at]
+    a, c = suites._antilinear_fields(run, at)
+    _same_jets(a, PolyField.stack([f for f, _ in loop]).eval(at, 2))
+    assert np.array_equal(c, [z for _, z in loop])
+    assert run.rng.uniform() == rng.uniform()
+
+
+@pytest.mark.parametrize("samples", [3, 20])
+@pytest.mark.parametrize("chart", ["sphere2", "poly3", "sphere4"])
+def test_all_reports_what_its_sub_suites_report_one_by_one(chart, samples):
+    # sharing the points, jets and generator state changes no id, flag or
+    # residual, to the bit
+    alone = []
+    for name in CHART_SUITES:
+        try:
+            alone += run_suite(name, chart=chart, seed=1, samples=samples).checks
+        except SuiteUsageError:
+            continue
+    full = run_suite("all", chart=chart, seed=1, samples=samples).checks
+    assert ([(c.check_id, c.passed, c.max_residual.hex()) for c in full]
+            == [(c.check_id, c.passed, c.max_residual.hex()) for c in alone])
+
+
+@pytest.mark.parametrize("samples, sizes", [(1, [1]), (4, [4]), (20, [20, 5])])
+def test_all_builds_its_metric_jets_once(monkeypatch, samples, sizes):
+    # one jet at every point and one at the head, the same points when
+    # there are at most 4
+    calls = []
+    real = suites.metric_jet
+    monkeypatch.setattr(suites, "metric_jet",
+                        lambda ch, x: calls.append(len(x)) or real(ch, x))
+    assert run_suite("all", chart="sphere4", seed=1, samples=samples).passed
+    assert calls == sizes
+
+
+def test_a_metric_jet_mutant_is_seen_after_an_all_run(monkeypatch):
+    # nothing of one run is kept for the next: a jet patched in afterwards
+    # is the one the next run reads
+    assert run_suite("all", chart="sphere2", seed=1, samples=3).passed
+    init = charts.MetricJet.__init__
+
+    def mutant(self, *args):
+        init(self, *args)
+        self.ddh = 2.0 * self.ddh
+
+    monkeypatch.setattr(charts.MetricJet, "__init__", mutant)
+    for name in ("levi-civita", "all"):
+        assert "levi-civita-log-det" in _failing(run_suite(name, chart="sphere2", seed=1,
+                                                           samples=3))
+
+
+def test_verify_all_prints_the_same_bytes_twice_in_one_process(capsys):
+    argv = ["verify", "--suite", "all", "--chart", "poly2", "--samples", "5", "--seed", "7"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"pass": true' in outs[0]
 
 
 @pytest.mark.parametrize("samples, frames", [(3, [3]), (20, [20, 5])])
