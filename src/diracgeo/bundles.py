@@ -101,12 +101,14 @@ def exterior_module(n: int) -> ModuleSpec:
 
 
 def module_invariant_residual(ms: ModuleSpec, mj: MetricJet):
-    """Max residual of the Clifford relation and gamma oddness, per sample."""
+    """Per sample, the larger residual of the Clifford relation, relative to
+    its products gamma^i gamma^j (which grow with |g^-1|), and of gamma oddness."""
     gam = ms.gammas(mj)
     g = gam.val
-    gi, gj = g[..., :, None, :, :], g[..., None, :, :, :]
-    anti = gi @ gj + gj @ gi + 2.0 * mj.g_inv[..., None, None] * np.eye(ms.m)
-    return np.maximum(sample_max(anti, gam.nb), sample_max(ms.eta @ g + g @ ms.eta, gam.nb))
+    prods = g[..., :, None, :, :] @ g[..., None, :, :, :]
+    anti = prods + prods.swapaxes(-4, -3) + 2.0 * mj.g_inv[..., None, None] * np.eye(ms.m)
+    return np.maximum(relative(sample_max(anti, gam.nb), sample_max(prods, gam.nb)),
+                      sample_max(ms.eta @ g + g @ ms.eta, gam.nb))
 
 
 # ---------------------------------------------------------------------------

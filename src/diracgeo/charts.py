@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -91,8 +91,9 @@ class MetricJet:
 
     dg[k, i, j] = d_k g_ij and d2g[l, k, i, j] = d_l d_k g_ij.  Inverse-metric
     and volume-factor jets are derived once here; the Christoffel symbols,
-    their first derivatives and the compound inverse metric Lambda(g^-1) are
-    computed once, on first use.  All are shared downstream, and read-only.
+    their first derivatives and the metric-only operator jets on the blade
+    axis (Lambda(g^-1), the Levi-Civita connection, g^ij iota_j and the
+    gammas) are built once, on first use.  All are shared, and read-only.
     """
 
     def __init__(self, chart: Chart, x: np.ndarray, g: np.ndarray,
@@ -159,11 +160,46 @@ class MetricJet:
             low = (mask & -mask).bit_length() - 1
             gen = Jet(self.x, *(contract(a[..., low], eps) for a in metric))
             cols.append(gen @ cols[mask & (mask - 1)])
-        parts = [np.stack([getattr(c, k) for c in cols], axis=-1)
-                 for k in ("val", "d", "dd")]
-        for a in parts:
-            a.setflags(write=False)
-        return Jet(self.x, *parts)
+        return _frozen(Jet(self.x, *(np.stack([getattr(c, k) for c in cols], axis=-1)
+                                     for k in ("val", "d", "dd"))))
+
+    @cached_property
+    def exterior_connection(self) -> Jet:
+        """A_a of nabla_a = partial_a + A_a on the blade axis, the derivation
+        -Gamma^j_am eps_m iota_j: one 1-jet with fiber (n, 2^n, 2^n)."""
+        table = _derivation_table(self.n)
+        return _frozen(Jet(self.x, -np.einsum("...jam,mjxy->...axy", self.christoffel, table),
+                           -np.einsum("...ljam,mjxy->...laxy", self.dchristoffel, table)))
+
+    @cached_property
+    def raised_iota(self) -> Jet:
+        """g^ij iota_j, fiber (n, 2^n, 2^n), as the 1-jet of g^-1: it multiplies
+        nabla of a jet, which carries at most one order."""
+        iota = blade_tables(self.n)[1]
+        return _frozen(Jet(self.x, contract(self.g_inv, iota), contract(self.dg_inv, iota)))
+
+    @cached_property
+    def exterior_gammas(self) -> Jet:
+        """Clifford action c(dx^i) = eps_i - g^ij iota_j on the blade axis: one
+        2-jet with fiber (n, 2^n, 2^n)."""
+        eps, iota = blade_tables(self.n)  # the sign on the metric spares a negated copy
+        return _frozen(Jet(self.x, *(contract(-a, iota) for a in
+                                     (self.g_inv, self.dg_inv, self.d2g_inv))) + eps)
+
+
+def _frozen(jet: Jet) -> Jet:
+    """The jet, its arrays set read-only."""
+    for a in filter(lambda a: a is not None, (jet.val, jet.d, jet.dd)):
+        a.setflags(write=False)
+    return jet
+
+
+@lru_cache(maxsize=None)
+def _derivation_table(n: int) -> np.ndarray:
+    """eps_m iota_j, shape (n, n, 2^n, 2^n): the derivation replacing dx^j by dx^m."""
+    out = np.einsum("mab,jbc->mjac", *blade_tables(n))
+    out.setflags(write=False)
+    return out
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:

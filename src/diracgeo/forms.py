@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iterproduct
 from math import prod
+from operator import attrgetter
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .charts import MetricJet
-from .clifford import blade_tables, contract, grades, reorder_sign, wedge_table
+from .clifford import blade_tables, grades, reorder_sign, wedge_table
 from .jets import Jet, check_point, index_contract
 
 
@@ -386,55 +387,26 @@ def coderivative_hodge(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
                       mj, orientation).scale(sign)
 
 
-@lru_cache(maxsize=None)
-def _derivation_table(n: int) -> np.ndarray:
-    """eps_m iota_j, shape (n, n, 2^n, 2^n): the derivation replacing dx^j by dx^m."""
-    eps, iota = blade_tables(n)
-    out = np.einsum("mab,jbc->mjac", eps, iota)
-    out.setflags(write=False)
-    return out
-
-
-def levi_civita_exterior_connection(mj: MetricJet) -> Jet:
-    """Connection matrices A_a of the Levi-Civita derivative on form coefficients,
-    one 1-jet with fiber (n, 2^n, 2^n).
-
-    nabla_a dx^j = -Gamma^j_am dx^m extends to forms as the derivation
-    A_a = -Gamma^j_am eps_m iota_j, so nabla_a = partial_a + A_a on the blade
-    axis.
-    """
-    table = _derivation_table(mj.n)
-    return Jet(mj.x, -np.einsum("...jam,mjxy->...axy", mj.christoffel, table),
-               -np.einsum("...ljam,mjxy->...laxy", mj.dchristoffel, table))
-
-
-def _raised_iota(mj: MetricJet) -> Jet:
-    """g^ij iota_j with the exact jets of g^-1, fiber (n, 2^n, 2^n)."""
-    iota = blade_tables(mj.n)[1]
-    return Jet(mj.x, *(contract(a, iota) for a in (mj.g_inv, mj.dg_inv, mj.d2g_inv)))
-
-
-def exterior_gammas(mj: MetricJet) -> Jet:
-    """Clifford action c(dx^i) = eps_i - g^ij iota_j on the blade axis: one
-    2-jet with fiber (n, 2^n, 2^n)."""
-    eps, iota = blade_tables(mj.n)  # the sign on the metric spares a negated copy
-    return Jet(mj.x, *(contract(-a, iota) for a in (mj.g_inv, mj.dg_inv, mj.d2g_inv))) + eps
+# the Levi-Civita connection A_a and the gammas c(dx^i) on the blade axis of
+# a metric jet, each built once per jet: see ``MetricJet``
+levi_civita_exterior_connection = attrgetter("exterior_connection")
+exterior_gammas = attrgetter("exterior_gammas")
 
 
 def covariant_derivative(j: Jet, mj: MetricJet) -> Jet:
     """Levi-Civita nabla_a = partial_a + A_a of a form jet, the direction a
     on the first fiber axis."""
-    return j.gradient() + levi_civita_exterior_connection(mj) @ j
+    return j.gradient() + mj.exterior_connection @ j
 
 
 def coderivative_connection(j: Jet, mj: MetricJet) -> Jet:
     """d* = -iota(nabla) = -g^aj iota_j nabla_a, the connection route."""
-    return -index_contract(_raised_iota(mj), covariant_derivative(j, mj))
+    return -index_contract(mj.raised_iota, covariant_derivative(j, mj))
 
 
 def forms_dirac(j: Jet, mj: MetricJet) -> Jet:
     """c(dx^a) nabla_a with the Clifford action c = epsilon - iota."""
-    return index_contract(exterior_gammas(mj), covariant_derivative(j, mj))
+    return index_contract(mj.exterior_gammas, covariant_derivative(j, mj))
 
 
 def laplace_beltrami(f: Jet, mj: MetricJet):

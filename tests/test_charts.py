@@ -97,6 +97,51 @@ def test_metric_jet_arrays_are_read_only(name):
         a[...] = 1.0
 
 
+OPERATOR_JETS = ("compound_inverse", "exterior_connection", "raised_iota", "exterior_gammas")
+
+
+@pytest.mark.parametrize("name", ["sphere2", "poly3", "minkowski4", "poly4"])
+def test_metric_only_operator_jets_are_built_once_and_read_only(name):
+    # the operator jets that depend only on the metric are kept on its jet:
+    # a second read, or a read through the public builders, is the same
+    # object, and no caller may write to it
+    from diracgeo import bundles, forms
+    ch = get_chart(name)
+    rng = np.random.default_rng(5)
+    mj = metric_jet(ch, np.array([ch.sample_point(rng) for _ in range(3)]))
+    for attr in OPERATOR_JETS:
+        jet = getattr(mj, attr)
+        assert getattr(mj, attr) is jet
+        for a in (jet.val, jet.d, jet.dd):
+            if a is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+    assert forms.levi_civita_exterior_connection(mj) is mj.exterior_connection
+    assert bundles.levi_civita_exterior_connection(mj) is mj.exterior_connection
+    assert bundles.exterior_module(ch.n).gammas(mj) is mj.exterior_gammas
+    assert (mj.exterior_connection.order, mj.raised_iota.order,
+            mj.exterior_gammas.order) == (1, 1, 2)
+
+
+def test_metric_only_operator_jets_belong_to_their_points():
+    # two jets of one chart at different points share no operator jet, and
+    # each holds the values built from its own metric
+    from diracgeo.clifford import blade_tables
+    ch = get_chart("poly4")
+    rng = np.random.default_rng(6)
+    mjs = [metric_jet(ch, np.array([ch.sample_point(rng) for _ in range(2)]))
+           for _ in range(2)]
+    eps, iota = blade_tables(4)
+    for attr in OPERATOR_JETS:
+        first, second = (getattr(mj, attr) for mj in mjs)
+        assert first is not second and not np.array_equal(first.val, second.val)
+    for mj in mjs:
+        want = eps - np.einsum("...ij,jab->...iab", mj.g_inv, iota)
+        np.testing.assert_allclose(mj.exterior_gammas.val, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mj.exterior_connection.val, -np.einsum(
+            "...jam,mxb,jby->...axy", mj.christoffel, eps, iota), rtol=0, atol=1e-15)
+
+
 def test_conformal_charts_are_scalar_multiples_of_identity():
     rng = np.random.default_rng(6)
     for name in ("sphere2", "sphere4", "hyperbolic2", "hyperbolic4"):

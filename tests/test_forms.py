@@ -6,7 +6,7 @@ import pytest
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import (DegreeError, JetOrderError, coefficient,
                             coderivative_connection, coderivative_hodge,
-                            degrees, exterior_derivative, forms_dirac,
+                            covariant_derivative, degrees, exterior_derivative, forms_dirac,
                             gram_pairing,
                             hodge_star, iota_vector, laplace_beltrami,
                             lie_derivative,
@@ -246,3 +246,39 @@ def test_exterior_derivative_order_guard():
     f = _const(1.0, n, order=0)
     with pytest.raises(JetOrderError):
         exterior_derivative(_form(n, x, {0: f}, order=0))
+
+
+
+# each operator on inputs one order short of what it reads (d on a 0-jet is
+# ``test_exterior_derivative_order_guard``): L_X, the bracket, nabla and both
+# coderivatives take one order each, and d d, L_X d and L_[X,Y] two;
+# ``cut(j, k)`` leaves j k orders
+ONE_SHORT = {
+    "d d": lambda a, X, Y, mj, cut: exterior_derivative(exterior_derivative(cut(a, 1))),
+    "L_X a": lambda a, X, Y, mj, cut: lie_derivative(X, cut(a, 0)),
+    "L_X a, X short": lambda a, X, Y, mj, cut: lie_derivative(cut(X, 0), a),
+    "L_X d a": lambda a, X, Y, mj, cut: lie_derivative(X, exterior_derivative(cut(a, 1))),
+    "[X, Y]": lambda a, X, Y, mj, cut: vector_bracket(cut(X, 0), Y),
+    "[X, Y], Y short": lambda a, X, Y, mj, cut: vector_bracket(X, cut(Y, 0)),
+    "L_[X,Y] a": lambda a, X, Y, mj, cut: lie_derivative(
+        vector_bracket(cut(X, 1), cut(Y, 1)), cut(a, 1)),
+    "nabla": lambda a, X, Y, mj, cut: covariant_derivative(cut(a, 0), mj),
+    "delta, star route": lambda a, X, Y, mj, cut: coderivative_hodge(cut(a, 0), mj),
+    "delta, connection route": lambda a, X, Y, mj, cut: coderivative_connection(cut(a, 0),
+                                                                                mj),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SHORT))
+def test_an_input_one_order_short_raises(case):
+    # a check that truncates its inputs too far fails loudly, never with a
+    # silently wrong residual; with every order kept the same call succeeds
+    ch = get_chart("poly3")
+    rng = np.random.default_rng(2)
+    xs = np.array([ch.sample_point(rng) for _ in range(2)])
+    mj = metric_jet(ch, xs)
+    a = random_poly_form(rng, 3, 1, complex_coeffs=True).eval(xs)
+    X, Y = (random_poly_vector(rng, 3).eval(xs) for _ in range(2))
+    assert ONE_SHORT[case](a, X, Y, mj, lambda j, k: j).val.shape[0] == 2
+    with pytest.raises((JetOrderError, ValueError), match="order"):
+        ONE_SHORT[case](a, X, Y, mj, Jet.truncate)

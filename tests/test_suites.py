@@ -13,6 +13,7 @@ from diracgeo import suites
 from diracgeo.charts import registry
 from diracgeo.forms import (FieldLayout, PolyField, random_poly_field,
                             random_poly_form, random_poly_vector)
+from diracgeo.jets import Jet
 from diracgeo.report import render_json
 from diracgeo.suites import (CHART_SUITES, SUITE_NAMES, SuiteUsageError,
                              run_suite)
@@ -127,11 +128,14 @@ def test_a_wrong_table_fails_checks_instead_of_ending_the_run(parity_swapped_tab
 
 
 @pytest.mark.parametrize("chart, scale", [("poly4", 1e3), ("sphere4", 1e4),
-                                          ("minkowski4", 1e4)])
+                                          ("minkowski4", 1e4), ("poly4", 1e-4),
+                                          ("poly3", 1e-4), ("sphere4", 1e-4)])
 def test_clifford_checks_hold_on_a_scaled_metric(monkeypatch, chart, scale):
     # G has size |det g|^(1/2), so on a large metric the rounding of G^2 and
-    # of G c(v) + c(v) G grows with it: the relations are read relative to
-    # the size of their products, and every clifford check passes
+    # of G c(v) + c(v) G grows with it; on a small one the terms of q(w) on
+    # the vacuum and of the gamma products grow with |g^-1|: the relations
+    # are read relative to the size of their terms, and every clifford
+    # check passes
     base = charts.get_chart(chart)
     scaled = dataclasses.replace(base, metric_fn=lambda x: scale * base.metric_fn(x))
     monkeypatch.setattr(suites, "get_chart", lambda name: scaled)
@@ -351,6 +355,45 @@ def test_a_metric_jet_mutant_is_seen_after_an_all_run(monkeypatch):
     for name in ("levi-civita", "all"):
         assert "levi-civita-log-det" in _failing(run_suite(name, chart="sphere2", seed=1,
                                                            samples=3))
+
+
+def _doubled_christoffel(monkeypatch):
+    """Every metric jet built from now on with its Christoffel symbols doubled,
+    before any operator jet reads them."""
+    init = charts.MetricJet.__init__
+
+    def mutant(self, *args):
+        init(self, *args)
+        self.christoffel = 2.0 * charts.MetricJet.christoffel.func(self)
+
+    monkeypatch.setattr(charts.MetricJet, "__init__", mutant)
+
+
+def test_a_connection_mutant_is_seen_after_an_all_run(monkeypatch):
+    # the operator jets kept on a metric jet live no longer than it: after an
+    # all run, the connection of a mutant metric jet is the one the star
+    # route is compared with
+    assert run_suite("all", chart="poly3", seed=1, samples=3).passed
+    _doubled_christoffel(monkeypatch)
+    for name in ("hodge", "all"):
+        assert "hodge-coderivative-dual" in _failing(run_suite(name, chart="poly3", seed=1,
+                                                               samples=3))
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("chart", ["sphere2", "poly3", "sphere4", "poly4"])
+def test_truncated_inputs_report_what_full_jets_report(monkeypatch, chart, seed):
+    # each cartan, hodge and commutator check reads its inputs only to the
+    # orders its derivatives consume: carrying every order changes no byte
+    names = ("cartan", "hodge", "superconnection")
+
+    def reports():
+        return [render_json(run_suite(name, chart=chart, seed=seed, samples=5))
+                for name in names]
+
+    truncated, orders = reports(), []
+    monkeypatch.setattr(Jet, "truncate", lambda self, order: orders.append(order) or self)
+    assert reports() == truncated and {0, 1} <= set(orders)
 
 
 def test_verify_all_prints_the_same_bytes_twice_in_one_process(capsys):
