@@ -14,7 +14,12 @@ Stack convention: every operator takes a point x (n,) or a stack of points x
 (P, n), the metric jet, superconnection and sections at the same stack.
 Plain arrays then carry the sample axis in front, as jets do (a section
 value is (P, m)), and residuals are returned per sample, shape (P,).  The
-einsums run over a ``...`` prefix: a single point is the same code.
+section operators also take a block of sections, fiber (m, K), one column
+per probe or draw (a 1-D fiber is one column, dropped again): sums over an
+index and the fiber are then one product with a row (``_fold_index``), and
+the laplacian, commutator, affine and Weitzenbock checks make one operator
+call per route.  The contractions run over a ``...`` prefix: a single point
+is the same code.
 
 Grading conventions: eta is a diagonal +-1 involution; a matrix is even when
 it commutes with eta, odd when it anticommutes. The degree-p component of a
@@ -36,7 +41,7 @@ from .forms import (PolyField, exponent_table, exterior_derivative,
                     exterior_gammas, iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
-from .jets import Jet, check_point, relative, sample_max, seed_point
+from .jets import Jet, check_point, relative, relative_gap, sample_max, seed_point
 
 
 class ParityError(ValueError):
@@ -359,15 +364,15 @@ class DiracOperatorData:
 
     @cached_property
     def square_coefficients(self) -> tuple:
-        """The coefficients of D^2 that depend on D alone: d_i g^k + [A_i, g^k]
-        indexed [i, k], then [A_i, Z], d_i Z + [A_i, Z] and g^i Z + Z g^i
-        indexed [i].  Built on first use: an operator of order 0 carries no
-        d_i Z."""
-        g, a = self.gam.val, self.A.val
-        z = self.Z.val[..., None, :, :]
-        az = _commutator(a, z)
-        return (self.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :]),
-                az, self.Z.d + az, g @ z + z @ g)
+        """The coefficients of D^2 that depend on D alone, each sum over an index
+        and the fiber one product with a row (``_fold_index``): the row of the
+        gammas [a, (i, b)], of d_i g^k + [A_i, g^k] [i, a, (k, b)] and of
+        g^i Z + Z g^i [a, (i, b)], and d_i Z + [A_i, Z] indexed [i].  Built on
+        first use: an operator of order 0 carries no d_i Z."""
+        g, a, z = self.gam.val, self.A.val, self.Z.val[..., None, :, :]
+        dgam = self.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :])
+        return (_fold_index(g), _fold_index(dgam), _fold_index(g @ z + z @ g),
+                self.Z.d + _commutator(a, z))
 
 
 def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
@@ -390,53 +395,78 @@ def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
     return DiracOperatorData(x, gam, A, Z, ms.eta)
 
 
+def _fold_index(t: np.ndarray) -> np.ndarray:
+    """[..., i, a, b] -> the row [..., a, (i, b)], so sum_i t_i X_i = row @ _fold(X)."""
+    return np.swapaxes(t, -3, -2).reshape(t.shape[:-3] + (t.shape[-2], -1))
+
+
+def _fold(t: np.ndarray) -> np.ndarray:
+    """[..., i, b, c] -> [..., (i, b), c]."""
+    return t.reshape(t.shape[:-3] + (-1, t.shape[-1]))
+
+
+def _columns(j: Jet) -> Tuple[Jet, Callable]:
+    """A section jet as a block of columns (m, K), and the map back: a 1-D fiber
+    is one column, dropped again from each result, as ``jets._matmul`` lifts."""
+    if np.ndim(j.val) - j.nb == 1:
+        return j[:, None], lambda a: a[..., 0]
+    return j, lambda a: a
+
+
+def column_gap(a, b, nb: int = 1):
+    """``relative_gap`` per sample and column of blocks (..., m, K), each on its own scale."""
+    return relative_gap(np.moveaxis(a, -1, nb), np.moveaxis(b, -1, nb), nb + 1)
+
+
 def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
+    """D psi on a section 1-jet or a block of them, fiber (m,) or (m, K)."""
     if D.x is not j.x:
         check_point(D.x, j.x)
-    if j.val.shape[-1] != D.m:
+    j, back = _columns(j)
+    if j.val.shape[-2] != D.m:
         raise ValueError("fiber dimension mismatch")
-    return (np.einsum("...ab,...b->...a", D.Z.val, j.val)
-            + np.einsum("...iab,...ib->...a", D.gam.val,
-                        j.d + np.einsum("...iab,...b->...ia", D.A.val, j.val)))
+    v = j.val
+    return back(D.Z.val @ v + _fold_index(D.gam.val) @ _fold(j.d + D.A.val @ v[..., None, :, :]))
 
 
 def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple:
     """Per sample, the largest entry of [D, f] psi - c(df) psi, absolute and
-    relative to the larger of D(f psi) and f D(psi) (floored at 1)."""
-    t1 = apply_dirac(D, j * f)
-    t2 = f.val[..., None] * apply_dirac(D, j)
-    rhs = np.einsum("...i,...ia->...a", f.d,
-                    np.einsum("...iab,...b->...ia", D.gam.val, j.val))
-    diff = sample_max(t1 - t2 - rhs, j.nb)
-    return diff, relative(diff, sample_max(t1, j.nb), sample_max(t2, j.nb))
+    relative to the larger of D(f psi) and f D(psi) (floored at 1); on a block
+    j (m, K), with one scalar f per column (K,), per sample and column."""
+    j, back = _columns(j)
+    f, nb = f[None] if np.ndim(f.val) == f.nb else f, j.nb
+    t1, t2 = apply_dirac(D, j * f), np.expand_dims(f.val, nb) * apply_dirac(D, j)
+    rhs = _fold_index(D.gam.val) @ _fold(np.expand_dims(f.d, nb + 1) * j.val[..., None, :, :])
+    diff, s1, s2 = (sample_max(np.moveaxis(t, -1, nb), nb + 1) for t in (t1 - t2 - rhs, t1, t2))
+    return back(diff), back(relative(diff, s1, s2))
 
 
 def _second_covariant(A: Jet, j: Jet):
-    """M_k psi and M_i M_k psi for M_k = partial_k + A_k on a section 2-jet,
-    indexed [k, a] and [i, k, a]."""
-    a = A.val
-    mk = j.d + np.einsum("...kab,...b->...ka", a, j.val)
-    mm = (j.dd + np.einsum("...ikab,...b->...ika", A.d, j.val)
-          + np.einsum("...kab,...ib->...ika", a, j.d)
-          + np.einsum("...iab,...kb->...ika", a, mk))
+    """M_k psi and M_i M_k psi for M_k = partial_k + A_k on a block of section
+    2-jets, fiber (m, K), indexed [k, a, c] and [i, k, a, c]."""
+    a, v, dd = _fold(A.val), j.val, j.dd.shape       # a as the rows [(k, a), b]
+    mk = j.d + (a @ v).reshape(j.d.shape)
+    # summed in place into the first product, one block alive at a time
+    mm = (_fold(_fold(A.d)) @ v).reshape(dd)
+    mm += j.dd
+    mm += (a[..., None, :, :] @ j.d).reshape(dd)
+    mm += A.val[..., :, None, :, :] @ mk[..., None, :, :, :]
     return mk, mm
 
 
 def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
-    """Direct expansion of D^2 on an order-2 jet."""
+    """Direct expansion of D^2 on an order-2 jet or a block of them."""
     if j.dd is None:
         raise ValueError("dirac_square needs an order-2 section jet")
-    g, Z = D.gam.val, D.Z.val
-    dgam, _, dz, anti = D.square_coefficients
+    j, back = _columns(j)
+    g, dgam, anti, dz = D.square_coefficients
+    Z, v = D.Z.val, j.val
     mk, mm = _second_covariant(D.A, j)
     # gamma^i applied to gamma^k M_i M_k psi, to (partial_i gamma^k + [A_i,
-    # gamma^k]) M_k psi and to (partial_i Z + [A_i, Z]) psi
-    inner = (np.einsum("...kab,...ikb->...ia", g, mm)
-             + np.einsum("...ikab,...kb->...ia", dgam, mk)
-             + np.einsum("...iab,...b->...ia", dz, j.val))
-    return (np.einsum("...iab,...ib->...a", g, inner)
-            + np.einsum("...iab,...ib->...a", anti, mk)
-            + np.einsum("...ab,...b->...a", Z, np.einsum("...ab,...b->...a", Z, j.val)))
+    # gamma^k]) M_k psi and to (partial_i Z + [A_i, Z]) psi, each sum one product
+    inner = (g[..., None, :, :] @ _fold(mm) + dgam @ _fold(mk)[..., None, :, :]
+             + dz @ v[..., None, :, :])
+    return back(g @ _fold(inner) + anti @ _fold(mk) + Z @ (Z @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +476,19 @@ def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
 
 def canonical_laplacian(A: Jet, mj: MetricJet, j: Jet,
                         route: str = "local") -> np.ndarray:
-    """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a section 2-jet."""
+    """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a section 2-jet or a block."""
+    j, back = _columns(j)
     if route == "local":
         mk, mm = _second_covariant(A, j)
-        return -(np.einsum("...ik,...ika->...a", mj.g_inv, mm)
-                 - np.einsum("...k,...ka->...a", _trace_gamma(mj), mk))
+        return back(-(np.einsum("...ik,...ikac->...ac", mj.g_inv, mm)
+                      - np.einsum("...k,...kac->...ac", _trace_gamma(mj), mk)))
     if route == "trace":
         # materialize eta_k = nabla_k psi as a 1-jet family, apply the
         # tensor-bundle connection, contract with -g
         eta = j.gradient() + A @ j
-        cov = (eta.d + np.einsum("...iab,...kb->...ika", A.val, eta.val)
-               - np.einsum("...lik,...la->...ika", mj.christoffel, eta.val))
-        return -np.einsum("...ik,...ika->...a", mj.g_inv, cov)
+        cov = (eta.d + A.val[..., :, None, :, :] @ eta.val[..., None, :, :, :]
+               - np.einsum("...lik,...lac->...ikac", mj.christoffel, eta.val))
+        return back(-np.einsum("...ik,...ikac->...ac", mj.g_inv, cov))
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -471,21 +502,20 @@ def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
     """
     n = mj.n
     x = np.asarray(x, dtype=float)
-    probe = Jet.constant(np.ones(m), x)
     coords = seed_point(x)
-    h_0 = apply_h(probe)[..., None, None, :]
-    h_coord = np.stack([apply_h(probe * c) for c in coords], axis=-2)
-    # x^k x^l is symmetric in (k, l): one operator call per unordered pair
-    upper = np.triu_indices(n)
-    pair = np.empty((n, n), dtype=int)
+    # the probes 1, x^k and x^k x^l are the products of (1, x^0, ..., x^n-1)
+    # with itself, symmetric: one column per unordered pair, one operator call
+    ext = coords.map(lambda a: np.concatenate([0 * a[..., :1], a], -1)) + np.eye(n + 1)[0]
+    upper = np.triu_indices(n + 1)
+    pair = np.empty((n + 1, n + 1), dtype=int)
     pair[upper] = pair[upper[::-1]] = np.arange(len(upper[0]))
-    h_fg = np.stack([apply_h(probe * (coords[k] * coords[l]))
-                     for k, l in zip(*upper)], axis=-2)[..., pair, :]
+    probe = (ext[:, None] * ext[None, :])[upper][None] * np.ones((m, 1))
+    h = np.moveaxis(apply_h(probe), -1, -2)[..., pair, :]
     # indexed [..., k, l, a] with f = x^k, g = x^l
-    h_f, h_g = h_coord[..., :, None, :], h_coord[..., None, :, :]
+    h_0, h_fg = h[..., :1, :1, :], h[..., 1:, 1:, :]
+    h_f, h_g = h[..., 1:, :1, :], h[..., :1, 1:, :]
     xk, xl = x[..., :, None, None], x[..., None, :, None]
-    resid = (h_fg - xl * h_f - xk * h_g + xk * xl * h_0
-             + 2.0 * mj.g_inv[..., None] * probe.val[..., None, None, :])
+    resid = h_fg - xl * h_f - xk * h_g + xk * xl * h_0 + 2.0 * mj.g_inv[..., None]
 
     def peak(a):
         return np.max(np.abs(a), axis=-1, keepdims=True)
@@ -534,25 +564,18 @@ def _lower_index(metric: Jet, family: Jet) -> Jet:
 
 def laplacian_from_connection(A: Jet, F: np.ndarray,
                               mj: MetricJet, x) -> LaplacianData:
-    """H = canonical Laplacian of A plus zero-order F."""
+    """H = canonical Laplacian of A plus zero-order F; its zero-order
+    coefficient U is H on the constant sections, the identity block."""
     m = F.shape[-1]
     x = np.asarray(x, dtype=float)
 
     def apply_h(j: Jet) -> np.ndarray:
-        return canonical_laplacian(A, mj, j) + np.einsum("...ab,...b->...a", F, j.val)
+        j, back = _columns(j)
+        return back(canonical_laplacian(A, mj, j) + F @ j.val)
 
     # T^k = -2 g^ik A_i + g^ij Gamma^k_ij id
     T = _lower_index(Jet(x, mj.g_inv, mj.dg_inv), A) * -2.0 + _trace_gamma_jet(mj, m)
-    U = _zero_order_of_connection(A, mj) + F.astype(complex)
-    return LaplacianData(mj.n, m, x, apply_h, T, U)
-
-
-def _zero_order_of_connection(A: Jet, mj: MetricJet) -> np.ndarray:
-    """Zero-order block of the canonical Laplacian itself."""
-    a = A.val
-    term = (A.d + a[..., :, None, :, :] @ a[..., None, :, :, :]
-            - np.einsum("...lik,...lab->...ikab", mj.christoffel, a))
-    return -np.einsum("...ik,...ikab->...ab", mj.g_inv, term)
+    return LaplacianData(mj.n, m, x, apply_h, T, apply_h(Jet.constant(np.eye(m), x)))
 
 
 def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
@@ -565,28 +588,23 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
       T^k = g^k g^i A_i + g^i g^k A_i + g^i (d_i g^k + [A_i, g^k])
           + g^k Z + Z g^k
           = g^k W + W g^k + g^i d_i g^k,   W = g^i A_i + Z,
-    since g^i g^k A_i + g^i [A_i, g^k] = g^i A_i g^k.
+    since g^i g^k A_i + g^i [A_i, g^k] = g^i A_i g^k.  The zero-order
+    coefficient U is D^2 on the constant sections: the identity block.
     """
-    g, a, Z = D.gam.val, D.A.val, D.Z.val
     # T is read to first order only, so its products run on 1-jets
     g1 = D.gam.truncate(1)
     W = (g1 @ D.A.truncate(1)).sum() + D.Z.truncate(1)
     T = g1 @ W + W @ g1 + (g1[:, None] @ D.gam.gradient()).sum()
-    # U: the same expansion with every derivative of the section dropped
-    dgam, az, _, anti = D.square_coefficients
-    ai, ak = a[..., :, None, :, :], a[..., None, :, :, :]
-    inner = ((g[..., None, :, :, :] @ (D.A.d + ai @ ak) + dgam @ ak).sum(axis=-3)
-             + D.Z.d + az)
-    U = Z @ Z + (g @ inner).sum(axis=-3) + (anti @ a).sum(axis=-3)
-    return LaplacianData(D.n, D.m, np.asarray(D.x, dtype=float), partial(dirac_square, D),
-                         T, U)
+    x = np.asarray(D.x, dtype=float)
+    return LaplacianData(D.n, D.m, x, partial(dirac_square, D), T,
+                         dirac_square(D, Jet.constant(np.eye(D.m), x)))
 
 
 def laplacian_decompose(L: LaplacianData, mj: MetricJet):
     """Recover (A_i with 1-jets, fiber (n, m, m), and F) from the coefficient
     jets per the probe family: A_i = g_ik (g^jl Gamma^k_jl - T^k) / 2."""
     A = _lower_index(Jet(L.x, mj.g, mj.dg), _trace_gamma_jet(mj, L.m) - L.T) * 0.5
-    return A, L.U - _zero_order_of_connection(A, mj)
+    return A, L.U - canonical_laplacian(A, mj, Jet.constant(np.eye(L.m), L.x))
 
 
 # ---------------------------------------------------------------------------
@@ -625,18 +643,20 @@ def apply_form_endomorphism(F: Jet, fs: Jet) -> Jet:
 
 def twisting_curvature(FE: Jet, lowered: np.ndarray, gammas: Jet, tol: float = 1e-9):
     """F^tw_ik = F^E_ik - c(S_ik), S_ik = -1/4 lowered[k,l,i,k'] dx^k dx^l,
-    returned with fiber axes [i, k, a, b], and its residual per sample.
+    returned with fiber axes [i, k, a, b], and its residual per sample relative
+    to the terms that cancel, (|F^E| + |lowered| |gamma gamma|) |gamma|.
 
     Raises CliffordConnectionError when the result fails to supercommute
     with every gamma at some sample (the input connection was not a Clifford
     connection).
     """
     g, nb = gammas.val, gammas.nb
-    ftw = FE.val + 0.25 * np.einsum("...abik,...abxy->...ikxy", lowered,
-                                    g[..., :, None, :, :] @ g[..., None, :, :, :])
-    scale = sample_max(lowered, nb) + sample_max(FE.val, nb)
-    worst = sample_max(_commutator(ftw[..., None, :, :], g[..., None, None, :, :, :]), nb)
-    if np.any(worst > tol * np.maximum(1.0, scale)):
+    prods = g[..., :, None, :, :] @ g[..., None, :, :, :]
+    ftw = FE.val + 0.25 * np.einsum("...abik,...abxy->...ikxy", lowered, prods)
+    scale = (sample_max(FE.val, nb) + sample_max(lowered, nb) * sample_max(prods, nb))
+    worst = relative(sample_max(_commutator(ftw[..., None, :, :], g[..., None, None, :, :, :]),
+                                nb), scale * sample_max(g, nb))
+    if np.any(worst > tol):
         raise CliffordConnectionError(
             f"twisting curvature fails to supercommute with the Clifford action "
             f"(residual {np.max(worst):.3e}); the connection is not a Clifford "
@@ -661,10 +681,8 @@ def kernel_projector(mj: MetricJet, ms: ModuleSpec):
     c: T*M (x) E -> E collapses dx^i (x) phi to gamma^i phi;
     b: E -> T*M (x) E is phi -> -(1/n) dx^i (x) g_ij gamma^j phi.
     """
-    n, m = mj.n, ms.m
     g, low = _lowered_gammas(mj, ms)
-    c = np.swapaxes(g, -3, -2).reshape(g.shape[:-3] + (m, n * m))
-    b = -low.reshape(low.shape[:-3] + (n * m, m)) / n
+    c, b = _fold_index(g), -_fold(low) / mj.n
     return c, b, b @ c
 
 

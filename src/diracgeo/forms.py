@@ -411,8 +411,10 @@ def forms_dirac(j: Jet, mj: MetricJet) -> Jet:
 
 def laplace_beltrami(f: Jet, mj: MetricJet):
     """Positive-spectrum scalar Laplacian -g^ij (d_i d_j f - Gamma^k_ij d_k f);
-    one complex number per sample."""
+    one complex number per sample, and column of a block of scalars (K,)."""
     if f.dd is None:
         raise JetOrderError("laplace_beltrami needs an order-2 jet")
-    hess = f.dd - np.einsum("...k,...kij->...ij", f.d, mj.christoffel)
-    return -np.sum(mj.g_inv * hess, axis=(-2, -1))
+    col = f[..., None] if np.ndim(f.val) == f.nb else f
+    hess = col.dd - np.einsum("...kc,...kij->...ijc", col.d, mj.christoffel)
+    out = -np.sum(mj.g_inv[..., None] * hess, axis=(-3, -2))
+    return out if col is f else out[..., 0]

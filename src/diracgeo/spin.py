@@ -20,13 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .bundles import (DiracOperatorData, ModuleSpec, apply_dirac,
-                      canonical_laplacian, dirac_square)
+from .bundles import (DiracOperatorData, ModuleSpec, _columns, apply_dirac,
+                      canonical_laplacian, column_gap, dirac_square)
 from .charts import Chart, MetricJet
 from .clifford import blade_tables, contract
 from .curvature import curvature_data
 from .forms import PolyField, random_poly_field
-from .jets import Jet, jet_sqrt, relative_gap, sample_max, seed_point
+from .jets import Jet, jet_sqrt, sample_max, seed_point
 
 
 class SpinSignatureError(ValueError):
@@ -263,22 +263,24 @@ def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
 def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
                           frame: FrameField, mj: MetricJet,
                           j: Jet):
-    """Norm of D_A^2 psi - (lap^S + r_M/4 + q(F)/2) psi, F = dA, per sample.
+    """Norm of D_A^2 psi - (lap^S + r_M/4 + q(F)/2) psi, F = dA, per sample,
+    and per column of a block psi (m, K).
 
     Scaled by the larger of the two sides so the value is a relative error.
     """
     if j.dd is None:
         raise ValueError("Lichnerowicz test needs an order-2 section jet")
+    j, back = _columns(j)
     D = spin_dirac_operator(scd, smd, frame, mj)
     lhs = dirac_square(D, j)
     rhs = canonical_laplacian(scd.omega, mj, j)
-    rhs = rhs + 0.25 * np.expand_dims(curvature_data(mj).scalar, -1) * j.val
+    rhs = rhs + 0.25 * curvature_data(mj).scalar[..., None, None] * j.val
     # q(F) = F_ab gamma^a gamma^b / 2 for F_ab = d_a A_b - d_b A_a
     g = D.gam.val
     da = scd.a_pot.d
     qf = 0.5 * np.einsum("...ab,...axy,...byz->...xz", da - np.swapaxes(da, -1, -2), g, g)
-    rhs = rhs + 0.5 * np.einsum("...ab,...b->...a", qf, j.val)
-    return relative_gap(lhs, rhs, j.nb)
+    rhs = rhs + 0.5 * (qf @ j.val)
+    return back(column_gap(lhs, rhs, j.nb))
 
 
 def chirality_action_checks(smd: SpinModuleData, frame: FrameField,

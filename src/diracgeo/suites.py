@@ -6,7 +6,7 @@ import time
 from dataclasses import replace
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -95,13 +95,19 @@ class _Run:
     head = property(lambda self: self.pts.head)
 
     def draws(self, layouts, per: int = 1, at: Optional[np.ndarray] = None,
-              order: int = 2) -> List[list]:
+              order: int = 2, block: bool = False) -> list:
         """``per`` draws of the fields of ``layouts`` at each point of ``at`` (the
         sample points unless given) in one uniform call, in the order of a
         per-point loop of ``random_poly_field``: draw k is one jet per layout,
-        evaluated to order 2 and carrying the ``order`` orders its check reads."""
+        evaluated to order 2 and carrying the ``order`` orders its check reads.
+        A ``block`` is one jet per layout instead, its fiber followed by an
+        axis of ``per`` columns, draw k in column k."""
         at = self.xs if at is None else at
         u = self.rng.uniform(-1.0, 1.0, (len(at), per, sum(lay.size for lay in layouts)))
+        if block:   # one field over the (point, draw) rows, the draw axis moved last
+            return [replace(f, coeffs=np.moveaxis(f.coeffs.reshape(
+                (len(at), per) + f.coeffs.shape[1:]), 1, -1)).eval(at, 2).truncate(order)
+                for f in poly_fields(u.reshape(len(at) * per, -1), layouts)]
         return [[f.eval(at, 2).truncate(order) for f in poly_fields(u[:, k], layouts)]
                 for k in range(per)]
 
@@ -239,23 +245,33 @@ def clifford_suite(chart: str, seed: int, samples: int, pts=None) -> Verificatio
         acc[..., 0] += 2.0 * np.sum((cu @ mj.g_inv) * cv, axis=-1)
         return relative(norm(acc), norm(uv))
 
-    def roundtrip():
-        # the operator side is built without the table: A = sum_M a_M times
-        # the ordered word gamma^{i_1}...gamma^{i_k} of the generators
-        # eps_i - g^ij iota_j, so a wrong table cannot agree with it
-        eps, iota = blade_tables(n)
-        gam = eps - contract(mj.g_inv, iota)        # (P, n, 2^n, 2^n)
-        words = [np.broadcast_to(np.eye(dim), (samples, dim, dim))]
+    # the generators eps_i - g^ij iota_j, (P, n, 2^n, 2^n), built without the table
+    eps, iota = blade_tables(n)
+    gam = eps - contract(mj.g_inv, iota)
+
+    def words(gam):
+        """The ordered word gamma^{i_1}...gamma^{i_k} of every blade, (2^n, P, 2^n, 2^n)."""
+        out = [np.broadcast_to(np.eye(dim), (samples, dim, dim))]
         for mask in range(1, dim):
-            words.append(gam[:, (mask & -mask).bit_length() - 1] @ words[mask & (mask - 1)])
-        ops = np.einsum("pm,mpij->pij", a, np.array(words))
+            out.append(gam[:, (mask & -mask).bit_length() - 1] @ out[mask & (mask - 1)])
+        return np.array(out)
+
+    def roundtrip():
+        # the operator side A = sum_M a_M times the word of M is built
+        # without the table, so a wrong table cannot agree with it
+        ops = np.einsum("pm,mpij->pij", a, words(gam))
         frob = partial(np.linalg.norm, axis=(-2, -1))
         return np.maximum(relative(norm(symbol(quantize(w, table)) - w), norm(w) * ginv),
                           relative(frob(quantize(symbol(ops), table) - ops), frob(ops)))
 
     def associativity():
         lhs, rhs = product(product(a1, a2), a3), product(a1, product(a2, a3))
-        return relative(norm(lhs - rhs), norm(lhs), norm(rhs))
+        # the terms that cancel, in the table's recursion too, grow with powers of
+        # |g^-1|: both products on magnitudes, the table the words of |gamma|
+        mag = partial(clifford_product, table=np.moveaxis(words(np.abs(gam)), 0, 1))
+        b1, b2, b3 = np.abs([a1, a2, a3])
+        return relative(norm(lhs - rhs), norm(lhs), norm(rhs), norm(mag(mag(b1, b2), b3)),
+                        norm(mag(b1, mag(b2, b3))))
 
     def chirality_relations():
         if n % 2:
@@ -355,25 +371,25 @@ def laplacian_suite(chart: str, seed: int, samples: int, pts=None) -> Verificati
 
     section = [FieldLayout(n, (m,), complex_coeffs=True)]
 
+    # each check applies every operator route once, to a block of three draws
     def decompose_roundtrip():
         A, F = bnd.laplacian_decompose(H, mj)
         H2 = bnd.laplacian_from_connection(A, F, mj, xs)
-        return [relative_gap(H.apply(j), H2.apply(j)) for (j,) in run.draws(section, per=3)]
+        j, = run.draws(section, per=3, block=True)
+        return bnd.column_gap(H.apply(j), H2.apply(j))
 
     def canonical_routes():
         A = bnd.levi_civita_exterior_connection(mj)
-        return [relative_gap(bnd.canonical_laplacian(A, mj, j, route="local"),
-                             bnd.canonical_laplacian(A, mj, j, route="trace"))
-                for (j,) in run.draws(section, per=3)]
+        j, = run.draws(section, per=3, block=True)
+        return bnd.column_gap(*(bnd.canonical_laplacian(A, mj, j, route)
+                                for route in ("local", "trace")))
 
     def scalar_reduction():
         zero = Jet.constant(np.zeros((n, 1, 1)), xs)
-        out = []
-        for (f,) in run.draws([FieldLayout(n, (), 3, complex_coeffs=True)], per=3):
-            want = laplace_beltrami(f, mj)
-            out.append(relative(np.abs(bnd.canonical_laplacian(zero, mj, f[None])[:, 0] - want),
-                                np.abs(want)))
-        return out
+        f, = run.draws([FieldLayout(n, (), 3, complex_coeffs=True)], per=3, block=True)
+        want = laplace_beltrami(f, mj)
+        return relative(np.abs(bnd.canonical_laplacian(zero, mj, f[None])[:, 0] - want),
+                        np.abs(want))
 
     run.check("laplacian-defining-identity", "[[H, x^k], x^l] + 2 g^kl = 0", 1e-9,
               lambda: bnd.lap_identity_residual(H.apply, mj, xs, m))
@@ -422,11 +438,12 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
             _superconnections(ms, n, few, base, specs), head, ms, hx, order=0)
             for specs, base in (({1: "random", 2: "random"}, seed),
                                 ({1: "random", 3: "constant"}, seed + 1000)))
-        (j,), = run.draws([FieldLayout(n, (m,), complex_coeffs=True)], at=hx)
-        jc = Jet(hx, j.val, np.zeros_like(j.d), np.zeros_like(j.dd))
-        d1, d2 = bnd.apply_dirac(D1, j), bnd.apply_dirac(D2, j)
-        rhs = bnd.apply_dirac(D1, jc) - bnd.apply_dirac(D2, jc)
-        return relative(_samples_amax(d1 - d2 - rhs), _samples_amax(d1), _samples_amax(d2))
+        j, = run.draws([FieldLayout(n, (m,), complex_coeffs=True)], at=hx, block=True)
+        # j and its constant copy as two columns, one operator call each
+        pair = Jet(hx, np.concatenate([j.val] * 2, -1), np.concatenate([j.d, 0 * j.d], -1))
+        (d1, c1), (d2, c2) = (np.moveaxis(bnd.apply_dirac(D, pair), -1, 0) for D in (D1, D2))
+        return relative(_samples_amax(d1 - d2 - (c1 - c2)), _samples_amax(d1),
+                        _samples_amax(d2))
 
     def special_predicate():
         # trial t < 30 has base seed seed + t and a degree-2 part only when t
@@ -470,9 +487,9 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
     run.check("superconnection-parity", "odd blades need odd coefficients",
               0.5, parity_enforced)
     run.check("superconnection-dirac-commutator", "[D, f] = c(df)", DIRAC_COMMUTATOR_TOL,
-              lambda: [bnd.dirac_commutator_residual(D, f, j)[1] for f, j in run.draws(
+              lambda: bnd.dirac_commutator_residual(D, *run.draws(
                   [FieldLayout(n, (), complex_coeffs=True),
-                   FieldLayout(n, (m,), complex_coeffs=True)], per=3, order=1)])
+                   FieldLayout(n, (m,), complex_coeffs=True)], per=3, order=1, block=True))[1])
     run.check("superconnection-affine",
               "D_1 - D_2 is multiplication by the coefficient difference", 1e-11,
               affine_multiplication)
@@ -548,8 +565,8 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> Verific
               "rescaling closed form equals the generic assembly", 1e-9,
               conformal_closed_form)
     run.check("lichnerowicz-weitzenbock", "D_A^2 = lap + r/4 + q(dA)/2", 1e-7,
-              lambda: [sp.lichnerowicz_residual(scd, smd, fr, mj, j)
-                       for (j,) in run.draws(spinor, per=3)])
+              lambda: sp.lichnerowicz_residual(scd, smd, fr, mj,
+                                               *run.draws(spinor, per=3, block=True)))
     run.check("lichnerowicz-chirality",
               "chirality anticommutes with c(dx) and commutes with the connection",
               1e-11, lambda: reduce(np.maximum, sp.chirality_action_checks(

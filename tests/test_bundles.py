@@ -350,7 +350,7 @@ def test_residuals_keep_a_nan():
     ms, m = _module(ch.n)
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    assert np.isnan(bnd.lap_identity_residual(lambda j: np.full(m, np.nan), mj, x, m))
+    assert np.isnan(bnd.lap_identity_residual(lambda j: np.full(j.val.shape, np.nan), mj, x, m))
     nan_gammas = bnd.ModuleSpec(m, ms.eta, lambda mj: ms.gammas(mj) * np.nan)
     assert np.isnan(bnd.module_invariant_residual(nan_gammas, mj))
     FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(mj))

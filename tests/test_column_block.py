@@ -1,0 +1,210 @@
+"""Blocks of sections: a section jet of fiber (m, K), one column per probe or
+draw.  Every block operator equals K single-section calls column by column,
+to a relative 1e-15, and each check makes one operator call per route."""
+
+from collections import Counter
+from functools import cached_property
+
+import numpy as np
+import pytest
+
+import laplacian_reference as ref
+from diracgeo import bundles as bnd
+from diracgeo import spin as sp
+from diracgeo import suites
+from diracgeo.charts import get_chart, metric_jet
+from diracgeo.forms import FieldLayout, PolyField, random_poly_field
+from diracgeo.suites import run_suite
+from test_sample_axis import _close
+
+P = 3
+CASES = [(name, stack, K) for name in ("sphere2", "poly3", "poly4")
+         for stack in (False, True) for K in (1, 3, 15)]
+
+
+def _points(name, stack, seed):
+    ch = get_chart(name)
+    rng = np.random.default_rng(seed)
+    xs = (np.array([ch.sample_point(rng) for _ in range(P)]) if stack
+          else ch.sample_point(rng))
+    return ch.n, rng, xs, metric_jet(ch, xs)
+
+
+def _field(rng, xs, make):
+    """The jet at xs of ``make(rng)``, one field per point of a stack."""
+    if np.ndim(xs) == 1:
+        return make(rng).eval(xs, 2)
+    return PolyField.stack([make(rng) for _ in range(P)]).eval(xs, 2)
+
+
+def _per_column(got, single, K):
+    """A block result, its column axis last, against the K single calls."""
+    if isinstance(got, tuple):
+        for k, g in enumerate(got):
+            _per_column(g, lambda c: single(c)[k], K)
+        return
+    _close(np.moveaxis(got, -1, 0), [single(c) for c in range(K)])
+
+
+def _operator(n, rng, xs, mj, stack):
+    ms = bnd.exterior_module(n)
+    seeds = 5 + np.arange(P) if stack else 5
+    S = bnd.superconnection_from_degrees(
+        n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"}, seeds)
+    return ms.m, bnd.quantize_superconnection(S, mj, ms, xs, order=1)
+
+
+@pytest.mark.parametrize("name, stack, K", CASES)
+def test_bundle_operators_act_on_each_column(name, stack, K):
+    n, rng, xs, mj = _points(name, stack, 31)
+    m, D = _operator(n, rng, xs, mj, stack)
+    j = _field(rng, xs, lambda r: random_poly_field(r, n, (m, K), complex_coeffs=True))
+    f = _field(rng, xs, lambda r: random_poly_field(r, n, (K,), complex_coeffs=True))
+    _per_column(bnd.apply_dirac(D, j), lambda c: bnd.apply_dirac(D, j[:, c]), K)
+    _per_column(bnd.dirac_square(D, j), lambda c: bnd.dirac_square(D, j[:, c]), K)
+    # the relative residual as it is; the absolute one is the rounding of
+    # terms of size D(f psi), so it is read relative to them
+    scale = np.max(np.abs(bnd.apply_dirac(D, j * f)))
+    _per_column(tuple(r / s for r, s in zip(bnd.dirac_commutator_residual(D, f, j), (scale, 1))),
+                lambda c: tuple(r / s for r, s in zip(
+                    bnd.dirac_commutator_residual(D, f[c], j[:, c]), (scale, 1))), K)
+    lc = bnd.levi_civita_exterior_connection(mj)
+    for route in ("local", "trace"):
+        _per_column(bnd.canonical_laplacian(lc, mj, j, route),
+                    lambda c: bnd.canonical_laplacian(lc, mj, j[:, c], route), K)
+    H = bnd.laplacian_from_dirac(D, mj)
+    H2 = bnd.laplacian_from_connection(*bnd.laplacian_decompose(H, mj), mj, xs)
+    for h in (H, H2):
+        _per_column(h.apply(j), lambda c: h.apply(j[:, c]), K)
+    # the einsum expansion of D^2 is the reference route, to rounding
+    got, want = bnd.dirac_square(D, j), [ref.dirac_square(D, j[:, c]) for c in range(K)]
+    assert np.max(np.abs(np.moveaxis(got, -1, 0) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name, stack, K", [c for c in CASES if c[0] != "poly3"])
+def test_lichnerowicz_residual_acts_on_each_column(name, stack, K):
+    n, rng, xs, mj = _points(name, stack, 32)
+    smd = sp.spin_module_data(n)
+    fr = sp.build_frame_from_metric(mj)
+    scd = sp.build_spin_connection(fr, smd, mj,
+                                   _field(rng, xs, lambda r: sp.imaginary_poly_potential(r, n)))
+    j = _field(rng, xs, lambda r: random_poly_field(r, n, (smd.dim, K), complex_coeffs=True))
+    _per_column(sp.lichnerowicz_residual(scd, smd, fr, mj, j),
+                lambda c: sp.lichnerowicz_residual(scd, smd, fr, mj, j[:, c]), K)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "poly3", "poly4"])
+@pytest.mark.parametrize("stack", [False, True])
+def test_probe_block_is_the_per_probe_loop(name, stack):
+    n, rng, xs, mj = _points(name, stack, 33)
+    m, D = _operator(n, rng, xs, mj, stack)
+    H = bnd.laplacian_from_dirac(D, mj)
+    blocks = []
+    got = bnd.lap_identity_residual(lambda j: blocks.append(j) or H.apply(j), mj, xs, m)
+    # one operator call, whose columns are the probes of the loop in its order
+    block, = blocks
+    probes = ref.probes(mj, xs, m)
+    assert block.val.shape[-1] == len(probes) == 1 + n + n * (n + 1) // 2
+    for c, p in enumerate(probes):
+        for k in ("val", "d", "dd"):
+            assert np.array_equal(getattr(block[:, c], k),
+                                  np.broadcast_to(getattr(p, k), getattr(block[:, c], k).shape))
+    _per_column(H.apply(block), lambda c: H.apply(probes[c]), len(probes))
+    want = ref.lap_identity_residual(H.apply, mj, xs, m)
+    _close(np.asarray(got)[None], [want])
+
+
+@pytest.mark.parametrize("name", ["sphere2", "poly3", "sphere4"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_block_draws_are_the_listed_draws(name, order):
+    # the same uniform numbers in the same order: column k of a block is draw
+    # k of the list (to the rounding of evaluating K columns in one product),
+    # and the generator ends in the same state
+    runs = [suites._Run("block", name, 3, 5) for _ in range(2)]
+    n = runs[0].n
+    layouts = [FieldLayout(n, (), complex_coeffs=True), FieldLayout(n, (1 << n,)),
+               FieldLayout.form(n, 1, True), FieldLayout(n, (2, 1 << n), complex_coeffs=True)]
+    blocks = runs[0].draws(layouts, per=3, order=order, block=True)
+    listed = runs[1].draws(layouts, per=3, order=order)
+    for lay, block in enumerate(blocks):
+        assert block.order == order
+        for k in ("val", "d", "dd")[:order + 1]:
+            _close(np.moveaxis(getattr(block, k), -1, 0),
+                   [getattr(draw[lay], k) for draw in listed])
+    assert runs[0].rng.bit_generator.state == runs[1].rng.bit_generator.state
+
+
+def _calls_per_check(monkeypatch, suite, chart, seed=1, samples=5):
+    """Per check id of one suite run, the calls of each counted operator."""
+    calls, per = Counter(), {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            key = name
+            if name == "canonical_laplacian":
+                key += "/" + kw.get("route", args[3] if len(args) > 3 else "local")
+            j = args[2 if name in ("canonical_laplacian", "dirac_commutator_residual") else 1]
+            if j.val.shape[-1] == j.val.shape[-2] and not np.any(j.d) and np.array_equal(
+                    j.val, np.broadcast_to(np.eye(j.val.shape[-1]), j.val.shape)):
+                key += "/identity"      # the constant sections: a zero-order coefficient
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in ("apply_dirac", "dirac_square", "canonical_laplacian",
+                 "dirac_commutator_residual"):
+        wrapped = counted(name, getattr(bnd, name))
+        monkeypatch.setattr(bnd, name, wrapped)
+        if hasattr(sp, name):
+            monkeypatch.setattr(sp, name, wrapped)
+    real_square = bnd.DiracOperatorData.square_coefficients.func
+
+    def square(self):
+        calls["square_coefficients"] += 1
+        return real_square(self)
+
+    prop = cached_property(square)
+    prop.__set_name__(bnd.DiracOperatorData, "square_coefficients")
+    monkeypatch.setattr(bnd.DiracOperatorData, "square_coefficients", prop)
+    real_timed = suites._timed
+
+    def timed(rep, cid, identity, tol, fn):
+        before = calls.copy()
+        real_timed(rep, cid, identity, tol, fn)
+        per[cid] = dict(calls - before)
+
+    monkeypatch.setattr(suites, "_timed", timed)
+    rep = run_suite(suite, chart=chart, seed=seed, samples=samples)
+    assert rep.passed
+    return per, calls
+
+
+@pytest.mark.parametrize("chart", ["sphere2", "poly4"])
+def test_each_laplacian_check_calls_each_route_once(monkeypatch, chart):
+    per, calls = _calls_per_check(monkeypatch, "laplacian", chart)
+    # besides the one call per route on its block of draws, the roundtrip
+    # reads the zero-order coefficient of the recovered connection twice, in
+    # decomposing and in reassembling, each one call on the identity block
+    assert per == {
+        "laplacian-defining-identity": {"dirac_square": 1},
+        "laplacian-decompose-roundtrip": {"dirac_square": 1, "canonical_laplacian/local": 1,
+                                          "canonical_laplacian/local/identity": 2},
+        "laplacian-canonical-routes": {"canonical_laplacian/local": 1,
+                                       "canonical_laplacian/trace": 1},
+        "laplacian-scalar-reduction": {"canonical_laplacian/local": 1},
+    }
+    # the one operator builds its D^2 coefficients once, for U and every check
+    assert calls["square_coefficients"] == 1 and calls["dirac_square/identity"] == 1
+
+
+@pytest.mark.parametrize("chart", ["sphere2", "sphere4"])
+def test_block_checks_call_each_operator_once(monkeypatch, chart):
+    per, _ = _calls_per_check(monkeypatch, "superconnection", chart)
+    # D(f psi) and D(psi) for the commutator, and D_1, D_2 on [j, j const]
+    assert per["superconnection-dirac-commutator"] == {"dirac_commutator_residual": 1,
+                                                       "apply_dirac": 2}
+    assert per["superconnection-affine"] == {"apply_dirac": 2}
+    per, calls = _calls_per_check(monkeypatch, "lichnerowicz", chart)
+    assert per["lichnerowicz-weitzenbock"] == {"dirac_square": 1,
+                                               "canonical_laplacian/local": 1,
+                                               "square_coefficients": 1}

@@ -143,6 +143,35 @@ def test_clifford_checks_hold_on_a_scaled_metric(monkeypatch, chart, scale):
     assert len(rep.checks) == 6 and not _failing(rep)
 
 
+def _scaled_run(monkeypatch, suite, chart, scale, seed):
+    """``suite`` on ``chart`` with its metric multiplied by ``scale``, 5 samples."""
+    base = charts.get_chart(chart)
+    scaled = dataclasses.replace(base, metric_fn=lambda x: scale * base.metric_fn(x))
+    monkeypatch.setattr(suites, "get_chart", lambda name: scaled)
+    return run_suite(suite, chart=chart, seed=seed, samples=5)
+
+
+@pytest.mark.parametrize("chart, scale, seed", [("poly4", 1e-5, 1), ("poly4", 1e-5, 3),
+                                                ("poly4", 1e-6, 1), ("poly4", 1e-6, 3),
+                                                ("poly3", 1e-6, 3), ("poly2", 1e-6, 3)])
+def test_clifford_associativity_holds_on_a_small_metric(monkeypatch, chart, scale, seed):
+    # the terms of a triple product that cancel grow with powers of |g^-1|,
+    # far beyond |(ab)c| and |a(bc)|: read relative to them, it passes
+    rep = _scaled_run(monkeypatch, "clifford", chart, scale, seed)
+    assert len(rep.checks) == 6 and not _failing(rep)
+
+
+@pytest.mark.parametrize("chart", ["poly3", "poly4", "sphere4"])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_twisting_holds_on_a_small_metric(monkeypatch, chart, seed):
+    # the exterior gammas grow with |g^-1|, and with them the terms of
+    # [F^tw, gamma] that cancel; a floor blind to them raised, and the check
+    # reported a bare 1.0
+    rep = _scaled_run(monkeypatch, "superconnection", chart, 1e-6, seed)
+    check, = (c for c in rep.checks if c.check_id == "superconnection-twisting")
+    assert check.passed and check.max_residual < 1e-12
+
+
 def test_symbol_roundtrip_fails_under_the_parity_swapped_recursion(parity_swapped_tables):
     rep = run_suite("clifford", chart="poly3", seed=1, samples=5)
     assert "clifford-symbol-roundtrip" in _failing(rep)

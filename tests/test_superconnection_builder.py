@@ -12,6 +12,7 @@ from diracgeo import bundles as bnd
 from diracgeo import suites
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import exponent_table
+from diracgeo.jets import Jet
 
 # every preset at every degree, shifted by one degree per set
 PRESETS = ("zero", "constant", "linear", "random", "random(11)")
@@ -64,27 +65,23 @@ def _commutator(a, b):
 
 
 def _dirac_square_per_call(D, j):
-    """D^2 psi with every coefficient expanded anew, as before they were shared."""
-    g, a, Z = D.gam.val, D.A.val, D.Z.val
-    z = Z[..., None, :, :]
+    """D^2 psi with every coefficient expanded anew, as before they were shared,
+    on the contraction route of ``dirac_square``: each sum over an index and
+    the fiber is one product with a row [a, (k, b)]."""
+    j, back = bnd._columns(j)
+    g, a, Z, v = D.gam.val, D.A.val, D.Z.val, j.val
+    z, row, fold = Z[..., None, :, :], bnd._fold_index, bnd._fold
     mk, mm = bnd._second_covariant(D.A, j)
-    coeff = D.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :])
-    inner = (np.einsum("...kab,...ikb->...ia", g, mm)
-             + np.einsum("...ikab,...kb->...ia", coeff, mk)
-             + np.einsum("...iab,...b->...ia", D.Z.d + _commutator(a, z), j.val))
-    return (np.einsum("...iab,...ib->...a", g, inner)
-            + np.einsum("...iab,...ib->...a", g @ z + z @ g, mk)
-            + np.einsum("...ab,...b->...a", Z, np.einsum("...ab,...b->...a", Z, j.val)))
+    coeff = row(D.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :]))
+    inner = (row(g)[..., None, :, :] @ fold(mm) + coeff @ fold(mk)[..., None, :, :]
+             + (D.Z.d + _commutator(a, z)) @ v[..., None, :, :])
+    return back(row(g) @ fold(inner) + row(g @ z + z @ g) @ fold(mk) + Z @ (Z @ v))
 
 
 def _zero_order_per_call(D):
-    """The zero-order coefficient U of D^2, expanded anew."""
-    g, a, Z = D.gam.val, D.A.val, D.Z.val
-    ai, ak, z = a[..., :, None, :, :], a[..., None, :, :, :], Z[..., None, :, :]
-    coeff = D.gam.d + _commutator(ai, g[..., None, :, :, :])
-    inner = ((g[..., None, :, :, :] @ (D.A.d + ai @ ak) + coeff @ ak).sum(axis=-3)
-             + D.Z.d + _commutator(a, z))
-    return Z @ Z + (g @ inner).sum(axis=-3) + ((g @ z + z @ g) @ a).sum(axis=-3)
+    """The zero-order coefficient U of D^2, expanded anew: D^2 on the
+    constant identity block."""
+    return _dirac_square_per_call(D, Jet.constant(np.eye(D.m), D.x))
 
 
 @pytest.mark.parametrize("name, count", [("sphere2", 3), ("poly3", 2), ("poly4", 1)])
@@ -109,7 +106,7 @@ def test_dirac_square_coefficients_are_built_once(name, count, monkeypatch):
     D = bnd.quantize_superconnection(S, mj, ms, xs, order=1)
     assert np.array_equal(bnd.dirac_square(D, j), _dirac_square_per_call(D, j))
     assert len(calls) == 2
-    # 1 + n + n(n+1)/2 operator calls, and the coefficients of U, reuse them
+    # the probe block of the identity, and the coefficients of U, reuse them
     bnd.lap_identity_residual(partial(bnd.dirac_square, D), mj, xs, ms.m)
     H = bnd.laplacian_from_dirac(D, mj)
     assert len(calls) == 2
