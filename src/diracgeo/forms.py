@@ -7,8 +7,11 @@ operator here is a product with the fixed structure tensors of
 applying a first-order operator to an order-k input yields an order-(k-1)
 output with no truncation error, so composite identities (d^2 = 0, Cartan
 relations, dual-route coderivatives) hold to rounding.  The blade axis may
-be followed by further fiber axes (form-valued sections, fiber (2^n, m)),
-which ``exterior_derivative`` and ``iota_vector`` carry along.
+be followed by further fiber axes: a form-valued section (2^n, m), which
+``exterior_derivative`` and ``iota_vector`` carry along, or a block of K
+forms (2^n, K), one column per degree or draw, on which the star, both
+coderivatives, D = d + d* and the wedge and pairing of two blocks act column
+by column.  d* takes its sign per output blade, so it is defined on any form.
 PolyField is the one polynomial coefficient field type the checks draw from.
 """
 
@@ -32,38 +35,9 @@ class JetOrderError(ValueError):
     """An operator needed more derivative orders than the jet carries."""
 
 
-class DegreeError(ValueError):
-    """Operation requires a degree-homogeneous form."""
-
-
 # ---------------------------------------------------------------------------
 # forms on the blade axis
 # ---------------------------------------------------------------------------
-
-
-def _live(j: Jet) -> np.ndarray:
-    """Per sample, whether each degree 0..n has a blade whose jet is not
-    identically zero: shape (*B, n + 1)."""
-    nb = j.nb
-    live = j.val != 0
-    for lead, a in ((nb + 1, j.d), (nb + 2, j.dd)):
-        if a is not None:
-            live = live | np.any(a != 0, axis=tuple(range(nb, lead)))
-    return live @ (grades(j.n)[:, None] == np.arange(j.n + 1))
-
-
-def degrees(j: Jet) -> set:
-    """Degrees of the blades whose jet is not identically zero, over all samples."""
-    return set(np.flatnonzero(np.any(_live(j).reshape(-1, j.n + 1), axis=0)).tolist())
-
-
-def degree(j: Jet):
-    """Degree of a homogeneous form; on a stack, one per sample (0 where zero)."""
-    live = _live(j)
-    if np.any(np.sum(live, axis=-1) > 1):
-        raise DegreeError(f"mixed degrees {sorted(degrees(j))}")
-    deg = np.argmax(live, axis=-1)
-    return int(deg) if deg.ndim == 0 else deg
 
 
 def coefficient(j: Jet, indices: Sequence[int]) -> complex:
@@ -85,12 +59,13 @@ def _sparse_table(kind: str, n: int) -> tuple:
 
 
 def _bilinear(kind: str, u: Jet, v: Jet) -> Jet:
-    """sum_ib T[i, a, b] u_i v_b, v's blade axis b followed by any fiber axes:
-    the table's nonzero entries are gathered, multiplied and scattered to a,
-    never materializing the operator jet sum_i u_i T[i]."""
+    """sum_ib T[i, a, b] u_i v_b, v's blade axis b followed by any fiber axes,
+    which u's own axes after its blade axis meet from the right (two blocks
+    (2^n, K): column by column): the table's nonzero entries are gathered,
+    multiplied and scattered to a, never materializing sum_i u_i T[i]."""
     i, b, scatter = _sparse_table(kind, u.n)
     r = np.ndim(v.val) - v.nb - 1
-    terms = u[(i,) + (None,) * r] * v[b]
+    terms = u[(i,) + (None,) * (r + 1 + u.nb - np.ndim(u.val))] * v[b]
     if r == 0:
         return terms.map(lambda t: t @ scatter)
     return terms.map(lambda t: np.moveaxis(np.moveaxis(t, -r - 1, -1) @ scatter,
@@ -351,21 +326,29 @@ def volume_form(mj: MetricJet, x, orientation: int = 1) -> Jet:
 
 def gram_pairing(a: Jet, b: Jet, mj: MetricJet):
     """Sesquilinear pairing: blades of equal degree paired by det g^{i_a j_b};
-    one complex number per sample."""
+    one complex number per sample, and per column of two blocks (2^n, K)."""
     check_point(a.x, b.x)
-    out = (np.conj(a.val)[..., None, :] @ mj.compound_inverse.val @ b.val[..., None])
-    return complex(out[..., 0, 0]) if out.ndim == 2 else out[..., 0, 0]
+    raised = (mj.compound_inverse @ b.truncate(0)).val
+    out = np.sum(np.conj(a.val) * raised, axis=a.nb)
+    return complex(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=None)
 def _complement_signs(n: int) -> np.ndarray:
-    """P[M, M^c] = sign of the permutation (blade(M^c), blade(M)), M^c the complement."""
+    """s[M] = sign of the permutation (blade(M^c), blade(M)), M^c the complement."""
     full = (1 << n) - 1
-    out = np.zeros((1 << n, 1 << n))
-    for m in range(1 << n):
-        out[m, full ^ m] = reorder_sign(full ^ m, m)
+    out = np.array([float(reorder_sign(full ^ m, m)) for m in range(1 << n)])
     out.setflags(write=False)
     return out
+
+
+def _star(j: Jet, mj: MetricJet, signs: np.ndarray) -> Jet:
+    """signs[M] times blade M^c of sqrt|det g| Lambda(g^-1) conj(j), on the
+    blade axis; M^c = 2^n - 1 - M, so the complement reverses the axis."""
+    raised = mj.compound_inverse @ (j.conj() * sqrt_det_jet(mj))
+    r = np.ndim(j.val) - j.nb
+    signs = signs.reshape((-1,) + (1,) * (r - 1))
+    return raised.map(lambda a: np.flip(a, -r) * signs)
 
 
 def hodge_star(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
@@ -373,18 +356,16 @@ def hodge_star(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
     coefficients, raises them with g^-1 and complements blades."""
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    raised = mj.compound_inverse @ (j.conj() * sqrt_det_jet(mj))
-    signs = orientation * _complement_signs(j.n).T
-    return raised.map(lambda a: a @ signs)
+    return _star(j, mj, orientation * _complement_signs(j.n))
 
 
 def coderivative_hodge(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
-    """d* = (-1)^(n(p+1)+1) sgn(det g) * d * on degree-p input."""
-    if not degrees(j):
-        return Jet.constant(np.zeros(1 << j.n), j.x)
-    sign = (-1) ** (mj.n * (degree(j) + 1) + 1) * np.sign(mj.det)
-    return hodge_star(exterior_derivative(hodge_star(j, mj, orientation)),
-                      mj, orientation).scale(sign)
+    """d* = (-1)^(n(|M|+2)+1) sgn(det g) * d * on output blade M, which is
+    (-1)^(n(p+1)+1) sgn(det g) * d * on degree-p input: a sign per blade, so
+    d* is defined on any form."""
+    signs = orientation * _complement_signs(j.n) * -(-1.0) ** (j.n * grades(j.n))
+    return _star(exterior_derivative(hodge_star(j, mj, orientation)), mj,
+                 signs).scale(np.sign(mj.det))
 
 
 # the Levi-Civita connection A_a and the gammas c(dx^i) on the blade axis of

@@ -326,8 +326,10 @@ def _matmul(a, b) -> Jet:
 
 def index_contract(family: Jet, v: Jet) -> Jet:
     """sum_i M_i v_i for a family of matrices M, fiber (n, p, q), and a family
-    of vectors v, fiber (n, q): one product summed over the index axis."""
-    return (family @ v[..., None])[..., 0].sum()
+    of vectors v, fiber (n, q), or of blocks of K columns, fiber (n, q, K):
+    one product summed over the index axis."""
+    col = np.ndim(v.val) - v.nb == 2
+    return (family @ v[..., None])[..., 0].sum() if col else (family @ v).sum()
 
 
 # -- lifted scalar functions (work on plain numbers and on jets) -----------

@@ -9,7 +9,10 @@ Omega_a are each one jet with the index a on the first fiber axis, fiber
 
 Stack convention: as in ``bundles``, the metric jet, frame, connection and
 sections may live at a stack of points x (P, n), plain arrays carry the
-sample axis in front and every residual is returned per sample.
+sample axis in front and every residual is returned per sample.  A section
+may also be a block of K columns, fiber (m, K), one per draw: the Dirac
+routes and the Lichnerowicz residual act on each column, and a 1-D fiber is
+one column, dropped again from the result.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bundles import (DiracOperatorData, ModuleSpec, _columns, apply_dirac,
-                      canonical_laplacian, column_gap, dirac_square)
+from .bundles import (DiracOperatorData, ModuleSpec, _columns, _fold, _fold_index,
+                      apply_dirac, canonical_laplacian, column_gap, dirac_square)
 from .charts import Chart, MetricJet
 from .clifford import blade_tables, contract
 from .curvature import curvature_data
@@ -209,6 +212,7 @@ def spin_dirac_operator(scd: SpinConnectionData, smd: SpinModuleData,
 
 def spin_dirac(scd: SpinConnectionData, smd: SpinModuleData, frame: FrameField,
                mj: MetricJet, j: Jet) -> np.ndarray:
+    """c(dx^a)(partial_a + Omega_a) psi on a section 1-jet or a block (m, K)."""
     if j.d is None:
         raise ValueError("spin Dirac needs an order-1 section jet")
     return apply_dirac(spin_dirac_operator(scd, smd, frame, mj), j)
@@ -221,6 +225,7 @@ def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
     alpha_1 sums (e_j, nabla_{e_i} e_i-slot) over the frame; alpha_3 is the
     antisymmetrized cubic with (e_j, [e_i, e_k]) coefficients.
     """
+    j, back = _columns(j)
     out = _slash(smd.coordinate_gammas(frame).val, j, scd.a_pot)
     # (e_j, nabla_{e_i} e_k) = <e_i, dx^a> w0[a, j, k]
     w = np.einsum("...ia,...ajk->...ijk", frame.inv.val, scd.w0.val)
@@ -231,14 +236,16 @@ def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
               (("abc", 1), ("bca", 1), ("cab", 1), ("bac", -1), ("acb", -1), ("cba", -1)))
     a, b, c = np.indices(wt.shape[-3:])
     g = smd.gammas
-    q3 = np.einsum("...abc,axy,byz,czw->...xw", alt / 6.0 * ((a < b) & (b < c)), g, g, g)
-    return out - 0.25 * np.einsum("...ab,...b->...a", 2.0 * q1 + 3.0 * q3, j.val)
+    cubes = g[:, None, None] @ g[None, :, None] @ g[None, None, :]  # gamma_a gamma_b gamma_c
+    q3 = np.einsum("...abc,abcxw->...xw", alt / 6.0 * ((a < b) & (b < c)), cubes)
+    return back(out - 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val))
 
 
 def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
-    """gamma^a (partial_a + A_a / 2) psi at the point."""
-    return np.einsum("...aij,...aj->...i", gammas,
-                     j.d + 0.5 * a_pot.val[..., :, None] * j.val[..., None, :])
+    """gamma^a (partial_a + A_a / 2) psi at the point, on a block psi (m, K):
+    the index a folded into the fiber, one product."""
+    return _fold_index(gammas) @ _fold(
+        j.d + 0.5 * a_pot.val[..., :, None, None] * j.val[..., None, :, :])
 
 
 def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
@@ -246,13 +253,13 @@ def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
     """Closed form L (slash(d) + slash(A)/2) L^{-1} with L^2 = lambda^(n-1)."""
     if chart.kind != "conformal" or chart.lam_fn is None:
         raise ValueError("conformal closed form needs a conformal chart")
-    n = chart.n
+    n, (j, back) = chart.n, _columns(j)
     lam = chart.lam_fn(seed_point(j.x, order=2))
     if np.any(np.real(lam.val) <= 0):
         raise ValueError("conformal factor not positive at the point")
     biglam = jet_sqrt(lam) ** (n - 1)
-    return ((biglam.val * lam.val)[..., None]
-            * _slash(smd.gammas, j * (1.0 / biglam), a_pot))
+    return back((biglam.val * lam.val)[..., None, None]
+                * _slash(smd.gammas, j * (1.0 / biglam), a_pot))
 
 
 # ---------------------------------------------------------------------------

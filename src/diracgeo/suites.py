@@ -14,7 +14,7 @@ from . import bundles as bnd
 from . import seiberg_witten as swm
 from . import spin as sp
 from .charts import MetricJet, get_chart, metric_jet
-from .clifford import (blade_tables, chirality, clifford_product, contract,
+from .clifford import (blade_tables, chirality, clifford_product, contract, grades,
                        product_table, quantize, symbol)
 from .curvature import (curvature_data, curvature_two_form_residual,
                         divergence_via_connection, divergence_via_density,
@@ -540,12 +540,18 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> Verific
 
     spinor = [FieldLayout(n, (smd.dim,), complex_coeffs=True)]
 
+    # each route is one call on a block of the draws
+    def dual_route():
+        j, = run.draws(spinor, per=3, block=True)
+        return bnd.column_gap(sp.spin_dirac(scd, smd, fr, mj, j),
+                              sp.spin_dirac_alpha(scd, smd, fr, j))
+
     def conformal_closed_form():
         if ch.kind != "conformal":
             return 0.0
-        return [relative_gap(sp.spin_dirac(scd, smd, fr, mj, j),
-                             sp.conformal_dirac(ch, a_jets, smd, j))
-                for (j,) in run.draws(spinor)]
+        j, = run.draws(spinor, block=True)
+        return bnd.column_gap(sp.spin_dirac(scd, smd, fr, mj, j),
+                              sp.conformal_dirac(ch, a_jets, smd, j))
 
     def connection_difference():
         b_jets = potentials(head.x)
@@ -558,9 +564,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> Verific
               lambda: sp.frame_invariant_residual(fr, mj))
     run.check("lichnerowicz-dirac-dual-route",
               "generic assembly equals the 1-form/3-form route", 1e-10,
-              lambda: [relative_gap(sp.spin_dirac(scd, smd, fr, mj, j),
-                                    sp.spin_dirac_alpha(scd, smd, fr, j))
-                       for (j,) in run.draws(spinor, per=3)])
+              dual_route)
     run.check("lichnerowicz-conformal-closed-form",
               "rescaling closed form equals the generic assembly", 1e-9,
               conformal_closed_form)
@@ -595,17 +599,23 @@ def hodge_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationRe
     run = _Run("hodge", chart, seed, samples, pts)
     n, mj, head = run.n, run.mj, run.head
 
-    def degree_forms(degs, per: int = 1):
-        """The layouts of ``per`` complex forms of each degree in degs."""
-        return [FieldLayout.form(n, p, True) for p in degs for _ in range(per)]
+    def degree_block(degs, at=None, order: int = 2) -> Jet:
+        """A complex form of each degree in degs, drawn as ``run.draws`` draws
+        their layouts in turn, as the columns of one block (2^n, len(degs))."""
+        col, blade = np.nonzero(np.array(degs)[:, None] == grades(n))
+        spread = np.eye((1 << n) * len(degs))[blade * len(degs) + col]    # to (blade, col)
+        (flat,), = run.draws([FieldLayout(n, (len(blade),), complex_coeffs=True)], at=at,
+                             order=order)
+        return flat.map(lambda t: (t @ spread).reshape(t.shape[:-1] + (1 << n, len(degs))))
+
+    def colmax(*arrays):
+        """Per sample and column, the largest entry magnitude over the arrays."""
+        return reduce(np.maximum, (sample_max(np.moveaxis(a, -1, 1), 2) for a in arrays))
 
     def double_star():
-        out = []
-        for p, a in enumerate(run.draws(degree_forms(range(n + 1)), order=0)[0]):
-            twice = hodge_star(hodge_star(a, mj), mj)
-            want = a.val * ((-1.0) ** (p * (n - p)) * np.sign(mj.det))[:, None]
-            out.append(relative(_samples_amax(twice.val - want), _samples_amax(a.val)))
-        return out
+        a, p = degree_block(range(n + 1), order=0), np.arange(n + 1)
+        want = a.val * (-1.0) ** (p * (n - p)) * np.sign(mj.det)[:, None, None]
+        return relative(colmax(hodge_star(hodge_star(a, mj), mj).val - want), colmax(a.val))
 
     def antilinear():
         a, c = _antilinear_fields(run, head.x)
@@ -614,38 +624,37 @@ def hodge_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationRe
         return relative(_samples_amax(lhs.val - rhs.val), _samples_amax(lhs.val))
 
     def pairing():
-        out = []
-        top = (1 << n) - 1
-        vol = volume_form(head, head.x).val[:, top]
-        fs, = run.draws(degree_forms(range(n + 1), per=2), at=head.x, order=0)
-        for a, b in zip(fs[::2], fs[1::2]):
-            got = wedge_forms(a, hodge_star(b, head)).val[:, top]
-            want = np.conj(gram_pairing(a, b, head)) * vol
-            out.append(relative(np.abs(got - want), np.abs(want)))
-        return out
+        # two forms of each degree in turn: a in the even columns, b in the odd
+        ab, top = degree_block(np.repeat(range(n + 1), 2), at=head.x, order=0), (1 << n) - 1
+        a, b, vol = ab[:, ::2], ab[:, 1::2], volume_form(head, head.x).val[:, top, None]
+        got = wedge_forms(a, hodge_star(b, head)).val[:, top]
+        want = np.conj(gram_pairing(a, b, head)) * vol
+        return relative(np.abs(got - want), np.abs(want))
 
-    # the star route needs pure-degree input, so these draws loop over p
+    # each route below is one operator call on a block of one form per degree.
+    # del and D carry a factor g^-1: the terms of del del a and D D a that cancel
+    # are of size max |g^-1| times the jets of del a and of D a
 
     def coderivative_dual():
-        return [relative_gap(coderivative_hodge(a, mj).val, coderivative_connection(a, mj).val)
-                for a in run.draws(degree_forms(range(1, n + 1)), order=1)[0]]
+        a = degree_block(range(1, n + 1), order=1)
+        return bnd.column_gap(coderivative_hodge(a, mj).val, coderivative_connection(a, mj).val)
 
-    def coderivative_squared():
-        out = []
-        for p, a in enumerate(run.draws(degree_forms(range(n + 1)))[0]):
-            jetnorm = _samples_amax(a.val, a.d, a.dd)
-            if p >= 2:
-                twice = coderivative_hodge(coderivative_hodge(a, mj), mj)
-                out.append(relative(_samples_amax(twice.val), jetnorm))
-            out.append(relative(_samples_amax(
-                exterior_derivative(exterior_derivative(a)).val), jetnorm))
-        return out
+    def nilpotency():
+        a = degree_block(range(n + 1))
+        norm, da = colmax(a.val, a.d, a.dd), coderivative_hodge(a, mj)
+        cancel = colmax(da.val, da.d) * colmax(mj.g_inv[..., None])
+        return np.maximum(
+            relative(colmax(coderivative_hodge(da, mj).val), norm, cancel),
+            relative(colmax(exterior_derivative(exterior_derivative(a)).val), norm))
 
     def dirac_square():
-        return [relative_gap(forms_dirac(forms_dirac(a, head), head).val,
-                             (exterior_derivative(coderivative_connection(a, head))
-                              + coderivative_connection(exterior_derivative(a), head)).val)
-                for a in run.draws(degree_forms(range(n + 1)), at=head.x)[0]]
+        a = degree_block(range(n + 1), at=head.x)
+        da = forms_dirac(a, head)
+        lhs = forms_dirac(da, head).val
+        rhs = (exterior_derivative(coderivative_connection(a, head))
+               + coderivative_connection(exterior_derivative(a), head)).val
+        return relative(colmax(lhs - rhs), colmax(lhs), colmax(rhs),
+                        colmax(da.val, da.d) * colmax(head.g_inv[..., None]))
 
     run.check("hodge-double-star",
               "star(star(a)) = (-1)^p(n-p) sign(det g) a", 1e-11, double_star)
@@ -657,7 +666,7 @@ def hodge_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationRe
               "star route equals connection route for the coderivative", 1e-9,
               coderivative_dual)
     run.check("hodge-nilpotency", "d d = 0 and del del = 0", 1e-11,
-              coderivative_squared)
+              nilpotency)
     run.check("hodge-dirac-square", "(d + del)^2 = d del + del d", 1e-10,
               dirac_square)
     return run.rep

@@ -1,6 +1,7 @@
-"""Blocks of sections: a section jet of fiber (m, K), one column per probe or
-draw.  Every block operator equals K single-section calls column by column,
-to a relative 1e-15, and each check makes one operator call per route."""
+"""Blocks of sections and of forms: a section jet of fiber (m, K) or a form
+jet of fiber (2^n, K), one column per probe, draw or degree.  Every block
+operator equals K single-column calls column by column, to a relative
+1e-15, and each check makes one operator call per route."""
 
 from collections import Counter
 from functools import cached_property
@@ -13,7 +14,11 @@ from diracgeo import bundles as bnd
 from diracgeo import spin as sp
 from diracgeo import suites
 from diracgeo.charts import get_chart, metric_jet
-from diracgeo.forms import FieldLayout, PolyField, random_poly_field
+from diracgeo.forms import (FieldLayout, PolyField, coderivative_connection,
+                            coderivative_hodge, covariant_derivative, forms_dirac,
+                            gram_pairing, hodge_star, poly_fields, random_poly_field,
+                            random_poly_form, wedge_forms)
+from diracgeo.jets import Jet, index_contract
 from diracgeo.suites import run_suite
 from test_sample_axis import _close
 
@@ -38,7 +43,13 @@ def _field(rng, xs, make):
 
 
 def _per_column(got, single, K):
-    """A block result, its column axis last, against the K single calls."""
+    """A block result, its column axis last, against the K single calls; a
+    jet order by order."""
+    if isinstance(got, Jet):
+        assert got.order == single(0).order
+        for k in ("val", "d", "dd")[:got.order + 1]:
+            _per_column(getattr(got, k), lambda c: getattr(single(c), k), K)
+        return
     if isinstance(got, tuple):
         for k, g in enumerate(got):
             _per_column(g, lambda c: single(c)[k], K)
@@ -93,6 +104,58 @@ def test_lichnerowicz_residual_acts_on_each_column(name, stack, K):
                 lambda c: sp.lichnerowicz_residual(scd, smd, fr, mj, j[:, c]), K)
 
 
+FORM_CASES = [(name, stack, K) for name in ("sphere2", "poly4", "sphere4")
+              for stack in (False, True) for K in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("name, stack, K", FORM_CASES)
+def test_form_operators_act_on_each_column(name, stack, K):
+    n, rng, xs, mj = _points(name, stack, 34)
+    # every blade drawn, so each column is a form of mixed degree
+    a, b = (_field(rng, xs, lambda r: random_poly_field(r, n, (1 << n, K), complex_coeffs=True))
+            for _ in range(2))
+    for op in (lambda j: hodge_star(j, mj), lambda j: hodge_star(j, mj, -1),
+               lambda j: coderivative_hodge(j, mj), lambda j: coderivative_connection(j, mj),
+               lambda j: forms_dirac(j, mj)):
+        _per_column(op(a), lambda c: op(a[:, c]), K)
+    cov = covariant_derivative(a, mj)
+    for family in (mj.exterior_gammas, mj.raised_iota):
+        _per_column(index_contract(family, cov), lambda c: index_contract(family, cov[..., c]), K)
+    # two blocks pair and wedge column by column
+    _per_column(wedge_forms(a, b), lambda c: wedge_forms(a[:, c], b[:, c]), K)
+    _per_column(gram_pairing(a, b, mj), lambda c: gram_pairing(a[:, c], b[:, c], mj), K)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "poly4", "sphere4"])
+@pytest.mark.parametrize("stack", [False, True])
+def test_coderivative_of_a_sum_is_the_sum_over_degrees(name, stack):
+    # the star route's sign is taken per output blade, so on a sum of pure
+    # forms it is the sum of the per-degree results
+    n, rng, xs, mj = _points(name, stack, 35)
+    pure = [_field(rng, xs, lambda r: random_poly_form(r, n, p, complex_coeffs=True))
+            for p in range(n + 1)]
+    got = coderivative_hodge(sum(pure[1:], pure[0]), mj)
+    want = [coderivative_hodge(a, mj) for a in pure]
+    want = sum(want[1:], want[0])
+    for k in ("val", "d"):
+        _close(getattr(got, k)[None], [getattr(want, k)])
+
+
+@pytest.mark.parametrize("name, stack, K", FORM_CASES)
+def test_spinor_dirac_routes_act_on_each_column(name, stack, K):
+    n, rng, xs, mj = _points(name, stack, 36)
+    ch, smd, fr = get_chart(name), sp.spin_module_data(n), sp.build_frame_from_metric(mj)
+    a_pot = _field(rng, xs, lambda r: sp.imaginary_poly_potential(r, n))
+    scd = sp.build_spin_connection(fr, smd, mj, a_pot)
+    j = _field(rng, xs, lambda r: random_poly_field(r, n, (smd.dim, K), complex_coeffs=True))
+    routes = [lambda j: sp.spin_dirac(scd, smd, fr, mj, j),
+              lambda j: sp.spin_dirac_alpha(scd, smd, fr, j)]
+    if ch.kind == "conformal":
+        routes.append(lambda j: sp.conformal_dirac(ch, a_pot, smd, j))
+    for route in routes:
+        _per_column(route(j), lambda c: route(j[:, c]), K)
+
+
 @pytest.mark.parametrize("name", ["sphere2", "poly3", "poly4"])
 @pytest.mark.parametrize("stack", [False, True])
 def test_probe_block_is_the_per_probe_loop(name, stack):
@@ -134,9 +197,25 @@ def test_block_draws_are_the_listed_draws(name, order):
     assert runs[0].rng.bit_generator.state == runs[1].rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_layout_of_all_blades_draws_the_per_degree_forms(n):
+    # the hodge checks draw their forms, degree by degree (the pairing two of
+    # each), as one layout of all their blades: the same numbers, in the
+    # same order, as the per-degree layouts drawn in turn
+    for degs in (range(n + 1), range(1, n + 1), np.repeat(range(n + 1), 2)):
+        layouts = [FieldLayout.form(n, p, True) for p in degs]
+        flat = FieldLayout(n, (sum(len(lay.masks) for lay in layouts),), complex_coeffs=True)
+        u = np.random.default_rng(n).uniform(-1.0, 1.0, (P, flat.size))
+        assert flat.size == sum(lay.size for lay in layouts)
+        (whole,), parts = poly_fields(u, [flat]), poly_fields(u, layouts)
+        cuts = np.cumsum([len(lay.masks) for lay in layouts])[:-1]
+        for got, want in zip(np.split(whole.coeffs, cuts, axis=-1), parts):
+            assert np.array_equal(got, want.coeffs)
+
+
 def _calls_per_check(monkeypatch, suite, chart, seed=1, samples=5):
     """Per check id of one suite run, the calls of each counted operator."""
-    calls, per = Counter(), {}
+    calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kw):
@@ -166,7 +245,12 @@ def _calls_per_check(monkeypatch, suite, chart, seed=1, samples=5):
     prop = cached_property(square)
     prop.__set_name__(bnd.DiracOperatorData, "square_coefficients")
     monkeypatch.setattr(bnd.DiracOperatorData, "square_coefficients", prop)
-    real_timed = suites._timed
+    return _split_per_check(monkeypatch, calls, suite, chart, seed, samples), calls
+
+
+def _split_per_check(monkeypatch, calls, suite, chart, seed=1, samples=5):
+    """Run one suite; per check id, what the check added to the Counter calls."""
+    per, real_timed = {}, suites._timed
 
     def timed(rep, cid, identity, tol, fn):
         before = calls.copy()
@@ -176,7 +260,15 @@ def _calls_per_check(monkeypatch, suite, chart, seed=1, samples=5):
     monkeypatch.setattr(suites, "_timed", timed)
     rep = run_suite(suite, chart=chart, seed=seed, samples=samples)
     assert rep.passed
-    return per, calls
+    return per
+
+
+def _count_calls(monkeypatch, module, names, calls):
+    """Count in calls each call of the functions ``names`` of module."""
+    for name in names:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kw:
+                            calls.update([name]) or real(*args, **kw))
 
 
 @pytest.mark.parametrize("chart", ["sphere2", "poly4"])
@@ -208,3 +300,32 @@ def test_block_checks_call_each_operator_once(monkeypatch, chart):
     assert per["lichnerowicz-weitzenbock"] == {"dirac_square": 1,
                                                "canonical_laplacian/local": 1,
                                                "square_coefficients": 1}
+
+
+@pytest.mark.parametrize("chart", ["sphere2", "sphere4"])
+def test_each_hodge_check_calls_each_route_once(monkeypatch, chart):
+    # one call per route on a block of one form per degree, whatever n is
+    calls = Counter()
+    _count_calls(monkeypatch, suites, ("hodge_star", "coderivative_hodge",
+                                       "coderivative_connection", "forms_dirac",
+                                       "exterior_derivative", "wedge_forms", "gram_pairing"),
+                 calls)
+    per = _split_per_check(monkeypatch, calls, "hodge", chart)
+    assert per == {
+        "hodge-double-star": {"hodge_star": 2},
+        "hodge-antilinear": {"hodge_star": 2},
+        "hodge-pairing": {"hodge_star": 1, "wedge_forms": 1, "gram_pairing": 1},
+        "hodge-coderivative-dual": {"coderivative_hodge": 1, "coderivative_connection": 1},
+        "hodge-nilpotency": {"coderivative_hodge": 2, "exterior_derivative": 2},
+        "hodge-dirac-square": {"forms_dirac": 2, "coderivative_connection": 2,
+                               "exterior_derivative": 2},
+    }
+
+
+@pytest.mark.parametrize("chart", ["sphere2", "sphere4"])
+def test_each_spinor_route_is_called_once(monkeypatch, chart):
+    calls = Counter()
+    _count_calls(monkeypatch, sp, ("spin_dirac", "spin_dirac_alpha", "conformal_dirac"), calls)
+    per = _split_per_check(monkeypatch, calls, "lichnerowicz", chart)
+    assert per["lichnerowicz-dirac-dual-route"] == {"spin_dirac": 1, "spin_dirac_alpha": 1}
+    assert per["lichnerowicz-conformal-closed-form"] == {"spin_dirac": 1, "conformal_dirac": 1}

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from diracgeo.charts import get_chart, metric_jet
-from diracgeo.forms import (DegreeError, JetOrderError, coefficient,
+from diracgeo.clifford import grades
+from diracgeo.forms import (JetOrderError, coefficient,
                             coderivative_connection, coderivative_hodge,
-                            covariant_derivative, degrees, exterior_derivative, forms_dirac,
+                            covariant_derivative, exterior_derivative, forms_dirac,
                             gram_pairing,
                             hodge_star, iota_vector, laplace_beltrami,
                             lie_derivative,
@@ -190,21 +191,32 @@ def test_coderivative_drops_degree_and_squares_to_zero():
     mj = metric_jet(ch, x)
     a = random_poly_form(rng, 4, 3, complex_coeffs=True).eval(x, 2)
     da = coderivative_hodge(a, mj)
-    assert degrees(da) <= {2}
+    # every blade of degree other than 2 is exactly zero, to every order
+    off = grades(4) != 2
+    assert not any(np.any(t[..., off]) for t in (da.val, da.d))
+    assert np.any(da.val[~off])
     dda = coderivative_hodge(da, mj)
     assert dda.norm() / max(1.0, a.norm()) < 1e-11
 
 
-def test_coderivative_hodge_needs_pure_degree():
-    rng = np.random.default_rng(12)
-    ch = get_chart("flat2")
+def test_coderivative_routes_agree_on_mixed_degrees():
+    # the star route takes its sign per output blade, so like the blade-wise
+    # connection route it accepts a form of mixed degree
     x = np.zeros(2)
-    mj = metric_jet(ch, x)
+    mj = metric_jet(get_chart("flat2"), x)
     mixed = _form(2, x, {0: _const(1.0, 2), 1: _const(1.0, 2)})
-    with pytest.raises(DegreeError):
-        coderivative_hodge(mixed, mj)
-    # the connection route is blade-wise and accepts the same input
-    coderivative_connection(mixed, mj)
+    d1, d2 = coderivative_hodge(mixed, mj), coderivative_connection(mixed, mj)
+    assert d1.order == d2.order == 1
+    assert np.array_equal(d1.val, d2.val) and np.array_equal(d1.d, d2.d)
+    rng = np.random.default_rng(12)
+    for name in ("sphere2", "poly3", "sphere4"):
+        ch = get_chart(name)
+        x = ch.sample_point(rng)
+        mj = metric_jet(ch, x)
+        mixed = sum(random_poly_form(rng, ch.n, p, complex_coeffs=True).eval(x, 2)
+                    for p in range(ch.n + 1))
+        d1, d2 = coderivative_hodge(mixed, mj), coderivative_connection(mixed, mj)
+        assert _diff(d1, d2) / max(1.0, d1.norm()) < 1e-10, name
 
 
 def test_forms_dirac_square_is_d_delta_plus_delta_d():

@@ -172,6 +172,17 @@ def test_twisting_holds_on_a_small_metric(monkeypatch, chart, seed):
     assert check.passed and check.max_residual < 1e-12
 
 
+@pytest.mark.parametrize("chart", ["sphere2", "poly2", "sphere4", "poly4", "minkowski4"])
+@pytest.mark.parametrize("scale", [1e-2, 1e-3, 1e-6])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_hodge_checks_hold_on_a_small_metric(monkeypatch, chart, scale, seed):
+    # del and D each carry a factor g^-1, so the terms of del del a and D D a
+    # that cancel grow with |g^-1|^2, far beyond the drawn form and the two
+    # sides: read relative to them, every hodge check passes
+    rep = _scaled_run(monkeypatch, "hodge", chart, scale, seed)
+    assert len(rep.checks) == 6 and not _failing(rep)
+
+
 def test_symbol_roundtrip_fails_under_the_parity_swapped_recursion(parity_swapped_tables):
     rep = run_suite("clifford", chart="poly3", seed=1, samples=5)
     assert "clifford-symbol-roundtrip" in _failing(rep)
