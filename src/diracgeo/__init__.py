@@ -21,7 +21,7 @@ from .forms import (PolyField, coderivative_connection, coderivative_hodge,
                     exterior_derivative, forms_dirac, gram_pairing,
                     hodge_star, iota_vector, laplace_beltrami, lie_derivative,
                     vector_bracket, volume_form, wedge_forms)
-from .jets import Jet, jet_cos, jet_exp, jet_log, jet_sin, jet_sqrt, seed_point
+from .jets import Jet, jet_sqrt, seed_point
 from .report import CheckResult, VerificationReport
 from .seiberg_witten import (SWConfig, SWConfigError, load_sw_config,
                              random_sw_config, sw_functional, sw_residuals)
@@ -43,8 +43,8 @@ __all__ = [
     "coderivative_connection", "coderivative_hodge", "conformal_dirac",
     "curvature_data", "dirac_square", "exterior_derivative",
     "exterior_module", "forms_dirac", "get_chart", "gram_pairing",
-    "hodge_star", "iota_vector", "is_special_superconnection", "jet_cos",
-    "jet_exp", "jet_log", "jet_sin", "jet_sqrt", "kernel_projector",
+    "hodge_star", "iota_vector", "is_special_superconnection", "jet_sqrt",
+    "kernel_projector",
     "laplace_beltrami", "laplacian_decompose", "laplacian_from_connection",
     "laplacian_from_dirac", "lichnerowicz_residual", "lie_derivative",
     "load_chart_config", "load_sw_config", "metric_jet", "quantize",

@@ -57,10 +57,6 @@ class CliffordConnectionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def random_poly_section(rng, n: int, m: int, degree: int = 2) -> PolyField:
-    return random_poly_field(rng, n, (m,), degree, complex_coeffs=True)
-
-
 @lru_cache(maxsize=None)
 def _allowed(sig: tuple, parity: int) -> np.ndarray:
     """The (m, m) entries of eta-parity ``parity`` (+1 even, -1 odd) for

@@ -17,7 +17,7 @@ from . import bundles as bnd
 from . import seiberg_witten as swm
 from .charts import ChartDomainError, get_chart, metric_jet, registry
 from .curvature import curvature_data
-from .forms import random_poly_scalar
+from .forms import FieldLayout, poly_fields
 from .report import render_human, render_json
 from .spin import SpinSignatureError
 from .suites import (DIRAC_COMMUTATOR_TOL, SUITE_NAMES, SW_FUNCTIONAL_GAP_TOL,
@@ -106,11 +106,13 @@ def cmd_dirac(args) -> int:
     else:
         S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, {1: "zero"})
     D = bnd.quantize_superconnection(S, mj, ms, x)
-    # np.max keeps a NaN residual, which then fails the gate
+    # five draws of f, then psi, one call each; np.max keeps a NaN residual,
+    # which then fails the gate
+    fields = [FieldLayout(n, (), complex_coeffs=True),
+              FieldLayout(n, (ms.m,), complex_coeffs=True)]
     worst, worst_rel = np.max([
-        bnd.dirac_commutator_residual(
-            D, random_poly_scalar(rng, n, 2, complex_coeffs=True).eval(x, 2),
-            bnd.random_poly_section(rng, n, ms.m).eval(x, 2))
+        bnd.dirac_commutator_residual(D, *(f.eval(x, 2) for f in poly_fields(
+            rng.uniform(-1.0, 1.0, sum(lay.size for lay in fields)), fields)))
         for _ in range(5)], axis=0).tolist()
     payload = {
         "chart": args.chart,

@@ -258,20 +258,6 @@ def random_poly_field(rng, n: int, shape: tuple = (), degree: int = 2,
     return poly_fields(rng.uniform(-1.0, 1.0, lay.size), [lay])[0]
 
 
-def random_poly_scalar(rng, n: int, degree: int = 2,
-                       complex_coeffs: bool = False) -> PolyField:
-    return random_poly_field(rng, n, (), degree, complex_coeffs)
-
-
-def random_poly_vector(rng, n: int, degree: int = 2) -> PolyField:
-    return random_poly_field(rng, n, (n,), degree)
-
-
-def random_poly_form(rng, n: int, p: int, degree: int = 2,
-                     complex_coeffs: bool = False) -> PolyField:
-    return random_poly_field(rng, *FieldLayout.form(n, p, complex_coeffs, degree))
-
-
 # ---------------------------------------------------------------------------
 # metric-free operators: d, iota, wedge, Lie
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ class Jet:
                                     self.order)
             v = self.val
             return self._chain(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
-        raise TypeError("only integer powers; use jet_sqrt/jet_exp for the rest")
+        raise TypeError("only integer powers; use jet_sqrt for square roots")
 
     # -- chain rule core ----------------------------------------------------
 
@@ -332,46 +332,9 @@ def index_contract(family: Jet, v: Jet) -> Jet:
     return (family @ v[..., None])[..., 0].sum() if col else (family @ v).sum()
 
 
-# -- lifted scalar functions (work on plain numbers and on jets) -----------
-
-
-def _is_jet(x) -> bool:
-    return isinstance(x, Jet)
-
-
-def jet_sqrt(x):
-    if _is_jet(x):
-        r = np.sqrt(x.val)
-        return x._chain(r, 0.5 / r, -0.25 / (r * x.val))
-    return np.sqrt(x)
-
-
-def jet_exp(x):
-    if _is_jet(x):
-        e = np.exp(x.val)
-        return x._chain(e, e, e)
-    return np.exp(x)
-
-
-def jet_log(x):
-    if _is_jet(x):
-        v = x.val
-        return x._chain(np.log(v), 1.0 / v, -1.0 / (v * v))
-    return np.log(x)
-
-
-def jet_sin(x):
-    if _is_jet(x):
-        s, c = np.sin(x.val), np.cos(x.val)
-        return x._chain(s, c, -s)
-    return np.sin(x)
-
-
-def jet_cos(x):
-    if _is_jet(x):
-        s, c = np.sin(x.val), np.cos(x.val)
-        return x._chain(c, -s, -c)
-    return np.cos(x)
+def jet_sqrt(x: Jet) -> Jet:
+    r = np.sqrt(x.val)
+    return x._chain(r, 0.5 / r, -0.25 / (r * x.val))
 
 
 def seed_point(x: Sequence[float], order: int = 2) -> Jet:

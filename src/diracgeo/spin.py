@@ -28,8 +28,7 @@ from .bundles import (DiracOperatorData, ModuleSpec, _columns, _fold, _fold_inde
 from .charts import Chart, MetricJet
 from .clifford import blade_tables, contract
 from .curvature import curvature_data
-from .forms import PolyField, random_poly_field
-from .jets import Jet, jet_sqrt, sample_max, seed_point
+from .jets import Jet, jet_sqrt, relative, sample_max, seed_point
 
 
 class SpinSignatureError(ValueError):
@@ -95,13 +94,15 @@ def build_frame_from_metric(mj: MetricJet) -> FrameField:
 
 
 def frame_invariant_residual(frame: FrameField, mj: MetricJet):
-    """The largest orthonormality, duality and inverse-metric residual per sample."""
+    """The largest orthonormality, duality and inverse-metric residual per
+    sample, the last relative to max|g^-1|."""
     co, inv, nb = frame.co.val, frame.inv.val, frame.co.nb
     eye = np.eye(mj.n)
     return np.maximum.reduce([
         sample_max(np.swapaxes(co, -1, -2) @ mj.g_inv @ co - eye, nb),
         sample_max(inv @ co - eye, nb),
-        sample_max(np.swapaxes(inv, -1, -2) @ inv - mj.g_inv, nb)])
+        relative(sample_max(np.swapaxes(inv, -1, -2) @ inv - mj.g_inv, nb),
+                 sample_max(mj.g_inv, nb))])
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +304,3 @@ def chirality_action_checks(smd: SpinModuleData, frame: FrameField,
     sq = float(np.max(np.abs(chi @ chi - np.eye(smd.dim))))
     return {"gamma_anticommutation": r1, "connection_commutation": r2,
             "chirality_squares_to_one": sq}
-
-
-# ---------------------------------------------------------------------------
-# potential builders
-# ---------------------------------------------------------------------------
-
-
-def imaginary_poly_potential(rng, n: int, degree: int = 2) -> PolyField:
-    """Random polynomial U(1) potential: a vector field with imaginary values."""
-    real = random_poly_field(rng, n, (n,), degree)
-    return PolyField(n, real.exponents, 1j * real.coeffs)

@@ -123,7 +123,7 @@ def _samples_amax(*arrays) -> np.ndarray:
 
 
 def _cartan_fields(run: _Run, at: np.ndarray) -> tuple:
-    """Per row of ``at``, as the per-row loop of ``random_poly_*`` drew them:
+    """Per row of ``at``, as a per-row loop of ``random_poly_field`` draws them:
     the degree p of a pure form, then one block for two forms of every
     degree, two vector fields and that pure form.  Each field is one 2-jet
     at ``at``, p one array."""
@@ -472,9 +472,11 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
     def kernel_projector():
         cmat, bmat, p = bnd.kernel_projector(head, ms)
         com = bnd.clifford_of_metric(head, ms)
-        return np.maximum(_samples_amax(p @ p - p, cmat @ bmat - np.eye(m),
-                                        com + n * np.eye(m)),
-                          np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - m))
+        # each term that cancels is a gamma times a lowered gamma
+        return relative(np.maximum(_samples_amax(p @ p - p, cmat @ bmat - np.eye(m),
+                                                 com + n * np.eye(m)),
+                                   np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - m)),
+                        sample_max(cmat, 1) * sample_max(n * bmat, 1))
 
     def twisting():
         FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(head))
@@ -524,7 +526,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> Verific
     smd, vector = sp.spin_module_data(n), FieldLayout(n, (n,))
 
     def potentials(at):
-        """One U(1) potential per point of ``at``, as ``imaginary_poly_potential``."""
+        """One U(1) potential per point of ``at``: a vector field with imaginary values."""
         f, = poly_fields(run.rng.uniform(-1.0, 1.0, (len(at), vector.size)), [vector])
         return replace(f, coeffs=1j * f.coeffs).eval(at, 2)
 

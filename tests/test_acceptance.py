@@ -7,6 +7,7 @@ are relative, floored at scale 1, matching the library's verification suites.
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -20,7 +21,7 @@ from diracgeo.clifford import BilinearForm, clifford_product, wedge_table
 from diracgeo.curvature import (curvature_data, log_det_identity_residual)
 from diracgeo.forms import (covariant_derivative, coderivative_connection,
                             coderivative_hodge, exterior_derivative,
-                            random_poly_form, volume_form)
+                            FieldLayout, random_poly_field, volume_form)
 from diracgeo.suites import run_suite
 
 ALL_CHARTS = sorted(registry())
@@ -153,7 +154,7 @@ def test_criterion_05_coderivative_dual_path():
             mj = metric_jet(ch, x)
             for _ in range(5):  # 100 (form, point) pairs per chart
                 p = int(rng.integers(1, n + 1))
-                a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
+                a = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
                 d1 = coderivative_hodge(a, mj)
                 d2 = coderivative_connection(a, mj)
                 scale = max(1.0, d1.norm(), d2.norm())
@@ -270,10 +271,11 @@ def test_criterion_09_conformal_flagship():
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             fr = sp.build_frame_from_metric(mj)
-            a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
+            pot = random_poly_field(rng, n, (n,))
+            a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
             assert max(abs(complex(a.val)) for a in a_jets) > 0
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
-            j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
+            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
             d2 = sp.conformal_dirac(ch, a_jets, smd, j)
             scale = max(1.0, float(np.max(np.abs(d1))),
@@ -296,10 +298,11 @@ def test_criterion_10_lichnerowicz():
                 fr = sp.build_frame_from_metric(mj)
                 a_jets = None
                 if with_pot:
-                    a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
+                    pot = random_poly_field(rng, n, (n,))
+                    a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
                 scd = sp.build_spin_connection(fr, smd, mj, a_jets)
                 for _ in range(10):  # 100 jets per chart and setting
-                    j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
+                    j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
                     worst = max(worst,
                                 sp.lichnerowicz_residual(scd, smd, fr, mj, j))
     _line("10 lichnerowicz D_A^2 = lap + r/4 + q(dA)/2", worst, 1e-7)

@@ -9,8 +9,7 @@ import clifford_reference as ref
 from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.curvature import curvature_data
-from diracgeo.forms import (PolyField, random_poly_field, random_poly_scalar,
-                            random_poly_vector)
+from diracgeo.forms import PolyField, random_poly_field
 from diracgeo.jets import relative, relative_gap
 
 
@@ -78,8 +77,8 @@ def test_dirac_commutator_is_clifford_of_differential():
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=3)
     D = bnd.quantize_superconnection(S, mj, ms, x)
     for _ in range(5):
-        fj = random_poly_scalar(rng, n, 2, complex_coeffs=True).eval(x)
-        j = bnd.random_poly_section(rng, n, m).eval(x, 2)
+        fj = random_poly_field(rng, n, (), 2, complex_coeffs=True).eval(x)
+        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)
         lhs = bnd.apply_dirac(D, j * fj) - fj.val * bnd.apply_dirac(D, j)
         rhs = np.zeros(m, dtype=complex)
         for a in range(n):
@@ -98,7 +97,7 @@ def test_dirac_square_routes_agree():
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=9)
     D = bnd.quantize_superconnection(S, mj, ms, x)
     for _ in range(5):
-        j = bnd.random_poly_section(rng, n, m).eval(x, 2)
+        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)
         direct = bnd.dirac_square(D, j)
         composed = bnd.apply_dirac(D, ref.apply_dirac_jet(D, j))
         scale = max(1.0, float(np.max(np.abs(direct))))
@@ -153,7 +152,7 @@ def test_dirac_square_decomposes_into_laplacian_plus_endomorphism():
     A, F = bnd.laplacian_decompose(H, mj)
     H2 = bnd.laplacian_from_connection(A, F, mj, x)
     for _ in range(5):
-        j = bnd.random_poly_section(rng, n, m).eval(x, 2)
+        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)
         h1, h2 = H.apply(j), H2.apply(j)
         assert np.max(np.abs(h1 - h2)) / max(1.0, np.max(np.abs(h1))) < 1e-10
 
@@ -166,7 +165,7 @@ def test_canonical_laplacian_routes_agree():
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     A = bnd.levi_civita_exterior_connection(mj)
-    j = bnd.random_poly_section(rng, n, m).eval(x, 2)
+    j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)
     loc = bnd.canonical_laplacian(A, mj, j, route="local")
     tr = bnd.canonical_laplacian(A, mj, j, route="trace")
     assert np.max(np.abs(loc - tr)) / max(1.0, np.max(np.abs(loc))) < 1e-11
@@ -246,8 +245,8 @@ def test_special_identity_holds_for_degree_one_superconnection():
     x = ch.sample_point(rng)
     S = bnd.superconnection_from_degrees(
         n, m, ms.eta, {0: "random", 1: "random"}, base_seed=17)
-    X = random_poly_vector(rng, n).eval(x)
-    Y = random_poly_vector(rng, n).eval(x)
+    X = random_poly_field(rng, n, (n,)).eval(x)
+    Y = random_poly_field(rng, n, (n,)).eval(x)
     # one section per blade, drawn in the order 0, 1, 2, 4, 3
     fs = random_poly_field(rng, n, (5, m), complex_coeffs=True,
                            masks=(0, 1, 2, 4, 3)).eval(x, 2)

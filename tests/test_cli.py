@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import diracgeo
+from diracgeo import bundles as bnd
 from diracgeo import cli
 from diracgeo import suites
+from diracgeo.charts import get_chart, metric_jet
+from diracgeo.forms import random_poly_field
 from diracgeo.report import VerificationReport
 
 
@@ -163,7 +166,6 @@ def test_dirac_payload(capsys):
 
 
 def test_dirac_exits_one_when_the_commutator_check_fails(capsys, monkeypatch):
-    from diracgeo import bundles as bnd
     real = bnd.apply_dirac
 
     def broken(D, j):
@@ -184,7 +186,6 @@ def test_dirac_exits_one_on_a_nan_residual(capsys, monkeypatch):
     # a max() that starts at 0.0 used to drop a NaN residual and report a
     # pass; a point the fields overflow at is now refused before the gate,
     # so the NaN comes from the residual itself
-    from diracgeo import bundles as bnd
     monkeypatch.setattr(bnd, "dirac_commutator_residual",
                         lambda *args: (float("nan"), float("nan")))
     code, out, _ = _run(capsys, ["dirac", "--chart", "flat2",
@@ -226,6 +227,36 @@ def test_dirac_with_superconnection_config(capsys, tmp_path):
                                  "--config", str(bad)])
     assert code == 2
     assert "fiber_dimension" in err
+
+
+@pytest.mark.parametrize("chart", ["flat2", "poly2"])
+@pytest.mark.parametrize("config", [None, {"fiber_dimension": 4, "seed": 5,
+                                           "degrees": {"0": "random", "2": "constant"}}])
+def test_dirac_draws_f_then_psi_five_times(capsys, tmp_path, chart, config):
+    # after the point, each of the five draws is f and then psi, each drawn
+    # as random_poly_field draws it: the payload's residual is exactly the
+    # worst over those pairs
+    ch = get_chart(chart)
+    ms = bnd.exterior_module(ch.n)
+    argv = ["dirac", "--chart", chart, "--seed", "4"]
+    if config is None:
+        S = bnd.superconnection_from_degrees(ch.n, ms.m, ms.eta, {1: "zero"})
+    else:
+        (tmp_path / "super.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "super.json")]
+        S = bnd.superconnection_from_config(config, ch.n, ms)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    rng = np.random.default_rng(4)
+    x = ch.sample_point(rng)
+    D = bnd.quantize_superconnection(S, metric_jet(ch, x), ms, x)
+    want = max(bnd.dirac_commutator_residual(
+        D, random_poly_field(rng, ch.n, (), complex_coeffs=True).eval(x, 2),
+        random_poly_field(rng, ch.n, (ms.m,), complex_coeffs=True).eval(x, 2))[0]
+        for _ in range(5))
+    payload = json.loads(out)
+    assert payload["point"] == x.tolist()
+    assert payload["commutator_residual"] == want
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,6 +4,7 @@ operator equals K single-column calls column by column, to a relative
 1e-15, and each check makes one operator call per route."""
 
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +18,7 @@ from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import (FieldLayout, PolyField, coderivative_connection,
                             coderivative_hodge, covariant_derivative, forms_dirac,
                             gram_pairing, hodge_star, poly_fields, random_poly_field,
-                            random_poly_form, wedge_forms)
+                            wedge_forms)
 from diracgeo.jets import Jet, index_contract
 from diracgeo.suites import run_suite
 from test_sample_axis import _close
@@ -97,8 +98,8 @@ def test_lichnerowicz_residual_acts_on_each_column(name, stack, K):
     n, rng, xs, mj = _points(name, stack, 32)
     smd = sp.spin_module_data(n)
     fr = sp.build_frame_from_metric(mj)
-    scd = sp.build_spin_connection(fr, smd, mj,
-                                   _field(rng, xs, lambda r: sp.imaginary_poly_potential(r, n)))
+    scd = sp.build_spin_connection(fr, smd, mj, _field(
+        rng, xs, lambda r: replace(f := random_poly_field(r, n, (n,)), coeffs=1j * f.coeffs)))
     j = _field(rng, xs, lambda r: random_poly_field(r, n, (smd.dim, K), complex_coeffs=True))
     _per_column(sp.lichnerowicz_residual(scd, smd, fr, mj, j),
                 lambda c: sp.lichnerowicz_residual(scd, smd, fr, mj, j[:, c]), K)
@@ -132,7 +133,7 @@ def test_coderivative_of_a_sum_is_the_sum_over_degrees(name, stack):
     # the star route's sign is taken per output blade, so on a sum of pure
     # forms it is the sum of the per-degree results
     n, rng, xs, mj = _points(name, stack, 35)
-    pure = [_field(rng, xs, lambda r: random_poly_form(r, n, p, complex_coeffs=True))
+    pure = [_field(rng, xs, lambda r: random_poly_field(r, *FieldLayout.form(n, p, True)))
             for p in range(n + 1)]
     got = coderivative_hodge(sum(pure[1:], pure[0]), mj)
     want = [coderivative_hodge(a, mj) for a in pure]
@@ -145,7 +146,8 @@ def test_coderivative_of_a_sum_is_the_sum_over_degrees(name, stack):
 def test_spinor_dirac_routes_act_on_each_column(name, stack, K):
     n, rng, xs, mj = _points(name, stack, 36)
     ch, smd, fr = get_chart(name), sp.spin_module_data(n), sp.build_frame_from_metric(mj)
-    a_pot = _field(rng, xs, lambda r: sp.imaginary_poly_potential(r, n))
+    a_pot = _field(rng, xs,
+                   lambda r: replace(f := random_poly_field(r, n, (n,)), coeffs=1j * f.coeffs))
     scd = sp.build_spin_connection(fr, smd, mj, a_pot)
     j = _field(rng, xs, lambda r: random_poly_field(r, n, (smd.dim, K), complex_coeffs=True))
     routes = [lambda j: sp.spin_dirac(scd, smd, fr, mj, j),

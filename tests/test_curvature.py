@@ -8,7 +8,7 @@ from diracgeo.curvature import (curvature_data, curvature_two_form_residual,
                                 divergence_via_connection,
                                 divergence_via_density, gradient,
                                 log_det_identity_residual)
-from diracgeo.forms import random_poly_scalar, random_poly_vector
+from diracgeo.forms import random_poly_field
 
 CURVED = ("sphere2", "hyperbolic2", "sphere4", "hyperbolic4", "poly2",
           "poly3", "poly4")
@@ -102,7 +102,7 @@ def test_divergence_routes_agree():
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             cd = curvature_data(mj)
-            vx = random_poly_vector(rng, ch.n).eval(x)
+            vx = random_poly_field(rng, ch.n, (ch.n,)).eval(x)
             vals = vx.val
             dvals = np.array([[c.d[a] for a in range(ch.n)] for c in vx]).T
             d1 = divergence_via_density(mj, vals, dvals)
@@ -125,7 +125,7 @@ def test_gradient_lowers_back_to_differential():
     ch = get_chart("poly4")
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    f = random_poly_scalar(rng, 4).eval(x)
+    f = random_poly_field(rng, 4).eval(x)
     grad = gradient(mj, f.d)
     assert np.max(np.abs(mj.g @ grad - f.d)) < 1e-13
 

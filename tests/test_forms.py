@@ -5,14 +5,13 @@ import pytest
 
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.clifford import grades
-from diracgeo.forms import (JetOrderError, coefficient,
+from diracgeo.forms import (FieldLayout, JetOrderError, coefficient,
                             coderivative_connection, coderivative_hodge,
                             covariant_derivative, exterior_derivative, forms_dirac,
                             gram_pairing,
                             hodge_star, iota_vector, laplace_beltrami,
                             lie_derivative,
-                            random_poly_form, random_poly_scalar,
-                            random_poly_vector, vector_bracket, volume_form,
+                            random_poly_field, vector_bracket, volume_form,
                             wedge_forms)
 from diracgeo.jets import Jet, seed_point
 
@@ -45,7 +44,7 @@ def test_exterior_derivative_of_scalar_is_the_differential():
     rng = np.random.default_rng(1)
     n = 3
     x = rng.normal(size=n)
-    f = random_poly_scalar(rng, n, 3).eval(x)
+    f = random_poly_field(rng, n, (), 3).eval(x)
     df = exterior_derivative(_form(n, x, {0: f}))
     for i in range(n):
         assert coefficient(df, [i]) == pytest.approx(complex(f.d[i]), abs=1e-14)
@@ -55,7 +54,7 @@ def test_d_squared_is_zero():
     rng = np.random.default_rng(2)
     for n, p in ((2, 0), (3, 1), (4, 2)):
         x = rng.normal(size=n)
-        a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
+        a = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
         dd = exterior_derivative(exterior_derivative(a))
         assert dd.norm() < 1e-13
 
@@ -65,8 +64,8 @@ def test_wedge_graded_commutativity_and_leibniz():
     n = 4
     x = rng.normal(size=n)
     for p, q in ((1, 1), (1, 2), (2, 2), (0, 3)):
-        a = random_poly_form(rng, n, p).eval(x, 2)
-        b = random_poly_form(rng, n, q).eval(x, 2)
+        a = random_poly_field(rng, *FieldLayout.form(n, p)).eval(x, 2)
+        b = random_poly_field(rng, *FieldLayout.form(n, q)).eval(x, 2)
         comm = wedge_forms(a, b) - wedge_forms(b, a) * (-1.0) ** (p * q)
         assert comm.norm() < 1e-13
         leib = (exterior_derivative(wedge_forms(a, b))
@@ -79,8 +78,8 @@ def test_lie_derivative_commutes_with_d():
     rng = np.random.default_rng(4)
     n = 3
     x = rng.normal(size=n)
-    X = random_poly_vector(rng, n).eval(x)
-    a = random_poly_form(rng, n, 1).eval(x, 2)
+    X = random_poly_field(rng, n, (n,)).eval(x)
+    a = random_poly_field(rng, *FieldLayout.form(n, 1)).eval(x, 2)
     lhs = lie_derivative(X, exterior_derivative(a))
     rhs = exterior_derivative(lie_derivative(X, a))
     assert _diff(lhs, rhs) / max(1.0, lhs.norm()) < 1e-12
@@ -90,9 +89,9 @@ def test_iota_squares_to_zero_and_bracket_identity():
     rng = np.random.default_rng(5)
     n = 4
     x = rng.normal(size=n)
-    X = random_poly_vector(rng, n).eval(x)
-    Y = random_poly_vector(rng, n).eval(x)
-    a = random_poly_form(rng, n, 3).eval(x, 2)
+    X = random_poly_field(rng, n, (n,)).eval(x)
+    Y = random_poly_field(rng, n, (n,)).eval(x)
+    a = random_poly_field(rng, *FieldLayout.form(n, 3)).eval(x, 2)
     assert iota_vector(X, iota_vector(X, a)).norm() < 1e-12
     # [L_X, iota_Y] = iota_[X,Y]
     lhs = lie_derivative(X, iota_vector(Y, a)) - iota_vector(Y, lie_derivative(X, a))
@@ -122,7 +121,7 @@ def test_double_star_sign_euclidean_and_lorentzian():
         mj = metric_jet(ch, x)
         n = ch.n
         for p in range(n + 1):
-            a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
+            a = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
             twice = hodge_star(hodge_star(a, mj), mj)
             want = a * ((-1.0) ** (p * (n - p)) * det_sign)
             assert _diff(twice, want) / max(1.0, a.norm()) < 1e-12, (name, p)
@@ -133,7 +132,7 @@ def test_star_is_antilinear():
     ch = get_chart("sphere2")
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    a = random_poly_form(rng, 2, 1, complex_coeffs=True).eval(x, 2)
+    a = random_poly_field(rng, *FieldLayout.form(2, 1, True)).eval(x, 2)
     c = 0.7 - 1.3j
     lhs = hodge_star(a * c, mj)
     rhs = hodge_star(a, mj) * np.conj(c)
@@ -149,8 +148,8 @@ def test_star_realizes_gram_pairing_against_volume():
         n = ch.n
         top = (1 << n) - 1
         for p in (1, 2):
-            a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
-            b = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
+            a = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
+            b = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
             got = complex(wedge_forms(a, hodge_star(b, mj)).val[top])
             vol = complex(volume_form(mj, x).val[top])
             want = np.conj(gram_pairing(a, b, mj)) * vol
@@ -178,7 +177,7 @@ def test_coderivative_routes_agree():
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
         for p in range(1, n + 1):
-            a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
+            a = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
             d1 = coderivative_hodge(a, mj)
             d2 = coderivative_connection(a, mj)
             assert _diff(d1, d2) / max(1.0, d1.norm()) < 1e-10, (name, p)
@@ -189,7 +188,7 @@ def test_coderivative_drops_degree_and_squares_to_zero():
     ch = get_chart("sphere4")
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    a = random_poly_form(rng, 4, 3, complex_coeffs=True).eval(x, 2)
+    a = random_poly_field(rng, *FieldLayout.form(4, 3, True)).eval(x, 2)
     da = coderivative_hodge(a, mj)
     # every blade of degree other than 2 is exactly zero, to every order
     off = grades(4) != 2
@@ -213,7 +212,7 @@ def test_coderivative_routes_agree_on_mixed_degrees():
         ch = get_chart(name)
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
-        mixed = sum(random_poly_form(rng, ch.n, p, complex_coeffs=True).eval(x, 2)
+        mixed = sum(random_poly_field(rng, *FieldLayout.form(ch.n, p, True)).eval(x, 2)
                     for p in range(ch.n + 1))
         d1, d2 = coderivative_hodge(mixed, mj), coderivative_connection(mixed, mj)
         assert _diff(d1, d2) / max(1.0, d1.norm()) < 1e-10, name
@@ -227,7 +226,7 @@ def test_forms_dirac_square_is_d_delta_plus_delta_d():
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
         for p in range(n + 1):
-            a = random_poly_form(rng, n, p, complex_coeffs=True).eval(x, 2)
+            a = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
             lhs = forms_dirac(forms_dirac(a, mj), mj)
             rhs = (exterior_derivative(coderivative_connection(a, mj))
                    + coderivative_connection(exterior_derivative(a), mj))
@@ -245,7 +244,7 @@ def test_laplace_beltrami_flat_and_scalar_route():
     ch = get_chart("sphere2")
     y = ch.sample_point(rng)
     mjs = metric_jet(ch, y)
-    g = random_poly_scalar(rng, n, 3).eval(y)
+    g = random_poly_field(rng, n, (), 3).eval(y)
     via_form = coderivative_connection(
         exterior_derivative(_form(n, y, {0: g})), mjs)
     assert complex(via_form.val[0]) == pytest.approx(
@@ -289,8 +288,8 @@ def test_an_input_one_order_short_raises(case):
     rng = np.random.default_rng(2)
     xs = np.array([ch.sample_point(rng) for _ in range(2)])
     mj = metric_jet(ch, xs)
-    a = random_poly_form(rng, 3, 1, complex_coeffs=True).eval(xs)
-    X, Y = (random_poly_vector(rng, 3).eval(xs) for _ in range(2))
+    a = random_poly_field(rng, *FieldLayout.form(3, 1, True)).eval(xs)
+    X, Y = (random_poly_field(rng, 3, (3,)).eval(xs) for _ in range(2))
     assert ONE_SHORT[case](a, X, Y, mj, lambda j, k: j).val.shape[0] == 2
     with pytest.raises((JetOrderError, ValueError), match="order"):
         ONE_SHORT[case](a, X, Y, mj, Jet.truncate)

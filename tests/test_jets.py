@@ -8,8 +8,7 @@ from clifford_reference import jet_det
 from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import iota_vector, random_poly_field, wedge_forms
-from diracgeo.jets import (Jet, index_contract, jet_cos, jet_exp, jet_log,
-                           jet_sin, jet_sqrt, seed_point)
+from diracgeo.jets import Jet, index_contract, jet_sqrt, seed_point
 
 
 def _fd_grad(f, x, h=1e-5):
@@ -34,16 +33,18 @@ def _fd_hess(f, x, h=1e-4):
 
 
 def _expr(vals):
-    # composite with every elementary covered
+    # composite with every chain-rule route covered: square roots, one
+    # inside another, integer powers of both signs and division
     x, y = vals
-    return jet_exp(jet_sin(x) * y) + jet_sqrt(x * x + y * y + 3.0) \
-        - jet_log(2.0 + jet_cos(y)) + (1.0 + x * x) ** -2 + x / (y + 4.0)
+    return jet_sqrt(3.0 + jet_sqrt(2.0 + y) * x) + jet_sqrt(x * x + y * y + 3.0) \
+        - (1.0 + 0.5 * x * y) ** 3 / (1.0 + y * y) + (1.0 + x * x) ** -2 + x / (y + 4.0)
 
 
 def _plain(v):
     x, y = v
-    return (np.exp(np.sin(x) * y) + np.sqrt(x * x + y * y + 3.0)
-            - np.log(2.0 + np.cos(y)) + (1.0 + x * x) ** -2.0 + x / (y + 4.0))
+    return (np.sqrt(3.0 + np.sqrt(2.0 + y) * x) + np.sqrt(x * x + y * y + 3.0)
+            - (1.0 + 0.5 * x * y) ** 3 / (1.0 + y * y) + (1.0 + x * x) ** -2.0
+            + x / (y + 4.0))
 
 
 def test_composite_expression_matches_finite_differences():
@@ -111,14 +112,14 @@ def test_jet_det_matches_numpy():
     x = rng.uniform(-0.5, 0.5, n)
     vs = seed_point(x)
     rows = [[vs[0] * vs[0] + 2.0, vs[1], vs[2] * vs[0]],
-            [vs[1], jet_exp(vs[2]) + 1.0, vs[0]],
-            [vs[2] * vs[0], vs[0], jet_cos(vs[1]) + 2.0]]
+            [vs[1], jet_sqrt(vs[2] + 2.0) + 1.0, vs[0]],
+            [vs[2] * vs[0], vs[0], 2.0 / (vs[1] + 3.0) + 2.0]]
     det = jet_det(rows)
 
     def plain_det(y):
         m = np.array([[y[0] ** 2 + 2.0, y[1], y[2] * y[0]],
-                      [y[1], np.exp(y[2]) + 1.0, y[0]],
-                      [y[2] * y[0], y[0], np.cos(y[1]) + 2.0]])
+                      [y[1], np.sqrt(y[2] + 2.0) + 1.0, y[0]],
+                      [y[2] * y[0], y[0], 2.0 / (y[1] + 3.0) + 2.0]])
         return np.linalg.det(m)
 
     assert det.val == pytest.approx(plain_det(x))
@@ -131,10 +132,12 @@ def test_jet_det_matches_numpy():
         g = Jet(mj.x, mj.g, mj.dg, mj.d2g)
         ref = jet_det([[g[i, j] for j in range(ch.n)] for i in range(ch.n)])
         sq = jet_sqrt(ref * float(np.sign(ref.val.real)))
-        h = jet_log(sq)
+        # h = log sq: dh = d sq / sq, and ddh = dd sq / sq + d sq (x) d(1 / sq)
+        inv = 1.0 / sq
         for got, want in ((mj.det, ref.val), (mj.sqrt_abs_det, sq.val),
                           (mj.dsqrt, sq.d), (mj.ddsqrt, sq.dd),
-                          (mj.dh, h.d), (mj.ddh, h.dd)):
+                          (mj.dh, sq.d * inv.val),
+                          (mj.ddh, sq.dd * inv.val + np.outer(sq.d, inv.d))):
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), name
 
 

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 import fd_oracle
 from diracgeo import bundles as bnd
-from diracgeo import spin as sp
 from diracgeo.forms import (FieldLayout, PolyField, exponent_table, poly_fields,
-                            random_poly_field, random_poly_form,
-                            random_poly_scalar, random_poly_vector)
+                            random_poly_field)
 from diracgeo.jets import Jet
 
 
@@ -51,17 +49,17 @@ def test_random_constructors_match_the_scalar_draw_loop(n, degree):
     terms = [e for e in product(range(degree + 1), repeat=n) if sum(e) <= degree]
     assert exponent_table(n, degree).tolist() == [list(e) for e in terms]
     for cc in (False, True):
-        _same_stream(lambda r: random_poly_scalar(r, n, degree, cc),
+        _same_stream(lambda r: random_poly_field(r, n, (), degree, cc),
                      lambda r: _loop_draws(r, 1, n, degree, cc)[:, 0])
-    _same_stream(lambda r: random_poly_vector(r, n, degree),
+    _same_stream(lambda r: random_poly_field(r, n, (n,), degree),
                  lambda r: _loop_draws(r, n, n, degree, False))
     for p in range(n + 1):
         masks = [m for m in range(1 << n) if bin(m).count("1") == p]
-        f = _same_stream(lambda r: random_poly_form(r, n, p, degree, True),
+        f = _same_stream(lambda r: random_poly_field(r, *FieldLayout.form(n, p, True, degree)),
                          lambda r: _loop_draws(r, len(masks), n, degree, True))
         assert list(f.masks) == masks
     m = 1 << n
-    _same_stream(lambda r: bnd.random_poly_section(r, n, m, degree),
+    _same_stream(lambda r: random_poly_field(r, n, (m,), degree, True),
                  lambda r: _loop_draws(r, m, n, degree, True))
     eta = bnd.exterior_module(n).eta
     sig = np.real(np.diag(eta)).astype(int)
@@ -74,8 +72,6 @@ def test_random_constructors_match_the_scalar_draw_loop(n, degree):
             return out
         _same_stream(lambda r: bnd.random_parity_matrix(r, n, eta, parity, degree),
                      matrix_loop)
-    _same_stream(lambda r: sp.imaginary_poly_potential(r, n, degree),
-                 lambda r: 1j * _loop_draws(r, n, n, degree, False))
 
 
 @st.composite
@@ -137,9 +133,9 @@ def _naive_jet(f: PolyField, x):
 
 def _fields(rng, n, degree):
     m = 3
-    yield random_poly_scalar(rng, n, degree, True)
+    yield random_poly_field(rng, n, (), degree, True)
     for shape in ((m,), (m, m)):
-        f = bnd.random_poly_section(rng, n, m, degree)
+        f = random_poly_field(rng, n, (m,), degree, True)
         yield PolyField(n, f.exponents,
                         rng.normal(size=(len(f.exponents),) + shape) + 0j)
     yield PolyField.zero(n, (m, m))
@@ -185,14 +181,14 @@ def test_eval_wraps_each_kind_in_its_container():
     rng = np.random.default_rng(3)
     n = 3
     x = rng.normal(size=n)
-    f = random_poly_scalar(rng, n, 2, True)
+    f = random_poly_field(rng, n, (), 2, True)
     s = f.eval(x)
     val, d, dd = f.jet(x)
     assert isinstance(s, Jet) and s.val.shape == ()
     assert s.val == val and np.array_equal(s.d, d) and np.array_equal(s.dd, dd)
     assert f.eval(x, 1).dd is None and f.eval(x, 0).d is None
 
-    v = random_poly_vector(rng, n)
+    v = random_poly_field(rng, n, (n,))
     vj = v.eval(x)
     val, d, dd = v.jet(x)
     assert isinstance(vj, Jet) and len(vj) == n
@@ -200,7 +196,7 @@ def test_eval_wraps_each_kind_in_its_container():
         assert c.val == val[i] and np.array_equal(c.d, d[:, i])
         assert np.array_equal(c.dd, dd[:, :, i])
 
-    form = random_poly_form(rng, n, 2, complex_coeffs=True)
+    form = random_poly_field(rng, *FieldLayout.form(n, 2, True))
     fj = form.eval(x, 2)
     assert isinstance(fj, Jet) and fj.val.shape == (1 << n,)
     val, d, dd = form.jet(x)
@@ -215,7 +211,7 @@ def test_eval_wraps_each_kind_in_its_container():
     assert fs.val.shape == (1 << n, 4) and fs.dd.shape == (n, n, 1 << n, 4)
     assert not fs.val[[0, 1, 3, 4, 6, 7]].any()
 
-    sec = bnd.random_poly_section(rng, n, 4).eval(x)
+    sec = random_poly_field(rng, n, (4,), complex_coeffs=True).eval(x)
     assert isinstance(sec, Jet) and sec.dd.shape == (n, n, 4)
     mat = PolyField.zero(n, (4, 4)).eval(x, 1)
     assert isinstance(mat, Jet) and mat.d.shape == (n, 4, 4)

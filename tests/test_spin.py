@@ -1,11 +1,13 @@
 """Spinor modules, frames, spin connections, Dirac operator routes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from diracgeo import bundles as bnd
 from diracgeo import spin as sp
 from diracgeo.charts import get_chart, metric_jet
+from diracgeo.forms import random_poly_field
 from diracgeo.jets import Jet
 
 EVEN_RIEMANNIAN = ("flat2", "flat4", "torus2", "torus4", "sphere2",
@@ -87,10 +89,11 @@ def test_dirac_routes_agree():
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
         fr = sp.build_frame_from_metric(mj)
-        a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
+        pot = random_poly_field(rng, n, (n,))
+        a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
         scd = sp.build_spin_connection(fr, smd, mj, a_jets)
         for _ in range(5):
-            j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
+            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
             d2 = sp.spin_dirac_alpha(scd, smd, fr, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
@@ -107,9 +110,10 @@ def test_conformal_closed_form_matches_generic_assembly():
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             fr = sp.build_frame_from_metric(mj)
-            a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
+            pot = random_poly_field(rng, n, (n,))
+            a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
-            j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
+            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
             d2 = sp.conformal_dirac(ch, a_jets, smd, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
@@ -121,7 +125,7 @@ def test_conformal_closed_form_rejects_generic_chart():
     ch = get_chart("poly2")
     smd = sp.spin_module_data(2)
     x = ch.sample_point(rng)
-    j = bnd.random_poly_section(rng, 2, smd.dim).eval(x, 2)
+    j = random_poly_field(rng, 2, (smd.dim,), complex_coeffs=True).eval(x, 2)
     zero = Jet.constant(np.zeros(2), x)
     with pytest.raises(ValueError):
         sp.conformal_dirac(ch, zero, smd, j)
@@ -139,10 +143,11 @@ def test_lichnerowicz_with_and_without_potential():
         for with_pot in (False, True):
             a_jets = None
             if with_pot:
-                a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
+                pot = random_poly_field(rng, n, (n,))
+                a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             for _ in range(3):
-                j = bnd.random_poly_section(rng, n, smd.dim).eval(x, 2)
+                j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
                 assert sp.lichnerowicz_residual(scd, smd, fr, mj, j) < 1e-7, name
 
 
@@ -167,8 +172,10 @@ def test_connection_difference_is_half_potential_difference():
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     fr = sp.build_frame_from_metric(mj)
-    a_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
-    b_jets = sp.imaginary_poly_potential(rng, n).eval(x, 2)
+    pot = random_poly_field(rng, n, (n,))
+    a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
+    pot = random_poly_field(rng, n, (n,))
+    b_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
     scd_a = sp.build_spin_connection(fr, smd, mj, a_jets)
     scd_b = sp.build_spin_connection(fr, smd, mj, b_jets)
     for a in range(n):

@@ -11,8 +11,7 @@ from diracgeo import bundles, charts, cli, clifford, forms
 from diracgeo import seiberg_witten as swm
 from diracgeo import suites
 from diracgeo.charts import registry
-from diracgeo.forms import (FieldLayout, PolyField, random_poly_field,
-                            random_poly_form, random_poly_vector)
+from diracgeo.forms import FieldLayout, PolyField, random_poly_field
 from diracgeo.jets import Jet
 from diracgeo.report import render_json
 from diracgeo.suites import (CHART_SUITES, SUITE_NAMES, SuiteUsageError,
@@ -183,6 +182,29 @@ def test_hodge_checks_hold_on_a_small_metric(monkeypatch, chart, scale, seed):
     assert len(rep.checks) == 6 and not _failing(rep)
 
 
+@pytest.mark.parametrize("chart, scale", [
+    ("poly2", 1e-6), ("poly3", 1e-6), ("poly4", 1e-6), ("sphere2", 1e-6),
+    ("sphere4", 1e-6), ("poly2", 1e6), ("poly3", 1e6), ("poly4", 1e6)])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_kernel_projector_holds_on_a_scaled_metric(monkeypatch, chart, scale, seed):
+    # c b, p = b c and c(omega) are sums of products of a gamma and a
+    # lowered gamma, whose entries grow with |g^-1| and with |g|: read
+    # relative to those products, the check passes on both sides of scale 1
+    rep = _scaled_run(monkeypatch, "superconnection", chart, scale, seed)
+    check, = (c for c in rep.checks if c.check_id == "superconnection-kernel-projector")
+    assert check.passed
+
+
+@pytest.mark.parametrize("chart, scale", [("poly2", 1e-6), ("poly4", 1e-6), ("poly4", 1e6)])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_frame_invariants_hold_on_a_scaled_metric(monkeypatch, chart, scale, seed):
+    # inv^T inv reconstructs g^-1, so its rounding grows with |g^-1|: read
+    # relative to it, the check passes on a small metric
+    rep = _scaled_run(monkeypatch, "lichnerowicz", chart, scale, seed)
+    check, = (c for c in rep.checks if c.check_id == "lichnerowicz-frame-invariants")
+    assert check.passed
+
+
 def test_symbol_roundtrip_fails_under_the_parity_swapped_recursion(parity_swapped_tables):
     rep = run_suite("clifford", chart="poly3", seed=1, samples=5)
     assert "clifford-symbol-roundtrip" in _failing(rep)
@@ -330,8 +352,8 @@ def test_cartan_draws_are_those_of_the_per_point_loop(chart, seed):
         p = int(rng.integers(0, n + 1))
         loop.append([random_poly_field(rng, n, (1 << n,), 2, True, every),
                      random_poly_field(rng, n, (1 << n,), 2, True, every),
-                     random_poly_vector(rng, n), random_poly_vector(rng, n),
-                     random_poly_form(rng, n, p, complex_coeffs=True), p])
+                     random_poly_field(rng, n, (n,)), random_poly_field(rng, n, (n,)),
+                     random_poly_field(rng, *FieldLayout.form(n, p, True)), p])
     got = suites._cartan_fields(run, at)
     for k in range(5):
         _same_jets(got[k], PolyField.stack([row[k] for row in loop]).eval(at, 2))
@@ -345,7 +367,7 @@ def test_antilinear_draws_are_those_of_the_per_point_loop(chart, seed):
     # per head point a complex 1-form, then c from two normals
     run = suites._Run("hodge", chart, seed, 20)
     rng, at = _after_points(run, seed), run.head.x
-    loop = [(random_poly_form(rng, run.n, 1, complex_coeffs=True),
+    loop = [(random_poly_field(rng, *FieldLayout.form(run.n, 1, True)),
              complex(rng.normal(), rng.normal())) for _ in at]
     a, c = suites._antilinear_fields(run, at)
     _same_jets(a, PolyField.stack([f for f, _ in loop]).eval(at, 2))

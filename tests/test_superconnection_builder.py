@@ -11,7 +11,7 @@ import superconnection_reference as ref
 from diracgeo import bundles as bnd
 from diracgeo import suites
 from diracgeo.charts import get_chart, metric_jet
-from diracgeo.forms import exponent_table
+from diracgeo.forms import exponent_table, random_poly_field
 from diracgeo.jets import Jet
 
 # every preset at every degree, shifted by one degree per set
@@ -99,7 +99,7 @@ def test_dirac_square_coefficients_are_built_once(name, count, monkeypatch):
     monkeypatch.setattr(bnd, "_commutator", lambda a, b: calls.append(1) or real(a, b))
     # an operator of order 0 builds none of them
     D0 = bnd.quantize_superconnection(S, mj, ms, xs, order=0)
-    j = bnd.random_poly_section(rng, n, ms.m).eval(xs, 2)
+    j = random_poly_field(rng, n, (ms.m,), complex_coeffs=True).eval(xs, 2)
     bnd.apply_dirac(D0, j)
     assert not calls and "square_coefficients" not in vars(D0)
 
