@@ -12,14 +12,13 @@ truncation error.
 
 Stack convention: every operator takes a point x (n,) or a stack of points x
 (P, n), the metric jet, superconnection and sections at the same stack.
-Plain arrays then carry the sample axis in front, as jets do (a section
-value is (P, m)), and residuals are returned per sample, shape (P,).  The
-section operators also take a block of sections, fiber (m, K), one column
-per probe or draw (a 1-D fiber is one column, dropped again): sums over an
-index and the fiber are then one product with a row (``_fold_index``), and
-the laplacian, commutator, affine and Weitzenbock checks make one operator
-call per route.  The contractions run over a ``...`` prefix: a single point
-is the same code.
+Plain arrays then carry the sample axis in front, as jets do, and residuals
+are returned per sample, shape (P,).  The section operators take a block of
+sections, fiber (m, K), one column per probe or draw (a value (P, m, K) on a
+stack): sums over an index and the fiber are then one product with a row
+(``_fold_index``), and the laplacian, commutator, affine and Weitzenbock
+checks make one operator call per route.  The contractions run over a
+``...`` prefix: a single point is the same code.
 
 Grading conventions: eta is a diagonal +-1 involution; a matrix is even when
 it commutes with eta, odd when it anticommutes. The degree-p component of a
@@ -89,7 +88,6 @@ class ModuleSpec:
     m: int
     eta: np.ndarray
     gamma_provider: Callable[[MetricJet], Jet]
-    name: str = ""
 
     def gammas(self, mj: MetricJet) -> Jet:
         """The gammas c(dx^i) at mj as one jet with fiber (n, m, m)."""
@@ -98,7 +96,7 @@ class ModuleSpec:
 
 def exterior_module(n: int) -> ModuleSpec:
     """Clifford action on the full exterior algebra, gammas c(dx^i) = eps - iota."""
-    return ModuleSpec(1 << n, parity_matrix(n), exterior_gammas, name="exterior")
+    return ModuleSpec(1 << n, parity_matrix(n), exterior_gammas)
 
 
 def module_invariant_residual(ms: ModuleSpec, mj: MetricJet):
@@ -124,22 +122,18 @@ class SuperconnectionData:
     Blade I holds only the entries its eta-parity (-1)^(|I|+1) allows, as a
     stacked field of fiber (E_I,) over its own exponent table, coeffs
     (P, T_I, E_I); P = 1 for a single superconnection.  ``field`` (fiber
-    (2^n, m, m) on the union table, stacked on a stack) and ``blades`` (fiber
-    (m, m) by mask: views of the field on a stack, else each on its own
-    table) are built on first use by scattering every blade's entries.
+    (2^n, m, m) on the union table, stacked on a stack) is built on first use
+    by scattering every blade's entries.
 
-    A blade given here is a field of fiber (m, m), or a mask of the blade
-    axis of ``field``; converting it to entries is the parity check.  It may
-    instead be a draw, called with its allowed entries whenever the blade is
-    read, for a stack of ``stack`` members (None: a single superconnection).
+    A blade given here is a field of fiber (m, m), stacked or not; converting
+    it to entries is the parity check.  It may instead be a draw, called with
+    its allowed entries whenever the blade is read, for a stack of ``stack``
+    members (None: a single superconnection).
     """
 
     def __init__(self, n: int, m: int, eta: np.ndarray, blades: Dict[int, object],
-                 field: Optional[PolyField] = None, stack: Optional[int] = None):
+                 stack: Optional[int] = None):
         self.n, self.m, self.eta, self.masks = n, m, eta, tuple(blades)
-        if field is not None:
-            blades = {mask: PolyField(n, field.exponents, field.coeffs[..., mask, :, :],
-                                      stacked=field.stacked) for mask in blades}
         given = [b.coeffs for b in blades.values() if isinstance(b, PolyField) and b.stacked]
         self.stacked = stack is not None or bool(given)
         self.size = stack or (len(given[0]) if given else 1)
@@ -168,29 +162,18 @@ class SuperconnectionData:
 
     @cached_property
     def field(self) -> PolyField:
+        """omega_I on the blade axis, fiber (2^n, m, m); absent blades are zero."""
         # the blades' tables merged in mask order, each exponent where it first appears
         parts, union = {mask: self.entries(mask) for mask in self.masks}, {}
-        self._rows = {mask: np.array([union.setdefault(tuple(e), len(union)) for e in
-                                      part.exponents.tolist()], dtype=np.intp)
-                      for mask, part in parts.items()}
+        rows = {mask: np.array([union.setdefault(tuple(e), len(union)) for e in
+                                part.exponents.tolist()], dtype=np.intp)
+                for mask, part in parts.items()}
         coeffs = np.zeros((self.size, len(union), 1 << self.n, self.m, self.m), dtype=complex)
-        for mask, at in self._rows.items():
+        for mask, at in rows.items():
             r, c = np.nonzero(self.allowed(mask))
             coeffs[:, at[:, None], mask, r, c] = parts[mask].coeffs
         return PolyField(self.n, np.array(list(union), dtype=np.int64).reshape(-1, self.n),
                          coeffs if self.stacked else coeffs[0], stacked=self.stacked)
-
-    @cached_property
-    def blades(self) -> Dict[int, PolyField]:
-        f = self.field
-        return {mask: PolyField(self.n, f.exponents, f.coeffs[:, :, mask], stacked=True)
-                if self.stacked else
-                PolyField(self.n, f.exponents[at], f.coeffs[at, mask])
-                for mask, at in self._rows.items()}
-
-    def eval_blades(self, x, order: int = 2) -> Jet:
-        """omega_I(x) on the blade axis, fiber (2^n, m, m); absent blades are zero."""
-        return self.field.eval(x, order)
 
 
 # a coefficient preset is a name or "random(seed)"; each name sets the
@@ -401,40 +384,31 @@ def _fold(t: np.ndarray) -> np.ndarray:
     return t.reshape(t.shape[:-3] + (-1, t.shape[-1]))
 
 
-def _columns(j: Jet) -> Tuple[Jet, Callable]:
-    """A section jet as a block of columns (m, K), and the map back: a 1-D fiber
-    is one column, dropped again from each result, as ``jets._matmul`` lifts."""
-    if np.ndim(j.val) - j.nb == 1:
-        return j[:, None], lambda a: a[..., 0]
-    return j, lambda a: a
-
-
 def column_gap(a, b, nb: int = 1):
     """``relative_gap`` per sample and column of blocks (..., m, K), each on its own scale."""
     return relative_gap(np.moveaxis(a, -1, nb), np.moveaxis(b, -1, nb), nb + 1)
 
 
 def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
-    """D psi on a section 1-jet or a block of them, fiber (m,) or (m, K)."""
+    """D psi on a block of section 1-jets, fiber (m, K)."""
     if D.x is not j.x:
         check_point(D.x, j.x)
-    j, back = _columns(j)
-    if j.val.shape[-2] != D.m:
-        raise ValueError("fiber dimension mismatch")
+    if j.val.shape[j.nb:-1] != (D.m,):
+        raise ValueError(f"a section block needs fiber (m, K) with m = {D.m}, "
+                         f"not {j.val.shape[j.nb:]}")
     v = j.val
-    return back(D.Z.val @ v + _fold_index(D.gam.val) @ _fold(j.d + D.A.val @ v[..., None, :, :]))
+    return D.Z.val @ v + _fold_index(D.gam.val) @ _fold(j.d + D.A.val @ v[..., None, :, :])
 
 
 def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple:
     """Per sample, the largest entry of [D, f] psi - c(df) psi, absolute and
-    relative to the larger of D(f psi) and f D(psi) (floored at 1); on a block
-    j (m, K), with one scalar f per column (K,), per sample and column."""
-    j, back = _columns(j)
-    f, nb = f[None] if np.ndim(f.val) == f.nb else f, j.nb
+    relative to the larger of D(f psi) and f D(psi) (floored at 1), per sample
+    and column of a block j (m, K), with one scalar f per column (K,)."""
+    nb = j.nb
     t1, t2 = apply_dirac(D, j * f), np.expand_dims(f.val, nb) * apply_dirac(D, j)
     rhs = _fold_index(D.gam.val) @ _fold(np.expand_dims(f.d, nb + 1) * j.val[..., None, :, :])
     diff, s1, s2 = (sample_max(np.moveaxis(t, -1, nb), nb + 1) for t in (t1 - t2 - rhs, t1, t2))
-    return back(diff), back(relative(diff, s1, s2))
+    return diff, relative(diff, s1, s2)
 
 
 def _second_covariant(A: Jet, j: Jet):
@@ -451,10 +425,9 @@ def _second_covariant(A: Jet, j: Jet):
 
 
 def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
-    """Direct expansion of D^2 on an order-2 jet or a block of them."""
+    """Direct expansion of D^2 on a block of order-2 section jets, fiber (m, K)."""
     if j.dd is None:
         raise ValueError("dirac_square needs an order-2 section jet")
-    j, back = _columns(j)
     g, dgam, anti, dz = D.square_coefficients
     Z, v = D.Z.val, j.val
     mk, mm = _second_covariant(D.A, j)
@@ -462,7 +435,7 @@ def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
     # gamma^k]) M_k psi and to (partial_i Z + [A_i, Z]) psi, each sum one product
     inner = (g[..., None, :, :] @ _fold(mm) + dgam @ _fold(mk)[..., None, :, :]
              + dz @ v[..., None, :, :])
-    return back(g @ _fold(inner) + anti @ _fold(mk) + Z @ (Z @ v))
+    return g @ _fold(inner) + anti @ _fold(mk) + Z @ (Z @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +445,19 @@ def dirac_square(D: DiracOperatorData, j: Jet) -> np.ndarray:
 
 def canonical_laplacian(A: Jet, mj: MetricJet, j: Jet,
                         route: str = "local") -> np.ndarray:
-    """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a section 2-jet or a block."""
-    j, back = _columns(j)
+    """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a block of section
+    2-jets, fiber (m, K)."""
     if route == "local":
         mk, mm = _second_covariant(A, j)
-        return back(-(np.einsum("...ik,...ikac->...ac", mj.g_inv, mm)
-                      - np.einsum("...k,...kac->...ac", _trace_gamma(mj), mk)))
+        return -(np.einsum("...ik,...ikac->...ac", mj.g_inv, mm)
+                 - np.einsum("...k,...kac->...ac", _trace_gamma(mj), mk))
     if route == "trace":
         # materialize eta_k = nabla_k psi as a 1-jet family, apply the
         # tensor-bundle connection, contract with -g
         eta = j.gradient() + A @ j
         cov = (eta.d + A.val[..., :, None, :, :] @ eta.val[..., None, :, :, :]
                - np.einsum("...lik,...lac->...ikac", mj.christoffel, eta.val))
-        return back(-np.einsum("...ik,...ikac->...ac", mj.g_inv, cov))
+        return -np.einsum("...ik,...ikac->...ac", mj.g_inv, cov)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -566,8 +539,7 @@ def laplacian_from_connection(A: Jet, F: np.ndarray,
     x = np.asarray(x, dtype=float)
 
     def apply_h(j: Jet) -> np.ndarray:
-        j, back = _columns(j)
-        return back(canonical_laplacian(A, mj, j) + F @ j.val)
+        return canonical_laplacian(A, mj, j) + F @ j.val
 
     # T^k = -2 g^ik A_i + g^ij Gamma^k_ij id
     T = _lower_index(Jet(x, mj.g_inv, mj.dg_inv), A) * -2.0 + _trace_gamma_jet(mj, m)
@@ -626,7 +598,7 @@ def superconnection_curvature(S: SuperconnectionData, x) -> Jet:
       + sum_{I,J} (-1)^((|I|+1)|J|) dx^I ^ dx^J (x) omega_I omega_J.
     F acts pointwise, so it is returned as a 0-jet: its value.
     """
-    omega = S.eval_blades(np.asarray(x, dtype=float), order=1)
+    omega = S.field.eval(np.asarray(x, dtype=float), order=1)
     value = Jet(omega.x, omega.val)
     return exterior_derivative(omega) + _graded_product(value, value, 1)
 
@@ -665,27 +637,15 @@ def twisting_curvature(FE: Jet, lowered: np.ndarray, gammas: Jet, tol: float = 1
 # ---------------------------------------------------------------------------
 
 
-def _lowered_gammas(mj: MetricJet, ms: ModuleSpec) -> tuple:
-    """The gammas gamma^i and their lowered family g_ij gamma^j, both (n, m, m)."""
-    g = ms.gammas(mj).val
-    return g, np.einsum("...ij,...jab->...iab", mj.g, g)
-
-
 def kernel_projector(mj: MetricJet, ms: ModuleSpec):
     """Maps (c, b, p) with c(b(phi)) = phi and p = b c a projector of rank m.
 
     c: T*M (x) E -> E collapses dx^i (x) phi to gamma^i phi;
     b: E -> T*M (x) E is phi -> -(1/n) dx^i (x) g_ij gamma^j phi.
     """
-    g, low = _lowered_gammas(mj, ms)
-    c, b = _fold_index(g), -_fold(low) / mj.n
+    g = ms.gammas(mj).val
+    c, b = _fold_index(g), -_fold(np.einsum("...ij,...jab->...iab", mj.g, g)) / mj.n
     return c, b, b @ c
-
-
-def clifford_of_metric(mj: MetricJet, ms: ModuleSpec) -> np.ndarray:
-    """c(omega) for omega = g_ij dx^i dx^j; equals -n times the identity."""
-    g, low = _lowered_gammas(mj, ms)
-    return (g @ low).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +674,7 @@ def is_special_superconnection(S: SuperconnectionData, points: Sequence,
 def special_identity_residual(S: SuperconnectionData, x, X: Jet, Y: Jet,
                               fs: Jet) -> float:
     """Residual of [[ID, iota(X)], iota(Y)] = iota([X, Y]) on a form-section."""
-    omega = S.eval_blades(np.asarray(x, dtype=float), order=2)
+    omega = S.field.eval(np.asarray(x, dtype=float), order=2)
 
     def ID(z: Jet) -> Jet:
         return apply_superconnection(omega, z)

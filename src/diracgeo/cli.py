@@ -106,14 +106,14 @@ def cmd_dirac(args) -> int:
     else:
         S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, {1: "zero"})
     D = bnd.quantize_superconnection(S, mj, ms, x)
-    # five draws of f, then psi, one call each; np.max keeps a NaN residual,
-    # which then fails the gate
+    # five draws of f, then psi, one call each on one-column blocks; np.max
+    # keeps a NaN residual, which then fails the gate
     fields = [FieldLayout(n, (), complex_coeffs=True),
               FieldLayout(n, (ms.m,), complex_coeffs=True)]
     worst, worst_rel = np.max([
-        bnd.dirac_commutator_residual(D, *(f.eval(x, 2) for f in poly_fields(
+        bnd.dirac_commutator_residual(D, *(f.eval(x, 2)[..., None] for f in poly_fields(
             rng.uniform(-1.0, 1.0, sum(lay.size for lay in fields)), fields)))
-        for _ in range(5)], axis=0).tolist()
+        for _ in range(5)], axis=(0, 2)).tolist()
     payload = {
         "chart": args.chart,
         "point": [float(v) for v in x],

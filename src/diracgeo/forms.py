@@ -377,11 +377,9 @@ def forms_dirac(j: Jet, mj: MetricJet) -> Jet:
 
 
 def laplace_beltrami(f: Jet, mj: MetricJet):
-    """Positive-spectrum scalar Laplacian -g^ij (d_i d_j f - Gamma^k_ij d_k f);
-    one complex number per sample, and column of a block of scalars (K,)."""
+    """Positive-spectrum scalar Laplacian -g^ij (d_i d_j f - Gamma^k_ij d_k f)
+    on a block of scalars, fiber (K,): one complex number per sample and column."""
     if f.dd is None:
         raise JetOrderError("laplace_beltrami needs an order-2 jet")
-    col = f[..., None] if np.ndim(f.val) == f.nb else f
-    hess = col.dd - np.einsum("...kc,...kij->...ijc", col.d, mj.christoffel)
-    out = -np.sum(mj.g_inv[..., None] * hess, axis=(-3, -2))
-    return out if col is f else out[..., 0]
+    hess = f.dd - np.einsum("...kc,...kij->...ijc", f.d, mj.christoffel)
+    return -np.sum(mj.g_inv[..., None] * hess, axis=(-3, -2))

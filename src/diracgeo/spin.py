@@ -10,9 +10,8 @@ Omega_a are each one jet with the index a on the first fiber axis, fiber
 Stack convention: as in ``bundles``, the metric jet, frame, connection and
 sections may live at a stack of points x (P, n), plain arrays carry the
 sample axis in front and every residual is returned per sample.  A section
-may also be a block of K columns, fiber (m, K), one per draw: the Dirac
-routes and the Lichnerowicz residual act on each column, and a 1-D fiber is
-one column, dropped again from the result.
+is a block of K columns, fiber (m, K), one per draw: the Dirac routes and
+the Lichnerowicz residual act on each column.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bundles import (DiracOperatorData, ModuleSpec, _columns, _fold, _fold_index,
+from .bundles import (DiracOperatorData, ModuleSpec, _fold, _fold_index,
                       apply_dirac, canonical_laplacian, column_gap, dirac_square)
 from .charts import Chart, MetricJet
 from .clifford import blade_tables, contract
@@ -147,7 +146,7 @@ def spin_module(n: int) -> ModuleSpec:
     def provider(mj: MetricJet) -> Jet:
         return smd.coordinate_gammas(build_frame_from_metric(mj))
 
-    return ModuleSpec(smd.dim, smd.chirality, provider, name=f"spin{n}")
+    return ModuleSpec(smd.dim, smd.chirality, provider)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,7 @@ def spin_dirac_operator(scd: SpinConnectionData, smd: SpinModuleData,
 
 def spin_dirac(scd: SpinConnectionData, smd: SpinModuleData, frame: FrameField,
                mj: MetricJet, j: Jet) -> np.ndarray:
-    """c(dx^a)(partial_a + Omega_a) psi on a section 1-jet or a block (m, K)."""
+    """c(dx^a)(partial_a + Omega_a) psi on a block of section 1-jets, fiber (m, K)."""
     if j.d is None:
         raise ValueError("spin Dirac needs an order-1 section jet")
     return apply_dirac(spin_dirac_operator(scd, smd, frame, mj), j)
@@ -224,9 +223,9 @@ def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
     """Dual route: slash(d) + slash(A)/2 - q(2 alpha_1 + 3 alpha_3)/4.
 
     alpha_1 sums (e_j, nabla_{e_i} e_i-slot) over the frame; alpha_3 is the
-    antisymmetrized cubic with (e_j, [e_i, e_k]) coefficients.
+    antisymmetrized cubic with (e_j, [e_i, e_k]) coefficients.  psi is a
+    block, fiber (m, K).
     """
-    j, back = _columns(j)
     out = _slash(smd.coordinate_gammas(frame).val, j, scd.a_pot)
     # (e_j, nabla_{e_i} e_k) = <e_i, dx^a> w0[a, j, k]
     w = np.einsum("...ia,...ajk->...ijk", frame.inv.val, scd.w0.val)
@@ -239,7 +238,7 @@ def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
     g = smd.gammas
     cubes = g[:, None, None] @ g[None, :, None] @ g[None, None, :]  # gamma_a gamma_b gamma_c
     q3 = np.einsum("...abc,abcxw->...xw", alt / 6.0 * ((a < b) & (b < c)), cubes)
-    return back(out - 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val))
+    return out - 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val)
 
 
 def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
@@ -251,16 +250,17 @@ def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
 
 def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
                     j: Jet) -> np.ndarray:
-    """Closed form L (slash(d) + slash(A)/2) L^{-1} with L^2 = lambda^(n-1)."""
+    """Closed form L (slash(d) + slash(A)/2) L^{-1} with L^2 = lambda^(n-1), on
+    a block psi (m, K)."""
     if chart.kind != "conformal" or chart.lam_fn is None:
         raise ValueError("conformal closed form needs a conformal chart")
-    n, (j, back) = chart.n, _columns(j)
+    n = chart.n
     lam = chart.lam_fn(seed_point(j.x, order=2))
     if np.any(np.real(lam.val) <= 0):
         raise ValueError("conformal factor not positive at the point")
     biglam = jet_sqrt(lam) ** (n - 1)
-    return back((biglam.val * lam.val)[..., None, None]
-                * _slash(smd.gammas, j * (1.0 / biglam), a_pot))
+    return ((biglam.val * lam.val)[..., None, None]
+            * _slash(smd.gammas, j * (1.0 / biglam), a_pot))
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +271,13 @@ def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
 def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
                           frame: FrameField, mj: MetricJet,
                           j: Jet):
-    """Norm of D_A^2 psi - (lap^S + r_M/4 + q(F)/2) psi, F = dA, per sample,
-    and per column of a block psi (m, K).
+    """Norm of D_A^2 psi - (lap^S + r_M/4 + q(F)/2) psi, F = dA, per sample
+    and column of a block psi (m, K).
 
     Scaled by the larger of the two sides so the value is a relative error.
     """
     if j.dd is None:
         raise ValueError("Lichnerowicz test needs an order-2 section jet")
-    j, back = _columns(j)
     D = spin_dirac_operator(scd, smd, frame, mj)
     lhs = dirac_square(D, j)
     rhs = canonical_laplacian(scd.omega, mj, j)
@@ -288,7 +287,7 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     da = scd.a_pot.d
     qf = 0.5 * np.einsum("...ab,...axy,...byz->...xz", da - np.swapaxes(da, -1, -2), g, g)
     rhs = rhs + 0.5 * (qf @ j.val)
-    return back(column_gap(lhs, rhs, j.nb))
+    return column_gap(lhs, rhs, j.nb)
 
 
 def chirality_action_checks(smd: SpinModuleData, frame: FrameField,

@@ -95,21 +95,18 @@ class _Run:
     head = property(lambda self: self.pts.head)
 
     def draws(self, layouts, per: int = 1, at: Optional[np.ndarray] = None,
-              order: int = 2, block: bool = False) -> list:
+              order: int = 2) -> list:
         """``per`` draws of the fields of ``layouts`` at each point of ``at`` (the
         sample points unless given) in one uniform call, in the order of a
-        per-point loop of ``random_poly_field``: draw k is one jet per layout,
-        evaluated to order 2 and carrying the ``order`` orders its check reads.
-        A ``block`` is one jet per layout instead, its fiber followed by an
-        axis of ``per`` columns, draw k in column k."""
+        per-point loop of ``random_poly_field``: one jet per layout, its fiber
+        followed by an axis of ``per`` columns, draw k in column k, evaluated
+        to order 2 and carrying the ``order`` orders its check reads."""
         at = self.xs if at is None else at
-        u = self.rng.uniform(-1.0, 1.0, (len(at), per, sum(lay.size for lay in layouts)))
-        if block:   # one field over the (point, draw) rows, the draw axis moved last
-            return [replace(f, coeffs=np.moveaxis(f.coeffs.reshape(
-                (len(at), per) + f.coeffs.shape[1:]), 1, -1)).eval(at, 2).truncate(order)
-                for f in poly_fields(u.reshape(len(at) * per, -1), layouts)]
-        return [[f.eval(at, 2).truncate(order) for f in poly_fields(u[:, k], layouts)]
-                for k in range(per)]
+        u = self.rng.uniform(-1.0, 1.0, (len(at) * per, sum(lay.size for lay in layouts)))
+        # one field over the (point, draw) rows, the draw axis moved last
+        return [replace(f, coeffs=np.moveaxis(f.coeffs.reshape(
+            (len(at), per) + f.coeffs.shape[1:]), 1, -1)).eval(at, 2).truncate(order)
+            for f in poly_fields(u, layouts)]
 
 
 def _samples_amax(*arrays) -> np.ndarray:
@@ -315,21 +312,30 @@ def levi_civita_suite(chart: str, seed: int, samples: int, pts=None) -> Verifica
     mj, gam, low = cd.mj, cd.christoffel, cd.lowered
 
     def divergence_routes():
-        return [np.abs(divergence_via_density(mj, X.val, X.d)
-                       - divergence_via_connection(mj, gam, X.val, X.d))
-                for (X,) in run.draws([FieldLayout(n, (n,))], per=JETS_PER_POINT)]
+        # column by column: one product over all columns rounds differently
+        X, = run.draws([FieldLayout(n, (n,))], per=JETS_PER_POINT)
+        return [np.abs(divergence_via_density(mj, X.val[..., k], X.d[..., k])
+                       - divergence_via_connection(mj, gam, X.val[..., k], X.d[..., k]))
+                for k in range(JETS_PER_POINT)]
 
-    run.check("levi-civita-metric-compatibility", "nabla g = 0", 1e-9,
-              lambda: _samples_amax(mj.dg - np.einsum("pmli,pmj->plij", gam, mj.g)
-                                    - np.einsum("pmlj,pim->plij", gam, mj.g)))
+    def metric_compatibility():
+        terms = (mj.dg, np.einsum("pmli,pmj->plij", gam, mj.g),
+                 np.einsum("pmlj,pim->plij", gam, mj.g))
+        return relative(_samples_amax(terms[0] - terms[1] - terms[2]), _samples_amax(*terms))
+
+    # d g, Gamma g and R_ijkl grow with the metric: each identity is read
+    # relative to its terms
+    run.check("levi-civita-metric-compatibility", "nabla g = 0", 1e-9, metric_compatibility)
     run.check("levi-civita-torsion-free", "Gamma^k_ij = Gamma^k_ji", 1e-12,
               lambda: _samples_amax(gam - gam.transpose(0, 1, 3, 2)))
     run.check("levi-civita-curvature-symmetries", "R_ijkl = -R_jikl = -R_ijlk = R_klij",
-              1e-9, lambda: _samples_amax(low + low.transpose(0, 2, 1, 3, 4),
-                                          low + low.transpose(0, 1, 2, 4, 3),
-                                          low - low.transpose(0, 3, 4, 1, 2)))
-    run.check("levi-civita-first-bianchi", "R_i[jkl] cyclic sum = 0", 1e-9, lambda:
-              _samples_amax(low + low.transpose(0, 1, 3, 4, 2) + low.transpose(0, 1, 4, 2, 3)))
+              1e-9, lambda: relative(_samples_amax(low + low.transpose(0, 2, 1, 3, 4),
+                                                   low + low.transpose(0, 1, 2, 4, 3),
+                                                   low - low.transpose(0, 3, 4, 1, 2)),
+                                     _samples_amax(low)))
+    run.check("levi-civita-first-bianchi", "R_i[jkl] cyclic sum = 0", 1e-9, lambda: relative(
+        _samples_amax(low + low.transpose(0, 1, 3, 4, 2) + low.transpose(0, 1, 4, 2, 3)),
+        _samples_amax(low)))
     run.check("levi-civita-curvature-two-form", "[S_ij, dx^k] recovers R^l_kij dx^l",
               1e-9, lambda: curvature_two_form_residual(mj, cd))
     run.check("levi-civita-divergence-routes",
@@ -375,18 +381,18 @@ def laplacian_suite(chart: str, seed: int, samples: int, pts=None) -> Verificati
     def decompose_roundtrip():
         A, F = bnd.laplacian_decompose(H, mj)
         H2 = bnd.laplacian_from_connection(A, F, mj, xs)
-        j, = run.draws(section, per=3, block=True)
+        j, = run.draws(section, per=3)
         return bnd.column_gap(H.apply(j), H2.apply(j))
 
     def canonical_routes():
         A = bnd.levi_civita_exterior_connection(mj)
-        j, = run.draws(section, per=3, block=True)
+        j, = run.draws(section, per=3)
         return bnd.column_gap(*(bnd.canonical_laplacian(A, mj, j, route)
                                 for route in ("local", "trace")))
 
     def scalar_reduction():
         zero = Jet.constant(np.zeros((n, 1, 1)), xs)
-        f, = run.draws([FieldLayout(n, (), 3, complex_coeffs=True)], per=3, block=True)
+        f, = run.draws([FieldLayout(n, (), 3, complex_coeffs=True)], per=3)
         want = laplace_beltrami(f, mj)
         return relative(np.abs(bnd.canonical_laplacian(zero, mj, f[None])[:, 0] - want),
                         np.abs(want))
@@ -438,7 +444,7 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
             _superconnections(ms, n, few, base, specs), head, ms, hx, order=0)
             for specs, base in (({1: "random", 2: "random"}, seed),
                                 ({1: "random", 3: "constant"}, seed + 1000)))
-        j, = run.draws([FieldLayout(n, (m,), complex_coeffs=True)], at=hx, block=True)
+        j, = run.draws([FieldLayout(n, (m,), complex_coeffs=True)], at=hx)
         # j and its constant copy as two columns, one operator call each
         pair = Jet(hx, np.concatenate([j.val] * 2, -1), np.concatenate([j.d, 0 * j.d], -1))
         (d1, c1), (d2, c2) = (np.moveaxis(bnd.apply_dirac(D, pair), -1, 0) for D in (D1, D2))
@@ -459,11 +465,12 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
         S = _superconnections(ms, n, few, seed)
         FS = bnd.superconnection_curvature(S, hx)
         # ID applied twice to a 2-jet reads omega to first order only
-        omega = S.eval_blades(hx, order=1)
+        omega = S.field.eval(hx, order=1)
         # one section per blade 0..k-1, drawn in blade order
         k = min(1 << n, 8)
-        (fs,), = run.draws([FieldLayout(n, (k, m), complex_coeffs=True,
-                                        masks=tuple(range(k)))], at=hx)
+        fs, = run.draws([FieldLayout(n, (k, m), complex_coeffs=True,
+                                     masks=tuple(range(k)))], at=hx)
+        fs = fs[..., 0]
         twice = bnd.apply_superconnection(omega, bnd.apply_superconnection(omega, fs))
         direct = bnd.apply_form_endomorphism(FS, fs)
         return relative(*(np.sqrt(np.sum(np.abs(t.val) ** 2, axis=(1, 2))) for t in
@@ -471,10 +478,9 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
 
     def kernel_projector():
         cmat, bmat, p = bnd.kernel_projector(head, ms)
-        com = bnd.clifford_of_metric(head, ms)
-        # each term that cancels is a gamma times a lowered gamma
-        return relative(np.maximum(_samples_amax(p @ p - p, cmat @ bmat - np.eye(m),
-                                                 com + n * np.eye(m)),
+        # c b = -c(omega) / n, so c b = 1 is c(omega) = -n id; each term that
+        # cancels is a gamma times a lowered gamma
+        return relative(np.maximum(_samples_amax(p @ p - p, cmat @ bmat - np.eye(m)),
                                    np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - m)),
                         sample_max(cmat, 1) * sample_max(n * bmat, 1))
 
@@ -491,7 +497,7 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
     run.check("superconnection-dirac-commutator", "[D, f] = c(df)", DIRAC_COMMUTATOR_TOL,
               lambda: bnd.dirac_commutator_residual(D, *run.draws(
                   [FieldLayout(n, (), complex_coeffs=True),
-                   FieldLayout(n, (m,), complex_coeffs=True)], per=3, order=1, block=True))[1])
+                   FieldLayout(n, (m,), complex_coeffs=True)], per=3, order=1))[1])
     run.check("superconnection-affine",
               "D_1 - D_2 is multiplication by the coefficient difference", 1e-11,
               affine_multiplication)
@@ -544,14 +550,14 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> Verific
 
     # each route is one call on a block of the draws
     def dual_route():
-        j, = run.draws(spinor, per=3, block=True)
+        j, = run.draws(spinor, per=3)
         return bnd.column_gap(sp.spin_dirac(scd, smd, fr, mj, j),
                               sp.spin_dirac_alpha(scd, smd, fr, j))
 
     def conformal_closed_form():
         if ch.kind != "conformal":
             return 0.0
-        j, = run.draws(spinor, block=True)
+        j, = run.draws(spinor)
         return bnd.column_gap(sp.spin_dirac(scd, smd, fr, mj, j),
                               sp.conformal_dirac(ch, a_jets, smd, j))
 
@@ -572,7 +578,7 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> Verific
               conformal_closed_form)
     run.check("lichnerowicz-weitzenbock", "D_A^2 = lap + r/4 + q(dA)/2", 1e-7,
               lambda: sp.lichnerowicz_residual(scd, smd, fr, mj,
-                                               *run.draws(spinor, per=3, block=True)))
+                                               *run.draws(spinor, per=3)))
     run.check("lichnerowicz-chirality",
               "chirality anticommutes with c(dx) and commutes with the connection",
               1e-11, lambda: reduce(np.maximum, sp.chirality_action_checks(
@@ -606,9 +612,9 @@ def hodge_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationRe
         their layouts in turn, as the columns of one block (2^n, len(degs))."""
         col, blade = np.nonzero(np.array(degs)[:, None] == grades(n))
         spread = np.eye((1 << n) * len(degs))[blade * len(degs) + col]    # to (blade, col)
-        (flat,), = run.draws([FieldLayout(n, (len(blade),), complex_coeffs=True)], at=at,
-                             order=order)
-        return flat.map(lambda t: (t @ spread).reshape(t.shape[:-1] + (1 << n, len(degs))))
+        flat, = run.draws([FieldLayout(n, (len(blade),), complex_coeffs=True)], at=at,
+                          order=order)
+        return flat[..., 0].map(lambda t: (t @ spread).reshape(t.shape[:-1] + (1 << n, len(degs))))
 
     def colmax(*arrays):
         """Per sample and column, the largest entry magnitude over the arrays."""

@@ -2,7 +2,7 @@
 
 ``lap_identity_residual`` is the defining identity of a Laplacian-type
 operator as the package computed it before the probes became one block: one
-operator call per probe 1, x^k and x^k x^l (k <= l).  ``dirac_square`` is
+operator call per probe 1, x^k and x^k x^l (k <= l), each a one-column block.  ``dirac_square`` is
 the einsum expansion of D^2 on one section, every coefficient built anew,
 from before the index sums became products of folded rows.  Tests compare
 the block routes against both, to rounding.
@@ -31,7 +31,7 @@ def lap_identity_residual(apply_h, mj, x, m: int):
     n = mj.n
     x = np.asarray(x, dtype=float)
     ps = probes(mj, x, m)
-    h = [apply_h(p) for p in ps]
+    h = [apply_h(p[:, None])[..., 0] for p in ps]
     h_0 = h[0][..., None, None, :]
     h_coord = np.stack(h[1:n + 1], axis=-2)
     upper = np.triu_indices(n)

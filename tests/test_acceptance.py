@@ -225,7 +225,9 @@ def test_criterion_07_kernel_projector():
         for _ in range(3):
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
-            cw = bnd.clifford_of_metric(mj, ms)
+            # c(omega) = gamma^i g_ij gamma^j, summed here apart from the kernel projector
+            gam = ms.gammas(mj).val
+            cw = np.einsum("iab,ij,jbc->ac", gam, mj.g, gam)
             worst = max(worst,
                         float(np.max(np.abs(cw + ch.n * np.eye(m)))) / ch.n)
             c, b, p = bnd.kernel_projector(mj, ms)
@@ -275,7 +277,7 @@ def test_criterion_09_conformal_flagship():
             a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
             assert max(abs(complex(a.val)) for a in a_jets) > 0
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
-            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
+            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
             d2 = sp.conformal_dirac(ch, a_jets, smd, j)
             scale = max(1.0, float(np.max(np.abs(d1))),
@@ -302,9 +304,10 @@ def test_criterion_10_lichnerowicz():
                     a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
                 scd = sp.build_spin_connection(fr, smd, mj, a_jets)
                 for _ in range(10):  # 100 jets per chart and setting
-                    j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
+                    j = random_poly_field(rng, n, (smd.dim,),
+                                          complex_coeffs=True).eval(x, 2)[..., None]
                     worst = max(worst,
-                                sp.lichnerowicz_residual(scd, smd, fr, mj, j))
+                                sp.lichnerowicz_residual(scd, smd, fr, mj, j)[0])
     _line("10 lichnerowicz D_A^2 = lap + r/4 + q(dA)/2", worst, 1e-7)
 
 

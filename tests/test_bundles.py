@@ -10,7 +10,7 @@ from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.curvature import curvature_data
 from diracgeo.forms import PolyField, random_poly_field
-from diracgeo.jets import relative, relative_gap
+from diracgeo.jets import Jet, relative, relative_gap
 
 
 def _module(n):
@@ -78,12 +78,29 @@ def test_dirac_commutator_is_clifford_of_differential():
     D = bnd.quantize_superconnection(S, mj, ms, x)
     for _ in range(5):
         fj = random_poly_field(rng, n, (), 2, complex_coeffs=True).eval(x)
-        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)
+        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)[..., None]
         lhs = bnd.apply_dirac(D, j * fj) - fj.val * bnd.apply_dirac(D, j)
-        rhs = np.zeros(m, dtype=complex)
+        rhs = np.zeros((m, 1), dtype=complex)
         for a in range(n):
             rhs += fj.d[a] * (D.gam[a].val @ j.val)
         assert np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))) < 1e-11
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_apply_dirac_takes_only_a_block_of_sections(stack):
+    # a section is a block (m, K): a 1-D section at one point ended in an
+    # IndexError, and one at a stack of m points has a value of shape (m, m)
+    ch = get_chart("sphere2")
+    ms, m = _module(ch.n)
+    rng = np.random.default_rng(14)
+    x = np.array([ch.sample_point(rng) for _ in range(m)]) if stack else ch.sample_point(rng)
+    S = bnd.superconnection_from_degrees(ch.n, m, ms.eta, {1: "random"}, base_seed=2)
+    D = bnd.quantize_superconnection(S, metric_jet(ch, x), ms, x)
+    for shape in ((m,), (m + 1, 2), (m, 1, 1)):
+        with pytest.raises(ValueError, match="section block needs fiber"):
+            bnd.apply_dirac(D, Jet.constant(np.ones(shape), x, 1))
+    one_column = Jet.constant(np.ones((m, 1)), x, 1)
+    assert bnd.apply_dirac(D, one_column).shape == x.shape[:-1] + (m, 1)
 
 
 def test_dirac_square_routes_agree():
@@ -97,7 +114,7 @@ def test_dirac_square_routes_agree():
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=9)
     D = bnd.quantize_superconnection(S, mj, ms, x)
     for _ in range(5):
-        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)
+        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)[..., None]
         direct = bnd.dirac_square(D, j)
         composed = bnd.apply_dirac(D, ref.apply_dirac_jet(D, j))
         scale = max(1.0, float(np.max(np.abs(direct))))
@@ -152,7 +169,7 @@ def test_dirac_square_decomposes_into_laplacian_plus_endomorphism():
     A, F = bnd.laplacian_decompose(H, mj)
     H2 = bnd.laplacian_from_connection(A, F, mj, x)
     for _ in range(5):
-        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)
+        j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)[..., None]
         h1, h2 = H.apply(j), H2.apply(j)
         assert np.max(np.abs(h1 - h2)) / max(1.0, np.max(np.abs(h1))) < 1e-10
 
@@ -165,7 +182,7 @@ def test_canonical_laplacian_routes_agree():
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     A = bnd.levi_civita_exterior_connection(mj)
-    j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)
+    j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)[..., None]
     loc = bnd.canonical_laplacian(A, mj, j, route="local")
     tr = bnd.canonical_laplacian(A, mj, j, route="trace")
     assert np.max(np.abs(loc - tr)) / max(1.0, np.max(np.abs(loc))) < 1e-11
@@ -194,7 +211,9 @@ def test_clifford_of_metric_is_minus_n():
         ms, m = _module(ch.n)
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
-        got = bnd.clifford_of_metric(mj, ms)
+        # c(omega) = gamma^i g_ij gamma^j, summed here apart from the kernel projector
+        gam = ms.gammas(mj).val
+        got = np.einsum("...iab,...ij,...jbc->...ac", gam, mj.g, gam)
         assert np.max(np.abs(got + ch.n * np.eye(m))) < 1e-11
 
 
@@ -262,7 +281,7 @@ def test_superconnection_curvature_matches_double_application():
     S = bnd.superconnection_from_degrees(
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=19)
     FS = bnd.superconnection_curvature(S, x)
-    blades = S.eval_blades(x, order=2)
+    blades = S.field.eval(x, order=2)
     fs = random_poly_field(rng, n, (1 << n, m), complex_coeffs=True,
                            masks=tuple(range(1 << n))).eval(x, 2)
     twice = bnd.apply_superconnection(blades, bnd.apply_superconnection(blades, fs))
@@ -295,9 +314,9 @@ def test_superconnection_from_degrees_is_seed_deterministic():
     b = bnd.superconnection_from_degrees(n, m, ms.eta, {1: "random"}, 5)
     c = bnd.superconnection_from_degrees(n, m, ms.eta, {1: "random"}, 6)
     x = np.array([0.3, 0.7])
-    va = a.blades[1].eval(x, 0).val
-    vb = b.blades[1].eval(x, 0).val
-    vc = c.blades[1].eval(x, 0).val
+    va = a.field.eval(x, 0).val[1]
+    vb = b.field.eval(x, 0).val[1]
+    vc = c.field.eval(x, 0).val[1]
     assert np.array_equal(va, vb)
     assert np.max(np.abs(va - vc)) > 1e-6
 
@@ -307,13 +326,13 @@ def test_superconnection_presets_set_degree_and_seed():
     ms, m = _module(n)
     S = bnd.superconnection_from_degrees(
         n, m, ms.eta, {0: "constant", 1: "linear", 2: "random(9)"}, 5)
-    degree = {mask: int(pm.exponents.sum(axis=1).max()) for mask, pm in S.blades.items()}
+    degree = {mask: int(S.entries(mask).exponents.sum(axis=1).max()) for mask in S.masks}
     assert degree == {0: 0, 1: 1, 2: 1, 3: 2}
     # "random(9)" is "random" with its own seed in place of the base seed
     T = bnd.superconnection_from_degrees(n, m, ms.eta, {2: " random "}, 9)
-    assert np.array_equal(S.blades[3].coeffs, T.blades[3].coeffs)
+    assert np.array_equal(S.entries(3).coeffs, T.entries(3).coeffs)
     assert not np.any(bnd.superconnection_from_degrees(
-        n, m, ms.eta, {1: "zero"}).blades[1].coeffs)
+        n, m, ms.eta, {1: "zero"}).entries(1).coeffs)
     for bad in ("random5", "constant(3)", "random(3", "cubic"):
         with pytest.raises(ValueError, match="unknown coefficient preset"):
             bnd.superconnection_from_degrees(n, m, ms.eta, {1: bad})

@@ -186,8 +186,9 @@ def test_dirac_exits_one_on_a_nan_residual(capsys, monkeypatch):
     # a max() that starts at 0.0 used to drop a NaN residual and report a
     # pass; a point the fields overflow at is now refused before the gate,
     # so the NaN comes from the residual itself
+    # the residuals of one column at one point
     monkeypatch.setattr(bnd, "dirac_commutator_residual",
-                        lambda *args: (float("nan"), float("nan")))
+                        lambda *args: (np.array([np.nan]), np.array([np.nan])))
     code, out, _ = _run(capsys, ["dirac", "--chart", "flat2",
                                  "--point", "0.2,0.4"])
     assert code == 1
@@ -251,8 +252,8 @@ def test_dirac_draws_f_then_psi_five_times(capsys, tmp_path, chart, config):
     x = ch.sample_point(rng)
     D = bnd.quantize_superconnection(S, metric_jet(ch, x), ms, x)
     want = max(bnd.dirac_commutator_residual(
-        D, random_poly_field(rng, ch.n, (), complex_coeffs=True).eval(x, 2),
-        random_poly_field(rng, ch.n, (ms.m,), complex_coeffs=True).eval(x, 2))[0]
+        D, random_poly_field(rng, ch.n, (), complex_coeffs=True).eval(x, 2)[..., None],
+        random_poly_field(rng, ch.n, (ms.m,), complex_coeffs=True).eval(x, 2)[..., None])[0][0]
         for _ in range(5))
     payload = json.loads(out)
     assert payload["point"] == x.tolist()

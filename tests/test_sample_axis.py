@@ -222,6 +222,9 @@ def test_bundle_operators_batch(name):
                    lambda r: random_poly_field(r, n, (m,), complex_coeffs=True))
     f, fs = _stack(rng, mj.x, singles,
                    lambda r: random_poly_field(r, n, (), complex_coeffs=True))
+    # one-column blocks of sections and of scalars
+    j, js = j[..., None], [jk[..., None] for jk in js]
+    f, fs = f[..., None], [fk[..., None] for fk in fs]
     _same(bnd.apply_dirac(D, j), [bnd.apply_dirac(d, jk) for d, jk in zip(Ds, js)])
     _same(bnd.dirac_commutator_residual(D, f, j),
           [bnd.dirac_commutator_residual(d, fk, jk) for d, fk, jk in zip(Ds, fs, js)])
@@ -257,7 +260,13 @@ def test_bundle_operators_batch(name):
           [bnd.twisting_curvature(fe, curvature_data(sk).lowered, ms.gammas(sk))
            for fe, sk in zip(FEs, singles)])
     _same(bnd.kernel_projector(mj, ms), [bnd.kernel_projector(sk, ms) for sk in singles])
-    _close(bnd.clifford_of_metric(mj, ms), [bnd.clifford_of_metric(sk, ms) for sk in singles])
+
+    def clifford_of_metric(mj):
+        """c(omega) = gamma^i g_ij gamma^j, summed apart from the kernel projector."""
+        gam = ms.gammas(mj).val
+        return np.einsum("...iab,...ij,...jbc->...ac", gam, mj.g, gam)
+
+    _close(clifford_of_metric(mj), [clifford_of_metric(sk) for sk in singles])
     _close(bnd.module_invariant_residual(ms, mj),
            [bnd.module_invariant_residual(ms, sk) for sk in singles])
     _same_jets(bnd.superconnection_curvature(S, mj.x),
@@ -285,6 +294,7 @@ def test_spin_operators_batch(name):
     _same_jets(smd.coordinate_gammas(fr), [smd.coordinate_gammas(f) for f in frs])
     j, js = _stack(rng, mj.x, singles,
                    lambda r: random_poly_field(r, n, (smd.dim,), complex_coeffs=True))
+    j, js = j[..., None], [jk[..., None] for jk in js]      # one-column blocks
     every = list(zip(scds, frs, singles, js))
     _close(sp.spin_dirac(scd, smd, fr, mj, j),
            [sp.spin_dirac(c, smd, f, sk, jk) for c, f, sk, jk in every])
@@ -356,11 +366,12 @@ def test_stacked_superconnection_is_the_stack_of_its_seeds():
     S = bnd.superconnection_from_degrees(2, 4, ms.eta, {0: "constant", 1: "random"}, [3, 4])
     singles = [bnd.superconnection_from_degrees(2, 4, ms.eta, {0: "constant", 1: "random"},
                                                 seed) for seed in (3, 4)]
-    assert sorted(S.blades) == [0, 1, 2]
+    assert S.masks == (0, 1, 2)
     for k, single in enumerate(singles):
         assert np.array_equal(S.field.coeffs[k], single.field.coeffs)
-        for mask, blade in S.blades.items():
-            assert np.array_equal(blade.coeffs[k], single.field.coeffs[:, mask])
+        for mask in S.masks:
+            assert np.array_equal(S.entries(mask).exponents, single.entries(mask).exponents)
+            assert np.array_equal(S.entries(mask).coeffs[k], single.entries(mask).coeffs[0])
     # one parity test covers every sample: an odd entry of a degree-1 blade
     # at the second point only is found
     sig = np.real(np.diag(ms.eta))
@@ -369,4 +380,6 @@ def test_stacked_superconnection_is_the_stack_of_its_seeds():
     coeffs[1, 0, 1, r, c] = 0.5
     field = PolyField(2, S.field.exponents, coeffs, stacked=True)
     with pytest.raises(bnd.ParityError, match=rf"blade \[0\] entry \({r},{c}\)"):
-        bnd.SuperconnectionData(2, 4, ms.eta, S.blades, field)
+        bnd.SuperconnectionData(2, 4, ms.eta, {
+            mask: PolyField(2, field.exponents, field.coeffs[:, :, mask], stacked=True)
+            for mask in S.masks})

@@ -93,7 +93,7 @@ def test_dirac_routes_agree():
         a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
         scd = sp.build_spin_connection(fr, smd, mj, a_jets)
         for _ in range(5):
-            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
+            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
             d2 = sp.spin_dirac_alpha(scd, smd, fr, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
@@ -113,7 +113,7 @@ def test_conformal_closed_form_matches_generic_assembly():
             pot = random_poly_field(rng, n, (n,))
             a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
-            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
+            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
             d1 = sp.spin_dirac(scd, smd, fr, mj, j)
             d2 = sp.conformal_dirac(ch, a_jets, smd, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
@@ -125,7 +125,7 @@ def test_conformal_closed_form_rejects_generic_chart():
     ch = get_chart("poly2")
     smd = sp.spin_module_data(2)
     x = ch.sample_point(rng)
-    j = random_poly_field(rng, 2, (smd.dim,), complex_coeffs=True).eval(x, 2)
+    j = random_poly_field(rng, 2, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
     zero = Jet.constant(np.zeros(2), x)
     with pytest.raises(ValueError):
         sp.conformal_dirac(ch, zero, smd, j)
@@ -147,8 +147,9 @@ def test_lichnerowicz_with_and_without_potential():
                 a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             for _ in range(3):
-                j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)
-                assert sp.lichnerowicz_residual(scd, smd, fr, mj, j) < 1e-7, name
+                j = random_poly_field(rng, n, (smd.dim,),
+                                      complex_coeffs=True).eval(x, 2)[..., None]
+                assert sp.lichnerowicz_residual(scd, smd, fr, mj, j)[0] < 1e-7, name
 
 
 def test_chirality_action_checks():

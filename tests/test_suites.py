@@ -205,6 +205,17 @@ def test_frame_invariants_hold_on_a_scaled_metric(monkeypatch, chart, scale, see
     assert check.passed
 
 
+@pytest.mark.parametrize("chart", ["hyperbolic2", "hyperbolic4", "sphere4"])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_levi_civita_checks_hold_on_a_large_metric(monkeypatch, chart, seed):
+    # d g, Gamma g and R_ijkl grow with the metric, and the rounding of the
+    # sums that cancel with them: read relative to their terms, every
+    # levi-civita check passes (the scalar reference is not rescaled here)
+    rep = _scaled_run(monkeypatch, "levi-civita", chart, 1e6, seed)
+    assert len(rep.checks) >= 7
+    assert not _failing(rep) - {"levi-civita-scalar-reference"}
+
+
 def test_symbol_roundtrip_fails_under_the_parity_swapped_recursion(parity_swapped_tables):
     rep = run_suite("clifford", chart="poly3", seed=1, samples=5)
     assert "clifford-symbol-roundtrip" in _failing(rep)
@@ -317,24 +328,32 @@ def _after_points(run, seed):
     return rng
 
 
-def test_runner_draws_points_first_then_fields_point_major():
+@pytest.mark.parametrize("chart", ["sphere2", "poly3", "sphere4"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_runner_draws_points_first_then_fields_point_major(chart, order):
     # a seed must pick the fields a per-point loop of random_poly_field
     # would: points first, then per point its draws in turn, and per draw
-    # its layouts in turn
-    run = suites._Run("hodge", "sphere2", 5, 3)
-    rng = _after_points(run, 5)
-    layouts = [FieldLayout(2, (2,)), FieldLayout.form(2, 1, True),
-               FieldLayout(2, (), 3, True), FieldLayout(2, (2, 3), 1, True, (0, 3))]
+    # its layouts in turn; each layout is one block, draw k in column k,
+    # carrying the orders asked for
+    run = suites._Run("hodge", chart, 5, 3)
+    rng, n = _after_points(run, 5), run.n
+    layouts = [FieldLayout(n, (2,)), FieldLayout.form(n, 1, True), FieldLayout(n, (1 << n,)),
+               FieldLayout(n, (), 3, True), FieldLayout(n, (2, 3), 1, True, (0, 3))]
     loop = [[[random_poly_field(rng, *lay) for lay in layouts] for _ in range(2)]
             for _ in run.xs]
-    got = run.draws(layouts, per=2)
-    assert len(got) == 2
-    for k, jets in enumerate(got):
-        for i, j in enumerate(jets):
-            _same_jets(j, PolyField.stack([row[k][i] for row in loop]).eval(run.xs, 2))
+    got = run.draws(layouts, per=2, order=order)
+    assert len(got) == len(layouts)
+    for i, block in enumerate(got):
+        assert block.order == order
+        for k in range(2):
+            want = PolyField.stack([row[k][i] for row in loop]).eval(run.xs, 2)
+            # to the rounding of evaluating the columns in one product
+            for g, w in zip((block.val, block.d, block.dd)[:order + 1],
+                            (want.val, want.d, want.dd)):
+                assert np.max(np.abs(g[..., k] - w)) <= 1e-15 * max(1.0, np.max(np.abs(w)))
     assert run.rng.uniform() == rng.uniform()
     assert len(run.head.x) == 3 and run.head is run.mj
-    big = suites._Run("hodge", "sphere2", 5, 20)
+    big = suites._Run("hodge", chart, 5, 20)
     assert np.array_equal(big.head.x, big.xs[:5])
 
 
