@@ -40,7 +40,7 @@ from .forms import (PolyField, exponent_table, exterior_derivative,
                     exterior_gammas, iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
-from .jets import Jet, check_point, relative, relative_gap, sample_max, seed_point
+from .jets import Jet, check_point, relative, sample_max, seed_point
 
 
 class ParityError(ValueError):
@@ -384,9 +384,10 @@ def _fold(t: np.ndarray) -> np.ndarray:
     return t.reshape(t.shape[:-3] + (-1, t.shape[-1]))
 
 
-def column_gap(a, b, nb: int = 1):
-    """``relative_gap`` per sample and column of blocks (..., m, K), each on its own scale."""
-    return relative_gap(np.moveaxis(a, -1, nb), np.moveaxis(b, -1, nb), nb + 1)
+def column_gap(a, b, *terms, nb: int = 1):
+    """Per sample and column of blocks (..., m, K), |a - b| relative to a, b and ``terms``."""
+    a, b, *terms = (np.moveaxis(c, -1, nb) for c in (a, b) + terms)
+    return relative(sample_max(a - b, nb + 1), *(sample_max(c, nb + 1) for c in [a, b] + terms))
 
 
 def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:

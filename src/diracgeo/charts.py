@@ -148,20 +148,27 @@ class MetricJet:
     @cached_property
     def compound_inverse(self) -> Jet:
         """Lambda(g^-1) on the blade axis as a 2-jet, for the Hodge star and
-        the Gram pairing.
-
-        Column M is (g^-1 dx^{i_1}) ^ ... ^ (g^-1 dx^{i_p}), so entry [M', M]
-        is the minor det g^{-1}[rows M', cols M].
-        """
-        eps = blade_tables(self.n)[0]
-        metric = (self.g_inv, self.dg_inv, self.d2g_inv)
-        cols = [Jet.constant(np.eye(1 << self.n)[0], self.x)]
-        for mask in range(1, 1 << self.n):
+        the Gram pairing: column M is (g^-1 dx^{i_1}) ^ ... ^ (g^-1 dx^{i_p}),
+        so entry [M', M] is the minor det g^-1[rows M', cols M].  Lambda is a
+        homomorphism whose differential is the derivation delta(X) = X_mj eps_m
+        iota_j, so with B_k = g d_k g^-1 and d_l B_k = g d_l d_k g^-1 - B_l B_k,
+        d_k Lambda(g^-1) = Lambda(g^-1) delta(B_k) and d_l d_k Lambda(g^-1) =
+        d_l Lambda(g^-1) delta(B_k) + Lambda(g^-1) delta(d_l B_k)."""
+        n = self.n
+        gens = contract(self.g_inv.swapaxes(-1, -2), blade_tables(n)[0])  # [l] = g^il eps_i
+        val = np.ones(self.g.shape[:-2] + (1, 1), complex) * np.eye(1 << n)  # column 0 is e_0
+        for mask in range(1, 1 << n):
             low = (mask & -mask).bit_length() - 1
-            gen = Jet(self.x, *(contract(a[..., low], eps) for a in metric))
-            cols.append(gen @ cols[mask & (mask - 1)])
-        return _frozen(Jet(self.x, *(np.stack([getattr(c, k) for c in cols], axis=-1)
-                                     for k in ("val", "d", "dd"))))
+            val[..., mask] = (gens[..., low, :, :] @ val[..., mask & (mask - 1), None])[..., 0]
+        table = _derivation_table(n).reshape((n * n,) + val.shape[-2:])
+        g = self.g[..., None, :, :]
+        B = g @ self.dg_inv
+        dB = g[..., None, :, :] @ self.d2g_inv - B[..., :, None, :, :] @ B[..., None, :, :, :]
+        delta_B, delta_dB = (contract(a.reshape(a.shape[:-2] + (-1,)), table) for a in (B, dB))
+        d = val[..., None, :, :] @ delta_B
+        dd = (d[..., :, None, :, :] @ delta_B[..., None, :, :, :]
+              + val[..., None, None, :, :] @ delta_dB)
+        return _frozen(Jet(self.x, val, d, dd))
 
     @cached_property
     def exterior_connection(self) -> Jet:

@@ -1,18 +1,19 @@
 """Jet-valued differential forms and first-order operators on them.
 
 A form is a Jet whose fiber is the blade axis of length 2^n, slot M for the
-blade with bitmask M; a vector field is a Jet with fiber (n,).  Every
-operator here is a product with the fixed structure tensors of
-``clifford.blade_tables`` and consumes jet orders instead of discretizing:
-applying a first-order operator to an order-k input yields an order-(k-1)
-output with no truncation error, so composite identities (d^2 = 0, Cartan
-relations, dual-route coderivatives) hold to rounding.  The blade axis may
-be followed by further fiber axes: a form-valued section (2^n, m), which
-``exterior_derivative`` and ``iota_vector`` carry along, or a block of K
-forms (2^n, K), one column per degree or draw, on which the star, both
-coderivatives, D = d + d* and the wedge and pairing of two blocks act column
-by column.  d* takes its sign per output blade, so it is defined on any form.
-PolyField is the one polynomial coefficient field type the checks draw from.
+blade with bitmask M; a vector field is a Jet with fiber (n,).  Every operator
+here is a product with the fixed structure tensors of ``clifford.blade_tables``
+and consumes jet orders instead of discretizing: applying a first-order
+operator to an order-k input yields an order-(k-1) output with no truncation
+error, so composite identities (d^2 = 0, Cartan relations, dual-route
+coderivatives) hold to rounding; iota and the wedge contract their dense table
+with one operand first (``_bilinear``).  The blade axis may be followed by
+further fiber axes: a form-valued section (2^n, m), which
+``exterior_derivative`` and ``iota_vector`` carry along, or a block of K forms
+(2^n, K), one column per degree or draw, on which the star, both coderivatives,
+D = d + d* and the wedge and pairing of two blocks act column by column.  d*
+takes its sign per output blade M, so it is defined on any form.  PolyField is
+the one polynomial coefficient field type the checks draw from.
 """
 
 from __future__ import annotations
@@ -40,36 +41,46 @@ class JetOrderError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def coefficient(j: Jet, indices: Sequence[int]) -> complex:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return complex(j.val[mask])
-
-
 @lru_cache(maxsize=None)
-def _sparse_table(kind: str, n: int) -> tuple:
-    """Nonzero entries (i, b) of the structure table T[i, a, b] of ``kind``
-    ("iota" or "wedge") and the (entries, a) matrix scattering them to a."""
-    table = blade_tables(n)[1] if kind == "iota" else wedge_table(n)
-    i, a, b = np.nonzero(table)
-    scatter = np.zeros((len(i), table.shape[1]))
-    scatter[np.arange(len(i)), a] = table[i, a, b].real
-    return i, b, scatter
+def _tables(kind: str, n: int) -> tuple:
+    """T[i, a, b] of "iota" or "wedge" as the matrices of v -> M(v), u -> M'(u)^T."""
+    table = (blade_tables(n)[1] if kind == "iota" else wedge_table(n)).real
+    return table.reshape(-1, 1 << n).T.copy(), table.transpose(0, 2, 1).reshape(len(table), -1)
 
 
 def _bilinear(kind: str, u: Jet, v: Jet) -> Jet:
     """sum_ib T[i, a, b] u_i v_b, v's blade axis b followed by any fiber axes,
     which u's own axes after its blade axis meet from the right (two blocks
-    (2^n, K): column by column): the table's nonzero entries are gathered,
-    multiplied and scattered to a, never materializing sum_i u_i T[i]."""
-    i, b, scatter = _sparse_table(kind, u.n)
-    r = np.ndim(v.val) - v.nb - 1
-    terms = u[(i,) + (None,) * (r + 1 + u.nb - np.ndim(u.val))] * v[b]
-    if r == 0:
-        return terms.map(lambda t: t @ scatter)
-    return terms.map(lambda t: np.moveaxis(np.moveaxis(t, -r - 1, -1) @ scatter,
-                                           -1, -r - 1))
+    (2^n, K): column by column).  Curried through M(v) = sum_b T[., ., b] v_b
+    and M'(u) = sum_i u_i T[i]: d = u' M(v) + M'(u) v' and dd = u'' M(v) +
+    M'(u) v'' + C + C^T, C[k, l] = u'_k M(v'_l), each term one matmul batched
+    over the samples and fiber axes, whose rows are the derivative axes."""
+    check_point(u.x, v.x)
+    nb, n, order = u.nb, u.n, min(u.order, v.order)
+    s, r = np.ndim(u.val) - nb - 1, np.ndim(v.val) - nb - 1
+    t = max(s, r)
+
+    def rows(a, k: int, m: int) -> np.ndarray:
+        """(samples, k fiber axes padded to t, m derivative axes as one, blade)."""
+        a = np.moveaxis(a, range(nb, nb + m + 1), range(-m - 1, 0)) if k else a
+        return a.reshape(a.shape[:nb] + (1,) * (t - k) + a.shape[nb:nb + k] + (-1, a.shape[-1]))
+
+    def curry(a, table):
+        return (a.reshape(-1, a.shape[-1]) @ table).reshape(a.shape[:-1] + (-1, 1 << n))
+
+    t_v, t_u = _tables(kind, n)
+    U = [rows(a, s, m) for m, a in enumerate((u.val, u.d, u.dd)[:order + 1])]
+    V = [rows(a, r, m) for m, a in enumerate((v.val, v.d, v.dd)[:order + 1])]
+    Mv = curry(V[0], t_v)[..., 0, :, :]
+    out = [(U[0] @ Mv)[..., 0, :]]
+    if order:
+        Mu = curry(U[0], t_u)[..., 0, :, :]
+        out.append(U[1] @ Mv + V[1] @ Mu)
+    if order == 2:
+        C = U[1][..., None, :, :] @ curry(V[1], t_v)
+        out.append((U[2] @ Mv + V[2] @ Mu).reshape(C.shape) + C + C.swapaxes(-3, -2))
+    return Jet(u.x, *(np.moveaxis(a, range(-m - 1, 0), range(nb, nb + m + 1)) if t else a
+                      for m, a in enumerate(out)))
 
 
 def wedge_forms(a: Jet, b: Jet) -> Jet:

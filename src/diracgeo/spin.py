@@ -287,7 +287,7 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     da = scd.a_pot.d
     qf = 0.5 * np.einsum("...ab,...axy,...byz->...xz", da - np.swapaxes(da, -1, -2), g, g)
     rhs = rhs + 0.5 * (qf @ j.val)
-    return column_gap(lhs, rhs, j.nb)
+    return column_gap(lhs, rhs, nb=j.nb)
 
 
 def chirality_action_checks(smd: SpinModuleData, frame: FrameField,

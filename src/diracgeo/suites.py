@@ -382,7 +382,8 @@ def laplacian_suite(chart: str, seed: int, samples: int, pts=None) -> Verificati
         A, F = bnd.laplacian_decompose(H, mj)
         H2 = bnd.laplacian_from_connection(A, F, mj, xs)
         j, = run.draws(section, per=3)
-        return bnd.column_gap(H.apply(j), H2.apply(j))
+        # H2 psi = the Laplacian of A + F psi, each of size g^-1 A A: they cancel
+        return bnd.column_gap(H.apply(j), H2.apply(j), F @ j.val)
 
     def canonical_routes():
         A = bnd.levi_civita_exterior_connection(mj)
