@@ -16,7 +16,6 @@ from .bundles import (DiracOperatorData, ModuleSpec, SuperconnectionData,
 from .charts import (Chart, ChartDomainError, MetricJet, chart_from_config,
                      get_chart, load_chart_config, metric_jet, registry)
 from .clifford import BilinearForm, chirality, clifford_product, quantize, symbol
-from .curvature import CurvatureData, curvature_data
 from .forms import (PolyField, coderivative_connection, coderivative_hodge,
                     exterior_derivative, forms_dirac, gram_pairing,
                     hodge_star, iota_vector, laplace_beltrami, lie_derivative,
@@ -34,14 +33,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearForm", "Chart", "ChartDomainError", "CheckResult",
-    "CurvatureData", "DiracOperatorData", "Jet", "MetricJet",
+    "DiracOperatorData", "Jet", "MetricJet",
     "ModuleSpec", "PolyField", "SUITE_NAMES", "SWConfig",
     "SWConfigError", "SpinSignatureError", "SuiteUsageError",
     "SuperconnectionData", "VerificationReport", "apply_dirac",
     "build_spin_connection", "canonical_laplacian",
     "chart_from_config", "chirality", "clifford_product",
     "coderivative_connection", "coderivative_hodge", "conformal_dirac",
-    "curvature_data", "dirac_square", "exterior_derivative",
+    "dirac_square", "exterior_derivative",
     "exterior_module", "forms_dirac", "get_chart", "gram_pairing",
     "hodge_star", "iota_vector", "is_special_superconnection", "jet_sqrt",
     "kernel_projector",

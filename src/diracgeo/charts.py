@@ -90,10 +90,20 @@ class MetricJet:
     points x (P, n), every array then carrying the sample axis P in front.
 
     dg[k, i, j] = d_k g_ij and d2g[l, k, i, j] = d_l d_k g_ij.  Inverse-metric
-    and volume-factor jets are derived once here; the Christoffel symbols,
-    their first derivatives and the metric-only operator jets on the blade
-    axis (Lambda(g^-1), the Levi-Civita connection, g^ij iota_j and the
-    gammas) are built once, on first use.  All are shared, and read-only.
+    and volume-factor jets are derived once here; the Levi-Civita data and
+    the metric-only operator jets on the blade axis (Lambda(g^-1), the
+    Levi-Civita connection, g^ij iota_j and the gammas) are built once, on
+    first use.  All are shared, and read-only.
+
+    Conventions (all verified against frozen unit-value tests):
+      christoffel[k, i, j]     = Gamma^k_ij (symmetric in i, j)
+      dchristoffel[l, k, i, j] = d_l Gamma^k_ij
+      riemann[i, j, k, l] = <dx_i-component of [nabla_k, nabla_l] dx^j>
+                          = d_l Gamma^j_ki - d_k Gamma^j_li
+                            + Gamma^j_lm Gamma^m_ki - Gamma^j_km Gamma^m_li
+      lowered[i, j, k, l] = g_jm riemann[i, m, k, l]   (the all-lower tensor)
+      ricci_ij = g^km lowered[m, i, k, j];  scalar = g^ij ricci_ij
+    so the unit 2-sphere has scalar +2 (``scalar`` is (P,) on a stack).
     """
 
     def __init__(self, chart: Chart, x: np.ndarray, g: np.ndarray,
@@ -126,24 +136,40 @@ class MetricJet:
         self.ddsqrt = s[..., None] * (self.ddh + dh[..., :, None] * dh[..., None, :])
         for a in (self.g, self.dg, self.d2g, self.g_inv, self.dg_inv, self.d2g_inv, self.det,
                   self.sqrt_abs_det, self.dh, self.ddh, self.dsqrt, self.ddsqrt):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+            _readonly(a)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
         """Gamma[k, i, j] = Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-        out = 0.5 * np.einsum("...kl,...ijl->...kij", self.g_inv, _first_kind(self.dg))
-        out.setflags(write=False)
-        return out
+        return _readonly(0.5 * np.einsum("...kl,...ijl->...kij", self.g_inv,
+                                         _first_kind(self.dg)))
 
     @cached_property
     def dchristoffel(self) -> np.ndarray:
         """dGamma[m, k, i, j] = d_m Gamma^k_ij."""
-        out = 0.5 * (np.einsum("...mkl,...ijl->...mkij", self.dg_inv, _first_kind(self.dg))
-                     + np.einsum("...kl,...mijl->...mkij", self.g_inv,
-                                 _first_kind(self.d2g)))
-        out.setflags(write=False)
-        return out
+        return _readonly(0.5 * (
+            np.einsum("...mkl,...ijl->...mkij", self.dg_inv, _first_kind(self.dg))
+            + np.einsum("...kl,...mijl->...mkij", self.g_inv, _first_kind(self.d2g))))
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        gamma, dgamma = self.christoffel, self.dchristoffel
+        return _readonly(
+            np.einsum("...ljki->...ijkl", dgamma) - np.einsum("...kjli->...ijkl", dgamma)
+            + np.einsum("...jlm,...mki->...ijkl", gamma, gamma)
+            - np.einsum("...jkm,...mli->...ijkl", gamma, gamma))
+
+    @cached_property
+    def lowered(self) -> np.ndarray:
+        return _readonly(np.einsum("...jm,...imkl->...ijkl", self.g, self.riemann))
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        return _readonly(np.einsum("...km,...mikj->...ij", self.g_inv, self.lowered))
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        return _readonly(np.einsum("...ij,...ij->...", self.g_inv, self.ricci))
 
     @cached_property
     def compound_inverse(self) -> Jet:
@@ -194,10 +220,17 @@ class MetricJet:
                                      (self.g_inv, self.dg_inv, self.d2g_inv))) + eps)
 
 
+def _readonly(a):
+    """The array, set read-only; a numpy scalar or None passes through."""
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
+    return a
+
+
 def _frozen(jet: Jet) -> Jet:
     """The jet, its arrays set read-only."""
-    for a in filter(lambda a: a is not None, (jet.val, jet.d, jet.dd)):
-        a.setflags(write=False)
+    for a in (jet.val, jet.d, jet.dd):
+        _readonly(a)
     return jet
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from . import bundles as bnd
 from . import seiberg_witten as swm
 from .charts import ChartDomainError, get_chart, metric_jet, registry
-from .curvature import curvature_data
 from .forms import FieldLayout, poly_fields
 from .report import render_human, render_json
 from .spin import SpinSignatureError
@@ -70,15 +69,15 @@ def cmd_verify(args) -> int:
 def cmd_curvature(args) -> int:
     ch = get_chart(args.chart)
     x = _chart_point(args, ch, np.random.default_rng(args.seed))
-    cd = curvature_data(metric_jet(ch, x))
+    mj = metric_jet(ch, x)
     payload = {
         "chart": args.chart,
         "point": [float(v) for v in x],
-        "metric": _matrix_list(cd.mj.g),
-        "christoffel": np.asarray(cd.christoffel).tolist(),
-        "riemann": np.asarray(cd.riemann).tolist(),
-        "ricci": np.asarray(cd.ricci).tolist(),
-        "scalar_curvature": float(cd.scalar),
+        "metric": _matrix_list(mj.g),
+        "christoffel": np.asarray(mj.christoffel).tolist(),
+        "riemann": np.asarray(mj.riemann).tolist(),
+        "ricci": np.asarray(mj.ricci).tolist(),
+        "scalar_curvature": float(mj.scalar),
     }
     if args.human:
         lines = [f"chart {args.chart} at point "
@@ -86,7 +85,7 @@ def cmd_curvature(args) -> int:
                  "metric:"]
         for row in payload["metric"]:
             lines.append("  " + "  ".join(f"{v:12.6f}" for v in row))
-        lines.append(f"scalar curvature: {cd.scalar:.12g}")
+        lines.append(f"scalar curvature: {mj.scalar:.12g}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

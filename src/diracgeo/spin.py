@@ -26,7 +26,6 @@ from .bundles import (DiracOperatorData, ModuleSpec, _fold, _fold_index,
                       apply_dirac, canonical_laplacian, column_gap, dirac_square)
 from .charts import Chart, MetricJet
 from .clifford import blade_tables, contract
-from .curvature import curvature_data
 from .jets import Jet, jet_sqrt, relative, sample_max, seed_point
 
 
@@ -281,7 +280,7 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     D = spin_dirac_operator(scd, smd, frame, mj)
     lhs = dirac_square(D, j)
     rhs = canonical_laplacian(scd.omega, mj, j)
-    rhs = rhs + 0.25 * curvature_data(mj).scalar[..., None, None] * j.val
+    rhs = rhs + 0.25 * mj.scalar[..., None, None] * j.val
     # q(F) = F_ab gamma^a gamma^b / 2 for F_ab = d_a A_b - d_b A_a
     g = D.gam.val
     da = scd.a_pot.d

@@ -16,9 +16,8 @@ from . import spin as sp
 from .charts import MetricJet, get_chart, metric_jet
 from .clifford import (blade_tables, chirality, clifford_product, contract, grades,
                        product_table, quantize, symbol)
-from .curvature import (curvature_data, curvature_two_form_residual,
-                        divergence_via_connection, divergence_via_density,
-                        log_det_identity_residual)
+from .curvature import (curvature_two_form_residual, divergence_via_connection,
+                        divergence_via_density, log_det_identity_residual)
 from .forms import (FieldLayout, PolyField, exterior_derivative,
                     gram_pairing, hodge_star, coderivative_connection,
                     coderivative_hodge, forms_dirac, iota_vector,
@@ -307,15 +306,14 @@ def clifford_suite(chart: str, seed: int, samples: int, pts=None) -> Verificatio
 
 def levi_civita_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
     run = _Run("levi-civita", chart, seed, samples, pts)
-    n = run.n
-    cd = curvature_data(run.mj)
-    mj, gam, low = cd.mj, cd.christoffel, cd.lowered
+    n, mj = run.n, run.mj
+    gam, low = mj.christoffel, mj.lowered
 
     def divergence_routes():
         # column by column: one product over all columns rounds differently
         X, = run.draws([FieldLayout(n, (n,))], per=JETS_PER_POINT)
         return [np.abs(divergence_via_density(mj, X.val[..., k], X.d[..., k])
-                       - divergence_via_connection(mj, gam, X.val[..., k], X.d[..., k]))
+                       - divergence_via_connection(mj, X.val[..., k], X.d[..., k]))
                 for k in range(JETS_PER_POINT)]
 
     def metric_compatibility():
@@ -337,18 +335,18 @@ def levi_civita_suite(chart: str, seed: int, samples: int, pts=None) -> Verifica
         _samples_amax(low + low.transpose(0, 1, 3, 4, 2) + low.transpose(0, 1, 4, 2, 3)),
         _samples_amax(low)))
     run.check("levi-civita-curvature-two-form", "[S_ij, dx^k] recovers R^l_kij dx^l",
-              1e-9, lambda: curvature_two_form_residual(mj, cd))
+              1e-9, lambda: curvature_two_form_residual(mj))
     run.check("levi-civita-divergence-routes",
               "density route equals connection route for div X", 1e-9,
               divergence_routes)
     run.check("levi-civita-log-det",
               "d_k log sqrt|g| = Gamma^i_ik and d_l d_k log sqrt|g| = d_l Gamma^i_ik",
-              1e-9, lambda: log_det_identity_residual(mj, gam))
+              1e-9, lambda: log_det_identity_residual(mj))
     if chart in SCALAR_REFERENCE:
         ref = SCALAR_REFERENCE[chart]
         run.check("levi-civita-scalar-reference",
                   f"scalar curvature equals {ref:g} on {chart}", 1e-7,
-                  lambda: np.abs(cd.scalar - ref))
+                  lambda: np.abs(mj.scalar - ref))
     return run.rep
 
 
@@ -488,8 +486,7 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
     def twisting():
         FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(head))
         try:
-            return bnd.twisting_curvature(FE, curvature_data(head).lowered,
-                                          ms.gammas(head))[1]
+            return bnd.twisting_curvature(FE, head.lowered, ms.gammas(head))[1]
         except bnd.CliffordConnectionError:
             return 1.0
 

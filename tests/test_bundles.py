@@ -8,7 +8,6 @@ import pytest
 import clifford_reference as ref
 from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
-from diracgeo.curvature import curvature_data
 from diracgeo.forms import PolyField, random_poly_field
 from diracgeo.jets import Jet, relative, relative_gap
 
@@ -224,12 +223,11 @@ def test_twisting_curvature_accepts_levi_civita_rejects_random():
     ms, m = _module(n)
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    cd = curvature_data(mj)
     gammas = ms.gammas(mj)
 
     A = bnd.levi_civita_exterior_connection(mj)
     FE = bnd.connection_curvature(A)
-    ftw, worst = bnd.twisting_curvature(FE, cd.lowered, gammas)
+    ftw, worst = bnd.twisting_curvature(FE, mj.lowered, gammas)
     assert worst < 1e-10
     # the twist of the plain Levi-Civita connection on forms commutes with
     # the action but need not vanish; on the round sphere it is nonzero
@@ -237,7 +235,7 @@ def test_twisting_curvature_accepts_levi_civita_rejects_random():
 
     bad = random_poly_field(rng, n, (n, m, m), 1, complex_coeffs=True).eval(x, 2)
     with pytest.raises(bnd.CliffordConnectionError):
-        bnd.twisting_curvature(bnd.connection_curvature(bad), cd.lowered, gammas)
+        bnd.twisting_curvature(bnd.connection_curvature(bad), mj.lowered, gammas)
 
 
 def test_special_superconnection_predicate():
@@ -372,8 +370,7 @@ def test_residuals_keep_a_nan():
     nan_gammas = bnd.ModuleSpec(m, ms.eta, lambda mj: ms.gammas(mj) * np.nan)
     assert np.isnan(bnd.module_invariant_residual(nan_gammas, mj))
     FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(mj))
-    _, worst = bnd.twisting_curvature(FE * np.nan, curvature_data(mj).lowered,
-                                      ms.gammas(mj))
+    _, worst = bnd.twisting_curvature(FE * np.nan, mj.lowered, ms.gammas(mj))
     assert np.isnan(worst)
     # the one relative rule: a NaN on either side or in the difference stays
     # NaN, and the scale is floored at 1

@@ -1,5 +1,7 @@
-"""The README's examples run, and every exported name resolves."""
+"""The README's examples run, every exported name resolves, and every
+layer the benchmark traces is a module."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -9,7 +11,8 @@ import diracgeo
 from diracgeo.bundles import SUPERCONNECTION_CONFIG_KEYS
 from diracgeo.seiberg_witten import SW_CONFIG_KEYS
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_blocks_run_in_order():
@@ -24,6 +27,18 @@ def test_every_exported_name_resolves():
     missing = [name for name in diracgeo.__all__ if not hasattr(diracgeo, name)]
     assert not missing
     assert len(set(diracgeo.__all__)) == len(diracgeo.__all__)
+
+
+def test_every_traced_layer_is_a_module():
+    # the benchmark's tracer looks each layer up in sys.modules, so deleting
+    # a module it lists would crash a traced run
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    layers, = (ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    assert "curvature" in layers
+    for layer in layers:
+        importlib.import_module(f"diracgeo.{layer}")
 
 
 def test_readme_module_names_resolve():

@@ -1,6 +1,5 @@
 """Suite registry behavior: applicability, determinism, check inventory."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from diracgeo.jets import Jet
 from diracgeo.report import render_json
 from diracgeo.suites import (CHART_SUITES, SUITE_NAMES, SuiteUsageError,
                              run_suite)
+from scaled_chart import scaled
 
 
 def test_registry_names():
@@ -129,44 +129,39 @@ def test_a_wrong_table_fails_checks_instead_of_ending_the_run(parity_swapped_tab
 @pytest.mark.parametrize("chart, scale", [("poly4", 1e3), ("sphere4", 1e4),
                                           ("minkowski4", 1e4), ("poly4", 1e-4),
                                           ("poly3", 1e-4), ("sphere4", 1e-4)])
-def test_clifford_checks_hold_on_a_scaled_metric(monkeypatch, chart, scale):
+def test_clifford_checks_hold_on_a_scaled_metric(chart, scale):
     # G has size |det g|^(1/2), so on a large metric the rounding of G^2 and
     # of G c(v) + c(v) G grows with it; on a small one the terms of q(w) on
     # the vacuum and of the gamma products grow with |g^-1|: the relations
     # are read relative to the size of their terms, and every clifford
     # check passes
-    base = charts.get_chart(chart)
-    scaled = dataclasses.replace(base, metric_fn=lambda x: scale * base.metric_fn(x))
-    monkeypatch.setattr(suites, "get_chart", lambda name: scaled)
-    rep = run_suite("clifford", chart=chart, seed=1, samples=5)
+    rep = _scaled_run("clifford", chart, scale, 1)
     assert len(rep.checks) == 6 and not _failing(rep)
 
 
-def _scaled_run(monkeypatch, suite, chart, scale, seed):
-    """``suite`` on ``chart`` with its metric multiplied by ``scale``, 5 samples."""
-    base = charts.get_chart(chart)
-    scaled = dataclasses.replace(base, metric_fn=lambda x: scale * base.metric_fn(x))
-    monkeypatch.setattr(suites, "get_chart", lambda name: scaled)
-    return run_suite(suite, chart=chart, seed=seed, samples=5)
+def _scaled_run(suite, chart, scale, seed):
+    """``suite`` on ``chart`` scaled by ``scale`` (``scaled_chart.scaled``), 5 samples."""
+    with scaled(chart, scale):
+        return run_suite(suite, chart=chart, seed=seed, samples=5)
 
 
 @pytest.mark.parametrize("chart, scale, seed", [("poly4", 1e-5, 1), ("poly4", 1e-5, 3),
                                                 ("poly4", 1e-6, 1), ("poly4", 1e-6, 3),
                                                 ("poly3", 1e-6, 3), ("poly2", 1e-6, 3)])
-def test_clifford_associativity_holds_on_a_small_metric(monkeypatch, chart, scale, seed):
+def test_clifford_associativity_holds_on_a_small_metric(chart, scale, seed):
     # the terms of a triple product that cancel grow with powers of |g^-1|,
     # far beyond |(ab)c| and |a(bc)|: read relative to them, it passes
-    rep = _scaled_run(monkeypatch, "clifford", chart, scale, seed)
+    rep = _scaled_run("clifford", chart, scale, seed)
     assert len(rep.checks) == 6 and not _failing(rep)
 
 
 @pytest.mark.parametrize("chart", ["poly3", "poly4", "sphere4"])
 @pytest.mark.parametrize("seed", [1, 3])
-def test_twisting_holds_on_a_small_metric(monkeypatch, chart, seed):
+def test_twisting_holds_on_a_small_metric(chart, seed):
     # the exterior gammas grow with |g^-1|, and with them the terms of
     # [F^tw, gamma] that cancel; a floor blind to them raised, and the check
     # reported a bare 1.0
-    rep = _scaled_run(monkeypatch, "superconnection", chart, 1e-6, seed)
+    rep = _scaled_run("superconnection", chart, 1e-6, seed)
     check, = (c for c in rep.checks if c.check_id == "superconnection-twisting")
     assert check.passed and check.max_residual < 1e-12
 
@@ -174,11 +169,11 @@ def test_twisting_holds_on_a_small_metric(monkeypatch, chart, seed):
 @pytest.mark.parametrize("chart", ["sphere2", "poly2", "sphere4", "poly4", "minkowski4"])
 @pytest.mark.parametrize("scale", [1e-2, 1e-3, 1e-6])
 @pytest.mark.parametrize("seed", [1, 3])
-def test_hodge_checks_hold_on_a_small_metric(monkeypatch, chart, scale, seed):
+def test_hodge_checks_hold_on_a_small_metric(chart, scale, seed):
     # del and D each carry a factor g^-1, so the terms of del del a and D D a
     # that cancel grow with |g^-1|^2, far beyond the drawn form and the two
     # sides: read relative to them, every hodge check passes
-    rep = _scaled_run(monkeypatch, "hodge", chart, scale, seed)
+    rep = _scaled_run("hodge", chart, scale, seed)
     assert len(rep.checks) == 6 and not _failing(rep)
 
 
@@ -186,10 +181,10 @@ def test_hodge_checks_hold_on_a_small_metric(monkeypatch, chart, scale, seed):
                                    "hyperbolic4"])
 @pytest.mark.parametrize("scale", [1e3, 1e6])
 @pytest.mark.parametrize("seed", [1, 3])
-def test_hodge_checks_hold_on_a_large_metric(monkeypatch, chart, scale, seed):
+def test_hodge_checks_hold_on_a_large_metric(chart, scale, seed):
     # the jet of Lambda(g^-1) is built from B_k = g d_k g^-1, which multiplies
     # the large metric by its small inverse: every hodge check still passes
-    rep = _scaled_run(monkeypatch, "hodge", chart, scale, seed)
+    rep = _scaled_run("hodge", chart, scale, seed)
     assert len(rep.checks) == 6 and not _failing(rep)
 
 
@@ -197,46 +192,65 @@ def test_hodge_checks_hold_on_a_large_metric(monkeypatch, chart, scale, seed):
     ("poly2", 1e-6), ("poly3", 1e-6), ("poly4", 1e-6), ("sphere2", 1e-6),
     ("sphere4", 1e-6), ("poly2", 1e6), ("poly3", 1e6), ("poly4", 1e6)])
 @pytest.mark.parametrize("seed", [1, 3])
-def test_kernel_projector_holds_on_a_scaled_metric(monkeypatch, chart, scale, seed):
+def test_kernel_projector_holds_on_a_scaled_metric(chart, scale, seed):
     # c b, p = b c and c(omega) are sums of products of a gamma and a
     # lowered gamma, whose entries grow with |g^-1| and with |g|: read
     # relative to those products, the check passes on both sides of scale 1
-    rep = _scaled_run(monkeypatch, "superconnection", chart, scale, seed)
+    rep = _scaled_run("superconnection", chart, scale, seed)
     check, = (c for c in rep.checks if c.check_id == "superconnection-kernel-projector")
     assert check.passed
 
 
 @pytest.mark.parametrize("chart, scale", [("poly2", 1e-6), ("poly4", 1e-6), ("poly4", 1e6)])
 @pytest.mark.parametrize("seed", [1, 3])
-def test_frame_invariants_hold_on_a_scaled_metric(monkeypatch, chart, scale, seed):
+def test_frame_invariants_hold_on_a_scaled_metric(chart, scale, seed):
     # inv^T inv reconstructs g^-1, so its rounding grows with |g^-1|: read
     # relative to it, the check passes on a small metric
-    rep = _scaled_run(monkeypatch, "lichnerowicz", chart, scale, seed)
+    rep = _scaled_run("lichnerowicz", chart, scale, seed)
     check, = (c for c in rep.checks if c.check_id == "lichnerowicz-frame-invariants")
     assert check.passed
 
 
 @pytest.mark.parametrize("chart", ["hyperbolic2", "hyperbolic4", "sphere4"])
 @pytest.mark.parametrize("seed", [1, 3])
-def test_levi_civita_checks_hold_on_a_large_metric(monkeypatch, chart, seed):
+def test_levi_civita_checks_hold_on_a_large_metric(chart, seed):
     # d g, Gamma g and R_ijkl grow with the metric, and the rounding of the
     # sums that cancel with them: read relative to their terms, every
-    # levi-civita check passes (the scalar reference is not rescaled here)
-    rep = _scaled_run(monkeypatch, "levi-civita", chart, 1e6, seed)
-    assert len(rep.checks) >= 7
-    assert not _failing(rep) - {"levi-civita-scalar-reference"}
+    # levi-civita check passes
+    rep = _scaled_run("levi-civita", chart, 1e6, seed)
+    assert len(rep.checks) >= 7 and not _failing(rep)
 
 
 @pytest.mark.parametrize("chart", ["hyperbolic4", "sphere4", "poly4"])
 @pytest.mark.parametrize("seed", [1, 3])
-def test_decompose_roundtrip_holds_on_a_large_metric(monkeypatch, chart, seed):
+def test_decompose_roundtrip_holds_on_a_large_metric(chart, seed):
     # A_i = g_ik (g^jl Gamma^k_jl - T^k) / 2 grows with g, so the connection
     # Laplacian of A and F psi that reassemble H psi are each of size
     # g^-1 A A, far beyond H psi, and cancel: read relative to them, the
     # round trip passes
-    rep = _scaled_run(monkeypatch, "laplacian", chart, 1e6, seed)
+    rep = _scaled_run("laplacian", chart, 1e6, seed)
     check, = (c for c in rep.checks if c.check_id == "laplacian-decompose-roundtrip")
     assert check.passed
+
+
+@pytest.mark.parametrize("chart, scale", [(c, s) for c in sorted(registry()) for s in (1e-3, 1e3)]
+                         + [(c, s) for c in ("hyperbolic4", "poly4", "sphere4")
+                            for s in (1e-6, 1e6)])
+def test_every_chart_suite_holds_on_a_scaled_chart(chart, scale):
+    # the metric, its conformal factor and the scalar reference scaled
+    # together: every check of every chart suite passes, and only the
+    # suites that refuse the chart at scale 1 refuse it
+    refused = set()
+    for seed in (1, 3):
+        for suite in CHART_SUITES:
+            try:
+                rep = _scaled_run(suite, chart, scale, seed)
+            except SuiteUsageError:
+                refused.add(suite)
+                continue
+            assert rep.checks and not _failing(rep), (suite, seed, _failing(rep))
+    spinless = chart in ("flat3", "minkowski4", "poly3", "torus3")
+    assert refused == ({"lichnerowicz"} if spinless else set())
 
 
 def test_symbol_roundtrip_fails_under_the_parity_swapped_recursion(parity_swapped_tables):
@@ -443,6 +457,18 @@ def test_all_builds_its_metric_jets_once(monkeypatch, samples, sizes):
                         lambda ch, x: calls.append(len(x)) or real(ch, x))
     assert run_suite("all", chart="sphere4", seed=1, samples=samples).passed
     assert calls == sizes
+
+
+def test_all_computes_the_riemann_tensor_once_per_metric_jet(monkeypatch, capsys):
+    # the levi-civita checks, the twisting check on the head and the
+    # Lichnerowicz formula read the curvature cached on their metric jet
+    jets = []
+    real = charts.MetricJet.riemann.func
+    monkeypatch.setattr(charts.MetricJet.riemann, "func",
+                        lambda mj: jets.append(mj) or real(mj))
+    assert cli.main(["verify", "--suite", "all", "--chart", "sphere4", "--samples", "5"]) == 0
+    capsys.readouterr()
+    assert [len(mj.x) for mj in jets] == [5, 4] and jets[0] is not jets[1]
 
 
 def test_a_metric_jet_mutant_is_seen_after_an_all_run(monkeypatch):
