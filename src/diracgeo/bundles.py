@@ -40,7 +40,7 @@ from .forms import (PolyField, exponent_table, exterior_derivative,
                     exterior_gammas, iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
-from .jets import Jet, check_point, relative, sample_max, seed_point
+from .jets import Jet, _product, check_point, relative, sample_max, seed_point
 
 
 class ParityError(ValueError):
@@ -123,26 +123,27 @@ class SuperconnectionData:
     stacked field of fiber (E_I,) over its own exponent table, coeffs
     (P, T_I, E_I); P = 1 for a single superconnection.  ``field`` (fiber
     (2^n, m, m) on the union table, stacked on a stack) is built on first use
-    by scattering every blade's entries.
+    by one scatter per blade, through a layout cached by grading and tables.
 
     A blade given here is a field of fiber (m, m), stacked or not; converting
-    it to entries is the parity check.  It may instead be a draw, called with
-    its allowed entries whenever the blade is read, for a stack of ``stack``
-    members (None: a single superconnection).
+    it to entries is the parity check.  It may instead be a draw: a pair of its
+    exponent table and a call on its allowed entries, made whenever the blade
+    is read, for a stack of ``stack`` members (None: a single superconnection).
     """
 
     def __init__(self, n: int, m: int, eta: np.ndarray, blades: Dict[int, object],
                  stack: Optional[int] = None):
         self.n, self.m, self.eta, self.masks = n, m, eta, tuple(blades)
+        self.sig = tuple(np.diag(eta).real)
         given = [b.coeffs for b in blades.values() if isinstance(b, PolyField) and b.stacked]
         self.stacked = stack is not None or bool(given)
         self.size = stack or (len(given[0]) if given else 1)
-        self._parts = {mask: b if callable(b) else self._parity_entries(mask, b)
-                       for mask, b in blades.items()}
+        self._parts = {mask: b if isinstance(b, tuple) else
+                       (b.exponents, self._parity_entries(mask, b)) for mask, b in blades.items()}
 
     def allowed(self, mask: int) -> np.ndarray:
         """The (m, m) entries blade ``mask`` may fill."""
-        return _allowed(tuple(np.diag(self.eta).real), 1 if mask.bit_count() % 2 else -1)
+        return _allowed(self.sig, 1 if mask.bit_count() % 2 else -1)
 
     def _parity_entries(self, mask: int, blade: PolyField) -> PolyField:
         allowed = self.allowed(mask)
@@ -156,56 +157,76 @@ class SuperconnectionData:
 
     def entries(self, mask: int) -> PolyField:
         """Blade ``mask``'s allowed entries, coeffs (P, T, E).  A drawn blade is
-        drawn when read and not kept, so the field holds the only copy."""
-        part = self._parts[mask]
+        drawn when read and kept only in its builder's memo ``drawn``, if any."""
+        _, part = self._parts[mask]
         return part(self.allowed(mask)) if callable(part) else part
 
     @cached_property
     def field(self) -> PolyField:
         """omega_I on the blade axis, fiber (2^n, m, m); absent blades are zero."""
-        # the blades' tables merged in mask order, each exponent where it first appears
-        parts, union = {mask: self.entries(mask) for mask in self.masks}, {}
-        rows = {mask: np.array([union.setdefault(tuple(e), len(union)) for e in
-                                part.exponents.tolist()], dtype=np.intp)
-                for mask, part in parts.items()}
-        coeffs = np.zeros((self.size, len(union), 1 << self.n, self.m, self.m), dtype=complex)
-        for mask, at in rows.items():
-            r, c = np.nonzero(self.allowed(mask))
-            coeffs[:, at[:, None], mask, r, c] = parts[mask].coeffs
-        return PolyField(self.n, np.array(list(union), dtype=np.int64).reshape(-1, self.n),
-                         coeffs if self.stacked else coeffs[0], stacked=self.stacked)
+        # the tables come before the draws: each blade is drawn when scattered
+        exponents, places = _field_layout(self.n, self.sig, tuple(
+            (mask, table.astype(np.int64).tobytes()) for mask, (table, _) in self._parts.items()))
+        coeffs = np.zeros((self.size, len(exponents), 1 << self.n, self.m, self.m), dtype=complex)
+        for mask, at in zip(self.masks, places):
+            coeffs.reshape(self.size, -1)[:, at] = self.entries(mask).coeffs
+        return PolyField(self.n, exponents, coeffs if self.stacked else coeffs[0],
+                         stacked=self.stacked)
+
+
+@lru_cache(maxsize=None)
+def _field_layout(n: int, sig: tuple, blades: tuple) -> tuple:
+    """The exponent tables of blades ((mask, table bytes), ...) merged in mask
+    order, each exponent where it first appears, and per blade the flat index
+    of its entries [term, entry] in a field (T, 2^n, m, m)."""
+    union, m = {}, len(sig)
+    rows = [[union.setdefault(e, len(union)) for e in map(tuple, np.frombuffer(
+        table, np.int64).reshape(-1, n).tolist())] for _, table in blades]
+    places = tuple(((np.array(at, dtype=np.intp)[:, None] << n) + mask) * m * m
+                   + np.flatnonzero(_allowed(sig, 1 if mask.bit_count() % 2 else -1))
+                   for at, (mask, _) in zip(rows, blades))
+    exponents = np.array(list(union), dtype=np.int64).reshape(-1, n)
+    for a in (exponents,) + places:
+        a.setflags(write=False)
+    return exponents, places
 
 
 # a coefficient preset is a name or "random(seed)"; each name sets the
-# polynomial degree of the coefficients, and "zero" draws nothing
+# polynomial degree of the coefficients, and "zero" (degree -1, no terms) draws nothing
 _PRESET = re.compile(r"(zero|constant|linear|random)|random\s*\(\s*([+-]?\d+)\s*\)")
-_PRESET_DEGREES = {"zero": None, "constant": 0, "linear": 1, "random": 2}
+_PRESET_DEGREES = {"zero": -1, "constant": 0, "linear": 1, "random": 2}
 
 
-def _draw_blade(n: int, mask: int, degree: Optional[int], seeds: list,
-                allowed: np.ndarray) -> PolyField:
-    """Blade ``mask``'s allowed entries as polynomials of ``degree`` (None:
-    zero), one per seed s, drawn from the generator seeded s 100003 + mask 101
-    + 7 in the order [entry, term], real part before imaginary."""
-    exps = np.zeros((0, n), dtype=np.int64) if degree is None else exponent_table(n, degree)
+def _draw_blade(mask: int, exps: np.ndarray, degree: int, seeds: list,
+                drawn: Optional[dict], allowed: np.ndarray) -> PolyField:
+    """Blade ``mask``'s allowed entries as polynomials of ``degree``, terms
+    ``exps``, per seed s from the generator seeded s 100003 + mask 101 + 7 in
+    the order [entry, term], real before imaginary, or from ``drawn``, which keeps them."""
     draws = np.zeros((len(seeds), int(allowed.sum()), len(exps), 2))
-    for k, seed in enumerate(seeds if len(exps) else []):
-        draws[k] = np.random.default_rng(seed * 100003 + mask * 101 + 7).uniform(
-            -1.0, 1.0, draws.shape[1:])
-    return PolyField(n, exps, np.swapaxes(draws.view(complex)[..., 0], 1, 2), stacked=True)
+    drawn = {} if drawn is None else drawn
+    keys = [(seed, mask, degree) for seed in (seeds if len(exps) else [])]
+    for k, key in enumerate(keys):
+        if key not in drawn:
+            np.random.default_rng(key[0] * 100003 + mask * 101 + 7).random(out=draws[k])
+    draws *= 2.0                # -1 + 2 u: the uniform(-1, 1) draw, bit for bit
+    draws -= 1.0
+    for k, key in enumerate(keys):
+        draws[k] = drawn.setdefault(key, draws[k])
+    return PolyField(exps.shape[1], exps, draws.view(complex)[..., 0].swapaxes(1, 2), stacked=True)
 
 
 def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
                                  degree_specs: Dict[int, str],
-                                 base_seed=0) -> SuperconnectionData:
+                                 base_seed=0, drawn=None) -> SuperconnectionData:
     """Build coefficients per degree from preset names.
 
     Presets: "zero", "constant", "linear", "random" or "random(seed)"; seeds
     are non-negative integers.  Blade I of base seed s draws its allowed
     entries from its own generator, seeded s 100003 + I 101 + 7, when it is
-    read: drawing it later, again or never changes no value.  P base
-    seeds give one stack, for a stack of points x (P, n), whose dense
-    (P, T, 2^n, m, m) field is built only when an operator reads it.
+    read: drawing it later, again or never changes no value.  P base seeds
+    give one stack, for points x (P, n), whose dense (P, T, 2^n, m, m) field
+    is built only when an operator reads it.  Builders of one module given one
+    dict ``drawn`` seed each (seed, blade, degree) generator once, kept there.
     """
     stacked = np.ndim(base_seed) > 0
     seeds = [config_integer(seed, "seed", low=0)
@@ -218,11 +239,12 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
         if hit is None:
             raise ValueError(f"unknown coefficient preset {spec!r}")
         own = hit[2] and config_integer(int(hit[2]), f"seed of preset {spec!r}", low=0)
-        presets[p] = (_PRESET_DEGREES[hit[1] or "random"],
+        degree = _PRESET_DEGREES[hit[1] or "random"]
+        presets[p] = (exponent_table(n, degree), degree,
                       seeds if own is None else [own] * len(seeds))
     return SuperconnectionData(n, m, eta, {
-        mask: partial(_draw_blade, n, mask, *presets[mask.bit_count()])
-        for mask in range(1 << n) if mask.bit_count() in presets},
+        mask: (presets[p][0], partial(_draw_blade, mask, *presets[p], drawn))
+        for mask in range(1 << n) if (p := mask.bit_count()) in presets},
         stack=len(seeds) if stacked else None)
 
 
@@ -266,46 +288,36 @@ def superconnection_from_config(cfg: dict, n: int,
 
 
 @lru_cache(maxsize=None)
-def _koszul_wedge(n: int, odd: int) -> tuple:
-    """Left wedge by blade I, carried past the degree of blade K, as two
-    (2^n, 2^n) tables over (I, M): dx^I ^ e_K = sign[I, M] e_M for the one
-    K = index[I, M] = M ^ I when I is inside M (sign 0 otherwise), with the
-    Koszul factor (-1)^((|I| + odd)|K|) folded into the sign."""
-    g = grades(n)
-    blades = np.arange(1 << n)
-    inner, outer = blades[:, None], blades[None, :]
-    index = outer ^ inner
-    koszul = np.where((g[inner] + odd) % 2 == 1, (-1.0) ** g[index], 1.0)
-    sign = np.where(inner & outer == inner,
-                    wedge_table(n)[inner, outer, index].real * koszul, 0.0)
-    for a in (index, sign):
+def _live_pairs(n: int, odd: int) -> tuple:
+    """The pairs (I, M) with I inside M, the only ones where dx^I ^ e_K = +-e_M
+    (K = M ^ I): I and K of each, and the (2^n, pairs) matrix summing pair (I, M)
+    onto M with that sign times the Koszul factor (-1)^((|I| + odd)|K|)."""
+    g, blades = grades(n), np.arange(1 << n)
+    inner, outer = np.nonzero(blades[:, None] & blades == blades[:, None])
+    rest = outer ^ inner
+    fold = np.zeros((1 << n, len(inner)), dtype=complex)
+    fold[outer, np.arange(len(inner))] = wedge_table(n)[inner, outer, rest].real * np.where(
+        (g[inner] + odd) % 2 == 1, (-1.0) ** g[rest], 1.0)
+    for a in (inner, rest, fold):
         a.setflags(write=False)
-    return index, sign
+    return inner, rest, fold
 
 
 def _graded_product(omega: Jet, right: Jet, odd: int) -> Jet:
     """sum_I dx^I ^ (omega_I right_K) on the blade axis, with the sign
     (-1)^((|I| + odd)|K|) on the degree-|K| part of ``right``.
 
-    omega has fiber (2^n, m, m) and right (2^n, m, p).  The blade sum is one
-    fiber product: omega as [a, (b, I)] times right spread over the wedge
-    table into [(b, I), (M, c)].
+    omega has fiber (2^n, m, m) and right (2^n, m, p).  Each order is one
+    batched product of omega_I and right_K over the 3^n live pairs (I, M), I
+    inside M, whose pair axis a constant signed matrix sums onto M.
     """
-    index, sign = _koszul_wedge(omega.n, odd)
-    dim, m, p = right.val.shape[-3:]
+    i, k, fold = _live_pairs(omega.n, odd)
 
-    def spread(r):           # [..., K, b, c] -> [..., (b, I), (M, c)]
-        t = np.take(np.moveaxis(r, -3, -2), index, axis=-2)   # [..., b, I, M, c]
-        t *= sign[:, :, None]
-        return t.reshape(t.shape[:-4] + (m * dim, dim * p))
+    def live(a, b):          # [..., I, a, b] x [..., K, b, c] -> [..., M, a, c]
+        t = np.take(a, i, axis=-3) @ np.take(b, k, axis=-3)
+        return (fold @ t.reshape(*t.shape[:-2], -1)).reshape(*t.shape[:-3], -1, *t.shape[-2:])
 
-    def fold(w):             # [..., I, a, b] -> [..., a, (b, I)]
-        return np.moveaxis(w, -3, -1).reshape(w.shape[:-3] + (m, m * dim))
-
-    def unfold(t):           # [..., a, (M, c)] -> [..., M, a, c]
-        return np.swapaxes(t.reshape(t.shape[:-1] + (dim, p)), -3, -2)
-
-    return (omega.map(fold) @ right.map(spread)).map(unfold)
+    return _product(omega, right, live)
 
 
 def apply_superconnection(omega: Jet, fs: Jet) -> Jet:

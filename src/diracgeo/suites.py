@@ -356,12 +356,12 @@ def levi_civita_suite(chart: str, seed: int, samples: int, pts=None) -> Verifica
 
 
 def _superconnections(ms: bnd.ModuleSpec, n: int, count: int, base_seed: int,
-                      specs=None) -> bnd.SuperconnectionData:
+                      specs=None, drawn=None) -> bnd.SuperconnectionData:
     """One stack of the superconnections of base seed ``base_seed`` + k at the
     points k < count, random in degrees 0, 1 and 2 unless ``specs`` says."""
     return bnd.superconnection_from_degrees(
         n, ms.m, ms.eta, specs or {0: "random", 1: "random", 2: "random"},
-        base_seed + np.arange(count))
+        base_seed + np.arange(count), drawn)
 
 
 def laplacian_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
@@ -422,9 +422,11 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
     # the affine and later checks run on the first few points
     head = run.head
     hx, few = head.x, len(head.x)
-    # the commutator check reads the operator's values only
-    D = bnd.quantize_superconnection(_superconnections(ms, n, samples, seed), mj, ms, xs,
-                                     order=0)
+    # later stacks read copies of D's blade draws, so none is drawn twice; the
+    # commutator check reads the operator's values only
+    drawn = {}
+    D = bnd.quantize_superconnection(_superconnections(ms, n, samples, seed, None, drawn),
+                                     mj, ms, xs, order=0)
 
     def parity_enforced():
         bad = 0
@@ -440,7 +442,7 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
 
     def affine_multiplication():
         D1, D2 = (bnd.quantize_superconnection(
-            _superconnections(ms, n, few, base, specs), head, ms, hx, order=0)
+            _superconnections(ms, n, few, base, specs, dict(drawn)), head, ms, hx, order=0)
             for specs, base in (({1: "random", 2: "random"}, seed),
                                 ({1: "random", 3: "constant"}, seed + 1000)))
         j, = run.draws([FieldLayout(n, (m,), complex_coeffs=True)], at=hx)
@@ -457,11 +459,11 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
                  ({2: "random"}, np.arange(3, 30, 4)))
         return float(sum(np.sum(bnd.is_special_superconnection(
             bnd.superconnection_from_degrees(n, m, ms.eta, {0: "random", 1: "random"} | top,
-                                             seed + trials), xs[:6])[0] != (not top))
+                                             seed + trials, dict(drawn)), xs[:6])[0] != (not top))
             for top, trials in kinds))
 
     def curvature_dual():
-        S = _superconnections(ms, n, few, seed)
+        S = _superconnections(ms, n, few, seed, None, dict(drawn))
         FS = bnd.superconnection_curvature(S, hx)
         # ID applied twice to a 2-jet reads omega to first order only
         omega = S.field.eval(hx, order=1)

@@ -7,6 +7,10 @@ generator, the blades are merged by ``blade_field`` over the union of their
 monomials, and a stack writes the fields of its seeds one after the other.
 Tests compare ``bundles.superconnection_from_degrees`` against it, bit for
 bit.
+
+``graded_product`` is ``bundles._graded_product`` as it summed all 2^n x 2^n
+blade pairs (I, M), before it took the 3^n pairs with I inside M only; tests
+compare the two to rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from diracgeo import bundles as bnd
+from diracgeo.clifford import grades, wedge_table
 from diracgeo.forms import PolyField
+from diracgeo.jets import Jet
 
 PRESET_DEGREES = {"zero": None, "constant": 0, "linear": 1, "random": 2}
 
@@ -62,3 +68,40 @@ def superconnection_field(n: int, m: int, eta: np.ndarray, degree_specs: dict,
             blades[mask] = bnd.random_parity_matrix(rng, n, eta, 1 if p % 2 else -1,
                                                     degree=degree)
     return blade_field(n, blades, (m, m)), blades
+
+
+def koszul_wedge(n: int, odd: int) -> tuple:
+    """Left wedge by blade I, carried past the degree of blade K, as two
+    (2^n, 2^n) tables over (I, M): dx^I ^ e_K = sign[I, M] e_M for the one
+    K = index[I, M] = M ^ I when I is inside M (sign 0 otherwise), with the
+    Koszul factor (-1)^((|I| + odd)|K|) folded into the sign."""
+    g = grades(n)
+    blades = np.arange(1 << n)
+    inner, outer = blades[:, None], blades[None, :]
+    index = outer ^ inner
+    koszul = np.where((g[inner] + odd) % 2 == 1, (-1.0) ** g[index], 1.0)
+    sign = np.where(inner & outer == inner,
+                    wedge_table(n)[inner, outer, index].real * koszul, 0.0)
+    return index, sign
+
+
+def graded_product(omega: Jet, right: Jet, odd: int) -> Jet:
+    """sum_I dx^I ^ (omega_I right_K) on the blade axis, with the sign
+    (-1)^((|I| + odd)|K|) on the degree-|K| part of ``right``, as one fiber
+    product over every blade pair: omega (2^n, m, m) as [a, (b, I)] times
+    right (2^n, m, p) spread over the wedge table into [(b, I), (M, c)]."""
+    index, sign = koszul_wedge(omega.n, odd)
+    dim, m, p = right.val.shape[-3:]
+
+    def spread(r):           # [..., K, b, c] -> [..., (b, I), (M, c)]
+        t = np.take(np.moveaxis(r, -3, -2), index, axis=-2)   # [..., b, I, M, c]
+        t *= sign[:, :, None]
+        return t.reshape(t.shape[:-4] + (m * dim, dim * p))
+
+    def fold(w):             # [..., I, a, b] -> [..., a, (b, I)]
+        return np.moveaxis(w, -3, -1).reshape(w.shape[:-3] + (m, m * dim))
+
+    def unfold(t):           # [..., a, (M, c)] -> [..., M, a, c]
+        return np.swapaxes(t.reshape(t.shape[:-1] + (dim, p)), -3, -2)
+
+    return (omega.map(fold) @ right.map(spread)).map(unfold)

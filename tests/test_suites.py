@@ -95,7 +95,7 @@ def _parity_swapped_blade(gammas, q, mask):
 
 
 def _clear_table_caches():
-    for cached in (clifford.wedge_table, forms._tables, bundles._koszul_wedge):
+    for cached in (clifford.wedge_table, forms._tables, bundles._live_pairs):
         cached.cache_clear()
 
 
@@ -533,6 +533,18 @@ def test_verify_all_prints_the_same_bytes_twice_in_one_process(capsys):
         assert cli.main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and '"pass": true' in outs[0]
+
+
+def test_operator_suites_print_the_same_bytes_twice_in_one_process(capsys):
+    # the draws a superconnection run shares, the cached field layouts and the
+    # pair tables leave nothing behind that changes a later run of either suite
+    outs = {"superconnection": [], "laplacian": []}
+    for _ in range(2):
+        for suite, chart in (("superconnection", "sphere4"), ("laplacian", "poly4")):
+            assert cli.main(["verify", "--suite", suite, "--chart", chart]) == 0
+            outs[suite].append(capsys.readouterr().out)
+    for first, second in outs.values():
+        assert first == second and '"pass": true' in first
 
 
 @pytest.mark.parametrize("samples, frames", [(3, [3]), (20, [20, 5])])

@@ -1,8 +1,12 @@
 """The superconnection builder and the operator data built from it: the
 stream oracle against the per-blade loop in any read order, the shared D^2
-coefficients and the stacked special predicate and the blades it draws."""
+coefficients, the stacked special predicate and the blades it draws, the
+blade generators a suite run seeds, and the live-pair graded product against
+the all-pairs one."""
 
+from collections import Counter
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from diracgeo import suites
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import exponent_table, random_poly_field
 from diracgeo.jets import Jet
+from test_exterior_kernels import _draw
 
 # every preset at every degree, shifted by one degree per set
 PRESETS = ("zero", "constant", "linear", "random", "random(11)")
@@ -201,3 +206,50 @@ def test_special_predicate_draws_only_the_degree_two_blades(chart, generators,
     assert sum(built) == generators
     assert [S.size for S in stacks] == [15, 8, 7]
     assert not any("field" in vars(S) for S in stacks)
+
+
+@pytest.mark.parametrize("chart, samples, seedings", [("sphere4", 1, 109), ("sphere4", 2, 128),
+                                                      ("sphere2", 5, 42)])
+def test_a_suite_run_seeds_each_blade_generator_at_most_once(chart, samples, seedings,
+                                                             monkeypatch):
+    # a blade seeding is a generator seeded inside a blade draw, from the
+    # (seed, blade, degree) of that draw; other generators are not counted
+    seeded, drawing = [], []
+    real_rng, real_draw = np.random.default_rng, bnd._draw_blade
+
+    def draw(mask, exps, degree, *rest):
+        drawing.append((mask, degree))
+        try:
+            return real_draw(mask, exps, degree, *rest)
+        finally:
+            drawing.pop()
+
+    def rng(seed, *args, **kwargs):
+        if drawing:
+            mask, degree = drawing[-1]
+            seeded.append(((seed - mask * 101 - 7) // 100003, mask, degree))
+        return real_rng(seed, *args, **kwargs)
+
+    monkeypatch.setattr(bnd, "_draw_blade", draw)
+    monkeypatch.setattr(bnd.np.random, "default_rng", rng)
+    assert suites.run_suite("superconnection", chart, seed=5, samples=samples).passed
+    assert len(seeded) == seedings
+    assert max(Counter(seeded).values()) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("odd", [0, 1])
+@pytest.mark.parametrize("stack", [False, True])
+def test_live_pair_graded_product_is_the_all_pairs_one(n, odd, stack):
+    rng = np.random.default_rng(60 + n)
+    dim = 1 << n
+    x = rng.normal(size=(3, n) if stack else n)
+    for p, (left, right) in product((1, dim), product(range(3), repeat=2)):
+        omega = _draw(rng, x, (dim, dim, dim), left)
+        fs = _draw(rng, x, (dim, dim, p), right)
+        got, want = bnd._graded_product(omega, fs, odd), ref.graded_product(omega, fs, odd)
+        assert got.order == want.order == min(left, right)
+        for k in ("val", "d", "dd")[:got.order + 1]:
+            g, w = getattr(got, k), getattr(want, k)
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
