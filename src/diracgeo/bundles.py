@@ -34,7 +34,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charts import MetricJet, config_integer, config_keys
+from .charts import MetricJet, _readonly, config_integer, config_keys
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
 from .forms import (PolyField, exponent_table, exterior_derivative,
                     exterior_gammas, iota_vector,
@@ -126,9 +126,9 @@ class SuperconnectionData:
     by one scatter per blade, through a layout cached by grading and tables.
 
     A blade given here is a field of fiber (m, m), stacked or not; converting
-    it to entries is the parity check.  It may instead be a draw: a pair of its
-    exponent table and a call on its allowed entries, made whenever the blade
-    is read, for a stack of ``stack`` members (None: a single superconnection).
+    it to entries is the parity check.  It may be a pair (exponent table,
+    entries) as ``select`` keeps them, or (table, draw), the draw called on its
+    allowed entries whenever read, for a stack of ``stack`` members.
     """
 
     def __init__(self, n: int, m: int, eta: np.ndarray, blades: Dict[int, object],
@@ -157,7 +157,7 @@ class SuperconnectionData:
 
     def entries(self, mask: int) -> PolyField:
         """Blade ``mask``'s allowed entries, coeffs (P, T, E).  A drawn blade is
-        drawn when read and kept only in its builder's memo ``drawn``, if any."""
+        drawn when read and not kept, so the field holds the only copy."""
         _, part = self._parts[mask]
         return part(self.allowed(mask)) if callable(part) else part
 
@@ -165,30 +165,42 @@ class SuperconnectionData:
     def field(self) -> PolyField:
         """omega_I on the blade axis, fiber (2^n, m, m); absent blades are zero."""
         # the tables come before the draws: each blade is drawn when scattered
-        exponents, places = _field_layout(self.n, self.sig, tuple(
-            (mask, table.astype(np.int64).tobytes()) for mask, (table, _) in self._parts.items()))
+        exponents, places = self._layout()
         coeffs = np.zeros((self.size, len(exponents), 1 << self.n, self.m, self.m), dtype=complex)
-        for mask, at in zip(self.masks, places):
-            coeffs.reshape(self.size, -1)[:, at] = self.entries(mask).coeffs
+        for mask, (at, cols) in zip(self.masks, places):
+            coeffs.reshape(self.size, -1)[:, at + cols] = self.entries(mask).coeffs
         return PolyField(self.n, exponents, coeffs if self.stacked else coeffs[0],
                          stacked=self.stacked)
+
+    def _layout(self) -> tuple:
+        return _field_layout(self.n, self.sig, tuple(
+            (mask, table.astype(np.int64).tobytes()) for mask, (table, _) in self._parts.items()))
+
+    def select(self, members: range, degrees=None) -> "SuperconnectionData":
+        """Stack members ``members`` with the blades of ``degrees`` (None: all),
+        holding their entries read-only: a drawn blade's read back out of
+        ``field``, so no generator is seeded again, a held blade's as views."""
+        rows, blades = slice(members.start, members.stop, members.step), {}
+        for (mask, (table, part)), (at, cols) in zip(self._parts.items(), self._layout()[1]):
+            if degrees is None or mask.bit_count() in degrees:
+                coeffs = part.coeffs[rows] if isinstance(part, PolyField) else \
+                    self.field.coeffs.reshape(self.size, -1)[rows][:, at + cols]
+                blades[mask] = (table, PolyField(self.n, table, _readonly(coeffs), stacked=True))
+        return SuperconnectionData(self.n, self.m, self.eta, blades, stack=len(members))
 
 
 @lru_cache(maxsize=None)
 def _field_layout(n: int, sig: tuple, blades: tuple) -> tuple:
-    """The exponent tables of blades ((mask, table bytes), ...) merged in mask
-    order, each exponent where it first appears, and per blade the flat index
-    of its entries [term, entry] in a field (T, 2^n, m, m)."""
+    """The tables of blades ((mask, table bytes), ...) merged in mask order, each
+    exponent where it first appears, and per blade the flat index of its entries
+    [term, entry] in a field (T, 2^n, m, m), as a term part (T, 1) + entry part (E,)."""
     union, m = {}, len(sig)
     rows = [[union.setdefault(e, len(union)) for e in map(tuple, np.frombuffer(
         table, np.int64).reshape(-1, n).tolist())] for _, table in blades]
-    places = tuple(((np.array(at, dtype=np.intp)[:, None] << n) + mask) * m * m
-                   + np.flatnonzero(_allowed(sig, 1 if mask.bit_count() % 2 else -1))
-                   for at, (mask, _) in zip(rows, blades))
-    exponents = np.array(list(union), dtype=np.int64).reshape(-1, n)
-    for a in (exponents,) + places:
-        a.setflags(write=False)
-    return exponents, places
+    places = tuple((_readonly(np.array(at, dtype=np.intp)[:, None] * (m * m << n)), _readonly(
+        mask * m * m + np.flatnonzero(_allowed(sig, 1 if mask.bit_count() % 2 else -1))))
+        for at, (mask, _) in zip(rows, blades))
+    return _readonly(np.array(list(union), dtype=np.int64).reshape(-1, n)), places
 
 
 # a coefficient preset is a name or "random(seed)"; each name sets the
@@ -197,27 +209,21 @@ _PRESET = re.compile(r"(zero|constant|linear|random)|random\s*\(\s*([+-]?\d+)\s*
 _PRESET_DEGREES = {"zero": -1, "constant": 0, "linear": 1, "random": 2}
 
 
-def _draw_blade(mask: int, exps: np.ndarray, degree: int, seeds: list,
-                drawn: Optional[dict], allowed: np.ndarray) -> PolyField:
-    """Blade ``mask``'s allowed entries as polynomials of ``degree``, terms
-    ``exps``, per seed s from the generator seeded s 100003 + mask 101 + 7 in
-    the order [entry, term], real before imaginary, or from ``drawn``, which keeps them."""
+def _draw_blade(mask: int, exps: np.ndarray, seeds: list, allowed: np.ndarray) -> PolyField:
+    """Blade ``mask``'s allowed entries as polynomials with terms ``exps``, per
+    seed s from the generator seeded s 100003 + mask 101 + 7 in the order
+    [entry, term], real part before imaginary."""
     draws = np.zeros((len(seeds), int(allowed.sum()), len(exps), 2))
-    drawn = {} if drawn is None else drawn
-    keys = [(seed, mask, degree) for seed in (seeds if len(exps) else [])]
-    for k, key in enumerate(keys):
-        if key not in drawn:
-            np.random.default_rng(key[0] * 100003 + mask * 101 + 7).random(out=draws[k])
+    for k, seed in enumerate(seeds if len(exps) else []):
+        np.random.default_rng(seed * 100003 + mask * 101 + 7).random(out=draws[k])
     draws *= 2.0                # -1 + 2 u: the uniform(-1, 1) draw, bit for bit
     draws -= 1.0
-    for k, key in enumerate(keys):
-        draws[k] = drawn.setdefault(key, draws[k])
     return PolyField(exps.shape[1], exps, draws.view(complex)[..., 0].swapaxes(1, 2), stacked=True)
 
 
 def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
                                  degree_specs: Dict[int, str],
-                                 base_seed=0, drawn=None) -> SuperconnectionData:
+                                 base_seed=0) -> SuperconnectionData:
     """Build coefficients per degree from preset names.
 
     Presets: "zero", "constant", "linear", "random" or "random(seed)"; seeds
@@ -225,8 +231,7 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
     entries from its own generator, seeded s 100003 + I 101 + 7, when it is
     read: drawing it later, again or never changes no value.  P base seeds
     give one stack, for points x (P, n), whose dense (P, T, 2^n, m, m) field
-    is built only when an operator reads it.  Builders of one module given one
-    dict ``drawn`` seed each (seed, blade, degree) generator once, kept there.
+    is built only when an operator reads it; ``select`` keeps members' draws.
     """
     stacked = np.ndim(base_seed) > 0
     seeds = [config_integer(seed, "seed", low=0)
@@ -239,11 +244,10 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
         if hit is None:
             raise ValueError(f"unknown coefficient preset {spec!r}")
         own = hit[2] and config_integer(int(hit[2]), f"seed of preset {spec!r}", low=0)
-        degree = _PRESET_DEGREES[hit[1] or "random"]
-        presets[p] = (exponent_table(n, degree), degree,
+        presets[p] = (exponent_table(n, _PRESET_DEGREES[hit[1] or "random"]),
                       seeds if own is None else [own] * len(seeds))
     return SuperconnectionData(n, m, eta, {
-        mask: (presets[p][0], partial(_draw_blade, mask, *presets[p], drawn))
+        mask: (presets[p][0], partial(_draw_blade, mask, *presets[p]))
         for mask in range(1 << n) if (p := mask.bit_count()) in presets},
         stack=len(seeds) if stacked else None)
 
@@ -295,12 +299,10 @@ def _live_pairs(n: int, odd: int) -> tuple:
     g, blades = grades(n), np.arange(1 << n)
     inner, outer = np.nonzero(blades[:, None] & blades == blades[:, None])
     rest = outer ^ inner
-    fold = np.zeros((1 << n, len(inner)), dtype=complex)
+    fold = np.zeros((1 << n, len(inner)))
     fold[outer, np.arange(len(inner))] = wedge_table(n)[inner, outer, rest].real * np.where(
         (g[inner] + odd) % 2 == 1, (-1.0) ** g[rest], 1.0)
-    for a in (inner, rest, fold):
-        a.setflags(write=False)
-    return inner, rest, fold
+    return _readonly(inner), _readonly(rest), _readonly(fold)
 
 
 def _graded_product(omega: Jet, right: Jet, odd: int) -> Jet:

@@ -356,12 +356,12 @@ def levi_civita_suite(chart: str, seed: int, samples: int, pts=None) -> Verifica
 
 
 def _superconnections(ms: bnd.ModuleSpec, n: int, count: int, base_seed: int,
-                      specs=None, drawn=None) -> bnd.SuperconnectionData:
+                      specs=None) -> bnd.SuperconnectionData:
     """One stack of the superconnections of base seed ``base_seed`` + k at the
     points k < count, random in degrees 0, 1 and 2 unless ``specs`` says."""
     return bnd.superconnection_from_degrees(
         n, ms.m, ms.eta, specs or {0: "random", 1: "random", 2: "random"},
-        base_seed + np.arange(count), drawn)
+        base_seed + np.arange(count))
 
 
 def laplacian_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
@@ -422,11 +422,11 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
     # the affine and later checks run on the first few points
     head = run.head
     hx, few = head.x, len(head.x)
-    # later stacks read copies of D's blade draws, so none is drawn twice; the
-    # commutator check reads the operator's values only
-    drawn = {}
-    D = bnd.quantize_superconnection(_superconnections(ms, n, samples, seed, None, drawn),
-                                     mj, ms, xs, order=0)
+    # the commutator check reads the operator's values only; S keeps D's first
+    # few members, and the affine and curvature checks select their stacks of it
+    S = _superconnections(ms, n, samples, seed)
+    D = bnd.quantize_superconnection(S, mj, ms, xs, order=0)
+    S = S.select(range(few))
 
     def parity_enforced():
         bad = 0
@@ -441,10 +441,9 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
         return float(bad)
 
     def affine_multiplication():
-        D1, D2 = (bnd.quantize_superconnection(
-            _superconnections(ms, n, few, base, specs, dict(drawn)), head, ms, hx, order=0)
-            for specs, base in (({1: "random", 2: "random"}, seed),
-                                ({1: "random", 3: "constant"}, seed + 1000)))
+        D1, D2 = (bnd.quantize_superconnection(S1, head, ms, hx, order=0) for S1 in (
+            S.select(range(few), (1, 2)),
+            _superconnections(ms, n, few, seed + 1000, {1: "random", 3: "constant"})))
         j, = run.draws([FieldLayout(n, (m,), complex_coeffs=True)], at=hx)
         # j and its constant copy as two columns, one operator call each
         pair = Jet(hx, np.concatenate([j.val] * 2, -1), np.concatenate([j.d, 0 * j.d], -1))
@@ -459,14 +458,14 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
                  ({2: "random"}, np.arange(3, 30, 4)))
         return float(sum(np.sum(bnd.is_special_superconnection(
             bnd.superconnection_from_degrees(n, m, ms.eta, {0: "random", 1: "random"} | top,
-                                             seed + trials, dict(drawn)), xs[:6])[0] != (not top))
+                                             seed + trials), xs[:6])[0] != (not top))
             for top, trials in kinds))
 
     def curvature_dual():
-        S = _superconnections(ms, n, few, seed, None, dict(drawn))
-        FS = bnd.superconnection_curvature(S, hx)
+        S1 = S.select(range(few))
+        FS = bnd.superconnection_curvature(S1, hx)
         # ID applied twice to a 2-jet reads omega to first order only
-        omega = S.field.eval(hx, order=1)
+        omega = S1.field.eval(hx, order=1)
         # one section per blade 0..k-1, drawn in blade order
         k = min(1 << n, 8)
         fs, = run.draws([FieldLayout(n, (k, m), complex_coeffs=True,
