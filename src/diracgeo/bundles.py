@@ -36,8 +36,8 @@ import numpy as np
 
 from .charts import MetricJet, _readonly, config_integer, config_keys
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
-from .forms import (PolyField, exponent_table, exterior_derivative,
-                    exterior_gammas, iota_vector,
+from .forms import (PolyField, _jet_rows, _split_rows, exponent_table,
+                    exterior_derivative, exterior_gammas, iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
 from .jets import Jet, _product, check_point, relative, sample_max, seed_point
@@ -83,15 +83,12 @@ def random_parity_matrix(rng, n: int, eta: np.ndarray, parity: int,
 
 @dataclass
 class ModuleSpec:
-    """Fiber data: dimension, grading involution, and x-dependent gammas."""
+    """Fiber data: dimension, grading involution, and the x-dependent gammas
+    c(dx^i) at a metric jet, as one jet with fiber (n, m, m)."""
 
     m: int
     eta: np.ndarray
-    gamma_provider: Callable[[MetricJet], Jet]
-
-    def gammas(self, mj: MetricJet) -> Jet:
-        """The gammas c(dx^i) at mj as one jet with fiber (n, m, m)."""
-        return self.gamma_provider(mj)
+    gammas: Callable[[MetricJet], Jet]
 
 
 def exterior_module(n: int) -> ModuleSpec:
@@ -121,14 +118,13 @@ class SuperconnectionData:
     Degree-1 masks store the A_i of the operator dx^i (x) (partial_i + A_i).
     Blade I holds only the entries its eta-parity (-1)^(|I|+1) allows, as a
     stacked field of fiber (E_I,) over its own exponent table, coeffs
-    (P, T_I, E_I); P = 1 for a single superconnection.  ``field`` (fiber
-    (2^n, m, m) on the union table, stacked on a stack) is built on first use
-    by one scatter per blade, through a layout cached by grading and tables.
+    (P, T_I, E_I); P = 1 for a single superconnection.  These entries are
+    the only coefficients held: ``eval`` places their values on the blade axis.
 
-    A blade given here is a field of fiber (m, m), stacked or not; converting
-    it to entries is the parity check.  It may be a pair (exponent table,
-    entries) as ``select`` keeps them, or (table, draw), the draw called on its
-    allowed entries whenever read, for a stack of ``stack`` members.
+    A blade given here is a field of fiber (m, m), stacked or not, whose
+    conversion to entries is the parity check, made at once; or a function
+    that takes the (m, m) mask of its allowed entries and returns them for
+    a stack of ``stack`` members, called on the blade's first read and kept.
     """
 
     def __init__(self, n: int, m: int, eta: np.ndarray, blades: Dict[int, object],
@@ -138,8 +134,8 @@ class SuperconnectionData:
         given = [b.coeffs for b in blades.values() if isinstance(b, PolyField) and b.stacked]
         self.stacked = stack is not None or bool(given)
         self.size = stack or (len(given[0]) if given else 1)
-        self._parts = {mask: b if isinstance(b, tuple) else
-                       (b.exponents, self._parity_entries(mask, b)) for mask, b in blades.items()}
+        self._parts = {mask: self._parity_entries(mask, b) if isinstance(b, PolyField) else b
+                       for mask, b in blades.items()}
 
     def allowed(self, mask: int) -> np.ndarray:
         """The (m, m) entries blade ``mask`` may fill."""
@@ -157,50 +153,44 @@ class SuperconnectionData:
 
     def entries(self, mask: int) -> PolyField:
         """Blade ``mask``'s allowed entries, coeffs (P, T, E).  A drawn blade is
-        drawn when read and not kept, so the field holds the only copy."""
-        _, part = self._parts[mask]
-        return part(self.allowed(mask)) if callable(part) else part
+        drawn on its first read and kept, so its generator is seeded once."""
+        part = self._parts[mask]
+        if callable(part):
+            part = self._parts[mask] = part(self.allowed(mask))
+        return part
 
-    @cached_property
-    def field(self) -> PolyField:
-        """omega_I on the blade axis, fiber (2^n, m, m); absent blades are zero."""
-        # the tables come before the draws: each blade is drawn when scattered
-        exponents, places = self._layout()
-        coeffs = np.zeros((self.size, len(exponents), 1 << self.n, self.m, self.m), dtype=complex)
-        for mask, (at, cols) in zip(self.masks, places):
-            coeffs.reshape(self.size, -1)[:, at + cols] = self.entries(mask).coeffs
-        return PolyField(self.n, exponents, coeffs if self.stacked else coeffs[0],
-                         stacked=self.stacked)
-
-    def _layout(self) -> tuple:
-        return _field_layout(self.n, self.sig, tuple(
-            (mask, table.astype(np.int64).tobytes()) for mask, (table, _) in self._parts.items()))
+    def eval(self, x, order: int = 2) -> Jet:
+        """omega_I at x on the blade axis, fiber (2^n, m, m), to ``order``;
+        absent blades are zero.  The blades of one exponent table are evaluated
+        in one product, whose rows are scattered into one array for all orders."""
+        x = np.asarray(x, dtype=float)
+        tables = {}
+        for mask in self.masks:
+            e = self.entries(mask)
+            if len(e.exponents):
+                tables.setdefault(e.exponents.tobytes(), []).append(
+                    (e, mask * self.m * self.m + np.flatnonzero(self.allowed(mask))))
+        out = np.zeros(x.shape[:-1] + (_jet_rows(self.n, order), self.m * self.m << self.n),
+                       dtype=complex)
+        for blades in tables.values():
+            coeffs = np.concatenate([e.coeffs for e, _ in blades], -1)
+            out[..., np.concatenate([at for _, at in blades])] = PolyField(
+                self.n, blades[0][0].exponents, coeffs if self.stacked else coeffs[0],
+                stacked=self.stacked)._rows(x, order)
+        return Jet(x, *_split_rows(out, self.n, order, (1 << self.n, self.m, self.m)))
 
     def select(self, members: range, degrees=None) -> "SuperconnectionData":
         """Stack members ``members`` with the blades of ``degrees`` (None: all),
-        holding their entries read-only: a drawn blade's read back out of
-        ``field``, so no generator is seeded again, a held blade's as views."""
-        rows, blades = slice(members.start, members.stop, members.step), {}
-        for (mask, (table, part)), (at, cols) in zip(self._parts.items(), self._layout()[1]):
+        as read-only copies of their entries: once the blades are read, the
+        selection seeds no generator and holds none of this stack's arrays."""
+        rows, held = slice(members.start, members.stop, members.step), {}
+        for mask in self.masks:
             if degrees is None or mask.bit_count() in degrees:
-                coeffs = part.coeffs[rows] if isinstance(part, PolyField) else \
-                    self.field.coeffs.reshape(self.size, -1)[rows][:, at + cols]
-                blades[mask] = (table, PolyField(self.n, table, _readonly(coeffs), stacked=True))
-        return SuperconnectionData(self.n, self.m, self.eta, blades, stack=len(members))
-
-
-@lru_cache(maxsize=None)
-def _field_layout(n: int, sig: tuple, blades: tuple) -> tuple:
-    """The tables of blades ((mask, table bytes), ...) merged in mask order, each
-    exponent where it first appears, and per blade the flat index of its entries
-    [term, entry] in a field (T, 2^n, m, m), as a term part (T, 1) + entry part (E,)."""
-    union, m = {}, len(sig)
-    rows = [[union.setdefault(e, len(union)) for e in map(tuple, np.frombuffer(
-        table, np.int64).reshape(-1, n).tolist())] for _, table in blades]
-    places = tuple((_readonly(np.array(at, dtype=np.intp)[:, None] * (m * m << n)), _readonly(
-        mask * m * m + np.flatnonzero(_allowed(sig, 1 if mask.bit_count() % 2 else -1))))
-        for at, (mask, _) in zip(rows, blades))
-    return _readonly(np.array(list(union), dtype=np.int64).reshape(-1, n)), places
+                e = self.entries(mask)
+                held[mask] = PolyField(self.n, e.exponents, _readonly(e.coeffs[rows].copy()),
+                                       stacked=True)
+        return SuperconnectionData(self.n, self.m, self.eta, {
+            mask: lambda _, e=e: e for mask, e in held.items()}, stack=len(members))
 
 
 # a coefficient preset is a name or "random(seed)"; each name sets the
@@ -228,10 +218,10 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
 
     Presets: "zero", "constant", "linear", "random" or "random(seed)"; seeds
     are non-negative integers.  Blade I of base seed s draws its allowed
-    entries from its own generator, seeded s 100003 + I 101 + 7, when it is
-    read: drawing it later, again or never changes no value.  P base seeds
-    give one stack, for points x (P, n), whose dense (P, T, 2^n, m, m) field
-    is built only when an operator reads it; ``select`` keeps members' draws.
+    entries from its own generator, seeded s 100003 + I 101 + 7, on its first
+    read, and keeps them: drawing it later or never changes no value.  P base
+    seeds give one stack, for points x (P, n); ``select`` copies some members'
+    entries out of it.
     """
     stacked = np.ndim(base_seed) > 0
     seeds = [config_integer(seed, "seed", low=0)
@@ -247,7 +237,7 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
         presets[p] = (exponent_table(n, _PRESET_DEGREES[hit[1] or "random"]),
                       seeds if own is None else [own] * len(seeds))
     return SuperconnectionData(n, m, eta, {
-        mask: (presets[p][0], partial(_draw_blade, mask, *presets[p]))
+        mask: partial(_draw_blade, mask, *presets[p])
         for mask in range(1 << n) if (p := mask.bit_count()) in presets},
         stack=len(seeds) if stacked else None)
 
@@ -373,12 +363,12 @@ def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
     """The Dirac operator gamma^i (partial_i + A_i) + Z of a superconnection,
     with Z = sum over blades M of degree other than 1 of q(dx^M) omega_M and
     q the quantization map of ``clifford.quantize_blades`` on the gammas.  A and
-    Z carry ``order`` orders, the gammas two; all blades are evaluated at once."""
+    Z carry ``order`` orders, the gammas two; all blades are one ``S.eval``."""
     if S.m != ms.m:
         raise ValueError("superconnection fiber dimension does not match module")
     x = np.asarray(x, dtype=float)
     gam = ms.gammas(mj)
-    omega = S.field.eval(x, order)
+    omega = S.eval(x, order)
     # the family A_i: the degree-1 blades, on the index axis
     A = omega[[1 << i for i in range(mj.n)]]
     q = quantize_blades(gam.truncate(order), np.eye(ms.m))
@@ -606,14 +596,14 @@ def connection_curvature(A: Jet) -> Jet:
             + _commutator(A[:, None], A[None]))
 
 
-def superconnection_curvature(S: SuperconnectionData, x) -> Jet:
-    """ID^2 at x as an endomorphism on the blade axis, fiber (2^n, m, m).
+def superconnection_curvature(omega: Jet) -> Jet:
+    """ID^2 as an endomorphism on the blade axis, fiber (2^n, m, m), from the
+    blades omega of a superconnection evaluated to order >= 1 (``S.eval``).
 
     F = sum_{I,c} dx^c ^ dx^I (x) partial_c omega_I
       + sum_{I,J} (-1)^((|I|+1)|J|) dx^I ^ dx^J (x) omega_I omega_J.
     F acts pointwise, so it is returned as a 0-jet: its value.
     """
-    omega = S.field.eval(np.asarray(x, dtype=float), order=1)
     value = Jet(omega.x, omega.val)
     return exterior_derivative(omega) + _graded_product(value, value, 1)
 
@@ -689,7 +679,7 @@ def is_special_superconnection(S: SuperconnectionData, points: Sequence,
 def special_identity_residual(S: SuperconnectionData, x, X: Jet, Y: Jet,
                               fs: Jet) -> float:
     """Residual of [[ID, iota(X)], iota(Y)] = iota([X, Y]) on a form-section."""
-    omega = S.field.eval(np.asarray(x, dtype=float), order=2)
+    omega = S.eval(x, order=2)
 
     def ID(z: Jet) -> Jet:
         return apply_superconnection(omega, z)

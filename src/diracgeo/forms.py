@@ -137,6 +137,20 @@ def _jet_table(exponents: np.ndarray) -> tuple:
     return hit
 
 
+def _jet_rows(n: int, order: int) -> int:
+    """The number of jet rows (value, d_k, d_k d_l) up to ``order``."""
+    return (1, 1 + n, 1 + n + n * n)[order]
+
+
+def _split_rows(out: np.ndarray, n: int, order: int, shape: tuple) -> tuple:
+    """Jet rows (..., rows, slots) as views shaped S, (n, *S), (n, n, *S) behind
+    the leading axes, for a fiber S of ``shape``; orders above ``order`` are None."""
+    lead = out.shape[:-2]
+    d = out[..., 1:1 + n, :].reshape(lead + (n,) + shape) if order >= 1 else None
+    dd = out[..., 1 + n:, :].reshape(lead + (n, n) + shape) if order >= 2 else None
+    return out[..., 0, :].reshape(lead + shape), d, dd
+
+
 @dataclass
 class PolyField:
     """Polynomial field sum_t coeffs[t] x^exponents[t] with values in C^shape.
@@ -190,7 +204,7 @@ class PolyField:
         with the coefficients in one product.
         """
         monos, index, mults = _jet_table(self.exponents)
-        rows = (1, 1 + self.n, 1 + self.n + self.n ** 2)[order]
+        rows = _jet_rows(self.n, order)
         values = np.multiply.reduce(np.asarray(x, dtype=float)[..., None, :] ** monos,
                                     axis=-1)
         lead = self.coeffs.shape[:1 + self.stacked]
@@ -201,13 +215,8 @@ class PolyField:
         """Value, gradient and Hessian at x, shaped S, (n, *S), (n, n, *S),
         behind the sample axis of a stack x (P, n); orders above ``order``
         are None."""
-        n = self.n
-        lead = np.shape(x)[:-1]
-        shape = self.coeffs.shape[1 + self.stacked:]
-        out = self._rows(x, order)
-        d = out[..., 1:1 + n, :].reshape(lead + (n,) + shape) if order >= 1 else None
-        dd = out[..., 1 + n:, :].reshape(lead + (n, n) + shape) if order >= 2 else None
-        return out[..., 0, :].reshape(lead + shape), d, dd
+        return _split_rows(self._rows(x, order), self.n, order,
+                           self.coeffs.shape[1 + self.stacked:])
 
     def eval(self, x, order: int = 2) -> Jet:
         """The jet at x, with a form's slots placed on the blade axis."""

@@ -423,7 +423,8 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
     head = run.head
     hx, few = head.x, len(head.x)
     # the commutator check reads the operator's values only; S keeps D's first
-    # few members, and the affine and curvature checks select their stacks of it
+    # few members, the affine check selects its degrees 1 and 2, and the
+    # curvature check evaluates it
     S = _superconnections(ms, n, samples, seed)
     D = bnd.quantize_superconnection(S, mj, ms, xs, order=0)
     S = S.select(range(few))
@@ -462,10 +463,9 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
             for top, trials in kinds))
 
     def curvature_dual():
-        S1 = S.select(range(few))
-        FS = bnd.superconnection_curvature(S1, hx)
-        # ID applied twice to a 2-jet reads omega to first order only
-        omega = S1.field.eval(hx, order=1)
+        # ID applied twice to a 2-jet, and its curvature, read omega to first order
+        omega = S.eval(hx, order=1)
+        FS = bnd.superconnection_curvature(omega)
         # one section per blade 0..k-1, drawn in blade order
         k = min(1 << n, 8)
         fs, = run.draws([FieldLayout(n, (k, m), complex_coeffs=True,

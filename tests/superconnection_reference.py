@@ -5,8 +5,9 @@ of a stack straight into one coefficient array: each base seed is built in
 turn, each blade draws its own ``random_parity_matrix`` from its own
 generator, the blades are merged by ``blade_field`` over the union of their
 monomials, and a stack writes the fields of its seeds one after the other.
-Tests compare ``bundles.superconnection_from_degrees`` against it, bit for
-bit.
+Tests compare the blade entries of ``bundles.superconnection_from_degrees``
+against its blades, bit for bit, and ``SuperconnectionData.eval`` against its
+dense field evaluated at the same points, to rounding.
 
 ``graded_product`` is ``bundles._graded_product`` as it summed all 2^n x 2^n
 blade pairs (I, M), before it took the 3^n pairs with I inside M only; tests

@@ -129,7 +129,7 @@ def test_zero_order_term_is_the_quantized_blade_sum(module, chart):
         n, ms.m, ms.eta, {p: "random" for p in range(n + 1)}, base_seed=4)
     D = bnd.quantize_superconnection(S, mj, ms, x)
     one = Jet.constant(np.eye(ms.m), x)
-    omega = S.field.eval(x, order=2)
+    omega = S.eval(x, order=2)
     want = [ref.quantize_blade(D.gam, mask, one) @ omega[mask]
             for mask in range(1 << n) if bin(mask).count("1") != 1]
     want = sum(want[1:], want[0])
@@ -186,7 +186,7 @@ def test_form_section_operators_match_blade_loops(n):
     eta = parity_matrix(n)
     S = bnd.superconnection_from_degrees(n, dim, eta, {p: "random" for p in range(n + 1)},
                                          base_seed=n)
-    evald = S.field.eval(x, order=2)
-    close(bnd.superconnection_curvature(S, x),
+    evald = S.eval(x, order=2)
+    close(bnd.superconnection_curvature(evald),
           ref.superconnection_curvature({mask: evald[mask] for mask in range(dim)}, n),
           (dim, dim), 0)

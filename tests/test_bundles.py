@@ -278,8 +278,8 @@ def test_superconnection_curvature_matches_double_application():
     x = np.array([0.2, -0.4])
     S = bnd.superconnection_from_degrees(
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=19)
-    FS = bnd.superconnection_curvature(S, x)
-    blades = S.field.eval(x, order=2)
+    blades = S.eval(x, order=2)
+    FS = bnd.superconnection_curvature(blades)
     fs = random_poly_field(rng, n, (1 << n, m), complex_coeffs=True,
                            masks=tuple(range(1 << n))).eval(x, 2)
     twice = bnd.apply_superconnection(blades, bnd.apply_superconnection(blades, fs))
@@ -312,9 +312,9 @@ def test_superconnection_from_degrees_is_seed_deterministic():
     b = bnd.superconnection_from_degrees(n, m, ms.eta, {1: "random"}, 5)
     c = bnd.superconnection_from_degrees(n, m, ms.eta, {1: "random"}, 6)
     x = np.array([0.3, 0.7])
-    va = a.field.eval(x, 0).val[1]
-    vb = b.field.eval(x, 0).val[1]
-    vc = c.field.eval(x, 0).val[1]
+    va = a.eval(x, 0).val[1]
+    vb = b.eval(x, 0).val[1]
+    vc = c.eval(x, 0).val[1]
     assert np.array_equal(va, vb)
     assert np.max(np.abs(va - vc)) > 1e-6
 
@@ -353,9 +353,10 @@ def test_superconnection_seeds_are_checked(seed, message):
             "seed of preset 'random(-1)' must be at least 0, got -1")):
         bnd.superconnection_from_degrees(2, m, ms.eta, {1: "random(-1)"}, 3)
     # an integral float is the integer, as in every config reader
-    same = [bnd.superconnection_from_degrees(2, m, ms.eta, {1: "random"}, s).field.coeffs
-            for s in (3, 3.0, np.int64(3))]
-    assert all(np.array_equal(c, same[0]) for c in same)
+    same = [[S.entries(mask).coeffs for mask in S.masks] for S in (
+        bnd.superconnection_from_degrees(2, m, ms.eta, {1: "random"}, s)
+        for s in (3, 3.0, np.int64(3)))]
+    assert all(np.array_equal(c, w) for blades in same for c, w in zip(blades, same[0]))
 
 
 def test_residuals_keep_a_nan():

@@ -2,6 +2,7 @@
 layer the benchmark traces is a module."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -42,19 +43,26 @@ def test_every_traced_layer_is_a_module():
 
 
 def test_readme_module_names_resolve():
-    # every backticked `module.name`, or call `module.name(...)`, of a
-    # diracgeo module names a live object, so a deleted name cannot stay
-    modules = {m.name for m in pkgutil.iter_modules(diracgeo.__path__)}
+    # every backticked `module.name` or `Class.attr`, or call of one, of a
+    # diracgeo module or class names a live object, so a deleted name cannot
+    # stay; a dataclass field without a default is no class attribute
+    modules = {m.name: importlib.import_module(f"diracgeo.{m.name}")
+               for m in pkgutil.iter_modules(diracgeo.__path__)}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__.startswith("diracgeo.")}
     dotted = [name.removeprefix("diracgeo.").split(".") for name in
               re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*?\))?`",
                          README.read_text())]
-    dotted = [parts for parts in dotted if parts[0] in modules]
+    dotted = [parts for parts in dotted if parts[0] in modules or parts[0] in classes]
     assert len(dotted) >= 10
-    for parts in dotted:
-        obj = importlib.import_module(f"diracgeo.{parts[0]}")
-        for attr in parts[1:]:
-            assert hasattr(obj, attr), ".".join(parts)
-            obj = getattr(obj, attr)
+    assert sum(parts[0] in classes for parts in dotted) >= 10
+    for head, *attrs in dotted:
+        obj = modules.get(head) or classes[head]
+        for attr in attrs:
+            fields = {f.name for f in dataclasses.fields(obj)} if (
+                isinstance(obj, type) and dataclasses.is_dataclass(obj)) else set()
+            assert hasattr(obj, attr) or attr in fields, ".".join([head, *attrs])
+            obj = getattr(obj, attr, None)
 
 
 def test_readme_lists_the_accepted_config_keys():

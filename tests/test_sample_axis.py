@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import clifford_reference as ref
+import superconnection_reference
 from diracgeo import bundles as bnd
 from diracgeo import spin as sp
 from diracgeo.charts import (Chart, ChartDomainError, DegenerateMetricError,
@@ -270,8 +271,8 @@ def test_bundle_operators_batch(name):
     _close(clifford_of_metric(mj), [clifford_of_metric(sk) for sk in singles])
     _close(bnd.module_invariant_residual(ms, mj),
            [bnd.module_invariant_residual(ms, sk) for sk in singles])
-    _same_jets(bnd.superconnection_curvature(S, mj.x),
-               [bnd.superconnection_curvature(Sk, sk.x) for Sk, sk in zip(Ss, singles)])
+    _same_jets(bnd.superconnection_curvature(S.eval(mj.x, 1)),
+               [bnd.superconnection_curvature(Sk.eval(sk.x, 1)) for Sk, sk in zip(Ss, singles)])
 
 
 @pytest.mark.parametrize("name", ["flat2", "torus2", "sphere2", "hyperbolic2", "poly2",
@@ -363,8 +364,9 @@ def test_stacked_superconnection_is_the_stack_of_its_seeds():
     singles = [bnd.superconnection_from_degrees(2, 4, ms.eta, {0: "constant", 1: "random"},
                                                 seed) for seed in (3, 4)]
     assert S.masks == (0, 1, 2)
+    xs = np.array([[0.3, -0.4], [-0.1, 0.6]])
+    _same_jets(S.eval(xs, 2), [single.eval(x, 2) for single, x in zip(singles, xs)])
     for k, single in enumerate(singles):
-        assert np.array_equal(S.field.coeffs[k], single.field.coeffs)
         for mask in S.masks:
             assert np.array_equal(S.entries(mask).exponents, single.entries(mask).exponents)
             assert np.array_equal(S.entries(mask).coeffs[k], single.entries(mask).coeffs[0])
@@ -372,9 +374,11 @@ def test_stacked_superconnection_is_the_stack_of_its_seeds():
     # at the second point only is found
     sig = np.real(np.diag(ms.eta))
     r, c = np.argwhere(np.outer(sig, sig) < 0)[0]
-    coeffs = S.field.coeffs.copy()
+    field = superconnection_reference.superconnection_field(
+        2, 4, ms.eta, {0: "constant", 1: "random"}, [3, 4])[0]
+    coeffs = field.coeffs.copy()
     coeffs[1, 0, 1, r, c] = 0.5
-    field = PolyField(2, S.field.exponents, coeffs, stacked=True)
+    field = PolyField(2, field.exponents, coeffs, stacked=True)
     with pytest.raises(bnd.ParityError, match=rf"blade \[0\] entry \({r},{c}\)"):
         bnd.SuperconnectionData(2, 4, ms.eta, {
             mask: PolyField(2, field.exponents, field.coeffs[:, :, mask], stacked=True)

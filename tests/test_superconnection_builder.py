@@ -1,8 +1,9 @@
 """The superconnection builder and the operator data built from it: the
-stream oracle against the per-blade loop in any read order, the shared D^2
-coefficients, the stacked special predicate and the blades it draws, the
-blade generators a suite run seeds, and the live-pair graded product against
-the all-pairs one."""
+stream oracle against the per-blade loop in any read order, evaluation on
+the blade axis against the loop's dense field, one seeding per drawn blade,
+the shared D^2 coefficients, the stacked special predicate and the blades it
+draws, the blade generators a suite run seeds, and the live-pair graded
+product against the all-pairs one."""
 
 from collections import Counter
 from functools import partial
@@ -40,23 +41,37 @@ def _assert_entries_are_the_reference_blades(S, ms, specs, seeds):
             assert not np.any(blades[mask].coeffs[:, ~allowed])
 
 
+def _assert_eval_is_the_reference_field(S, field, x):
+    """S.eval at x is the loop reference's dense field evaluated there, at
+    orders 0-2, to a relative 1e-14: the products may sum in another order."""
+    for order in range(3):
+        got, want = S.eval(x, order), field.eval(x, order)
+        assert got.order == want.order == order
+        for k in ("val", "d", "dd")[:order + 1]:
+            g, w = getattr(got, k), getattr(want, k)
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("shift", range(len(SPEC_SETS)))
 def test_builder_draws_the_streams_of_the_per_blade_loop(n, shift):
     ms = bnd.exterior_module(n)
-    # degrees above n name no blade; dropping one degree leaves its blades absent
+    # degrees above n name no blade; dropping one degree leaves its blades
+    # absent, and the presets put the blades on up to three exponent tables
     specs = {p: spec for p, spec in SPEC_SETS[shift].items() if p <= n and p != shift % 3}
+    xs = np.random.default_rng(n).uniform(-0.8, 0.8, (4, n))
     for seed in (0, 7, np.int64(12), 3.0):
         S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seed)
         field, blades = ref.superconnection_field(n, ms.m, ms.eta, specs, int(seed))
-        assert np.array_equal(S.field.exponents, field.exponents)
-        assert np.array_equal(S.field.coeffs, field.coeffs) and not S.field.stacked
+        _assert_eval_is_the_reference_field(S, field, xs[0])
+        # a single superconnection at a stack of points
+        _assert_eval_is_the_reference_field(S, field, xs)
         _assert_entries_are_the_reference_blades(S, ms, specs, seed)
     seeds = [4, 1, 4, 30]
     S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seeds)
     field, _ = ref.superconnection_field(n, ms.m, ms.eta, specs, seeds)
-    assert S.field.stacked and np.array_equal(S.field.exponents, field.exponents)
-    assert np.array_equal(S.field.coeffs, field.coeffs)
+    _assert_eval_is_the_reference_field(S, field, xs)
     _assert_entries_are_the_reference_blades(S, ms, specs, seeds)
 
 
@@ -64,11 +79,38 @@ def test_builder_draws_only_the_blades_it_names():
     ms = bnd.exterior_module(3)
     S = bnd.superconnection_from_degrees(3, ms.m, ms.eta, {1: "linear"}, [2, 3])
     assert sorted(S.masks) == [1, 2, 4]
-    assert np.array_equal(S.field.exponents, exponent_table(3, 1))
-    live = np.flatnonzero(np.any(S.field.coeffs != 0, axis=(0, 1, 3, 4)))
-    assert live.tolist() == [1, 2, 4]
+    assert all(np.array_equal(S.entries(mask).exponents, exponent_table(3, 1))
+               for mask in S.masks)
+    x = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
+    omega = S.eval(x, 1)
+    for part, others in ((omega.val, (0, 2, 3)), (omega.d, (0, 1, 3, 4))):
+        assert np.flatnonzero(np.any(part != 0, axis=others)).tolist() == [1, 2, 4]
     empty = bnd.superconnection_from_degrees(3, ms.m, ms.eta, {0: "zero"}, 5)
-    assert empty.field.coeffs.shape == (0, 8, 8, 8) and empty.entries(0).coeffs.size == 0
+    omega = empty.eval(x[0], 2)
+    assert omega.val.shape == (8, 8, 8) and omega.dd.shape == (3, 3, 8, 8, 8)
+    assert not any(np.any(part) for part in (omega.val, omega.d, omega.dd))
+    assert empty.entries(0).coeffs.size == 0
+
+
+def test_a_drawn_blade_seeds_its_generator_once(monkeypatch):
+    ms = bnd.exterior_module(3)
+    seeded, real_rng = [], np.random.default_rng
+    monkeypatch.setattr(bnd.np.random, "default_rng",
+                        lambda seed, *rest: seeded.append(seed) or real_rng(seed, *rest))
+    S = bnd.superconnection_from_degrees(
+        3, ms.m, ms.eta, {0: "random", 1: "linear", 2: "constant"}, [4, 9, 1])
+    assert not seeded
+    # read twice, a blade is drawn once: one generator per seed of the stack
+    first = S.entries(3)
+    assert S.entries(3) is first and len(seeded) == 3
+    x = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6], [-0.7, 0.2, 0.0]])
+    a, b = S.eval(x, 2), S.eval(x, 2)
+    assert len(seeded) == 3 * len(S.masks) == len(set(seeded))
+    assert all(np.array_equal(u, v) for u, v in zip((a.val, a.d, a.dd), (b.val, b.d, b.dd)))
+    # a selection after an eval copies the kept draws
+    T = S.select(range(1, 3), (0, 2))
+    assert np.array_equal(T.eval(x[1:], 1).val[:, 3], a.val[1:, 3])
+    assert len(seeded) == 3 * len(S.masks)
 
 
 def _commutator(a, b):
@@ -149,7 +191,7 @@ def _read_degree_two_blades(S, pts):
             S.entries(mask)
 
 
-READS = {"field first": lambda S, pts: None,
+READS = {"eval first": lambda S, pts: None,
          "degree-2 blades first": _read_degree_two_blades,
          "special predicate first": bnd.is_special_superconnection}
 
@@ -167,8 +209,7 @@ def test_lazy_draws_do_not_depend_on_read_order(n, preset, first):
         S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seed)
         READS[first](S, pts)
         field, _ = ref.superconnection_field(n, ms.m, ms.eta, specs, seed)
-        assert np.array_equal(S.field.exponents, field.exponents)
-        assert np.array_equal(S.field.coeffs, field.coeffs)
+        _assert_eval_is_the_reference_field(S, field, pts if np.ndim(seed) else pts[0])
         _assert_entries_are_the_reference_blades(S, ms, specs, seed)
 
 
@@ -176,10 +217,10 @@ def test_lazy_draws_do_not_depend_on_read_order(n, preset, first):
 def test_special_predicate_draws_only_the_degree_two_blades(chart, generators,
                                                             monkeypatch):
     # the predicate reads the degree-2 blades of the 15 trials that have them,
-    # and builds no dense (P, T, 2^n, m, m) field
-    active, built, stacks = [False], [], []
+    # and evaluates no stack on the blade axis
+    active, built, stacks, evaluated = [False], [], [], []
     real_rng, real_timed = np.random.default_rng, suites._timed
-    real_build = bnd.superconnection_from_degrees
+    real_build, real_eval = bnd.superconnection_from_degrees, bnd.SuperconnectionData.eval
 
     def rng(*args, **kwargs):
         built.append(active[0])
@@ -189,6 +230,10 @@ def test_special_predicate_draws_only_the_degree_two_blades(chart, generators,
         S = real_build(*args, **kwargs)
         stacks.extend([S] if active[0] else [])
         return S
+
+    def evaluate(S, *args, **kwargs):
+        evaluated.append(active[0])
+        return real_eval(S, *args, **kwargs)
 
     def timed(rep, cid, identity, tol, fn):
         active[0] = cid == "superconnection-special-predicate"
@@ -200,12 +245,13 @@ def test_special_predicate_draws_only_the_degree_two_blades(chart, generators,
     monkeypatch.setattr(bnd.np.random, "default_rng", rng)
     monkeypatch.setattr(bnd, "superconnection_from_degrees", build)
     monkeypatch.setattr(suites, "_timed", timed)
+    monkeypatch.setattr(bnd.SuperconnectionData, "eval", evaluate)
     rep = suites.run_suite("superconnection", chart, seed=5, samples=2)
     check, = [c for c in rep.checks if c.check_id == "superconnection-special-predicate"]
     assert check.passed and check.max_residual == 0.0
     assert sum(built) == generators
     assert [S.size for S in stacks] == [15, 8, 7]
-    assert not any("field" in vars(S) for S in stacks)
+    assert evaluated and not any(evaluated)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -214,25 +260,30 @@ def test_selected_members_are_the_members_built_on_their_own(n, monkeypatch):
     specs, seeds = {0: "random", 1: "linear", 2: "random(11)"}, [4, 9, 1, 7]
     S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seeds)
     picks = ((range(4), None), (range(1, 4, 2), (1, 2)), (range(2, 3), (0, 2)))
-    S.field
+    xs = np.random.default_rng(n).uniform(-0.5, 0.5, (4, n))
+    S.eval(xs, 0)
     with monkeypatch.context() as patch:
-        # once the field is built, selecting and reading the selection seed no generator
+        # once the blades are read, selecting and evaluating the selection seed
+        # no generator
         patch.setattr(bnd.np.random, "default_rng", None)
         got = [(S.select(*pick), S.select(range(4)).select(*pick)) for pick in picks]
-        fields = [[T.field for T in pair] for pair in got]
-    for (members, degrees), pair, pair_fields in zip(picks, got, fields):
+        evals = [[T.eval(xs[members], 2) for T in pair]
+                 for (members, _), pair in zip(picks, got)]
+    for (members, degrees), pair, pair_evals in zip(picks, got, evals):
         want = bnd.superconnection_from_degrees(
             n, ms.m, ms.eta, {p: specs[p] for p in degrees or specs},
             [seeds[k] for k in members])
-        for T, field in zip(pair, pair_fields):
+        wanted = want.eval(xs[members], 2)
+        for T, omega in zip(pair, pair_evals):
             assert T.masks == want.masks and T.size == len(members) and T.stacked
             for mask in T.masks:
                 e, w = T.entries(mask), want.entries(mask)
                 assert not e.coeffs.flags.writeable
+                assert not np.shares_memory(e.coeffs, S.entries(mask).coeffs)
                 assert np.array_equal(e.exponents, w.exponents)
                 assert np.array_equal(e.coeffs, w.coeffs)
-            assert np.array_equal(field.exponents, want.field.exponents)
-            assert np.array_equal(field.coeffs, want.field.coeffs)
+            for k in ("val", "d", "dd"):
+                assert np.array_equal(getattr(omega, k), getattr(wanted, k))
 
 
 @pytest.mark.parametrize("chart, samples, seedings", [("sphere4", 1, 109), ("sphere4", 2, 128),
