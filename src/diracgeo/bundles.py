@@ -335,7 +335,6 @@ class DiracOperatorData:
     gam: Jet
     A: Jet
     Z: Jet
-    eta: np.ndarray
 
     @property
     def n(self) -> int:
@@ -375,7 +374,7 @@ def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
     Z = sum((q(mask) @ omega[mask]
              for mask in S.masks if mask.bit_count() != 1),
             Jet.constant(np.zeros((ms.m, ms.m)), x, order))
-    return DiracOperatorData(x, gam, A, Z, ms.eta)
+    return DiracOperatorData(x, gam, A, Z)
 
 
 def _fold_index(t: np.ndarray) -> np.ndarray:

@@ -58,9 +58,9 @@ class Chart:
     metric_fn: Callable                  # coordinate vector -> (n, n) metric
     domain: Callable[[np.ndarray], bool] = field(default=lambda x: True)
     period: Optional[float] = None       # 2*pi on torus charts
-    kind: str = "generic"
     sample_radius: float = 1.5
-    lam_fn: Optional[Callable] = None    # conformal factor for conformal kind
+    lam_fn: Optional[Callable] = None    # lambda of a conformal chart g = lambda^-2 delta
+    scalar: Optional[float] = None       # the scalar curvature, where it is known
 
     @property
     def riemannian(self) -> bool:
@@ -305,26 +305,26 @@ def _const_metric(m: np.ndarray):
 
 def flat_chart(n: int) -> Chart:
     """Euclidean R^n with the identity metric."""
-    return Chart(f"flat{n}", n, 0, _const_metric(np.eye(n)), kind="flat")
+    return Chart(f"flat{n}", n, 0, _const_metric(np.eye(n)), scalar=0.0)
 
 
 def minkowski_chart() -> Chart:
     """R^4 with signature (-, +, +, +)."""
-    return Chart("minkowski4", 4, 1, _const_metric(np.diag([-1.0, 1, 1, 1])),
-                 kind="minkowski")
+    return Chart("minkowski4", 4, 1, _const_metric(np.diag([-1.0, 1, 1, 1])), scalar=0.0)
 
 
 def torus_chart(n: int) -> Chart:
     """Flat torus, coordinates periodic with period 2*pi."""
     return Chart(f"torus{n}", n, 0, _const_metric(np.eye(n)),
-                 period=2.0 * np.pi, kind="torus")
+                 period=2.0 * np.pi, scalar=0.0)
 
 
 def conformal_chart(n: int, which: str) -> Chart:
     """Conformally flat chart g = lambda^-2 delta.
 
     which = "sphere":    lambda = (1 + |x|^2)/2, the unit round sphere;
-    which = "hyperbolic": lambda = (1 - |x|^2)/2 on the open unit ball.
+    which = "hyperbolic": lambda = (1 - |x|^2)/2 on the open unit ball;
+    their scalar curvature is n(n - 1) and -n(n - 1).
     """
     sign = {"sphere": 1.0, "hyperbolic": -1.0}[which]
 
@@ -343,8 +343,8 @@ def conformal_chart(n: int, which: str) -> Chart:
         domain = lambda x: True
         radius = 1.2
         name = f"sphere{n}"
-    return Chart(name, n, 0, metric_fn, domain=domain, kind="conformal",
-                 sample_radius=radius, lam_fn=lam)
+    return Chart(name, n, 0, metric_fn, domain=domain, sample_radius=radius,
+                 lam_fn=lam, scalar=sign * n * (n - 1))
 
 
 def polynomial_chart(n: int, seed: int = 7, scale: float = 0.04) -> Chart:
@@ -371,8 +371,7 @@ def polynomial_chart(n: int, seed: int = 7, scale: float = 0.04) -> Chart:
             return g0 + s1 @ xs + (s2 @ xs) @ xs
 
         if np.min(np.linalg.eigvalsh(metric_fn(probe).val)) >= 0.5:
-            return Chart(f"poly{n}", n, 0, metric_fn, kind="polynomial",
-                         sample_radius=radius)
+            return Chart(f"poly{n}", n, 0, metric_fn, sample_radius=radius)
     raise DegenerateMetricError("could not draw a positive definite polynomial metric")
 
 

@@ -321,13 +321,11 @@ def sqrt_det_jet(mj: MetricJet) -> Jet:
     return Jet(mj.x, mj.sqrt_abs_det, mj.dsqrt, mj.ddsqrt)
 
 
-def volume_form(mj: MetricJet, x, orientation: int = 1) -> Jet:
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    top = np.zeros(1 << mj.n)
-    top[-1] = orientation
-    return Jet(np.asarray(x, dtype=float), *(np.multiply.outer(a, top) for a in
-                                             (mj.sqrt_abs_det, mj.dsqrt, mj.ddsqrt)))
+def volume_form(mj: MetricJet) -> Jet:
+    """sqrt|det g| dx^1 ^ ... ^ dx^n at the points of ``mj``."""
+    top = np.eye(1 << mj.n)[-1]
+    return Jet(mj.x, *(np.multiply.outer(a, top) for a in
+                       (mj.sqrt_abs_det, mj.dsqrt, mj.ddsqrt)))
 
 
 def gram_pairing(a: Jet, b: Jet, mj: MetricJet):
@@ -365,13 +363,13 @@ def hodge_star(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
     return _star(j, mj, orientation * _complement_signs(j.n))
 
 
-def coderivative_hodge(j: Jet, mj: MetricJet, orientation: int = 1) -> Jet:
+def coderivative_hodge(j: Jet, mj: MetricJet) -> Jet:
     """d* = (-1)^(n(|M|+2)+1) sgn(det g) * d * on output blade M, which is
     (-1)^(n(p+1)+1) sgn(det g) * d * on degree-p input: a sign per blade, so
-    d* is defined on any form."""
-    signs = orientation * _complement_signs(j.n) * -(-1.0) ** (j.n * grades(j.n))
-    return _star(exterior_derivative(hodge_star(j, mj, orientation)), mj,
-                 signs).scale(np.sign(mj.det))
+    d* is defined on any form.  The star enters twice, so d* does not depend
+    on the orientation."""
+    signs = _complement_signs(j.n) * -(-1.0) ** (j.n * grades(j.n))
+    return _star(exterior_derivative(hodge_star(j, mj)), mj, signs).scale(np.sign(mj.det))
 
 
 # the Levi-Civita connection A_a and the gammas c(dx^i) on the blade axis of

@@ -17,14 +17,14 @@ the Lichnerowicz residual act on each column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
 
 from .bundles import (DiracOperatorData, ModuleSpec, _fold, _fold_index,
                       apply_dirac, canonical_laplacian, column_gap, dirac_square)
-from .charts import Chart, MetricJet
+from .charts import MetricJet
 from .clifford import blade_tables, contract
 from .jets import Jet, jet_sqrt, relative, sample_max, seed_point
 
@@ -68,8 +68,6 @@ def _sylvester_sqrt(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
 class FrameField:
     """Coframe components co[k, i] = <d_k, e^i> and inverse inv[i, k] = <e_i, dx^k>."""
 
-    chart: Chart
-    x: np.ndarray
     co: Jet
     inv: Jet
 
@@ -77,18 +75,18 @@ class FrameField:
 def build_frame_from_metric(mj: MetricJet) -> FrameField:
     chart = mj.chart
     n = mj.n
-    if chart.kind == "conformal" and chart.lam_fn is not None:
+    if chart.lam_fn is not None:
         lam = chart.lam_fn(seed_point(mj.x, order=2))
         if np.any(np.real(lam.val) <= 0):
             raise SpinSignatureError("conformal factor not positive at the point")
-        return FrameField(chart, mj.x, np.eye(n) / lam, lam * np.eye(n))
+        return FrameField(np.eye(n) / lam, lam * np.eye(n))
     if not chart.riemannian:
         raise SpinSignatureError(
             f"chart {chart.name!r} is indefinite; frames exist here only in the "
             f"conformal closed form")
     sqrt = Jet(mj.x, *_sylvester_sqrt(mj.g, mj.dg, mj.d2g))
     # S commutes with g = S S, so S^-1 = S g^-1
-    return FrameField(chart, mj.x, sqrt, sqrt @ Jet(mj.x, mj.g_inv, mj.dg_inv, mj.d2g_inv))
+    return FrameField(sqrt, sqrt @ Jet(mj.x, mj.g_inv, mj.dg_inv, mj.d2g_inv))
 
 
 def frame_invariant_residual(frame: FrameField, mj: MetricJet):
@@ -170,15 +168,28 @@ def frame_connection_coefficients(frame: FrameField, mj: MetricJet) -> Jet:
 
 @dataclass
 class SpinConnectionData:
-    """U(1) potential plus frame term: Omega_a = A_a/2 - w0[a,j,k] G_j G_k / 4."""
+    """U(1) potential plus frame term: Omega_a = A_a/2 - w0[a,j,k] G_j G_k / 4,
+    with the module, frame and metric jet it was built from."""
 
+    smd: SpinModuleData
+    frame: FrameField
+    mj: MetricJet
     a_pot: Jet                  # A_a, fiber (n,)
     w0: Jet                     # (e_j, nabla_{d_a} e_k), fiber (n, n, n)
     omega: Jet                  # Omega_a, fiber (n, dim, dim)
 
+    @cached_property
+    def dirac(self) -> DiracOperatorData:
+        """The Dirac operator c(dx^a)(partial_a + Omega_a) as bundle data,
+        built on first use."""
+        return DiracOperatorData(self.mj.x, self.smd.coordinate_gammas(self.frame), self.omega,
+                                 Jet.constant(np.zeros((self.smd.dim,) * 2), self.mj.x))
+
 
 def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,
                           a_pot: Optional[Jet] = None) -> SpinConnectionData:
+    """The spin-c connection of ``frame`` and the imaginary U(1) potential
+    ``a_pot`` (zero unless given), all at the points of ``mj``."""
     n = mj.n
     if a_pot is None:
         a_pot = Jet.constant(np.zeros(n), mj.x)
@@ -192,7 +203,7 @@ def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,
     gg = np.einsum("jab,kbc->jkac", smd.gammas, smd.gammas)
     frame_term = w0.map(lambda t: -0.25 * np.einsum("...jk,jkxy->...xy", t, gg))
     potential = Jet(a_pot.x, a_pot.val, a_pot.d)[:, None, None] * (0.5 * np.eye(smd.dim))
-    return SpinConnectionData(a_pot, w0, potential + frame_term)
+    return SpinConnectionData(smd, frame, mj, a_pot, w0, potential + frame_term)
 
 
 # ---------------------------------------------------------------------------
@@ -200,41 +211,30 @@ def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,
 # ---------------------------------------------------------------------------
 
 
-def spin_dirac_operator(scd: SpinConnectionData, smd: SpinModuleData,
-                        frame: FrameField, mj: MetricJet) -> DiracOperatorData:
-    """Generic assembly c(dx^a)(partial_a + Omega_a) as bundle data."""
-    gam = smd.coordinate_gammas(frame)
-    zero = Jet.constant(np.zeros((smd.dim, smd.dim)), mj.x)
-    return DiracOperatorData(np.asarray(mj.x, dtype=float), gam, scd.omega, zero,
-                             smd.chirality)
-
-
-def spin_dirac(scd: SpinConnectionData, smd: SpinModuleData, frame: FrameField,
-               mj: MetricJet, j: Jet) -> np.ndarray:
+def spin_dirac(scd: SpinConnectionData, j: Jet) -> np.ndarray:
     """c(dx^a)(partial_a + Omega_a) psi on a block of section 1-jets, fiber (m, K)."""
     if j.d is None:
         raise ValueError("spin Dirac needs an order-1 section jet")
-    return apply_dirac(spin_dirac_operator(scd, smd, frame, mj), j)
+    return apply_dirac(scd.dirac, j)
 
 
-def spin_dirac_alpha(scd: SpinConnectionData, smd: SpinModuleData,
-                     frame: FrameField, j: Jet) -> np.ndarray:
+def spin_dirac_alpha(scd: SpinConnectionData, j: Jet) -> np.ndarray:
     """Dual route: slash(d) + slash(A)/2 - q(2 alpha_1 + 3 alpha_3)/4.
 
     alpha_1 sums (e_j, nabla_{e_i} e_i-slot) over the frame; alpha_3 is the
     antisymmetrized cubic with (e_j, [e_i, e_k]) coefficients.  psi is a
     block, fiber (m, K).
     """
-    out = _slash(smd.coordinate_gammas(frame).val, j, scd.a_pot)
+    out = _slash(scd.dirac.gam.val, j, scd.a_pot)
     # (e_j, nabla_{e_i} e_k) = <e_i, dx^a> w0[a, j, k]
-    w = np.einsum("...ia,...ajk->...ijk", frame.inv.val, scd.w0.val)
-    q1 = contract(np.einsum("...iji->...j", w), smd.gammas)
+    w = np.einsum("...ia,...ajk->...ijk", scd.frame.inv.val, scd.w0.val)
+    q1 = contract(np.einsum("...iji->...j", w), scd.smd.gammas)
     wt = w - np.swapaxes(w, -3, -1)  # (e_j, [e_i, e_k]) by torsion freeness
     # the antisymmetrized cubic on the increasing triples a < b < c
     alt = sum(sg * np.einsum(f"...{p}->...abc", wt) for p, sg in
               (("abc", 1), ("bca", 1), ("cab", 1), ("bac", -1), ("acb", -1), ("cba", -1)))
     a, b, c = np.indices(wt.shape[-3:])
-    g = smd.gammas
+    g = scd.smd.gammas
     cubes = g[:, None, None] @ g[None, :, None] @ g[None, None, :]  # gamma_a gamma_b gamma_c
     q3 = np.einsum("...abc,abcxw->...xw", alt / 6.0 * ((a < b) & (b < c)), cubes)
     return out - 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val)
@@ -247,19 +247,18 @@ def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
         j.d + 0.5 * a_pot.val[..., :, None, None] * j.val[..., None, :, :])
 
 
-def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
-                    j: Jet) -> np.ndarray:
+def conformal_dirac(scd: SpinConnectionData, j: Jet) -> np.ndarray:
     """Closed form L (slash(d) + slash(A)/2) L^{-1} with L^2 = lambda^(n-1), on
     a block psi (m, K)."""
-    if chart.kind != "conformal" or chart.lam_fn is None:
+    chart = scd.mj.chart
+    if chart.lam_fn is None:
         raise ValueError("conformal closed form needs a conformal chart")
-    n = chart.n
     lam = chart.lam_fn(seed_point(j.x, order=2))
     if np.any(np.real(lam.val) <= 0):
         raise ValueError("conformal factor not positive at the point")
-    biglam = jet_sqrt(lam) ** (n - 1)
+    biglam = jet_sqrt(lam) ** (chart.n - 1)
     return ((biglam.val * lam.val)[..., None, None]
-            * _slash(smd.gammas, j * (1.0 / biglam), a_pot))
+            * _slash(scd.smd.gammas, j * (1.0 / biglam), scd.a_pot))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +266,7 @@ def conformal_dirac(chart: Chart, a_pot: Jet, smd: SpinModuleData,
 # ---------------------------------------------------------------------------
 
 
-def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
-                          frame: FrameField, mj: MetricJet,
-                          j: Jet):
+def lichnerowicz_residual(scd: SpinConnectionData, j: Jet):
     """Norm of D_A^2 psi - (lap^S + r_M/4 + q(F)/2) psi, F = dA, per sample
     and column of a block psi (m, K).
 
@@ -277,7 +274,7 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     """
     if j.dd is None:
         raise ValueError("Lichnerowicz test needs an order-2 section jet")
-    D = spin_dirac_operator(scd, smd, frame, mj)
+    D, mj = scd.dirac, scd.mj
     lhs = dirac_square(D, j)
     rhs = canonical_laplacian(scd.omega, mj, j)
     rhs = rhs + 0.25 * mj.scalar[..., None, None] * j.val
@@ -289,16 +286,12 @@ def lichnerowicz_residual(scd: SpinConnectionData, smd: SpinModuleData,
     return column_gap(lhs, rhs, nb=j.nb)
 
 
-def chirality_action_checks(smd: SpinModuleData, frame: FrameField,
-                            mj: MetricJet,
-                            scd: Optional[SpinConnectionData] = None) -> dict:
+def chirality_action_checks(scd: SpinConnectionData) -> dict:
     """Per sample: anticommutation with the gammas, commutation with the connection."""
-    g, nb, chi = smd.coordinate_gammas(frame).val, frame.inv.nb, smd.chirality
+    g, nb, chi = scd.dirac.gam.val, scd.frame.inv.nb, scd.smd.chirality
     r1 = sample_max(chi @ g + g @ chi, nb)
-    if scd is None:
-        scd = build_spin_connection(frame, smd, mj)
     om = scd.omega.val
     r2 = sample_max(chi @ om - om @ chi, nb)
-    sq = float(np.max(np.abs(chi @ chi - np.eye(smd.dim))))
+    sq = float(np.max(np.abs(chi @ chi - np.eye(scd.smd.dim))))
     return {"gamma_anticommutation": r1, "connection_commutation": r2,
             "chirality_squares_to_one": sq}

@@ -6,14 +6,14 @@ import time
 from dataclasses import replace
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
 from . import bundles as bnd
 from . import seiberg_witten as swm
 from . import spin as sp
-from .charts import MetricJet, get_chart, metric_jet
+from .charts import Chart, MetricJet, get_chart, metric_jet
 from .clifford import (blade_tables, chirality, clifford_product, contract, grades,
                        product_table, quantize, symbol)
 from .curvature import (curvature_two_form_residual, divergence_via_connection,
@@ -35,12 +35,6 @@ DIRAC_COMMUTATOR_TOL = 1e-10
 # shared with ``diracgeo sw``
 SW_FUNCTIONAL_GAP_TOL = 1e-6
 
-SCALAR_REFERENCE = {"sphere2": 2.0, "hyperbolic2": -2.0,
-                    "sphere4": 12.0, "hyperbolic4": -12.0,
-                    "flat2": 0.0, "flat3": 0.0, "flat4": 0.0,
-                    "torus2": 0.0, "torus3": 0.0, "torus4": 0.0,
-                    "minkowski4": 0.0}
-
 
 class SuiteUsageError(ValueError):
     """Suite invoked with an incompatible chart or missing configuration."""
@@ -56,13 +50,13 @@ def _timed(rep: VerificationReport, cid: str, identity: str, tol: float,
 
 
 class _Points:
-    """The sample points, drawn first from the seeded generator, its state
-    after them, and the read-only metric jets at every point (``mj``) and at
-    the first max(4, P // 4), where the costlier checks run (``head``), built
-    on first use.  ``run_suite("all")`` shares one among its sub-suites."""
+    """A chart's sample points, drawn first from the generator of ``seed``, its
+    state after them, and the read-only metric jets at every point (``mj``)
+    and at the first max(4, P // 4), where the costlier checks run (``head``),
+    built on first use.  ``run_suite("all")`` shares one among its sub-suites."""
 
-    def __init__(self, chart: str, seed: int, samples: int):
-        self.ch = get_chart(chart)
+    def __init__(self, chart: Chart, seed: int, samples: int):
+        self.ch, self.seed = chart, seed
         rng = np.random.default_rng(seed)
         self.xs = np.array([self.ch.sample_point(rng) for _ in range(samples)])
         self.after = rng.bit_generator.state
@@ -78,16 +72,14 @@ class _Points:
 
 
 class _Run:
-    """One chart suite's setup: the report, the points and jets of ``pts``
-    (built here unless given), and a generator at the state after the points."""
+    """One chart suite's setup: the report, the points and jets of ``pts``, and
+    a generator at the state after the points."""
 
-    def __init__(self, suite: str, chart: str, seed: int, samples: int,
-                 pts: Optional[_Points] = None):
-        self.pts = pts or _Points(chart, seed, samples)
-        self.ch, self.n, self.xs = self.pts.ch, self.pts.ch.n, self.pts.xs
-        self.rng = np.random.default_rng(seed)
-        self.rng.bit_generator.state = self.pts.after
-        self.rep = VerificationReport(suite, chart, seed, samples)
+    def __init__(self, suite: str, pts: _Points):
+        self.pts, self.ch, self.n, self.xs, self.seed = pts, pts.ch, pts.ch.n, pts.xs, pts.seed
+        self.rng = np.random.default_rng(pts.seed)
+        self.rng.bit_generator.state = pts.after
+        self.rep = VerificationReport(suite, pts.ch.name, pts.seed, len(pts.xs))
         self.check = partial(_timed, self.rep)
 
     mj = property(lambda self: self.pts.mj)
@@ -144,8 +136,8 @@ def _cartan_fields(run: _Run, at: np.ndarray) -> tuple:
     return tuple(f.eval(at, 2) for f in fields) + (p,)
 
 
-def cartan_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
-    run = _Run("cartan", chart, seed, samples, pts)
+def cartan_suite(pts: _Points) -> VerificationReport:
+    run = _Run("cartan", pts)
     # every check runs once over the stack of (point, draw) samples
     a, b, X, Y, pure, p = _cartan_fields(run, np.repeat(run.xs, JETS_PER_POINT, 0))
     sign = (-1.0) ** p
@@ -207,9 +199,9 @@ def cartan_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationR
 # ---------------------------------------------------------------------------
 
 
-def clifford_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
-    run = _Run("clifford", chart, seed, samples, pts)
-    n, dim, rng, mj = run.n, 1 << run.n, run.rng, run.mj
+def clifford_suite(pts: _Points) -> VerificationReport:
+    run = _Run("clifford", pts)
+    n, dim, rng, mj, samples = run.n, 1 << run.n, run.rng, run.mj, len(run.xs)
     table = product_table(mj.g_inv)                 # (P, 2^n, 2^n, 2^n)
     product = partial(clifford_product, table=table)
     embed = np.eye(dim)[1 << np.arange(n)]          # covectors onto the blade axis
@@ -304,8 +296,8 @@ def clifford_suite(chart: str, seed: int, samples: int, pts=None) -> Verificatio
 # ---------------------------------------------------------------------------
 
 
-def levi_civita_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
-    run = _Run("levi-civita", chart, seed, samples, pts)
+def levi_civita_suite(pts: _Points) -> VerificationReport:
+    run = _Run("levi-civita", pts)
     n, mj = run.n, run.mj
     gam, low = mj.christoffel, mj.lowered
 
@@ -342,10 +334,10 @@ def levi_civita_suite(chart: str, seed: int, samples: int, pts=None) -> Verifica
     run.check("levi-civita-log-det",
               "d_k log sqrt|g| = Gamma^i_ik and d_l d_k log sqrt|g| = d_l Gamma^i_ik",
               1e-9, lambda: log_det_identity_residual(mj))
-    if chart in SCALAR_REFERENCE:
-        ref = SCALAR_REFERENCE[chart]
+    ref = run.ch.scalar
+    if ref is not None:
         run.check("levi-civita-scalar-reference",
-                  f"scalar curvature equals {ref:g} on {chart}", 1e-7,
+                  f"scalar curvature equals {ref:g} on {run.ch.name}", 1e-7,
                   lambda: np.abs(mj.scalar - ref))
     return run.rep
 
@@ -364,14 +356,14 @@ def _superconnections(ms: bnd.ModuleSpec, n: int, count: int, base_seed: int,
         base_seed + np.arange(count))
 
 
-def laplacian_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
-    run = _Run("laplacian", chart, seed, samples, pts)
+def laplacian_suite(pts: _Points) -> VerificationReport:
+    run = _Run("laplacian", pts)
     n, xs, mj = run.n, run.xs, run.mj
     ms = bnd.exterior_module(n)
     m = ms.m
     # D^2 and its coefficient jets read A and Z to first order
     H = bnd.laplacian_from_dirac(bnd.quantize_superconnection(
-        _superconnections(ms, n, samples, seed), mj, ms, xs, order=1), mj)
+        _superconnections(ms, n, len(xs), run.seed), mj, ms, xs, order=1), mj)
 
     section = [FieldLayout(n, (m,), complex_coeffs=True)]
 
@@ -414,9 +406,9 @@ def laplacian_suite(chart: str, seed: int, samples: int, pts=None) -> Verificati
 # ---------------------------------------------------------------------------
 
 
-def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
-    run = _Run("superconnection", chart, seed, samples, pts)
-    n, xs, mj = run.n, run.xs, run.mj
+def superconnection_suite(pts: _Points) -> VerificationReport:
+    run = _Run("superconnection", pts)
+    n, xs, mj, seed = run.n, run.xs, run.mj, run.seed
     ms = bnd.exterior_module(n)
     m = ms.m
     # the affine and later checks run on the first few points
@@ -425,17 +417,19 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
     # the commutator check reads the operator's values only; S keeps D's first
     # few members, the affine check selects its degrees 1 and 2, and the
     # curvature check evaluates it
-    S = _superconnections(ms, n, samples, seed)
+    S = _superconnections(ms, n, len(xs), seed)
     D = bnd.quantize_superconnection(S, mj, ms, xs, order=0)
     S = S.select(range(few))
 
     def parity_enforced():
-        bad = 0
+        eta, A, Z = ms.eta, D.A.val, D.Z.val
+        # D's connection is even and its zero-order part odd, entry for entry
+        bad = np.count_nonzero(eta @ A @ eta - A) + np.count_nonzero(eta @ Z @ eta + Z)
         for k in range(10):
             mat = bnd.random_parity_matrix(np.random.default_rng(seed + k), n,
-                                           ms.eta, -1, degree=1)
+                                           eta, -1, degree=1)
             try:
-                bnd.SuperconnectionData(n, m, ms.eta, {1: mat})
+                bnd.SuperconnectionData(n, m, eta, {1: mat})
                 bad += 1
             except bnd.ParityError:
                 pass
@@ -519,14 +513,14 @@ def superconnection_suite(chart: str, seed: int, samples: int, pts=None) -> Veri
 # ---------------------------------------------------------------------------
 
 
-def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
-    ch = get_chart(chart)
+def lichnerowicz_suite(pts: _Points) -> VerificationReport:
+    ch = pts.ch
     if ch.n % 2:
-        raise SuiteUsageError(f"spinor checks need even dimension, chart {chart} "
+        raise SuiteUsageError(f"spinor checks need even dimension, chart {ch.name} "
                               f"has n={ch.n}")
     if not ch.riemannian:
-        raise SuiteUsageError(f"spinor checks need a Riemannian chart, not {chart}")
-    run = _Run("lichnerowicz", chart, seed, samples, pts)
+        raise SuiteUsageError(f"spinor checks need a Riemannian chart, not {ch.name}")
+    run = _Run("lichnerowicz", pts)
     n, mj = run.n, run.mj
     smd, vector = sp.spin_module_data(n), FieldLayout(n, (n,))
 
@@ -536,39 +530,35 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> Verific
         return replace(f, coeffs=1j * f.coeffs).eval(at, 2)
 
     a_jets = potentials(run.xs)
-    fr = sp.build_frame_from_metric(mj)
-    scd = sp.build_spin_connection(fr, smd, mj, a_jets)
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), smd, mj, a_jets)
     # the chirality and connection-difference checks run on the first few points
-    head, fr_h, a_h, scd_h = run.head, fr, a_jets, scd
+    head, scd_h = run.head, scd
     if head is not mj:
-        fr_h = sp.build_frame_from_metric(head)
         a_h = Jet(head.x, *(t[:len(head.x)] for t in (a_jets.val, a_jets.d, a_jets.dd)))
-        scd_h = sp.build_spin_connection(fr_h, smd, head, a_h)
+        scd_h = sp.build_spin_connection(sp.build_frame_from_metric(head), smd, head, a_h)
 
     spinor = [FieldLayout(n, (smd.dim,), complex_coeffs=True)]
 
     # each route is one call on a block of the draws
     def dual_route():
         j, = run.draws(spinor, per=3)
-        return bnd.column_gap(sp.spin_dirac(scd, smd, fr, mj, j),
-                              sp.spin_dirac_alpha(scd, smd, fr, j))
+        return bnd.column_gap(sp.spin_dirac(scd, j), sp.spin_dirac_alpha(scd, j))
 
     def conformal_closed_form():
-        if ch.kind != "conformal":
+        if ch.lam_fn is None:
             return 0.0
         j, = run.draws(spinor)
-        return bnd.column_gap(sp.spin_dirac(scd, smd, fr, mj, j),
-                              sp.conformal_dirac(ch, a_jets, smd, j))
+        return bnd.column_gap(sp.spin_dirac(scd, j), sp.conformal_dirac(scd, j))
 
     def connection_difference():
         b_jets = potentials(head.x)
-        scd2 = sp.build_spin_connection(fr_h, smd, head, b_jets)
-        want = 0.5 * (a_h.val - b_jets.val)[..., None, None] * np.eye(smd.dim)
+        scd2 = sp.build_spin_connection(scd_h.frame, smd, head, b_jets)
+        want = 0.5 * (scd_h.a_pot.val - b_jets.val)[..., None, None] * np.eye(smd.dim)
         return _samples_amax(scd_h.omega.val - scd2.omega.val - want)
 
     run.check("lichnerowicz-frame-invariants",
               "frame is orthonormal, dual, and reconstructs the metric", 1e-10,
-              lambda: sp.frame_invariant_residual(fr, mj))
+              lambda: sp.frame_invariant_residual(scd.frame, mj))
     run.check("lichnerowicz-dirac-dual-route",
               "generic assembly equals the 1-form/3-form route", 1e-10,
               dual_route)
@@ -576,12 +566,10 @@ def lichnerowicz_suite(chart: str, seed: int, samples: int, pts=None) -> Verific
               "rescaling closed form equals the generic assembly", 1e-9,
               conformal_closed_form)
     run.check("lichnerowicz-weitzenbock", "D_A^2 = lap + r/4 + q(dA)/2", 1e-7,
-              lambda: sp.lichnerowicz_residual(scd, smd, fr, mj,
-                                               *run.draws(spinor, per=3)))
+              lambda: sp.lichnerowicz_residual(scd, *run.draws(spinor, per=3)))
     run.check("lichnerowicz-chirality",
               "chirality anticommutes with c(dx) and commutes with the connection",
-              1e-11, lambda: reduce(np.maximum, sp.chirality_action_checks(
-                  smd, fr_h, head, scd_h).values()))
+              1e-11, lambda: reduce(np.maximum, sp.chirality_action_checks(scd_h).values()))
     run.check("lichnerowicz-connection-difference",
               "two connections differ by half the potential difference", 1e-12,
               connection_difference)
@@ -602,8 +590,8 @@ def _antilinear_fields(run: _Run, at: np.ndarray) -> tuple:
     return a.eval(at, 2), np.array([z for _, z in rows]).view(complex)[:, 0]
 
 
-def hodge_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationReport:
-    run = _Run("hodge", chart, seed, samples, pts)
+def hodge_suite(pts: _Points) -> VerificationReport:
+    run = _Run("hodge", pts)
     n, mj, head = run.n, run.mj, run.head
 
     def degree_block(degs, at=None, order: int = 2) -> Jet:
@@ -633,7 +621,7 @@ def hodge_suite(chart: str, seed: int, samples: int, pts=None) -> VerificationRe
     def pairing():
         # two forms of each degree in turn: a in the even columns, b in the odd
         ab, top = degree_block(np.repeat(range(n + 1), 2), at=head.x, order=0), (1 << n) - 1
-        a, b, vol = ab[:, ::2], ab[:, 1::2], volume_form(head, head.x).val[:, top, None]
+        a, b, vol = ab[:, ::2], ab[:, 1::2], volume_form(head).val[:, top, None]
         got = wedge_forms(a, hodge_star(b, head)).val[:, top]
         want = np.conj(gram_pairing(a, b, head)) * vol
         return relative(np.abs(got - want), np.abs(want))
@@ -742,30 +730,32 @@ CHART_SUITES: Dict[str, Callable[..., VerificationReport]] = {
 SUITE_NAMES = list(CHART_SUITES) + ["sw", "all"]
 
 
-def run_suite(name: str, chart: str = "sphere2", seed: int = 1,
+def run_suite(name: str, chart: Union[Chart, str] = "sphere2", seed: int = 1,
               samples: int = 20,
               sw_config: Optional[swm.SWConfig] = None) -> VerificationReport:
+    """Run suite ``name`` on ``chart``, a Chart or the name of a built-in one;
+    the sw suite reads no chart."""
     if samples < 1:
         raise SuiteUsageError(f"samples must be at least 1, got {samples}")
-    if name in CHART_SUITES:
-        if sw_config is not None:
-            raise SuiteUsageError(f"the {name} suite takes no monopole configuration "
-                                  f"(--config is for the sw and all suites)")
-        return CHART_SUITES[name](chart, seed, samples)
     if name == "sw":
         return sw_suite(seed, samples, sw_config)
-    if name == "all":
-        # one set of points and metric jets for every sub-suite
-        rep = VerificationReport("all", chart, seed, samples)
-        pts = _Points(chart, seed, samples)
-        for suite in CHART_SUITES.values():
-            try:
-                rep.merge(suite(chart, seed, samples, pts))
-            except SuiteUsageError:
-                # suites that do not apply to this chart are skipped
-                continue
-        if sw_config is not None:
-            rep.merge(sw_suite(seed, samples, sw_config))
-        return rep
-    raise SuiteUsageError(f"unknown suite {name!r}; choose from "
-                          f"{', '.join(SUITE_NAMES)}")
+    if name not in SUITE_NAMES:
+        raise SuiteUsageError(f"unknown suite {name!r}; choose from "
+                              f"{', '.join(SUITE_NAMES)}")
+    if name != "all" and sw_config is not None:
+        raise SuiteUsageError(f"the {name} suite takes no monopole configuration "
+                              f"(--config is for the sw and all suites)")
+    # one set of points and metric jets, shared by the sub-suites of "all"
+    pts = _Points(get_chart(chart) if isinstance(chart, str) else chart, seed, samples)
+    if name != "all":
+        return CHART_SUITES[name](pts)
+    rep = VerificationReport("all", pts.ch.name, seed, samples)
+    for suite in CHART_SUITES.values():
+        try:
+            rep.merge(suite(pts))
+        except SuiteUsageError:
+            # suites that do not apply to this chart are skipped
+            continue
+    if sw_config is not None:
+        rep.merge(sw_suite(seed, samples, sw_config))
+    return rep

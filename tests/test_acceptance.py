@@ -125,7 +125,7 @@ def test_criterion_04_levi_civita_suite():
             resids = [float(np.max(np.abs(t))) for t in
                       (nabla_g, sym, bianchi, ric)]
             resids.append(log_det_identity_residual(mj))
-            vol = volume_form(mj, x)
+            vol = volume_form(mj)
             resids.extend(f.norm() for f in covariant_derivative(vol, mj))
             worst = max(worst, max(resids) / scale)
     _line("04a levi-civita identities on every chart", worst, 1e-9)
@@ -277,8 +277,8 @@ def test_criterion_09_conformal_flagship():
             assert max(abs(complex(a.val)) for a in a_jets) > 0
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
-            d1 = sp.spin_dirac(scd, smd, fr, mj, j)
-            d2 = sp.conformal_dirac(ch, a_jets, smd, j)
+            d1 = sp.spin_dirac(scd, j)
+            d2 = sp.conformal_dirac(scd, j)
             scale = max(1.0, float(np.max(np.abs(d1))),
                         float(np.max(np.abs(d2))))
             worst = max(worst, float(np.max(np.abs(d1 - d2))) / scale)
@@ -306,7 +306,7 @@ def test_criterion_10_lichnerowicz():
                     j = random_poly_field(rng, n, (smd.dim,),
                                           complex_coeffs=True).eval(x, 2)[..., None]
                     worst = max(worst,
-                                sp.lichnerowicz_residual(scd, smd, fr, mj, j)[0])
+                                sp.lichnerowicz_residual(scd, j)[0])
     _line("10 lichnerowicz D_A^2 = lap + r/4 + q(dA)/2", worst, 1e-7)
 
 

@@ -46,8 +46,8 @@ def test_verify_human_output(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    def failing(chart, seed, samples):
-        rep = VerificationReport("cartan", chart, seed, samples)
+    def failing(pts):
+        rep = VerificationReport("cartan", pts.ch.name, pts.seed, len(pts.xs))
         rep.add("cartan-forced", "always fails", 1.0, 1e-12)
         return rep
 

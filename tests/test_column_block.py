@@ -107,8 +107,8 @@ def test_lichnerowicz_residual_acts_on_each_column(name, stack, K):
     scd = sp.build_spin_connection(fr, smd, mj, _field(
         rng, xs, lambda r: replace(f := random_poly_field(r, n, (n,)), coeffs=1j * f.coeffs)))
     j = _field(rng, xs, lambda r: random_poly_field(r, n, (smd.dim, K), complex_coeffs=True))
-    _per_column(sp.lichnerowicz_residual(scd, smd, fr, mj, j),
-                lambda c: sp.lichnerowicz_residual(scd, smd, fr, mj, _col(j, c))[..., 0], K)
+    _per_column(sp.lichnerowicz_residual(scd, j),
+                lambda c: sp.lichnerowicz_residual(scd, _col(j, c))[..., 0], K)
 
 
 FORM_CASES = [(name, stack, K) for name in ("sphere2", "poly4", "sphere4")
@@ -156,10 +156,9 @@ def test_spinor_dirac_routes_act_on_each_column(name, stack, K):
                    lambda r: replace(f := random_poly_field(r, n, (n,)), coeffs=1j * f.coeffs))
     scd = sp.build_spin_connection(fr, smd, mj, a_pot)
     j = _field(rng, xs, lambda r: random_poly_field(r, n, (smd.dim, K), complex_coeffs=True))
-    routes = [lambda j: sp.spin_dirac(scd, smd, fr, mj, j),
-              lambda j: sp.spin_dirac_alpha(scd, smd, fr, j)]
-    if ch.kind == "conformal":
-        routes.append(lambda j: sp.conformal_dirac(ch, a_pot, smd, j))
+    routes = [lambda j: sp.spin_dirac(scd, j), lambda j: sp.spin_dirac_alpha(scd, j)]
+    if ch.lam_fn is not None:
+        routes.append(lambda j: sp.conformal_dirac(scd, j))
     for route in routes:
         _per_column(route(j), lambda c: route(_col(j, c))[..., 0], K)
 

@@ -151,7 +151,7 @@ def test_star_realizes_gram_pairing_against_volume():
             a = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
             b = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
             got = complex(wedge_forms(a, hodge_star(b, mj)).val[top])
-            vol = complex(volume_form(mj, x).val[top])
+            vol = complex(volume_form(mj).val[top])
             want = np.conj(gram_pairing(a, b, mj)) * vol
             assert abs(got - want) / max(1.0, abs(want)) < 1e-11
 
@@ -165,7 +165,7 @@ def test_volume_form_coefficient_on_conformal_chart():
         mj = metric_jet(ch, x)
         lam = float(ch.lam_fn(x))
         top = (1 << ch.n) - 1
-        got = complex(volume_form(mj, x).val[top])
+        got = complex(volume_form(mj).val[top])
         assert got == pytest.approx(lam ** (-ch.n), rel=1e-12)
 
 

@@ -168,7 +168,7 @@ def test_forms_operators_batch(name):
                lambda a, b, X, Y, g: coderivative_hodge(a, g),
                lambda a, b, X, Y, g: coderivative_connection(a, g),
                lambda a, b, X, Y, g: forms_dirac(a, g),
-               lambda a, b, X, Y, g: volume_form(g, g.x)]
+               lambda a, b, X, Y, g: volume_form(g)]
         for op in ops:
             _same_jets(op(a, b, X, Y, mj),
                        [op(*args) for args in zip(As, Bs, Xs, Ys, singles)])
@@ -297,20 +297,14 @@ def test_spin_operators_batch(name):
     j, js = _stack(rng, mj.x, singles,
                    lambda r: random_poly_field(r, n, (smd.dim,), complex_coeffs=True))
     j, js = j[..., None], [jk[..., None] for jk in js]      # one-column blocks
-    every = list(zip(scds, frs, singles, js))
-    _close(sp.spin_dirac(scd, smd, fr, mj, j),
-           [sp.spin_dirac(c, smd, f, sk, jk) for c, f, sk, jk in every])
-    _close(sp.spin_dirac_alpha(scd, smd, fr, j),
-           [sp.spin_dirac_alpha(c, smd, f, jk) for c, f, _, jk in every])
-    _close(sp.lichnerowicz_residual(scd, smd, fr, mj, j),
-           [sp.lichnerowicz_residual(c, smd, f, sk, jk) for c, f, sk, jk in every])
-    got = sp.chirality_action_checks(smd, fr, mj, scd)
-    want = [sp.chirality_action_checks(smd, f, sk, c) for c, f, sk, _ in every]
+    every = list(zip(scds, js))
+    for route in (sp.spin_dirac, sp.spin_dirac_alpha, sp.lichnerowicz_residual) + (
+            (sp.conformal_dirac,) if ch.lam_fn is not None else ()):
+        _close(route(scd, j), [route(c, jk) for c, jk in every])
+    got = sp.chirality_action_checks(scd)
+    want = [sp.chirality_action_checks(c) for c in scds]
     for k in ("gamma_anticommutation", "connection_commutation"):
         _close(got[k], [w[k] for w in want])
-    if ch.kind == "conformal":
-        _close(sp.conformal_dirac(ch, a, smd, j),
-               [sp.conformal_dirac(ch, ak, smd, jk) for ak, jk in zip(a_s, js)])
 
 
 def _two_form_residual(g_inv, low, riem):

@@ -80,6 +80,22 @@ def test_spin_connection_rejects_real_potential():
         sp.build_spin_connection(fr, smd, mj, real_pot)
 
 
+@pytest.mark.parametrize("name", ["sphere2", "poly2", "flat4"])
+def test_spin_connection_refuses_inputs_at_other_points(name):
+    # the frame and the potential must live at the metric jet's points
+    ch = get_chart(name)
+    rng = np.random.default_rng(5)
+    xs = np.array([ch.sample_point(rng) for _ in range(3)])
+    mj, other = metric_jet(ch, xs), metric_jet(ch, xs + 0.01)
+    smd, fr = sp.spin_module_data(ch.n), sp.build_frame_from_metric(mj)
+    with pytest.raises(ValueError, match="jets live at different points"):
+        sp.build_spin_connection(sp.build_frame_from_metric(other), smd, mj)
+    with pytest.raises(ValueError, match="jets live at different points"):
+        sp.build_spin_connection(fr, smd, mj, Jet.constant(np.zeros(ch.n) * 1j, other.x))
+    scd = sp.build_spin_connection(fr, smd, mj)
+    assert scd.frame is fr and scd.mj is mj and scd.smd is smd and scd.dirac is scd.dirac
+
+
 def test_dirac_routes_agree():
     rng = np.random.default_rng(3)
     for name in ("sphere2", "poly2", "hyperbolic4", "torus4"):
@@ -94,8 +110,8 @@ def test_dirac_routes_agree():
         scd = sp.build_spin_connection(fr, smd, mj, a_jets)
         for _ in range(5):
             j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
-            d1 = sp.spin_dirac(scd, smd, fr, mj, j)
-            d2 = sp.spin_dirac_alpha(scd, smd, fr, j)
+            d1 = sp.spin_dirac(scd, j)
+            d2 = sp.spin_dirac_alpha(scd, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
             assert np.max(np.abs(d1 - d2)) / scale < 1e-10, name
 
@@ -114,8 +130,8 @@ def test_conformal_closed_form_matches_generic_assembly():
             a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
             scd = sp.build_spin_connection(fr, smd, mj, a_jets)
             j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
-            d1 = sp.spin_dirac(scd, smd, fr, mj, j)
-            d2 = sp.conformal_dirac(ch, a_jets, smd, j)
+            d1 = sp.spin_dirac(scd, j)
+            d2 = sp.conformal_dirac(scd, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
             assert np.max(np.abs(d1 - d2)) / scale < 1e-9, name
 
@@ -125,10 +141,11 @@ def test_conformal_closed_form_rejects_generic_chart():
     ch = get_chart("poly2")
     smd = sp.spin_module_data(2)
     x = ch.sample_point(rng)
+    mj = metric_jet(ch, x)
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), smd, mj)
     j = random_poly_field(rng, 2, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
-    zero = Jet.constant(np.zeros(2), x)
-    with pytest.raises(ValueError):
-        sp.conformal_dirac(ch, zero, smd, j)
+    with pytest.raises(ValueError, match="needs a conformal chart"):
+        sp.conformal_dirac(scd, j)
 
 
 def test_lichnerowicz_with_and_without_potential():
@@ -149,7 +166,7 @@ def test_lichnerowicz_with_and_without_potential():
             for _ in range(3):
                 j = random_poly_field(rng, n, (smd.dim,),
                                       complex_coeffs=True).eval(x, 2)[..., None]
-                assert sp.lichnerowicz_residual(scd, smd, fr, mj, j)[0] < 1e-7, name
+                assert sp.lichnerowicz_residual(scd, j)[0] < 1e-7, name
 
 
 def test_chirality_action_checks():
@@ -158,8 +175,8 @@ def test_chirality_action_checks():
     smd = sp.spin_module_data(4)
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    fr = sp.build_frame_from_metric(mj)
-    out = sp.chirality_action_checks(smd, fr, mj)
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), smd, mj)
+    out = sp.chirality_action_checks(scd)
     assert max(out.values()) < 1e-11
     assert set(out) == {"gamma_anticommutation", "connection_commutation",
                         "chirality_squares_to_one"}

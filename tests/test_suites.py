@@ -1,6 +1,8 @@
 """Suite registry behavior: applicability, determinism, check inventory."""
 
+import inspect
 import json
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 from diracgeo import bundles, charts, cli, clifford, forms
 from diracgeo import seiberg_witten as swm
 from diracgeo import suites
-from diracgeo.charts import registry
+from diracgeo.charts import chart_from_config, get_chart, registry
 from diracgeo.forms import FieldLayout, PolyField, random_poly_field
 from diracgeo.jets import Jet
 from diracgeo.report import render_json
-from diracgeo.suites import (CHART_SUITES, SUITE_NAMES, SuiteUsageError,
+from diracgeo.suites import (CHART_SUITES, SUITE_NAMES, SuiteUsageError, _Points, _Run,
                              run_suite)
 from scaled_chart import scaled
 
@@ -141,8 +143,7 @@ def test_clifford_checks_hold_on_a_scaled_metric(chart, scale):
 
 def _scaled_run(suite, chart, scale, seed):
     """``suite`` on ``chart`` scaled by ``scale`` (``scaled_chart.scaled``), 5 samples."""
-    with scaled(chart, scale):
-        return run_suite(suite, chart=chart, seed=seed, samples=5)
+    return run_suite(suite, chart=scaled(get_chart(chart), scale), seed=seed, samples=5)
 
 
 @pytest.mark.parametrize("chart, scale, seed", [("poly4", 1e-5, 1), ("poly4", 1e-5, 3),
@@ -251,6 +252,68 @@ def test_every_chart_suite_holds_on_a_scaled_chart(chart, scale):
             assert rep.checks and not _failing(rep), (suite, seed, _failing(rep))
     spinless = chart in ("flat3", "minkowski4", "poly3", "torus3")
     assert refused == ({"lichnerowicz"} if spinless else set())
+
+
+CONFIG_CHARTS = [{"kind": "flat", "dimension": 3}, {"kind": "torus", "dimension": 2},
+                 {"kind": "minkowski", "dimension": 4},
+                 {"kind": "conformal", "dimension": 2, "lambda": "sphere"},
+                 {"kind": "conformal", "dimension": 4, "lambda": "hyperbolic"},
+                 {"kind": "polynomial", "dimension": 2, "coefficients": [11, 0.05]},
+                 {"kind": "polynomial", "dimension": 4}]
+
+
+@pytest.mark.parametrize("cfg", CONFIG_CHARTS)
+def test_every_chart_suite_passes_on_a_config_chart(cfg):
+    # a chart that is in no registry reaches every suite as itself
+    chart = chart_from_config({"name": "custom", **cfg})
+    assert "custom" not in registry()
+    for suite in CHART_SUITES:
+        try:
+            rep = run_suite(suite, chart=chart, seed=1, samples=5)
+        except SuiteUsageError:
+            assert suite == "lichnerowicz" and (chart.n % 2 or chart.negatives)
+            continue
+        assert rep.chart == "custom" and rep.checks and not _failing(rep), (suite, _failing(rep))
+    assert run_suite("all", chart=chart, seed=1, samples=5).passed
+
+
+def test_a_renamed_chart_keeps_its_own_scalar_reference():
+    # the reference is the chart's, not its name's
+    poly = chart_from_config({"name": "sphere2", "kind": "polynomial", "dimension": 2})
+    rep = run_suite("levi-civita", chart=poly, seed=1, samples=5)
+    assert rep.passed and "levi-civita-scalar-reference" not in {c.check_id for c in rep.checks}
+    hyp = chart_from_config({"name": "sphere2", "kind": "conformal", "dimension": 2,
+                             "lambda": "hyperbolic"})
+    rep = run_suite("levi-civita", chart=hyp, seed=1, samples=5)
+    check, = (c for c in rep.checks if c.check_id == "levi-civita-scalar-reference")
+    assert check.passed and check.identity == "scalar curvature equals -2 on sphere2"
+
+
+def _cross_parity_eval(monkeypatch):
+    """``SuperconnectionData.eval`` with each blade's entries scattered onto
+    the slots of the other eta-parity."""
+    src = textwrap.dedent(inspect.getsource(bundles.SuperconnectionData.eval))
+    right = "np.flatnonzero(self.allowed(mask))"
+    assert src.count(right) == 1
+    scope = {}
+    exec(src.replace(right, "np.flatnonzero(~self.allowed(mask))"), vars(bundles), scope)
+    monkeypatch.setattr(bundles.SuperconnectionData, "eval", scope["eval"])
+
+
+@pytest.mark.parametrize("chart", ["sphere2", "poly3", "sphere4", "poly4"])
+def test_parity_check_sees_blades_on_the_wrong_parity(monkeypatch, chart):
+    # on correct code D's connection is even and its zero-order part odd to
+    # the bit; with every blade on the other parity's entries, every other
+    # superconnection and laplacian check still passes
+    def parity(rep):
+        check, = (c for c in rep.checks if c.check_id == "superconnection-parity")
+        return check.max_residual
+
+    assert parity(run_suite("superconnection", chart=chart, seed=1, samples=5)) == 0.0
+    _cross_parity_eval(monkeypatch)
+    rep = run_suite("superconnection", chart=chart, seed=1, samples=5)
+    assert _failing(rep) == {"superconnection-parity"} and parity(rep) >= 100
+    assert run_suite("laplacian", chart=chart, seed=1, samples=5).passed
 
 
 def test_symbol_roundtrip_fails_under_the_parity_swapped_recursion(parity_swapped_tables):
@@ -372,7 +435,7 @@ def test_runner_draws_points_first_then_fields_point_major(chart, order):
     # would: points first, then per point its draws in turn, and per draw
     # its layouts in turn; each layout is one block, draw k in column k,
     # carrying the orders asked for
-    run = suites._Run("hodge", chart, 5, 3)
+    run = _Run("hodge", _Points(get_chart(chart), 5, 3))
     rng, n = _after_points(run, 5), run.n
     layouts = [FieldLayout(n, (2,)), FieldLayout.form(n, 1, True), FieldLayout(n, (1 << n,)),
                FieldLayout(n, (), 3, True), FieldLayout(n, (2, 3), 1, True, (0, 3))]
@@ -390,7 +453,7 @@ def test_runner_draws_points_first_then_fields_point_major(chart, order):
                 assert np.max(np.abs(g[..., k] - w)) <= 1e-15 * max(1.0, np.max(np.abs(w)))
     assert run.rng.uniform() == rng.uniform()
     assert len(run.head.x) == 3 and run.head is run.mj
-    big = suites._Run("hodge", chart, 5, 20)
+    big = _Run("hodge", _Points(get_chart(chart), 5, 20))
     assert np.array_equal(big.head.x, big.xs[:5])
 
 
@@ -399,7 +462,7 @@ def test_runner_draws_points_first_then_fields_point_major(chart, order):
 def test_cartan_draws_are_those_of_the_per_point_loop(chart, seed):
     # per (point, draw): the degree p, two forms of every degree, two vector
     # fields and a pure p-form, as cartan drew them one point at a time
-    run = suites._Run("cartan", chart, seed, 3)
+    run = _Run("cartan", _Points(get_chart(chart), seed, 3))
     rng, n = _after_points(run, seed), run.n
     at = np.repeat(run.xs, suites.JETS_PER_POINT, 0)
     every = tuple(sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m)))
@@ -421,7 +484,7 @@ def test_cartan_draws_are_those_of_the_per_point_loop(chart, seed):
 @pytest.mark.parametrize("chart", ["sphere2", "poly3", "sphere4"])
 def test_antilinear_draws_are_those_of_the_per_point_loop(chart, seed):
     # per head point a complex 1-form, then c from two normals
-    run = suites._Run("hodge", chart, seed, 20)
+    run = _Run("hodge", _Points(get_chart(chart), seed, 20))
     rng, at = _after_points(run, seed), run.head.x
     loop = [(random_poly_field(rng, *FieldLayout.form(run.n, 1, True)),
              complex(rng.normal(), rng.normal())) for _ in at]
