@@ -395,8 +395,7 @@ def column_gap(a, b, *terms, nb: int = 1):
 
 def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
     """D psi on a block of section 1-jets, fiber (m, K)."""
-    if D.x is not j.x:
-        check_point(D.x, j.x)
+    check_point(D.x, j.x)
     if j.val.shape[j.nb:-1] != (D.m,):
         raise ValueError(f"a section block needs fiber (m, K) with m = {D.m}, "
                          f"not {j.val.shape[j.nb:]}")
@@ -418,6 +417,7 @@ def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple:
 def _second_covariant(A: Jet, j: Jet):
     """M_k psi and M_i M_k psi for M_k = partial_k + A_k on a block of section
     2-jets, fiber (m, K), indexed [k, a, c] and [i, k, a, c]."""
+    check_point(A.x, j.x)
     a, v, dd = _fold(A.val), j.val, j.dd.shape       # a as the rows [(k, a), b]
     mk = j.d + (a @ v).reshape(j.d.shape)
     # summed in place into the first product, one block alive at a time

@@ -32,8 +32,8 @@ class DegenerateMetricError(ValueError):
 def config_integer(value, what: str, error=ValueError, low=None) -> int:
     """An integral number as an int, at least ``low`` if given; int() would
     truncate 9.7 and take True."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())):
+    if type(value) is not int and (isinstance(value, bool) or not (isinstance(
+            value, numbers.Integral) or isinstance(value, float) and value.is_integer())):
         raise error(f"{what} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{what} must be at least {low}, got {value!r}")

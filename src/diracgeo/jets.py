@@ -39,7 +39,7 @@ _ALL = slice(None)
 
 
 def check_point(x: np.ndarray, y: np.ndarray) -> None:
-    """Raise unless two jets' points agree; callers test ``x is y`` first."""
+    """Raise unless two jets' points agree; the same array passes uncompared."""
     if x is not y and not np.array_equal(x, y):
         raise ValueError("jets live at different points")
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 
@@ -56,8 +57,22 @@ def report_dict(rep: VerificationReport, timings: bool = False) -> dict:
             "samples": rep.samples, "checks": checks, "pass": rep.passed}
 
 
+# json.dumps's encoding of each scalar type of a report dict
+_SCALARS = {str: encode_basestring_ascii, bool: lambda v: "true" if v else "false",
+            int: int.__repr__, float: lambda v: float.__repr__(v) if math.isfinite(v)
+            else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"}
+
+
 def render_json(rep: VerificationReport, timings: bool = False) -> str:
-    return json.dumps(report_dict(rep, timings), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report_dict(rep, timings), indent=2, sort_keys=True)``
+    and a newline, written out directly: the report's layout is fixed."""
+    d = report_dict(rep, timings)
+    rows = ",\n".join("    {\n" + ",\n".join(f'      "{k}": {_SCALARS[type(v)](v)}'
+                                                for k, v in sorted(row.items())) + "\n    }"
+                       for row in d.pop("checks"))
+    d = {k: _SCALARS[type(v)](v) for k, v in d.items()}
+    d["checks"] = f"[\n{rows}\n  ]" if rows else "[]"
+    return "{\n" + ",\n".join(f'  "{k}": {d[k]}' for k in sorted(d)) + "\n}\n"
 
 
 def render_human(rep: VerificationReport, timings: bool = False) -> str:

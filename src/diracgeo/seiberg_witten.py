@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -66,20 +66,18 @@ def _mode_arrays(modes, hermitize: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Frequencies (M, 4), sorted, and coefficients (M, 4) per component of
     the series with the (component, k): z modes, rows exactly zero dropped;
     ``hermitize`` makes it i times a real field, z / 2 at k, conj z / 2 at -k."""
-    k = np.array([k for _, k in modes], dtype=int).reshape(-1, N_DIM)
-    z = np.zeros((len(k), N_DIM), dtype=complex)
-    z[np.arange(len(k)), [c for c, _ in modes]] = list(modes.values())
+    rows = list(modes.items())
     if hermitize:
-        k, z = np.concatenate([k, -k]), np.concatenate([z, np.conj(z)])
-    # equal k merged in lexicographic order, through one integer key per row
-    r = 2 * np.max(np.abs(k), initial=0) + 1
-    _, first, at = np.unique((k + r // 2) @ r ** np.arange(N_DIM - 1, -1, -1),
-                             return_index=True, return_inverse=True)
-    coef = np.zeros((len(first), N_DIM), dtype=complex)
-    np.add.at(coef, at, z)
+        rows += [((c, tuple(-v for v in k)), z.conjugate()) for (c, k), z in rows]
+    # equal k merged: each component summed from +0 in row order
+    merged: Dict[tuple, list] = {}
+    for (c, k), z in rows:
+        merged.setdefault(k, [0j] * N_DIM)[c] += z
+    k = sorted(merged)
+    coef = np.array([merged[q] for q in k], dtype=complex).reshape(-1, N_DIM)
     coef = 0.5j * coef if hermitize else coef
     keep = np.any(coef, axis=1)
-    return k[first][keep], coef[keep]
+    return np.array(k, dtype=int).reshape(-1, N_DIM)[keep], coef[keep]
 
 
 def _modes(rows, name: str, band: int, comps: Sequence[int],
@@ -95,9 +93,9 @@ def _modes(rows, name: str, band: int, comps: Sequence[int],
         k = tuple(config_integer(v, "mode index", SWConfigError) for v in row[1:5])
         if c not in comps:
             raise SWConfigError(f"{name} component {c} {outside}")
-        if any(abs(v) > band for v in k):
+        if max(map(abs, k)) > band:
             raise SWConfigError(f"mode {k} exceeds band {band}")
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not all((type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool))
                    and math.isfinite(v) for v in row[5:]):
             raise SWConfigError(f"re, im {row[5:]!r} must be finite numbers")
         out[(c, k)] = out.get((c, k), 0.0j) + complex(row[5], row[6])
@@ -197,12 +195,14 @@ def curvature_at(cfg: SWConfig, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def block_projector(block: str) -> np.ndarray:
     """(1 + s star) / 2 on the pair components F[j, k], j < k, with s = +1
-    on the + block and -1 on the - block: Q(psi) is self-dual on S+ and
-    anti-self-dual on S-, so this is the half of F its equation pairs with."""
-    sign = 1.0 if block == "+" else -1.0
-    return 0.5 * (np.eye(len(_PAIRS)) + sign * _STAR)
+    on the + block and -1 on the - block, read-only: Q(psi) is self-dual on
+    S+ and anti-self-dual on S-, so this is the half of F its equation pairs with."""
+    out = 0.5 * (np.eye(len(_PAIRS)) + (1.0 if block == "+" else -1.0) * _STAR)
+    out.setflags(write=False)
+    return out
 
 
 def _pair_form(v: np.ndarray) -> np.ndarray:
@@ -217,11 +217,15 @@ def block_part(f: np.ndarray, block: str) -> np.ndarray:
     return _pair_form(f[..., _ROWS, _COLS] @ block_projector(block).T)
 
 
+def _quadratic_pairs(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Q(phi, psi) on the pair components, in _PAIRS order."""
+    return -0.25 * np.einsum("...r,prs,...s->...p", np.conj(phi), _GJK, psi)
+
+
 def quadratic_form(phi: np.ndarray, psi=None) -> np.ndarray:
     """Q(phi, psi)[j, k] = -<phi, G_j G_k psi> / 4 on ordered pairs,
     antisymmetrized; sesquilinear, and Q(psi) = Q(psi, psi)."""
-    psi = phi if psi is None else psi
-    return _pair_form(-0.25 * np.einsum("...r,prs,...s->...p", np.conj(phi), _GJK, psi))
+    return _pair_form(_quadratic_pairs(phi, phi if psi is None else psi))
 
 
 def form_norm_sq(f: np.ndarray):
@@ -275,45 +279,44 @@ def sw_functional(cfg: SWConfig) -> Dict[str, float]:
     """
     n = min(cfg.grid, 4 * cfg.band + 1)
     (ka, a), (kp, p) = cfg.series
-    # the key sets: psi modes l, sums k + l, A modes k, differences l' - l
+    dpsi = 1j * kp[:, :, None] * p[:, None, :]                    # d_a psi_c
+    da = 1j * ka[:, :, None] * a[:, None, :]                      # d_j A_k
+    half_ga = np.einsum("ka,arc->krc", 0.5 * a, GAMMAS)
+    mult = 1j * (0.5 * (ka * a).sum(axis=1)[:, None] + a @ kp.T)
+    # the key sets, and the series on each with the mode axes of its keys in
+    # front: on the psi modes l, psi, sum_a G_a d_a psi and the Laplacian of
+    # psi; on the sums k + l, A_a psi, sum_a G_a A_a psi / 2 and (div A / 2 +
+    # A.d) psi, whose multiplier on psi_l is i (k / 2 + l).A_k; on the A modes
+    # k, the block's half of F; on the differences l' - l, Q and |psi|^2
     keys = [kp, ka[:, None] + kp, ka, kp - kp[:, None]]
-    folded, slot = np.unique(np.concatenate(
-        [np.mod(k, n).reshape(-1, N_DIM) @ n ** np.arange(N_DIM) for k in keys]),
-        return_inverse=True)
-    slots = np.split(slot, np.cumsum([k.size // N_DIM for k in keys])[:-1])
-
-    def fold(part, coef):
-        """The series coef on key set ``part``, the mode axes of its keys in
-        front, with its frequencies reduced mod n and equal ones summed (one
-        bincount over the real and imaginary parts of every component)."""
-        tail = coef.shape[keys[part].ndim - 1:]
-        cols = 2 * math.prod(tail)
-        at = (slots[part][:, None] * cols + np.arange(cols)).ravel()
-        out = np.bincount(at, np.ascontiguousarray(coef, complex).view(float).ravel(),
-                          len(folded) * cols)
-        return out.view(complex).reshape((len(folded),) + tail)
+    parts = [
+        np.concatenate([p, np.einsum("arc,lac->lr", GAMMAS, dpsi),
+                        -(kp ** 2).sum(axis=1)[:, None] * p], axis=1),
+        np.concatenate([a[:, None, :, None] * p[None, :, None],
+                        (half_ga @ p.T).swapaxes(1, 2)[:, :, None],
+                        mult[:, :, None, None] * p[None, :, None]], axis=2),
+        (da[:, _ROWS, _COLS] - da[:, _COLS, _ROWS]) @ block_projector(cfg.block).T,
+        np.concatenate([_quadratic_pairs(p[:, None], p[None, :]),
+                        (np.conj(p) @ p.T)[..., None]], axis=-1)]
+    # every part with its frequencies reduced mod n and equal ones summed: one
+    # bincount over the real and imaginary parts of a block matrix that holds
+    # each part in its own rows and columns, zeros elsewhere; its columns are
+    # psi, D psi and lap psi (4 each), A_a psi (4 x 4), the two sums (4 each),
+    # the half of F (6), Q (6) and |psi|^2
+    folded, slot = np.unique(np.mod(np.concatenate([k.reshape(-1, N_DIM) for k in keys]), n)
+                             @ n ** np.arange(N_DIM), return_inverse=True)
+    rows = np.cumsum([0] + [k.size // N_DIM for k in keys])
+    block = np.zeros((len(slot), 49), complex)
+    for x, r0, r1, c0, c1 in zip(parts, rows, rows[1:], (0, 12, 36, 42), (12, 36, 42, 49)):
+        block[r0:r1, c0:c1] = x.reshape(r1 - r0, c1 - c0)
+    out = np.bincount((slot[:, None] * 98 + np.arange(98)).ravel(), block.view(float).ravel(),
+                      len(folded) * 98).view(complex).reshape(len(folded), 49)
+    cuts = (0, 4, 8, 12, 28, 32, 36, 42, 48, 49)
+    psi, dirac, lap, a_psi, dirac_a, nabla_a, fblock, q, psi_sq = (
+        out[:, i:j] for i, j in zip(cuts, cuts[1:]))
 
     def norm_sq(x):
         return np.vdot(x, x).real
-
-    dpsi = 1j * kp[:, :, None] * p[:, None, :]                    # d_a psi_c
-    da = 1j * ka[:, :, None] * a[:, None, :]                      # d_j A_k
-    # on the psi modes: psi, sum_a G_a d_a psi and the Laplacian of psi
-    psi, dirac, lap = np.split(fold(0, np.stack(
-        [p, np.einsum("arc,lac->lr", GAMMAS, dpsi), -np.sum(kp ** 2, axis=1)[:, None] * p],
-        axis=1)), 3, axis=1)
-    # on the sums: A_a psi, sum_a G_a A_a psi / 2 and (div A / 2 + A.d) psi,
-    # whose multiplier on psi_l is i (k / 2 + l).A_k
-    half_ga = np.einsum("ka,arc->krc", 0.5 * a, GAMMAS)
-    mult = 1j * (0.5 * np.sum(ka * a, axis=1)[:, None] + a @ kp.T)
-    a_psi, dirac_a, nabla_a = np.split(fold(1, np.concatenate(
-        [a[:, None, :, None] * p[None, :, None], np.swapaxes(half_ga @ p.T, 1, 2)[:, :, None],
-         mult[:, :, None, None] * p[None, :, None]], axis=2)), [N_DIM, N_DIM + 1], axis=1)
-    # on the A modes, the block's half of F; on the differences, Q and |psi|^2
-    fblock = fold(2, (da[:, _ROWS, _COLS] - da[:, _COLS, _ROWS]) @ block_projector(cfg.block).T)
-    q, psi_sq = np.split(fold(3, np.concatenate(
-        [quadratic_form(p[:, None], p[None, :])[..., _ROWS, _COLS],
-         (np.conj(p) @ p.T)[..., None]], axis=-1)), [len(_PAIRS)], axis=1)
 
     # D = sum_a G_a (d_a + A_a / 2) psi; the connection Laplacian
     # -sum_a (d_a + A_a / 2)^2 psi paired with psi is, but for its A.A term

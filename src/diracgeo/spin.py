@@ -26,7 +26,7 @@ from .bundles import (DiracOperatorData, ModuleSpec, _fold, _fold_index,
                       apply_dirac, canonical_laplacian, column_gap, dirac_square)
 from .charts import MetricJet
 from .clifford import blade_tables, contract
-from .jets import Jet, jet_sqrt, relative, sample_max, seed_point
+from .jets import Jet, check_point, jet_sqrt, relative, sample_max, seed_point
 
 
 class SpinSignatureError(ValueError):
@@ -243,6 +243,7 @@ def spin_dirac_alpha(scd: SpinConnectionData, j: Jet) -> np.ndarray:
 def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
     """gamma^a (partial_a + A_a / 2) psi at the point, on a block psi (m, K):
     the index a folded into the fiber, one product."""
+    check_point(a_pot.x, j.x)
     return _fold_index(gammas) @ _fold(
         j.d + 0.5 * a_pot.val[..., :, None, None] * j.val[..., None, :, :])
 

@@ -691,19 +691,20 @@ def sw_suite(seed: int, samples: int,
     rep = VerificationReport("sw", "torus4", seed, samples)
     # one draw of (samples, 4) is the stream of one draw of 4 per sample
     pts = rng.uniform(0.0, 2.0 * np.pi, (samples, 4))
+    psi = swm.spinor_at(cfg, pts)[0]
 
     def self_dual_projector():
         # the block's half of F is a fixed point, Q(psi) lies in it, and the
         # projector is (1 +- star) / 2
         half = 0.5 * (np.eye(6) + (1.0 if cfg.block == "+" else -1.0) * _levi_civita_star())
         fp = swm.block_part(swm.curvature_at(cfg, pts), cfg.block)
-        q = swm.quadratic_form(swm.spinor_at(cfg, pts)[0])
+        q = swm.quadratic_form(psi)
         return np.append(_samples_amax(*(swm.block_part(a, cfg.block) - a for a in (fp, q))),
                          np.max(np.abs(swm.block_projector(cfg.block) - half)))
 
     half = "self-dual" if cfg.block == "+" else "anti-self-dual"
     _timed(rep, "sw-quadratic-identity", "|Q(psi)|^2 = |psi|^4 / 8", 1e-10,
-           lambda: swm.quadratic_identity_residual(swm.spinor_at(cfg, pts)[0]))
+           lambda: swm.quadratic_identity_residual(psi))
     _timed(rep, "sw-self-dual-projector",
            f"F{cfg.block} = (1 {cfg.block} star) F / 2 is a fixed "
            f"point; Q(psi) is {half} on the {cfg.block} block", 1e-12, self_dual_projector)

@@ -79,3 +79,23 @@ def test_render_human_layout():
     assert "ms" not in txt
     timed = render_human(_sample_report(), timings=True)
     assert "ms" in timed
+
+
+def _odd_reports():
+    """Reports with NaN and infinite residuals, escapes, non-ASCII names,
+    a check without a wall time, and no checks at all."""
+    rep = VerificationReport("sw", "tórus4 ∂", -7, 12)
+    rep.add("z-nan", "|F| = \"0\"\\ \t ok", float("nan"), 1e-10, wall_time=1.5e-4)
+    rep.add("a-inf", "Q(ψ) ∈ Λ+", float("inf"), 1e-12, wall_time=0.0)
+    rep.add("m-neg-inf", "x < y", float("-inf"), 1e-300, wall_time=2.0)
+    rep.add("b-zero", "-0 = 0", -0.0, 5e-324)
+    rep.add("c-bare", "tiny and huge", 1.7976931348623157e308, 1e16)
+    return [rep, VerificationReport("empty", "flat2", 0, 0), _sample_report()]
+
+
+def test_render_json_equals_the_json_module_byte_for_byte():
+    for rep in _odd_reports():
+        for timings in (False, True):
+            want = json.dumps(report_dict(rep, timings), indent=2, sort_keys=True) + "\n"
+            assert render_json(rep, timings) == want
+    assert '"checks": []' in render_json(_odd_reports()[1])

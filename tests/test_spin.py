@@ -96,6 +96,31 @@ def test_spin_connection_refuses_inputs_at_other_points(name):
     assert scd.frame is fr and scd.mj is mj and scd.smd is smd and scd.dirac is scd.dirac
 
 
+def test_spin_routes_refuse_spinors_at_other_points():
+    # every route that applies the connection to a spinor block reads the
+    # block at the connection's points, as spin_dirac does
+    from diracgeo import bundles as bnd
+    ch = get_chart("sphere2")
+    rng = np.random.default_rng(5)
+    xs = np.array([ch.sample_point(rng) for _ in range(2)])
+    mj = metric_jet(ch, xs)
+    smd = sp.spin_module_data(2)
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), smd, mj)
+    field = random_poly_field(rng, 2, (smd.dim,), complex_coeffs=True)
+    here, there = (field.eval(x, 2)[..., None] for x in (xs, xs + 0.3))
+    routes = {"spin_dirac": sp.spin_dirac, "spin_dirac_alpha": sp.spin_dirac_alpha,
+              "conformal_dirac": sp.conformal_dirac,
+              "lichnerowicz_residual": sp.lichnerowicz_residual,
+              "slash": lambda s, j: sp._slash(s.smd.gammas, j, s.a_pot),
+              "dirac_square": lambda s, j: bnd.dirac_square(s.dirac, j),
+              "canonical_laplacian": lambda s, j: bnd.canonical_laplacian(s.omega, s.mj, j)}
+    for name, route in routes.items():
+        route(scd, here)
+        with pytest.raises(ValueError, match="jets live at different points"):
+            route(scd, there)
+            pytest.fail(f"{name} accepted a spinor block at other points")
+
+
 def test_dirac_routes_agree():
     rng = np.random.default_rng(3)
     for name in ("sphere2", "poly2", "hyperbolic4", "torus4"):
