@@ -28,15 +28,16 @@ superconnection must have eta-parity (-1)^(p+1).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .charts import MetricJet, _readonly, config_integer, config_keys
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
-from .forms import (PolyField, _jet_rows, _split_rows, exponent_table,
+from .forms import (PolyField, _jet_rows, _monomial_rows, _split_rows, exponent_table,
                     exterior_derivative, exterior_gammas, iota_vector,
                     levi_civita_exterior_connection,  # re-exported for bundle callers
                     random_poly_field, vector_bracket)
@@ -89,6 +90,15 @@ class ModuleSpec:
     m: int
     eta: np.ndarray
     gammas: Callable[[MetricJet], Jet]
+    _maps: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, compare=False)
+
+    def quantization(self, mj: MetricJet, order: int) -> Callable[[int], Jet]:
+        """``clifford.quantize_blades`` on the gammas at ``mj`` to ``order``
+        orders: one map per (metric jet, order), kept while the jet lives."""
+        maps = self._maps.setdefault(mj, {})
+        if order not in maps:
+            maps[order] = quantize_blades(self.gammas(mj).truncate(order), np.eye(self.m))
+        return maps[order]
 
 
 def exterior_module(n: int) -> ModuleSpec:
@@ -161,22 +171,19 @@ class SuperconnectionData:
 
     def eval(self, x, order: int = 2) -> Jet:
         """omega_I at x on the blade axis, fiber (2^n, m, m), to ``order``;
-        absent blades are zero.  The blades of one exponent table are evaluated
-        in one product, whose rows are scattered into one array for all orders."""
+        absent blades are zero.  Each exponent table's monomial jets are
+        evaluated once, and each blade's product with them fills its entries."""
         x = np.asarray(x, dtype=float)
-        tables = {}
+        out = np.zeros(x.shape[:-1] + (_jet_rows(self.n, order), self.m * self.m << self.n),
+                       dtype=complex)
+        monomials = {}
         for mask in self.masks:
             e = self.entries(mask)
             if len(e.exponents):
-                tables.setdefault(e.exponents.tobytes(), []).append(
-                    (e, mask * self.m * self.m + np.flatnonzero(self.allowed(mask))))
-        out = np.zeros(x.shape[:-1] + (_jet_rows(self.n, order), self.m * self.m << self.n),
-                       dtype=complex)
-        for blades in tables.values():
-            coeffs = np.concatenate([e.coeffs for e, _ in blades], -1)
-            out[..., np.concatenate([at for _, at in blades])] = PolyField(
-                self.n, blades[0][0].exponents, coeffs if self.stacked else coeffs[0],
-                stacked=self.stacked)._rows(x, order)
+                if (key := e.exponents.tobytes()) not in monomials:
+                    monomials[key] = _monomial_rows(e.exponents, x, order)
+                out[..., mask * self.m * self.m + np.flatnonzero(self.allowed(mask))] = (
+                    monomials[key] @ (e.coeffs if self.stacked else e.coeffs[0]))
         return Jet(x, *_split_rows(out, self.n, order, (1 << self.n, self.m, self.m)))
 
     def select(self, members: range, degrees=None) -> "SuperconnectionData":
@@ -316,9 +323,11 @@ def apply_superconnection(omega: Jet, fs: Jet) -> Jet:
     """ID(fs) = d fs + sum_I dx^I (x) omega_I fs, with graded tensor signs.
 
     omega_I has eta-parity (-1)^(|I|+1), so acting on a degree-K component
-    picks up the Koszul sign (-1)^((|I|+1)|K|).  fs has fiber (2^n, m).
+    picks up the Koszul sign (-1)^((|I|+1)|K|).  fs has fiber (2^n, m); the
+    product is taken only to the orders of d fs, the ones the sum keeps.
     """
-    return exterior_derivative(fs) + _graded_product(omega, fs[..., None], 1)[..., 0]
+    d = exterior_derivative(fs)
+    return d + _graded_product(omega, fs.truncate(d.order)[..., None], 1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +346,6 @@ class DiracOperatorData:
     Z: Jet
 
     @property
-    def n(self) -> int:
-        return len(self.gam)
-
-    @property
     def m(self) -> int:
         return self.Z.val.shape[-1]
 
@@ -357,24 +362,20 @@ class DiracOperatorData:
                 self.Z.d + _commutator(a, z))
 
 
-def quantize_superconnection(S: SuperconnectionData, mj: MetricJet,
-                             ms: ModuleSpec, x, order: int = 2) -> DiracOperatorData:
-    """The Dirac operator gamma^i (partial_i + A_i) + Z of a superconnection,
-    with Z = sum over blades M of degree other than 1 of q(dx^M) omega_M and
-    q the quantization map of ``clifford.quantize_blades`` on the gammas.  A and
-    Z carry ``order`` orders, the gammas two; all blades are one ``S.eval``."""
-    if S.m != ms.m:
+def quantize_superconnection(omega: Jet, masks: Sequence[int], mj: MetricJet,
+                             ms: ModuleSpec) -> DiracOperatorData:
+    """The Dirac operator gamma^i (partial_i + A_i) + Z of a superconnection
+    evaluated on the blade axis (``S.eval``), omega: A_i are its degree-1
+    blades, Z = sum over the blades M of ``masks`` of degree other than 1 of
+    q(dx^M) omega_M, q = ``ms.quantization``; A, Z carry omega's orders, the gammas two."""
+    if omega.val.shape[-1] != ms.m:
         raise ValueError("superconnection fiber dimension does not match module")
-    x = np.asarray(x, dtype=float)
-    gam = ms.gammas(mj)
-    omega = S.eval(x, order)
+    q = ms.quantization(mj, omega.order)
     # the family A_i: the degree-1 blades, on the index axis
     A = omega[[1 << i for i in range(mj.n)]]
-    q = quantize_blades(gam.truncate(order), np.eye(ms.m))
-    Z = sum((q(mask) @ omega[mask]
-             for mask in S.masks if mask.bit_count() != 1),
-            Jet.constant(np.zeros((ms.m, ms.m)), x, order))
-    return DiracOperatorData(x, gam, A, Z)
+    Z = sum((q(mask) @ omega[mask] for mask in masks if mask.bit_count() != 1),
+            Jet.constant(np.zeros((ms.m, ms.m)), omega.x, omega.order))
+    return DiracOperatorData(omega.x, ms.gammas(mj), A, Z)
 
 
 def _fold_index(t: np.ndarray) -> np.ndarray:
@@ -505,15 +506,16 @@ class LaplacianData:
     The operator is H = S^ik partial_i partial_k + T^k partial_k + U with
     S^ik = -g^ik id enforced by the Laplacian test; T carries 1-jets, fiber
     (n, m, m), so the decomposition can reach the derivative of the
-    recovered connection.
+    recovered connection.  T, from ``first_order``, and U, H on the identity
+    block (the constant sections), are built on first read.
     """
 
-    n: int
     m: int
     x: np.ndarray
     apply: Callable[[Jet], np.ndarray]
-    T: Jet
-    U: np.ndarray
+    first_order: Callable[[], Jet]
+    T = cached_property(lambda self: self.first_order())
+    U = cached_property(lambda self: self.apply(Jet.constant(np.eye(self.m), self.x)))
 
 
 def _trace_gamma(mj: MetricJet) -> np.ndarray:
@@ -537,8 +539,7 @@ def _lower_index(metric: Jet, family: Jet) -> Jet:
 
 def laplacian_from_connection(A: Jet, F: np.ndarray,
                               mj: MetricJet, x) -> LaplacianData:
-    """H = canonical Laplacian of A plus zero-order F; its zero-order
-    coefficient U is H on the constant sections, the identity block."""
+    """H = canonical Laplacian of A plus zero-order F."""
     m = F.shape[-1]
     x = np.asarray(x, dtype=float)
 
@@ -546,8 +547,8 @@ def laplacian_from_connection(A: Jet, F: np.ndarray,
         return canonical_laplacian(A, mj, j) + F @ j.val
 
     # T^k = -2 g^ik A_i + g^ij Gamma^k_ij id
-    T = _lower_index(Jet(x, mj.g_inv, mj.dg_inv), A) * -2.0 + _trace_gamma_jet(mj, m)
-    return LaplacianData(mj.n, m, x, apply_h, T, apply_h(Jet.constant(np.eye(m), x)))
+    return LaplacianData(m, x, apply_h, lambda: _lower_index(
+        Jet(x, mj.g_inv, mj.dg_inv), A) * -2.0 + _trace_gamma_jet(mj, m))
 
 
 def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
@@ -560,16 +561,14 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
       T^k = g^k g^i A_i + g^i g^k A_i + g^i (d_i g^k + [A_i, g^k])
           + g^k Z + Z g^k
           = g^k W + W g^k + g^i d_i g^k,   W = g^i A_i + Z,
-    since g^i g^k A_i + g^i [A_i, g^k] = g^i A_i g^k.  The zero-order
-    coefficient U is D^2 on the constant sections: the identity block.
-    """
-    # T is read to first order only, so its products run on 1-jets
-    g1 = D.gam.truncate(1)
-    W = (g1 @ D.A.truncate(1)).sum() + D.Z.truncate(1)
-    T = g1 @ W + W @ g1 + (g1[:, None] @ D.gam.gradient()).sum()
-    x = np.asarray(D.x, dtype=float)
-    return LaplacianData(D.n, D.m, x, partial(dirac_square, D), T,
-                         dirac_square(D, Jet.constant(np.eye(D.m), x)))
+    since g^i g^k A_i + g^i [A_i, g^k] = g^i A_i g^k."""
+    def first_order() -> Jet:
+        # T is read to first order only, so its products run on 1-jets
+        g1 = D.gam.truncate(1)
+        W = (g1 @ D.A.truncate(1)).sum() + D.Z.truncate(1)
+        return g1 @ W + W @ g1 + (g1[:, None] @ D.gam.gradient()).sum()
+
+    return LaplacianData(D.m, np.asarray(D.x, dtype=float), partial(dirac_square, D), first_order)
 
 
 def laplacian_decompose(L: LaplacianData, mj: MetricJet):
@@ -659,8 +658,9 @@ def kernel_projector(mj: MetricJet, ms: ModuleSpec):
 
 def is_special_superconnection(S: SuperconnectionData, points: Sequence,
                                tol: float = 1e-12):
-    """True iff every degree >= 2 component vanishes at all sample points,
-    and the largest such component; only those blades' entries are read.  A
+    """True iff every degree >= 2 component vanishes at all sample points, and
+    the largest component of the blades read: those blades, in turn, until
+    every member has a component above ``tol``, which decides its verdict.  A
     stack of P superconnections gets one verdict and one value per member,
     each read at every point."""
     points = np.asarray(points, dtype=float).reshape(-1, S.n)
@@ -670,6 +670,8 @@ def is_special_superconnection(S: SuperconnectionData, points: Sequence,
         if mask.bit_count() >= 2:
             omega = S.entries(mask).jet(points, order=0)[0]
             worst = np.maximum(worst, np.max(np.abs(omega), axis=(0, 2), initial=0.0))
+            if np.all(worst > tol):
+                break
     if not S.stacked:
         worst = float(worst[0])
     return worst <= tol, worst

@@ -104,7 +104,7 @@ def cmd_dirac(args) -> int:
             S = bnd.superconnection_from_config(json.load(fh), n, ms)
     else:
         S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, {1: "zero"})
-    D = bnd.quantize_superconnection(S, mj, ms, x)
+    D = bnd.quantize_superconnection(S.eval(x, 2), S.masks, mj, ms)
     # five draws of f, then psi, one call each on one-column blocks; np.max
     # keeps a NaN residual, which then fails the gate
     fields = [FieldLayout(n, (), complex_coeffs=True),

@@ -142,6 +142,15 @@ def _jet_rows(n: int, order: int) -> int:
     return (1, 1 + n, 1 + n + n * n)[order]
 
 
+def _monomial_rows(exponents: np.ndarray, x, order: int) -> np.ndarray:
+    """The jet rows of every monomial x^E at x, shape (..., rows, T): all
+    monomial jets at all points at once, for a product with coefficients (T, E)."""
+    monos, index, mults = _jet_table(exponents)
+    rows = _jet_rows(exponents.shape[1], order)
+    values = np.multiply.reduce(np.asarray(x, dtype=float)[..., None, :] ** monos, axis=-1)
+    return mults[:rows] * values[..., index[:rows]]
+
+
 def _split_rows(out: np.ndarray, n: int, order: int, shape: tuple) -> tuple:
     """Jet rows (..., rows, slots) as views shaped S, (n, *S), (n, n, *S) behind
     the leading axes, for a fiber S of ``shape``; orders above ``order`` are None."""
@@ -197,26 +206,13 @@ class PolyField:
         coeffs[(slice(None),) * len(lead) + (list(self.masks),)] = self.coeffs
         return PolyField(self.n, self.exponents, coeffs, stacked=self.stacked)
 
-    def _rows(self, x, order: int) -> np.ndarray:
-        """Jet rows (value, d_k, d_k d_l) by fiber slot, shape (*B, rows, slots).
-
-        All monomial jets at all points are evaluated at once and contracted
-        with the coefficients in one product.
-        """
-        monos, index, mults = _jet_table(self.exponents)
-        rows = _jet_rows(self.n, order)
-        values = np.multiply.reduce(np.asarray(x, dtype=float)[..., None, :] ** monos,
-                                    axis=-1)
-        lead = self.coeffs.shape[:1 + self.stacked]
-        coeffs = self.coeffs.reshape(lead + (prod(self.coeffs.shape[len(lead):]),))
-        return (mults[:rows] * values[..., index[:rows]]) @ coeffs
-
     def jet(self, x, order: int = 2):
         """Value, gradient and Hessian at x, shaped S, (n, *S), (n, n, *S),
         behind the sample axis of a stack x (P, n); orders above ``order``
-        are None."""
-        return _split_rows(self._rows(x, order), self.n, order,
-                           self.coeffs.shape[1 + self.stacked:])
+        are None.  The monomial jets meet the coefficients in one product."""
+        lead, fiber = self.coeffs.shape[:1 + self.stacked], self.coeffs.shape[1 + self.stacked:]
+        rows = _monomial_rows(self.exponents, x, order) @ self.coeffs.reshape(lead + (prod(fiber),))
+        return _split_rows(rows, self.n, order, fiber)
 
     def eval(self, x, order: int = 2) -> Jet:
         """The jet at x, with a form's slots placed on the blade axis."""

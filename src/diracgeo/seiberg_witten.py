@@ -164,29 +164,39 @@ def random_sw_config(rng, band: int = 2, grid: int = 16, block: str = "+",
 # ---------------------------------------------------------------------------
 
 
-def _series_at(series, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Values (..., C) and partials (..., 4, C) of the C trig series
-    ``series`` = (frequencies, coefficients) at x, a point (4,) or a stack
-    (P, 4): the phases exp(i k.x), contracted with the coefficients."""
-    k, coef = series
-    phase = np.exp(1j * (np.asarray(x, dtype=float) @ k.T))
-    return phase @ coef, (1j * k.T * phase[..., None, :]) @ coef
+def _series_at(series, x) -> np.ndarray:
+    """The phases exp(i k.x), (..., M), of the trig series ``series`` = (k,
+    coefficients) at x, a point (4,) or a stack (P, 4): its values are their
+    product with the coefficients, its partials that of ``_partials``."""
+    return np.exp(1j * (np.asarray(x, dtype=float) @ series[0].T))
+
+
+def _partials(series, phase: np.ndarray) -> np.ndarray:
+    """Partials (..., 4, C) of the C series from their phases."""
+    return (1j * series[0].T * phase[..., None, :]) @ series[1]
 
 
 def potential_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
     """Values A_a(x) and derivatives dA[a, b] = partial_a A_b, purely
     imaginary; a stack of points x (P, 4) puts P in front."""
-    return _series_at(cfg.series[0], x)
+    phase = _series_at(cfg.series[0], x)
+    return phase @ cfg.series[0][1], _partials(cfg.series[0], phase)
 
 
 def spinor_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
     """Values psi(x) in C^4 and derivatives dpsi[a, c], as ``potential_at``."""
-    return _series_at(cfg.series[1], x)
+    phase = _series_at(cfg.series[1], x)
+    return phase @ cfg.series[1][1], _partials(cfg.series[1], phase)
+
+
+def spinor_values_at(cfg: SWConfig, x) -> np.ndarray:
+    """The values of ``spinor_at`` alone."""
+    return _series_at(cfg.series[1], x) @ cfg.series[1][1]
 
 
 def curvature_at(cfg: SWConfig, x) -> np.ndarray:
     """F = dA as the antisymmetric array F[a, b] = dA_b/dx_a - dA_a/dx_b."""
-    _, dval = potential_at(cfg, x)
+    dval = _partials(cfg.series[0], _series_at(cfg.series[0], x))
     return dval - np.swapaxes(dval, -1, -2)
 
 
@@ -212,12 +222,17 @@ def _pair_form(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def pair_components(f: np.ndarray) -> np.ndarray:
+    """The components f[..., j, k], j < k, of a 4 x 4 array, in _PAIRS order."""
+    return f[..., _ROWS, _COLS]
+
+
 def block_part(f: np.ndarray, block: str) -> np.ndarray:
     """The block's half (F +- star F) / 2 of an antisymmetric 2-form array."""
-    return _pair_form(f[..., _ROWS, _COLS] @ block_projector(block).T)
+    return _pair_form(pair_components(f) @ block_projector(block).T)
 
 
-def _quadratic_pairs(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def quadratic_pairs(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Q(phi, psi) on the pair components, in _PAIRS order."""
     return -0.25 * np.einsum("...r,prs,...s->...p", np.conj(phi), _GJK, psi)
 
@@ -225,18 +240,19 @@ def _quadratic_pairs(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def quadratic_form(phi: np.ndarray, psi=None) -> np.ndarray:
     """Q(phi, psi)[j, k] = -<phi, G_j G_k psi> / 4 on ordered pairs,
     antisymmetrized; sesquilinear, and Q(psi) = Q(psi, psi)."""
-    return _pair_form(_quadratic_pairs(phi, phi if psi is None else psi))
+    return _pair_form(quadratic_pairs(phi, phi if psi is None else psi))
 
 
 def form_norm_sq(f: np.ndarray):
     """Squared norm summed over ordered index pairs."""
-    return np.sum(np.abs(f[..., _ROWS, _COLS]) ** 2, axis=-1)
+    return np.sum(np.abs(pair_components(f)) ** 2, axis=-1)
 
 
-def quadratic_identity_residual(psi: np.ndarray):
-    """|Q(psi)|^2 - |psi|^4 / 8, relative to the size of |psi|^4 / 8."""
+def quadratic_identity_residual(psi: np.ndarray, q=None):
+    """|Q(psi)|^2 - |psi|^4 / 8 relative to |psi|^4 / 8; q is ``quadratic_pairs(psi, psi)``."""
     quartic = np.sum(np.abs(psi) ** 2, axis=-1) ** 2 / 8.0
-    return relative(np.abs(form_norm_sq(quadratic_form(psi)) - quartic), quartic)
+    q = quadratic_pairs(psi, psi) if q is None else q
+    return relative(np.abs(np.sum(np.abs(q) ** 2, axis=-1) - quartic), quartic)
 
 
 def sw_residuals(cfg: SWConfig, x) -> Dict[str, float]:
@@ -296,7 +312,7 @@ def sw_functional(cfg: SWConfig) -> Dict[str, float]:
                         (half_ga @ p.T).swapaxes(1, 2)[:, :, None],
                         mult[:, :, None, None] * p[None, :, None]], axis=2),
         (da[:, _ROWS, _COLS] - da[:, _COLS, _ROWS]) @ block_projector(cfg.block).T,
-        np.concatenate([_quadratic_pairs(p[:, None], p[None, :]),
+        np.concatenate([quadratic_pairs(p[:, None], p[None, :]),
                         (np.conj(p) @ p.T)[..., None]], axis=-1)]
     # every part with its frequencies reduced mod n and equal ones summed: one
     # bincount over the real and imaginary parts of a block matrix that holds

@@ -353,17 +353,17 @@ def _superconnections(ms: bnd.ModuleSpec, n: int, count: int, base_seed: int,
     points k < count, random in degrees 0, 1 and 2 unless ``specs`` says."""
     return bnd.superconnection_from_degrees(
         n, ms.m, ms.eta, specs or {0: "random", 1: "random", 2: "random"},
-        base_seed + np.arange(count))
+        [base_seed + k for k in range(count)])   # Python ints: any base seed runs
 
 
 def laplacian_suite(pts: _Points) -> VerificationReport:
     run = _Run("laplacian", pts)
     n, xs, mj = run.n, run.xs, run.mj
-    ms = bnd.exterior_module(n)
-    m = ms.m
-    # D^2 and its coefficient jets read A and Z to first order
-    H = bnd.laplacian_from_dirac(bnd.quantize_superconnection(
-        _superconnections(ms, n, len(xs), run.seed), mj, ms, xs, order=1), mj)
+    ms, m = bnd.exterior_module(n), 1 << n
+    # D^2 and its coefficient jets read A and Z to first order; S is not kept
+    S = _superconnections(ms, n, len(xs), run.seed)
+    H = bnd.laplacian_from_dirac(bnd.quantize_superconnection(S.eval(xs, 1), S.masks, mj, ms), mj)
+    del S
 
     section = [FieldLayout(n, (m,), complex_coeffs=True)]
 
@@ -409,16 +409,15 @@ def laplacian_suite(pts: _Points) -> VerificationReport:
 def superconnection_suite(pts: _Points) -> VerificationReport:
     run = _Run("superconnection", pts)
     n, xs, mj, seed = run.n, run.xs, run.mj, run.seed
-    ms = bnd.exterior_module(n)
-    m = ms.m
+    ms, m = bnd.exterior_module(n), 1 << n
     # the affine and later checks run on the first few points
     head = run.head
     hx, few = head.x, len(head.x)
     # the commutator check reads the operator's values only; S keeps D's first
     # few members, the affine check selects its degrees 1 and 2, and the
-    # curvature check evaluates it
+    # curvature check evaluates it; D, D_1 and D_2 share ms's quantization maps
     S = _superconnections(ms, n, len(xs), seed)
-    D = bnd.quantize_superconnection(S, mj, ms, xs, order=0)
+    D = bnd.quantize_superconnection(S.eval(xs, 0), S.masks, mj, ms)
     S = S.select(range(few))
 
     def parity_enforced():
@@ -436,7 +435,7 @@ def superconnection_suite(pts: _Points) -> VerificationReport:
         return float(bad)
 
     def affine_multiplication():
-        D1, D2 = (bnd.quantize_superconnection(S1, head, ms, hx, order=0) for S1 in (
+        D1, D2 = (bnd.quantize_superconnection(S1.eval(hx, 0), S1.masks, head, ms) for S1 in (
             S.select(range(few), (1, 2)),
             _superconnections(ms, n, few, seed + 1000, {1: "random", 3: "constant"})))
         j, = run.draws([FieldLayout(n, (m,), complex_coeffs=True)], at=hx)
@@ -449,11 +448,11 @@ def superconnection_suite(pts: _Points) -> VerificationReport:
     def special_predicate():
         # trial t < 30 has base seed seed + t and a degree-2 part only when t
         # is odd, constant when t = 1 mod 4; one stack per kind of trial
-        kinds = (({}, np.arange(0, 30, 2)), ({2: "constant"}, np.arange(1, 30, 4)),
-                 ({2: "random"}, np.arange(3, 30, 4)))
+        kinds = (({}, range(0, 30, 2)), ({2: "constant"}, range(1, 30, 4)),
+                 ({2: "random"}, range(3, 30, 4)))
         return float(sum(np.sum(bnd.is_special_superconnection(
             bnd.superconnection_from_degrees(n, m, ms.eta, {0: "random", 1: "random"} | top,
-                                             seed + trials), xs[:6])[0] != (not top))
+                                             [seed + t for t in trials]), xs[:6])[0] != (not top))
             for top, trials in kinds))
 
     def curvature_dual():
@@ -691,20 +690,22 @@ def sw_suite(seed: int, samples: int,
     rep = VerificationReport("sw", "torus4", seed, samples)
     # one draw of (samples, 4) is the stream of one draw of 4 per sample
     pts = rng.uniform(0.0, 2.0 * np.pi, (samples, 4))
-    psi = swm.spinor_at(cfg, pts)[0]
+    # psi's values and Q(psi), on the pair components j < k, serve both checks
+    psi = swm.spinor_values_at(cfg, pts)
+    q = swm.quadratic_pairs(psi, psi)
 
     def self_dual_projector():
         # the block's half of F is a fixed point, Q(psi) lies in it, and the
-        # projector is (1 +- star) / 2
+        # projector is (1 +- star) / 2; forms are read on their pair components
+        proj = swm.block_projector(cfg.block)
         half = 0.5 * (np.eye(6) + (1.0 if cfg.block == "+" else -1.0) * _levi_civita_star())
-        fp = swm.block_part(swm.curvature_at(cfg, pts), cfg.block)
-        q = swm.quadratic_form(psi)
-        return np.append(_samples_amax(*(swm.block_part(a, cfg.block) - a for a in (fp, q))),
-                         np.max(np.abs(swm.block_projector(cfg.block) - half)))
+        fp = swm.pair_components(swm.curvature_at(cfg, pts)) @ proj.T
+        return np.append(_samples_amax(*(a @ proj.T - a for a in (fp, q))),
+                         np.max(np.abs(proj - half)))
 
     half = "self-dual" if cfg.block == "+" else "anti-self-dual"
     _timed(rep, "sw-quadratic-identity", "|Q(psi)|^2 = |psi|^4 / 8", 1e-10,
-           lambda: swm.quadratic_identity_residual(psi))
+           lambda: swm.quadratic_identity_residual(psi, q))
     _timed(rep, "sw-self-dual-projector",
            f"F{cfg.block} = (1 {cfg.block} star) F / 2 is a fixed "
            f"point; Q(psi) is {half} on the {cfg.block} block", 1e-12, self_dual_projector)

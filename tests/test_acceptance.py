@@ -182,7 +182,7 @@ def test_criterion_06_laplacian_suite():
             S = bnd.superconnection_from_degrees(
                 n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"},
                 base_seed=106 + trial)
-            D = bnd.quantize_superconnection(S, mj, ms, x)
+            D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
             H = bnd.laplacian_from_dirac(D, mj)
             worst_def = max(worst_def,
                             bnd.lap_identity_residual(H.apply, mj, x, ms.m))

@@ -127,7 +127,7 @@ def test_zero_order_term_is_the_quantized_blade_sum(module, chart):
     ms = bnd.exterior_module(n) if module == "exterior" else sp.spin_module(n)
     S = bnd.superconnection_from_degrees(
         n, ms.m, ms.eta, {p: "random" for p in range(n + 1)}, base_seed=4)
-    D = bnd.quantize_superconnection(S, mj, ms, x)
+    D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
     one = Jet.constant(np.eye(ms.m), x)
     omega = S.eval(x, order=2)
     want = [ref.quantize_blade(D.gam, mask, one) @ omega[mask]

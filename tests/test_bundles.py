@@ -74,7 +74,7 @@ def test_dirac_commutator_is_clifford_of_differential():
     mj = metric_jet(ch, x)
     S = bnd.superconnection_from_degrees(
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=3)
-    D = bnd.quantize_superconnection(S, mj, ms, x)
+    D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
     for _ in range(5):
         fj = random_poly_field(rng, n, (), 2, complex_coeffs=True).eval(x)
         j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)[..., None]
@@ -94,7 +94,7 @@ def test_apply_dirac_takes_only_a_block_of_sections(stack):
     rng = np.random.default_rng(14)
     x = np.array([ch.sample_point(rng) for _ in range(m)]) if stack else ch.sample_point(rng)
     S = bnd.superconnection_from_degrees(ch.n, m, ms.eta, {1: "random"}, base_seed=2)
-    D = bnd.quantize_superconnection(S, metric_jet(ch, x), ms, x)
+    D = bnd.quantize_superconnection(S.eval(x), S.masks, metric_jet(ch, x), ms)
     for shape in ((m,), (m + 1, 2), (m, 1, 1)):
         with pytest.raises(ValueError, match="section block needs fiber"):
             bnd.apply_dirac(D, Jet.constant(np.ones(shape), x, 1))
@@ -111,7 +111,7 @@ def test_dirac_square_routes_agree():
     mj = metric_jet(ch, x)
     S = bnd.superconnection_from_degrees(
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=9)
-    D = bnd.quantize_superconnection(S, mj, ms, x)
+    D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
     for _ in range(5):
         j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)[..., None]
         direct = bnd.dirac_square(D, j)
@@ -131,7 +131,7 @@ def test_laplacian_defining_identity():
         S = bnd.superconnection_from_degrees(
             n, m, ms.eta, {0: "random", 1: "random", 2: "random"},
             base_seed=11)
-        D = bnd.quantize_superconnection(S, mj, ms, x)
+        D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
         H = bnd.laplacian_from_dirac(D, mj)
         assert bnd.lap_identity_residual(H.apply, mj, x, m) < 1e-9
 
@@ -163,7 +163,7 @@ def test_dirac_square_decomposes_into_laplacian_plus_endomorphism():
     mj = metric_jet(ch, x)
     S = bnd.superconnection_from_degrees(
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=13)
-    D = bnd.quantize_superconnection(S, mj, ms, x)
+    D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
     H = bnd.laplacian_from_dirac(D, mj)
     A, F = bnd.laplacian_decompose(H, mj)
     H2 = bnd.laplacian_from_connection(A, F, mj, x)

@@ -85,6 +85,17 @@ def test_verify_rejects_fewer_than_one_sample(capsys, suite, samples):
         suites.run_suite(suite, chart="flat2", samples=int(samples))
 
 
+@pytest.mark.parametrize("suite", ["superconnection", "laplacian", "all"])
+@pytest.mark.parametrize("seed", ["9223372036854775807", "18446744073709551616"])
+def test_verify_accepts_any_non_negative_seed(capsys, suite, seed):
+    # the member and trial seeds of the superconnection stacks used to go
+    # through int64 and end in an uncaught OverflowError, exit 1
+    code, out, err = _run(capsys, ["verify", "--suite", suite, "--chart", "sphere2",
+                                   "--samples", "2", "--seed", seed])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == int(seed)
+
+
 def test_verify_help_exits_zero(capsys):
     assert cli.main(["verify", "--help"]) == 0
     capsys.readouterr()
@@ -250,7 +261,7 @@ def test_dirac_draws_f_then_psi_five_times(capsys, tmp_path, chart, config):
     assert code == 0
     rng = np.random.default_rng(4)
     x = ch.sample_point(rng)
-    D = bnd.quantize_superconnection(S, metric_jet(ch, x), ms, x)
+    D = bnd.quantize_superconnection(S.eval(x), S.masks, metric_jet(ch, x), ms)
     want = max(bnd.dirac_commutator_residual(
         D, random_poly_field(rng, ch.n, (), complex_coeffs=True).eval(x, 2)[..., None],
         random_poly_field(rng, ch.n, (ms.m,), complex_coeffs=True).eval(x, 2)[..., None])[0][0]

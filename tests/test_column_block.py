@@ -69,7 +69,7 @@ def _operator(n, rng, xs, mj, stack):
     seeds = 5 + np.arange(P) if stack else 5
     S = bnd.superconnection_from_degrees(
         n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"}, seeds)
-    return ms.m, bnd.quantize_superconnection(S, mj, ms, xs, order=1)
+    return ms.m, bnd.quantize_superconnection(S.eval(xs, 1), S.masks, mj, ms)
 
 
 @pytest.mark.parametrize("name, stack, K", CASES)
@@ -262,18 +262,31 @@ def _count_calls(monkeypatch, module, names, calls):
 def test_each_laplacian_check_calls_each_route_once(monkeypatch, chart):
     per, calls = _calls_per_check(monkeypatch, "laplacian", chart)
     # besides the one call per route on its block of draws, the roundtrip
-    # reads the zero-order coefficient of the recovered connection twice, in
-    # decomposing and in reassembling, each one call on the identity block
+    # reads the zero-order coefficients of D^2 and of the recovered connection
+    # in decomposing, each one call on the identity block, and none in
+    # reassembling; D^2's coefficients are built on its first application
     assert per == {
-        "laplacian-defining-identity": {"dirac_square": 1},
-        "laplacian-decompose-roundtrip": {"dirac_square": 1, "canonical_laplacian/local": 1,
-                                          "canonical_laplacian/local/identity": 2},
+        "laplacian-defining-identity": {"dirac_square": 1, "square_coefficients": 1},
+        "laplacian-decompose-roundtrip": {"dirac_square": 1, "dirac_square/identity": 1,
+                                          "canonical_laplacian/local": 1,
+                                          "canonical_laplacian/local/identity": 1},
         "laplacian-canonical-routes": {"canonical_laplacian/local": 1,
                                        "canonical_laplacian/trace": 1},
         "laplacian-scalar-reduction": {"canonical_laplacian/local": 1},
     }
     # the one operator builds its D^2 coefficients once, for U and every check
     assert calls["square_coefficients"] == 1 and calls["dirac_square/identity"] == 1
+
+
+@pytest.mark.parametrize("chart", ["sphere2", "poly4"])
+def test_the_reassembled_operator_builds_neither_coefficient(monkeypatch, chart):
+    # the roundtrip only applies H_2, so its T and U, built on first read, never are
+    built, real = [], bnd.laplacian_from_connection
+    monkeypatch.setattr(bnd, "laplacian_from_connection",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    assert run_suite("laplacian", chart=chart, seed=1, samples=5).passed
+    H2, = built
+    assert "T" not in vars(H2) and "U" not in vars(H2)
 
 
 @pytest.mark.parametrize("chart", ["sphere2", "sphere4"])

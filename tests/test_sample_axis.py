@@ -212,12 +212,13 @@ def test_bundle_operators_batch(name):
     specs = {0: "random", 1: "random", 2: "random"}
     S = bnd.superconnection_from_degrees(n, m, ms.eta, specs, 5 + np.arange(P))
     Ss = [bnd.superconnection_from_degrees(n, m, ms.eta, specs, 5 + k) for k in range(P)]
-    D = bnd.quantize_superconnection(S, mj, ms, mj.x)
-    Ds = [bnd.quantize_superconnection(Sk, sk, ms, sk.x) for Sk, sk in zip(Ss, singles)]
+    D = bnd.quantize_superconnection(S.eval(mj.x), S.masks, mj, ms)
+    Ds = [bnd.quantize_superconnection(Sk.eval(sk.x), Sk.masks, sk, ms)
+          for Sk, sk in zip(Ss, singles)]
     for k in ("gam", "A", "Z"):
         _same_jets(getattr(D, k), [getattr(d, k) for d in Ds])
     for order in (0, 1):
-        low = bnd.quantize_superconnection(S, mj, ms, mj.x, order=order)
+        low = bnd.quantize_superconnection(S.eval(mj.x, order), S.masks, mj, ms)
         assert (low.A.order, low.Z.order, low.gam.order) == (order, order, 2)
         _close(low.Z.val, [d.Z.val for d in Ds])
     j, js = _stack(rng, mj.x, singles,
