@@ -11,7 +11,8 @@ arithmetic, so operator compositions consume derivative orders with no
 truncation error.
 
 Stack convention: every operator takes a point x (n,) or a stack of points x
-(P, n), the metric jet, superconnection and sections at the same stack.
+(P, n), the metric jet, superconnection and sections at the same stack; an
+operator holds the metric jet it was built at, and its points are ``mj.x``.
 Plain arrays then carry the sample axis in front, as jets do, and residuals
 are returned per sample, shape (P,).  The section operators take a block of
 sections, fiber (m, K), one column per probe or draw (a value (P, m, K) on a
@@ -337,10 +338,11 @@ def apply_superconnection(omega: Jet, fs: Jet) -> Jet:
 
 @dataclass
 class DiracOperatorData:
-    """First-order operator gamma^i (partial_i + A_i) + Z with coefficient jets;
-    gam and A are families with fiber (n, m, m)."""
+    """First-order operator gamma^i (partial_i + A_i) + Z with coefficient jets
+    at the points of the metric jet ``mj`` it was built at; gam and A are
+    families with fiber (n, m, m)."""
 
-    x: np.ndarray
+    mj: MetricJet
     gam: Jet
     A: Jet
     Z: Jet
@@ -368,6 +370,7 @@ def quantize_superconnection(omega: Jet, masks: Sequence[int], mj: MetricJet,
     evaluated on the blade axis (``S.eval``), omega: A_i are its degree-1
     blades, Z = sum over the blades M of ``masks`` of degree other than 1 of
     q(dx^M) omega_M, q = ``ms.quantization``; A, Z carry omega's orders, the gammas two."""
+    check_point(omega.x, mj.x)
     if omega.val.shape[-1] != ms.m:
         raise ValueError("superconnection fiber dimension does not match module")
     q = ms.quantization(mj, omega.order)
@@ -375,7 +378,7 @@ def quantize_superconnection(omega: Jet, masks: Sequence[int], mj: MetricJet,
     A = omega[[1 << i for i in range(mj.n)]]
     Z = sum((q(mask) @ omega[mask] for mask in masks if mask.bit_count() != 1),
             Jet.constant(np.zeros((ms.m, ms.m)), omega.x, omega.order))
-    return DiracOperatorData(omega.x, ms.gammas(mj), A, Z)
+    return DiracOperatorData(mj, ms.gammas(mj), A, Z)
 
 
 def _fold_index(t: np.ndarray) -> np.ndarray:
@@ -396,7 +399,7 @@ def column_gap(a, b, *terms, nb: int = 1):
 
 def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
     """D psi on a block of section 1-jets, fiber (m, K)."""
-    check_point(D.x, j.x)
+    check_point(D.mj.x, j.x)
     if j.val.shape[j.nb:-1] != (D.m,):
         raise ValueError(f"a section block needs fiber (m, K) with m = {D.m}, "
                          f"not {j.val.shape[j.nb:]}")
@@ -452,6 +455,7 @@ def canonical_laplacian(A: Jet, mj: MetricJet, j: Jet,
                         route: str = "local") -> np.ndarray:
     """-g^ik (nabla_i nabla_k - Gamma^l_ik nabla_l) on a block of section
     2-jets, fiber (m, K)."""
+    check_point(mj.x, j.x)
     if route == "local":
         mk, mm = _second_covariant(A, j)
         return -(np.einsum("...ik,...ikac->...ac", mj.g_inv, mm)
@@ -466,16 +470,15 @@ def canonical_laplacian(A: Jet, mj: MetricJet, j: Jet,
     raise ValueError(f"unknown route {route!r}")
 
 
-def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
-                          mj: MetricJet, x, m: int):
-    """Defining test [[H, f], g] psi + 2 (df, dg) psi for f=x^k, g=x^l.
+def lap_identity_residual(H: LaplacianData):
+    """Defining test [[H, f], g] psi + 2 (df, dg) psi for f=x^k, g=x^l, at the
+    points of H's metric jet.
 
     The residual is relative, per sample: scaled by the largest operator
     value entering the double commutator, so the test is meaningful on any
     chart.
     """
-    n = mj.n
-    x = np.asarray(x, dtype=float)
+    mj, n, x = H.mj, H.mj.n, H.mj.x
     coords = seed_point(x)
     # the probes 1, x^k and x^k x^l are the products of (1, x^0, ..., x^n-1)
     # with itself, symmetric: one column per unordered pair, one operator call
@@ -483,8 +486,8 @@ def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
     upper = np.triu_indices(n + 1)
     pair = np.empty((n + 1, n + 1), dtype=int)
     pair[upper] = pair[upper[::-1]] = np.arange(len(upper[0]))
-    probe = (ext[:, None] * ext[None, :])[upper][None] * np.ones((m, 1))
-    h = np.moveaxis(apply_h(probe), -1, -2)[..., pair, :]
+    probe = (ext[:, None] * ext[None, :])[upper][None] * np.ones((H.m, 1))
+    h = np.moveaxis(H.apply(probe), -1, -2)[..., pair, :]
     # indexed [..., k, l, a] with f = x^k, g = x^l
     h_0, h_fg = h[..., :1, :1, :], h[..., 1:, 1:, :]
     h_f, h_g = h[..., 1:, :1, :], h[..., :1, 1:, :]
@@ -501,7 +504,8 @@ def lap_identity_residual(apply_h: Callable[[Jet], np.ndarray],
 
 @dataclass
 class LaplacianData:
-    """Second-order operator as a black box plus coefficient jets.
+    """Second-order operator as a black box plus coefficient jets, at the
+    points of the metric jet ``mj`` it was built at.
 
     The operator is H = S^ik partial_i partial_k + T^k partial_k + U with
     S^ik = -g^ik id enforced by the Laplacian test; T carries 1-jets, fiber
@@ -510,12 +514,12 @@ class LaplacianData:
     block (the constant sections), are built on first read.
     """
 
+    mj: MetricJet
     m: int
-    x: np.ndarray
     apply: Callable[[Jet], np.ndarray]
     first_order: Callable[[], Jet]
     T = cached_property(lambda self: self.first_order())
-    U = cached_property(lambda self: self.apply(Jet.constant(np.eye(self.m), self.x)))
+    U = cached_property(lambda self: self.apply(Jet.constant(np.eye(self.m), self.mj.x)))
 
 
 def _trace_gamma(mj: MetricJet) -> np.ndarray:
@@ -537,22 +541,21 @@ def _lower_index(metric: Jet, family: Jet) -> Jet:
     return (metric @ flat).map(lambda a: a.reshape(a.shape[:-1] + (m, m)))
 
 
-def laplacian_from_connection(A: Jet, F: np.ndarray,
-                              mj: MetricJet, x) -> LaplacianData:
-    """H = canonical Laplacian of A plus zero-order F."""
+def laplacian_from_connection(A: Jet, F: np.ndarray, mj: MetricJet) -> LaplacianData:
+    """H = canonical Laplacian of A plus zero-order F, at the points of ``mj``."""
     m = F.shape[-1]
-    x = np.asarray(x, dtype=float)
 
     def apply_h(j: Jet) -> np.ndarray:
         return canonical_laplacian(A, mj, j) + F @ j.val
 
     # T^k = -2 g^ik A_i + g^ij Gamma^k_ij id
-    return LaplacianData(m, x, apply_h, lambda: _lower_index(
-        Jet(x, mj.g_inv, mj.dg_inv), A) * -2.0 + _trace_gamma_jet(mj, m))
+    return LaplacianData(mj, m, apply_h, lambda: _lower_index(
+        Jet(mj.x, mj.g_inv, mj.dg_inv), A) * -2.0 + _trace_gamma_jet(mj, m))
 
 
-def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
-    """Coefficient jets of D^2 collected from the operator expansion.
+def laplacian_from_dirac(D: DiracOperatorData) -> LaplacianData:
+    """Coefficient jets of D^2 collected from the operator expansion, at D's
+    metric jet.
 
     With M_k = partial_k + A_k the square expands to
       D^2 = g^i g^k M_i M_k + g^i (d_i g^k + [A_i, g^k]) M_k
@@ -568,14 +571,15 @@ def laplacian_from_dirac(D: DiracOperatorData, mj: MetricJet) -> LaplacianData:
         W = (g1 @ D.A.truncate(1)).sum() + D.Z.truncate(1)
         return g1 @ W + W @ g1 + (g1[:, None] @ D.gam.gradient()).sum()
 
-    return LaplacianData(D.m, np.asarray(D.x, dtype=float), partial(dirac_square, D), first_order)
+    return LaplacianData(D.mj, D.m, partial(dirac_square, D), first_order)
 
 
-def laplacian_decompose(L: LaplacianData, mj: MetricJet):
-    """Recover (A_i with 1-jets, fiber (n, m, m), and F) from the coefficient
-    jets per the probe family: A_i = g_ik (g^jl Gamma^k_jl - T^k) / 2."""
-    A = _lower_index(Jet(L.x, mj.g, mj.dg), _trace_gamma_jet(mj, L.m) - L.T) * 0.5
-    return A, L.U - canonical_laplacian(A, mj, Jet.constant(np.eye(L.m), L.x))
+def laplacian_decompose(L: LaplacianData):
+    """Recover (A_i with 1-jets, fiber (n, m, m), and F) at L's metric jet from
+    the coefficient jets per the probe family: A_i = g_ik (g^jl Gamma^k_jl - T^k) / 2."""
+    mj = L.mj
+    A = _lower_index(Jet(mj.x, mj.g, mj.dg), _trace_gamma_jet(mj, L.m) - L.T) * 0.5
+    return A, L.U - canonical_laplacian(A, mj, Jet.constant(np.eye(L.m), mj.x))
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,7 @@ def forms_dirac(j: Jet, mj: MetricJet) -> Jet:
 def laplace_beltrami(f: Jet, mj: MetricJet):
     """Positive-spectrum scalar Laplacian -g^ij (d_i d_j f - Gamma^k_ij d_k f)
     on a block of scalars, fiber (K,): one complex number per sample and column."""
+    check_point(mj.x, f.x)
     if f.dd is None:
         raise JetOrderError("laplace_beltrami needs an order-2 jet")
     hess = f.dd - np.einsum("...kc,...kij->...ijc", f.d, mj.christoffel)

@@ -195,13 +195,15 @@ def spinor_values_at(cfg: SWConfig, x) -> np.ndarray:
 
 
 def curvature_at(cfg: SWConfig, x) -> np.ndarray:
-    """F = dA as the antisymmetric array F[a, b] = dA_b/dx_a - dA_a/dx_b."""
+    """F = dA on the pair components F[a, b] = dA_b/dx_a - dA_a/dx_b, a < b,
+    in _PAIRS order."""
     dval = _partials(cfg.series[0], _series_at(cfg.series[0], x))
-    return dval - np.swapaxes(dval, -1, -2)
+    return dval[..., _ROWS, _COLS] - dval[..., _COLS, _ROWS]
 
 
 # ---------------------------------------------------------------------------
-# algebraic pieces; each acts on the last axes and broadcasts over the rest
+# algebraic pieces; each acts on the last axes and broadcasts over the rest.
+# A 2-form is held on its six pair components F[j, k], j < k, in _PAIRS order
 # ---------------------------------------------------------------------------
 
 
@@ -215,37 +217,10 @@ def block_projector(block: str) -> np.ndarray:
     return out
 
 
-def _pair_form(v: np.ndarray) -> np.ndarray:
-    """The antisymmetric 4 x 4 array with pair components v[..., p]."""
-    out = np.zeros(v.shape[:-1] + (N_DIM, N_DIM), dtype=v.dtype)
-    out[..., _ROWS, _COLS], out[..., _COLS, _ROWS] = v, -v
-    return out
-
-
-def pair_components(f: np.ndarray) -> np.ndarray:
-    """The components f[..., j, k], j < k, of a 4 x 4 array, in _PAIRS order."""
-    return f[..., _ROWS, _COLS]
-
-
-def block_part(f: np.ndarray, block: str) -> np.ndarray:
-    """The block's half (F +- star F) / 2 of an antisymmetric 2-form array."""
-    return _pair_form(pair_components(f) @ block_projector(block).T)
-
-
 def quadratic_pairs(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Q(phi, psi) on the pair components, in _PAIRS order."""
+    """Q(phi, psi)[j, k] = -<phi, G_j G_k psi> / 4 on the pair components;
+    sesquilinear, and Q(psi) = Q(psi, psi)."""
     return -0.25 * np.einsum("...r,prs,...s->...p", np.conj(phi), _GJK, psi)
-
-
-def quadratic_form(phi: np.ndarray, psi=None) -> np.ndarray:
-    """Q(phi, psi)[j, k] = -<phi, G_j G_k psi> / 4 on ordered pairs,
-    antisymmetrized; sesquilinear, and Q(psi) = Q(psi, psi)."""
-    return _pair_form(quadratic_pairs(phi, phi if psi is None else psi))
-
-
-def form_norm_sq(f: np.ndarray):
-    """Squared norm summed over ordered index pairs."""
-    return np.sum(np.abs(pair_components(f)) ** 2, axis=-1)
 
 
 def quadratic_identity_residual(psi: np.ndarray, q=None):
@@ -262,10 +237,10 @@ def sw_residuals(cfg: SWConfig, x) -> Dict[str, float]:
     psi, dpsi = spinor_at(cfg, x)
     dirac = np.einsum("arc,...ac->...r", GAMMAS,
                       dpsi + 0.5 * aval[..., :, None] * psi[..., None, :])
-    resid = block_part(curvature_at(cfg, x), cfg.block) - quadratic_form(psi)
+    resid = curvature_at(cfg, x) @ block_projector(cfg.block).T - quadratic_pairs(psi, psi)
     return {
         "dirac": np.max(np.abs(dirac), axis=-1),
-        "curvature": np.max(np.abs(resid[..., _ROWS, _COLS]), axis=-1),
+        "curvature": np.max(np.abs(resid), axis=-1),
         "quadratic_identity": quadratic_identity_residual(psi),
     }
 

@@ -182,7 +182,7 @@ class SpinConnectionData:
     def dirac(self) -> DiracOperatorData:
         """The Dirac operator c(dx^a)(partial_a + Omega_a) as bundle data,
         built on first use."""
-        return DiracOperatorData(self.mj.x, self.smd.coordinate_gammas(self.frame), self.omega,
+        return DiracOperatorData(self.mj, self.smd.coordinate_gammas(self.frame), self.omega,
                                  Jet.constant(np.zeros((self.smd.dim,) * 2), self.mj.x))
 
 

@@ -362,15 +362,15 @@ def laplacian_suite(pts: _Points) -> VerificationReport:
     ms, m = bnd.exterior_module(n), 1 << n
     # D^2 and its coefficient jets read A and Z to first order; S is not kept
     S = _superconnections(ms, n, len(xs), run.seed)
-    H = bnd.laplacian_from_dirac(bnd.quantize_superconnection(S.eval(xs, 1), S.masks, mj, ms), mj)
+    H = bnd.laplacian_from_dirac(bnd.quantize_superconnection(S.eval(xs, 1), S.masks, mj, ms))
     del S
 
     section = [FieldLayout(n, (m,), complex_coeffs=True)]
 
     # each check applies every operator route once, to a block of three draws
     def decompose_roundtrip():
-        A, F = bnd.laplacian_decompose(H, mj)
-        H2 = bnd.laplacian_from_connection(A, F, mj, xs)
+        A, F = bnd.laplacian_decompose(H)
+        H2 = bnd.laplacian_from_connection(A, F, mj)
         j, = run.draws(section, per=3)
         # H2 psi = the Laplacian of A + F psi, each of size g^-1 A A: they cancel
         return bnd.column_gap(H.apply(j), H2.apply(j), F @ j.val)
@@ -389,7 +389,7 @@ def laplacian_suite(pts: _Points) -> VerificationReport:
                         np.abs(want))
 
     run.check("laplacian-defining-identity", "[[H, x^k], x^l] + 2 g^kl = 0", 1e-9,
-              lambda: bnd.lap_identity_residual(H.apply, mj, xs, m))
+              lambda: bnd.lap_identity_residual(H))
     run.check("laplacian-decompose-roundtrip",
               "decompose then reassemble reproduces H", 1e-9, decompose_roundtrip)
     run.check("laplacian-canonical-routes",
@@ -699,7 +699,7 @@ def sw_suite(seed: int, samples: int,
         # projector is (1 +- star) / 2; forms are read on their pair components
         proj = swm.block_projector(cfg.block)
         half = 0.5 * (np.eye(6) + (1.0 if cfg.block == "+" else -1.0) * _levi_civita_star())
-        fp = swm.pair_components(swm.curvature_at(cfg, pts)) @ proj.T
+        fp = swm.curvature_at(cfg, pts) @ proj.T
         return np.append(_samples_amax(*(a @ proj.T - a for a in (fp, q))),
                          np.max(np.abs(proj - half)))
 

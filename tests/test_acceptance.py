@@ -183,9 +183,8 @@ def test_criterion_06_laplacian_suite():
                 n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"},
                 base_seed=106 + trial)
             D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
-            H = bnd.laplacian_from_dirac(D, mj)
             worst_def = max(worst_def,
-                            bnd.lap_identity_residual(H.apply, mj, x, ms.m))
+                            bnd.lap_identity_residual(bnd.laplacian_from_dirac(D)))
     _line("06a generated D^2 satisfies [[H,f],g] + 2(df,dg) = 0",
           worst_def, 1e-9)
 
@@ -200,8 +199,7 @@ def test_criterion_06_laplacian_suite():
         mj = metric_jet(ch, x)
         A = random_poly_field(rng, n, (n, m, m), 2, complex_coeffs=True).eval(x, 2)
         F = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        A2, F2 = bnd.laplacian_decompose(
-            bnd.laplacian_from_connection(A, F, mj, x), mj)
+        A2, F2 = bnd.laplacian_decompose(bnd.laplacian_from_connection(A, F, mj))
         scale = max(1.0, max(float(np.max(np.abs(a.val))) for a in A),
                     float(np.max(np.abs(F))))
         diff = max(max(float(np.max(np.abs(A2[i].val - A[i].val)))
@@ -319,9 +317,9 @@ def test_criterion_11_seiberg_witten():
         for _ in range(20):
             x = rng.uniform(0.0, 2.0 * np.pi, 4)
             psi, _ = swm.spinor_at(cfg, x)
-            fplus = swm.quadratic_form(psi)  # curvature equation: F+ = Q(psi)
+            fplus = swm.quadratic_pairs(psi, psi)  # curvature equation: F+ = Q(psi)
             nrm = float(np.real(np.vdot(psi, psi)))
-            resid = abs(swm.form_norm_sq(fplus) - nrm * nrm / 8.0)
+            resid = abs(np.sum(np.abs(fplus) ** 2) - nrm * nrm / 8.0)
             worst_q = max(worst_q, resid / max(1.0, nrm * nrm / 8.0))
     _line("11a pointwise |F+|^2 = |psi|^4 / 8 on constructed configs",
           worst_q, 1e-10)

@@ -1,5 +1,6 @@
 """Bundle operators: superconnections, Dirac squares, Laplacian decomposition."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import clifford_reference as ref
 from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
-from diracgeo.forms import PolyField, random_poly_field
+from diracgeo.forms import PolyField, laplace_beltrami, random_poly_field
 from diracgeo.jets import Jet, relative, relative_gap
 
 
@@ -132,8 +133,7 @@ def test_laplacian_defining_identity():
             n, m, ms.eta, {0: "random", 1: "random", 2: "random"},
             base_seed=11)
         D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
-        H = bnd.laplacian_from_dirac(D, mj)
-        assert bnd.lap_identity_residual(H.apply, mj, x, m) < 1e-9
+        assert bnd.lap_identity_residual(bnd.laplacian_from_dirac(D)) < 1e-9
 
 
 def test_laplacian_decompose_recovers_connection_and_potential():
@@ -146,8 +146,7 @@ def test_laplacian_decompose_recovers_connection_and_potential():
     for _ in range(10):
         A = random_poly_field(rng, n, (n, m, m), 2, complex_coeffs=True).eval(x, 2)
         F = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        H = bnd.laplacian_from_connection(A, F, mj, x)
-        A2, F2 = bnd.laplacian_decompose(H, mj)
+        A2, F2 = bnd.laplacian_decompose(bnd.laplacian_from_connection(A, F, mj))
         for i in range(n):
             assert np.max(np.abs(A2[i].val - A[i].val)) < 1e-12
             assert np.max(np.abs(A2[i].d - A[i].d)) < 1e-11
@@ -164,13 +163,37 @@ def test_dirac_square_decomposes_into_laplacian_plus_endomorphism():
     S = bnd.superconnection_from_degrees(
         n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, base_seed=13)
     D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
-    H = bnd.laplacian_from_dirac(D, mj)
-    A, F = bnd.laplacian_decompose(H, mj)
-    H2 = bnd.laplacian_from_connection(A, F, mj, x)
+    H = bnd.laplacian_from_dirac(D)
+    A, F = bnd.laplacian_decompose(H)
+    H2 = bnd.laplacian_from_connection(A, F, mj)
     for _ in range(5):
         j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)[..., None]
         h1, h2 = H.apply(j), H2.apply(j)
         assert np.max(np.abs(h1 - h2)) / max(1.0, np.max(np.abs(h1))) < 1e-10
+
+
+# sha256 of the bytes of A.val, A.d and F that laplacian_decompose returned on
+# these operators when it took the metric jet as a second argument
+DECOMPOSE_DIGESTS = {"sphere2": "48d1b651c5b2192b93cafc458e57b8646fc742d75017b45502fe315b34dbd3e3",
+                     "poly4": "d6c340edd9f9c2b1b36dbbdccac7c986acff3ef91597c120680e9acc6af6765b"}
+
+
+@pytest.mark.parametrize("name, seed", [("sphere2", 3), ("poly4", 5)])
+def test_an_operator_and_its_square_share_one_metric_jet(name, seed):
+    ch = get_chart(name)
+    rng = np.random.default_rng(seed)
+    xs = np.array([ch.sample_point(rng) for _ in range(3)])
+    mj = metric_jet(ch, xs)
+    ms, m = _module(ch.n)
+    S = bnd.superconnection_from_degrees(
+        ch.n, m, ms.eta, {0: "random", 1: "random", 2: "random"}, [seed, seed + 1, seed + 2])
+    D = bnd.quantize_superconnection(S.eval(xs, 1), S.masks, mj, ms)
+    H = bnd.laplacian_from_dirac(D)
+    assert H.mj is D.mj is mj
+    A, F = bnd.laplacian_decompose(H)
+    assert bnd.laplacian_from_connection(A, F, mj).mj is mj
+    got = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in (A.val, A.d, F)))
+    assert got.hexdigest() == DECOMPOSE_DIGESTS[name]
 
 
 def test_canonical_laplacian_routes_agree():
@@ -187,6 +210,32 @@ def test_canonical_laplacian_routes_agree():
     assert np.max(np.abs(loc - tr)) / max(1.0, np.max(np.abs(loc))) < 1e-11
     with pytest.raises(ValueError):
         bnd.canonical_laplacian(A, mj, j, route="spectral")
+
+
+@pytest.mark.parametrize("route", ["quantize_superconnection", "canonical_laplacian/local",
+                                   "canonical_laplacian/trace", "laplace_beltrami"])
+def test_bundle_routes_refuse_a_metric_jet_at_other_points(route):
+    # the quantization, both canonical Laplacian routes and the scalar
+    # Laplacian read their metric jet at the points of their jets; a
+    # superconnection of degrees 0 and 1 meets the jet only through its gammas
+    ch = get_chart("sphere2")
+    rng = np.random.default_rng(5)
+    xs = np.array([ch.sample_point(rng) for _ in range(2)])
+    ms, m = _module(2)
+    S = bnd.superconnection_from_degrees(2, m, ms.eta, {0: "random", 1: "random"}, [3, 4])
+    A = bnd.levi_civita_exterior_connection(metric_jet(ch, xs))
+    j = random_poly_field(rng, 2, (m,), complex_coeffs=True).eval(xs, 2)[..., None]
+    f = random_poly_field(rng, 2, (3,), complex_coeffs=True).eval(xs, 2)
+    apply = {"quantize_superconnection":
+             lambda mj: bnd.quantize_superconnection(S.eval(xs, 1), S.masks, mj, ms),
+             "canonical_laplacian/local": lambda mj: bnd.canonical_laplacian(A, mj, j),
+             "canonical_laplacian/trace":
+             lambda mj: bnd.canonical_laplacian(A, mj, j, route="trace"),
+             "laplace_beltrami": lambda mj: laplace_beltrami(f, mj)}[route]
+    apply(metric_jet(ch, xs))
+    with pytest.raises(ValueError, match="jets live at different points"):
+        apply(metric_jet(ch, xs + 0.3))
+        pytest.fail(f"{route} accepted a metric jet at other points")
 
 
 def test_kernel_projector_structure():
@@ -367,7 +416,8 @@ def test_residuals_keep_a_nan():
     ms, m = _module(ch.n)
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    assert np.isnan(bnd.lap_identity_residual(lambda j: np.full(j.val.shape, np.nan), mj, x, m))
+    assert np.isnan(bnd.lap_identity_residual(
+        bnd.LaplacianData(mj, m, lambda j: np.full(j.val.shape, np.nan), None)))
     nan_gammas = bnd.ModuleSpec(m, ms.eta, lambda mj: ms.gammas(mj) * np.nan)
     assert np.isnan(bnd.module_invariant_residual(nan_gammas, mj))
     FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(mj))

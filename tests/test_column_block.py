@@ -90,8 +90,8 @@ def test_bundle_operators_act_on_each_column(name, stack, K):
     for route in ("local", "trace"):
         _per_column(bnd.canonical_laplacian(lc, mj, j, route),
                     lambda c: bnd.canonical_laplacian(lc, mj, _col(j, c), route)[..., 0], K)
-    H = bnd.laplacian_from_dirac(D, mj)
-    H2 = bnd.laplacian_from_connection(*bnd.laplacian_decompose(H, mj), mj, xs)
+    H = bnd.laplacian_from_dirac(D)
+    H2 = bnd.laplacian_from_connection(*bnd.laplacian_decompose(H), mj)
     for h in (H, H2):
         _per_column(h.apply(j), lambda c: h.apply(_col(j, c))[..., 0], K)
     # the einsum expansion of D^2 is the reference route, to rounding
@@ -168,9 +168,9 @@ def test_spinor_dirac_routes_act_on_each_column(name, stack, K):
 def test_probe_block_is_the_per_probe_loop(name, stack):
     n, rng, xs, mj = _points(name, stack, 33)
     m, D = _operator(n, rng, xs, mj, stack)
-    H = bnd.laplacian_from_dirac(D, mj)
+    H = bnd.laplacian_from_dirac(D)
     blocks = []
-    got = bnd.lap_identity_residual(lambda j: blocks.append(j) or H.apply(j), mj, xs, m)
+    got = bnd.lap_identity_residual(replace(H, apply=lambda j: blocks.append(j) or H.apply(j)))
     # one operator call, whose columns are the probes of the loop in its order
     block, = blocks
     probes = ref.probes(mj, xs, m)

@@ -185,7 +185,7 @@ def test_jets_at_different_points_are_rejected():
     fy = random_poly_field(rng, n, (4,)).eval(y)
     mx = random_poly_field(rng, n, (4, 4)).eval(x)
     vy = random_poly_field(rng, n, (n,)).eval(y)
-    D = bnd.DiracOperatorData(x, [mx] * n, [mx] * n, mx)
+    D = bnd.DiracOperatorData(metric_jet(get_chart("flat2"), x), [mx] * n, [mx] * n, mx)
     for op in (lambda: fx + fy, lambda: fx - fy, lambda: fx * fy,
                lambda: mx @ fy, lambda: wedge_forms(fx, fy),
                lambda: iota_vector(vy, fx), lambda: bnd.apply_dirac(D, fy)):

@@ -1,4 +1,4 @@
-"""The `superconnection` and `laplacian` suite reports against recorded bytes."""
+"""The `superconnection`, `laplacian` and `lichnerowicz` suite reports against recorded bytes."""
 
 import json
 

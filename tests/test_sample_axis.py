@@ -235,19 +235,18 @@ def test_bundle_operators_batch(name):
     _same_jets(ref.apply_dirac_jet(D, j),
                [ref.apply_dirac_jet(d, jk) for d, jk in zip(Ds, js)])
 
-    H = bnd.laplacian_from_dirac(D, mj)
-    Hs = [bnd.laplacian_from_dirac(d, sk) for d, sk in zip(Ds, singles)]
+    H = bnd.laplacian_from_dirac(D)
+    Hs = [bnd.laplacian_from_dirac(d) for d in Ds]
     _same_jets(H.T, [h.T for h in Hs])
     _close(H.U, [h.U for h in Hs])
     _same(H.apply(j), [h.apply(jk) for h, jk in zip(Hs, js)])
-    _close(bnd.lap_identity_residual(H.apply, mj, mj.x, m),
-           [bnd.lap_identity_residual(h.apply, sk, sk.x, m) for h, sk in zip(Hs, singles)])
-    A, F = bnd.laplacian_decompose(H, mj)
-    parts = [bnd.laplacian_decompose(h, sk) for h, sk in zip(Hs, singles)]
+    _close(bnd.lap_identity_residual(H), [bnd.lap_identity_residual(h) for h in Hs])
+    A, F = bnd.laplacian_decompose(H)
+    parts = [bnd.laplacian_decompose(h) for h in Hs]
     _same_jets(A, [a for a, _ in parts])
     _close(F, [fk for _, fk in parts])
-    H2 = bnd.laplacian_from_connection(A, F, mj, mj.x)
-    _same(H2.apply(j), [bnd.laplacian_from_connection(a, fk, sk, sk.x).apply(jk)
+    H2 = bnd.laplacian_from_connection(A, F, mj)
+    _same(H2.apply(j), [bnd.laplacian_from_connection(a, fk, sk).apply(jk)
                         for (a, fk), sk, jk in zip(parts, singles, js)])
 
     lc = bnd.levi_civita_exterior_connection(mj)

@@ -9,12 +9,21 @@ from hypothesis import given, settings, strategies as st
 import sw_reference
 from diracgeo import seiberg_witten as swm
 from diracgeo.seiberg_witten import (BLOCK_INDICES, SWConfig, SWConfigError,
-                                     block_part, curvature_at, form_norm_sq, load_sw_config,
-                                     potential_at, quadratic_form,
-                                     quadratic_identity_residual,
-                                     random_sw_config,
+                                     block_projector, curvature_at, load_sw_config,
+                                     potential_at, quadratic_identity_residual,
+                                     quadratic_pairs, random_sw_config,
                                      spinor_at, sw_config_from_dict,
                                      sw_functional, sw_residuals)
+
+# 2-forms are held on their pair components F[j, k], j < k, in this order
+ROWS, COLS = np.triu_indices(4, 1)
+
+
+def _antisymmetric(v):
+    """The antisymmetric 4 x 4 array with pair components v[..., p]."""
+    out = np.zeros(v.shape[:-1] + (4, 4), dtype=complex)
+    out[..., ROWS, COLS], out[..., COLS, ROWS] = v, -v
+    return out
 
 
 def _cfg_dict(**over):
@@ -146,8 +155,9 @@ def test_evaluator_matches_the_per_mode_reference(block):
                     assert np.max(np.abs(on_stack[p] - want)) <= bound
         _, dval = sw_reference.potential_at(cfg, pts[0])
         f = curvature_at(cfg, pts)
-        assert f.shape == (6, 4, 4)
-        assert np.max(np.abs(f[0] - (dval - dval.T))) <= 1e-13 * np.max(np.abs(dval))
+        assert f.shape == (6, 6)
+        assert np.max(np.abs(_antisymmetric(f[0]) - (dval - dval.T))) <= \
+            1e-13 * np.max(np.abs(dval))
 
 
 def _mode_array_configs():
@@ -220,16 +230,18 @@ def test_pointwise_functions_broadcast_over_a_stack():
     pts = rng.uniform(0, 2 * np.pi, (5, 4))
     psi = spinor_at(cfg, pts)[0]
     f = curvature_at(cfg, pts)
-    stacked = {"quadratic_form": quadratic_form(psi),
-               "form_norm_sq": form_norm_sq(f),
+    proj = block_projector("-")
+    stacked = {"quadratic_pairs": quadratic_pairs(psi, psi),
+               "curvature": f,
                "quadratic_identity": quadratic_identity_residual(psi),
-               "block_part": block_part(f, "-")}
+               "block_half": f @ proj.T}
     res = sw_residuals(cfg, pts)
     for p, x in enumerate(pts):
-        single = {"quadratic_form": quadratic_form(psi[p]),
-                  "form_norm_sq": form_norm_sq(f[p]),
+        fx = curvature_at(cfg, x)
+        single = {"quadratic_pairs": quadratic_pairs(psi[p], psi[p]),
+                  "curvature": fx,
                   "quadratic_identity": quadratic_identity_residual(psi[p]),
-                  "block_part": block_part(f[p], "-")}
+                  "block_half": fx @ proj.T}
         for key, want in single.items():
             assert np.shape(stacked[key][p]) == np.shape(want), key
             assert np.allclose(stacked[key][p], want, rtol=1e-14, atol=1e-14), key
@@ -263,9 +275,9 @@ def test_pointwise_pieces_integrate_to_the_equation_form(block):
     psi, dpsi = spinor_at(cfg, pts)
     dirac = np.einsum("arc,pac->pr", swm.GAMMAS,
                       dpsi + 0.5 * aval[:, :, None] * psi[:, None, :])
-    resid = block_part(curvature_at(cfg, pts), block) - quadratic_form(psi)
+    resid = curvature_at(cfg, pts) @ block_projector(block).T - quadratic_pairs(psi, psi)
     w1 = (2 * np.pi) ** 4 * np.mean(np.sum(np.abs(dirac) ** 2, axis=1)
-                                    + form_norm_sq(resid))
+                                    + np.sum(np.abs(resid) ** 2, axis=1))
     assert w1 == pytest.approx(sw_functional(cfg)["w_equations"], rel=1e-12)
 
 
@@ -294,10 +306,9 @@ def test_functional_gap_on_configs_that_couple_a_and_psi(seed, block):
     assert out["relative_gap"] <= 1e-12
     axis = 2 * np.pi * np.arange(cfg.grid) / cfg.grid
     pts = np.stack(np.meshgrid(*(axis,) * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-    fp = block_part(curvature_at(cfg, pts), block)
-    q = quadratic_form(spinor_at(cfg, pts)[0])
-    rows, cols = np.triu_indices(4, 1)
-    cross = (2 * np.pi) ** 4 * np.mean(np.sum(np.real(np.conj(fp) * q)[:, rows, cols],
+    fp = curvature_at(cfg, pts) @ block_projector(block).T
+    psi = spinor_at(cfg, pts)[0]
+    cross = (2 * np.pi) ** 4 * np.mean(np.sum(np.real(np.conj(fp) * quadratic_pairs(psi, psi)),
                                                axis=1))
     assert abs(cross) >= 0.01 * out["w_equations"]
 
@@ -306,8 +317,9 @@ def test_curvature_is_antisymmetric_and_closed():
     rng = np.random.default_rng(3)
     cfg = random_sw_config(rng)
     x = rng.uniform(0, 2 * np.pi, 4)
-    f = curvature_at(cfg, x)
-    assert np.max(np.abs(f + f.T)) < 1e-13
+    f = _antisymmetric(curvature_at(cfg, x))
+    _, dval = potential_at(cfg, x)
+    assert np.max(np.abs(f - (dval - dval.T))) < 1e-13
     # dF = 0 follows from F = dA; check one Bianchi component by FD
     h = 1e-5
     for (a, b, c) in ((0, 1, 2), (1, 2, 3)):
@@ -315,19 +327,20 @@ def test_curvature_is_antisymmetric_and_closed():
         for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
             e = np.zeros(4)
             e[i] = h
-            total += (curvature_at(cfg, x + e)[j, k]
-                      - curvature_at(cfg, x - e)[j, k]) / (2 * h)
+            total += (_antisymmetric(curvature_at(cfg, x + e))[j, k]
+                      - _antisymmetric(curvature_at(cfg, x - e))[j, k]) / (2 * h)
         assert abs(total) < 1e-8
 
 
 def test_self_dual_projection_is_idempotent():
     rng = np.random.default_rng(4)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    f = raw - raw.T
-    plus = block_part(f, "+")
-    assert np.max(np.abs(block_part(plus, "+") - plus)) < 1e-13
+    f = (raw - raw.T)[ROWS, COLS]
+    proj = block_projector("+")
+    plus = f @ proj.T
+    assert np.max(np.abs(plus @ proj.T - plus)) < 1e-13
     minus = f - plus
-    assert np.max(np.abs(block_part(minus, "+"))) < 1e-13
+    assert np.max(np.abs(minus @ proj.T)) < 1e-13
 
 
 def _levi_civita_star(f):
@@ -347,9 +360,11 @@ def test_curvature_equation_uses_the_block_half(block, sign):
     for _ in range(5):
         x = rng.uniform(0, 2 * np.pi, 4)
         f = curvature_at(cfg, x)
-        half = 0.5 * (f + sign * _levi_civita_star(f))
-        assert np.max(np.abs(block_part(f, block) - half)) < 1e-14
-        resid = half - quadratic_form(spinor_at(cfg, x)[0])
+        form = _antisymmetric(f)
+        half = 0.5 * (form + sign * _levi_civita_star(form))
+        assert np.max(np.abs(_antisymmetric(f @ block_projector(block).T) - half)) < 1e-14
+        psi = spinor_at(cfg, x)[0]
+        resid = half - _antisymmetric(quadratic_pairs(psi, psi))
         expect = max(abs(resid[j, k]) for j in range(4) for k in range(j + 1, 4))
         assert sw_residuals(cfg, x)["curvature"] == pytest.approx(expect,
                                                                  rel=1e-12)
@@ -360,15 +375,21 @@ def test_quadratic_form_chirality():
     plus = np.zeros(4, dtype=complex)
     for c in BLOCK_INDICES["+"]:
         plus[c] = rng.normal() + 1j * rng.normal()
-    q = quadratic_form(plus)
-    assert np.max(np.abs(q + q.T)) < 1e-13
-    assert np.max(np.abs(block_part(q, "+") - q)) < 1e-13
+    q = quadratic_pairs(plus, plus)
+    # -<psi, G_j G_k psi> / 4 on ordered pairs j != k is antisymmetric, and
+    # its pairs j < k are Q
+    full = -0.25 * np.einsum("r,jkrs,s->jk", np.conj(plus),
+                             swm.GAMMAS[:, None] @ swm.GAMMAS[None], plus)
+    assert np.max(np.abs((full + full.T)[~np.eye(4, dtype=bool)])) < 1e-13
+    assert np.max(np.abs(full[ROWS, COLS] - q)) < 1e-13
+    proj = block_projector("+")
+    assert np.max(np.abs(q @ proj.T - q)) < 1e-13
     minus = np.zeros(4, dtype=complex)
     for c in BLOCK_INDICES["-"]:
         minus[c] = rng.normal() + 1j * rng.normal()
-    q2 = quadratic_form(minus)
+    q2 = quadratic_pairs(minus, minus)
     # the opposite block lands in the anti-self-dual half
-    assert np.max(np.abs(block_part(q2, "+"))) < 1e-13
+    assert np.max(np.abs(q2 @ proj.T)) < 1e-13
 
 
 def test_quadratic_identity_for_chiral_spinors():

@@ -8,7 +8,6 @@ and the superconnection action's truncated one."""
 
 import gc
 from collections import Counter
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -135,7 +134,7 @@ def _dirac_square_per_call(D, j):
 def _zero_order_per_call(D):
     """The zero-order coefficient U of D^2, expanded anew: D^2 on the
     constant identity block."""
-    return _dirac_square_per_call(D, Jet.constant(np.eye(D.m), D.x))
+    return _dirac_square_per_call(D, Jet.constant(np.eye(D.m), D.mj.x))
 
 
 @pytest.mark.parametrize("name, count", [("sphere2", 3), ("poly3", 2), ("poly4", 1)])
@@ -161,8 +160,8 @@ def test_dirac_square_coefficients_are_built_once(name, count, monkeypatch):
     assert np.array_equal(bnd.dirac_square(D, j), _dirac_square_per_call(D, j))
     assert len(calls) == 2
     # the probe block of the identity, and the coefficients of U, reuse them
-    bnd.lap_identity_residual(partial(bnd.dirac_square, D), mj, xs, ms.m)
-    H = bnd.laplacian_from_dirac(D, mj)
+    H = bnd.laplacian_from_dirac(D)
+    bnd.lap_identity_residual(H)
     assert len(calls) == 2
     assert np.array_equal(H.U, _zero_order_per_call(D))
     assert np.array_equal(H.apply(j), _dirac_square_per_call(D, j))

@@ -57,16 +57,15 @@ def test_sw_run_evaluates_each_series_once(monkeypatch):
 
 def test_sw_run_reads_only_what_its_checks_read(monkeypatch):
     # psi's values, A's partials and Q(psi) at the points once, on the pair
-    # components; no 4 x 4 form is built
+    # components
     cfg = random_sw_config(np.random.default_rng(6), band=2, grid=9)
     partials = _counting(monkeypatch, swm, "_partials")
-    forms = _counting(monkeypatch, swm, "_pair_form")
     pointwise, real = [], swm.quadratic_pairs
     monkeypatch.setattr(swm, "quadratic_pairs", lambda phi, psi: pointwise.append(
         phi.shape == (3, 4)) or real(phi, psi))
     assert suites.run_suite("sw", seed=4, samples=3, sw_config=cfg).passed
     # the functional pairs the spinor's modes once more, not at the points
-    assert (len(partials), len(forms)) == (1, 0) and sorted(pointwise) == [False, True]
+    assert len(partials) == 1 and sorted(pointwise) == [False, True]
 
 
 def test_mode_arrays_are_built_without_unique_or_add_at(monkeypatch):
