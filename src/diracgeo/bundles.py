@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from operator import attrgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -39,9 +40,7 @@ import numpy as np
 from .charts import MetricJet, _readonly, config_integer, config_keys
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
 from .forms import (PolyField, _jet_rows, _monomial_rows, _split_rows, exponent_table,
-                    exterior_derivative, exterior_gammas, iota_vector,
-                    levi_civita_exterior_connection,  # re-exported for bundle callers
-                    random_poly_field, vector_bracket)
+                    exterior_derivative, iota_vector, random_poly_field, vector_bracket)
 from .jets import Jet, _product, check_point, relative, sample_max, seed_point
 
 
@@ -104,7 +103,7 @@ class ModuleSpec:
 
 def exterior_module(n: int) -> ModuleSpec:
     """Clifford action on the full exterior algebra, gammas c(dx^i) = eps - iota."""
-    return ModuleSpec(1 << n, parity_matrix(n), exterior_gammas)
+    return ModuleSpec(1 << n, parity_matrix(n), attrgetter("exterior_gammas"))
 
 
 def module_invariant_residual(ms: ModuleSpec, mj: MetricJet):
@@ -114,8 +113,8 @@ def module_invariant_residual(ms: ModuleSpec, mj: MetricJet):
     g = gam.val
     prods = g[..., :, None, :, :] @ g[..., None, :, :, :]
     anti = prods + prods.swapaxes(-4, -3) + 2.0 * mj.g_inv[..., None, None] * np.eye(ms.m)
-    return np.maximum(relative(sample_max(anti, gam.nb), sample_max(prods, gam.nb)),
-                      sample_max(ms.eta @ g + g @ ms.eta, gam.nb))
+    return np.maximum(relative(sample_max(anti, nb=gam.nb), sample_max(prods, nb=gam.nb)),
+                      sample_max(ms.eta @ g + g @ ms.eta, nb=gam.nb))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +139,8 @@ class SuperconnectionData:
 
     def __init__(self, n: int, m: int, eta: np.ndarray, blades: Dict[int, object],
                  stack: Optional[int] = None):
+        if np.shape(eta) != (m, m):
+            raise ValueError(f"grading of shape {np.shape(eta)} does not fit fiber dimension {m}")
         self.n, self.m, self.eta, self.masks = n, m, eta, tuple(blades)
         self.sig = tuple(np.diag(eta).real)
         given = [b.coeffs for b in blades.values() if isinstance(b, PolyField) and b.stacked]
@@ -391,12 +392,6 @@ def _fold(t: np.ndarray) -> np.ndarray:
     return t.reshape(t.shape[:-3] + (-1, t.shape[-1]))
 
 
-def column_gap(a, b, *terms, nb: int = 1):
-    """Per sample and column of blocks (..., m, K), |a - b| relative to a, b and ``terms``."""
-    a, b, *terms = (np.moveaxis(c, -1, nb) for c in (a, b) + terms)
-    return relative(sample_max(a - b, nb + 1), *(sample_max(c, nb + 1) for c in [a, b] + terms))
-
-
 def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
     """D psi on a block of section 1-jets, fiber (m, K)."""
     check_point(D.mj.x, j.x)
@@ -414,8 +409,8 @@ def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple:
     nb = j.nb
     t1, t2 = apply_dirac(D, j * f), np.expand_dims(f.val, nb) * apply_dirac(D, j)
     rhs = _fold_index(D.gam.val) @ _fold(np.expand_dims(f.d, nb + 1) * j.val[..., None, :, :])
-    diff, s1, s2 = (sample_max(np.moveaxis(t, -1, nb), nb + 1) for t in (t1 - t2 - rhs, t1, t2))
-    return diff, relative(diff, s1, s2)
+    diff = sample_max(t1 - t2 - rhs, nb=nb, cols=True)
+    return diff, relative(diff, sample_max(t1, t2, nb=nb, cols=True))
 
 
 def _second_covariant(A: Jet, j: Jet):
@@ -499,7 +494,7 @@ def lap_identity_residual(H: LaplacianData):
 
     return sample_max(relative(np.abs(resid), peak(h_fg), np.abs(xl) * peak(h_f),
                                np.abs(xk) * peak(h_g), np.abs(xk * xl) * peak(h_0)),
-                      coords.nb)
+                      nb=coords.nb)
 
 
 @dataclass
@@ -616,21 +611,23 @@ def apply_form_endomorphism(F: Jet, fs: Jet) -> Jet:
     return _graded_product(F, fs[..., None], 0)[..., 0]
 
 
-def twisting_curvature(FE: Jet, lowered: np.ndarray, gammas: Jet, tol: float = 1e-9):
-    """F^tw_ik = F^E_ik - c(S_ik), S_ik = -1/4 lowered[k,l,i,k'] dx^k dx^l,
+def twisting_curvature(FE: Jet, mj: MetricJet, gammas: Jet, tol: float = 1e-9):
+    """F^tw_ik = F^E_ik - c(S_ik), S_ik = -1/4 R[k,l,i,k'] dx^k dx^l for R = mj.lowered,
     returned with fiber axes [i, k, a, b], and its residual per sample relative
-    to the terms that cancel, (|F^E| + |lowered| |gamma gamma|) |gamma|.
+    to the terms that cancel, (|F^E| + |R| |gamma gamma|) |gamma|.
 
     Raises CliffordConnectionError when the result fails to supercommute
     with every gamma at some sample (the input connection was not a Clifford
     connection).
     """
-    g, nb = gammas.val, gammas.nb
+    check_point(FE.x, mj.x)
+    check_point(gammas.x, mj.x)
+    g, nb, lowered = gammas.val, gammas.nb, mj.lowered
     prods = g[..., :, None, :, :] @ g[..., None, :, :, :]
     ftw = FE.val + 0.25 * np.einsum("...abik,...abxy->...ikxy", lowered, prods)
-    scale = (sample_max(FE.val, nb) + sample_max(lowered, nb) * sample_max(prods, nb))
+    scale = sample_max(FE.val, nb=nb) + sample_max(lowered, nb=nb) * sample_max(prods, nb=nb)
     worst = relative(sample_max(_commutator(ftw[..., None, :, :], g[..., None, None, :, :, :]),
-                                nb), scale * sample_max(g, nb))
+                                nb=nb), scale * sample_max(g, nb=nb))
     if np.any(worst > tol):
         raise CliffordConnectionError(
             f"twisting curvature fails to supercommute with the Clifford action "

@@ -15,10 +15,9 @@ import numpy as np
 
 from . import bundles as bnd
 from . import seiberg_witten as swm
-from .charts import ChartDomainError, get_chart, metric_jet, registry
+from .charts import get_chart, metric_jet, registry
 from .forms import FieldLayout, poly_fields
 from .report import render_human, render_json
-from .spin import SpinSignatureError
 from .suites import (DIRAC_COMMUTATOR_TOL, SUITE_NAMES, SW_FUNCTIONAL_GAP_TOL,
                      SuiteUsageError, run_suite)
 
@@ -230,8 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FloatingPointError as exc:
         sys.stderr.write(f"error: the fields cannot be evaluated at this input ({exc})\n")
         return USAGE_EXIT
-    except (SuiteUsageError, ChartDomainError, SpinSignatureError, swm.SWConfigError,
-            FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 

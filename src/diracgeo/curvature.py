@@ -13,7 +13,7 @@ import numpy as np
 
 from .charts import MetricJet
 from .clifford import product_table
-from .jets import sample_max
+from .jets import Jet, check_point, sample_max
 
 
 # ---------------------------------------------------------------------------
@@ -21,23 +21,24 @@ from .jets import sample_max
 # ---------------------------------------------------------------------------
 
 
-def divergence_via_density(mj: MetricJet, x_val: np.ndarray, dx_val: np.ndarray):
-    """div X = |g|^-1/2 d_i(|g|^1/2 X^i); dx_val[..., a, i] = d_a X^i."""
-    return np.trace(dx_val, axis1=-2, axis2=-1) + np.einsum("...i,...i->...", x_val, mj.dh)
+def divergence_via_density(mj: MetricJet, X: Jet):
+    """div X = |g|^-1/2 d_i(|g|^1/2 X^i) for a vector field 1-jet X, fiber (n,)."""
+    check_point(mj.x, X.x)
+    return np.trace(X.d, axis1=-2, axis2=-1) + np.einsum("...i,...i->...", X.val, mj.dh)
 
 
-def divergence_via_connection(mj: MetricJet, x_val: np.ndarray, dx_val: np.ndarray):
+def divergence_via_connection(mj: MetricJet, X: Jet):
     """div X as the contraction iota(nabla X) = d_i X^i + Gamma^i_ia X^a."""
-    return (np.trace(dx_val, axis1=-2, axis2=-1)
-            + np.einsum("...iia,...a->...", mj.christoffel, x_val))
+    check_point(mj.x, X.x)
+    return (np.trace(X.d, axis1=-2, axis2=-1)
+            + np.einsum("...iia,...a->...", mj.christoffel, X.val))
 
 
 def log_det_identity_residual(mj: MetricJet):
     """Max-norm residual of d_k h = Gamma^i_ik and of its derivative
     d_l d_k h = d_l Gamma^i_ik, with h = log|det g|^(1/2), per sample."""
-    nb = np.ndim(mj.x) - 1
-    return np.maximum(sample_max(mj.dh - np.einsum("...jij->...i", mj.christoffel), nb),
-                      sample_max(mj.ddh - np.einsum("...liik->...lk", mj.dchristoffel), nb))
+    return sample_max(mj.dh - np.einsum("...jij->...i", mj.christoffel),
+                      mj.ddh - np.einsum("...liik->...lk", mj.dchristoffel), nb=mj.x.ndim - 1)
 
 
 # ---------------------------------------------------------------------------

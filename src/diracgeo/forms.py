@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iterproduct
 from math import prod
-from operator import attrgetter
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -366,12 +365,6 @@ def coderivative_hodge(j: Jet, mj: MetricJet) -> Jet:
     on the orientation."""
     signs = _complement_signs(j.n) * -(-1.0) ** (j.n * grades(j.n))
     return _star(exterior_derivative(hodge_star(j, mj)), mj, signs).scale(np.sign(mj.det))
-
-
-# the Levi-Civita connection A_a and the gammas c(dx^i) on the blade axis of
-# a metric jet, each built once per jet: see ``MetricJet``
-levi_civita_exterior_connection = attrgetter("exterior_connection")
-exterior_gammas = attrgetter("exterior_gammas")
 
 
 def covariant_derivative(j: Jet, mj: MetricJet) -> Jet:

@@ -44,10 +44,16 @@ def check_point(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("jets live at different points")
 
 
-def sample_max(a, nb: int):
-    """Largest entry magnitude per sample of the ``nb`` leading sample axes of
-    a (a number when nb is 0); a NaN entry makes its sample NaN."""
-    return np.max(np.abs(a), axis=tuple(range(nb, np.ndim(a))))
+def sample_max(*arrays, nb: int = 1, cols: bool = False):
+    """Largest entry magnitude over the arrays, per sample of the ``nb``
+    leading axes (a number when nb is 0) and, with ``cols``, per column of
+    the last axis; a NaN entry makes its sample NaN."""
+    out = None
+    for a in arrays:
+        a = np.moveaxis(a, -1, nb) if cols else a
+        peak = np.maximum.reduce(np.abs(a), axis=tuple(range(nb + cols, np.ndim(a))))
+        out = peak if out is None else np.maximum(out, peak)
+    return out
 
 
 def relative(diff, *scales):
@@ -57,10 +63,11 @@ def relative(diff, *scales):
     return diff / reduce(np.maximum, scales, 1.0)
 
 
-def relative_gap(a, b, nb: int = 1):
-    """Per sample of the ``nb`` leading axes, the largest entry of |a - b|
-    relative to the larger side."""
-    return relative(sample_max(a - b, nb), sample_max(a, nb), sample_max(b, nb))
+def relative_gap(a, b, *terms, nb: int = 1, cols: bool = False):
+    """|a - b| relative to a, b and the ``terms`` that cancel in it, each read
+    by ``sample_max`` with ``nb`` and ``cols``."""
+    return relative(sample_max(a - b, nb=nb, cols=cols),
+                    sample_max(a, b, *terms, nb=nb, cols=cols))
 
 
 def _pad(a, lead: int, k: int):

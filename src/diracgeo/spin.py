@@ -23,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .bundles import (DiracOperatorData, ModuleSpec, _fold, _fold_index,
-                      apply_dirac, canonical_laplacian, column_gap, dirac_square)
+                      apply_dirac, canonical_laplacian, dirac_square)
 from .charts import MetricJet
 from .clifford import blade_tables, contract
-from .jets import Jet, check_point, jet_sqrt, relative, sample_max, seed_point
+from .jets import Jet, check_point, jet_sqrt, relative, relative_gap, sample_max, seed_point
 
 
 class SpinSignatureError(ValueError):
@@ -94,11 +94,10 @@ def frame_invariant_residual(frame: FrameField, mj: MetricJet):
     sample, the last relative to max|g^-1|."""
     co, inv, nb = frame.co.val, frame.inv.val, frame.co.nb
     eye = np.eye(mj.n)
-    return np.maximum.reduce([
-        sample_max(np.swapaxes(co, -1, -2) @ mj.g_inv @ co - eye, nb),
-        sample_max(inv @ co - eye, nb),
-        relative(sample_max(np.swapaxes(inv, -1, -2) @ inv - mj.g_inv, nb),
-                 sample_max(mj.g_inv, nb))])
+    return np.maximum(
+        sample_max(np.swapaxes(co, -1, -2) @ mj.g_inv @ co - eye, inv @ co - eye, nb=nb),
+        relative(sample_max(np.swapaxes(inv, -1, -2) @ inv - mj.g_inv, nb=nb),
+                 sample_max(mj.g_inv, nb=nb)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +283,15 @@ def lichnerowicz_residual(scd: SpinConnectionData, j: Jet):
     da = scd.a_pot.d
     qf = 0.5 * np.einsum("...ab,...axy,...byz->...xz", da - np.swapaxes(da, -1, -2), g, g)
     rhs = rhs + 0.5 * (qf @ j.val)
-    return column_gap(lhs, rhs, nb=j.nb)
+    return relative_gap(lhs, rhs, nb=j.nb, cols=True)
 
 
 def chirality_action_checks(scd: SpinConnectionData) -> dict:
     """Per sample: anticommutation with the gammas, commutation with the connection."""
     g, nb, chi = scd.dirac.gam.val, scd.frame.inv.nb, scd.smd.chirality
-    r1 = sample_max(chi @ g + g @ chi, nb)
+    r1 = sample_max(chi @ g + g @ chi, nb=nb)
     om = scd.omega.val
-    r2 = sample_max(chi @ om - om @ chi, nb)
+    r2 = sample_max(chi @ om - om @ chi, nb=nb)
     sq = float(np.max(np.abs(chi @ chi - np.eye(scd.smd.dim))))
     return {"gamma_anticommutation": r1, "connection_commutation": r2,
             "chirality_squares_to_one": sq}

@@ -48,7 +48,7 @@ def lap_identity_residual(apply_h, mj, x, m: int):
 
     return sample_max(relative(np.abs(resid), peak(h_fg), np.abs(xl) * peak(h_f),
                                np.abs(xk) * peak(h_g), np.abs(xk * xl) * peak(h_0)),
-                      x.ndim - 1)
+                      nb=x.ndim - 1)
 
 
 def _commutator(a, b):

@@ -10,7 +10,7 @@ import clifford_reference as ref
 from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import PolyField, laplace_beltrami, random_poly_field
-from diracgeo.jets import Jet, relative, relative_gap
+from diracgeo.jets import Jet, relative, relative_gap, sample_max
 
 
 def _module(n):
@@ -203,7 +203,7 @@ def test_canonical_laplacian_routes_agree():
     ms, m = _module(n)
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    A = bnd.levi_civita_exterior_connection(mj)
+    A = mj.exterior_connection
     j = random_poly_field(rng, n, (m,), complex_coeffs=True).eval(x, 2)[..., None]
     loc = bnd.canonical_laplacian(A, mj, j, route="local")
     tr = bnd.canonical_laplacian(A, mj, j, route="trace")
@@ -213,17 +213,20 @@ def test_canonical_laplacian_routes_agree():
 
 
 @pytest.mark.parametrize("route", ["quantize_superconnection", "canonical_laplacian/local",
-                                   "canonical_laplacian/trace", "laplace_beltrami"])
+                                   "canonical_laplacian/trace", "laplace_beltrami",
+                                   "twisting_curvature/curvature", "twisting_curvature/gammas"])
 def test_bundle_routes_refuse_a_metric_jet_at_other_points(route):
-    # the quantization, both canonical Laplacian routes and the scalar
-    # Laplacian read their metric jet at the points of their jets; a
-    # superconnection of degrees 0 and 1 meets the jet only through its gammas
+    # the quantization, both canonical Laplacian routes, the scalar Laplacian
+    # and the twist read their metric jet at the points of their jets; a
+    # superconnection of degrees 0 and 1 meets the jet only through its gammas,
+    # and a twist given the wrong jet would blame the connection
     ch = get_chart("sphere2")
     rng = np.random.default_rng(5)
     xs = np.array([ch.sample_point(rng) for _ in range(2)])
     ms, m = _module(2)
     S = bnd.superconnection_from_degrees(2, m, ms.eta, {0: "random", 1: "random"}, [3, 4])
-    A = bnd.levi_civita_exterior_connection(metric_jet(ch, xs))
+    here = metric_jet(ch, xs)
+    A = here.exterior_connection
     j = random_poly_field(rng, 2, (m,), complex_coeffs=True).eval(xs, 2)[..., None]
     f = random_poly_field(rng, 2, (3,), complex_coeffs=True).eval(xs, 2)
     apply = {"quantize_superconnection":
@@ -231,7 +234,11 @@ def test_bundle_routes_refuse_a_metric_jet_at_other_points(route):
              "canonical_laplacian/local": lambda mj: bnd.canonical_laplacian(A, mj, j),
              "canonical_laplacian/trace":
              lambda mj: bnd.canonical_laplacian(A, mj, j, route="trace"),
-             "laplace_beltrami": lambda mj: laplace_beltrami(f, mj)}[route]
+             "laplace_beltrami": lambda mj: laplace_beltrami(f, mj),
+             "twisting_curvature/curvature": lambda mj: bnd.twisting_curvature(
+                 bnd.connection_curvature(A), mj, ms.gammas(here)),
+             "twisting_curvature/gammas": lambda mj: bnd.twisting_curvature(
+                 bnd.connection_curvature(mj.exterior_connection), mj, ms.gammas(here))}[route]
     apply(metric_jet(ch, xs))
     with pytest.raises(ValueError, match="jets live at different points"):
         apply(metric_jet(ch, xs + 0.3))
@@ -274,9 +281,9 @@ def test_twisting_curvature_accepts_levi_civita_rejects_random():
     mj = metric_jet(ch, x)
     gammas = ms.gammas(mj)
 
-    A = bnd.levi_civita_exterior_connection(mj)
+    A = mj.exterior_connection
     FE = bnd.connection_curvature(A)
-    ftw, worst = bnd.twisting_curvature(FE, mj.lowered, gammas)
+    ftw, worst = bnd.twisting_curvature(FE, mj, gammas)
     assert worst < 1e-10
     # the twist of the plain Levi-Civita connection on forms commutes with
     # the action but need not vanish; on the round sphere it is nonzero
@@ -284,7 +291,7 @@ def test_twisting_curvature_accepts_levi_civita_rejects_random():
 
     bad = random_poly_field(rng, n, (n, m, m), 1, complex_coeffs=True).eval(x, 2)
     with pytest.raises(bnd.CliffordConnectionError):
-        bnd.twisting_curvature(bnd.connection_curvature(bad), mj.lowered, gammas)
+        bnd.twisting_curvature(bnd.connection_curvature(bad), mj, gammas)
 
 
 def test_special_superconnection_predicate():
@@ -354,6 +361,18 @@ def test_superconnection_config_validation():
     assert S.m == m
 
 
+def test_superconnection_refuses_a_grading_of_another_fiber_dimension():
+    # a 4 x 4 grading on a fiber of dimension 3 would let the parity slots of
+    # one blade overwrite those of the next on the blade axis
+    eta = _module(2)[0].eta
+    with pytest.raises(ValueError, match=r"grading of shape \(4, 4\).*fiber dimension 3"):
+        bnd.superconnection_from_degrees(2, 3, eta, {0: "constant", 1: "constant"},
+                                         base_seed=1).eval(np.zeros(2), 0)
+        pytest.fail("a (4, 4) grading was accepted on a fiber of dimension 3")
+    with pytest.raises(ValueError, match="grading"):
+        bnd.SuperconnectionData(2, 4, eta[:3], {})
+
+
 def test_superconnection_from_degrees_is_seed_deterministic():
     n = 2
     ms, m = _module(n)
@@ -420,8 +439,8 @@ def test_residuals_keep_a_nan():
         bnd.LaplacianData(mj, m, lambda j: np.full(j.val.shape, np.nan), None)))
     nan_gammas = bnd.ModuleSpec(m, ms.eta, lambda mj: ms.gammas(mj) * np.nan)
     assert np.isnan(bnd.module_invariant_residual(nan_gammas, mj))
-    FE = bnd.connection_curvature(bnd.levi_civita_exterior_connection(mj))
-    _, worst = bnd.twisting_curvature(FE * np.nan, mj.lowered, ms.gammas(mj))
+    FE = bnd.connection_curvature(mj.exterior_connection)
+    _, worst = bnd.twisting_curvature(FE * np.nan, mj, ms.gammas(mj))
     assert np.isnan(worst)
     # the one relative rule: a NaN on either side or in the difference stays
     # NaN, and the scale is floored at 1
@@ -432,4 +451,56 @@ def test_residuals_keep_a_nan():
     assert relative(0.5, 1e-3, 0.25) == 0.5
     assert relative(0.5, 2.0, 4.0) == 0.125
     assert np.array_equal(relative_gap(0.25 * ones, 0.75 * ones), np.full(2, 0.5))
-    assert relative_gap(ones, 3 * ones, 0) == pytest.approx(2 / 3)
+    assert relative_gap(ones, 3 * ones, nb=0) == pytest.approx(2 / 3)
+
+
+def _column_gap(a, b, *terms, nb: int = 1):
+    """The per-column comparison as ``bundles.column_gap`` wrote it before
+    ``relative_gap`` took it in: the column axis moved behind the samples."""
+    a, b, *terms = (np.moveaxis(c, -1, nb) for c in (a, b) + terms)
+
+    def peak(c):
+        return np.max(np.abs(c), axis=tuple(range(nb + 1, c.ndim)))
+
+    return relative(peak(a - b), *(peak(c) for c in [a, b] + terms))
+
+
+def test_one_rule_reduces_per_sample_and_per_column():
+    rng = np.random.default_rng(34)
+    # blocks (P, m, K) of K columns, and a family (P, n, m, K) beside them
+    a, b, t = (rng.normal(size=(5, 4, 3)) * s for s in (1.0, 3.0, 40.0))
+    fam = rng.normal(size=(5, 2, 4, 3))
+    # several arrays: the largest entry over all of them, per sample
+    assert np.array_equal(sample_max(a, fam), np.maximum(np.max(np.abs(a), axis=(1, 2)),
+                                                         np.max(np.abs(fam), axis=(1, 2, 3))))
+    assert np.array_equal(sample_max(a, b, t), sample_max(np.stack([a, b, t], 1)))
+    # cols: per sample and column of the last axis
+    assert np.array_equal(sample_max(a, fam, cols=True),
+                          np.maximum(np.max(np.abs(a), axis=1),
+                                     np.max(np.abs(fam), axis=(1, 2))))
+    assert sample_max(a, nb=2).shape == (5, 4)
+    assert sample_max(a, nb=2, cols=True).shape == (5, 4, 3)
+    # nb=0: one number over everything
+    assert sample_max(a, b, nb=0) == max(np.max(np.abs(a)), np.max(np.abs(b)))
+    assert sample_max(a, nb=0, cols=True).shape == (3,)
+    assert relative_gap(a, b, nb=0) == relative(np.max(np.abs(a - b)), np.max(np.abs(a)),
+                                                np.max(np.abs(b)))
+    # NaN propagates from any array into its own sample and column only
+    nan = a.copy()
+    nan[2, 1, 0] = np.nan
+    assert np.isnan(sample_max(a, nan)).tolist() == [False, False, True, False, False]
+    assert np.isnan(sample_max(nan, a)).tolist() == [False, False, True, False, False]
+    got = relative_gap(b, nan, cols=True)
+    assert np.isnan(got).sum() == 1 and np.isnan(got[2, 0])
+    assert np.isnan(relative_gap(a, b, nan)[2])
+    # the scales reduce to one: relative over s_a, s_b is relative over max(a, b)
+    diff = sample_max(a - b)
+    assert np.array_equal(relative(diff, sample_max(a), sample_max(b)),
+                          relative(diff, sample_max(a, b)))
+    # bit for bit the per-column comparison it replaces, with and without terms
+    for nb in (1, 2):
+        shape = (5, 2)[:nb] + (4, 3)
+        a, b, t = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3))
+        assert np.array_equal(relative_gap(a, b, nb=nb, cols=True), _column_gap(a, b, nb=nb))
+        assert np.array_equal(relative_gap(a, b, 9 * t, nb=nb, cols=True),
+                              _column_gap(a, b, 9 * t, nb=nb))

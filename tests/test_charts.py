@@ -105,7 +105,7 @@ def test_metric_only_operator_jets_are_built_once_and_read_only(name):
     # the operator jets that depend only on the metric are kept on its jet:
     # a second read, or a read through the public builders, is the same
     # object, and no caller may write to it
-    from diracgeo import bundles, forms
+    from diracgeo import bundles
     ch = get_chart(name)
     rng = np.random.default_rng(5)
     mj = metric_jet(ch, np.array([ch.sample_point(rng) for _ in range(3)]))
@@ -116,8 +116,6 @@ def test_metric_only_operator_jets_are_built_once_and_read_only(name):
             if a is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0.0
-    assert forms.levi_civita_exterior_connection(mj) is mj.exterior_connection
-    assert bundles.levi_civita_exterior_connection(mj) is mj.exterior_connection
     assert bundles.exterior_module(ch.n).gammas(mj) is mj.exterior_gammas
     assert (mj.exterior_connection.order, mj.raised_iota.order,
             mj.exterior_gammas.order) == (1, 1, 2)

@@ -86,7 +86,7 @@ def test_bundle_operators_act_on_each_column(name, stack, K):
     _per_column(tuple(r / s for r, s in zip(bnd.dirac_commutator_residual(D, f, j), (scale, 1))),
                 lambda c: tuple(r[..., 0] / s for r, s in zip(
                     bnd.dirac_commutator_residual(D, f[c:c + 1], _col(j, c)), (scale, 1))), K)
-    lc = bnd.levi_civita_exterior_connection(mj)
+    lc = mj.exterior_connection
     for route in ("local", "trace"):
         _per_column(bnd.canonical_laplacian(lc, mj, j, route),
                     lambda c: bnd.canonical_laplacian(lc, mj, _col(j, c), route)[..., 0], K)

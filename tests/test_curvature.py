@@ -1,6 +1,7 @@
 """Curvature tensors against a finite-difference oracle, plus identities."""
 
 import numpy as np
+import pytest
 
 import fd_oracle
 from diracgeo.charts import get_chart, metric_jet, registry
@@ -99,11 +100,23 @@ def test_divergence_routes_agree():
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             vx = random_poly_field(rng, ch.n, (ch.n,)).eval(x)
-            vals = vx.val
-            dvals = np.array([[c.d[a] for a in range(ch.n)] for c in vx]).T
-            d1 = divergence_via_density(mj, vals, dvals)
-            d2 = divergence_via_connection(mj, vals, dvals)
+            d1 = divergence_via_density(mj, vx)
+            d2 = divergence_via_connection(mj, vx)
             assert abs(d1 - d2) / max(1.0, abs(d1)) < 1e-12
+
+
+@pytest.mark.parametrize("div", [divergence_via_density, divergence_via_connection])
+def test_divergence_refuses_a_vector_field_at_other_points(div):
+    # the metric jet and the vector field's jet are read at one point each;
+    # at two different points the divergence would mix them silently
+    ch = get_chart("sphere2")
+    rng = np.random.default_rng(5)
+    xs = np.array([ch.sample_point(rng) for _ in range(2)])
+    X = random_poly_field(rng, 2, (2,)).eval(xs, 1)
+    div(metric_jet(ch, xs), X)
+    with pytest.raises(ValueError, match="jets live at different points"):
+        div(metric_jet(ch, xs + 0.3), X)
+        pytest.fail(f"{div.__name__} accepted a vector field at other points")
 
 
 def test_log_det_identity():

@@ -42,6 +42,33 @@ def test_every_traced_layer_is_a_module():
         importlib.import_module(f"diracgeo.{layer}")
 
 
+# traced names that no longer resolve: the benchmark records them as 0
+STALE_ENTRY_POINTS = {
+    "curvature.christoffel", "curvature.dchristoffel", "curvature.curvature_data",
+    "jets.SJet.__mul__", "jets.SJet.__add__", "clifford.clifford_action_dict",
+    "clifford.action_matrix", "forms.PolyScalar.eval_jet", "forms.PolyScalar.derivative",
+    "forms.random_poly_scalar", "bundles.PolyMatrix.eval"}
+
+
+def test_benchmark_entry_points_resolve():
+    # a ratchet: deleting or renaming a function the benchmark traces would
+    # silently zero its per-layer metrics, so every other name must resolve
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    names, = (ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"])
+
+    def resolves(name):
+        head, *attrs = name.split(".")
+        obj = importlib.import_module(f"diracgeo.{head}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        return obj is not None
+
+    assert STALE_ENTRY_POINTS <= set(names)
+    assert {name for name in names if not resolves(name)} <= STALE_ENTRY_POINTS
+
+
 def test_readme_module_names_resolve():
     # every backticked `module.name` or `Class.attr`, or call of one, of a
     # diracgeo module or class names a live object, so a deleted name cannot

@@ -249,8 +249,8 @@ def test_bundle_operators_batch(name):
     _same(H2.apply(j), [bnd.laplacian_from_connection(a, fk, sk).apply(jk)
                         for (a, fk), sk, jk in zip(parts, singles, js)])
 
-    lc = bnd.levi_civita_exterior_connection(mj)
-    lcs = [bnd.levi_civita_exterior_connection(sk) for sk in singles]
+    lc = mj.exterior_connection
+    lcs = [sk.exterior_connection for sk in singles]
     for route in ("local", "trace"):
         _same(bnd.canonical_laplacian(lc, mj, j, route),
               [bnd.canonical_laplacian(a, sk, jk, route)
@@ -258,8 +258,8 @@ def test_bundle_operators_batch(name):
     FE = bnd.connection_curvature(lc)
     FEs = [bnd.connection_curvature(a) for a in lcs]
     _same_jets(FE, FEs)
-    _same(bnd.twisting_curvature(FE, mj.lowered, ms.gammas(mj)),
-          [bnd.twisting_curvature(fe, sk.lowered, ms.gammas(sk))
+    _same(bnd.twisting_curvature(FE, mj, ms.gammas(mj)),
+          [bnd.twisting_curvature(fe, sk, ms.gammas(sk))
            for fe, sk in zip(FEs, singles)])
     _same(bnd.kernel_projector(mj, ms), [bnd.kernel_projector(sk, ms) for sk in singles])
 
@@ -346,10 +346,9 @@ def test_curvature_batches(name):
         assert scale == 1.0 or name == "minkowski4" or np.min(want) > 1e-3
     X = PolyField.stack([random_poly_field(rng, n, (n,)) for _ in range(P)])
     val, dval, _ = X.jet(mj.x, 1)
-    _close(divergence_via_density(mj, val, dval),
-           [divergence_via_density(sk, v, dv) for sk, v, dv in zip(singles, val, dval)])
-    _close(divergence_via_connection(mj, val, dval),
-           [divergence_via_connection(sk, v, dv) for sk, v, dv in zip(singles, val, dval)])
+    for div in (divergence_via_density, divergence_via_connection):
+        _close(div(mj, Jet(mj.x, val, dval)),
+               [div(sk, Jet(sk.x, v, dv)) for sk, v, dv in zip(singles, val, dval)])
 
 
 def test_stacked_superconnection_is_the_stack_of_its_seeds():
