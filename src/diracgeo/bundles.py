@@ -37,11 +37,11 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .charts import MetricJet, _readonly, config_integer, config_keys
+from .charts import MetricJet, config_integer, config_keys
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
 from .forms import (PolyField, _jet_rows, _monomial_rows, _split_rows, exponent_table,
                     exterior_derivative, iota_vector, random_poly_field, vector_bracket)
-from .jets import Jet, _product, check_point, relative, sample_max, seed_point
+from .jets import Jet, _product, check_point, frozen, relative, sample_max, seed_point
 
 
 class ParityError(ValueError):
@@ -61,9 +61,7 @@ class CliffordConnectionError(ValueError):
 def _allowed(sig: tuple, parity: int) -> np.ndarray:
     """The (m, m) entries of eta-parity ``parity`` (+1 even, -1 odd) for
     eta = diag(sig): where sig_r sig_c = parity."""
-    out = np.outer(sig, sig) == parity
-    out.setflags(write=False)
-    return out
+    return frozen(np.outer(sig, sig) == parity)
 
 
 def random_parity_matrix(rng, n: int, eta: np.ndarray, parity: int,
@@ -161,14 +159,15 @@ class SuperconnectionData:
             r, c = np.argwhere(~allowed)[np.argmax(live)]
             raise ParityError(f"blade {blade_indices(mask)} entry ({r},{c}) "
                               f"breaks the degree-parity rule")
-        return PolyField(self.n, blade.exponents, coeffs[..., allowed], stacked=True)
+        return PolyField(self.n, blade.exponents, frozen(coeffs[..., allowed]), stacked=True)
 
     def entries(self, mask: int) -> PolyField:
-        """Blade ``mask``'s allowed entries, coeffs (P, T, E).  A drawn blade is
-        drawn on its first read and kept, so its generator is seeded once."""
+        """Blade ``mask``'s allowed entries, coeffs (P, T, E), read-only.  A drawn
+        blade is drawn on its first read and kept, so its generator is seeded once."""
         part = self._parts[mask]
         if callable(part):
             part = self._parts[mask] = part(self.allowed(mask))
+            frozen(part.coeffs)
         return part
 
     def eval(self, x, order: int = 2) -> Jet:
@@ -188,16 +187,14 @@ class SuperconnectionData:
                     monomials[key] @ (e.coeffs if self.stacked else e.coeffs[0]))
         return Jet(x, *_split_rows(out, self.n, order, (1 << self.n, self.m, self.m)))
 
-    def select(self, members: range, degrees=None) -> "SuperconnectionData":
-        """Stack members ``members`` with the blades of ``degrees`` (None: all),
-        as read-only copies of their entries: once the blades are read, the
-        selection seeds no generator and holds none of this stack's arrays."""
+    def select(self, members: range) -> "SuperconnectionData":
+        """Stack members ``members`` as copies of their entries: once the blades
+        are read, the selection seeds no generator and holds none of this
+        stack's arrays."""
         rows, held = slice(members.start, members.stop, members.step), {}
         for mask in self.masks:
-            if degrees is None or mask.bit_count() in degrees:
-                e = self.entries(mask)
-                held[mask] = PolyField(self.n, e.exponents, _readonly(e.coeffs[rows].copy()),
-                                       stacked=True)
+            e = self.entries(mask)
+            held[mask] = PolyField(self.n, e.exponents, e.coeffs[rows].copy(), stacked=True)
         return SuperconnectionData(self.n, self.m, self.eta, {
             mask: lambda _, e=e: e for mask, e in held.items()}, stack=len(members))
 
@@ -254,13 +251,10 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
 SUPERCONNECTION_CONFIG_KEYS = ("fiber_dimension", "grading", "degrees", "seed")
 
 
-def superconnection_from_config(cfg: dict, n: int,
-                                ms: Optional[ModuleSpec] = None) -> SuperconnectionData:
+def superconnection_from_config(cfg: dict, n: int, ms: ModuleSpec) -> SuperconnectionData:
     if not isinstance(cfg, dict):
         raise ValueError("superconnection config must be a JSON object")
     config_keys(cfg, SUPERCONNECTION_CONFIG_KEYS)
-    if ms is None:
-        ms = exterior_module(n)
     m = cfg.get("fiber_dimension", ms.m)
     if m != ms.m:
         raise ValueError(f"config fiber_dimension {m} does not match module rank {ms.m}")
@@ -301,7 +295,7 @@ def _live_pairs(n: int, odd: int) -> tuple:
     fold = np.zeros((1 << n, len(inner)))
     fold[outer, np.arange(len(inner))] = wedge_table(n)[inner, outer, rest].real * np.where(
         (g[inner] + odd) % 2 == 1, (-1.0) ** g[rest], 1.0)
-    return _readonly(inner), _readonly(rest), _readonly(fold)
+    return frozen((inner, rest, fold))
 
 
 def _graded_product(omega: Jet, right: Jet, odd: int) -> Jet:
@@ -361,8 +355,8 @@ class DiracOperatorData:
         first use: an operator of order 0 carries no d_i Z."""
         g, a, z = self.gam.val, self.A.val, self.Z.val[..., None, :, :]
         dgam = self.gam.d + _commutator(a[..., :, None, :, :], g[..., None, :, :, :])
-        return (_fold_index(g), _fold_index(dgam), _fold_index(g @ z + z @ g),
-                self.Z.d + _commutator(a, z))
+        return frozen((_fold_index(g), _fold_index(dgam), _fold_index(g @ z + z @ g),
+                       self.Z.d + _commutator(a, z)))
 
 
 def quantize_superconnection(omega: Jet, masks: Sequence[int], mj: MetricJet,
@@ -513,8 +507,8 @@ class LaplacianData:
     m: int
     apply: Callable[[Jet], np.ndarray]
     first_order: Callable[[], Jet]
-    T = cached_property(lambda self: self.first_order())
-    U = cached_property(lambda self: self.apply(Jet.constant(np.eye(self.m), self.mj.x)))
+    T = cached_property(lambda self: frozen(self.first_order()))
+    U = cached_property(lambda self: frozen(self.apply(Jet.constant(np.eye(self.m), self.mj.x))))
 
 
 def _trace_gamma(mj: MetricJet) -> np.ndarray:
@@ -611,14 +605,14 @@ def apply_form_endomorphism(F: Jet, fs: Jet) -> Jet:
     return _graded_product(F, fs[..., None], 0)[..., 0]
 
 
-def twisting_curvature(FE: Jet, mj: MetricJet, gammas: Jet, tol: float = 1e-9):
+def twisting_curvature(FE: Jet, mj: MetricJet, gammas: Jet):
     """F^tw_ik = F^E_ik - c(S_ik), S_ik = -1/4 R[k,l,i,k'] dx^k dx^l for R = mj.lowered,
     returned with fiber axes [i, k, a, b], and its residual per sample relative
     to the terms that cancel, (|F^E| + |R| |gamma gamma|) |gamma|.
 
     Raises CliffordConnectionError when the result fails to supercommute
-    with every gamma at some sample (the input connection was not a Clifford
-    connection).
+    with every gamma, to 1e-9, at some sample (the input connection was not
+    a Clifford connection).
     """
     check_point(FE.x, mj.x)
     check_point(gammas.x, mj.x)
@@ -628,7 +622,7 @@ def twisting_curvature(FE: Jet, mj: MetricJet, gammas: Jet, tol: float = 1e-9):
     scale = sample_max(FE.val, nb=nb) + sample_max(lowered, nb=nb) * sample_max(prods, nb=nb)
     worst = relative(sample_max(_commutator(ftw[..., None, :, :], g[..., None, None, :, :, :]),
                                 nb=nb), scale * sample_max(g, nb=nb))
-    if np.any(worst > tol):
+    if np.any(worst > 1e-9):
         raise CliffordConnectionError(
             f"twisting curvature fails to supercommute with the Clifford action "
             f"(residual {np.max(worst):.3e}); the connection is not a Clifford "
@@ -657,13 +651,12 @@ def kernel_projector(mj: MetricJet, ms: ModuleSpec):
 # ---------------------------------------------------------------------------
 
 
-def is_special_superconnection(S: SuperconnectionData, points: Sequence,
-                               tol: float = 1e-12):
-    """True iff every degree >= 2 component vanishes at all sample points, and
-    the largest component of the blades read: those blades, in turn, until
-    every member has a component above ``tol``, which decides its verdict.  A
-    stack of P superconnections gets one verdict and one value per member,
-    each read at every point."""
+def is_special_superconnection(S: SuperconnectionData, points: Sequence):
+    """True iff every degree >= 2 component vanishes, to 1e-12, at all sample
+    points, and the largest component of the blades read: those blades, in
+    turn, until every member has a component above 1e-12, which decides its
+    verdict.  A stack of P superconnections gets one verdict and one value
+    per member, each read at every point."""
     points = np.asarray(points, dtype=float).reshape(-1, S.n)
     points = np.broadcast_to(points[:, None], (len(points), S.size, S.n))
     worst = np.zeros(S.size)
@@ -671,11 +664,11 @@ def is_special_superconnection(S: SuperconnectionData, points: Sequence,
         if mask.bit_count() >= 2:
             omega = S.entries(mask).jet(points, order=0)[0]
             worst = np.maximum(worst, np.max(np.abs(omega), axis=(0, 2), initial=0.0))
-            if np.all(worst > tol):
+            if np.all(worst > 1e-12):
                 break
     if not S.stacked:
         worst = float(worst[0])
-    return worst <= tol, worst
+    return worst <= 1e-12, worst
 
 
 def special_identity_residual(S: SuperconnectionData, x, X: Jet, Y: Jet,

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .clifford import blade_tables, contract
-from .jets import Jet, seed_point
+from .jets import Jet, frozen, seed_point
 
 
 class ChartDomainError(ValueError):
@@ -134,42 +134,41 @@ class MetricJet:
         dh, s = self.dh, self.sqrt_abs_det[..., None]
         self.dsqrt = s * dh
         self.ddsqrt = s[..., None] * (self.ddh + dh[..., :, None] * dh[..., None, :])
-        for a in (self.g, self.dg, self.d2g, self.g_inv, self.dg_inv, self.d2g_inv, self.det,
-                  self.sqrt_abs_det, self.dh, self.ddh, self.dsqrt, self.ddsqrt):
-            _readonly(a)
+        frozen((self.g, self.dg, self.d2g, self.g_inv, self.dg_inv, self.d2g_inv, self.det,
+                self.sqrt_abs_det, self.dh, self.ddh, self.dsqrt, self.ddsqrt))
 
     @cached_property
     def christoffel(self) -> np.ndarray:
         """Gamma[k, i, j] = Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-        return _readonly(0.5 * np.einsum("...kl,...ijl->...kij", self.g_inv,
-                                         _first_kind(self.dg)))
+        return frozen(0.5 * np.einsum("...kl,...ijl->...kij", self.g_inv,
+                                      _first_kind(self.dg)))
 
     @cached_property
     def dchristoffel(self) -> np.ndarray:
         """dGamma[m, k, i, j] = d_m Gamma^k_ij."""
-        return _readonly(0.5 * (
+        return frozen(0.5 * (
             np.einsum("...mkl,...ijl->...mkij", self.dg_inv, _first_kind(self.dg))
             + np.einsum("...kl,...mijl->...mkij", self.g_inv, _first_kind(self.d2g))))
 
     @cached_property
     def riemann(self) -> np.ndarray:
         gamma, dgamma = self.christoffel, self.dchristoffel
-        return _readonly(
+        return frozen(
             np.einsum("...ljki->...ijkl", dgamma) - np.einsum("...kjli->...ijkl", dgamma)
             + np.einsum("...jlm,...mki->...ijkl", gamma, gamma)
             - np.einsum("...jkm,...mli->...ijkl", gamma, gamma))
 
     @cached_property
     def lowered(self) -> np.ndarray:
-        return _readonly(np.einsum("...jm,...imkl->...ijkl", self.g, self.riemann))
+        return frozen(np.einsum("...jm,...imkl->...ijkl", self.g, self.riemann))
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        return _readonly(np.einsum("...km,...mikj->...ij", self.g_inv, self.lowered))
+        return frozen(np.einsum("...km,...mikj->...ij", self.g_inv, self.lowered))
 
     @cached_property
     def scalar(self) -> np.ndarray:
-        return _readonly(np.einsum("...ij,...ij->...", self.g_inv, self.ricci))
+        return frozen(np.einsum("...ij,...ij->...", self.g_inv, self.ricci))
 
     @cached_property
     def compound_inverse(self) -> Jet:
@@ -194,52 +193,36 @@ class MetricJet:
         d = val[..., None, :, :] @ delta_B
         dd = (d[..., :, None, :, :] @ delta_B[..., None, :, :, :]
               + val[..., None, None, :, :] @ delta_dB)
-        return _frozen(Jet(self.x, val, d, dd))
+        return frozen(Jet(self.x, val, d, dd))
 
     @cached_property
     def exterior_connection(self) -> Jet:
         """A_a of nabla_a = partial_a + A_a on the blade axis, the derivation
         -Gamma^j_am eps_m iota_j: one 1-jet with fiber (n, 2^n, 2^n)."""
         table = _derivation_table(self.n)
-        return _frozen(Jet(self.x, -np.einsum("...jam,mjxy->...axy", self.christoffel, table),
-                           -np.einsum("...ljam,mjxy->...laxy", self.dchristoffel, table)))
+        return frozen(Jet(self.x, -np.einsum("...jam,mjxy->...axy", self.christoffel, table),
+                          -np.einsum("...ljam,mjxy->...laxy", self.dchristoffel, table)))
 
     @cached_property
     def raised_iota(self) -> Jet:
         """g^ij iota_j, fiber (n, 2^n, 2^n), as the 1-jet of g^-1: it multiplies
         nabla of a jet, which carries at most one order."""
         iota = blade_tables(self.n)[1]
-        return _frozen(Jet(self.x, contract(self.g_inv, iota), contract(self.dg_inv, iota)))
+        return frozen(Jet(self.x, contract(self.g_inv, iota), contract(self.dg_inv, iota)))
 
     @cached_property
     def exterior_gammas(self) -> Jet:
         """Clifford action c(dx^i) = eps_i - g^ij iota_j on the blade axis: one
         2-jet with fiber (n, 2^n, 2^n)."""
         eps, iota = blade_tables(self.n)  # the sign on the metric spares a negated copy
-        return _frozen(Jet(self.x, *(contract(-a, iota) for a in
-                                     (self.g_inv, self.dg_inv, self.d2g_inv))) + eps)
-
-
-def _readonly(a):
-    """The array, set read-only; a numpy scalar or None passes through."""
-    if isinstance(a, np.ndarray):
-        a.setflags(write=False)
-    return a
-
-
-def _frozen(jet: Jet) -> Jet:
-    """The jet, its arrays set read-only."""
-    for a in (jet.val, jet.d, jet.dd):
-        _readonly(a)
-    return jet
+        return frozen(Jet(self.x, *(contract(-a, iota) for a in
+                                    (self.g_inv, self.dg_inv, self.d2g_inv))) + eps)
 
 
 @lru_cache(maxsize=None)
 def _derivation_table(n: int) -> np.ndarray:
     """eps_m iota_j, shape (n, n, 2^n, 2^n): the derivation replacing dx^j by dx^m."""
-    out = np.einsum("mab,jbc->mjac", *blade_tables(n))
-    out.setflags(write=False)
-    return out
+    return frozen(np.einsum("mab,jbc->mjac", *blade_tables(n)))
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:

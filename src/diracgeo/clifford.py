@@ -24,6 +24,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from .jets import frozen
+
 
 class DegenerateFormError(ValueError):
     """Bilinear form fails the nondegeneracy floor."""
@@ -59,9 +61,7 @@ def reorder_sign(a: int, b: int) -> int:
 @lru_cache(maxsize=None)
 def grades(n: int) -> np.ndarray:
     """Degree of every blade on the 2^n axis."""
-    out = np.array([m.bit_count() for m in range(1 << n)])
-    out.setflags(write=False)
-    return out
+    return frozen(np.array([m.bit_count() for m in range(1 << n)]))
 
 
 @lru_cache(maxsize=None)
@@ -83,9 +83,7 @@ def blade_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
         has = (masks & bit) != 0
         eps[i, masks[~has] | bit, masks[~has]] = sign[~has]
         iota[i, masks[has] ^ bit, masks[has]] = sign[has]
-    for t in (eps, iota):
-        t.setflags(write=False)
-    return eps, iota
+    return frozen((eps, iota))
 
 
 def contract(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -101,7 +99,7 @@ def _quantized_blade(gammas, q: dict, mask: int):
         gam = gammas[(mask & -mask).bit_length() - 1]
         rest = _quantized_blade(gammas, q, mask & (mask - 1))
         left, right = gam @ rest, rest @ gam
-        q[mask] = (left + right if mask.bit_count() % 2 else left - right) * 0.5
+        q[mask] = frozen((left + right if mask.bit_count() % 2 else left - right) * 0.5)
     return q[mask]
 
 
@@ -109,9 +107,10 @@ def quantize_blades(gammas, one) -> Callable[[int], object]:
     """The quantization map M -> q(dx^M) from the gammas c(dx^i) and the unit,
     q(dx^i ^ w) = (gamma^i q(w) + (-1)^|w| q(w) gamma^i) / 2 for i the lowest
     index of M (Hestenes & Sobczyk 1984, ch. 1).  Blades are built on first
-    use by indexing, @, + and scalar *, so arrays and jets both work."""
+    use by indexing, @, + and scalar *, so arrays and jets both work, and
+    are read-only, as is the unit."""
     return partial(_quantized_blade, gammas,
-                   {0: one, **{1 << i: gammas[i] for i in range(len(gammas))}})
+                   {0: frozen(one), **{1 << i: frozen(gammas[i]) for i in range(len(gammas))}})
 
 
 def product_table(pairing: np.ndarray) -> np.ndarray:
@@ -126,9 +125,7 @@ def product_table(pairing: np.ndarray) -> np.ndarray:
     gammas = np.moveaxis(eps - contract(pairing, iota), -3, 0)
     one = np.broadcast_to(np.eye(dim, dtype=complex), gammas.shape[1:])
     q = quantize_blades(gammas, one)
-    table = np.stack([q(mask) for mask in range(dim)], axis=-3)
-    table.setflags(write=False)
-    return table
+    return frozen(np.stack([q(mask) for mask in range(dim)], axis=-3))
 
 
 @lru_cache(maxsize=None)

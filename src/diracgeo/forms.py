@@ -28,7 +28,7 @@ import numpy as np
 
 from .charts import MetricJet
 from .clifford import blade_tables, grades, reorder_sign, wedge_table
-from .jets import Jet, check_point, index_contract
+from .jets import Jet, check_point, frozen, index_contract
 
 
 class JetOrderError(ValueError):
@@ -44,7 +44,8 @@ class JetOrderError(ValueError):
 def _tables(kind: str, n: int) -> tuple:
     """T[i, a, b] of "iota" or "wedge" as the matrices of v -> M(v), u -> M'(u)^T."""
     table = (blade_tables(n)[1] if kind == "iota" else wedge_table(n)).real
-    return table.reshape(-1, 1 << n).T.copy(), table.transpose(0, 2, 1).reshape(len(table), -1)
+    return frozen((table.reshape(-1, 1 << n).T.copy(),
+                   table.transpose(0, 2, 1).reshape(len(table), -1)))
 
 
 def _bilinear(kind: str, u: Jet, v: Jet) -> Jet:
@@ -99,9 +100,7 @@ def exponent_table(n: int, degree: int) -> np.ndarray:
     are drawn, so a seed picks the same field on every version.
     """
     rows = [e for e in _iterproduct(range(degree + 1), repeat=n) if sum(e) <= degree]
-    table = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    table.setflags(write=False)
-    return table
+    return frozen(np.array(rows, dtype=np.int64).reshape(len(rows), n))
 
 
 _JET_TABLES: Dict[tuple, tuple] = {}
@@ -129,10 +128,7 @@ def _jet_table(exponents: np.ndarray) -> tuple:
         # a zero multiplier marks a vanished term; clip its negative power
         monos, index = np.unique(np.maximum(powers, 0).reshape(-1, n), axis=0,
                                  return_inverse=True)
-        hit = (monos, index.reshape(mults.shape), mults)
-        for a in hit:
-            a.setflags(write=False)
-        _JET_TABLES[key] = hit
+        hit = _JET_TABLES[key] = frozen((monos, index.reshape(mults.shape), mults))
     return hit
 
 
@@ -336,9 +332,7 @@ def gram_pairing(a: Jet, b: Jet, mj: MetricJet):
 def _complement_signs(n: int) -> np.ndarray:
     """s[M] = sign of the permutation (blade(M^c), blade(M)), M^c the complement."""
     full = (1 << n) - 1
-    out = np.array([float(reorder_sign(full ^ m, m)) for m in range(1 << n)])
-    out.setflags(write=False)
-    return out
+    return frozen(np.array([float(reorder_sign(full ^ m, m)) for m in range(1 << n)]))
 
 
 def _star(j: Jet, mj: MetricJet, signs: np.ndarray) -> Jet:

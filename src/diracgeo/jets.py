@@ -44,6 +44,18 @@ def check_point(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("jets live at different points")
 
 
+def frozen(value):
+    """``value`` with every array it holds set read-only: an array, a Jet or
+    a tuple of these, nested; anything else passes through.  Every value a
+    cache shares goes through it."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (Jet, tuple)):
+        for part in (value.val, value.d, value.dd) if isinstance(value, Jet) else value:
+            frozen(part)
+    return value
+
+
 def sample_max(*arrays, nb: int = 1, cols: bool = False):
     """Largest entry magnitude over the arrays, per sample of the ``nb``
     leading axes (a number when nb is 0) and, with ``cols``, per column of

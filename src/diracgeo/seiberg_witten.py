@@ -12,12 +12,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .charts import config_integer, config_keys
-from .jets import relative
+from .jets import frozen, relative
 from .spin import spin_module_data
 
 N_DIM = 4
@@ -46,20 +47,19 @@ class SWConfigError(ValueError):
     """Malformed or inconsistent monopole configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SWConfig:
     grid: int
     band: int
     block: str
-    a_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex]
-    psi_modes: Dict[Tuple[int, Tuple[int, int, int, int]], complex]
+    a_modes: Mapping[Tuple[int, Tuple[int, int, int, int]], complex]
+    psi_modes: Mapping[Tuple[int, Tuple[int, int, int, int]], complex]
 
     @cached_property
     def series(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """(frequencies, coefficients) of A and of psi, built on first use;
-        the mode lists are not to change after it."""
-        return (_mode_arrays(self.a_modes, hermitize=True),
-                _mode_arrays(self.psi_modes, hermitize=False))
+        """(frequencies, coefficients) of A and of psi, built on first use."""
+        return frozen((_mode_arrays(self.a_modes, hermitize=True),
+                       _mode_arrays(self.psi_modes, hermitize=False)))
 
 
 def _mode_arrays(modes, hermitize: bool) -> Tuple[np.ndarray, np.ndarray]:
@@ -81,8 +81,9 @@ def _mode_arrays(modes, hermitize: bool) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _modes(rows, name: str, band: int, comps: Sequence[int],
-           outside: str) -> Dict[Tuple[int, tuple], complex]:
-    """The [component, k1..k4, re, im] rows, summed by (component, k)."""
+           outside: str) -> Mapping[Tuple[int, tuple], complex]:
+    """The [component, k1..k4, re, im] rows, summed by (component, k), as a
+    read-only mapping."""
     if not isinstance(rows, list):
         raise SWConfigError(f"{name} must be a list of rows")
     out: Dict[Tuple[int, tuple], complex] = {}
@@ -99,7 +100,7 @@ def _modes(rows, name: str, band: int, comps: Sequence[int],
                    and math.isfinite(v) for v in row[5:]):
             raise SWConfigError(f"re, im {row[5:]!r} must be finite numbers")
         out[(c, k)] = out.get((c, k), 0.0j) + complex(row[5], row[6])
-    return out
+    return MappingProxyType(out)
 
 
 def sw_config_from_dict(cfg: dict) -> SWConfig:
@@ -212,9 +213,7 @@ def block_projector(block: str) -> np.ndarray:
     """(1 + s star) / 2 on the pair components F[j, k], j < k, with s = +1
     on the + block and -1 on the - block, read-only: Q(psi) is self-dual on
     S+ and anti-self-dual on S-, so this is the half of F its equation pairs with."""
-    out = 0.5 * (np.eye(len(_PAIRS)) + (1.0 if block == "+" else -1.0) * _STAR)
-    out.setflags(write=False)
-    return out
+    return frozen(0.5 * (np.eye(len(_PAIRS)) + (1.0 if block == "+" else -1.0) * _STAR))
 
 
 def quadratic_pairs(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -26,7 +26,8 @@ from .bundles import (DiracOperatorData, ModuleSpec, _fold, _fold_index,
                       apply_dirac, canonical_laplacian, dirac_square)
 from .charts import MetricJet
 from .clifford import blade_tables, contract
-from .jets import Jet, check_point, jet_sqrt, relative, relative_gap, sample_max, seed_point
+from .jets import (Jet, check_point, frozen, jet_sqrt, relative, relative_gap, sample_max,
+                   seed_point)
 
 
 class SpinSignatureError(ValueError):
@@ -181,8 +182,9 @@ class SpinConnectionData:
     def dirac(self) -> DiracOperatorData:
         """The Dirac operator c(dx^a)(partial_a + Omega_a) as bundle data,
         built on first use."""
-        return DiracOperatorData(self.mj, self.smd.coordinate_gammas(self.frame), self.omega,
-                                 Jet.constant(np.zeros((self.smd.dim,) * 2), self.mj.x))
+        return DiracOperatorData(self.mj, *frozen((
+            self.smd.coordinate_gammas(self.frame), self.omega,
+            Jet.constant(np.zeros((self.smd.dim,) * 2), self.mj.x))))
 
 
 def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,

@@ -8,7 +8,7 @@ from clifford_reference import jet_det
 from diracgeo import bundles as bnd
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.forms import iota_vector, random_poly_field, wedge_forms
-from diracgeo.jets import Jet, index_contract, jet_sqrt, seed_point
+from diracgeo.jets import Jet, frozen, index_contract, jet_sqrt, seed_point
 
 
 def _fd_grad(f, x, h=1e-5):
@@ -265,3 +265,15 @@ def test_index_axis_contractions_match_member_loops(points):
     close(mats.sum(), sum(list(mats)[1:], mats[0]))
     terms = [a @ v for a, v in zip(mats, vecs)]
     close(index_contract(mats, vecs), sum(terms[1:], terms[0]))
+
+
+def test_frozen_sets_every_held_array_read_only():
+    a, b, c, listed, base = (np.ones(k + 1) for k in range(5))
+    view = base[1:]
+    value = (a, (Jet(np.zeros((3, 2)), b, c, None), 3.0, None), [listed], view)
+    assert frozen(value) is value
+    assert not any(t.flags.writeable for t in (a, b, c, view))
+    # a list is no value frozen reads into, and a view's base stays writable
+    assert listed.flags.writeable and base.flags.writeable
+    for other in (None, 2, "x", np.float64(1.0)):
+        assert frozen(other) is other

@@ -224,6 +224,22 @@ def test_mode_arrays_are_built_once_per_config(monkeypatch):
     assert np.array_equal(suites._levi_civita_star(), swm._STAR)
 
 
+def test_a_config_cannot_change_after_its_series_is_built():
+    # the series is built once from the mode maps, so the maps and the fields
+    # that name them are fixed: a changed config would keep reading the old series
+    cfg = random_sw_config(np.random.default_rng(3), band=2, grid=16)
+    before = sw_functional(cfg)
+    with pytest.raises(TypeError):
+        cfg.psi_modes[(0, (1, 1, 0, 0))] = 2
+    with pytest.raises(AttributeError):
+        cfg.a_modes.clear()
+    with pytest.raises(AttributeError):
+        cfg.a_modes = {}
+    assert sw_functional(cfg) == before
+    assert sw_functional(SWConfig(cfg.grid, cfg.band, cfg.block, cfg.a_modes,
+                                  cfg.psi_modes)) == before
+
+
 def test_pointwise_functions_broadcast_over_a_stack():
     rng = np.random.default_rng(22)
     cfg = random_sw_config(rng, band=2, grid=9, block="-")

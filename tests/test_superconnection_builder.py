@@ -109,7 +109,7 @@ def test_a_drawn_blade_seeds_its_generator_once(monkeypatch):
     assert len(seeded) == 3 * len(S.masks) == len(set(seeded))
     assert all(np.array_equal(u, v) for u, v in zip((a.val, a.d, a.dd), (b.val, b.d, b.dd)))
     # a selection after an eval copies the kept draws
-    T = S.select(range(1, 3), (0, 2))
+    T = S.select(range(1, 3))
     assert np.array_equal(T.eval(x[1:], 1).val[:, 3], a.val[1:, 3])
     assert len(seeded) == 3 * len(S.masks)
 
@@ -260,20 +260,18 @@ def test_selected_members_are_the_members_built_on_their_own(n, monkeypatch):
     ms = bnd.exterior_module(n)
     specs, seeds = {0: "random", 1: "linear", 2: "random(11)"}, [4, 9, 1, 7]
     S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seeds)
-    picks = ((range(4), None), (range(1, 4, 2), (1, 2)), (range(2, 3), (0, 2)))
+    picks = (range(4), range(1, 4, 2), range(2, 3))
     xs = np.random.default_rng(n).uniform(-0.5, 0.5, (4, n))
     S.eval(xs, 0)
     with monkeypatch.context() as patch:
         # once the blades are read, selecting and evaluating the selection seed
         # no generator
         patch.setattr(bnd.np.random, "default_rng", None)
-        got = [(S.select(*pick), S.select(range(4)).select(*pick)) for pick in picks]
-        evals = [[T.eval(xs[members], 2) for T in pair]
-                 for (members, _), pair in zip(picks, got)]
-    for (members, degrees), pair, pair_evals in zip(picks, got, evals):
-        want = bnd.superconnection_from_degrees(
-            n, ms.m, ms.eta, {p: specs[p] for p in degrees or specs},
-            [seeds[k] for k in members])
+        got = [(S.select(members), S.select(range(4)).select(members)) for members in picks]
+        evals = [[T.eval(xs[members], 2) for T in pair] for members, pair in zip(picks, got)]
+    for members, pair, pair_evals in zip(picks, got, evals):
+        want = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs,
+                                                [seeds[k] for k in members])
         wanted = want.eval(xs[members], 2)
         for T, omega in zip(pair, pair_evals):
             assert T.masks == want.masks and T.size == len(members) and T.stacked
