@@ -26,7 +26,7 @@ from .seiberg_witten import (SWConfig, SWConfigError, load_sw_config,
                              random_sw_config, sw_functional, sw_residuals)
 from .spin import (SpinSignatureError, build_spin_connection,
                    conformal_dirac, lichnerowicz_residual, spin_dirac,
-                   spin_module, spin_module_data)
+                   spin_module, spinor_tables)
 from .suites import SUITE_NAMES, SuiteUsageError, run_suite
 
 __version__ = "0.1.0"
@@ -48,7 +48,7 @@ __all__ = [
     "laplacian_from_dirac", "lichnerowicz_residual", "lie_derivative",
     "load_chart_config", "load_sw_config", "metric_jet", "quantize",
     "quantize_superconnection", "random_sw_config", "registry", "run_suite",
-    "seed_point", "spin_dirac", "spin_module", "spin_module_data",
+    "seed_point", "spin_dirac", "spin_module", "spinor_tables",
     "superconnection_from_config", "superconnection_from_degrees",
     "sw_functional", "sw_residuals", "symbol", "vector_bracket",
     "volume_form", "wedge_forms",

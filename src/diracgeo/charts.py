@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -48,9 +48,9 @@ def config_keys(cfg: dict, accepted, error=ValueError) -> None:
                         f"{', '.join(accepted)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Chart:
-    """A named coordinate chart: dimension, metric function, domain."""
+    """A named coordinate chart, shared read-only: dimension, metric, domain."""
 
     name: str
     n: int
@@ -396,7 +396,7 @@ def chart_from_config(cfg: dict) -> Chart:
     config_keys(cfg, ("name", "dimension", "kind", "lambda", "coefficients"))
     try:
         kind = cfg["kind"]
-        n = config_integer(cfg["dimension"], "dimension")
+        n = config_integer(cfg["dimension"], "dimension", low=1)
     except KeyError as exc:
         raise ValueError(f"chart config missing key {exc}") from exc
     if kind == "flat":
@@ -420,9 +420,7 @@ def chart_from_config(cfg: dict) -> Chart:
                                  float(coeffs[1]))
     else:
         raise ValueError(f"unknown chart kind {kind!r}")
-    if "name" in cfg:
-        chart.name = str(cfg["name"])
-    return chart
+    return replace(chart, name=str(cfg["name"])) if "name" in cfg else chart
 
 
 def load_chart_config(path: str) -> Chart:

@@ -55,6 +55,14 @@ def _matrix_list(a: np.ndarray) -> list:
     return arr.tolist()
 
 
+def _write(args, payload: dict, lines: List[str], passed: bool = True) -> int:
+    """The one output path of curvature, dirac and sw: ``payload`` as JSON, or
+    ``lines`` under --human; the exit code of a run that ``passed`` or not."""
+    sys.stdout.write("\n".join(lines) + "\n" if args.human
+                     else json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return 0 if passed else FAIL_EXIT
+
+
 def cmd_verify(args) -> int:
     cfg = swm.load_sw_config(args.config) if args.config else None
     rep = run_suite(args.suite, chart=args.chart, seed=args.seed,
@@ -78,17 +86,10 @@ def cmd_curvature(args) -> int:
         "ricci": np.asarray(mj.ricci).tolist(),
         "scalar_curvature": float(mj.scalar),
     }
-    if args.human:
-        lines = [f"chart {args.chart} at point "
-                 + ", ".join(f"{v:.6g}" for v in x),
-                 "metric:"]
-        for row in payload["metric"]:
-            lines.append("  " + "  ".join(f"{v:12.6f}" for v in row))
-        lines.append(f"scalar curvature: {mj.scalar:.12g}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
+    return _write(args, payload, [
+        f"chart {args.chart} at point " + ", ".join(f"{v:.6g}" for v in x), "metric:",
+        *("  " + "  ".join(f"{v:12.6f}" for v in row) for row in payload["metric"]),
+        f"scalar curvature: {mj.scalar:.12g}"])
 
 
 def cmd_dirac(args) -> int:
@@ -120,17 +121,11 @@ def cmd_dirac(args) -> int:
         "zero_order": _matrix_list(D.Z.val),
         "commutator_residual": worst,
     }
-    if args.human:
-        lines = [f"chart {args.chart}, fiber rank {ms.m}, point "
-                 + ", ".join(f"{v:.6g}" for v in x),
-                 f"zero-order part max entry: "
-                 f"{float(np.max(np.abs(D.Z.val))):.6g}",
-                 f"[D, f] = c(df) residual: {worst:.3e}"]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     # the residual is gated as in the superconnection-dirac-commutator check
-    return 0 if worst_rel <= DIRAC_COMMUTATOR_TOL else FAIL_EXIT
+    return _write(args, payload, [
+        f"chart {args.chart}, fiber rank {ms.m}, point " + ", ".join(f"{v:.6g}" for v in x),
+        f"zero-order part max entry: {float(np.max(np.abs(D.Z.val))):.6g}",
+        f"[D, f] = c(df) residual: {worst:.3e}"], worst_rel <= DIRAC_COMMUTATOR_TOL)
 
 
 def cmd_sw(args) -> int:
@@ -150,20 +145,16 @@ def cmd_sw(args) -> int:
         "quadratic_identity_residual": res["quadratic_identity"],
         "functional": out,
     }
-    if args.human:
-        lines = [f"monopole config: grid {cfg.grid}, band {cfg.band}, "
-                 f"block {cfg.block}",
-                 f"equation residuals at the sample point: "
-                 f"dirac {res['dirac']:.3e}, curvature {res['curvature']:.3e}",
-                 f"functional: equations form {out['w_equations']:.9g}, "
-                 f"weitzenbock form {out['w_weitzenbock']:.9g}",
-                 f"gap {out['gap']:.3e} (relative {out['relative_gap']:.3e})"]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     # the two functional forms agree for every config; the equation residuals
     # vanish only on solutions, so only the gap is gated (as in sw-functional-gap)
-    return 0 if out["relative_gap"] <= SW_FUNCTIONAL_GAP_TOL else FAIL_EXIT
+    return _write(args, payload, [
+        f"monopole config: grid {cfg.grid}, band {cfg.band}, block {cfg.block}",
+        f"equation residuals at the sample point: "
+        f"dirac {res['dirac']:.3e}, curvature {res['curvature']:.3e}",
+        f"functional: equations form {out['w_equations']:.9g}, "
+        f"weitzenbock form {out['w_weitzenbock']:.9g}",
+        f"gap {out['gap']:.3e} (relative {out['relative_gap']:.3e})"],
+        out["relative_gap"] <= SW_FUNCTIONAL_GAP_TOL)
 
 
 @lru_cache(maxsize=None)

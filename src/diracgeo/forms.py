@@ -216,11 +216,6 @@ class PolyField:
         x = np.asarray(x, dtype=float)
         return Jet(x, *self.jet(x, order))
 
-    @staticmethod
-    def zero(n: int, shape: tuple = ()) -> "PolyField":
-        return PolyField(n, np.zeros((0, n), dtype=np.int64),
-                         np.zeros((0,) + tuple(shape), dtype=complex))
-
 
 class FieldLayout(NamedTuple):
     """A random PolyField's variables, fiber shape, degree, coefficient kind

@@ -143,13 +143,6 @@ class Jet:
             return 1
         return 0
 
-    def partial(self, k: int) -> "Jet":
-        """The jet of the k-th partial derivative (one order lower)."""
-        if self.d is None:
-            raise ValueError("jet carries no first-order data")
-        idx = (_ALL,) * self.nb + (k,)
-        return Jet(self.x, self.d[idx], self.dd[idx] if self.dd is not None else None)
-
     def truncate(self, order: int) -> "Jet":
         """The same jet carrying at most ``order`` orders."""
         return Jet(self.x, self.val, self.d if order >= 1 else None,

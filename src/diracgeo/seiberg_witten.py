@@ -19,28 +19,28 @@ import numpy as np
 
 from .charts import config_integer, config_keys
 from .jets import frozen, relative
-from .spin import spin_module_data
+from .spin import spinor_tables
 
 N_DIM = 4
 TWO_PI = 2.0 * np.pi
 
-# component indices of the two chirality blocks in the rank-4 spinor fiber
-BLOCK_INDICES = {"+": (0, 3), "-": (1, 2)}
+GAMMAS, _CHI = spinor_tables(N_DIM)
+# component indices of the two chirality blocks in the rank-4 spinor fiber,
+# where the chirality's diagonal (1, -1, -1, 1) is +1 and -1
+BLOCK_INDICES = {b: tuple(i for i, c in enumerate(np.diag(_CHI).real) if c * s > 0)
+                 for b, s in (("+", 1), ("-", -1))}
 # the top-level keys of a monopole config
 SW_CONFIG_KEYS = ("grid", "band", "chirality_block", "a_modes", "psi_modes")
 
-_SMD = spin_module_data(N_DIM)
-GAMMAS = _SMD.gammas
-
 _PAIRS = [(j, k) for j in range(N_DIM) for k in range(j + 1, N_DIM)]
-_ROWS, _COLS = (np.array(ix) for ix in zip(*_PAIRS))
+_ROWS, _COLS = frozen(tuple(np.array(ix) for ix in zip(*_PAIRS)))
 
 # star on the pair components F[j, k], j < k, in _PAIRS order: star(e^0 ^ e^1)
 # = e^2 ^ e^3, star(e^0 ^ e^2) = -e^1 ^ e^3, star(e^0 ^ e^3) = e^1 ^ e^2
-_STAR = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+_STAR = frozen(np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])))
 
 # G_j G_k on the pairs j < k, in _PAIRS order
-_GJK = np.stack([GAMMAS[j] @ GAMMAS[k] for j, k in _PAIRS])
+_GJK = frozen(np.stack([GAMMAS[j] @ GAMMAS[k] for j, k in _PAIRS]))
 
 
 class SWConfigError(ValueError):

@@ -17,8 +17,8 @@ the Lichnerowicz residual act on each column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Optional
+from functools import cached_property, lru_cache, reduce
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -67,8 +67,9 @@ def _sylvester_sqrt(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
 
 @dataclass
 class FrameField:
-    """Coframe components co[k, i] = <d_k, e^i> and inverse inv[i, k] = <e_i, dx^k>."""
+    """Coframe co[k, i] = <d_k, e^i> and inverse inv[i, k] = <e_i, dx^k> of the jet mj."""
 
+    mj: MetricJet
     co: Jet
     inv: Jet
 
@@ -80,20 +81,20 @@ def build_frame_from_metric(mj: MetricJet) -> FrameField:
         lam = chart.lam_fn(seed_point(mj.x, order=2))
         if np.any(np.real(lam.val) <= 0):
             raise SpinSignatureError("conformal factor not positive at the point")
-        return FrameField(np.eye(n) / lam, lam * np.eye(n))
+        return FrameField(mj, np.eye(n) / lam, lam * np.eye(n))
     if not chart.riemannian:
         raise SpinSignatureError(
             f"chart {chart.name!r} is indefinite; frames exist here only in the "
             f"conformal closed form")
     sqrt = Jet(mj.x, *_sylvester_sqrt(mj.g, mj.dg, mj.d2g))
     # S commutes with g = S S, so S^-1 = S g^-1
-    return FrameField(sqrt, sqrt @ Jet(mj.x, mj.g_inv, mj.dg_inv, mj.d2g_inv))
+    return FrameField(mj, sqrt, sqrt @ Jet(mj.x, mj.g_inv, mj.dg_inv, mj.d2g_inv))
 
 
-def frame_invariant_residual(frame: FrameField, mj: MetricJet):
+def frame_invariant_residual(frame: FrameField):
     """The largest orthonormality, duality and inverse-metric residual per
     sample, the last relative to max|g^-1|."""
-    co, inv, nb = frame.co.val, frame.inv.val, frame.co.nb
+    mj, co, inv, nb = frame.mj, frame.co.val, frame.inv.val, frame.co.nb
     eye = np.eye(mj.n)
     return np.maximum(
         sample_max(np.swapaxes(co, -1, -2) @ mj.g_inv @ co - eye, inv @ co - eye, nb=nb),
@@ -106,44 +107,36 @@ def frame_invariant_residual(frame: FrameField, mj: MetricJet):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpinModuleData:
-    """Polarization gammas on the exterior algebra of C^(n/2)."""
-
-    n: int
-    dim: int
-    gammas: np.ndarray          # (n, dim, dim)
-    chirality: np.ndarray
-
-    def coordinate_gammas(self, frame: FrameField) -> Jet:
-        """c(dx^k) = sum_i <e_i, dx^k> Gamma_i with jets from the frame, fiber
-        (n, dim, dim)."""
-        return frame.inv.map(lambda a: contract(np.swapaxes(a, -1, -2), self.gammas))
-
-
-def spin_module_data(n: int) -> SpinModuleData:
+@lru_cache(maxsize=None)
+def spinor_tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The frame gammas Gamma_a, (n, dim, dim), and the chirality of the
+    polarization module on the exterior algebra of C^(n/2), dim = 2^(n/2),
+    read-only."""
     if n % 2:
         raise ValueError("spinor module needs even dimension")
     half = n // 2
     eps, cot = blade_tables(half)
-    gammas = np.empty((n, 1 << half, 1 << half), dtype=complex)
+    dim = 1 << half
+    gammas = np.empty((n, dim, dim), dtype=complex)
     gammas[0::2] = cot - eps
     gammas[1::2] = 1j * (cot + eps)
-    dim = 1 << half
     # (-1)^half times the product over modes k of 1 - 2 N_k, N_k = eps_k cot_k
     chi = reduce(np.matmul, np.eye(dim) - 2.0 * (eps @ cot),
                  np.eye(dim, dtype=complex) * (-1.0) ** half)
-    return SpinModuleData(n, dim, gammas, chi)
+    return frozen((gammas, chi))
+
+
+def coordinate_gammas(frame: FrameField) -> Jet:
+    """c(dx^k) = sum_i <e_i, dx^k> Gamma_i with jets from the frame, fiber
+    (n, dim, dim)."""
+    gammas = spinor_tables(frame.mj.n)[0]
+    return frame.inv.map(lambda a: contract(np.swapaxes(a, -1, -2), gammas))
 
 
 def spin_module(n: int) -> ModuleSpec:
     """Bundle-level module spec whose gammas come from the metric square root."""
-    smd = spin_module_data(n)
-
-    def provider(mj: MetricJet) -> Jet:
-        return smd.coordinate_gammas(build_frame_from_metric(mj))
-
-    return ModuleSpec(smd.dim, smd.chirality, provider)
+    chi = spinor_tables(n)[1]
+    return ModuleSpec(len(chi), chi, lambda mj: coordinate_gammas(build_frame_from_metric(mj)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +144,13 @@ def spin_module(n: int) -> ModuleSpec:
 # ---------------------------------------------------------------------------
 
 
-def frame_connection_coefficients(frame: FrameField, mj: MetricJet) -> Jet:
+def frame_connection_coefficients(frame: FrameField) -> Jet:
     """(e_j, nabla_{d_a} e_k) as a 1-jet w0 with fiber [a, j, k].
 
     w0 pairs the coordinate-direction derivative of e_k with e_j;
     antisymmetric in (j, k) by metric compatibility.
     """
-    inv = frame.inv
+    mj, inv = frame.mj, frame.inv
     ge = inv @ Jet(mj.x, mj.g, mj.dg, mj.d2g)  # ge[j, m] = <e_j, d_m> lowered
     # Gamma^m_ab on the fiber [a, b, m], so nab[a, k, m] = (nabla_{d_a} e_k)^m
     gamma = Jet(mj.x, np.moveaxis(mj.christoffel, -3, -1),
@@ -169,11 +162,9 @@ def frame_connection_coefficients(frame: FrameField, mj: MetricJet) -> Jet:
 @dataclass
 class SpinConnectionData:
     """U(1) potential plus frame term: Omega_a = A_a/2 - w0[a,j,k] G_j G_k / 4,
-    with the module, frame and metric jet it was built from."""
+    with the frame it was built from, and so its metric jet."""
 
-    smd: SpinModuleData
     frame: FrameField
-    mj: MetricJet
     a_pot: Jet                  # A_a, fiber (n,)
     w0: Jet                     # (e_j, nabla_{d_a} e_k), fiber (n, n, n)
     omega: Jet                  # Omega_a, fiber (n, dim, dim)
@@ -182,29 +173,28 @@ class SpinConnectionData:
     def dirac(self) -> DiracOperatorData:
         """The Dirac operator c(dx^a)(partial_a + Omega_a) as bundle data,
         built on first use."""
-        return DiracOperatorData(self.mj, *frozen((
-            self.smd.coordinate_gammas(self.frame), self.omega,
-            Jet.constant(np.zeros((self.smd.dim,) * 2), self.mj.x))))
+        mj, dim = self.frame.mj, self.omega.val.shape[-1]
+        return DiracOperatorData(mj, *frozen((
+            coordinate_gammas(self.frame), self.omega, Jet.constant(np.zeros((dim, dim)), mj.x))))
 
 
-def build_spin_connection(frame: FrameField, smd: SpinModuleData, mj: MetricJet,
-                          a_pot: Optional[Jet] = None) -> SpinConnectionData:
+def build_spin_connection(frame: FrameField, a_pot: Optional[Jet] = None) -> SpinConnectionData:
     """The spin-c connection of ``frame`` and the imaginary U(1) potential
-    ``a_pot`` (zero unless given), all at the points of ``mj``."""
-    n = mj.n
+    ``a_pot`` (zero unless given), all at the points of the frame's metric jet."""
+    mj, gammas = frame.mj, spinor_tables(frame.mj.n)[0]
     if a_pot is None:
-        a_pot = Jet.constant(np.zeros(n), mj.x)
+        a_pot = Jet.constant(np.zeros(mj.n), mj.x)
     if np.max(np.abs(a_pot.val.real)) > 1e-12 or (
             a_pot.d is not None and np.max(np.abs(a_pot.d.real)) > 1e-12):
         raise ValueError("spin-c potential must be purely imaginary")
-    w0 = frame_connection_coefficients(frame, mj)
+    w0 = frame_connection_coefficients(frame)
     anti = float(np.max(np.abs(w0.val + np.swapaxes(w0.val, -1, -2))))
     if anti > 1e-9:
         raise ValueError(f"frame coefficients not antisymmetric ({anti:.2e})")
-    gg = np.einsum("jab,kbc->jkac", smd.gammas, smd.gammas)
+    gg = np.einsum("jab,kbc->jkac", gammas, gammas)
     frame_term = w0.map(lambda t: -0.25 * np.einsum("...jk,jkxy->...xy", t, gg))
-    potential = Jet(a_pot.x, a_pot.val, a_pot.d)[:, None, None] * (0.5 * np.eye(smd.dim))
-    return SpinConnectionData(smd, frame, mj, a_pot, w0, potential + frame_term)
+    potential = Jet(a_pot.x, a_pot.val, a_pot.d)[:, None, None] * (0.5 * np.eye(gammas.shape[-1]))
+    return SpinConnectionData(frame, a_pot, w0, potential + frame_term)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +219,13 @@ def spin_dirac_alpha(scd: SpinConnectionData, j: Jet) -> np.ndarray:
     out = _slash(scd.dirac.gam.val, j, scd.a_pot)
     # (e_j, nabla_{e_i} e_k) = <e_i, dx^a> w0[a, j, k]
     w = np.einsum("...ia,...ajk->...ijk", scd.frame.inv.val, scd.w0.val)
-    q1 = contract(np.einsum("...iji->...j", w), scd.smd.gammas)
+    g = spinor_tables(scd.frame.mj.n)[0]
+    q1 = contract(np.einsum("...iji->...j", w), g)
     wt = w - np.swapaxes(w, -3, -1)  # (e_j, [e_i, e_k]) by torsion freeness
     # the antisymmetrized cubic on the increasing triples a < b < c
     alt = sum(sg * np.einsum(f"...{p}->...abc", wt) for p, sg in
               (("abc", 1), ("bca", 1), ("cab", 1), ("bac", -1), ("acb", -1), ("cba", -1)))
     a, b, c = np.indices(wt.shape[-3:])
-    g = scd.smd.gammas
     cubes = g[:, None, None] @ g[None, :, None] @ g[None, None, :]  # gamma_a gamma_b gamma_c
     q3 = np.einsum("...abc,abcxw->...xw", alt / 6.0 * ((a < b) & (b < c)), cubes)
     return out - 0.25 * ((2.0 * q1 + 3.0 * q3) @ j.val)
@@ -252,7 +242,7 @@ def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
 def conformal_dirac(scd: SpinConnectionData, j: Jet) -> np.ndarray:
     """Closed form L (slash(d) + slash(A)/2) L^{-1} with L^2 = lambda^(n-1), on
     a block psi (m, K)."""
-    chart = scd.mj.chart
+    chart = scd.frame.mj.chart
     if chart.lam_fn is None:
         raise ValueError("conformal closed form needs a conformal chart")
     lam = chart.lam_fn(seed_point(j.x, order=2))
@@ -260,7 +250,7 @@ def conformal_dirac(scd: SpinConnectionData, j: Jet) -> np.ndarray:
         raise ValueError("conformal factor not positive at the point")
     biglam = jet_sqrt(lam) ** (chart.n - 1)
     return ((biglam.val * lam.val)[..., None, None]
-            * _slash(scd.smd.gammas, j * (1.0 / biglam), scd.a_pot))
+            * _slash(spinor_tables(chart.n)[0], j * (1.0 / biglam), scd.a_pot))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +266,7 @@ def lichnerowicz_residual(scd: SpinConnectionData, j: Jet):
     """
     if j.dd is None:
         raise ValueError("Lichnerowicz test needs an order-2 section jet")
-    D, mj = scd.dirac, scd.mj
+    D, mj = scd.dirac, scd.frame.mj
     lhs = dirac_square(D, j)
     rhs = canonical_laplacian(scd.omega, mj, j)
     rhs = rhs + 0.25 * mj.scalar[..., None, None] * j.val
@@ -290,10 +280,10 @@ def lichnerowicz_residual(scd: SpinConnectionData, j: Jet):
 
 def chirality_action_checks(scd: SpinConnectionData) -> dict:
     """Per sample: anticommutation with the gammas, commutation with the connection."""
-    g, nb, chi = scd.dirac.gam.val, scd.frame.inv.nb, scd.smd.chirality
+    g, nb, chi = scd.dirac.gam.val, scd.frame.inv.nb, spinor_tables(scd.frame.mj.n)[1]
     r1 = sample_max(chi @ g + g @ chi, nb=nb)
     om = scd.omega.val
     r2 = sample_max(chi @ om - om @ chi, nb=nb)
-    sq = float(np.max(np.abs(chi @ chi - np.eye(scd.smd.dim))))
+    sq = float(np.max(np.abs(chi @ chi - np.eye(len(chi)))))
     return {"gamma_anticommutation": r1, "connection_commutation": r2,
             "chirality_squares_to_one": sq}

@@ -512,7 +512,7 @@ def lichnerowicz_suite(pts: _Points) -> VerificationReport:
         raise SuiteUsageError(f"spinor checks need a Riemannian chart, not {ch.name}")
     run = _Run("lichnerowicz", pts)
     n, mj = run.n, run.mj
-    smd, vector = sp.spin_module_data(n), FieldLayout(n, (n,))
+    dim, vector = 1 << n // 2, FieldLayout(n, (n,))
 
     def potentials(at):
         """One U(1) potential per point of ``at``: a vector field with imaginary values."""
@@ -520,14 +520,14 @@ def lichnerowicz_suite(pts: _Points) -> VerificationReport:
         return replace(f, coeffs=1j * f.coeffs).eval(at, 2)
 
     a_jets = potentials(run.xs)
-    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), smd, mj, a_jets)
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), a_jets)
     # the chirality and connection-difference checks run on the first few points
     head, scd_h = run.head, scd
     if head is not mj:
         a_h = Jet(head.x, *(t[:len(head.x)] for t in (a_jets.val, a_jets.d, a_jets.dd)))
-        scd_h = sp.build_spin_connection(sp.build_frame_from_metric(head), smd, head, a_h)
+        scd_h = sp.build_spin_connection(sp.build_frame_from_metric(head), a_h)
 
-    spinor = [FieldLayout(n, (smd.dim,), complex_coeffs=True)]
+    spinor = [FieldLayout(n, (dim,), complex_coeffs=True)]
 
     # each route is one call on a block of the draws
     def dual_route():
@@ -542,13 +542,13 @@ def lichnerowicz_suite(pts: _Points) -> VerificationReport:
 
     def connection_difference():
         b_jets = potentials(head.x)
-        scd2 = sp.build_spin_connection(scd_h.frame, smd, head, b_jets)
-        want = 0.5 * (scd_h.a_pot.val - b_jets.val)[..., None, None] * np.eye(smd.dim)
+        scd2 = sp.build_spin_connection(scd_h.frame, b_jets)
+        want = 0.5 * (scd_h.a_pot.val - b_jets.val)[..., None, None] * np.eye(dim)
         return sample_max(scd_h.omega.val - scd2.omega.val - want)
 
     run.check("lichnerowicz-frame-invariants",
               "frame is orthonormal, dual, and reconstructs the metric", 1e-10,
-              lambda: sp.frame_invariant_residual(scd.frame, mj))
+              lambda: sp.frame_invariant_residual(scd.frame))
     run.check("lichnerowicz-dirac-dual-route",
               "generic assembly equals the 1-form/3-form route", 1e-10,
               dual_route)

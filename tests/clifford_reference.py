@@ -210,7 +210,7 @@ def exterior_derivative(coeffs: Dict[int, Jet], n: int) -> Dict[int, Jet]:
             bit = 1 << i
             if m & bit:
                 continue
-            term = c.partial(i)
+            term = c.gradient()[i]
             _dict_add(out, m | bit, term if reorder_sign(bit, m) > 0 else -term)
     return out
 
@@ -274,7 +274,7 @@ def covariant_derivative(coeffs: Dict[int, Jet], mj) -> List[Dict[int, Jet]]:
     for a in range(n):
         acc: Dict[int, Jet] = {}
         for mask, c in coeffs.items():
-            _dict_add(acc, mask, c.partial(a))
+            _dict_add(acc, mask, c.gradient()[a])
             rest_all = blade_indices(mask)
             for pos, ip in enumerate(rest_all):
                 rest = mask & ~(1 << ip)

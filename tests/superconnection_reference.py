@@ -63,7 +63,8 @@ def superconnection_field(n: int, m: int, eta: np.ndarray, degree_specs: dict,
         hit = bnd._PRESET.fullmatch(degree_specs[p].strip())
         degree, seed = PRESET_DEGREES[hit[1] or "random"], int(hit[2] or base_seed)
         if degree is None:
-            blades[mask] = PolyField.zero(n, (m, m))
+            blades[mask] = PolyField(n, np.zeros((0, n), dtype=np.int64),
+                                     np.zeros((0, m, m), dtype=complex))
         else:
             rng = np.random.default_rng(seed * 100003 + mask * 101 + 7)
             blades[mask] = bnd.random_parity_matrix(rng, n, eta, 1 if p % 2 else -1,

@@ -265,7 +265,7 @@ def test_criterion_09_conformal_flagship():
     for name in ("sphere2", "sphere4", "hyperbolic2", "hyperbolic4"):
         ch = get_chart(name)
         n = ch.n
-        smd = sp.spin_module_data(n)
+        dim = 1 << n // 2
         for _ in range(50):
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
@@ -273,8 +273,8 @@ def test_criterion_09_conformal_flagship():
             pot = random_poly_field(rng, n, (n,))
             a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
             assert max(abs(complex(a.val)) for a in a_jets) > 0
-            scd = sp.build_spin_connection(fr, smd, mj, a_jets)
-            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
+            scd = sp.build_spin_connection(fr, a_jets)
+            j = random_poly_field(rng, n, (dim,), complex_coeffs=True).eval(x, 2)[..., None]
             d1 = sp.spin_dirac(scd, j)
             d2 = sp.conformal_dirac(scd, j)
             scale = max(1.0, float(np.max(np.abs(d1))),
@@ -289,7 +289,7 @@ def test_criterion_10_lichnerowicz():
     for name in EVEN_RIEMANNIAN:
         ch = get_chart(name)
         n = ch.n
-        smd = sp.spin_module_data(n)
+        dim = 1 << n // 2
         for with_pot in (False, True):
             for _ in range(10):
                 x = ch.sample_point(rng)
@@ -299,9 +299,9 @@ def test_criterion_10_lichnerowicz():
                 if with_pot:
                     pot = random_poly_field(rng, n, (n,))
                     a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
-                scd = sp.build_spin_connection(fr, smd, mj, a_jets)
+                scd = sp.build_spin_connection(fr, a_jets)
                 for _ in range(10):  # 100 jets per chart and setting
-                    j = random_poly_field(rng, n, (smd.dim,),
+                    j = random_poly_field(rng, n, (dim,),
                                           complex_coeffs=True).eval(x, 2)[..., None]
                     worst = max(worst,
                                 sp.lichnerowicz_residual(scd, j)[0])

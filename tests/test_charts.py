@@ -223,7 +223,7 @@ def test_metric_jet_reports_the_first_bad_sample_and_its_first_failure():
 def test_chart_from_config_roundtrip(tmp_path):
     cfg = {"name": "shifted_torus", "kind": "torus", "dimension": 2}
     ch = chart_from_config(cfg)
-    assert ch.n == 2
+    assert ch.n == 2 and ch.name == "shifted_torus"
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(cfg))
     ch2 = load_chart_config(str(path))
@@ -256,6 +256,15 @@ def test_chart_config_polynomial_seed_must_be_non_negative():
     # a negative seed used to surface numpy's bare "expected non-negative integer"
     with pytest.raises(ValueError, match=r"polynomial seed must be at least 0, got -1"):
         chart_from_config({"kind": "polynomial", "dimension": 2, "coefficients": [-1, 0.04]})
+
+
+@pytest.mark.parametrize("kind", ["flat", "torus", "conformal", "polynomial"])
+@pytest.mark.parametrize("dimension", [0, -2])
+def test_chart_config_dimension_must_be_positive(kind, dimension):
+    # {"kind": "flat", "dimension": 0} used to build flat0, whose suites then
+    # failed with "cannot reshape array of size 0 into shape (0)"
+    with pytest.raises(ValueError, match=f"dimension must be at least 1, got {dimension}"):
+        chart_from_config({"kind": kind, "dimension": dimension})
 
 
 def test_chart_config_accepts_integral_floats():

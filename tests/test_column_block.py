@@ -102,11 +102,11 @@ def test_bundle_operators_act_on_each_column(name, stack, K):
 @pytest.mark.parametrize("name, stack, K", [c for c in CASES if c[0] != "poly3"])
 def test_lichnerowicz_residual_acts_on_each_column(name, stack, K):
     n, rng, xs, mj = _points(name, stack, 32)
-    smd = sp.spin_module_data(n)
+    dim = 1 << n // 2
     fr = sp.build_frame_from_metric(mj)
-    scd = sp.build_spin_connection(fr, smd, mj, _field(
+    scd = sp.build_spin_connection(fr, _field(
         rng, xs, lambda r: replace(f := random_poly_field(r, n, (n,)), coeffs=1j * f.coeffs)))
-    j = _field(rng, xs, lambda r: random_poly_field(r, n, (smd.dim, K), complex_coeffs=True))
+    j = _field(rng, xs, lambda r: random_poly_field(r, n, (dim, K), complex_coeffs=True))
     _per_column(sp.lichnerowicz_residual(scd, j),
                 lambda c: sp.lichnerowicz_residual(scd, _col(j, c))[..., 0], K)
 
@@ -151,11 +151,11 @@ def test_coderivative_of_a_sum_is_the_sum_over_degrees(name, stack):
 @pytest.mark.parametrize("name, stack, K", FORM_CASES)
 def test_spinor_dirac_routes_act_on_each_column(name, stack, K):
     n, rng, xs, mj = _points(name, stack, 36)
-    ch, smd, fr = get_chart(name), sp.spin_module_data(n), sp.build_frame_from_metric(mj)
+    ch, dim, fr = get_chart(name), 1 << n // 2, sp.build_frame_from_metric(mj)
     a_pot = _field(rng, xs,
                    lambda r: replace(f := random_poly_field(r, n, (n,)), coeffs=1j * f.coeffs))
-    scd = sp.build_spin_connection(fr, smd, mj, a_pot)
-    j = _field(rng, xs, lambda r: random_poly_field(r, n, (smd.dim, K), complex_coeffs=True))
+    scd = sp.build_spin_connection(fr, a_pot)
+    j = _field(rng, xs, lambda r: random_poly_field(r, n, (dim, K), complex_coeffs=True))
     routes = [lambda j: sp.spin_dirac(scd, j), lambda j: sp.spin_dirac_alpha(scd, j)]
     if ch.lam_fn is not None:
         routes.append(lambda j: sp.conformal_dirac(scd, j))

@@ -125,3 +125,17 @@ def test_every_top_level_name_is_used():
               if used[node.name] == names(node)[node.name] and node.name not in readme}
     assert UNUSED_ALLOWED <= {node.name for node in defined}
     assert unused <= UNUSED_ALLOWED
+
+
+def test_every_public_method_is_read():
+    # the same ratchet one level down: every public method or property of a
+    # class of src/ is read as `.name` in a module of src/ or in README
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "diracgeo").glob("*.py")]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    read |= set(re.findall(r"\.(\w+)", README.read_text()))
+    methods = [f"{cls.name}.{node.name}" for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert len(methods) >= 40
+    assert [name for name in methods if name.split(".")[1] not in read] == []

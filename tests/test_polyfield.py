@@ -131,6 +131,11 @@ def _naive_jet(f: PolyField, x):
     return val, d, dd
 
 
+def _empty(n, shape):
+    """The field with no terms."""
+    return PolyField(n, np.zeros((0, n), dtype=np.int64), np.zeros((0,) + shape, dtype=complex))
+
+
 def _fields(rng, n, degree):
     m = 3
     yield random_poly_field(rng, n, (), degree, True)
@@ -138,7 +143,7 @@ def _fields(rng, n, degree):
         f = random_poly_field(rng, n, (m,), degree, True)
         yield PolyField(n, f.exponents,
                         rng.normal(size=(len(f.exponents),) + shape) + 0j)
-    yield PolyField.zero(n, (m, m))
+    yield _empty(n, (m, m))
     yield PolyField(n, np.zeros((1, n), dtype=np.int64),
                     rng.normal(size=(1, m)) + 1j * rng.normal(size=(1, m)))
 
@@ -169,7 +174,7 @@ def test_jets_match_term_loop_and_finite_differences(n, degree):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b), initial=0.0) <= 1e-15 * scale
     # the empty field is zero; a constant field is its coefficient, exactly
-    assert not any(a.any() for a in PolyField.zero(n, (2, 2)).jet(x))
+    assert not any(a.any() for a in _empty(n, (2, 2)).jet(x))
     const = PolyField(n, np.zeros((1, n), dtype=np.int64),
                       np.full((1, 2, 2), 0.5 + 1j))
     val, d, dd = const.jet(x)
@@ -213,7 +218,7 @@ def test_eval_wraps_each_kind_in_its_container():
 
     sec = random_poly_field(rng, n, (4,), complex_coeffs=True).eval(x)
     assert isinstance(sec, Jet) and sec.dd.shape == (n, n, 4)
-    mat = PolyField.zero(n, (4, 4)).eval(x, 1)
+    mat = _empty(n, (4, 4)).eval(x, 1)
     assert isinstance(mat, Jet) and mat.d.shape == (n, 4, 4)
     assert mat.dd is None
 

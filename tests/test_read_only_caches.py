@@ -2,15 +2,19 @@
 that share a quantization map, a set of D^2 coefficients or a stack of drawn
 blades stay independent only if none of them can change it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from diracgeo import bundles as bnd
 from diracgeo import forms
+from diracgeo import seiberg_witten as swm
 from diracgeo import spin as sp
 from diracgeo.charts import get_chart, metric_jet
 from diracgeo.clifford import product_table
 from diracgeo.seiberg_witten import random_sw_config
+from diracgeo.suites import run_suite
 
 XS = np.array([[0.3, -0.2], [0.1, 0.4], [-0.5, 0.2]])
 
@@ -42,7 +46,7 @@ def _given_entries(mj, ms):
 
 
 def _spin_dirac(mj, ms):
-    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), sp.spin_module_data(2), mj)
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj))
     D = scd.dirac
     return D.gam.val, D.gam.d, D.A.val, D.A.d, D.Z.d
 
@@ -58,6 +62,9 @@ CACHES = {
     "SpinConnectionData.dirac": _spin_dirac,
     "SuperconnectionData.entries/drawn": _drawn_entries,
     "SuperconnectionData.entries/given": _given_entries,
+    "seiberg_witten constants": lambda mj, ms: (swm.GAMMAS, swm._STAR, swm._GJK, swm._ROWS,
+                                                swm._COLS),
+    "spin.spinor_tables": lambda mj, ms: sp.spinor_tables(2) + sp.spinor_tables(4),
     # frozen already before the rule was one helper
     "MetricJet.christoffel": lambda mj, ms: (mj.christoffel, mj.exterior_gammas.d),
     "clifford.product_table": lambda mj, ms: (product_table(mj.g_inv),),
@@ -72,3 +79,13 @@ def test_a_shared_cache_cannot_be_written(cache):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 7
+
+
+def test_a_registered_chart_cannot_be_written():
+    # the registry shares one Chart per name: a write to sphere2's scalar
+    # curvature used to fail every later levi-civita-scalar-reference on it
+    chart = get_chart("sphere2")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chart.scalar = 3.0
+    assert get_chart("sphere2").scalar == 2.0
+    assert run_suite("levi-civita", chart="sphere2", seed=1, samples=3).passed

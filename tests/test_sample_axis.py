@@ -101,7 +101,7 @@ def test_jet_arithmetic_batches():
         (lambda a, b, u, w: u * const[0]), (lambda a, b, u, w: a / (b + 3.0)),
         (lambda a, b, u, w: 2.0 / (a + 3.0)), (lambda a, b, u, w: a ** 3),
         (lambda a, b, u, w: a ** 0), (lambda a, b, u, w: -u),
-        (lambda a, b, u, w: u.partial(1)), (lambda a, b, u, w: w[1:, 0]),
+        (lambda a, b, u, w: u.gradient()[1]), (lambda a, b, u, w: w[1:, 0]),
         (lambda a, b, u, w: w[..., 2]), (lambda a, b, u, w: u.conj()),
         (lambda a, b, u, w: jet_sqrt(jet_sqrt(b * b + 2.0) + a) * a ** 2),
         (lambda a, b, u, w: jet_sqrt(a * a + 2.0) + 1.0 / (b * b + 1.0)),
@@ -280,22 +280,21 @@ def test_bundle_operators_batch(name):
 def test_spin_operators_batch(name):
     ch, rng, mj, singles = _points_and_jets(name, 23)
     n = ch.n
-    smd = sp.spin_module_data(n)
+    dim = 1 << n // 2
     fr = sp.build_frame_from_metric(mj)
     frs = [sp.build_frame_from_metric(sk) for sk in singles]
     for k in ("co", "inv"):
         _same(getattr(fr, k), [getattr(f, k) for f in frs])
-    _close(sp.frame_invariant_residual(fr, mj),
-           [sp.frame_invariant_residual(f, sk) for f, sk in zip(frs, singles)])
+    _close(sp.frame_invariant_residual(fr), [sp.frame_invariant_residual(f) for f in frs])
     a, a_s = _stack(rng, mj.x, singles,
                     lambda r: replace(f := random_poly_field(r, n, (n,)), coeffs=1j * f.coeffs))
-    scd = sp.build_spin_connection(fr, smd, mj, a)
-    scds = [sp.build_spin_connection(f, smd, sk, ak) for f, sk, ak in zip(frs, singles, a_s)]
+    scd = sp.build_spin_connection(fr, a)
+    scds = [sp.build_spin_connection(f, ak) for f, ak in zip(frs, a_s)]
     for k in ("w0", "omega"):
         _same_jets(getattr(scd, k), [getattr(c, k) for c in scds])
-    _same_jets(smd.coordinate_gammas(fr), [smd.coordinate_gammas(f) for f in frs])
+    _same_jets(sp.coordinate_gammas(fr), [sp.coordinate_gammas(f) for f in frs])
     j, js = _stack(rng, mj.x, singles,
-                   lambda r: random_poly_field(r, n, (smd.dim,), complex_coeffs=True))
+                   lambda r: random_poly_field(r, n, (dim,), complex_coeffs=True))
     j, js = j[..., None], [jk[..., None] for jk in js]      # one-column blocks
     every = list(zip(scds, js))
     for route in (sp.spin_dirac, sp.spin_dirac_alpha, sp.lichnerowicz_residual) + (

@@ -21,7 +21,7 @@ def test_frame_invariants_on_riemannian_charts():
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
         fr = sp.build_frame_from_metric(mj)
-        assert sp.frame_invariant_residual(fr, mj) < 1e-10, name
+        assert sp.frame_invariant_residual(fr) < 1e-10, name
 
 
 def test_frame_rejects_indefinite_metric():
@@ -32,25 +32,26 @@ def test_frame_rejects_indefinite_metric():
 
 def test_spin_module_dimension_and_gamma_relations():
     for n in (2, 4, 6):
-        smd = sp.spin_module_data(n)
-        assert smd.dim == 2 ** (n // 2)
+        gammas, chi = sp.spinor_tables(n)
+        dim = len(chi)
+        assert dim == 2 ** (n // 2)
         for i in range(n):
             for j in range(n):
-                anti = smd.gammas[i] @ smd.gammas[j] + smd.gammas[j] @ smd.gammas[i]
-                want = -2.0 * (i == j) * np.eye(smd.dim)
+                anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
+                want = -2.0 * (i == j) * np.eye(dim)
                 assert np.max(np.abs(anti - want)) < 1e-13
     with pytest.raises(ValueError):
-        sp.spin_module_data(3)
+        sp.spinor_tables(3)
 
 
 def test_chirality_structure():
-    smd = sp.spin_module_data(4)
-    chi = smd.chirality
-    assert np.max(np.abs(chi @ chi - np.eye(smd.dim))) < 1e-13
-    for g in smd.gammas:
+    dim = 4
+    gammas, chi = sp.spinor_tables(4)
+    assert np.max(np.abs(chi @ chi - np.eye(dim))) < 1e-13
+    for g in gammas:
         assert np.max(np.abs(chi @ g + g @ chi)) < 1e-13
     # split into equal chiral halves
-    assert np.sum(np.real(np.diag(chi)) > 0) == smd.dim // 2
+    assert np.sum(np.real(np.diag(chi)) > 0) == dim // 2
 
 
 def test_coordinate_gammas_close_the_metric_relation():
@@ -58,14 +59,14 @@ def test_coordinate_gammas_close_the_metric_relation():
     for name in ("sphere2", "poly4"):
         ch = get_chart(name)
         n = ch.n
-        smd = sp.spin_module_data(n)
+        dim = 1 << n // 2
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
-        gam = smd.coordinate_gammas(sp.build_frame_from_metric(mj))
+        gam = sp.coordinate_gammas(sp.build_frame_from_metric(mj))
         for i in range(n):
             for j in range(n):
                 anti = gam[i].val @ gam[j].val + gam[j].val @ gam[i].val
-                want = -2.0 * mj.g_inv[i, j] * np.eye(smd.dim)
+                want = -2.0 * mj.g_inv[i, j] * np.eye(dim)
                 assert np.max(np.abs(anti - want)) < 1e-11
 
 
@@ -74,26 +75,37 @@ def test_spin_connection_rejects_real_potential():
     x = np.zeros(2)
     mj = metric_jet(ch, x)
     fr = sp.build_frame_from_metric(mj)
-    smd = sp.spin_module_data(2)
     real_pot = Jet.constant([0.3, 0.0], x)
     with pytest.raises(ValueError):
-        sp.build_spin_connection(fr, smd, mj, real_pot)
+        sp.build_spin_connection(fr, real_pot)
 
 
 @pytest.mark.parametrize("name", ["sphere2", "poly2", "flat4"])
 def test_spin_connection_refuses_inputs_at_other_points(name):
-    # the frame and the potential must live at the metric jet's points
+    # the potential must live at the points of the frame's metric jet
     ch = get_chart(name)
     rng = np.random.default_rng(5)
     xs = np.array([ch.sample_point(rng) for _ in range(3)])
     mj, other = metric_jet(ch, xs), metric_jet(ch, xs + 0.01)
-    smd, fr = sp.spin_module_data(ch.n), sp.build_frame_from_metric(mj)
+    fr = sp.build_frame_from_metric(mj)
     with pytest.raises(ValueError, match="jets live at different points"):
-        sp.build_spin_connection(sp.build_frame_from_metric(other), smd, mj)
-    with pytest.raises(ValueError, match="jets live at different points"):
-        sp.build_spin_connection(fr, smd, mj, Jet.constant(np.zeros(ch.n) * 1j, other.x))
-    scd = sp.build_spin_connection(fr, smd, mj)
-    assert scd.frame is fr and scd.mj is mj and scd.smd is smd and scd.dirac is scd.dirac
+        sp.build_spin_connection(fr, Jet.constant(np.zeros(ch.n) * 1j, other.x))
+    scd = sp.build_spin_connection(fr)
+    assert scd.frame is fr and fr.mj is mj and scd.dirac.mj is mj and scd.dirac is scd.dirac
+
+
+def test_a_frame_carries_the_metric_jet_it_was_built_from():
+    # two metrics at the same points: each frame, and so each connection,
+    # reads its own metric jet, where a frame and a metric jet passed side by
+    # side could disagree
+    rng = np.random.default_rng(5)
+    xs = np.array([get_chart("sphere2").sample_point(rng) for _ in range(3)])
+    for name in ("sphere2", "poly2"):
+        mj = metric_jet(get_chart(name), xs)
+        fr = sp.build_frame_from_metric(mj)
+        assert fr.mj is mj and np.max(sp.frame_invariant_residual(fr)) < 1e-10
+        w0 = sp.build_spin_connection(fr).w0.val
+        assert np.max(np.abs(w0 + np.swapaxes(w0, -1, -2))) < 1e-12, name
 
 
 def test_spin_routes_refuse_spinors_at_other_points():
@@ -104,16 +116,16 @@ def test_spin_routes_refuse_spinors_at_other_points():
     rng = np.random.default_rng(5)
     xs = np.array([ch.sample_point(rng) for _ in range(2)])
     mj = metric_jet(ch, xs)
-    smd = sp.spin_module_data(2)
-    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), smd, mj)
-    field = random_poly_field(rng, 2, (smd.dim,), complex_coeffs=True)
+    dim = 2
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj))
+    field = random_poly_field(rng, 2, (dim,), complex_coeffs=True)
     here, there = (field.eval(x, 2)[..., None] for x in (xs, xs + 0.3))
     routes = {"spin_dirac": sp.spin_dirac, "spin_dirac_alpha": sp.spin_dirac_alpha,
               "conformal_dirac": sp.conformal_dirac,
               "lichnerowicz_residual": sp.lichnerowicz_residual,
-              "slash": lambda s, j: sp._slash(s.smd.gammas, j, s.a_pot),
+              "slash": lambda s, j: sp._slash(sp.spinor_tables(2)[0], j, s.a_pot),
               "dirac_square": lambda s, j: bnd.dirac_square(s.dirac, j),
-              "canonical_laplacian": lambda s, j: bnd.canonical_laplacian(s.omega, s.mj, j)}
+              "canonical_laplacian": lambda s, j: bnd.canonical_laplacian(s.omega, s.frame.mj, j)}
     for name, route in routes.items():
         route(scd, here)
         with pytest.raises(ValueError, match="jets live at different points"):
@@ -126,15 +138,15 @@ def test_dirac_routes_agree():
     for name in ("sphere2", "poly2", "hyperbolic4", "torus4"):
         ch = get_chart(name)
         n = ch.n
-        smd = sp.spin_module_data(n)
+        dim = 1 << n // 2
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
         fr = sp.build_frame_from_metric(mj)
         pot = random_poly_field(rng, n, (n,))
         a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
-        scd = sp.build_spin_connection(fr, smd, mj, a_jets)
+        scd = sp.build_spin_connection(fr, a_jets)
         for _ in range(5):
-            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
+            j = random_poly_field(rng, n, (dim,), complex_coeffs=True).eval(x, 2)[..., None]
             d1 = sp.spin_dirac(scd, j)
             d2 = sp.spin_dirac_alpha(scd, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
@@ -146,15 +158,15 @@ def test_conformal_closed_form_matches_generic_assembly():
     for name in ("sphere2", "sphere4", "hyperbolic2", "hyperbolic4"):
         ch = get_chart(name)
         n = ch.n
-        smd = sp.spin_module_data(n)
+        dim = 1 << n // 2
         for _ in range(5):
             x = ch.sample_point(rng)
             mj = metric_jet(ch, x)
             fr = sp.build_frame_from_metric(mj)
             pot = random_poly_field(rng, n, (n,))
             a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
-            scd = sp.build_spin_connection(fr, smd, mj, a_jets)
-            j = random_poly_field(rng, n, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
+            scd = sp.build_spin_connection(fr, a_jets)
+            j = random_poly_field(rng, n, (dim,), complex_coeffs=True).eval(x, 2)[..., None]
             d1 = sp.spin_dirac(scd, j)
             d2 = sp.conformal_dirac(scd, j)
             scale = max(1.0, float(np.max(np.abs(d1))))
@@ -164,11 +176,11 @@ def test_conformal_closed_form_matches_generic_assembly():
 def test_conformal_closed_form_rejects_generic_chart():
     rng = np.random.default_rng(5)
     ch = get_chart("poly2")
-    smd = sp.spin_module_data(2)
+    dim = 2
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), smd, mj)
-    j = random_poly_field(rng, 2, (smd.dim,), complex_coeffs=True).eval(x, 2)[..., None]
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj))
+    j = random_poly_field(rng, 2, (dim,), complex_coeffs=True).eval(x, 2)[..., None]
     with pytest.raises(ValueError, match="needs a conformal chart"):
         sp.conformal_dirac(scd, j)
 
@@ -178,7 +190,7 @@ def test_lichnerowicz_with_and_without_potential():
     for name in ("sphere2", "hyperbolic2", "sphere4", "poly2"):
         ch = get_chart(name)
         n = ch.n
-        smd = sp.spin_module_data(n)
+        dim = 1 << n // 2
         x = ch.sample_point(rng)
         mj = metric_jet(ch, x)
         fr = sp.build_frame_from_metric(mj)
@@ -187,9 +199,9 @@ def test_lichnerowicz_with_and_without_potential():
             if with_pot:
                 pot = random_poly_field(rng, n, (n,))
                 a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
-            scd = sp.build_spin_connection(fr, smd, mj, a_jets)
+            scd = sp.build_spin_connection(fr, a_jets)
             for _ in range(3):
-                j = random_poly_field(rng, n, (smd.dim,),
+                j = random_poly_field(rng, n, (dim,),
                                       complex_coeffs=True).eval(x, 2)[..., None]
                 assert sp.lichnerowicz_residual(scd, j)[0] < 1e-7, name
 
@@ -197,10 +209,9 @@ def test_lichnerowicz_with_and_without_potential():
 def test_chirality_action_checks():
     rng = np.random.default_rng(7)
     ch = get_chart("sphere4")
-    smd = sp.spin_module_data(4)
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
-    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj), smd, mj)
+    scd = sp.build_spin_connection(sp.build_frame_from_metric(mj))
     out = sp.chirality_action_checks(scd)
     assert max(out.values()) < 1e-11
     assert set(out) == {"gamma_anticommutation", "connection_commutation",
@@ -211,7 +222,7 @@ def test_connection_difference_is_half_potential_difference():
     rng = np.random.default_rng(8)
     ch = get_chart("poly2")
     n = ch.n
-    smd = sp.spin_module_data(n)
+    dim = 1 << n // 2
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     fr = sp.build_frame_from_metric(mj)
@@ -219,11 +230,11 @@ def test_connection_difference_is_half_potential_difference():
     a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
     pot = random_poly_field(rng, n, (n,))
     b_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
-    scd_a = sp.build_spin_connection(fr, smd, mj, a_jets)
-    scd_b = sp.build_spin_connection(fr, smd, mj, b_jets)
+    scd_a = sp.build_spin_connection(fr, a_jets)
+    scd_b = sp.build_spin_connection(fr, b_jets)
     for a in range(n):
         diff = scd_a.omega[a].val - scd_b.omega[a].val
-        want = 0.5 * (a_jets[a].val - b_jets[a].val) * np.eye(smd.dim)
+        want = 0.5 * (a_jets[a].val - b_jets[a].val) * np.eye(dim)
         assert np.max(np.abs(diff - want)) < 1e-13
 
 
@@ -231,11 +242,11 @@ def test_spin_module_spec_matches_module_data():
     rng = np.random.default_rng(10)
     ch = get_chart("poly2")
     ms = sp.spin_module(2)
-    smd = sp.spin_module_data(2)
-    assert ms.m == smd.dim
+    chi = sp.spinor_tables(2)[1]
+    assert ms.m == len(chi) == 2 and ms.eta is chi
     x = ch.sample_point(rng)
     mj = metric_jet(ch, x)
     got = ms.gammas(mj)
-    want = smd.coordinate_gammas(sp.build_frame_from_metric(mj))
+    want = sp.coordinate_gammas(sp.build_frame_from_metric(mj))
     for a in range(2):
         assert np.max(np.abs(got[a].val - want[a].val)) < 1e-14

@@ -614,14 +614,19 @@ def test_operator_suites_print_the_same_bytes_twice_in_one_process(capsys):
 def test_lichnerowicz_builds_one_frame_when_the_head_is_every_point(monkeypatch, samples,
                                                                     frames):
     # at up to 4 samples the head is every point, so the frame and spin
-    # connection of the head checks are the ones built for every point
+    # connection of the head checks are the ones built for every point; one
+    # connection per frame, and one more on the head's frame for the
+    # connection-difference check
     from diracgeo import spin as sp
-    calls = []
-    real = sp.build_frame_from_metric
+    calls, built = [], []
+    real, real_connection = sp.build_frame_from_metric, sp.build_spin_connection
     monkeypatch.setattr(sp, "build_frame_from_metric",
                         lambda mj: calls.append(len(mj.x)) or real(mj))
+    monkeypatch.setattr(sp, "build_spin_connection",
+                        lambda fr, a_pot=None: built.append(len(fr.mj.x))
+                        or real_connection(fr, a_pot))
     assert run_suite("lichnerowicz", chart="sphere4", seed=1, samples=samples).passed
-    assert calls == frames
+    assert calls == frames and built == frames + frames[-1:]
 
 
 def test_every_chart_suite_runs_on_a_curved_chart():
