@@ -10,16 +10,15 @@ the curvature F_ik fiber (n, n, m, m).  Missing orders propagate through
 arithmetic, so operator compositions consume derivative orders with no
 truncation error.
 
-Stack convention: every operator takes a point x (n,) or a stack of points x
-(P, n), the metric jet, superconnection and sections at the same stack; an
-operator holds the metric jet it was built at, and its points are ``mj.x``.
-Plain arrays then carry the sample axis in front, as jets do, and residuals
-are returned per sample, shape (P,).  The section operators take a block of
-sections, fiber (m, K), one column per probe or draw (a value (P, m, K) on a
-stack): sums over an index and the fiber are then one product with a row
+Stack convention: every operator lives at a stack of points x (P, n), the
+metric jet, superconnection and sections at the same stack; an operator
+holds the metric jet it was built at, and its points are ``mj.x``.  Plain
+arrays carry the sample axis in front, as jets do, and residuals are
+returned per sample, shape (P,).  The section operators take a block of
+sections, fiber (m, K), one column per probe or draw (a value (P, m, K)):
+sums over an index and the fiber are then one product with a row
 (``_fold_index``), and the laplacian, commutator, affine and Weitzenbock
-checks make one operator call per route.  The contractions run over a
-``...`` prefix: a single point is the same code.
+checks make one operator call per route.
 
 Grading conventions: eta is a diagonal +-1 involution; a matrix is even when
 it commutes with eta, odd when it anticommutes. The degree-p component of a
@@ -32,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from operator import attrgetter
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -41,7 +40,8 @@ from .charts import MetricJet, config_integer, config_keys
 from .clifford import blade_indices, grades, parity_matrix, quantize_blades, wedge_table
 from .forms import (PolyField, _jet_rows, _monomial_rows, _split_rows, exponent_table,
                     exterior_derivative, iota_vector, random_poly_field, vector_bracket)
-from .jets import Jet, _product, check_point, frozen, relative, sample_max, seed_point
+from .jets import (Jet, _product, check_point, frozen, point_stack, relative, relative_gap,
+                   sample_max, seed_point)
 
 
 class ParityError(ValueError):
@@ -66,12 +66,13 @@ def _allowed(sig: tuple, parity: int) -> np.ndarray:
 
 def random_parity_matrix(rng, n: int, eta: np.ndarray, parity: int,
                          degree: int = 1) -> PolyField:
-    """Polynomial matrix field with the requested eta-parity (+1 even, -1 odd)."""
+    """Polynomial matrix field, a stack of one, with the requested eta-parity
+    (+1 even, -1 odd)."""
     allowed = _allowed(tuple(np.diag(eta).real), parity)
     entries = random_poly_field(rng, n, (int(allowed.sum()),), degree,
                                 complex_coeffs=True)
-    coeffs = np.zeros((len(entries.coeffs),) + allowed.shape, dtype=complex)
-    coeffs[:, allowed] = entries.coeffs
+    coeffs = np.zeros(entries.coeffs.shape[:2] + allowed.shape, dtype=complex)
+    coeffs[..., allowed] = entries.coeffs
     return PolyField(n, entries.exponents, coeffs)
 
 
@@ -111,8 +112,8 @@ def module_invariant_residual(ms: ModuleSpec, mj: MetricJet):
     g = gam.val
     prods = g[..., :, None, :, :] @ g[..., None, :, :, :]
     anti = prods + prods.swapaxes(-4, -3) + 2.0 * mj.g_inv[..., None, None] * np.eye(ms.m)
-    return np.maximum(relative(sample_max(anti, nb=gam.nb), sample_max(prods, nb=gam.nb)),
-                      sample_max(ms.eta @ g + g @ ms.eta, nb=gam.nb))
+    return np.maximum(relative(sample_max(anti), sample_max(prods)),
+                      sample_max(ms.eta @ g + g @ ms.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -125,25 +126,25 @@ class SuperconnectionData:
 
     Degree-1 masks store the A_i of the operator dx^i (x) (partial_i + A_i).
     Blade I holds only the entries its eta-parity (-1)^(|I|+1) allows, as a
-    stacked field of fiber (E_I,) over its own exponent table, coeffs
-    (P, T_I, E_I); P = 1 for a single superconnection.  These entries are
-    the only coefficients held: ``eval`` places their values on the blade axis.
+    stack of P fields of fiber (E_I,) over its own exponent table, coeffs
+    (P, T_I, E_I): P superconnections, member k at point k of a stack of
+    points, and a stack of one at every point.  These entries are the only
+    coefficients held: ``eval`` places their values on the blade axis.
 
-    A blade given here is a field of fiber (m, m), stacked or not, whose
-    conversion to entries is the parity check, made at once; or a function
-    that takes the (m, m) mask of its allowed entries and returns them for
-    a stack of ``stack`` members, called on the blade's first read and kept.
+    A blade given here is a field of fiber (m, m), whose conversion to
+    entries is the parity check, made at once; or a function that takes the
+    (m, m) mask of its allowed entries and returns them for a stack of
+    ``stack`` members, called on the blade's first read and kept.
     """
 
     def __init__(self, n: int, m: int, eta: np.ndarray, blades: Dict[int, object],
-                 stack: Optional[int] = None):
+                 stack: int = 1):
         if np.shape(eta) != (m, m):
             raise ValueError(f"grading of shape {np.shape(eta)} does not fit fiber dimension {m}")
         self.n, self.m, self.eta, self.masks = n, m, eta, tuple(blades)
         self.sig = tuple(np.diag(eta).real)
-        given = [b.coeffs for b in blades.values() if isinstance(b, PolyField) and b.stacked]
-        self.stacked = stack is not None or bool(given)
-        self.size = stack or (len(given[0]) if given else 1)
+        given = [b.coeffs for b in blades.values() if isinstance(b, PolyField)]
+        self.size = len(given[0]) if given else stack
         self._parts = {mask: self._parity_entries(mask, b) if isinstance(b, PolyField) else b
                        for mask, b in blades.items()}
 
@@ -153,13 +154,12 @@ class SuperconnectionData:
 
     def _parity_entries(self, mask: int, blade: PolyField) -> PolyField:
         allowed = self.allowed(mask)
-        coeffs = blade.coeffs if blade.stacked else blade.coeffs[None]
-        live = np.any(coeffs[..., ~allowed] != 0, axis=(0, 1))
+        live = np.any(blade.coeffs[..., ~allowed] != 0, axis=(0, 1))
         if live.any():
             r, c = np.argwhere(~allowed)[np.argmax(live)]
             raise ParityError(f"blade {blade_indices(mask)} entry ({r},{c}) "
                               f"breaks the degree-parity rule")
-        return PolyField(self.n, blade.exponents, frozen(coeffs[..., allowed]), stacked=True)
+        return PolyField(self.n, blade.exponents, frozen(blade.coeffs[..., allowed]))
 
     def entries(self, mask: int) -> PolyField:
         """Blade ``mask``'s allowed entries, coeffs (P, T, E), read-only.  A drawn
@@ -171,10 +171,11 @@ class SuperconnectionData:
         return part
 
     def eval(self, x, order: int = 2) -> Jet:
-        """omega_I at x on the blade axis, fiber (2^n, m, m), to ``order``;
-        absent blades are zero.  Each exponent table's monomial jets are
-        evaluated once, and each blade's product with them fills its entries."""
-        x = np.asarray(x, dtype=float)
+        """omega_I at the stack of points x on the blade axis, fiber
+        (2^n, m, m), to ``order``; absent blades are zero.  Each exponent
+        table's monomial jets are evaluated once, and each blade's product
+        with them fills its entries."""
+        x = point_stack(x)
         out = np.zeros(x.shape[:-1] + (_jet_rows(self.n, order), self.m * self.m << self.n),
                        dtype=complex)
         monomials = {}
@@ -184,7 +185,7 @@ class SuperconnectionData:
                 if (key := e.exponents.tobytes()) not in monomials:
                     monomials[key] = _monomial_rows(e.exponents, x, order)
                 out[..., mask * self.m * self.m + np.flatnonzero(self.allowed(mask))] = (
-                    monomials[key] @ (e.coeffs if self.stacked else e.coeffs[0]))
+                    monomials[key] @ e.coeffs)
         return Jet(x, *_split_rows(out, self.n, order, (1 << self.n, self.m, self.m)))
 
     def select(self, members: range) -> "SuperconnectionData":
@@ -194,7 +195,7 @@ class SuperconnectionData:
         rows, held = slice(members.start, members.stop, members.step), {}
         for mask in self.masks:
             e = self.entries(mask)
-            held[mask] = PolyField(self.n, e.exponents, e.coeffs[rows].copy(), stacked=True)
+            held[mask] = PolyField(self.n, e.exponents, e.coeffs[rows].copy())
         return SuperconnectionData(self.n, self.m, self.eta, {
             mask: lambda _, e=e: e for mask, e in held.items()}, stack=len(members))
 
@@ -214,24 +215,22 @@ def _draw_blade(mask: int, exps: np.ndarray, seeds: list, allowed: np.ndarray) -
         np.random.default_rng(seed * 100003 + mask * 101 + 7).random(out=draws[k])
     draws *= 2.0                # -1 + 2 u: the uniform(-1, 1) draw, bit for bit
     draws -= 1.0
-    return PolyField(exps.shape[1], exps, draws.view(complex)[..., 0].swapaxes(1, 2), stacked=True)
+    return PolyField(exps.shape[1], exps, draws.view(complex)[..., 0].swapaxes(1, 2))
 
 
 def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
                                  degree_specs: Dict[int, str],
-                                 base_seed=0) -> SuperconnectionData:
+                                 base_seeds: Sequence[int]) -> SuperconnectionData:
     """Build coefficients per degree from preset names.
 
     Presets: "zero", "constant", "linear", "random" or "random(seed)"; seeds
     are non-negative integers.  Blade I of base seed s draws its allowed
     entries from its own generator, seeded s 100003 + I 101 + 7, on its first
     read, and keeps them: drawing it later or never changes no value.  P base
-    seeds give one stack, for points x (P, n); ``select`` copies some members'
-    entries out of it.
+    seeds give one stack, for points x (P, n), and one seed a stack of one;
+    ``select`` copies some members' entries out of it.
     """
-    stacked = np.ndim(base_seed) > 0
-    seeds = [config_integer(seed, "seed", low=0)
-             for seed in (base_seed if stacked else [base_seed])]
+    seeds = [config_integer(seed, "seed", low=0) for seed in base_seeds]
     if not seeds:
         raise ValueError("a stack of superconnections needs at least one seed")
     presets = {}
@@ -244,8 +243,7 @@ def superconnection_from_degrees(n: int, m: int, eta: np.ndarray,
                       seeds if own is None else [own] * len(seeds))
     return SuperconnectionData(n, m, eta, {
         mask: partial(_draw_blade, mask, *presets[p])
-        for mask in range(1 << n) if (p := mask.bit_count()) in presets},
-        stack=len(seeds) if stacked else None)
+        for mask in range(1 << n) if (p := mask.bit_count()) in presets}, len(seeds))
 
 
 SUPERCONNECTION_CONFIG_KEYS = ("fiber_dimension", "grading", "degrees", "seed")
@@ -276,7 +274,7 @@ def superconnection_from_config(cfg: dict, n: int, ms: ModuleSpec) -> Superconne
             raise ValueError(f"degree {p} out of range for n={n}")
         degree_specs[p] = str(v)
     seed = config_integer(cfg.get("seed", 0), "seed")
-    return superconnection_from_degrees(n, ms.m, ms.eta, degree_specs, base_seed=seed)
+    return superconnection_from_degrees(n, ms.m, ms.eta, degree_specs, [seed])
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +387,9 @@ def _fold(t: np.ndarray) -> np.ndarray:
 def apply_dirac(D: DiracOperatorData, j: Jet) -> np.ndarray:
     """D psi on a block of section 1-jets, fiber (m, K)."""
     check_point(D.mj.x, j.x)
-    if j.val.shape[j.nb:-1] != (D.m,):
+    if j.val.shape[1:-1] != (D.m,):
         raise ValueError(f"a section block needs fiber (m, K) with m = {D.m}, "
-                         f"not {j.val.shape[j.nb:]}")
+                         f"not {j.val.shape[1:]}")
     v = j.val
     return D.Z.val @ v + _fold_index(D.gam.val) @ _fold(j.d + D.A.val @ v[..., None, :, :])
 
@@ -400,11 +398,10 @@ def dirac_commutator_residual(D: DiracOperatorData, f: Jet, j: Jet) -> Tuple:
     """Per sample, the largest entry of [D, f] psi - c(df) psi, absolute and
     relative to the larger of D(f psi) and f D(psi) (floored at 1), per sample
     and column of a block j (m, K), with one scalar f per column (K,)."""
-    nb = j.nb
-    t1, t2 = apply_dirac(D, j * f), np.expand_dims(f.val, nb) * apply_dirac(D, j)
-    rhs = _fold_index(D.gam.val) @ _fold(np.expand_dims(f.d, nb + 1) * j.val[..., None, :, :])
-    diff = sample_max(t1 - t2 - rhs, nb=nb, cols=True)
-    return diff, relative(diff, sample_max(t1, t2, nb=nb, cols=True))
+    t1, t2 = apply_dirac(D, j * f), f.val[:, None] * apply_dirac(D, j)
+    rhs = _fold_index(D.gam.val) @ _fold(f.d[:, :, None] * j.val[..., None, :, :])
+    diff = sample_max(t1 - t2 - rhs, cols=True)
+    return diff, relative(diff, sample_max(t1, t2, cols=True))
 
 
 def _second_covariant(A: Jet, j: Jet):
@@ -487,8 +484,7 @@ def lap_identity_residual(H: LaplacianData):
         return np.max(np.abs(a), axis=-1, keepdims=True)
 
     return sample_max(relative(np.abs(resid), peak(h_fg), np.abs(xl) * peak(h_f),
-                               np.abs(xk) * peak(h_g), np.abs(xk * xl) * peak(h_0)),
-                      nb=coords.nb)
+                               np.abs(xk) * peak(h_g), np.abs(xk * xl) * peak(h_0)))
 
 
 @dataclass
@@ -616,12 +612,12 @@ def twisting_curvature(FE: Jet, mj: MetricJet, gammas: Jet):
     """
     check_point(FE.x, mj.x)
     check_point(gammas.x, mj.x)
-    g, nb, lowered = gammas.val, gammas.nb, mj.lowered
+    g, lowered = gammas.val, mj.lowered
     prods = g[..., :, None, :, :] @ g[..., None, :, :, :]
     ftw = FE.val + 0.25 * np.einsum("...abik,...abxy->...ikxy", lowered, prods)
-    scale = sample_max(FE.val, nb=nb) + sample_max(lowered, nb=nb) * sample_max(prods, nb=nb)
-    worst = relative(sample_max(_commutator(ftw[..., None, :, :], g[..., None, None, :, :, :]),
-                                nb=nb), scale * sample_max(g, nb=nb))
+    scale = sample_max(FE.val) + sample_max(lowered) * sample_max(prods)
+    worst = relative(sample_max(_commutator(ftw[..., None, :, :], g[..., None, None, :, :, :])),
+                     scale * sample_max(g))
     if np.any(worst > 1e-9):
         raise CliffordConnectionError(
             f"twisting curvature fails to supercommute with the Clifford action "
@@ -655,10 +651,9 @@ def is_special_superconnection(S: SuperconnectionData, points: Sequence):
     """True iff every degree >= 2 component vanishes, to 1e-12, at all sample
     points, and the largest component of the blades read: those blades, in
     turn, until every member has a component above 1e-12, which decides its
-    verdict.  A stack of P superconnections gets one verdict and one value
-    per member, each read at every point."""
-    points = np.asarray(points, dtype=float).reshape(-1, S.n)
-    points = np.broadcast_to(points[:, None], (len(points), S.size, S.n))
+    verdict: one verdict and one value per member of the stack, each read
+    at every point."""
+    points = np.broadcast_to(point_stack(points)[:, None], (len(points), S.size, S.n))
     worst = np.zeros(S.size)
     for mask in S.masks:
         if mask.bit_count() >= 2:
@@ -666,15 +661,13 @@ def is_special_superconnection(S: SuperconnectionData, points: Sequence):
             worst = np.maximum(worst, np.max(np.abs(omega), axis=(0, 2), initial=0.0))
             if np.all(worst > 1e-12):
                 break
-    if not S.stacked:
-        worst = float(worst[0])
     return worst <= 1e-12, worst
 
 
-def special_identity_residual(S: SuperconnectionData, x, X: Jet, Y: Jet,
-                              fs: Jet) -> float:
-    """Residual of [[ID, iota(X)], iota(Y)] = iota([X, Y]) on a form-section."""
-    omega = S.eval(x, order=2)
+def special_identity_residual(S: SuperconnectionData, X: Jet, Y: Jet, fs: Jet):
+    """Residual of [[ID, iota(X)], iota(Y)] = iota([X, Y]) on a form-section,
+    per sample at the points of fs, relative to both sides."""
+    omega = S.eval(fs.x, order=2)
 
     def ID(z: Jet) -> Jet:
         return apply_superconnection(omega, z)
@@ -684,4 +677,4 @@ def special_identity_residual(S: SuperconnectionData, x, X: Jet, Y: Jet,
 
     lhs = comm1(iota_vector(Y, fs)) - iota_vector(Y, comm1(fs))
     rhs = iota_vector(vector_bracket(X, Y), fs)
-    return (lhs - rhs).norm()
+    return relative_gap(lhs.val, rhs.val)

@@ -3,7 +3,7 @@
 A chart's ``metric_fn`` takes the coordinates as one vector and is written
 against generic array arithmetic, so the same function body evaluates on a
 plain float array (tests) and on the coordinate jet of ``seed_point`` at a
-point or a stack (exact metric jets, and the rejection check of random
+stack of points (exact metric jets, and the rejection check of random
 charts).  Constant metrics return a plain array.
 """
 
@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .clifford import blade_tables, contract
-from .jets import Jet, frozen, seed_point
+from .jets import Jet, frozen, point_stack, seed_point
 
 
 class ChartDomainError(ValueError):
@@ -86,8 +86,8 @@ class Chart:
 
 
 class MetricJet:
-    """Metric with exact derivatives at one point, or at each of a stack of
-    points x (P, n), every array then carrying the sample axis P in front.
+    """Metric with exact derivatives at each of a stack of points x (P, n),
+    every array carrying the sample axis P in front.
 
     dg[k, i, j] = d_k g_ij and d2g[l, k, i, j] = d_l d_k g_ij.  Inverse-metric
     and volume-factor jets are derived once here; the Levi-Civita data and
@@ -103,7 +103,7 @@ class MetricJet:
                             + Gamma^j_lm Gamma^m_ki - Gamma^j_km Gamma^m_li
       lowered[i, j, k, l] = g_jm riemann[i, m, k, l]   (the all-lower tensor)
       ricci_ij = g^km lowered[m, i, k, j];  scalar = g^ij ricci_ij
-    so the unit 2-sphere has scalar +2 (``scalar`` is (P,) on a stack).
+    so the unit 2-sphere has scalar +2 (``scalar`` is (P,)).
     """
 
     def __init__(self, chart: Chart, x: np.ndarray, g: np.ndarray,
@@ -231,10 +231,10 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
 
 
 def metric_jet(chart: Chart, x) -> MetricJet:
-    """Evaluate the chart metric and its first two derivatives at x, or at
-    every row of a stack of points (P, n) in one batched evaluation."""
-    x = np.asarray(x, dtype=float)
-    for row in (x if x.ndim == 2 else [x]):
+    """Evaluate the chart metric and its first two derivatives at every row
+    of a stack of points x (P, n), in one batched evaluation."""
+    x = point_stack(x)
+    for row in x:
         chart.validate_point(row)
     n = chart.n
     raw = chart.metric_fn(seed_point(x, order=2))

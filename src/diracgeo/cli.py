@@ -76,20 +76,20 @@ def cmd_verify(args) -> int:
 def cmd_curvature(args) -> int:
     ch = get_chart(args.chart)
     x = _chart_point(args, ch, np.random.default_rng(args.seed))
-    mj = metric_jet(ch, x)
+    mj = metric_jet(ch, x[None])
     payload = {
         "chart": args.chart,
         "point": [float(v) for v in x],
-        "metric": _matrix_list(mj.g),
-        "christoffel": np.asarray(mj.christoffel).tolist(),
-        "riemann": np.asarray(mj.riemann).tolist(),
-        "ricci": np.asarray(mj.ricci).tolist(),
-        "scalar_curvature": float(mj.scalar),
+        "metric": _matrix_list(mj.g[0]),
+        "christoffel": mj.christoffel[0].tolist(),
+        "riemann": mj.riemann[0].tolist(),
+        "ricci": mj.ricci[0].tolist(),
+        "scalar_curvature": float(mj.scalar[0]),
     }
     return _write(args, payload, [
         f"chart {args.chart} at point " + ", ".join(f"{v:.6g}" for v in x), "metric:",
         *("  " + "  ".join(f"{v:12.6f}" for v in row) for row in payload["metric"]),
-        f"scalar curvature: {mj.scalar:.12g}"])
+        f"scalar curvature: {payload['scalar_curvature']:.12g}"])
 
 
 def cmd_dirac(args) -> int:
@@ -97,28 +97,28 @@ def cmd_dirac(args) -> int:
     n = ch.n
     rng = np.random.default_rng(args.seed)
     x = _chart_point(args, ch, rng)
-    mj = metric_jet(ch, x)
+    mj = metric_jet(ch, x[None])
     ms = bnd.exterior_module(n)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             S = bnd.superconnection_from_config(json.load(fh), n, ms)
     else:
-        S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, {1: "zero"})
-    D = bnd.quantize_superconnection(S.eval(x, 2), S.masks, mj, ms)
+        S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, {1: "zero"}, [0])
+    D = bnd.quantize_superconnection(S.eval(mj.x, 2), S.masks, mj, ms)
     # five draws of f, then psi, one call each on one-column blocks; np.max
     # keeps a NaN residual, which then fails the gate
     fields = [FieldLayout(n, (), complex_coeffs=True),
               FieldLayout(n, (ms.m,), complex_coeffs=True)]
     worst, worst_rel = np.max([
-        bnd.dirac_commutator_residual(D, *(f.eval(x, 2)[..., None] for f in poly_fields(
-            rng.uniform(-1.0, 1.0, sum(lay.size for lay in fields)), fields)))
-        for _ in range(5)], axis=(0, 2)).tolist()
+        bnd.dirac_commutator_residual(D, *(f.eval(mj.x, 2)[..., None] for f in poly_fields(
+            rng.uniform(-1.0, 1.0, (1, sum(lay.size for lay in fields))), fields)))
+        for _ in range(5)], axis=(0, 2, 3)).tolist()
     payload = {
         "chart": args.chart,
         "point": [float(v) for v in x],
         "fiber_dimension": ms.m,
-        "gammas": [_matrix_list(g.val) for g in D.gam],
-        "zero_order": _matrix_list(D.Z.val),
+        "gammas": [_matrix_list(g) for g in D.gam.val[0]],
+        "zero_order": _matrix_list(D.Z.val[0]),
         "commutator_residual": worst,
     }
     # the residual is gated as in the superconnection-dirac-commutator check

@@ -3,8 +3,8 @@ log-det identity and the curvature two-form.
 
 The tensors themselves (Christoffel symbols, Riemann, Ricci and scalar
 curvature) are cached on ``MetricJet``, whose docstring states their index
-conventions.  A metric jet at a stack of points x (P, n) gives residuals per
-sample; the einsums run over a ``...`` prefix.
+conventions.  A metric jet lives at a stack of points x (P, n) and gives
+residuals per sample.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .jets import Jet, check_point, sample_max
 
 
 # ---------------------------------------------------------------------------
-# first-order operations on fields evaluated at a point
+# first-order operations on fields evaluated at the sample points
 # ---------------------------------------------------------------------------
 
 
@@ -38,7 +38,7 @@ def log_det_identity_residual(mj: MetricJet):
     """Max-norm residual of d_k h = Gamma^i_ik and of its derivative
     d_l d_k h = d_l Gamma^i_ik, with h = log|det g|^(1/2), per sample."""
     return sample_max(mj.dh - np.einsum("...jij->...i", mj.christoffel),
-                      mj.ddh - np.einsum("...liik->...lk", mj.dchristoffel), nb=mj.x.ndim - 1)
+                      mj.ddh - np.einsum("...liik->...lk", mj.dchristoffel))
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +49,8 @@ def log_det_identity_residual(mj: MetricJet):
 def curvature_two_form_residual(mj: MetricJet):
     """Check [S_ij, dx^k] = riemann[l, k, i, j] dx^l for every i, j, k, per
     sample, where S_ij = -1/4 lowered[k, l, i, j] dx^k dx^l (Clifford
-    products) has symbols s[..., i, j, blade], on the stacked product tables
-    of g^-1: S_ij dx^k is one batched matrix product of s with the tables."""
+    products) has symbols s[..., i, j, blade], on the product tables of g^-1
+    at every sample: S_ij dx^k is one batched matrix product of s with them."""
     n, dim = mj.n, 1 << mj.n
     covectors = 1 << np.arange(n)
     table = product_table(mj.g_inv)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .charts import MetricJet
 from .clifford import blade_tables, grades, reorder_sign, wedge_table
-from .jets import Jet, check_point, frozen, index_contract
+from .jets import Jet, check_point, frozen, index_contract, point_stack
 
 
 class JetOrderError(ValueError):
@@ -56,14 +56,14 @@ def _bilinear(kind: str, u: Jet, v: Jet) -> Jet:
     M'(u) v'' + C + C^T, C[k, l] = u'_k M(v'_l), each term one matmul batched
     over the samples and fiber axes, whose rows are the derivative axes."""
     check_point(u.x, v.x)
-    nb, n, order = u.nb, u.n, min(u.order, v.order)
-    s, r = np.ndim(u.val) - nb - 1, np.ndim(v.val) - nb - 1
+    n, order = u.n, min(u.order, v.order)
+    s, r = u.val.ndim - 2, v.val.ndim - 2
     t = max(s, r)
 
     def rows(a, k: int, m: int) -> np.ndarray:
         """(samples, k fiber axes padded to t, m derivative axes as one, blade)."""
-        a = np.moveaxis(a, range(nb, nb + m + 1), range(-m - 1, 0)) if k else a
-        return a.reshape(a.shape[:nb] + (1,) * (t - k) + a.shape[nb:nb + k] + (-1, a.shape[-1]))
+        a = np.moveaxis(a, range(1, m + 2), range(-m - 1, 0)) if k else a
+        return a.reshape(a.shape[:1] + (1,) * (t - k) + a.shape[1:1 + k] + (-1, a.shape[-1]))
 
     def curry(a, table):
         return (a.reshape(-1, a.shape[-1]) @ table).reshape(a.shape[:-1] + (-1, 1 << n))
@@ -79,7 +79,7 @@ def _bilinear(kind: str, u: Jet, v: Jet) -> Jet:
     if order == 2:
         C = U[1][..., None, :, :] @ curry(V[1], t_v)
         out.append((U[2] @ Mv + V[2] @ Mu).reshape(C.shape) + C + C.swapaxes(-3, -2))
-    return Jet(u.x, *(np.moveaxis(a, range(-m - 1, 0), range(nb, nb + m + 1)) if t else a
+    return Jet(u.x, *(np.moveaxis(a, range(-m - 1, 0), range(1, m + 2)) if t else a
                       for m, a in enumerate(out)))
 
 
@@ -139,7 +139,8 @@ def _jet_rows(n: int, order: int) -> int:
 
 def _monomial_rows(exponents: np.ndarray, x, order: int) -> np.ndarray:
     """The jet rows of every monomial x^E at x, shape (..., rows, T): all
-    monomial jets at all points at once, for a product with coefficients (T, E)."""
+    monomial jets at all points at once, for a product with coefficients
+    (P, T, E)."""
     monos, index, mults = _jet_table(exponents)
     rows = _jet_rows(exponents.shape[1], order)
     values = np.multiply.reduce(np.asarray(x, dtype=float)[..., None, :] ** monos, axis=-1)
@@ -157,25 +158,24 @@ def _split_rows(out: np.ndarray, n: int, order: int, shape: tuple) -> tuple:
 
 @dataclass
 class PolyField:
-    """Polynomial field sum_t coeffs[t] x^exponents[t] with values in C^shape.
+    """P polynomial fields sum_t coeffs[k, t] x^exponents[t] with values in
+    C^shape, over one exponent table: coeffs (P, T, *S), field k evaluated at
+    point k of a stack x (P, n), and a stack of one at every point.
 
     The fiber shape says what the field is: () a scalar, (n,) a vector
     field, (m,) a section, (m, m) an endomorphism.  With ``masks`` the first
     fiber axis is a list of blades: its slot b holds the coefficients of
     blade ``masks[b]``, and ``eval`` places them on the 2^n blade axis, so
-    (B,) is a form and (B, m) a form-valued section.  A ``stacked`` field is
-    P fields over one exponent table, coeffs (P, T, *S), field k evaluated at
-    point k of a stack x (P, n); see ``stack``.
+    (B,) is a form and (B, m) a form-valued section.
     """
 
     n: int
     exponents: np.ndarray
     coeffs: np.ndarray
     masks: Optional[Tuple[int, ...]] = None
-    stacked: bool = False
 
     def __post_init__(self):
-        terms = self.coeffs.shape[int(self.stacked):]
+        terms = self.coeffs.shape[1:]
         if self.exponents.shape != terms[:1] + (self.n,):
             raise ValueError(f"exponents {self.exponents.shape} do not match "
                              f"{terms[0]} terms in {self.n} variables")
@@ -185,35 +185,35 @@ class PolyField:
 
     @staticmethod
     def stack(fields: Sequence["PolyField"]) -> "PolyField":
-        """P fields with one exponent table as one stacked field; forms whose
+        """Stacks of fields with one exponent table as one stack; forms whose
         masks differ are first spread onto the full blade axis."""
         f0 = fields[0]
         if any(f.masks != f0.masks for f in fields):
             fields = [f.on_blade_axis() for f in fields]
-        return PolyField(f0.n, f0.exponents, np.stack([f.coeffs for f in fields]),
-                         fields[0].masks, stacked=True)
+        return PolyField(f0.n, f0.exponents, np.concatenate([f.coeffs for f in fields]),
+                         fields[0].masks)
 
     def on_blade_axis(self) -> "PolyField":
         """The same form with its slots placed on the 2^n blade axis."""
-        lead = self.coeffs.shape[:1 + self.stacked]
-        coeffs = np.zeros(lead + (1 << self.n,) + self.coeffs.shape[len(lead) + 1:],
-                          dtype=complex)
-        coeffs[(slice(None),) * len(lead) + (list(self.masks),)] = self.coeffs
-        return PolyField(self.n, self.exponents, coeffs, stacked=self.stacked)
+        lead = self.coeffs.shape[:2]
+        coeffs = np.zeros(lead + (1 << self.n,) + self.coeffs.shape[3:], dtype=complex)
+        coeffs[:, :, list(self.masks)] = self.coeffs
+        return PolyField(self.n, self.exponents, coeffs)
 
     def jet(self, x, order: int = 2):
         """Value, gradient and Hessian at x, shaped S, (n, *S), (n, n, *S),
-        behind the sample axis of a stack x (P, n); orders above ``order``
-        are None.  The monomial jets meet the coefficients in one product."""
-        lead, fiber = self.coeffs.shape[:1 + self.stacked], self.coeffs.shape[1 + self.stacked:]
+        behind the leading axes of x; orders above ``order`` are None.  The
+        monomial jets meet the coefficients in one product."""
+        lead, fiber = self.coeffs.shape[:2], self.coeffs.shape[2:]
         rows = _monomial_rows(self.exponents, x, order) @ self.coeffs.reshape(lead + (prod(fiber),))
         return _split_rows(rows, self.n, order, fiber)
 
     def eval(self, x, order: int = 2) -> Jet:
-        """The jet at x, with a form's slots placed on the blade axis."""
+        """The jet at the stack of points x, with a form's slots placed on the
+        blade axis."""
         if self.masks is not None:
             return self.on_blade_axis().eval(x, order)
-        x = np.asarray(x, dtype=float)
+        x = point_stack(x)
         return Jet(x, *self.jet(x, order))
 
 
@@ -241,27 +241,27 @@ class FieldLayout(NamedTuple):
 
 def poly_fields(draws: np.ndarray, layouts: Sequence[FieldLayout]) -> list:
     """The fields of ``layouts`` cut in turn from uniform(-1, 1) draws, each
-    entries row-major, then terms, then real before imaginary part.  Draws
-    (D,) give one field per layout, rows (P, D) stacked fields."""
-    lead, out, at = draws.shape[:-1], [], 0
+    entries row-major, then terms, then real before imaginary part: draw
+    rows (P, D) give a stack of P fields per layout."""
+    P, out, at = len(draws), [], 0
     for lay in layouts:
         exps = exponent_table(lay.n, lay.degree)
-        block, at = draws[..., at:at + lay.size], at + lay.size
+        block, at = draws[:, at:at + lay.size], at + lay.size
         block = block.view(complex) if lay.complex_coeffs else block.astype(complex)
-        coeffs = block.reshape(lead + (-1, len(exps))).swapaxes(-1, -2)
+        coeffs = block.reshape(P, -1, len(exps)).swapaxes(-1, -2)
         out.append(PolyField(lay.n, exps, np.ascontiguousarray(coeffs).reshape(
-            lead + (len(exps),) + lay.shape), lay.masks, stacked=bool(lead)))
+            (P, len(exps)) + lay.shape), lay.masks))
     return out
 
 
 def random_poly_field(rng, n: int, shape: tuple = (), degree: int = 2,
                       complex_coeffs: bool = False,
                       masks: Optional[Tuple[int, ...]] = None) -> PolyField:
-    """Random polynomial field, coefficients uniform in [-1, 1], drawn in
-    one call in the order of ``poly_fields``: the same stream as the loop
-    of scalar draws it replaces."""
+    """Random polynomial field, a stack of one, coefficients uniform in
+    [-1, 1], drawn in one call in the order of ``poly_fields``: the same
+    stream as the loop of scalar draws it replaces."""
     lay = FieldLayout(n, tuple(shape), degree, complex_coeffs, masks)
-    return poly_fields(rng.uniform(-1.0, 1.0, lay.size), [lay])[0]
+    return poly_fields(rng.uniform(-1.0, 1.0, (1, lay.size)), [lay])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def exterior_derivative(j: Jet) -> Jet:
         shape = a.shape[:lead] + a.shape[lead + 1:]
         return (table @ a.reshape(a.shape[:lead] + (table.shape[1], -1))).reshape(shape)
 
-    return Jet(j.x, apply(j.d, j.nb), apply(j.dd, j.nb + 1) if j.dd is not None else None)
+    return Jet(j.x, apply(j.d, 1), apply(j.dd, 2) if j.dd is not None else None)
 
 
 def iota_vector(X: Jet, j: Jet) -> Jet:
@@ -319,8 +319,7 @@ def gram_pairing(a: Jet, b: Jet, mj: MetricJet):
     one complex number per sample, and per column of two blocks (2^n, K)."""
     check_point(a.x, b.x)
     raised = (mj.compound_inverse @ b.truncate(0)).val
-    out = np.sum(np.conj(a.val) * raised, axis=a.nb)
-    return complex(out) if out.ndim == 0 else out
+    return np.sum(np.conj(a.val) * raised, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +333,7 @@ def _star(j: Jet, mj: MetricJet, signs: np.ndarray) -> Jet:
     """signs[M] times blade M^c of sqrt|det g| Lambda(g^-1) conj(j), on the
     blade axis; M^c = 2^n - 1 - M, so the complement reverses the axis."""
     raised = mj.compound_inverse @ (j.conj() * sqrt_det_jet(mj))
-    r = np.ndim(j.val) - j.nb
+    r = j.val.ndim - 1
     signs = signs.reshape((-1,) + (1,) * (r - 1))
     return raised.map(lambda a: np.flip(a, -r) * signs)
 

@@ -1,21 +1,22 @@
 """Second-order forward-mode jets with array values: value, gradient, Hessian.
 
 Every differential-geometric quantity in this package is evaluated pointwise
-through one jet type.  A Jet at the point x of an n-dimensional chart holds a
-value ``val`` of any fiber shape S (a scalar, a C^m section, an endomorphism,
-a form on the 2^n blade axis, a form-valued section, ...), its gradient ``d``
-shaped (n, *S) and its Hessian ``dd`` shaped (n, n, *S): derivative axes
-first, fiber axes last.  A jet may carry fewer orders (``d`` or ``dd`` set to
-None); arithmetic intersects the available orders, which is how operator
-compositions lose one order per derivative taken.  Products follow the
-truncated Taylor rules of Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., SIAM 2008, ch. 13.
+through one jet type.  A Jet at the points x of an n-dimensional chart holds
+a value ``val`` of any fiber shape S (a scalar, a C^m section, an
+endomorphism, a form on the 2^n blade axis, a form-valued section, ...), its
+gradient ``d`` shaped (n, *S) and its Hessian ``dd`` shaped (n, n, *S) at
+each point: sample axis first, then derivative axes, fiber axes last.  A jet
+may carry fewer orders (``d`` or ``dd`` set to None); arithmetic intersects
+the available orders, which is how operator compositions lose one order per
+derivative taken.  Products follow the truncated Taylor rules of Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13.
 
-Sample axis.  x may also be a stack of P points, shaped (P, n); the jet then
-holds P jets at once, one per point, with ``val`` (P, *S), ``d`` (P, n, *S)
-and ``dd`` (P, n, n, *S).  The batch shape x.shape[:-1] leads every array,
-every method takes its axis offsets from it, and one numpy call evaluates
-all samples, the way ``vmap`` batches a per-point program.  Indexing,
+Sample axis.  Points are always a stack x (P, n), checked by
+``point_stack``: the jet holds P jets at once, one per point, with ``val``
+(P, *S), ``d`` (P, n, *S) and ``dd`` (P, n, n, *S), and one numpy call
+evaluates all samples, the way ``vmap`` batches a per-point program.  A
+single point is a stack of one, and an array shared by every point (a
+field's coefficients, say) is a stack of one that broadcasts.  Indexing,
 ``len`` and iteration address fiber axes, never samples.  A plain array
 operand is a fiber constant shared by every sample; ``scale`` multiplies
 each sample by its own number.
@@ -38,6 +39,15 @@ _NUMBER_TYPES = (int, float, complex, np.number)
 _ALL = slice(None)
 
 
+def point_stack(x) -> np.ndarray:
+    """x as a float stack of points (P, n); any other shape raises, a bare
+    point (n,) too, which at n = 1 reads as one point or as one per coordinate."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"points must be a stack (P, n), got shape {x.shape}")
+    return x
+
+
 def check_point(x: np.ndarray, y: np.ndarray) -> None:
     """Raise unless two jets' points agree; the same array passes uncompared."""
     if x is not y and not np.array_equal(x, y):
@@ -56,14 +66,14 @@ def frozen(value):
     return value
 
 
-def sample_max(*arrays, nb: int = 1, cols: bool = False):
-    """Largest entry magnitude over the arrays, per sample of the ``nb``
-    leading axes (a number when nb is 0) and, with ``cols``, per column of
-    the last axis; a NaN entry makes its sample NaN."""
+def sample_max(*arrays, cols: bool = False):
+    """Largest entry magnitude over the arrays, per sample of the leading
+    axis and, with ``cols``, per column of the last axis; a NaN entry makes
+    its sample NaN."""
     out = None
     for a in arrays:
-        a = np.moveaxis(a, -1, nb) if cols else a
-        peak = np.maximum.reduce(np.abs(a), axis=tuple(range(nb + cols, np.ndim(a))))
+        a = np.abs(np.moveaxis(a, -1, 1) if cols else a)
+        peak = np.maximum.reduce(a, axis=tuple(range(1 + cols, a.ndim)))
         out = peak if out is None else np.maximum(out, peak)
     return out
 
@@ -75,11 +85,10 @@ def relative(diff, *scales):
     return diff / reduce(np.maximum, scales, 1.0)
 
 
-def relative_gap(a, b, *terms, nb: int = 1, cols: bool = False):
+def relative_gap(a, b, *terms, cols: bool = False):
     """|a - b| relative to a, b and the ``terms`` that cancel in it, each read
-    by ``sample_max`` with ``nb`` and ``cols``."""
-    return relative(sample_max(a - b, nb=nb, cols=cols),
-                    sample_max(a, b, *terms, nb=nb, cols=cols))
+    by ``sample_max`` with ``cols``."""
+    return relative(sample_max(a - b, cols=cols), sample_max(a, b, *terms, cols=cols))
 
 
 def _pad(a, lead: int, k: int):
@@ -87,23 +96,22 @@ def _pad(a, lead: int, k: int):
 
     numpy aligns trailing axes, so an array of lower fiber rank than its
     partner needs these axes for its sample and derivative axes to stay in
-    front.  With ``lead`` 0 numpy's own broadcasting does the same.
+    front.
     """
-    if a is None or k <= 0 or lead == 0:
+    if a is None or k <= 0:
         return a
     return a.reshape(a.shape[:lead] + (1,) * k + a.shape[lead:])
 
 
 class Jet:
-    """2-jet at the point x of a chart, with values of any fiber shape.
+    """2-jet at the points x (P, n) of a chart, with values of any fiber shape.
 
-    ``val`` has the fiber shape S, ``d`` is (n, *S) or None and ``dd`` is
-    (n, n, *S) or None, with n = x.shape[-1]; a stack of points x (P, n)
-    puts the sample axis P in front of all three.  Instances are treated as
-    immutable; arithmetic allocates new arrays.  ``*``, ``/`` and ``**`` act
-    elementwise on the fiber, broadcasting like numpy; ``@`` is the fiber
-    matrix product, a 1-D fiber being a row on the left and a column on the
-    right.
+    ``val`` is (P, *S) for the fiber shape S, ``d`` is (P, n, *S) or None
+    and ``dd`` is (P, n, n, *S) or None, with n = x.shape[-1].  Instances are
+    treated as immutable; arithmetic allocates new arrays.  ``*``, ``/`` and
+    ``**`` act elementwise on the fiber, broadcasting like numpy; ``@`` is
+    the fiber matrix product, a 1-D fiber being a row on the left and a
+    column on the right.
     """
 
     __slots__ = ("x", "val", "d", "dd")
@@ -119,21 +127,16 @@ class Jet:
     def constant(c, x, order: int = 2) -> "Jet":
         """The constant fiber value c at every sample of x."""
         c = np.asarray(c, dtype=complex)
-        batch, n = np.shape(x)[:-1], np.shape(x)[-1]
-        d = np.zeros(batch + (n,) + c.shape, dtype=complex) if order >= 1 else None
-        dd = np.zeros(batch + (n, n) + c.shape, dtype=complex) if order >= 2 else None
-        return Jet(x, np.broadcast_to(c, batch + c.shape) if batch else c, d, dd)
+        P, n = np.shape(x)
+        d = np.zeros((P, n) + c.shape, dtype=complex) if order >= 1 else None
+        dd = np.zeros((P, n, n) + c.shape, dtype=complex) if order >= 2 else None
+        return Jet(x, np.broadcast_to(c, (P,) + c.shape), d, dd)
 
     # -- introspection ----------------------------------------------------
 
     @property
     def n(self) -> int:
         return self.x.shape[-1]
-
-    @property
-    def nb(self) -> int:
-        """Number of sample axes: 0, or 1 for a stack of points."""
-        return self.x.ndim - 1
 
     @property
     def order(self) -> int:
@@ -162,7 +165,7 @@ class Jet:
                                           for a in (self.d, self.dd)))
 
     def scale(self, s) -> "Jet":
-        """Multiply each sample by its own number; s has the batch shape."""
+        """Multiply each sample by its own number; s is (P,)."""
         s = np.asarray(s)
         return Jet(self.x, *(None if a is None else
                              a * s.reshape(s.shape + (1,) * (a.ndim - s.ndim))
@@ -170,56 +173,49 @@ class Jet:
 
     def sum(self) -> "Jet":
         """Sum over the first fiber axis: contracts the index of a family."""
-        r = np.ndim(self.val) - self.nb
+        r = self.val.ndim - 1
         return self.map(lambda a: a.sum(axis=-r))
 
     def conj(self) -> "Jet":
         return self.map(np.conj)
 
-    def norm(self) -> float:
-        """Euclidean norm of the value, over all samples."""
-        return float(np.sqrt(np.sum(np.abs(self.val) ** 2)))
-
     def __getitem__(self, idx) -> "Jet":
         """Index the fiber axes, numpy style."""
         if not isinstance(idx, tuple):
             idx = (idx,)
-        lead = (_ALL,) * self.nb
-        return Jet(self.x, self.val[lead + idx],
-                   None if self.d is None else self.d[lead + (_ALL,) + idx],
-                   None if self.dd is None else self.dd[lead + (_ALL, _ALL) + idx])
+        return Jet(self.x, self.val[(_ALL,) + idx],
+                   None if self.d is None else self.d[(_ALL, _ALL) + idx],
+                   None if self.dd is None else self.dd[(_ALL, _ALL, _ALL) + idx])
 
     def __len__(self) -> int:
-        return self.val.shape[self.nb]
+        return self.val.shape[1]
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def __repr__(self) -> str:
-        return f"Jet(shape={np.shape(self.val)}, order={self.order})"
+        return f"Jet(shape={self.val.shape}, order={self.order})"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        nb = self.nb
         if isinstance(other, Jet):
             if other.x is not self.x:
                 check_point(self.x, other.x)
-            k = np.ndim(self.val) - np.ndim(other.val)
+            k = self.val.ndim - other.val.ndim
             d = dd = None
             if self.d is not None and other.d is not None:
-                d = _pad(self.d, nb + 1, -k) + _pad(other.d, nb + 1, k)
+                d = _pad(self.d, 2, -k) + _pad(other.d, 2, k)
                 if self.dd is not None and other.dd is not None:
-                    dd = _pad(self.dd, nb + 2, -k) + _pad(other.dd, nb + 2, k)
-            return Jet(self.x, _pad(self.val, nb, -k) + _pad(other.val, nb, k), d, dd)
-        k = np.ndim(other) - (np.ndim(self.val) - nb)
-        val = _pad(self.val, nb, k) + other
-        shape = np.shape(val)
-        if shape == np.shape(self.val):
+                    dd = _pad(self.dd, 3, -k) + _pad(other.dd, 3, k)
+            return Jet(self.x, _pad(self.val, 1, -k) + _pad(other.val, 1, k), d, dd)
+        k = np.ndim(other) - (self.val.ndim - 1)
+        val = _pad(self.val, 1, k) + other
+        if val.shape == self.val.shape:
             return Jet(self.x, val, self.d, self.dd)
         return Jet(self.x, val, *(None if a is None else np.broadcast_to(
-            _pad(a, lead, k), a.shape[:lead] + shape[nb:])
-            for lead, a in ((nb + 1, self.d), (nb + 2, self.dd))))
+            _pad(a, lead, k), a.shape[:lead] + val.shape[1:])
+            for lead, a in ((2, self.d), (3, self.dd))))
 
     __radd__ = __add__
 
@@ -264,8 +260,7 @@ class Jet:
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)):
             if p == 0:
-                return Jet.constant(np.ones(np.shape(self.val)[self.nb:]), self.x,
-                                    self.order)
+                return Jet.constant(np.ones(self.val.shape[1:]), self.x, self.order)
             v = self.val
             return self._chain(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
         raise TypeError("only integer powers; use jet_sqrt for square roots")
@@ -274,13 +269,12 @@ class Jet:
 
     def _chain(self, f, fp, fpp) -> "Jet":
         """Compose elementwise with a function given f(v), f'(v), f''(v)."""
-        nb = self.nb
         d = dd = None
         if self.d is not None:
-            d = _pad(fp, nb, 1) * self.d
+            d = _pad(fp, 1, 1) * self.d
             if self.dd is not None:
-                dd = (_pad(fpp, nb, 2) * (_pad(self.d, nb + 1, 1) * _pad(self.d, nb, 1))
-                      + _pad(fp, nb, 2) * self.dd)
+                dd = (_pad(fpp, 1, 2) * (_pad(self.d, 2, 1) * _pad(self.d, 1, 1))
+                      + _pad(fp, 1, 2) * self.dd)
         return Jet(self.x, f, d, dd)
 
 
@@ -289,29 +283,27 @@ def _product(a, b, op) -> Jet:
     by the product rule; one of a, b may be a constant fiber array."""
     if not isinstance(b, Jet) or not isinstance(a, Jet):
         jet, const = (a, np.asarray(b)) if isinstance(a, Jet) else (b, np.asarray(a))
-        nb = jet.nb
-        k = const.ndim - (np.ndim(jet.val) - nb)
+        k = const.ndim - (jet.val.ndim - 1)
         f = ((lambda t: op(t, const)) if jet is a else (lambda t: op(const, t)))
         return Jet(jet.x, *(None if t is None else f(_pad(t, lead, k)) for lead, t in
-                            ((nb, jet.val), (nb + 1, jet.d), (nb + 2, jet.dd))))
+                            ((1, jet.val), (2, jet.d), (3, jet.dd))))
     if a.x is not b.x:
         check_point(a.x, b.x)
-    nb = a.nb
-    k = np.ndim(a.val) - np.ndim(b.val)
-    av, bv = _pad(a.val, nb, -k), _pad(b.val, nb, k)
+    k = a.val.ndim - b.val.ndim
+    av, bv = _pad(a.val, 1, -k), _pad(b.val, 1, k)
     d = dd = None
     if a.d is not None and b.d is not None:
-        ad, bd = _pad(a.d, nb + 1, -k), _pad(b.d, nb + 1, k)
-        d = op(ad, _pad(bv, nb, 1)) + op(_pad(av, nb, 1), bd)
+        ad, bd = _pad(a.d, 2, -k), _pad(b.d, 2, k)
+        d = op(ad, _pad(bv, 1, 1)) + op(_pad(av, 1, 1), bd)
         if a.dd is not None and b.dd is not None:
             # summed in place, in the order of the expression it replaces
-            dd = op(_pad(a.dd, nb + 2, -k), _pad(bv, nb, 2)).astype(
+            dd = op(_pad(a.dd, 3, -k), _pad(bv, 1, 2)).astype(
                 np.result_type(a.val, a.d, a.dd, b.val, b.d, b.dd), copy=False)
-            cross = op(_pad(ad, nb + 1, 1), _pad(bd, nb, 1))
+            cross = op(_pad(ad, 2, 1), _pad(bd, 1, 1))
             dd += cross
-            dd += cross.swapaxes(nb, nb + 1)
+            dd += cross.swapaxes(1, 2)
             del cross
-            dd += op(_pad(av, nb, 2), _pad(b.dd, nb + 2, k))
+            dd += op(_pad(av, 1, 2), _pad(b.dd, 3, k))
     return Jet(a.x, op(av, bv), d, dd)
 
 
@@ -322,8 +314,8 @@ def _matmul(a, b) -> Jet:
         a = np.asarray(a)
     if not isinstance(b, Jet):
         b = np.asarray(b)
-    row = (a.ndim if isinstance(a, np.ndarray) else np.ndim(a.val) - a.nb) == 1
-    col = (b.ndim if isinstance(b, np.ndarray) else np.ndim(b.val) - b.nb) == 1
+    row = (a.ndim if isinstance(a, np.ndarray) else a.val.ndim - 1) == 1
+    col = (b.ndim if isinstance(b, np.ndarray) else b.val.ndim - 1) == 1
     if row:
         a = a[None, :]
     if col:
@@ -340,7 +332,7 @@ def index_contract(family: Jet, v: Jet) -> Jet:
     """sum_i M_i v_i for a family of matrices M, fiber (n, p, q), and a family
     of vectors v, fiber (n, q), or of blocks of K columns, fiber (n, q, K):
     one product summed over the index axis."""
-    col = np.ndim(v.val) - v.nb == 2
+    col = v.val.ndim == 3
     return (family @ v[..., None])[..., 0].sum() if col else (family @ v).sum()
 
 
@@ -350,9 +342,9 @@ def jet_sqrt(x: Jet) -> Jet:
 
 
 def seed_point(x: Sequence[float], order: int = 2) -> Jet:
-    """The coordinate functions at x (n,), or at each row of a stack (P, n), as
-    one jet with fiber (n,), seeded for differentiation: d[k, i] = delta_ki."""
-    x = np.asarray(x, dtype=float)
+    """The coordinate functions at each point of a stack x (P, n), as one jet
+    with fiber (n,), seeded for differentiation: d[k, i] = delta_ki."""
+    x = point_stack(x)
     n = x.shape[-1]
     return Jet(x, x, np.broadcast_to(np.eye(n), x.shape + (n,)) if order >= 1 else None,
                np.zeros(x.shape + (n, n)) if order >= 2 else None)

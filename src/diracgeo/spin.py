@@ -8,8 +8,8 @@ Omega_a are each one jet with the index a on the first fiber axis, fiber
 (n, m, m).
 
 Stack convention: as in ``bundles``, the metric jet, frame, connection and
-sections may live at a stack of points x (P, n), plain arrays carry the
-sample axis in front and every residual is returned per sample.  A section
+sections live at a stack of points x (P, n), plain arrays carry the sample
+axis in front and every residual is returned per sample.  A section
 is a block of K columns, fiber (m, K), one per draw: the Dirac routes and
 the Lichnerowicz residual act on each column.
 """
@@ -40,8 +40,8 @@ class SpinSignatureError(ValueError):
 
 
 def _sylvester_sqrt(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
-    """Jets of the symmetric square root S with S S = g, g (n, n) or (P, n, n)
-    positive definite.
+    """Jets of the symmetric square root S with S S = g, for a stack g
+    (P, n, n) positive definite.
 
     First and second derivatives solve S' S + S S' = g' in the eigenbasis.
     """
@@ -54,7 +54,7 @@ def _sylvester_sqrt(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         # the derivative axes of rhs sit between the sample and matrix axes
-        lead = tuple(range(g.ndim - 2, rhs.ndim - 2))
+        lead = tuple(range(1, rhs.ndim - 2))
         vk, vtk, dk = (np.expand_dims(a, lead) for a in (v, vt, denom))
         return vk @ ((vtk @ rhs @ vk) / dk) @ vtk
 
@@ -94,12 +94,12 @@ def build_frame_from_metric(mj: MetricJet) -> FrameField:
 def frame_invariant_residual(frame: FrameField):
     """The largest orthonormality, duality and inverse-metric residual per
     sample, the last relative to max|g^-1|."""
-    mj, co, inv, nb = frame.mj, frame.co.val, frame.inv.val, frame.co.nb
+    mj, co, inv = frame.mj, frame.co.val, frame.inv.val
     eye = np.eye(mj.n)
     return np.maximum(
-        sample_max(np.swapaxes(co, -1, -2) @ mj.g_inv @ co - eye, inv @ co - eye, nb=nb),
-        relative(sample_max(np.swapaxes(inv, -1, -2) @ inv - mj.g_inv, nb=nb),
-                 sample_max(mj.g_inv, nb=nb)))
+        sample_max(np.swapaxes(co, -1, -2) @ mj.g_inv @ co - eye, inv @ co - eye),
+        relative(sample_max(np.swapaxes(inv, -1, -2) @ inv - mj.g_inv),
+                 sample_max(mj.g_inv)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def spin_dirac_alpha(scd: SpinConnectionData, j: Jet) -> np.ndarray:
 
 
 def _slash(gammas: np.ndarray, j: Jet, a_pot: Jet) -> np.ndarray:
-    """gamma^a (partial_a + A_a / 2) psi at the point, on a block psi (m, K):
+    """gamma^a (partial_a + A_a / 2) psi at each point, on a block psi (m, K):
     the index a folded into the fiber, one product."""
     check_point(a_pot.x, j.x)
     return _fold_index(gammas) @ _fold(
@@ -275,15 +275,15 @@ def lichnerowicz_residual(scd: SpinConnectionData, j: Jet):
     da = scd.a_pot.d
     qf = 0.5 * np.einsum("...ab,...axy,...byz->...xz", da - np.swapaxes(da, -1, -2), g, g)
     rhs = rhs + 0.5 * (qf @ j.val)
-    return relative_gap(lhs, rhs, nb=j.nb, cols=True)
+    return relative_gap(lhs, rhs, cols=True)
 
 
 def chirality_action_checks(scd: SpinConnectionData) -> dict:
     """Per sample: anticommutation with the gammas, commutation with the connection."""
-    g, nb, chi = scd.dirac.gam.val, scd.frame.inv.nb, spinor_tables(scd.frame.mj.n)[1]
-    r1 = sample_max(chi @ g + g @ chi, nb=nb)
+    g, chi = scd.dirac.gam.val, spinor_tables(scd.frame.mj.n)[1]
+    r1 = sample_max(chi @ g + g @ chi)
     om = scd.omega.val
-    r2 = sample_max(chi @ om - om @ chi, nb=nb)
+    r2 = sample_max(chi @ om - om @ chi)
     sq = float(np.max(np.abs(chi @ chi - np.eye(len(chi)))))
     return {"gamma_anticommutation": r1, "connection_commutation": r2,
             "chirality_squares_to_one": sq}

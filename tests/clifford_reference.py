@@ -190,11 +190,11 @@ def form_to_dict(j) -> Dict[int, Jet]:
 def dict_to_arrays(d: Dict[int, Jet], n: int, order: int, shape: tuple = ()):
     """(val, d, dd) blade-axis arrays of a blade -> jet dict, to ``order``;
     the jets have fiber ``shape``, placed after the blade axis."""
-    dim = 1 << n
-    out = [np.zeros((n,) * k + (dim,) + shape, dtype=complex) for k in range(order + 1)]
+    dim, lead = 1 << n, next(iter(d.values())).x.shape[:1]
+    out = [np.zeros(lead + (n,) * k + (dim,) + shape, dtype=complex) for k in range(order + 1)]
     for m, c in d.items():
         for k, part in enumerate((c.val, c.d, c.dd)[:order + 1]):
-            out[k][(slice(None),) * k + (m,)] += part
+            out[k][(slice(None),) * (k + 1) + (m,)] += part
     return out
 
 
@@ -225,7 +225,7 @@ def wedge_forms(a: Dict[int, Jet], b: Dict[int, Jet]) -> Dict[int, Jet]:
 
 def _metric_inverse_jets(mj) -> list:
     n = mj.n
-    return [[Jet(mj.x, mj.g_inv[i, j], mj.dg_inv[:, i, j], mj.d2g_inv[:, :, i, j])
+    return [[Jet(mj.x, mj.g_inv[..., i, j], mj.dg_inv[..., i, j], mj.d2g_inv[..., i, j])
              for j in range(n)] for i in range(n)]
 
 
@@ -268,7 +268,7 @@ def hodge_star(coeffs: Dict[int, Jet], mj, orientation: int = 1) -> Dict[int, Je
 def covariant_derivative(coeffs: Dict[int, Jet], mj) -> List[Dict[int, Jet]]:
     """nabla_a with nabla dx^j = -Gamma^j_ak dx^k on each blade factor."""
     n = mj.n
-    gamma = [[[Jet(mj.x, mj.christoffel[k, i, j], mj.dchristoffel[:, k, i, j])
+    gamma = [[[Jet(mj.x, mj.christoffel[..., k, i, j], mj.dchristoffel[..., k, i, j])
                for j in range(n)] for i in range(n)] for k in range(n)]
     outs = []
     for a in range(n):

@@ -35,8 +35,8 @@ def bilinear(kind: str, u: Jet, v: Jet) -> Jet:
     """sum_ib T[i, a, b] u_i v_b, v's blade axis b followed by any fiber axes,
     which u's own axes after its blade axis meet from the right."""
     i, b, scatter = sparse_table(kind, u.n)
-    r = np.ndim(v.val) - v.nb - 1
-    terms = u[(i,) + (None,) * (r + 1 + u.nb - np.ndim(u.val))] * v[b]
+    r = v.val.ndim - 2
+    terms = u[(i,) + (None,) * (r + 2 - u.val.ndim)] * v[b]
     if r == 0:
         return terms.map(lambda t: t @ scatter)
     return terms.map(lambda t: np.moveaxis(np.moveaxis(t, -r - 1, -1) @ scatter,

@@ -11,7 +11,7 @@ from diracgeo.charts import metric_jet
 
 
 def metric_value(chart, x) -> np.ndarray:
-    return np.asarray(metric_jet(chart, np.asarray(x, dtype=float)).g,
+    return np.asarray(metric_jet(chart, np.asarray(x, dtype=float)[None]).g[0],
                       dtype=float)
 
 

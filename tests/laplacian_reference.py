@@ -47,8 +47,7 @@ def lap_identity_residual(apply_h, mj, x, m: int):
         return np.max(np.abs(a), axis=-1, keepdims=True)
 
     return sample_max(relative(np.abs(resid), peak(h_fg), np.abs(xl) * peak(h_f),
-                               np.abs(xk) * peak(h_g), np.abs(xk * xl) * peak(h_0)),
-                      nb=x.ndim - 1)
+                               np.abs(xk) * peak(h_g), np.abs(xk * xl) * peak(h_0)))
 
 
 def _commutator(a, b):

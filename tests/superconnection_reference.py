@@ -33,9 +33,9 @@ def blade_field(n: int, fields: dict, shape: tuple) -> PolyField:
     for f in fields.values():
         for e in map(tuple, f.exponents.tolist()):
             rows.setdefault(e, len(rows))
-    coeffs = np.zeros((len(rows), 1 << n) + tuple(shape), dtype=complex)
+    coeffs = np.zeros((1, len(rows), 1 << n) + tuple(shape), dtype=complex)
     for mask, f in fields.items():
-        coeffs[[rows[e] for e in map(tuple, f.exponents.tolist())], mask] = f.coeffs
+        coeffs[0, [rows[e] for e in map(tuple, f.exponents.tolist())], mask] = f.coeffs[0]
     exponents = np.array(list(rows), dtype=np.int64).reshape(len(rows), n)
     return PolyField(n, exponents, coeffs)
 
@@ -44,16 +44,15 @@ def superconnection_field(n: int, m: int, eta: np.ndarray, degree_specs: dict,
                          base_seed=0) -> tuple:
     """The superconnection field, fiber (2^n, m, m), and its blades by mask.
 
-    A sequence of base seeds gives a stacked field and blades that are views
-    of it; a single seed gives each blade on its own exponent table.
+    A sequence of base seeds gives a stack of fields and blades that are
+    views of it; a single seed gives a stack of one with each blade on its
+    own exponent table.
     """
     if np.ndim(base_seed):
         fields = [superconnection_field(n, m, eta, degree_specs, int(seed))[0]
                   for seed in base_seed]
-        field = PolyField(n, fields[0].exponents, np.stack([f.coeffs for f in fields]),
-                          stacked=True)
-        return field, {mask: PolyField(n, field.exponents, field.coeffs[:, :, mask],
-                                       stacked=True)
+        field = PolyField.stack(fields)
+        return field, {mask: PolyField(n, field.exponents, field.coeffs[:, :, mask])
                        for mask in range(1 << n) if mask.bit_count() in degree_specs}
     blades = {}
     for mask in range(1 << n):
@@ -64,7 +63,7 @@ def superconnection_field(n: int, m: int, eta: np.ndarray, degree_specs: dict,
         degree, seed = PRESET_DEGREES[hit[1] or "random"], int(hit[2] or base_seed)
         if degree is None:
             blades[mask] = PolyField(n, np.zeros((0, n), dtype=np.int64),
-                                     np.zeros((0, m, m), dtype=complex))
+                                     np.zeros((1, 0, m, m), dtype=complex))
         else:
             rng = np.random.default_rng(seed * 100003 + mask * 101 + 7)
             blades[mask] = bnd.random_parity_matrix(rng, n, eta, 1 if p % 2 else -1,

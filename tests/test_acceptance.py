@@ -38,6 +38,11 @@ def _line(label: str, worst: float, tol: float) -> None:
     assert ok, f"{label}: worst {worst:.3e} not below {tol:.1e}"
 
 
+def _norm(j) -> float:
+    """Euclidean norm of a jet's value, over all samples."""
+    return float(np.sqrt(np.sum(np.abs(j.val) ** 2)))
+
+
 def _random_form(rng, n, neg):
     while True:
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -111,22 +116,23 @@ def test_criterion_04_levi_civita_suite():
     for name in ALL_CHARTS:
         ch = get_chart(name)
         for _ in range(20):
-            x = ch.sample_point(rng)
+            x = ch.sample_point(rng)[None]
             mj = metric_jet(ch, x)
-            gam, low = mj.christoffel, mj.lowered
+            gam, low, g, dg, ricci = (a[0] for a in (mj.christoffel, mj.lowered, mj.g,
+                                                      mj.dg, mj.ricci))
             scale = max(1.0, float(np.max(np.abs(low))),
-                        float(np.max(np.abs(mj.dg))))
-            nabla_g = (mj.dg - np.einsum("mai,mj->aij", gam, mj.g)
-                       - np.einsum("maj,im->aij", gam, mj.g))
+                        float(np.max(np.abs(dg))))
+            nabla_g = (dg - np.einsum("mai,mj->aij", gam, g)
+                       - np.einsum("maj,im->aij", gam, g))
             sym = gam - np.einsum("kij->kji", gam)
             bianchi = (low + np.einsum("ijkl->iklj", low)
                        + np.einsum("ijkl->iljk", low))
-            ric = mj.ricci - mj.ricci.T
+            ric = ricci - ricci.T
             resids = [float(np.max(np.abs(t))) for t in
                       (nabla_g, sym, bianchi, ric)]
-            resids.append(log_det_identity_residual(mj))
+            resids.append(log_det_identity_residual(mj)[0])
             vol = volume_form(mj)
-            resids.extend(f.norm() for f in covariant_derivative(vol, mj))
+            resids.extend(_norm(f) for f in covariant_derivative(vol, mj))
             worst = max(worst, max(resids) / scale)
     _line("04a levi-civita identities on every chart", worst, 1e-9)
 
@@ -149,20 +155,20 @@ def test_criterion_05_coderivative_dual_path():
         ch = get_chart(name)
         n = ch.n
         for _ in range(20):
-            x = ch.sample_point(rng)
+            x = ch.sample_point(rng)[None]
             mj = metric_jet(ch, x)
             for _ in range(5):  # 100 (form, point) pairs per chart
                 p = int(rng.integers(1, n + 1))
                 a = random_poly_field(rng, *FieldLayout.form(n, p, True)).eval(x, 2)
                 d1 = coderivative_hodge(a, mj)
                 d2 = coderivative_connection(a, mj)
-                scale = max(1.0, d1.norm(), d2.norm())
-                worst_dual = max(worst_dual, (d1 - d2).norm() / scale)
+                scale = max(1.0, _norm(d1), _norm(d2))
+                worst_dual = max(worst_dual, _norm(d1 - d2) / scale)
                 jetnorm = max(float(np.max(np.abs(t))) for t in (a.val, a.d, a.dd))
-                dd = exterior_derivative(exterior_derivative(a)).norm()
+                dd = _norm(exterior_derivative(exterior_derivative(a)))
                 worst_nil = max(worst_nil, dd / max(1.0, jetnorm))
                 if p >= 2:
-                    deldel = coderivative_hodge(d1, mj).norm()
+                    deldel = _norm(coderivative_hodge(d1, mj))
                     worst_nil = max(worst_nil, deldel / max(1.0, jetnorm))
     _line("05a coderivative star route = connection route", worst_dual, 1e-9)
     _line("05b d d = 0 and del del = 0", worst_nil, 1e-11)
@@ -177,14 +183,14 @@ def test_criterion_06_laplacian_suite():
         n = ch.n
         ms = bnd.exterior_module(n)
         for trial in range(5):
-            x = ch.sample_point(rng)
+            x = ch.sample_point(rng)[None]
             mj = metric_jet(ch, x)
             S = bnd.superconnection_from_degrees(
                 n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"},
-                base_seed=106 + trial)
+                [106 + trial])
             D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
             worst_def = max(worst_def,
-                            bnd.lap_identity_residual(bnd.laplacian_from_dirac(D)))
+                            bnd.lap_identity_residual(bnd.laplacian_from_dirac(D))[0])
     _line("06a generated D^2 satisfies [[H,f],g] + 2(df,dg) = 0",
           worst_def, 1e-9)
 
@@ -195,7 +201,7 @@ def test_criterion_06_laplacian_suite():
         ch = get_chart(charts[trial % len(charts)])
         n = ch.n
         m = 3
-        x = ch.sample_point(rng)
+        x = ch.sample_point(rng)[None]
         mj = metric_jet(ch, x)
         A = random_poly_field(rng, n, (n, m, m), 2, complex_coeffs=True).eval(x, 2)
         F = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
@@ -220,17 +226,17 @@ def test_criterion_07_kernel_projector():
         ms = bnd.exterior_module(ch.n)
         m = ms.m
         for _ in range(3):
-            x = ch.sample_point(rng)
+            x = ch.sample_point(rng)[None]
             mj = metric_jet(ch, x)
             # c(omega) = gamma^i g_ij gamma^j, summed here apart from the kernel projector
-            gam = ms.gammas(mj).val
-            cw = np.einsum("iab,ij,jbc->ac", gam, mj.g, gam)
+            gam = ms.gammas(mj).val[0]
+            cw = np.einsum("iab,ij,jbc->ac", gam, mj.g[0], gam)
             worst = max(worst,
                         float(np.max(np.abs(cw + ch.n * np.eye(m)))) / ch.n)
             c, b, p = bnd.kernel_projector(mj, ms)
             worst = max(worst, float(np.max(np.abs(c @ b - np.eye(m)))))
             worst = max(worst, float(np.max(np.abs(p @ p - p))))
-            rank_ok = rank_ok and np.linalg.matrix_rank(p, tol=1e-8) == m
+            rank_ok = rank_ok and np.linalg.matrix_rank(p[0], tol=1e-8) == m
     assert rank_ok
     _line("07 kernel projector: c(omega) = -n id, p^2 = p, rank = fiber dim",
           worst, 1e-11)
@@ -251,9 +257,9 @@ def test_criterion_08_special_predicate():
             high = 2 if trial % 4 == 1 else min(n, 2)
             specs = {0: "random", 1: "random", high: "random"}
         S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs,
-                                             base_seed=108 + trial)
+                                             [108 + trial])
         got, _ = bnd.is_special_superconnection(S, pts)
-        if got != truly_special:
+        if got[0] != truly_special:
             wrong += 1
     _line("08 special-superconnection classifier, 30 cases",
           float(wrong), 1.0)
@@ -267,12 +273,12 @@ def test_criterion_09_conformal_flagship():
         n = ch.n
         dim = 1 << n // 2
         for _ in range(50):
-            x = ch.sample_point(rng)
+            x = ch.sample_point(rng)[None]
             mj = metric_jet(ch, x)
             fr = sp.build_frame_from_metric(mj)
             pot = random_poly_field(rng, n, (n,))
             a_jets = replace(pot, coeffs=1j * pot.coeffs).eval(x, 2)
-            assert max(abs(complex(a.val)) for a in a_jets) > 0
+            assert max(abs(complex(a.val[0])) for a in a_jets) > 0
             scd = sp.build_spin_connection(fr, a_jets)
             j = random_poly_field(rng, n, (dim,), complex_coeffs=True).eval(x, 2)[..., None]
             d1 = sp.spin_dirac(scd, j)
@@ -292,7 +298,7 @@ def test_criterion_10_lichnerowicz():
         dim = 1 << n // 2
         for with_pot in (False, True):
             for _ in range(10):
-                x = ch.sample_point(rng)
+                x = ch.sample_point(rng)[None]
                 mj = metric_jet(ch, x)
                 fr = sp.build_frame_from_metric(mj)
                 a_jets = None
@@ -304,7 +310,7 @@ def test_criterion_10_lichnerowicz():
                     j = random_poly_field(rng, n, (dim,),
                                           complex_coeffs=True).eval(x, 2)[..., None]
                     worst = max(worst,
-                                sp.lichnerowicz_residual(scd, j)[0])
+                                sp.lichnerowicz_residual(scd, j)[0, 0])
     _line("10 lichnerowicz D_A^2 = lap + r/4 + q(dA)/2", worst, 1e-7)
 
 

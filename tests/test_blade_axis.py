@@ -47,18 +47,19 @@ def _pairing(rng, n, neg):
 
 
 def _metric_jet(rng, n, neg):
-    """Metric jet with random first and second derivatives at the origin."""
+    """Metric jet with random first and second derivatives at the origin,
+    a stack of one."""
     g = _pairing(rng, n, neg)
     dg = _symmetric(rng.normal(size=(n, n, n)), (1, 2))
     d2g = _symmetric(_symmetric(rng.normal(size=(n, n, n, n)), (2, 3)), (0, 1))
     chart = Chart(f"random{n}", n, neg, lambda xs: None)
-    return MetricJet(chart, np.zeros(n), g, dg, d2g)
+    return MetricJet(chart, np.zeros((1, n)), g[None], dg[None], d2g[None])
 
 
 def _form_jet(rng, n, x):
     dim = 1 << n
-    return Jet(x, _draw(rng, dim), _draw(rng, (n, dim)),
-               _symmetric(_draw(rng, (n, n, dim)), (0, 1)))
+    return Jet(x, _draw(rng, (1, dim)), _draw(rng, (1, n, dim)),
+               _symmetric(_draw(rng, (1, n, n, dim)), (1, 2)))
 
 
 def _signatures(n):
@@ -96,7 +97,7 @@ def test_stacked_product_table_is_the_stack_of_form_tables(n):
     ("spin", "sphere2"), ("spin", "poly2"), ("spin", "sphere4"), ("spin", "poly4")])
 def test_quantized_blades_match_the_permutation_sum(module, chart):
     ch = get_chart(chart)
-    x = ch.sample_point(np.random.default_rng(17))
+    x = ch.sample_point(np.random.default_rng(17))[None]
     ms = bnd.exterior_module(ch.n) if module == "exterior" else sp.spin_module(ch.n)
     full = ms.gammas(metric_jet(ch, x))
     for order in (0, 1, 2):
@@ -111,7 +112,7 @@ def test_quantized_blades_match_the_permutation_sum(module, chart):
                 _close(g, w)
             if module == "exterior":
                 # the symbol property q(dx^M) e_0 = e_M, at every order
-                _close(got.val[:, 0], np.eye(ms.m)[mask])
+                _close(got.val[..., 0], np.eye(ms.m)[mask])
                 for g in (got.d, got.dd)[:order]:
                     _close(g[..., 0], 0.0)
 
@@ -122,11 +123,11 @@ def test_quantized_blades_match_the_permutation_sum(module, chart):
 def test_zero_order_term_is_the_quantized_blade_sum(module, chart):
     ch = get_chart(chart)
     n = ch.n
-    x = ch.sample_point(np.random.default_rng(23))
+    x = ch.sample_point(np.random.default_rng(23))[None]
     mj = metric_jet(ch, x)
     ms = bnd.exterior_module(n) if module == "exterior" else sp.spin_module(n)
     S = bnd.superconnection_from_degrees(
-        n, ms.m, ms.eta, {p: "random" for p in range(n + 1)}, base_seed=4)
+        n, ms.m, ms.eta, {p: "random" for p in range(n + 1)}, [4])
     D = bnd.quantize_superconnection(S.eval(x), S.masks, mj, ms)
     one = Jet.constant(np.eye(ms.m), x)
     omega = S.eval(x, order=2)
@@ -147,7 +148,7 @@ def test_form_operators_match_blade_loops(n):
         da, db = ref.form_to_dict(a), ref.form_to_dict(b)
         # drawn component by component: value, gradient and Hessian of X^0, then X^1, ...
         comps = [[_draw(rng, (n,) * k) for k in range(3)] for _ in range(n)]
-        X = Jet(x, *(np.stack([c[k] for c in comps], axis=-1) for k in range(3)))
+        X = Jet(x, *(np.stack([c[k] for c in comps], axis=-1)[None] for k in range(3)))
         _close_jet(exterior_derivative(a), ref.exterior_derivative(da, n))
         _close_jet(iota_vector(X, a), ref.iota_vector(list(X), da))
         _close_jet(wedge_forms(a, b), ref.wedge_forms(da, db))
@@ -162,14 +163,15 @@ def test_form_section_operators_match_blade_loops(n):
     # form-valued sections, fiber (2^n, m), against the blade-by-blade loops
     rng = np.random.default_rng(500 + n)
     m, dim = 3, 1 << n
-    x = rng.normal(size=n)
-    fs = Jet(x, _draw(rng, (dim, m)), _draw(rng, (n, dim, m)),
-             _symmetric(_draw(rng, (n, n, dim, m)), (0, 1)))
-    omega = Jet(x, _draw(rng, (dim, m, m)), _draw(rng, (n, dim, m, m)),
-                _symmetric(_draw(rng, (n, n, dim, m, m)), (0, 1)))
+    x = rng.normal(size=(1, n))
+    fs = Jet(x, _draw(rng, (1, dim, m)), _draw(rng, (1, n, dim, m)),
+             _symmetric(_draw(rng, (1, n, n, dim, m)), (1, 2)))
+    omega = Jet(x, _draw(rng, (1, dim, m, m)), _draw(rng, (1, n, dim, m, m)),
+                _symmetric(_draw(rng, (1, n, n, dim, m, m)), (1, 2)))
     blades = {mask: omega[mask] for mask in range(dim)}
     comps = {mask: fs[mask] for mask in range(dim)}
-    X = Jet(x, _draw(rng, n), _draw(rng, (n, n)), _symmetric(_draw(rng, (n, n, n)), (0, 1)))
+    X = Jet(x, _draw(rng, (1, n)), _draw(rng, (1, n, n)),
+            _symmetric(_draw(rng, (1, n, n, n)), (1, 2)))
 
     def close(got, want, shape, order):
         for g, w in zip((got.val, got.d, got.dd)[:order + 1],
@@ -185,7 +187,7 @@ def test_form_section_operators_match_blade_loops(n):
     # the curvature of a superconnection drawn from its presets
     eta = parity_matrix(n)
     S = bnd.superconnection_from_degrees(n, dim, eta, {p: "random" for p in range(n + 1)},
-                                         base_seed=n)
+                                         [n])
     evald = S.eval(x, order=2)
     close(bnd.superconnection_curvature(evald),
           ref.superconnection_curvature({mask: evald[mask] for mask in range(dim)}, n),

@@ -37,9 +37,9 @@ def test_sampled_points_are_valid():
             x = ch.sample_point(rng)
             assert len(x) == ch.n
             ch.validate_point(x)  # must not raise
-            mj = metric_jet(ch, x)
-            assert np.max(np.abs(mj.g - mj.g.T)) < 1e-14
-            assert abs(mj.det) > 1e-10
+            mj = metric_jet(ch, x[None])
+            assert np.max(np.abs(mj.g[0] - mj.g[0].T)) < 1e-14
+            assert abs(mj.det[0]) > 1e-10
 
 
 def test_out_of_domain_point_rejected():
@@ -55,23 +55,23 @@ def test_metric_jet_derivatives_match_finite_differences():
     for name in ("sphere2", "poly3", "torus2", "hyperbolic4"):
         ch = get_chart(name)
         x = ch.sample_point(rng)
-        mj = metric_jet(ch, x)
+        mj = metric_jet(ch, x[None])
         g, dg, d2g = fd_oracle.fd_metric_derivatives(ch, x)
         # truncation floor: hyperbolic4 factor derivatives grow near the ball edge
-        assert np.max(np.abs(mj.g - g)) < 1e-12
-        assert np.max(np.abs(mj.dg - dg)) < 1e-7
-        assert np.max(np.abs(mj.d2g - d2g)) < 1e-5
+        assert np.max(np.abs(mj.g[0] - g)) < 1e-12
+        assert np.max(np.abs(mj.dg[0] - dg)) < 1e-7
+        assert np.max(np.abs(mj.d2g[0] - d2g)) < 1e-5
 
 
 def test_metric_inverse_and_derivative_consistency():
     rng = np.random.default_rng(9)
     ch = get_chart("poly4")
     x = ch.sample_point(rng)
-    mj = metric_jet(ch, x)
-    assert np.max(np.abs(mj.g @ mj.g_inv - np.eye(ch.n))) < 1e-12
+    mj = metric_jet(ch, x[None])
+    assert np.max(np.abs(mj.g[0] @ mj.g_inv[0] - np.eye(ch.n))) < 1e-12
     # d(g^-1) = -g^-1 dg g^-1
-    want = -np.einsum("ik,akl,lj->aij", mj.g_inv, mj.dg, mj.g_inv)
-    assert np.max(np.abs(mj.dg_inv - want)) < 1e-12
+    want = -np.einsum("ik,akl,lj->aij", mj.g_inv[0], mj.dg[0], mj.g_inv[0])
+    assert np.max(np.abs(mj.dg_inv[0] - want)) < 1e-12
 
 
 METRIC_JET_ARRAYS = ("g", "dg", "d2g", "g_inv", "dg_inv", "d2g_inv", "det", "sqrt_abs_det",
@@ -91,8 +91,8 @@ def test_metric_jet_arrays_are_read_only(name):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     # the arrays a caller hands in stay writable
-    g, dg, d2g = np.eye(2), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
-    MetricJet(get_chart("flat2"), np.zeros(2), g, dg, d2g)
+    g, dg, d2g = np.eye(2)[None], np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2, 2))
+    MetricJet(get_chart("flat2"), np.zeros((1, 2)), g, dg, d2g)
     for a in (g, dg, d2g):
         a[...] = 1.0
 
@@ -146,16 +146,16 @@ def test_conformal_charts_are_scalar_multiples_of_identity():
         ch = get_chart(name)
         assert ch.lam_fn is not None
         x = ch.sample_point(rng)
-        mj = metric_jet(ch, x)
-        lam = mj.g[0, 0]
+        mj = metric_jet(ch, x[None])
+        lam = mj.g[0, 0, 0]
         assert np.max(np.abs(mj.g - lam * np.eye(ch.n))) < 1e-13
 
 
 def test_minkowski_signature():
     ch = get_chart("minkowski4")
     assert not ch.riemannian
-    mj = metric_jet(ch, np.zeros(4))
-    sig = np.sort(np.linalg.eigvalsh(mj.g))
+    mj = metric_jet(ch, np.zeros((1, 4)))
+    sig = np.sort(np.linalg.eigvalsh(mj.g[0]))
     assert sig[0] < 0 < sig[1]
 
 
@@ -164,8 +164,8 @@ def test_degeneracy_floor_does_not_depend_on_scale():
     # |det g| is 2.4e-14 at x0 = 10 and 4e-22 at x0 = 1000
     ch = get_chart("sphere4")
     for x0, tol in ((10.0, 1e-9), (1000.0, 1e-7)):
-        mj = metric_jet(ch, [x0, 0.0, 0.0, 0.0])
-        assert abs(mj.scalar - 12.0) < tol, (x0, mj.scalar)
+        mj = metric_jet(ch, [[x0, 0.0, 0.0, 0.0]])
+        assert abs(mj.scalar[0] - 12.0) < tol, (x0, mj.scalar)
 
 
 def test_singular_metric_rejected():
@@ -173,7 +173,7 @@ def test_singular_metric_rejected():
         ch = Chart("singular2", 2, 0,
                    lambda xs, diag=diag: [[diag[0], 0.0], [0.0, diag[1]]])
         with pytest.raises(DegenerateMetricError):
-            metric_jet(ch, [0.0, 0.0])
+            metric_jet(ch, [[0.0, 0.0]])
 
 
 def test_symmetry_floor_does_not_depend_on_scale():
@@ -183,7 +183,7 @@ def test_symmetry_floor_does_not_depend_on_scale():
         m = scale * np.array([[1.0, 1.0], [0.0, 1.0]])
         ch = Chart("lopsided2", 2, 0, lambda xs, m=m: m)
         with pytest.raises(DegenerateMetricError, match=r"not symmetric at \[0.0, 0.0\]"):
-            metric_jet(ch, [0.0, 0.0])
+            metric_jet(ch, [[0.0, 0.0]])
     # built-in charts are symmetric to the last bit
     rng = np.random.default_rng(3)
     for name in sorted(EXPECTED):
@@ -209,7 +209,7 @@ def test_metric_jet_reports_the_first_bad_sample_and_its_first_failure():
     single = {}
     for k, want in ((1, "not symmetric"), (2, "degenerate"), (3, "signature drifted")):
         with pytest.raises(DegenerateMetricError, match=want) as err:
-            metric_jet(ch, [0.0, float(k)])
+            metric_jet(ch, [[0.0, float(k)]])
         single[k] = str(err.value)
     assert single[1].endswith("not symmetric at [0.0, 1.0]")
     for order in ([0, 3, 1, 2], [0, 2, 1, 3], [1, 0, 3]):
@@ -229,7 +229,7 @@ def test_chart_from_config_roundtrip(tmp_path):
     ch2 = load_chart_config(str(path))
     assert ch2.n == ch.n
     rng = np.random.default_rng(0)
-    x = ch.sample_point(rng)
+    x = ch.sample_point(rng)[None]
     assert np.max(np.abs(metric_jet(ch, x).g - metric_jet(ch2, x).g)) < 1e-15
 
 
@@ -272,7 +272,7 @@ def test_chart_config_accepts_integral_floats():
     a = chart_from_config({"kind": "polynomial", "dimension": 2.0,
                            "coefficients": [7.0, 0.04]})
     b = chart_from_config({"kind": "polynomial", "dimension": 2, "coefficients": [7, 0.04]})
-    x = np.array([0.3, -0.2])
+    x = np.array([[0.3, -0.2]])
     assert np.array_equal(metric_jet(a, x).g, metric_jet(b, x).g)
 
 

@@ -197,9 +197,9 @@ def test_dirac_exits_one_on_a_nan_residual(capsys, monkeypatch):
     # a max() that starts at 0.0 used to drop a NaN residual and report a
     # pass; a point the fields overflow at is now refused before the gate,
     # so the NaN comes from the residual itself
-    # the residuals of one column at one point
+    # the residuals of one column at a stack of one point
     monkeypatch.setattr(bnd, "dirac_commutator_residual",
-                        lambda *args: (np.array([np.nan]), np.array([np.nan])))
+                        lambda *args: (np.array([[np.nan]]), np.array([[np.nan]])))
     code, out, _ = _run(capsys, ["dirac", "--chart", "flat2",
                                  "--point", "0.2,0.4"])
     assert code == 1
@@ -252,7 +252,7 @@ def test_dirac_draws_f_then_psi_five_times(capsys, tmp_path, chart, config):
     ms = bnd.exterior_module(ch.n)
     argv = ["dirac", "--chart", chart, "--seed", "4"]
     if config is None:
-        S = bnd.superconnection_from_degrees(ch.n, ms.m, ms.eta, {1: "zero"})
+        S = bnd.superconnection_from_degrees(ch.n, ms.m, ms.eta, {1: "zero"}, [0])
     else:
         (tmp_path / "super.json").write_text(json.dumps(config))
         argv += ["--config", str(tmp_path / "super.json")]
@@ -260,14 +260,14 @@ def test_dirac_draws_f_then_psi_five_times(capsys, tmp_path, chart, config):
     code, out, _ = _run(capsys, argv)
     assert code == 0
     rng = np.random.default_rng(4)
-    x = ch.sample_point(rng)
+    x = ch.sample_point(rng)[None]
     D = bnd.quantize_superconnection(S.eval(x), S.masks, metric_jet(ch, x), ms)
     want = max(bnd.dirac_commutator_residual(
         D, random_poly_field(rng, ch.n, (), complex_coeffs=True).eval(x, 2)[..., None],
-        random_poly_field(rng, ch.n, (ms.m,), complex_coeffs=True).eval(x, 2)[..., None])[0][0]
+        random_poly_field(rng, ch.n, (ms.m,), complex_coeffs=True).eval(x, 2)[..., None])[0][0, 0]
         for _ in range(5))
     payload = json.loads(out)
-    assert payload["point"] == x.tolist()
+    assert payload["point"] == x[0].tolist()
     assert payload["commutator_residual"] == want
 
 

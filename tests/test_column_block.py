@@ -22,25 +22,27 @@ from diracgeo.forms import (FieldLayout, PolyField, coderivative_connection,
                             wedge_forms)
 from diracgeo.jets import Jet, index_contract
 from diracgeo.suites import run_suite
-from test_sample_axis import _close
 
 P = 3
-CASES = [(name, stack, K) for name in ("sphere2", "poly3", "poly4")
-         for stack in (False, True) for K in (1, 3, 15)]
 
 
-def _points(name, stack, seed):
+def _close(got, want):
+    """got (K, ...) against the list of K single-column results, relative 1e-15."""
+    want = np.stack([np.asarray(w) for w in want])
+    assert np.shape(got) == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+CASES = [(name, K) for name in ("sphere2", "poly3", "poly4") for K in (1, 3, 15)]
+
+
+def _points(name, seed):
     ch = get_chart(name)
     rng = np.random.default_rng(seed)
-    xs = (np.array([ch.sample_point(rng) for _ in range(P)]) if stack
-          else ch.sample_point(rng))
+    xs = np.array([ch.sample_point(rng) for _ in range(P)])
     return ch.n, rng, xs, metric_jet(ch, xs)
 
 
 def _field(rng, xs, make):
-    """The jet at xs of ``make(rng)``, one field per point of a stack."""
-    if np.ndim(xs) == 1:
-        return make(rng).eval(xs, 2)
+    """The jet at xs of ``make(rng)``, one field per point of the stack."""
     return PolyField.stack([make(rng) for _ in range(P)]).eval(xs, 2)
 
 
@@ -64,18 +66,17 @@ def _col(j, c):
     return j[:, c:c + 1]
 
 
-def _operator(n, rng, xs, mj, stack):
+def _operator(n, rng, xs, mj):
     ms = bnd.exterior_module(n)
-    seeds = 5 + np.arange(P) if stack else 5
     S = bnd.superconnection_from_degrees(
-        n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"}, seeds)
+        n, ms.m, ms.eta, {0: "random", 1: "random", 2: "random"}, 5 + np.arange(P))
     return ms.m, bnd.quantize_superconnection(S.eval(xs, 1), S.masks, mj, ms)
 
 
-@pytest.mark.parametrize("name, stack, K", CASES)
-def test_bundle_operators_act_on_each_column(name, stack, K):
-    n, rng, xs, mj = _points(name, stack, 31)
-    m, D = _operator(n, rng, xs, mj, stack)
+@pytest.mark.parametrize("name, K", CASES)
+def test_bundle_operators_act_on_each_column(name, K):
+    n, rng, xs, mj = _points(name, 31)
+    m, D = _operator(n, rng, xs, mj)
     j = _field(rng, xs, lambda r: random_poly_field(r, n, (m, K), complex_coeffs=True))
     f = _field(rng, xs, lambda r: random_poly_field(r, n, (K,), complex_coeffs=True))
     _per_column(bnd.apply_dirac(D, j), lambda c: bnd.apply_dirac(D, _col(j, c))[..., 0], K)
@@ -99,9 +100,9 @@ def test_bundle_operators_act_on_each_column(name, stack, K):
     assert np.max(np.abs(np.moveaxis(got, -1, 0) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name, stack, K", [c for c in CASES if c[0] != "poly3"])
-def test_lichnerowicz_residual_acts_on_each_column(name, stack, K):
-    n, rng, xs, mj = _points(name, stack, 32)
+@pytest.mark.parametrize("name, K", [c for c in CASES if c[0] != "poly3"])
+def test_lichnerowicz_residual_acts_on_each_column(name, K):
+    n, rng, xs, mj = _points(name, 32)
     dim = 1 << n // 2
     fr = sp.build_frame_from_metric(mj)
     scd = sp.build_spin_connection(fr, _field(
@@ -111,13 +112,12 @@ def test_lichnerowicz_residual_acts_on_each_column(name, stack, K):
                 lambda c: sp.lichnerowicz_residual(scd, _col(j, c))[..., 0], K)
 
 
-FORM_CASES = [(name, stack, K) for name in ("sphere2", "poly4", "sphere4")
-              for stack in (False, True) for K in (1, 3, 5)]
+FORM_CASES = [(name, K) for name in ("sphere2", "poly4", "sphere4") for K in (1, 3, 5)]
 
 
-@pytest.mark.parametrize("name, stack, K", FORM_CASES)
-def test_form_operators_act_on_each_column(name, stack, K):
-    n, rng, xs, mj = _points(name, stack, 34)
+@pytest.mark.parametrize("name, K", FORM_CASES)
+def test_form_operators_act_on_each_column(name, K):
+    n, rng, xs, mj = _points(name, 34)
     # every blade drawn, so each column is a form of mixed degree
     a, b = (_field(rng, xs, lambda r: random_poly_field(r, n, (1 << n, K), complex_coeffs=True))
             for _ in range(2))
@@ -134,11 +134,10 @@ def test_form_operators_act_on_each_column(name, stack, K):
 
 
 @pytest.mark.parametrize("name", ["sphere2", "poly4", "sphere4"])
-@pytest.mark.parametrize("stack", [False, True])
-def test_coderivative_of_a_sum_is_the_sum_over_degrees(name, stack):
+def test_coderivative_of_a_sum_is_the_sum_over_degrees(name):
     # the star route's sign is taken per output blade, so on a sum of pure
     # forms it is the sum of the per-degree results
-    n, rng, xs, mj = _points(name, stack, 35)
+    n, rng, xs, mj = _points(name, 35)
     pure = [_field(rng, xs, lambda r: random_poly_field(r, *FieldLayout.form(n, p, True)))
             for p in range(n + 1)]
     got = coderivative_hodge(sum(pure[1:], pure[0]), mj)
@@ -148,9 +147,9 @@ def test_coderivative_of_a_sum_is_the_sum_over_degrees(name, stack):
         _close(getattr(got, k)[None], [getattr(want, k)])
 
 
-@pytest.mark.parametrize("name, stack, K", FORM_CASES)
-def test_spinor_dirac_routes_act_on_each_column(name, stack, K):
-    n, rng, xs, mj = _points(name, stack, 36)
+@pytest.mark.parametrize("name, K", FORM_CASES)
+def test_spinor_dirac_routes_act_on_each_column(name, K):
+    n, rng, xs, mj = _points(name, 36)
     ch, dim, fr = get_chart(name), 1 << n // 2, sp.build_frame_from_metric(mj)
     a_pot = _field(rng, xs,
                    lambda r: replace(f := random_poly_field(r, n, (n,)), coeffs=1j * f.coeffs))
@@ -164,10 +163,9 @@ def test_spinor_dirac_routes_act_on_each_column(name, stack, K):
 
 
 @pytest.mark.parametrize("name", ["sphere2", "poly3", "poly4"])
-@pytest.mark.parametrize("stack", [False, True])
-def test_probe_block_is_the_per_probe_loop(name, stack):
-    n, rng, xs, mj = _points(name, stack, 33)
-    m, D = _operator(n, rng, xs, mj, stack)
+def test_probe_block_is_the_per_probe_loop(name):
+    n, rng, xs, mj = _points(name, 33)
+    m, D = _operator(n, rng, xs, mj)
     H = bnd.laplacian_from_dirac(D)
     blocks = []
     got = bnd.lap_identity_residual(replace(H, apply=lambda j: blocks.append(j) or H.apply(j)))

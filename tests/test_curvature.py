@@ -25,12 +25,12 @@ def test_tensors_match_finite_difference_oracle():
         ch = get_chart(name)
         for _ in range(3):
             x = ch.sample_point(rng)
-            mj = metric_jet(ch, x)
+            mj = metric_jet(ch, x[None])
             gam, riem, ric, scal = fd_oracle.fd_curvature(ch, x)
-            assert _rel(mj.christoffel, gam) < 1e-7, name
-            assert _rel(mj.riemann, riem) < 1e-6, name
-            assert _rel(mj.ricci, ric) < 1e-6, name
-            assert abs(mj.scalar - scal) / max(1.0, abs(scal)) < 1e-6, name
+            assert _rel(mj.christoffel[0], gam) < 1e-7, name
+            assert _rel(mj.riemann[0], riem) < 1e-6, name
+            assert _rel(mj.ricci[0], ric) < 1e-6, name
+            assert abs(mj.scalar[0] - scal) / max(1.0, abs(scal)) < 1e-6, name
 
 
 def test_scalar_curvature_reference_values():
@@ -39,8 +39,8 @@ def test_scalar_curvature_reference_values():
         ch = get_chart(name)
         for _ in range(10):
             x = ch.sample_point(rng)
-            mj = metric_jet(ch, x)
-            assert abs(mj.scalar - want) < 1e-9, (name, mj.scalar)
+            mj = metric_jet(ch, x[None])
+            assert abs(mj.scalar[0] - want) < 1e-9, (name, mj.scalar)
 
 
 def test_flat_charts_have_zero_curvature():
@@ -49,9 +49,9 @@ def test_flat_charts_have_zero_curvature():
                  "minkowski4"):
         ch = get_chart(name)
         x = ch.sample_point(rng)
-        mj = metric_jet(ch, x)
+        mj = metric_jet(ch, x[None])
         assert np.max(np.abs(mj.riemann)) == 0.0
-        assert mj.scalar == 0.0
+        assert mj.scalar[0] == 0.0
 
 
 def test_connection_is_torsion_free_and_metric_compatible():
@@ -59,12 +59,12 @@ def test_connection_is_torsion_free_and_metric_compatible():
     for name in CURVED:
         ch = get_chart(name)
         x = ch.sample_point(rng)
-        mj = metric_jet(ch, x)
-        gam = mj.christoffel
+        mj = metric_jet(ch, x[None])
+        gam, g = mj.christoffel[0], mj.g[0]
         assert np.max(np.abs(gam - np.einsum("kij->kji", gam))) < 1e-12
         # nabla_a g_ij = d_a g_ij - Gamma^m_ai g_mj - Gamma^m_aj g_im
-        nabla_g = (mj.dg - np.einsum("mai,mj->aij", gam, mj.g)
-                   - np.einsum("maj,im->aij", gam, mj.g))
+        nabla_g = (mj.dg[0] - np.einsum("mai,mj->aij", gam, g)
+                   - np.einsum("maj,im->aij", gam, g))
         assert np.max(np.abs(nabla_g)) < 1e-12, name
 
 
@@ -73,7 +73,7 @@ def test_lowered_riemann_symmetries_and_first_bianchi():
     for name in CURVED:
         ch = get_chart(name)
         x = ch.sample_point(rng)
-        low = metric_jet(ch, x).lowered
+        low = metric_jet(ch, x[None]).lowered[0]
         scale = max(1.0, float(np.max(np.abs(low))))
         anti_last = low + np.einsum("ijkl->ijlk", low)
         anti_first = low + np.einsum("ijkl->jikl", low)
@@ -88,7 +88,7 @@ def test_ricci_is_symmetric():
     for name in CURVED:
         ch = get_chart(name)
         x = ch.sample_point(rng)
-        ric = metric_jet(ch, x).ricci
+        ric = metric_jet(ch, x[None]).ricci[0]
         assert np.max(np.abs(ric - ric.T)) < 1e-11
 
 
@@ -98,10 +98,10 @@ def test_divergence_routes_agree():
         ch = get_chart(name)
         for _ in range(10):
             x = ch.sample_point(rng)
-            mj = metric_jet(ch, x)
-            vx = random_poly_field(rng, ch.n, (ch.n,)).eval(x)
-            d1 = divergence_via_density(mj, vx)
-            d2 = divergence_via_connection(mj, vx)
+            mj = metric_jet(ch, x[None])
+            vx = random_poly_field(rng, ch.n, (ch.n,)).eval(mj.x)
+            d1 = divergence_via_density(mj, vx)[0]
+            d2 = divergence_via_connection(mj, vx)[0]
             assert abs(d1 - d2) / max(1.0, abs(d1)) < 1e-12
 
 
@@ -124,7 +124,7 @@ def test_log_det_identity():
     for name in CURVED + ("minkowski4",):
         ch = get_chart(name)
         x = ch.sample_point(rng)
-        assert log_det_identity_residual(metric_jet(ch, x)) < 1e-12
+        assert log_det_identity_residual(metric_jet(ch, x[None]))[0] < 1e-12
 
 
 def test_curvature_two_form_matches_tensor():
@@ -132,4 +132,4 @@ def test_curvature_two_form_matches_tensor():
     for name in ("sphere2", "sphere4", "poly3"):
         ch = get_chart(name)
         x = ch.sample_point(rng)
-        assert curvature_two_form_residual(metric_jet(ch, x)) < 1e-10
+        assert curvature_two_form_residual(metric_jet(ch, x[None]))[0] < 1e-10

@@ -52,21 +52,19 @@ def _shapes(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("stack", [False, True])
-def test_bilinear_matches_the_gathered_product(n, stack):
+def test_bilinear_matches_the_gathered_product(n):
     rng = np.random.default_rng(700 + n)
-    x = rng.normal(size=(P, n) if stack else n)
+    x = rng.normal(size=(P, n))
     for (kind, fu, fv), (ou, ov) in product(_shapes(n), product(range(3), repeat=2)):
         u, v = _draw(rng, x, fu, ou), _draw(rng, x, fv, ov)
         _close_jet(_bilinear(kind, u, v), ref.bilinear(kind, u, v))
 
 
 @pytest.mark.parametrize("chart", CHARTS)
-@pytest.mark.parametrize("stack", [False, True])
-def test_compound_inverse_matches_the_jet_product_recursion(chart, stack):
+def test_compound_inverse_matches_the_jet_product_recursion(chart):
     ch = get_chart(chart)
     rng = np.random.default_rng(11)
-    x = np.array([ch.sample_point(rng) for _ in range(P)]) if stack else ch.sample_point(rng)
+    x = np.array([ch.sample_point(rng) for _ in range(P)])
     mj = metric_jet(ch, x)
     _close_jet(mj.compound_inverse, ref.compound_inverse(mj))
 

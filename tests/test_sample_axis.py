@@ -1,7 +1,8 @@
-"""The sample axis: a stack of P points evaluates like P single points.
+"""The sample axis: a stack of P points evaluates like P stacks of one.
 
-Every batched result is compared with the stack of the same computation run
-one point at a time, to a relative 1e-15.
+Every batched result is compared with the same computation run one row at a
+time, each row a stack of one (``xs[k:k + 1]``, ``coeffs[k:k + 1]``), to a
+relative 1e-15; the residuals are checked at P = 3 and at P = 1.
 """
 
 import copy
@@ -15,7 +16,7 @@ import superconnection_reference
 from diracgeo import bundles as bnd
 from diracgeo import spin as sp
 from diracgeo.charts import (Chart, ChartDomainError, DegenerateMetricError,
-                            get_chart, metric_jet, registry)
+                            chart_from_config, get_chart, metric_jet, registry)
 from diracgeo.clifford import BilinearForm, grades
 from diracgeo.forms import (FieldLayout, PolyField, coderivative_connection,
                             coderivative_hodge, exterior_derivative,
@@ -30,8 +31,8 @@ P = 3
 
 
 def _close(got, want):
-    """got (P, ...) against the list of P single results, relative 1e-15."""
-    want = np.stack([np.asarray(w) for w in want])
+    """got (P, ...) against the list of P results at stacks of one, relative 1e-15."""
+    want = np.concatenate([np.asarray(w) for w in want])
     assert np.shape(got) == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(want)))
 
@@ -43,14 +44,14 @@ def _same_jets(batched, singles):
 
 
 def _unstack(field: PolyField, k: int) -> PolyField:
-    return PolyField(field.n, field.exponents, field.coeffs[k], field.masks)
+    return PolyField(field.n, field.exponents, field.coeffs[k:k + 1], field.masks)
 
 
 def _pair(rng, xs, make, order=2):
     """P fields from ``make(rng)`` at the P points xs: one batched jet and the
-    P single-point jets it must equal."""
+    P jets at stacks of one it must equal."""
     f = PolyField.stack([make(rng) for _ in range(P)])
-    return f.eval(xs, order), [_unstack(f, k).eval(x, order) for k, x in enumerate(xs)]
+    return f.eval(xs, order), [_unstack(f, k).eval(xs[k:k + 1], order) for k in range(P)]
 
 
 def _live_degrees(j):
@@ -76,11 +77,11 @@ def test_polyfield_eval_batches_every_fiber(n):
                          for p in range(n + 1)])
     xs = rng.uniform(-0.6, 0.6, size=(n + 1, n))
     assert f.masks is None and f.coeffs.shape[2] == 1 << n
-    _same_jets(f.eval(xs), [_unstack(f, k).eval(xs[k]) for k in range(n + 1)])
+    _same_jets(f.eval(xs), [_unstack(f, k).eval(xs[k:k + 1]) for k in range(n + 1)])
     assert _live_degrees(f.eval(xs)) == [{p} for p in range(n + 1)]
-    # one field at P points
+    # one field, a stack of one, at P points
     g = random_poly_field(rng, n, (2,), complex_coeffs=True)
-    _same_jets(g.eval(xs), [g.eval(x) for x in xs])
+    _same_jets(g.eval(xs), [g.eval(xs[k:k + 1]) for k in range(n + 1)])
 
 
 def test_jet_arithmetic_batches():
@@ -110,7 +111,7 @@ def test_jet_arithmetic_batches():
         _same_jets(op(s, t, v, m), [op(*args) for args in zip(ss, ts, vs, ms)])
     _same_jets(v.scale(weights), [vk * wk for vk, wk in zip(vs, weights)])
     assert [c.val.shape for c in v] == [(P,)] * 3
-    coords = seed_point(np.stack([s.x for s in ss]))
+    coords = seed_point(np.concatenate([s.x for s in ss]))
     _same_jets(coords, [seed_point(sk.x) for sk in ss])
     _same_jets(Jet.constant(np.ones(2), s.x), [Jet.constant(np.ones(2), sk.x) for sk in ss])
 
@@ -121,7 +122,7 @@ def test_metric_jet_batches(name):
     rng = np.random.default_rng(5)
     xs = np.array([ch.sample_point(rng) for _ in range(P)])
     batched = metric_jet(ch, xs)
-    singles = [metric_jet(ch, x) for x in xs]
+    singles = [metric_jet(ch, xs[k:k + 1]) for k in range(P)]
     for k in ("g", "dg", "d2g", "g_inv", "dg_inv", "d2g_inv", "det", "sqrt_abs_det",
               "dh", "ddh", "dsqrt", "ddsqrt", "christoffel", "dchristoffel",
               "riemann", "lowered", "ricci", "scalar"):
@@ -135,13 +136,33 @@ def test_metric_jet_names_the_bad_point_of_a_stack():
     xs = np.array([[0.5, 0.1], [0.0, 0.0], [0.3, 0.3]])
     metric_jet(cone, xs[[0, 2]])
     with pytest.raises(DegenerateMetricError) as single:
-        metric_jet(cone, xs[1])
+        metric_jet(cone, xs[1:2])
     with pytest.raises(DegenerateMetricError) as stack:
         metric_jet(cone, xs)
     assert str(stack.value) == str(single.value)
     assert "degenerate at [0.0, 0.0]" in str(stack.value)
     with pytest.raises(ChartDomainError, match=r"\[0.9, 0.9\] outside domain"):
         metric_jet(get_chart("hyperbolic2"), np.array([[0.1, 0.2], [0.9, 0.9]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_a_bare_point_is_refused_where_points_are_read(n):
+    # points are a stack (P, n): a bare point (n,) is refused, at n = 1 too,
+    # where (1,) could be one point or one coordinate of each of one point;
+    # a stack of one is read, and an array of any other rank is refused
+    ch = chart_from_config({"kind": "flat", "dimension": n})
+    ms = bnd.exterior_module(n)
+    S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, {0: "random", 1: "random"}, [1])
+    field = random_poly_field(np.random.default_rng(n), n, (2,))
+    x = np.full(n, 0.25)
+    readers = {"seed_point": seed_point, "metric_jet": lambda p: metric_jet(ch, p),
+               "PolyField.eval": field.eval, "SuperconnectionData.eval": S.eval}
+    for name, read in readers.items():
+        assert read(x[None]).x.shape == (1, n)
+        for bad in (x, x[None, None]):
+            with pytest.raises(ValueError, match=r"points must be a stack \(P, n\)"):
+                read(bad)
+                pytest.fail(f"{name} read points of shape {bad.shape}")
 
 
 @pytest.mark.parametrize("name", ["sphere4", "minkowski4", "poly3", "hyperbolic2"])
@@ -151,7 +172,7 @@ def test_forms_operators_batch(name):
     rng = np.random.default_rng(7)
     xs = np.array([ch.sample_point(rng) for _ in range(P)])
     mj = metric_jet(ch, xs)
-    singles = [metric_jet(ch, x) for x in xs]
+    singles = [metric_jet(ch, xs[k:k + 1]) for k in range(P)]
 
     X, Xs = _pair(rng, xs, lambda r: random_poly_field(r, n, (n,)))
     Y, Ys = _pair(rng, xs, lambda r: random_poly_field(r, n, (n,)))
@@ -178,17 +199,24 @@ def test_forms_operators_batch(name):
 
 
 def _stack(rng, xs, singles, make):
-    """P fields from ``make(rng)``: their jets at the stack xs and at each point."""
-    f = PolyField.stack([make(rng) for _ in range(P)])
+    """len(xs) fields from ``make(rng)``: their jets at the stack xs and at
+    each row of it."""
+    f = PolyField.stack([make(rng) for _ in xs])
     return (f.eval(xs, 2),
             [_unstack(f, k).eval(s.x, 2) for k, s in enumerate(singles)])
 
 
-def _points_and_jets(name, seed):
+def _points_and_jets(name, seed, points=P):
     ch = get_chart(name)
     rng = np.random.default_rng(seed)
-    xs = np.array([ch.sample_point(rng) for _ in range(P)])
-    return ch, rng, metric_jet(ch, xs), [metric_jet(ch, x) for x in xs]
+    xs = np.array([ch.sample_point(rng) for _ in range(points)])
+    return ch, rng, metric_jet(ch, xs), [metric_jet(ch, xs[k:k + 1]) for k in range(points)]
+
+
+def _per_sample(points, *residuals):
+    """Each residual has one value per sample, and per column of a block."""
+    for r in residuals:
+        assert np.shape(r)[:1] == (points,) and np.ndim(r) <= 2
 
 
 def _same(got, want):
@@ -202,16 +230,18 @@ def _same(got, want):
         _close(got, want)
 
 
+@pytest.mark.parametrize("points", [P, 1])
 @pytest.mark.parametrize("name", ["poly2", "sphere2", "poly3", "sphere4", "poly4",
                                   "minkowski4"])
-def test_bundle_operators_batch(name):
-    ch, rng, mj, singles = _points_and_jets(name, 17)
+def test_bundle_operators_batch(name, points):
+    ch, rng, mj, singles = _points_and_jets(name, 17, points)
     n = ch.n
     ms = bnd.exterior_module(n)
     m = ms.m
     specs = {0: "random", 1: "random", 2: "random"}
-    S = bnd.superconnection_from_degrees(n, m, ms.eta, specs, 5 + np.arange(P))
-    Ss = [bnd.superconnection_from_degrees(n, m, ms.eta, specs, 5 + k) for k in range(P)]
+    S = bnd.superconnection_from_degrees(n, m, ms.eta, specs, 5 + np.arange(points))
+    Ss = [bnd.superconnection_from_degrees(n, m, ms.eta, specs, [5 + k])
+          for k in range(points)]
     D = bnd.quantize_superconnection(S.eval(mj.x), S.masks, mj, ms)
     Ds = [bnd.quantize_superconnection(Sk.eval(sk.x), Sk.masks, sk, ms)
           for Sk, sk in zip(Ss, singles)]
@@ -273,12 +303,16 @@ def test_bundle_operators_batch(name):
            [bnd.module_invariant_residual(ms, sk) for sk in singles])
     _same_jets(bnd.superconnection_curvature(S.eval(mj.x, 1)),
                [bnd.superconnection_curvature(Sk.eval(sk.x, 1)) for Sk, sk in zip(Ss, singles)])
+    _per_sample(points, *bnd.dirac_commutator_residual(D, f, j), bnd.lap_identity_residual(H),
+                bnd.twisting_curvature(FE, mj, ms.gammas(mj))[1],
+                bnd.module_invariant_residual(ms, mj))
 
 
+@pytest.mark.parametrize("points", [P, 1])
 @pytest.mark.parametrize("name", ["flat2", "torus2", "sphere2", "hyperbolic2", "poly2",
                                   "flat4", "torus4", "sphere4", "hyperbolic4", "poly4"])
-def test_spin_operators_batch(name):
-    ch, rng, mj, singles = _points_and_jets(name, 23)
+def test_spin_operators_batch(name, points):
+    ch, rng, mj, singles = _points_and_jets(name, 23, points)
     n = ch.n
     dim = 1 << n // 2
     fr = sp.build_frame_from_metric(mj)
@@ -304,6 +338,8 @@ def test_spin_operators_batch(name):
     want = [sp.chirality_action_checks(c) for c in scds]
     for k in ("gamma_anticommutation", "connection_commutation"):
         _close(got[k], [w[k] for w in want])
+    _per_sample(points, sp.frame_invariant_residual(fr), sp.lichnerowicz_residual(scd, j),
+                got["gamma_anticommutation"], got["connection_commutation"])
 
 
 def _two_form_residual(g_inv, low, riem):
@@ -324,10 +360,11 @@ def _two_form_residual(g_inv, low, riem):
     return worst
 
 
+@pytest.mark.parametrize("points", [P, 1])
 @pytest.mark.parametrize("name", ["sphere2", "hyperbolic2", "poly3", "sphere4", "poly4",
                                   "minkowski4"])
-def test_curvature_batches(name):
-    ch, rng, mj, singles = _points_and_jets(name, 29)
+def test_curvature_batches(name, points):
+    ch, rng, mj, singles = _points_and_jets(name, 29, points)
     n = ch.n
     _close(log_det_identity_residual(mj), [log_det_identity_residual(sk) for sk in singles])
     _close(curvature_two_form_residual(mj),
@@ -338,26 +375,27 @@ def test_curvature_batches(name):
     for scale in (1.0, 2.0):
         bent = copy.copy(mj)
         bent.riemann = scale * mj.riemann
-        want = np.array([_two_form_residual(sk.g_inv, sk.lowered, scale * sk.riemann)
+        want = np.array([_two_form_residual(sk.g_inv[0], sk.lowered[0], scale * sk.riemann[0])
                          for sk in singles])
         got = curvature_two_form_residual(bent)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(want))
         assert scale == 1.0 or name == "minkowski4" or np.min(want) > 1e-3
-    X = PolyField.stack([random_poly_field(rng, n, (n,)) for _ in range(P)])
+    X = PolyField.stack([random_poly_field(rng, n, (n,)) for _ in range(points)])
     val, dval, _ = X.jet(mj.x, 1)
     for div in (divergence_via_density, divergence_via_connection):
         _close(div(mj, Jet(mj.x, val, dval)),
-               [div(sk, Jet(sk.x, v, dv)) for sk, v, dv in zip(singles, val, dval)])
+               [div(sk, Jet(sk.x, val[k:k + 1], dval[k:k + 1])) for k, sk in enumerate(singles)])
+    _per_sample(points, log_det_identity_residual(mj), curvature_two_form_residual(mj))
 
 
 def test_stacked_superconnection_is_the_stack_of_its_seeds():
     ms = bnd.exterior_module(2)
     S = bnd.superconnection_from_degrees(2, 4, ms.eta, {0: "constant", 1: "random"}, [3, 4])
     singles = [bnd.superconnection_from_degrees(2, 4, ms.eta, {0: "constant", 1: "random"},
-                                                seed) for seed in (3, 4)]
+                                                [seed]) for seed in (3, 4)]
     assert S.masks == (0, 1, 2)
     xs = np.array([[0.3, -0.4], [-0.1, 0.6]])
-    _same_jets(S.eval(xs, 2), [single.eval(x, 2) for single, x in zip(singles, xs)])
+    _same_jets(S.eval(xs, 2), [single.eval(xs[k:k + 1], 2) for k, single in enumerate(singles)])
     for k, single in enumerate(singles):
         for mask in S.masks:
             assert np.array_equal(S.entries(mask).exponents, single.entries(mask).exponents)
@@ -370,8 +408,8 @@ def test_stacked_superconnection_is_the_stack_of_its_seeds():
         2, 4, ms.eta, {0: "constant", 1: "random"}, [3, 4])[0]
     coeffs = field.coeffs.copy()
     coeffs[1, 0, 1, r, c] = 0.5
-    field = PolyField(2, field.exponents, coeffs, stacked=True)
+    field = PolyField(2, field.exponents, coeffs)
     with pytest.raises(bnd.ParityError, match=rf"blade \[0\] entry \({r},{c}\)"):
         bnd.SuperconnectionData(2, 4, ms.eta, {
-            mask: PolyField(2, field.exponents, field.coeffs[:, :, mask], stacked=True)
+            mask: PolyField(2, field.exponents, field.coeffs[:, :, mask])
             for mask in S.masks})

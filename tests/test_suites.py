@@ -633,3 +633,22 @@ def test_every_chart_suite_runs_on_a_curved_chart():
     for name in ("cartan", "clifford", "levi-civita", "hodge"):
         rep = run_suite(name, chart="sphere2", seed=2, samples=3)
         assert rep.passed, name
+
+
+ONE_DIMENSIONAL = [{"kind": "flat"}, {"kind": "torus"}, {"kind": "polynomial"},
+                   {"kind": "conformal", "lambda": "sphere"},
+                   {"kind": "conformal", "lambda": "hyperbolic"}]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("cfg", ONE_DIMENSIONAL,
+                         ids=lambda c: "-".join(str(v) for v in c.values()))
+def test_special_predicate_holds_on_one_dimensional_charts(cfg, seed):
+    # at n = 1 no blade has degree 2, so the trials given a degree-2 part
+    # are special too; the check used to expect them not to be, and read
+    # 15.0 against its tolerance 0.5 on every 1-D chart
+    rep = run_suite("superconnection", chart=chart_from_config(cfg | {"dimension": 1}),
+                    seed=seed, samples=3)
+    check, = [c for c in rep.checks if c.check_id == "superconnection-special-predicate"]
+    assert check.max_residual == 0.0 and check.passed
+    assert rep.passed

@@ -29,17 +29,18 @@ SPEC_SETS = [{p: PRESETS[(p + shift) % len(PRESETS)] for p in range(5)}
 
 def _assert_entries_are_the_reference_blades(S, ms, specs, seeds):
     """Each blade's entries are, per seed, the allowed entries of the loop
-    reference's blade on its own exponent table, and its other entries are 0."""
+    reference's blade (a stack of one) on its own exponent table, and its
+    other entries are 0."""
     refs = [ref.superconnection_field(S.n, ms.m, ms.eta, specs, int(seed))[1]
             for seed in np.atleast_1d(seeds)]
     assert list(S.masks) == list(refs[0])
     for mask in S.masks:
         allowed, got = S.allowed(mask), S.entries(mask)
-        assert got.stacked and len(got.coeffs) == len(refs)
+        assert len(got.coeffs) == len(refs)
         for k, blades in enumerate(refs):
             assert np.array_equal(got.exponents, blades[mask].exponents)
-            assert np.array_equal(got.coeffs[k], blades[mask].coeffs[:, allowed])
-            assert not np.any(blades[mask].coeffs[:, ~allowed])
+            assert np.array_equal(got.coeffs[k], blades[mask].coeffs[0][:, allowed])
+            assert not np.any(blades[mask].coeffs[0][:, ~allowed])
 
 
 def _assert_eval_is_the_reference_field(S, field, x):
@@ -63,10 +64,10 @@ def test_builder_draws_the_streams_of_the_per_blade_loop(n, shift):
     specs = {p: spec for p, spec in SPEC_SETS[shift].items() if p <= n and p != shift % 3}
     xs = np.random.default_rng(n).uniform(-0.8, 0.8, (4, n))
     for seed in (0, 7, np.int64(12), 3.0):
-        S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seed)
+        S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, [seed])
         field, blades = ref.superconnection_field(n, ms.m, ms.eta, specs, int(seed))
-        _assert_eval_is_the_reference_field(S, field, xs[0])
-        # a single superconnection at a stack of points
+        _assert_eval_is_the_reference_field(S, field, xs[:1])
+        # a stack of one superconnection at a stack of points
         _assert_eval_is_the_reference_field(S, field, xs)
         _assert_entries_are_the_reference_blades(S, ms, specs, seed)
     seeds = [4, 1, 4, 30]
@@ -86,9 +87,9 @@ def test_builder_draws_only_the_blades_it_names():
     omega = S.eval(x, 1)
     for part, others in ((omega.val, (0, 2, 3)), (omega.d, (0, 1, 3, 4))):
         assert np.flatnonzero(np.any(part != 0, axis=others)).tolist() == [1, 2, 4]
-    empty = bnd.superconnection_from_degrees(3, ms.m, ms.eta, {0: "zero"}, 5)
-    omega = empty.eval(x[0], 2)
-    assert omega.val.shape == (8, 8, 8) and omega.dd.shape == (3, 3, 8, 8, 8)
+    empty = bnd.superconnection_from_degrees(3, ms.m, ms.eta, {0: "zero"}, [5])
+    omega = empty.eval(x[:1], 2)
+    assert omega.val.shape == (1, 8, 8, 8) and omega.dd.shape == (1, 3, 3, 8, 8, 8)
     assert not any(np.any(part) for part in (omega.val, omega.d, omega.dd))
     assert empty.entries(0).coeffs.size == 0
 
@@ -180,10 +181,10 @@ def test_stacked_special_predicate_is_the_per_trial_one(name, top):
     got, worst = bnd.is_special_superconnection(
         bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seeds), pts)
     want = [bnd.is_special_superconnection(
-        bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seed), pts)
+        bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, [seed]), pts)
         for seed in seeds]
-    assert got.tolist() == [w[0] for w in want] == [top is None] * len(seeds)
-    np.testing.assert_allclose(worst, [w[1] for w in want], rtol=1e-15, atol=0.0)
+    assert got.tolist() == [w[0][0] for w in want] == [top is None] * len(seeds)
+    np.testing.assert_allclose(worst, [w[1][0] for w in want], rtol=1e-15, atol=0.0)
 
 
 def _read_degree_two_blades(S, pts):
@@ -206,11 +207,11 @@ def test_lazy_draws_do_not_depend_on_read_order(n, preset, first):
     specs = {p: PRESETS[(PRESETS.index(preset) + p - 2) % len(PRESETS)]
              for p in range(n + 1)}
     pts = np.random.default_rng(n).uniform(-0.5, 0.5, (3, n))
-    for seed in (7, [4, 1, 4]):
+    for seed in ([7], [4, 1, 4]):
         S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, specs, seed)
         READS[first](S, pts)
         field, _ = ref.superconnection_field(n, ms.m, ms.eta, specs, seed)
-        _assert_eval_is_the_reference_field(S, field, pts if np.ndim(seed) else pts[0])
+        _assert_eval_is_the_reference_field(S, field, pts[:len(seed)])
         _assert_entries_are_the_reference_blades(S, ms, specs, seed)
 
 
@@ -274,7 +275,7 @@ def test_selected_members_are_the_members_built_on_their_own(n, monkeypatch):
                                                 [seeds[k] for k in members])
         wanted = want.eval(xs[members], 2)
         for T, omega in zip(pair, pair_evals):
-            assert T.masks == want.masks and T.size == len(members) and T.stacked
+            assert T.masks == want.masks and T.size == len(members)
             for mask in T.masks:
                 e, w = T.entries(mask), want.entries(mask)
                 assert not e.coeffs.flags.writeable
@@ -321,11 +322,10 @@ def test_a_suite_run_seeds_a_blade_generator_twice_only_for_the_special_trials(
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("odd", [0, 1])
-@pytest.mark.parametrize("stack", [False, True])
-def test_live_pair_graded_product_is_the_all_pairs_one(n, odd, stack):
+def test_live_pair_graded_product_is_the_all_pairs_one(n, odd):
     rng = np.random.default_rng(60 + n)
     dim = 1 << n
-    x = rng.normal(size=(3, n) if stack else n)
+    x = rng.normal(size=(3, n))
     for p, (left, right) in product((1, dim), product(range(3), repeat=2)):
         omega = _draw(rng, x, (dim, dim, dim), left)
         fs = _draw(rng, x, (dim, dim, p), right)
@@ -399,7 +399,7 @@ def test_superconnection_action_equals_the_full_order_computation(n, order):
     # product's top order is dropped by the sum, so the values are the same bits
     rng = np.random.default_rng(70 + n)
     dim = 1 << n
-    for x in (rng.normal(size=n), rng.normal(size=(3, n))):
+    for x in (rng.normal(size=(1, n)), rng.normal(size=(3, n))):
         for left in (order, 2):
             omega = _draw(rng, x, (dim, dim, dim), left)
             fs = _draw(rng, x, (dim, dim), order)
