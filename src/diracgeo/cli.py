@@ -133,7 +133,7 @@ def cmd_sw(args) -> int:
            else swm.random_sw_config(np.random.default_rng(args.seed)))
     x = (np.random.default_rng(args.seed).uniform(0.0, 2.0 * np.pi, 4)
          if args.point is None else _parse_point(args.point, 4))
-    res = swm.sw_residuals(cfg, x)
+    res = {k: float(v[0]) for k, v in swm.sw_residuals(cfg, x[None]).items()}
     out = swm.sw_functional(cfg)
     payload = {
         "grid": cfg.grid,
@@ -212,8 +212,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        # a point or config the fields overflow at is an input error (the
-        # suites of verify draw their own points)
+        # a point or config the fields overflow at is an input error (chart
+        # suites draw their own points; the sw suite raises on its config)
         with np.errstate(**({} if args.command == "verify"
                             else {"over": "raise", "invalid": "raise"})):
             return args.fn(args)

@@ -2,7 +2,9 @@
 
 Fields are band-limited Fourier series on [0, 2pi)^4 with the flat metric and
 identity frame. The U(1) potential is i times a real trigonometric polynomial;
-the spinor lives in one chirality block of the rank-4 spinor module.
+the spinor lives in one chirality block of the rank-4 spinor module.  Both
+are read at a stack of points x (P, 4) as ``jets.Jet``s with fiber (4,), and
+the pointwise residuals hold one value per point.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from .charts import config_integer, config_keys
-from .jets import frozen, relative
+from .jets import Jet, frozen, point_stack, relative
 from .spin import spinor_tables
 
 N_DIM = 4
@@ -165,41 +167,32 @@ def random_sw_config(rng, band: int = 2, grid: int = 16, block: str = "+",
 # ---------------------------------------------------------------------------
 
 
-def _series_at(series, x) -> np.ndarray:
-    """The phases exp(i k.x), (..., M), of the trig series ``series`` = (k,
-    coefficients) at x, a point (4,) or a stack (P, 4): its values are their
-    product with the coefficients, its partials that of ``_partials``."""
-    return np.exp(1j * (np.asarray(x, dtype=float) @ series[0].T))
+def _series_jet(series, x, order: int) -> Jet:
+    """The trig series ``series`` = (k (M, 4), coefficients (M, C)) at the
+    stack x (P, 4) as a Jet with fiber (C,): its values sum_k c_k exp(i k.x)
+    and, to ``order`` 1, its partials [a, c]."""
+    x = point_stack(x)
+    phase = np.exp(1j * (x @ series[0].T))
+    return Jet(x, phase @ series[1], (1j * series[0].T * phase[:, None, :]) @ series[1]
+               if order >= 1 else None)
 
 
-def _partials(series, phase: np.ndarray) -> np.ndarray:
-    """Partials (..., 4, C) of the C series from their phases."""
-    return (1j * series[0].T * phase[..., None, :]) @ series[1]
+def potential_at(cfg: SWConfig, x, order: int = 1) -> Jet:
+    """A at the stack x (P, 4): values A_a and partials dA[a, b] = partial_a
+    A_b, purely imaginary."""
+    return _series_jet(cfg.series[0], x, order)
 
 
-def potential_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Values A_a(x) and derivatives dA[a, b] = partial_a A_b, purely
-    imaginary; a stack of points x (P, 4) puts P in front."""
-    phase = _series_at(cfg.series[0], x)
-    return phase @ cfg.series[0][1], _partials(cfg.series[0], phase)
-
-
-def spinor_at(cfg: SWConfig, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Values psi(x) in C^4 and derivatives dpsi[a, c], as ``potential_at``."""
-    phase = _series_at(cfg.series[1], x)
-    return phase @ cfg.series[1][1], _partials(cfg.series[1], phase)
-
-
-def spinor_values_at(cfg: SWConfig, x) -> np.ndarray:
-    """The values of ``spinor_at`` alone."""
-    return _series_at(cfg.series[1], x) @ cfg.series[1][1]
+def spinor_at(cfg: SWConfig, x, order: int = 1) -> Jet:
+    """psi at the stack x (P, 4): values in C^4 and partials dpsi[a, c]."""
+    return _series_jet(cfg.series[1], x, order)
 
 
 def curvature_at(cfg: SWConfig, x) -> np.ndarray:
-    """F = dA on the pair components F[a, b] = dA_b/dx_a - dA_a/dx_b, a < b,
-    in _PAIRS order."""
-    dval = _partials(cfg.series[0], _series_at(cfg.series[0], x))
-    return dval[..., _ROWS, _COLS] - dval[..., _COLS, _ROWS]
+    """F = dA at the stack x (P, 4) on the pair components F[a, b] = dA_b/dx_a
+    - dA_a/dx_b, a < b, in _PAIRS order."""
+    dval = potential_at(cfg, x).d
+    return dval[:, _ROWS, _COLS] - dval[:, _COLS, _ROWS]
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +222,12 @@ def quadratic_identity_residual(psi: np.ndarray, q=None):
     return relative(np.abs(np.sum(np.abs(q) ** 2, axis=-1) - quartic), quartic)
 
 
-def sw_residuals(cfg: SWConfig, x) -> Dict[str, float]:
-    """Pointwise residuals of the two monopole equations at x; arrays over
-    the samples of a stack x (P, 4)."""
-    aval, _ = potential_at(cfg, x)
-    psi, dpsi = spinor_at(cfg, x)
-    dirac = np.einsum("arc,...ac->...r", GAMMAS,
-                      dpsi + 0.5 * aval[..., :, None] * psi[..., None, :])
+def sw_residuals(cfg: SWConfig, x) -> Dict[str, np.ndarray]:
+    """Residuals of the two monopole equations, one per point of the stack
+    x (P, 4)."""
+    spinor, aval = spinor_at(cfg, x), potential_at(cfg, x, 0).val
+    psi = spinor.val
+    dirac = np.einsum("arc,pac->pr", GAMMAS, spinor.d + 0.5 * aval[:, :, None] * psi[:, None, :])
     resid = curvature_at(cfg, x) @ block_projector(cfg.block).T - quadratic_pairs(psi, psi)
     return {
         "dirac": np.max(np.abs(dirac), axis=-1),

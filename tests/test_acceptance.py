@@ -322,7 +322,7 @@ def test_criterion_11_seiberg_witten():
         cfg = swm.random_sw_config(rng, block=block)
         for _ in range(20):
             x = rng.uniform(0.0, 2.0 * np.pi, 4)
-            psi, _ = swm.spinor_at(cfg, x)
+            psi = swm.spinor_at(cfg, x[None], 0).val[0]
             fplus = swm.quadratic_pairs(psi, psi)  # curvature equation: F+ = Q(psi)
             nrm = float(np.real(np.vdot(psi, psi)))
             resid = abs(np.sum(np.abs(fplus) ** 2) - nrm * nrm / 8.0)

@@ -430,6 +430,23 @@ def test_sw_config_entries_are_input_errors(capsys, tmp_path, text, message,
     assert message in err
 
 
+@pytest.mark.parametrize("config", [
+    {"grid": 9, "band": 2, "psi_modes": [[0, 2, 2, 2, 2, 1e200, 0.0]]},
+    {"grid": 9, "band": 2, "a_modes": [[1, 1, 0, 0, 0, 1e300, 0.0]],
+     "psi_modes": [[3, 0, 0, 0, 1, 1.0, 0.0]]},
+])
+@pytest.mark.parametrize("command", [["sw"], ["verify", "--suite", "sw"],
+                                     ["verify", "--suite", "all", "--chart", "sphere2"]])
+def test_an_overflowing_monopole_config_is_an_input_error(capsys, tmp_path, config, command):
+    # the fields overflow on these finite configs: verify reported the three
+    # sw checks failed (exit 1), where sw refused the input
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, command + ["--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: the fields cannot be evaluated at this input (")
+
+
 def test_sw_human_output(capsys):
     code, out, _ = _run(capsys, ["sw", "--seed", "1", "--human"])
     assert code == 0

@@ -7,6 +7,7 @@ relative 1e-15; the residuals are checked at P = 3 and at P = 1.
 
 import copy
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import clifford_reference as ref
 import superconnection_reference
 from diracgeo import bundles as bnd
+from diracgeo import seiberg_witten as swm
 from diracgeo import spin as sp
 from diracgeo.charts import (Chart, ChartDomainError, DegenerateMetricError,
                             chart_from_config, get_chart, metric_jet, registry)
@@ -149,7 +151,9 @@ def test_metric_jet_names_the_bad_point_of_a_stack():
 def test_a_bare_point_is_refused_where_points_are_read(n):
     # points are a stack (P, n): a bare point (n,) is refused, at n = 1 too,
     # where (1,) could be one point or one coordinate of each of one point;
-    # a stack of one is read, and an array of any other rank is refused
+    # a stack of one is read, and an array of any other rank is refused.  At
+    # n = 4 the monopole fields are read too, and F and the equations'
+    # residuals hold one row per point
     ch = chart_from_config({"kind": "flat", "dimension": n})
     ms = bnd.exterior_module(n)
     S = bnd.superconnection_from_degrees(n, ms.m, ms.eta, {0: "random", 1: "random"}, [1])
@@ -157,8 +161,20 @@ def test_a_bare_point_is_refused_where_points_are_read(n):
     x = np.full(n, 0.25)
     readers = {"seed_point": seed_point, "metric_jet": lambda p: metric_jet(ch, p),
                "PolyField.eval": field.eval, "SuperconnectionData.eval": S.eval}
-    for name, read in readers.items():
-        assert read(x[None]).x.shape == (1, n)
+    rows = {}
+    if n == 4:
+        cfg = swm.random_sw_config(np.random.default_rng(n))
+        readers.update(potential_at=partial(swm.potential_at, cfg),
+                       spinor_at=partial(swm.spinor_at, cfg))
+        rows.update(curvature_at=lambda p: {"F": swm.curvature_at(cfg, p)},
+                    sw_residuals=partial(swm.sw_residuals, cfg))
+        for xs in (x[None], x + np.arange(P)[:, None]):
+            assert swm.curvature_at(cfg, xs).shape == (len(xs), 6)
+            assert {k: v.shape for k, v in swm.sw_residuals(cfg, xs).items()} == dict.fromkeys(
+                ("dirac", "curvature", "quadratic_identity"), (len(xs),))
+    for name, read in {**readers, **rows}.items():
+        if name in readers:
+            assert read(x[None]).x.shape == (1, n)
         for bad in (x, x[None, None]):
             with pytest.raises(ValueError, match=r"points must be a stack \(P, n\)"):
                 read(bad)

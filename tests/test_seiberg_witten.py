@@ -110,8 +110,8 @@ def test_potential_is_purely_imaginary():
     rng = np.random.default_rng(1)
     cfg = random_sw_config(rng)
     for _ in range(10):
-        x = rng.uniform(0, 2 * np.pi, 4)
-        val, dval = potential_at(cfg, x)
+        a = potential_at(cfg, rng.uniform(0, 2 * np.pi, 4)[None])
+        val, dval = a.val[0], a.d[0]
         assert np.max(np.abs(val.real)) < 1e-13
         assert np.max(np.abs(dval.real)) < 1e-13
 
@@ -121,24 +121,25 @@ def test_field_derivatives_match_finite_differences():
     cfg = random_sw_config(rng)
     h = 1e-6
     for _ in range(5):
-        x = rng.uniform(0, 2 * np.pi, 4)
-        _, da = potential_at(cfg, x)
-        _, dpsi = spinor_at(cfg, x)
+        x = rng.uniform(0, 2 * np.pi, 4)[None]
+        da = potential_at(cfg, x).d[0]
+        dpsi = spinor_at(cfg, x).d[0]
         for axis in range(4):
             e = np.zeros(4)
             e[axis] = h
-            ap, _ = potential_at(cfg, x + e)
-            am, _ = potential_at(cfg, x - e)
+            ap = potential_at(cfg, x + e, 0).val[0]
+            am = potential_at(cfg, x - e, 0).val[0]
             assert np.max(np.abs((ap - am) / (2 * h) - da[axis])) < 1e-7
-            pp, _ = spinor_at(cfg, x + e)
-            pm, _ = spinor_at(cfg, x - e)
+            pp = spinor_at(cfg, x + e, 0).val[0]
+            pm = spinor_at(cfg, x - e, 0).val[0]
             assert np.max(np.abs((pp - pm) / (2 * h) - dpsi[axis])) < 1e-7
 
 
 @pytest.mark.parametrize("block", ["+", "-"])
 def test_evaluator_matches_the_per_mode_reference(block):
     # the config's mode arrays, taken to the points by exp(i k.x), against
-    # the per-mode loops they replaced: at one point and on a stack
+    # the per-mode loops they replaced: at a stack of one and at a stack of
+    # six, each a Jet whose values and partials are the reference's pair
     rng = np.random.default_rng(21)
     for band in (1, 2, 3):
         cfg = random_sw_config(rng, band=band, grid=4 * band + 1, block=block,
@@ -147,12 +148,16 @@ def test_evaluator_matches_the_per_mode_reference(block):
         for fn, ref in ((potential_at, sw_reference.potential_at),
                         (spinor_at, sw_reference.spinor_at)):
             stacked = fn(cfg, pts)
+            values = fn(cfg, pts, 0)
+            assert values.order == 0 and np.array_equal(values.val, stacked.val)
             for p, x in enumerate(pts):
-                for got, on_stack, want in zip(fn(cfg, x), stacked, ref(cfg, x)):
+                single = fn(cfg, x[None])
+                for got, on_stack, want in zip((single.val[0], single.d[0]),
+                                               (stacked.val[p], stacked.d[p]), ref(cfg, x)):
                     bound = 1e-13 * np.max(np.abs(want))
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) <= bound
-                    assert np.max(np.abs(on_stack[p] - want)) <= bound
+                    assert np.max(np.abs(on_stack - want)) <= bound
         _, dval = sw_reference.potential_at(cfg, pts[0])
         f = curvature_at(cfg, pts)
         assert f.shape == (6, 6)
@@ -215,7 +220,7 @@ def test_mode_arrays_are_built_once_per_config(monkeypatch):
     series = cfg.series
     for seed in (1, 2):
         assert suites.run_suite("sw", seed=seed, samples=3, sw_config=cfg).passed
-    sw_residuals(cfg, np.zeros(4))
+    sw_residuals(cfg, np.zeros((1, 4)))
     sw_functional(cfg)
     assert cfg.series is series
     assert len(calls) == 2
@@ -244,7 +249,7 @@ def test_pointwise_functions_broadcast_over_a_stack():
     rng = np.random.default_rng(22)
     cfg = random_sw_config(rng, band=2, grid=9, block="-")
     pts = rng.uniform(0, 2 * np.pi, (5, 4))
-    psi = spinor_at(cfg, pts)[0]
+    psi = spinor_at(cfg, pts, 0).val
     f = curvature_at(cfg, pts)
     proj = block_projector("-")
     stacked = {"quadratic_pairs": quadratic_pairs(psi, psi),
@@ -253,7 +258,7 @@ def test_pointwise_functions_broadcast_over_a_stack():
                "block_half": f @ proj.T}
     res = sw_residuals(cfg, pts)
     for p, x in enumerate(pts):
-        fx = curvature_at(cfg, x)
+        fx = curvature_at(cfg, x[None])[0]
         single = {"quadratic_pairs": quadratic_pairs(psi[p], psi[p]),
                   "curvature": fx,
                   "quadratic_identity": quadratic_identity_residual(psi[p]),
@@ -261,9 +266,9 @@ def test_pointwise_functions_broadcast_over_a_stack():
         for key, want in single.items():
             assert np.shape(stacked[key][p]) == np.shape(want), key
             assert np.allclose(stacked[key][p], want, rtol=1e-14, atol=1e-14), key
-        for key, want in sw_residuals(cfg, x).items():
-            assert isinstance(want, float)
-            assert res[key][p] == pytest.approx(want, rel=1e-12, abs=1e-14), key
+        for key, want in sw_residuals(cfg, x[None]).items():
+            assert want.shape == (1,) and res[key].shape == (5,), key
+            assert res[key][p] == pytest.approx(want[0], rel=1e-12, abs=1e-14), key
 
 
 @pytest.mark.parametrize("block", ["+", "-"])
@@ -287,8 +292,9 @@ def test_pointwise_pieces_integrate_to_the_equation_form(block):
         + [[c, *k, z.real, z.imag] for (c, k), z in drawn.psi_modes.items()]))
     axis = 2 * np.pi * np.arange(grid) / grid
     pts = np.stack(np.meshgrid(*(axis,) * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-    aval, _ = potential_at(cfg, pts)
-    psi, dpsi = spinor_at(cfg, pts)
+    aval = potential_at(cfg, pts, 0).val
+    spinor = spinor_at(cfg, pts)
+    psi, dpsi = spinor.val, spinor.d
     dirac = np.einsum("arc,pac->pr", swm.GAMMAS,
                       dpsi + 0.5 * aval[:, :, None] * psi[:, None, :])
     resid = curvature_at(cfg, pts) @ block_projector(block).T - quadratic_pairs(psi, psi)
@@ -323,7 +329,7 @@ def test_functional_gap_on_configs_that_couple_a_and_psi(seed, block):
     axis = 2 * np.pi * np.arange(cfg.grid) / cfg.grid
     pts = np.stack(np.meshgrid(*(axis,) * 4, indexing="ij"), axis=-1).reshape(-1, 4)
     fp = curvature_at(cfg, pts) @ block_projector(block).T
-    psi = spinor_at(cfg, pts)[0]
+    psi = spinor_at(cfg, pts, 0).val
     cross = (2 * np.pi) ** 4 * np.mean(np.sum(np.real(np.conj(fp) * quadratic_pairs(psi, psi)),
                                                axis=1))
     assert abs(cross) >= 0.01 * out["w_equations"]
@@ -333,8 +339,8 @@ def test_curvature_is_antisymmetric_and_closed():
     rng = np.random.default_rng(3)
     cfg = random_sw_config(rng)
     x = rng.uniform(0, 2 * np.pi, 4)
-    f = _antisymmetric(curvature_at(cfg, x))
-    _, dval = potential_at(cfg, x)
+    f = _antisymmetric(curvature_at(cfg, x[None])[0])
+    dval = potential_at(cfg, x[None]).d[0]
     assert np.max(np.abs(f - (dval - dval.T))) < 1e-13
     # dF = 0 follows from F = dA; check one Bianchi component by FD
     h = 1e-5
@@ -343,8 +349,8 @@ def test_curvature_is_antisymmetric_and_closed():
         for (i, j, k) in ((a, b, c), (b, c, a), (c, a, b)):
             e = np.zeros(4)
             e[i] = h
-            total += (_antisymmetric(curvature_at(cfg, x + e))[j, k]
-                      - _antisymmetric(curvature_at(cfg, x - e))[j, k]) / (2 * h)
+            total += (_antisymmetric(curvature_at(cfg, (x + e)[None])[0])[j, k]
+                      - _antisymmetric(curvature_at(cfg, (x - e)[None])[0])[j, k]) / (2 * h)
         assert abs(total) < 1e-8
 
 
@@ -374,16 +380,16 @@ def test_curvature_equation_uses_the_block_half(block, sign):
     rng = np.random.default_rng(13)
     cfg = random_sw_config(rng, band=1, grid=8, block=block)
     for _ in range(5):
-        x = rng.uniform(0, 2 * np.pi, 4)
-        f = curvature_at(cfg, x)
+        x = rng.uniform(0, 2 * np.pi, 4)[None]
+        f = curvature_at(cfg, x)[0]
         form = _antisymmetric(f)
         half = 0.5 * (form + sign * _levi_civita_star(form))
         assert np.max(np.abs(_antisymmetric(f @ block_projector(block).T) - half)) < 1e-14
-        psi = spinor_at(cfg, x)[0]
+        psi = spinor_at(cfg, x, 0).val[0]
         resid = half - _antisymmetric(quadratic_pairs(psi, psi))
         expect = max(abs(resid[j, k]) for j in range(4) for k in range(j + 1, 4))
-        assert sw_residuals(cfg, x)["curvature"] == pytest.approx(expect,
-                                                                 rel=1e-12)
+        assert sw_residuals(cfg, x)["curvature"][0] == pytest.approx(expect,
+                                                                    rel=1e-12)
 
 
 def test_quadratic_form_chirality():
@@ -425,9 +431,10 @@ def test_quadratic_identity_for_chiral_spinors():
 def test_residuals_report_keys():
     rng = np.random.default_rng(7)
     cfg = random_sw_config(rng)
-    out = sw_residuals(cfg, rng.uniform(0, 2 * np.pi, 4))
+    out = sw_residuals(cfg, rng.uniform(0, 2 * np.pi, 4)[None])
     assert set(out) == {"dirac", "curvature", "quadratic_identity"}
-    assert out["quadratic_identity"] < 1e-12
+    assert all(v.shape == (1,) for v in out.values())
+    assert out["quadratic_identity"][0] < 1e-12
 
 
 def test_zero_configuration_gives_zero_functional():

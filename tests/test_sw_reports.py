@@ -47,25 +47,35 @@ def test_functional_folds_with_one_unique_and_one_bincount(monkeypatch):
     assert (len(unique), len(bincount)) == (1, 1)
 
 
+def _series_reads(monkeypatch, cfg):
+    """(field, order) of each trig series evaluated at points, A or psi."""
+    reads, real = [], swm._series_jet
+    monkeypatch.setattr(swm, "_series_jet", lambda series, x, order: reads.append(
+        ("psi" if series is cfg.series[1] else "A", order)) or real(series, x, order))
+    return reads
+
+
 def test_sw_run_evaluates_each_series_once(monkeypatch):
-    # psi once for the quadratic identity and the projector check, A once
+    # psi once, values only, for the quadratic identity and the projector
+    # check; A once, to its partials, for the curvature
     cfg = random_sw_config(np.random.default_rng(4), band=2, grid=9, block="-")
-    calls = _counting(monkeypatch, swm, "_series_at")
+    reads = _series_reads(monkeypatch, cfg)
     assert suites.run_suite("sw", seed=2, samples=3, sw_config=cfg).passed
-    assert len(calls) == 2
+    assert sorted(reads) == [("A", 1), ("psi", 0)]
 
 
 def test_sw_run_reads_only_what_its_checks_read(monkeypatch):
     # psi's values, A's partials and Q(psi) at the points once, on the pair
     # components
     cfg = random_sw_config(np.random.default_rng(6), band=2, grid=9)
-    partials = _counting(monkeypatch, swm, "_partials")
+    reads = _series_reads(monkeypatch, cfg)
     pointwise, real = [], swm.quadratic_pairs
     monkeypatch.setattr(swm, "quadratic_pairs", lambda phi, psi: pointwise.append(
         phi.shape == (3, 4)) or real(phi, psi))
     assert suites.run_suite("sw", seed=4, samples=3, sw_config=cfg).passed
     # the functional pairs the spinor's modes once more, not at the points
-    assert len(partials) == 1 and sorted(pointwise) == [False, True]
+    partials = [field for field, order in reads if order >= 1]
+    assert partials == ["A"] and sorted(pointwise) == [False, True]
 
 
 def test_mode_arrays_are_built_without_unique_or_add_at(monkeypatch):
